@@ -40,21 +40,26 @@ disk and reports the charged restart cost.  ``tune`` drives the
 self-tuning subsystem (``repro.tune``): ``search`` runs the offline
 strategy-tree policy search over the serving config space and emits a
 tuned profile, ``report`` prints a profile's headline numbers, and
-``apply`` serves with the profile's knobs applied.  ``serve``, ``faults``
-and ``sweep`` all ingest their knobs through one path
-(:meth:`repro.tune.ConfigSpace.from_args`): defaults < ``--profile`` <
-explicit flags, where contradicting sources — or a refinement flag like
-``--rebalance-ratio`` without its ``--rebalance`` gate — are loud errors
-rather than silent no-ops.  ``--adapt`` (serve/faults) additionally runs
-the online controller, which nudges a whitelisted knob subset at phase
-boundaries between batches.
+``apply`` serves with the profile's knobs applied.
+
+Every serving subcommand goes through one pipeline: knob flags are
+generated from the :class:`repro.tune.Knob` records and read back by
+:meth:`repro.tune.ConfigSpace.from_args` (defaults < ``--profile`` <
+flags; contradicting sources, or a refinement flag like
+``--rebalance-ratio`` without its ``--rebalance`` gate, are loud errors),
+the other flags become a :class:`repro.serve.ServeSpec` that is validated
+before any data exists, and :func:`repro.serve.build_session` builds the
+run.  ``--adapt`` (serve/faults) additionally runs the online controller,
+which nudges a whitelisted knob subset at phase boundaries.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -80,12 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ALL_EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p)
-        if name in ("fig5", "latency"):
-            p.add_argument(
-                "--dataset", default="uniform" if name == "fig5" else "osm",
-                choices=sorted(DATASETS), help="workload distribution",
-            )
+        _add_common(p, dataset={"fig5": "uniform", "latency": "osm"}.get(name))
 
     p_all = sub.add_parser("all", help="run every experiment")
     _add_common(p_all)
@@ -96,9 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a traced workload; export the per-phase/per-module timeline",
     )
-    _add_common(p_tr)
-    p_tr.add_argument("--dataset", default="uniform", choices=sorted(DATASETS),
-                      help="workload distribution")
+    _add_common(p_tr, dataset="uniform")
     p_tr.add_argument("--ops", default="insert,bc-10,bf-10,10-nn",
                       help="comma-separated Fig. 5 operation names")
     p_tr.add_argument("--out", type=Path, default=None,
@@ -116,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "continuous batching, latency stats",
     )
     _add_serve_args(p_sv)
-    _add_adapt_args(p_sv)
 
     p_ft = sub.add_parser(
         "faults",
@@ -124,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "storms, message drops; retry/failover/degraded-mode stats",
     )
     _add_serve_args(p_ft, index_choices=["pim", "pim-skew"])
-    _add_adapt_args(p_ft)
     p_ft.add_argument("--fault-seed", type=int, default=None,
                       help="fault-plan RNG seed (default: master seed)")
     p_ft.add_argument("--crash", action="append", default=None,
@@ -165,20 +161,18 @@ def _build_parser() -> argparse.ArgumentParser:
              "across worker processes (independent replicas), merge "
              "latency/throughput stats",
     )
-    _add_serve_args(p_sw)
+    _add_serve_args(p_sw, adapt=False)
     p_sw.add_argument("--procs", type=int, default=None,
                       help="worker processes / shards "
                            "(default: cpu count, capped at 8; 1 = inline)")
-    p_sw.set_defaults(requests=1_000_000, queue_depth=4096)
+    p_sw.set_defaults(requests=1_000_000, queue_depth=4096, n_modules=2048)
 
     p_bl = sub.add_parser(
         "balance",
         help="skew-aware rebalancing demo: adversarial hot-shard workload "
              "served with rebalance off vs on; migration + recovery report",
     )
-    _add_common(p_bl)
-    p_bl.add_argument("--dataset", default="varden", choices=sorted(DATASETS),
-                      help="workload distribution")
+    _add_common(p_bl, dataset="varden")
     p_bl.add_argument("--steps", type=int, default=24,
                       help="serving steps (one request batch each) per run")
     p_bl.add_argument("--kind", default="bc", choices=["bc", "knn"],
@@ -207,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "apply: serve with --profile applied; "
                            "report: print a profile's headline numbers")
     _add_serve_args(p_tn)
-    _add_adapt_args(p_tn)
     p_tn.add_argument("--workload", default="varden",
                       choices=["diurnal", "uniform", "varden"],
                       help="workload class to tune for (search)")
@@ -234,98 +227,89 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="demo: serve with checkpoint/WAL attached; "
                            "inspect: print a store's manifest + WAL table; "
                            "recover: rebuild the index from disk")
-    _add_common(p_st)
-    p_st.add_argument("--dataset", default="uniform", choices=sorted(DATASETS),
-                      help="workload distribution (demo)")
+    _add_traffic_args(p_st, requests=400,
+                      mix="knn=0.5,insert=0.35,bc=0.1,bf=0.05")
+    _add_knob_args(p_st, store=True)
     p_st.add_argument("--backend", default="file",
                       choices=["file", "sqlite"], help="storage backend")
     p_st.add_argument("--path", type=Path, default=None,
                       help="store location (directory for file, db file for "
                            "sqlite; demo defaults to a fresh temp dir)")
-    p_st.add_argument("--requests", type=int, default=400,
-                      help="offered requests (demo)")
-    p_st.add_argument("--load", type=float, default=0.8,
-                      help="offered load as a fraction of calibrated "
-                           "capacity (demo)")
-    p_st.add_argument("--mix", default="knn=0.5,insert=0.35,bc=0.1,bf=0.05",
-                      help="request mix (demo)")
-    p_st.add_argument("--k", type=int, default=10, help="k for kNN requests")
     p_st.add_argument("--kill-round", type=int, default=None,
                       help="BSP round at which the whole machine is killed "
                            "(demo; omit for a crash-free checkpointing run)")
-    p_st.add_argument("--budget-fraction", type=float, default=0.05,
-                      help="checkpoint time budget as a fraction of "
-                           "service time (demo)")
     p_st.add_argument("--max-restarts", type=int, default=4,
                       help="crash-restarts before the loop gives up (demo)")
-    p_st.add_argument("--out", type=Path, default=None,
-                      help="path for the latency + store-event JSON (demo)")
     return parser
 
 
-def _add_serve_args(p: argparse.ArgumentParser,
-                    index_choices: list[str] | None = None) -> None:
-    """Arguments shared by the ``serve`` and ``faults`` subcommands."""
-    _add_common(p)
-    p.add_argument("--dataset", default="uniform", choices=sorted(DATASETS),
-                   help="workload distribution")
-    p.add_argument("--index", default="pim",
-                   choices=index_choices or ["pim", "pim-skew", "zd", "pkd"],
-                   help="index adapter to serve from")
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"],
-                   help="arrival process")
-    p.add_argument("--requests", type=int, default=2000,
+def _add_traffic_args(p: argparse.ArgumentParser, *, requests: int = 2000,
+                      mix: str = "knn=0.7,bc=0.15,bf=0.1,insert=0.05") -> None:
+    """The world + offered-traffic flags every serving subcommand takes."""
+    _add_common(p, dataset="uniform")
+    p.add_argument("--requests", type=int, default=requests,
                    help="number of offered requests")
     p.add_argument("--load", type=float, default=0.8,
                    help="offered load as a fraction of calibrated capacity")
+    p.add_argument("--mix", default=mix,
+                   help="request mix, e.g. knn=0.8,insert=0.2")
+    p.add_argument("--k", type=int, default=10, help="k for kNN requests")
+    p.add_argument("--out", type=Path, default=None,
+                   help="path for the latency-stats JSON document")
+
+
+def _add_knob_args(p: argparse.ArgumentParser, *, store: bool = False) -> None:
+    """One generated flag per :class:`repro.tune.Knob`.
+
+    Unset flags parse to ``None`` (gates to ``False``) so
+    ``ConfigSpace.from_args`` can tell "not passed" from "passed the
+    default".  The checkpoint budget needs a durable store, so it is the
+    one knob ``store demo`` takes and the one the other commands do not.
+    """
+    from .tune import default_space
+
+    for knob in default_space().knobs:
+        if (knob.name == "checkpoint.budget_fraction") != store:
+            continue
+        if knob.kind == "bool":
+            p.add_argument(knob.flag, action="store_true", help=knob.doc)
+        else:
+            p.add_argument(
+                knob.flag, default=None, choices=knob.choices or None,
+                type={"int": int, "float": float, "choice": str}[knob.kind],
+                help=f"{knob.doc} (default {knob.default})")
+
+
+def _add_serve_args(p: argparse.ArgumentParser,
+                    index_choices: list[str] | None = None,
+                    adapt: bool = True) -> None:
+    """Arguments shared by serve / faults / sweep / tune (``adapt``: the
+    online-controller flags, which a sharded sweep does not take)."""
+    from .serve import OVERFLOW_POLICIES
+    from .workloads import ARRIVALS
+
+    _add_traffic_args(p)
+    _add_knob_args(p)
+    p.add_argument("--index", default="pim",
+                   choices=index_choices or ["pim", "pim-skew", "zd", "pkd"],
+                   help="index adapter to serve from")
+    p.add_argument("--arrival", default="poisson", choices=sorted(ARRIVALS),
+                   help="arrival process")
     p.add_argument("--rate", type=float, default=None,
                    help="absolute arrival rate (req/s of simulated time; "
                         "overrides --load)")
-    p.add_argument("--mix", default="knn=0.7,bc=0.15,bf=0.1,insert=0.05",
-                   help="request mix, e.g. knn=0.8,insert=0.2")
-    p.add_argument("--k", type=int, default=10, help="k for kNN requests")
     p.add_argument("--queue-depth", type=int, default=1024,
                    help="admission-queue depth bound")
     p.add_argument("--overflow", default="reject",
-                   choices=["reject", "shed-oldest"],
+                   choices=list(OVERFLOW_POLICIES),
                    help="backpressure policy when the queue is full")
     p.add_argument("--deadline-ms", type=float, default=None,
                    help="per-request relative deadline (simulated ms)")
-    p.add_argument("--policy", default=None,
-                   choices=["adaptive", "fixed"],
-                   help="batch-size policy (default adaptive, unless a "
-                        "--profile says otherwise)")
-    p.add_argument("--overhead-target", type=float, default=None,
-                   help="adaptive policy: fixed-overhead share of batch "
-                        "service time (default 0.1)")
-    p.add_argument("--fixed-batch", type=int, default=None,
-                   help="batch size for --policy fixed (default 64)")
-    p.add_argument("--out", type=Path, default=None,
-                   help="path for the latency-stats JSON document")
     p.add_argument("--csv", type=Path, default=None,
                    help="path for the flat metric,value CSV")
     p.add_argument("--profile", type=Path, default=None,
                    help="tuned-profile JSON (a 'tune search' artifact); "
                         "explicit flags that contradict it are an error")
-    p.add_argument("--rebalance", action="store_true",
-                   help="step the online rebalancer between batches "
-                        "(pim index adapters only)")
-    p.add_argument("--rebalance-ratio", type=float, default=None,
-                   help="max/mean EWMA heat ratio that trips migration "
-                        "(default 1.5; requires --rebalance)")
-    p.add_argument("--rebalance-gini", type=float, default=None,
-                   help="EWMA heat Gini that trips migration "
-                        "(default 0.35; requires --rebalance)")
-    p.add_argument("--rebalance-budget-words", type=float, default=None,
-                   help="word budget per migration invocation "
-                        "(default 65536; requires --rebalance)")
-    p.add_argument("--rebalance-budget", type=float, default=None,
-                   help="rebalance time budget as a fraction of service "
-                        "time (default 0.05; requires --rebalance)")
-    p.add_argument("--pull-factor", type=float, default=None,
-                   help="push-pull trigger: load-imbalance factor that "
-                        "flips a round from push to pull (default 3.0)")
     p.add_argument("--sim-mode", default=None, choices=["vector", "scalar"],
                    help="simulator round-accounting core: the array-backed "
                         "vector core (default) or the per-module scalar "
@@ -335,51 +319,33 @@ def _add_serve_args(p: argparse.ArgumentParser,
                         "gold=4,bronze=1 — requests are tagged in those "
                         "traffic proportions and the queue dequeues "
                         "weighted-fair with fair-share shedding")
-    p.add_argument("--replicate", type=int, default=None, metavar="K",
-                   help="K-way chunk replication (total copies incl. the "
-                        "primary); installs replicas before serving and "
-                        "routes reads to the least-loaded copy")
-    p.add_argument("--write-policy", default=None,
-                   choices=["write-all", "primary-async"],
-                   help="replica write policy (default write-all; "
-                        "requires --replicate >= 2)")
     p.add_argument("--staleness-ms", type=float, default=1.0,
                    help="staleness bound for --write-policy primary-async "
                         "(simulated ms)")
-    p.add_argument("--route-filter", action="store_true",
-                   help="install host-resident membership filters that "
-                        "suppress provably-empty sends on point lookups, "
-                        "deletes and kNN fetches (answers unchanged)")
-    p.add_argument("--route-fpr", type=float, default=None, metavar="FPR",
-                   help="Bloom false-positive rate target for "
-                        "--route-filter (default 0.01)")
+    if adapt:
+        p.add_argument("--adapt", action="store_true",
+                       help="run the online tuning controller: adapts a "
+                            "whitelisted knob subset at phase boundaries "
+                            "between batches, never mid-round")
+        p.add_argument("--adapt-window", type=int, default=32,
+                       help="batches per controller phase")
 
 
-def _add_adapt_args(p: argparse.ArgumentParser) -> None:
-    """The online-controller flags (serve/faults/tune apply)."""
-    p.add_argument("--adapt", action="store_true",
-                   help="run the online tuning controller: adapts a "
-                        "whitelisted knob subset at phase boundaries "
-                        "between batches, never mid-round")
-    p.add_argument("--adapt-window", type=int, default=32,
-                   help="batches per controller phase")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser,
+                dataset: str | None = None) -> None:
+    """The scale flags, plus ``--dataset`` (defaulting to ``dataset``) for
+    the subcommands that take one."""
     for name, (typ, help_text) in _COMMON_PARAMS.items():
         p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
                        help=help_text)
+    if dataset is not None:
+        p.add_argument("--dataset", default=dataset, choices=sorted(DATASETS),
+                       help="workload distribution")
 
 
 def _kwargs_from(args: argparse.Namespace) -> dict:
-    kw = {}
-    for name in _COMMON_PARAMS:
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    if getattr(args, "dataset", None) is not None:
-        kw["dataset"] = args.dataset
-    return kw
+    return {name: getattr(args, name) for name in (*_COMMON_PARAMS, "dataset")
+            if getattr(args, name, None) is not None}
 
 
 def _run_one(name: str, kwargs: dict) -> ExperimentResult:
@@ -461,64 +427,113 @@ def _run_trace(args: argparse.Namespace) -> int:
                     stats=adapter.system.stats,
                     include_events=not args.no_events,
                     residency=adapter.system.residency())
-        for path in (args.out, args.csv):
-            if path is not None:
-                print(f"wrote {path}")
-    elif args.csv is None and args.out is None:
+        _report_wrote(args.out, args.csv)
+    else:
         print("\n" + timeline_csv(tracer))
     return 1 if problems else 0
 
 
-def _parse_tenants(spec: str | None):
-    """Parse ``--tenants name=weight,...`` into a dict (None when unset).
-
-    Returns the sentinel ``2`` (the CLI usage-error exit code) on a
-    malformed spec.
-    """
-    if spec is None:
+def _parse_weights(flag: str, text: str | None) -> dict | None:
+    """Parse a ``name=weight,...`` flag value (``None`` when unset)."""
+    if text is None:
         return None
-    tenants = {}
+    weights = {}
     try:
-        for part in spec.split(","):
+        for part in text.split(","):
             name, sep, w = part.strip().partition("=")
             if not sep or not name:
                 raise ValueError
-            tenants[name] = float(w)
-            if tenants[name] <= 0:
-                raise ValueError
+            weights[name] = float(w)
     except ValueError:
-        print(f"error: malformed --tenants {spec!r} "
-              "(want name=weight,... with positive weights)")
-        return 2
-    return tenants
+        raise ValueError(
+            f"malformed {flag} {text!r} (want name=weight,...)") from None
+    return weights
 
 
-def _resolve_tune_config(args: argparse.Namespace):
+def _resolve_config(args: argparse.Namespace):
     """Resolve the knob space from defaults, ``--profile`` and flags.
 
     The single ingestion path (:meth:`ConfigSpace.from_args`) shared by
-    serve/faults/sweep/tune: conflicting sources, and refinement flags
-    whose gate mechanism is off, raise rather than being silently
-    dropped.  Returns a :class:`repro.tune.Resolution` or the sentinel
-    ``2`` (the CLI usage-error exit code).
+    every serving subcommand: conflicting sources, and refinement flags
+    whose gate mechanism is off, raise (``KnobConflict`` is a
+    ``ValueError``) rather than being silently dropped.  Returns a
+    :class:`repro.tune.Resolution`.
     """
-    from .tune import KnobConflict, default_space, load_profile
+    from .tune import default_space
 
-    space = default_space()
-    profile = None
     path = getattr(args, "profile", None)
-    if path is not None:
-        try:
-            profile = load_profile(json.loads(Path(path).read_text()),
-                                   space=space)
-        except (OSError, ValueError, KeyError) as e:
-            print(f"error: cannot load profile {path}: {e}")
-            return 2
+    profile = None if path is None else _load_profile(path)["config"]
+    return default_space().from_args(args, profile=profile)
+
+
+def _load_profile(path: Path) -> dict:
+    """A tuned-profile document with its ``config`` block validated."""
+    from .tune import load_profile
+
     try:
-        return space.from_args(args, profile=profile)
-    except (KnobConflict, ValueError) as e:
-        print(f"error: {e}")
-        return 2
+        doc = json.loads(Path(path).read_text())
+        return {**doc, "config": load_profile(doc)}
+    except (OSError, ValueError, KeyError) as e:
+        raise ValueError(f"cannot load profile {path}: {e}") from None
+
+
+def _spec_from_args(args: argparse.Namespace, config: dict):
+    """The :class:`repro.serve.ServeSpec` a serving subcommand's flags
+    describe.  Flags the subcommand does not define (``store demo`` takes
+    a subset, only ``faults`` has the retry knobs) and flags left unset
+    fall through to the spec's own defaults."""
+    from .serve import ServeSpec
+
+    def flag(dest: str, scale: float | None = None):
+        v = getattr(args, dest, None)
+        return v if v is None or scale is None else v * scale
+
+    fields = {
+        "dataset": args.dataset, "n": args.n,
+        "n_modules": args.n_modules, "seed": args.seed,
+        "requests": args.requests, "load": args.load, "k": args.k,
+        "mix": _parse_weights("--mix", args.mix), "config": config,
+        "index": flag("index"), "arrival": flag("arrival"),
+        "rate": flag("rate"), "sim_mode": flag("sim_mode"),
+        "queue_depth": flag("queue_depth"), "overflow": flag("overflow"),
+        "tenants": _parse_weights("--tenants", flag("tenants")),
+        "deadline_s": flag("deadline_ms", 1e-3),
+        "staleness_s": flag("staleness_ms", 1e-3),
+        "max_retries": flag("retries"), "backoff_s": flag("backoff_ms", 1e-3),
+        "timeout_s": flag("timeout_ms", 1e-3),
+        "max_restarts": flag("max_restarts"),
+        "adapt_window": flag("adapt_window"),
+    }
+    return ServeSpec(
+        **{k: v for k, v in fields.items() if v is not None},
+        adapt=getattr(args, "adapt", False),
+        degraded_mode=not getattr(args, "no_degraded", False),
+        failover=not getattr(args, "no_failover", False))
+
+
+def _fault_plan(args: argparse.Namespace, spec):
+    """The ``faults`` subcommand's seeded :class:`repro.faults.FaultPlan`."""
+    from .faults import FaultPlan
+
+    crash_at, slow = {}, {}
+    for text in args.crash or []:
+        mid, sep, rnd = text.partition("@")
+        if not sep:
+            raise ValueError(f"malformed --crash {text!r} (want MID@ROUND)")
+        crash_at[int(mid)] = int(rnd)
+    for text in args.slow or []:
+        mid, sep, factor = text.partition(":")
+        if not sep:
+            raise ValueError(f"malformed --slow {text!r} (want MID:FACTOR)")
+        slow[int(mid)] = float(factor)
+    if any(not 0 <= mid < spec.n_modules for mid in (*crash_at, *slow)):
+        raise ValueError(f"module ids must be in [0, {spec.n_modules})")
+    return FaultPlan(
+        seed=args.fault_seed if args.fault_seed is not None else spec.seed,
+        crash_at=crash_at, crash_rate=args.crash_rate,
+        max_crashes=args.max_crashes, drop_rate=args.drop_rate,
+        slow_factors=slow, storm_rate=args.storm_rate,
+        storm_factor=args.storm_factor, storm_rounds=args.storm_rounds)
 
 
 def _report_tuned(res) -> None:
@@ -529,23 +544,77 @@ def _report_tuned(res) -> None:
             f"{k}={v} [{res.sources[k]}]" for k, v in sorted(tuned.items())))
 
 
-def _apply_tune_config(args: argparse.Namespace, adapter, config: dict):
-    """Attach the config's serving mechanisms to ``adapter``.
+def _report_phase_share(adapter, phase: str,
+                        of: str = "total sim time") -> None:
+    """Print ``phase``'s simulated time and its share of the system's."""
+    stats = adapter.system.stats
+    acc = stats.phases.get(phase)
+    if acc is None:
+        return
+    t = adapter.tree.cost_model.time(acc).total_s
+    total = adapter.tree.cost_model.time(stats.total).total_s
+    share = 100.0 * t / total if total else 0.0
+    print(f"{phase} phase: {t * 1e3:.3f}ms simulated ({share:.2f}% of {of})")
 
-    Returns the parts dict from
-    :func:`repro.tune.apply_serving_config` (``{"policy", "rebalancer",
-    "replication", "filters"}``) or the sentinel ``2`` on a usage error
-    (a tree-level mechanism requested on a treeless baseline adapter).
+
+def _report_reconcile(problems: list, ok: str = "trace reconciles exactly",
+                      failed: str = "RECONCILIATION FAILED") -> int:
+    """Print a trace-vs-PIMStats reconciliation verdict; the exit code."""
+    print(f"{failed}: {problems}" if problems else ok)
+    return 1 if problems else 0
+
+
+def _report_wrote(*paths) -> None:
+    for path in paths:
+        if path is not None:
+            print(f"wrote {path}")
+
+
+def _run_serving(args: argparse.Namespace) -> int:
+    """serve / faults / tune apply / store demo: one session, one report.
+
+    The commands differ only in what rides on the session — ``faults``
+    adds a seeded fault plan and a tracer, ``store demo`` a durable store
+    (and optionally a machine kill) — and in the report lines that
+    describe those extras.
     """
-    from .tune import apply_serving_config
+    from .obs import TraceCollector, write_latency
+    from .serve import build_session
 
+    # ``tune apply`` is ``serve`` with a mandatory profile.
+    command = "serve" if args.command == "tune" else args.command
+    faults, store_demo = command == "faults", command == "store"
+    plan = backend = None
+    tracer = TraceCollector() if faults or store_demo else None
     try:
-        parts = apply_serving_config(
-            adapter, config,
-            staleness_s=getattr(args, "staleness_ms", 1.0) * 1e-3)
+        res = _resolve_config(args)
+        spec = _spec_from_args(args, res.config).validate()
+        if faults:
+            plan = _fault_plan(args, spec)
     except ValueError as e:
-        print(f"error: {e} (got --index {args.index!r})")
+        print(f"error: {e}")
         return 2
+    if store_demo:
+        from .faults import FaultPlan
+        from .store import open_backend
+
+        path = args.path
+        if path is None:
+            tmp = Path(tempfile.mkdtemp(prefix="repro-store-"))
+            path = tmp / "store.db" if args.backend == "sqlite" else tmp
+        backend = open_backend(args.backend, path)
+        if args.kill_round is not None:
+            plan = FaultPlan(machine_kill_at=args.kill_round)
+
+    session = build_session(spec, fault_plan=plan, tracer=tracer,
+                            backend=backend)
+    spec, adapter, loop, parts = (session.spec, session.adapter,
+                                  session.loop, session.parts)
+    if session.capacity is not None:
+        print(f"calibrated {'fault-free ' if faults else ''}capacity ≈ "
+              f"{session.capacity:.0f} req/s; offering {spec.load:.2f}x = "
+              f"{spec.rate:.0f} req/s")
+    _report_tuned(res)
     rep, flt = parts["replication"], parts["filters"]
     if rep is not None:
         print(f"replication: installed {rep['installed']} secondary "
@@ -554,412 +623,146 @@ def _apply_tune_config(args: argparse.Namespace, adapter, config: dict):
         print(f"route filters: fpr={flt['fpr']:g}, "
               f"{flt['keys_indexed']} keys indexed, "
               f"{flt['filter_kib']:.1f} KiB resident")
-    return parts
+    result = session.run()
 
-
-def _make_controller(args: argparse.Namespace):
-    """Build the online tuning controller for ``--adapt`` (or None).
-
-    Returns the sentinel ``2`` on a bad ``--adapt-window``.
-    """
-    if not getattr(args, "adapt", False):
-        return None
-    from .tune import OnlineController
-
-    try:
-        return OnlineController(window=getattr(args, "adapt_window", 32))
-    except ValueError as e:
-        print(f"error: {e}")
-        return 2
-
-
-def _report_controller(controller) -> None:
-    """Print the online controller's adaptation history."""
-    if controller is None:
-        return
-    aud = controller.audit()
-    print(f"\ncontroller: {aud['changes']} change(s) over "
-          f"{aud['phases']} phase(s) "
-          f"(whitelist: {', '.join(aud['whitelist'])})")
-    for h in aud["history"]:
-        print(f"  phase {h['phase']}: {h['knob']} {h['old']:g} -> "
-              f"{h['new']:g} ({h['why']})")
-
-
-def _report_rebalance(loop, rebalancer, adapter) -> None:
-    """Print the rebalance summary of one serve/faults run."""
-    if rebalancer is None:
-        return
-    print(f"\nrebalance: {loop.rebalance_steps} steps, "
-          f"{rebalancer.migrations} chunk moves, "
-          f"{rebalancer.words_moved:,.0f} words moved "
-          f"({loop.rebalance_time_s * 1e3:.3f}ms of simulated time)")
-    stats = adapter.system.stats
-    reb = stats.phases.get("rebalance")
-    if reb is not None:
-        t = adapter.tree.cost_model.time(reb)
-        total_t = adapter.tree.cost_model.time(stats.total)
-        share = 100.0 * t.total_s / total_t.total_s if total_t.total_s else 0.0
-        print(f"rebalance phase: {t.total_s * 1e3:.3f}ms simulated "
-              f"({share:.2f}% of total sim time)")
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: open-loop run → latency stats."""
-    import math
-
-    from .eval.experiments import _dataset
-    from .eval.harness import make_adapter
-    from .obs import write_latency
-    from .serve import (
-        AdmissionQueue,
-        ServeLoop,
-        calibrate_capacity,
-        make_requests,
-    )
-    from .tune import make_index_config
-    from .workloads import bursty_arrivals, diurnal_arrivals, poisson_arrivals
-
-    n = args.n or 20_000
-    n_modules = args.n_modules or 32
-    seed = args.seed if args.seed is not None else 7
-
-    try:
-        mix = {}
-        for part in args.mix.split(","):
-            kind, _, w = part.strip().partition("=")
-            mix[kind] = float(w)
-    except ValueError:
-        print(f"error: malformed --mix {args.mix!r}")
-        return 2
-    if args.requests < 1:
-        print("error: --requests must be >= 1")
-        return 2
-    res = _resolve_tune_config(args)
-    if res == 2:
-        return 2
-    config = res.config
-    controller = _make_controller(args)
-    if controller == 2:
-        return 2
-
-    data = _dataset(args.dataset, n, seed)
-
-    rate = args.rate
-    if rate is None:
-        # Express load relative to measured capacity at a well-amortised
-        # reference batch; calibrate on a throwaway adapter so the serving
-        # adapter starts cold.
-        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                             sim_mode=args.sim_mode)
-        capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
-        rate = args.load * capacity
-        print(f"calibrated capacity ≈ {capacity:.0f} req/s; offering "
-              f"{args.load:.2f}x = {rate:.0f} req/s")
-
-    tenants = _parse_tenants(args.tenants)
-    if tenants == 2:
-        return 2
-    arrival_fn = {"poisson": poisson_arrivals, "bursty": bursty_arrivals,
-                  "diurnal": diurnal_arrivals}[args.arrival]
-    arrivals = arrival_fn(rate, args.requests, seed=seed + 1)
-    deadline_s = (args.deadline_ms * 1e-3 if args.deadline_ms is not None
-                  else math.inf)
-    try:
-        requests = make_requests(data, arrivals, mix=mix, k=args.k,
-                                 deadline_s=deadline_s, seed=seed + 2,
-                                 tenants=tenants)
-    except ValueError as e:
-        print(f"error: {e}")
-        return 2
-
-    idx_cfg = make_index_config(config, kind=args.index, n_points=len(data),
-                                n_modules=n_modules)
-    adapter = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                           sim_mode=args.sim_mode, config=idx_cfg)
-    _report_tuned(res)
-    parts = _apply_tune_config(args, adapter, config)
-    if parts == 2:
-        return 2
-    rebalancer = parts["rebalancer"]
-    loop = ServeLoop(adapter,
-                     AdmissionQueue(args.queue_depth, overflow=args.overflow,
-                                    tenants=tenants),
-                     parts["policy"], rebalancer=rebalancer,
-                     controller=controller)
-    result = loop.run(requests)
-
-    print(f"=== serve — {args.dataset}, {args.index}, n={n}, P={n_modules}, "
-          f"{args.arrival} arrivals, {config['batch.policy']} batching ===")
+    if store_demo:
+        print(f"=== store demo — {spec.dataset}, n={spec.n}, "
+              f"P={spec.n_modules}, {args.backend} backend at {path} ===")
+    else:
+        print(f"=== {command} — {spec.dataset}, {spec.index}, n={spec.n}, "
+              f"P={spec.n_modules}, {spec.arrival} arrivals, "
+              f"{spec.config['batch.policy']} batching ===")
     print(result.stats.table())
-    _report_rebalance(loop, rebalancer, adapter)
-    _report_controller(controller)
-    if args.out is not None or args.csv is not None:
+    rebalancer, controller = parts["rebalancer"], parts["controller"]
+    if rebalancer is not None:
+        print(f"\nrebalance: {loop.rebalance_steps} steps, "
+              f"{rebalancer.migrations} chunk moves, "
+              f"{rebalancer.words_moved:,.0f} words moved "
+              f"({loop.rebalance_time_s * 1e3:.3f}ms of simulated time)")
+        _report_phase_share(adapter, "rebalance")
+    if controller is not None:
+        aud = controller.audit()
+        print(f"\ncontroller: {aud['changes']} change(s) over "
+              f"{aud['phases']} phase(s) "
+              f"(whitelist: {', '.join(aud['whitelist'])})")
+        for h in aud["history"]:
+            print(f"  phase {h['phase']}: {h['knob']} {h['old']:g} -> "
+                  f"{h['new']:g} ({h['why']})")
+
+    code = 0
+    if faults:
+        summary = plan.summary()
+        dead = sorted(adapter.system.dead_modules)
+        events = (", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
+                  if summary else "none")
+        print(f"\ninjected events: {events}")
+        print(f"dead modules: {dead if dead else 'none'} "
+              f"({adapter.system.n_live}/{adapter.system.n_modules} live)")
+        retried = sum(1 for b in result.batches if b.retries)
+        print(f"batches: {len(result.batches)} total, {retried} retried")
+        _report_phase_share(adapter, "recovery")
+    store = parts["store"]
+    if store_demo:
+        print(f"\ncheckpoints: {loop.checkpoints} "
+              f"({loop.checkpoint_time_s * 1e3:.3f}ms of simulated time); "
+              f"WAL records pending: {store.dirty_records}")
+        for r in loop.restarts:
+            print(f"machine killed at t={r['killed_at_s'] * 1e3:.3f}ms, "
+                  f"recovered at t={r['recovered_at_s'] * 1e3:.3f}ms "
+                  f"(restart {r['restart_s'] * 1e3:.3f}ms = "
+                  f"time-to-first-query; {r['replayed']} replayed, "
+                  f"{r['skipped_uncommitted']} uncommitted skipped)")
+        if plan is not None and not loop.restarts:
+            print("no machine kill fired (too few BSP rounds before "
+                  "--kill-round?)")
+        _report_phase_share(adapter, "recovery",
+                            of="the post-restart system's sim time")
+    if loop.restarts:
+        # The serve tracer watches the pre-crash system, whose stats die
+        # with the kill — so after a restart, reconcile a *fresh*
+        # standalone recovery instead (every charge on that system is
+        # recovery, traced from birth).
+        from .store import recover
+
+        tracer = TraceCollector()
+        rec = recover(backend, tracer=tracer,
+                      cost_model=adapter.tree.cost_model)
+        code = _report_reconcile(
+            tracer.timeline.reconcile(rec.system.stats),
+            ok="recovery trace reconciles exactly",
+            failed="RECOVERY RECONCILIATION FAILED")
+    elif tracer is not None:
+        code = _report_reconcile(tracer.timeline.reconcile(
+            adapter.system.stats))
+
+    csv = getattr(args, "csv", None)
+    if args.out is not None or csv is not None:
         tune_doc = None
         if res.non_default() or (controller is not None and controller.active):
             tune_doc = {"knobs": res.config, "sources": res.sources}
-        write_latency(result.stats, json_path=args.out, csv_path=args.csv,
-                      batches=result.batches, config=tune_doc)
-        for path in (args.out, args.csv):
-            if path is not None:
-                print(f"wrote {path}")
-    return 0
+        write_latency(
+            result.stats, json_path=args.out, csv_path=csv,
+            batches=result.batches, config=tune_doc,
+            faults=plan.events if plan is not None else None,
+            store_events=store.events if store is not None else None,
+            restarts=loop.restarts if store is not None else None)
+        _report_wrote(args.out, csv)
+    return code
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     """The ``sweep`` subcommand: sharded paper-scale serve run."""
-    import math
-
-    from .eval.experiments import _dataset
-    from .eval.harness import make_adapter
-    from .serve import calibrate_capacity, run_sweep
-
-    n = args.n or 20_000
-    n_modules = args.n_modules or 2048
-    seed = args.seed if args.seed is not None else 7
+    from .serve import resolve_rate, run_sweep
 
     try:
-        mix = {}
-        for part in args.mix.split(","):
-            kind, _, w = part.strip().partition("=")
-            mix[kind] = float(w)
-    except ValueError:
-        print(f"error: malformed --mix {args.mix!r}")
-        return 2
-    if args.requests < 1:
-        print("error: --requests must be >= 1")
-        return 2
-    res = _resolve_tune_config(args)
-    if res == 2:
-        return 2
-    config = res.config
-    tenants = _parse_tenants(args.tenants)
-    if tenants == 2:
-        return 2
-    _report_tuned(res)
-
-    rate = args.rate
-    if rate is None:
+        res = _resolve_config(args)
+        _report_tuned(res)
         # Per-shard rate, calibrated once on a throwaway adapter (all
         # shards serve the same index, so one probe speaks for all).
-        data = _dataset(args.dataset, n, seed)
-        probe = make_adapter(args.index, data, n_modules=n_modules,
-                             seed=seed, sim_mode=args.sim_mode)
-        capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
-        rate = args.load * capacity
+        spec, capacity = resolve_rate(_spec_from_args(args, res.config))
+    except ValueError as e:
+        print(f"error: {e}")
+        return 2
+    if capacity is not None:
         print(f"calibrated capacity ≈ {capacity:.0f} req/s; offering "
-              f"{args.load:.2f}x = {rate:.0f} req/s per shard")
+              f"{spec.load:.2f}x = {spec.rate:.0f} req/s per shard")
 
-    result = run_sweep(
-        dataset=args.dataset, n=n, n_modules=n_modules, index=args.index,
-        total_requests=args.requests, rate=rate, procs=args.procs, seed=seed,
-        mix=mix, k=args.k,
-        deadline_s=(args.deadline_ms * 1e-3 if args.deadline_ms is not None
-                    else math.inf),
-        queue_depth=args.queue_depth, overflow=args.overflow,
-        policy=config["batch.policy"], fixed_batch=int(config["batch.fixed"]),
-        sim_mode=args.sim_mode, arrival=args.arrival, tenants=tenants,
-        tune_config=config if res.non_default() else None,
-    )
+    fields = dataclasses.asdict(spec)
+    result = run_sweep(procs=args.procs,
+                       total_requests=fields.pop("requests"),
+                       tune_config=fields.pop("config"), **fields)
 
-    print(f"=== sweep — {args.dataset}, {args.index}, n={n}, P={n_modules}, "
-          f"{args.arrival} arrivals, {config['batch.policy']} batching ===")
+    print(f"=== sweep — {spec.dataset}, {spec.index}, n={spec.n}, "
+          f"P={spec.n_modules}, {spec.arrival} arrivals, "
+          f"{spec.config['batch.policy']} batching ===")
     print(result.table())
     if args.out is not None:
         args.out.write_text(json.dumps(result.to_dict(), indent=2))
-        print(f"wrote {args.out}")
     if args.csv is not None:
-        rows = [("n_shards", result.n_shards), ("n_offered", result.n_offered),
-                ("n_done", result.n_done), ("n_failed", result.n_failed),
-                ("n_timed_out", result.n_timed_out),
-                ("n_rejected", result.n_rejected), ("n_shed", result.n_shed),
-                ("aggregate_throughput", result.aggregate_throughput),
-                ("aggregate_goodput", result.aggregate_goodput),
-                ("wall_s", result.wall_s)]
-        for group, d in (("latency", result.latency), ("queue", result.queue),
-                         ("service", result.service)):
-            rows.extend((f"{group}_{k}", v) for k, v in d.items())
+        doc = result.to_dict()
+        rows = [(k, v) for k, v in doc.items()
+                if not isinstance(v, (dict, list))]
+        for group in ("latency", "queue", "service"):
+            rows.extend((f"{group}_{k}", v) for k, v in doc[group].items())
         args.csv.write_text(
             "metric,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n")
-        print(f"wrote {args.csv}")
+    _report_wrote(args.out, args.csv)
     return 0
-
-
-def _run_faults(args: argparse.Namespace) -> int:
-    """The ``faults`` subcommand: serving under a seeded fault plan."""
-    import math
-
-    from .eval.experiments import _dataset
-    from .eval.harness import make_adapter
-    from .faults import FaultPlan
-    from .obs import TraceCollector, write_latency
-    from .serve import (
-        AdmissionQueue,
-        ServeLoop,
-        calibrate_capacity,
-        make_requests,
-    )
-    from .tune import make_index_config
-    from .workloads import bursty_arrivals, diurnal_arrivals, poisson_arrivals
-
-    n = args.n or 20_000
-    n_modules = args.n_modules or 32
-    seed = args.seed if args.seed is not None else 7
-    fault_seed = args.fault_seed if args.fault_seed is not None else seed
-
-    try:
-        mix = {}
-        for part in args.mix.split(","):
-            kind, _, w = part.strip().partition("=")
-            mix[kind] = float(w)
-        crash_at = {}
-        for spec in args.crash or []:
-            mid, sep, rnd = spec.partition("@")
-            if not sep:
-                raise ValueError(f"malformed --crash {spec!r} (want MID@ROUND)")
-            crash_at[int(mid)] = int(rnd)
-        slow = {}
-        for spec in args.slow or []:
-            mid, sep, factor = spec.partition(":")
-            if not sep:
-                raise ValueError(f"malformed --slow {spec!r} (want MID:FACTOR)")
-            slow[int(mid)] = float(factor)
-        plan = FaultPlan(
-            seed=fault_seed, crash_at=crash_at, crash_rate=args.crash_rate,
-            max_crashes=args.max_crashes, drop_rate=args.drop_rate,
-            slow_factors=slow, storm_rate=args.storm_rate,
-            storm_factor=args.storm_factor, storm_rounds=args.storm_rounds,
-        )
-    except ValueError as e:
-        print(f"error: {e}")
-        return 2
-    if args.requests < 1:
-        print("error: --requests must be >= 1")
-        return 2
-    if any(mid >= n_modules or mid < 0 for mid in (*crash_at, *slow)):
-        print(f"error: module ids must be in [0, {n_modules})")
-        return 2
-    res = _resolve_tune_config(args)
-    if res == 2:
-        return 2
-    config = res.config
-    controller = _make_controller(args)
-    if controller == 2:
-        return 2
-
-    data = _dataset(args.dataset, n, seed)
-
-    rate = args.rate
-    if rate is None:
-        # Calibrate against a fault-free throwaway adapter: capacity means
-        # the healthy machine's capacity, so degradation is visible.
-        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                             sim_mode=args.sim_mode)
-        capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
-        rate = args.load * capacity
-        print(f"calibrated fault-free capacity ≈ {capacity:.0f} req/s; "
-              f"offering {args.load:.2f}x = {rate:.0f} req/s")
-
-    tenants = _parse_tenants(args.tenants)
-    if tenants == 2:
-        return 2
-    arrival_fn = {"poisson": poisson_arrivals, "bursty": bursty_arrivals,
-                  "diurnal": diurnal_arrivals}[args.arrival]
-    arrivals = arrival_fn(rate, args.requests, seed=seed + 1)
-    deadline_s = (args.deadline_ms * 1e-3 if args.deadline_ms is not None
-                  else math.inf)
-    try:
-        requests = make_requests(data, arrivals, mix=mix, k=args.k,
-                                 deadline_s=deadline_s, seed=seed + 2,
-                                 tenants=tenants)
-    except ValueError as e:
-        print(f"error: {e}")
-        return 2
-
-    tracer = TraceCollector()
-    idx_cfg = make_index_config(config, kind=args.index, n_points=len(data),
-                                n_modules=n_modules)
-    adapter = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                           fault_plan=plan, tracer=tracer,
-                           sim_mode=args.sim_mode, config=idx_cfg)
-    _report_tuned(res)
-    parts = _apply_tune_config(args, adapter, config)
-    if parts == 2:
-        return 2
-    rebalancer = parts["rebalancer"]
-    loop = ServeLoop(
-        adapter, AdmissionQueue(args.queue_depth, overflow=args.overflow,
-                                tenants=tenants),
-        parts["policy"], max_retries=args.retries,
-        backoff_s=args.backoff_ms * 1e-3,
-        timeout_s=(args.timeout_ms * 1e-3 if args.timeout_ms is not None
-                   else None),
-        degraded_mode=not args.no_degraded, failover=not args.no_failover,
-        rebalancer=rebalancer, controller=controller,
-    )
-    result = loop.run(requests)
-
-    print(f"=== faults — {args.dataset}, {args.index}, n={n}, P={n_modules}, "
-          f"{args.arrival} arrivals, {config['batch.policy']} batching ===")
-    print(result.stats.table())
-    _report_rebalance(loop, rebalancer, adapter)
-    _report_controller(controller)
-
-    summary = plan.summary()
-    dead = sorted(adapter.system.dead_modules)
-    events = (", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
-              if summary else "none")
-    print(f"\ninjected events: {events}")
-    print(f"dead modules: {dead if dead else 'none'} "
-          f"({adapter.system.n_live}/{adapter.system.n_modules} live)")
-    retried = sum(1 for b in result.batches if b.retries)
-    print(f"batches: {len(result.batches)} total, {retried} retried")
-
-    stats = adapter.system.stats
-    rec = stats.phases.get("recovery")
-    if rec is not None:
-        t = adapter.tree.cost_model.time(rec)
-        total_t = adapter.tree.cost_model.time(stats.total)
-        share = 100.0 * t.total_s / total_t.total_s if total_t.total_s else 0.0
-        print(f"recovery phase: {t.total_s * 1e3:.3f}ms simulated "
-              f"({share:.2f}% of total sim time)")
-
-    problems = tracer.timeline.reconcile(stats)
-    print("trace reconciles exactly" if not problems
-          else f"RECONCILIATION FAILED: {problems}")
-
-    if args.out is not None or args.csv is not None:
-        tune_doc = None
-        if res.non_default() or (controller is not None and controller.active):
-            tune_doc = {"knobs": res.config, "sources": res.sources}
-        write_latency(result.stats, json_path=args.out, csv_path=args.csv,
-                      batches=result.batches, faults=plan.events,
-                      config=tune_doc)
-        for path in (args.out, args.csv):
-            if path is not None:
-                print(f"wrote {path}")
-    return 1 if problems else 0
 
 
 def _run_tune(args: argparse.Namespace) -> int:
     """The ``tune`` subcommand: offline search / tuned serve / report."""
+    if args.action != "search" and args.profile is None:
+        print(f"error: tune {args.action} requires --profile")
+        return 2
     if args.action == "apply":
-        if args.profile is None:
-            print("error: tune apply requires --profile")
-            return 2
-        return _run_serve(args)
+        return _run_serving(args)
 
     if args.action == "report":
-        if args.profile is None:
-            print("error: tune report requires --profile")
-            return 2
-        from .tune import default_space, load_profile
-
         try:
-            doc = json.loads(args.profile.read_text())
-            load_profile(doc, space=default_space())
-        except (OSError, ValueError, KeyError) as e:
-            print(f"error: cannot load profile {args.profile}: {e}")
+            doc = _load_profile(args.profile)
+        except ValueError as e:
+            print(f"error: {e}")
             return 2
         params = doc.get("params", {})
         print(f"=== tuned profile — workload {doc['workload']}, "
@@ -990,19 +793,17 @@ def _run_tune(args: argparse.Namespace) -> int:
     # ------------------------------------------------------------ search
     from .tune import profile_json, search
 
-    res = _resolve_tune_config(args)
-    if res == 2:
-        return 2
-    if res.non_default():
-        print("error: tune search explores from the shipped defaults; "
-              "knob flags and --profile belong to 'tune apply' "
-              f"(got: {', '.join(sorted(res.non_default()))})")
-        return 2
     knobs = None
     if args.knobs:
         knobs = tuple(k.strip() for k in args.knobs.split(",") if k.strip())
     seed = args.seed if args.seed is not None else 7
     try:
+        tuned = _resolve_config(args).non_default()
+        if tuned:
+            raise ValueError(
+                "tune search explores from the shipped defaults; knob flags "
+                "and --profile belong to 'tune apply' "
+                f"(got: {', '.join(sorted(tuned))})")
         result = search(
             args.workload, seed=seed, n=args.n or 4000,
             n_modules=args.n_modules or 8, requests=args.requests,
@@ -1102,19 +903,10 @@ def _run_balance(args: argparse.Namespace) -> int:
           f"{rebalancer.words_moved:,.0f} words, "
           f"{len(rebalancer.history)} invocations")
 
-    stats = adapter_on.system.stats
-    reb = stats.phases.get("rebalance")
-    if reb is not None:
-        t = adapter_on.tree.cost_model.time(reb)
-        total_t = adapter_on.tree.cost_model.time(stats.total)
-        share = 100.0 * t.total_s / total_t.total_s if total_t.total_s else 0.0
-        print(f"rebalance phase: {t.total_s * 1e3:.3f}ms simulated "
-              f"({share:.2f}% of total sim time)")
-
+    _report_phase_share(adapter_on, "rebalance")
     problems = (tracer_off.timeline.reconcile(adapter_off.system.stats)
                 + tracer_on.timeline.reconcile(adapter_on.system.stats))
-    print("traces reconcile exactly" if not problems
-          else f"RECONCILIATION FAILED: {problems}")
+    code = _report_reconcile(problems, ok="traces reconcile exactly")
 
     if args.out is not None:
         from .obs import sanitize_json
@@ -1132,29 +924,25 @@ def _run_balance(args: argparse.Namespace) -> int:
             "reconciliation": {"exact": not problems, "problems": problems},
         })
         args.out.write_text(json.dumps(doc, indent=2, allow_nan=False))
-        print(f"wrote {args.out}")
-    return 1 if problems else 0
-
-
-def _store_backend(args: argparse.Namespace, path: Path):
-    from .store import open_backend
-
-    return open_backend(args.backend, path)
+        _report_wrote(args.out)
+    return code
 
 
 def _run_store(args: argparse.Namespace) -> int:
     """The ``store`` subcommand: durable tier demo / inspect / recover."""
-    from .store import SnapshotStore, StoreError, committed_seqs, scan_wal
+    from .store import (SnapshotStore, StoreError, committed_seqs,
+                        open_backend, scan_wal)
 
-    if args.action in ("inspect", "recover"):
-        if args.path is None:
-            print(f"error: --path is required for {args.action}")
-            return 2
-        try:
-            backend = _store_backend(args, args.path)
-        except (OSError, StoreError) as e:
-            print(f"error: cannot open store at {args.path}: {e}")
-            return 2
+    if args.action == "demo":
+        return _run_serving(args)
+    if args.path is None:
+        print(f"error: --path is required for {args.action}")
+        return 2
+    try:
+        backend = open_backend(args.backend, args.path)
+    except (OSError, StoreError) as e:
+        print(f"error: cannot open store at {args.path}: {e}")
+        return 2
 
     if args.action == "inspect":
         try:
@@ -1212,124 +1000,7 @@ def _run_store(args: argparse.Namespace) -> int:
         print(f"charged restart cost: {t.total_s * 1e3:.3f}ms simulated, "
               f"all under the 'recovery' phase "
               f"(phases: {sorted(stats.phases)})")
-        problems = tracer.timeline.reconcile(stats)
-        print("trace reconciles exactly" if not problems
-              else f"RECONCILIATION FAILED: {problems}")
-        return 1 if problems else 0
-
-    # ------------------------------------------------------------- demo
-    import math
-    import tempfile
-
-    from .eval.experiments import _dataset
-    from .eval.harness import make_adapter
-    from .faults import FaultPlan
-    from .obs import TraceCollector, write_latency
-    from .serve import (
-        AdaptiveBatchPolicy,
-        AdmissionQueue,
-        ServeLoop,
-        calibrate_capacity,
-        make_requests,
-    )
-    from .store import DurableStore
-    from .workloads import poisson_arrivals
-
-    n = args.n or 20_000
-    n_modules = args.n_modules or 32
-    seed = args.seed if args.seed is not None else 7
-    try:
-        mix = {}
-        for part in args.mix.split(","):
-            kind, _, w = part.strip().partition("=")
-            mix[kind] = float(w)
-    except ValueError:
-        print(f"error: malformed --mix {args.mix!r}")
-        return 2
-    if args.requests < 1:
-        print("error: --requests must be >= 1")
-        return 2
-
-    path = args.path
-    if path is None:
-        tmp = Path(tempfile.mkdtemp(prefix="repro-store-"))
-        path = tmp / "store.db" if args.backend == "sqlite" else tmp
-    backend = _store_backend(args, path)
-
-    data = _dataset(args.dataset, n, seed)
-    probe = make_adapter("pim", data, n_modules=n_modules, seed=seed)
-    capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
-    rate = args.load * capacity
-    print(f"calibrated capacity ≈ {capacity:.0f} req/s; offering "
-          f"{args.load:.2f}x = {rate:.0f} req/s")
-    arrivals = poisson_arrivals(rate, args.requests, seed=seed + 1)
-    try:
-        requests = make_requests(data, arrivals, mix=mix, k=args.k,
-                                 deadline_s=math.inf, seed=seed + 2)
-    except ValueError as e:
-        print(f"error: {e}")
-        return 2
-
-    plan = (FaultPlan(machine_kill_at=args.kill_round)
-            if args.kill_round is not None else None)
-    tracer = TraceCollector()
-    adapter = make_adapter("pim", data, n_modules=n_modules, seed=seed,
-                           fault_plan=plan, tracer=tracer)
-    store = DurableStore(backend, budget_fraction=args.budget_fraction)
-    store.attach(adapter.tree)
-    loop = ServeLoop(adapter, AdmissionQueue(1024), AdaptiveBatchPolicy(),
-                     store=store, max_restarts=args.max_restarts)
-    result = loop.run(requests)
-
-    print(f"=== store demo — {args.dataset}, n={n}, P={n_modules}, "
-          f"{args.backend} backend at {path} ===")
-    print(result.stats.table())
-    print(f"\ncheckpoints: {loop.checkpoints} "
-          f"({loop.checkpoint_time_s * 1e3:.3f}ms of simulated time); "
-          f"WAL records pending: {store.dirty_records}")
-    for r in loop.restarts:
-        print(f"machine killed at t={r['killed_at_s'] * 1e3:.3f}ms, "
-              f"recovered at t={r['recovered_at_s'] * 1e3:.3f}ms "
-              f"(restart {r['restart_s'] * 1e3:.3f}ms = time-to-first-query; "
-              f"{r['replayed']} replayed, "
-              f"{r['skipped_uncommitted']} uncommitted skipped)")
-    if plan is not None and not loop.restarts:
-        print("no machine kill fired (too few BSP rounds before --kill-round?)")
-
-    stats = adapter.system.stats
-    rec = stats.phases.get("recovery")
-    if rec is not None:
-        t = adapter.tree.cost_model.time(rec)
-        total_t = adapter.tree.cost_model.time(stats.total)
-        share = 100.0 * t.total_s / total_t.total_s if total_t.total_s else 0.0
-        print(f"recovery phase: {t.total_s * 1e3:.3f}ms simulated "
-              f"({share:.2f}% of the post-restart system's sim time)")
-
-    # The serve tracer watches the pre-crash system, whose stats die with
-    # the kill — so after a restart, reconcile a *fresh* standalone
-    # recovery instead (every charge on that system is recovery, traced
-    # from birth).  Crash-free runs reconcile the serve trace directly.
-    if loop.restarts:
-        from .store import recover
-
-        tracer2 = TraceCollector()
-        res = recover(backend, tracer=tracer2,
-                      cost_model=adapter.tree.cost_model)
-        problems = tracer2.timeline.reconcile(res.system.stats)
-        print("recovery trace reconciles exactly" if not problems
-              else f"RECOVERY RECONCILIATION FAILED: {problems}")
-    else:
-        problems = tracer.timeline.reconcile(stats)
-        print("trace reconciles exactly" if not problems
-              else f"RECONCILIATION FAILED: {problems}")
-
-    if args.out is not None:
-        write_latency(result.stats, json_path=args.out,
-                      batches=result.batches,
-                      faults=plan.events if plan is not None else None,
-                      store_events=store.events, restarts=loop.restarts)
-        print(f"wrote {args.out}")
-    return 1 if problems else 0
+        return _report_reconcile(tracer.timeline.reconcile(stats))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1342,33 +1013,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name:8s} {doc[0] if doc else ''}")
         return 0
 
-    if args.command == "trace":
-        return _run_trace(args)
-
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command == "faults":
-        return _run_faults(args)
-
-    if args.command == "sweep":
-        return _run_sweep(args)
-
-    if args.command == "tune":
-        return _run_tune(args)
-
-    if args.command == "balance":
-        return _run_balance(args)
-
-    if args.command == "store":
-        return _run_store(args)
+    runner = {"trace": _run_trace, "serve": _run_serving,
+              "faults": _run_serving, "sweep": _run_sweep, "tune": _run_tune,
+              "balance": _run_balance, "store": _run_store}.get(args.command)
+    if runner is not None:
+        return runner(args)
 
     if args.command == "all":
         kwargs = _kwargs_from(args)
-        results = []
-        for name in ALL_EXPERIMENTS:
-            kw = dict(kwargs)
-            results.append(_run_one(name, kw))
+        results = [_run_one(name, kwargs) for name in ALL_EXPERIMENTS]
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
             report = args.out / "report.md"

@@ -18,6 +18,9 @@ the missing layer on top of the existing harness adapters:
 * :class:`LatencyStats` — p50/p90/p99/p999 latency, time-in-queue vs
   time-in-service, goodput under deadline; exported as JSON/CSV through
   ``repro.obs`` and surfaced by ``python -m repro.cli serve``;
+* :class:`ServeSpec` / :func:`build_session` (``repro.serve.session``) —
+  the one place a serving run is assembled from a description; the CLI,
+  sweep shards and the tuner's evaluator all go through it;
 * :class:`TenantPolicy` (``repro.serve.tenants``) — multi-tenant
   admission: weighted-fair dequeue with SLO-class weights, fair-share
   shedding, and per-tenant latency/goodput breakdowns in the stats;
@@ -41,6 +44,7 @@ from .batcher import AdaptiveBatchPolicy, FixedBatchPolicy
 from .loop import BatchRecord, ServeLoop, ServeResult
 from .queue import AdmissionQueue, OVERFLOW_POLICIES
 from .request import KINDS, Request, make_requests
+from .session import ServeSpec, Session, build_session, make_loop, resolve_rate
 from .stats import LatencyStats, latency_summary
 from .sweep import SweepResult, SweepShardError, run_shard, run_sweep
 from .tenants import DEFAULT_TENANT, SLO_CLASSES, TenantPolicy
@@ -58,12 +62,17 @@ __all__ = [
     "SLO_CLASSES",
     "ServeLoop",
     "ServeResult",
+    "ServeSpec",
+    "Session",
     "SweepResult",
     "SweepShardError",
     "TenantPolicy",
+    "build_session",
     "calibrate_capacity",
     "latency_summary",
+    "make_loop",
     "make_requests",
+    "resolve_rate",
     "run_shard",
     "run_sweep",
     "serve",
@@ -104,7 +113,8 @@ def serve(adapter, requests, *, queue_depth: int = 1024,
           timeout_s: float | None = None, degraded_mode: bool = True,
           failover: bool = True, rebalancer=None,
           tenants=None, replication=None) -> ServeResult:
-    """One-call serve run: build the queue and loop, serve ``requests``.
+    """One-call serve run over a caller-built adapter and request list
+    (:func:`repro.serve.session.build_session` builds those too).
 
     The fault-resilience knobs (``max_retries``, ``backoff_s``,
     ``timeout_s``, ``degraded_mode``, ``failover``) are forwarded to
@@ -126,10 +136,9 @@ def serve(adapter, requests, *, queue_depth: int = 1024,
         from ..replicate import ReplicaSet
 
         ReplicaSet(adapter.tree, replication).replicate_all()
-    loop = ServeLoop(adapter,
-                     AdmissionQueue(queue_depth, overflow=overflow,
-                                    tenants=tenants),
-                     policy, max_retries=max_retries, backoff_s=backoff_s,
+    loop = make_loop(adapter, policy, queue_depth=queue_depth,
+                     overflow=overflow, tenants=tenants,
+                     max_retries=max_retries, backoff_s=backoff_s,
                      timeout_s=timeout_s, degraded_mode=degraded_mode,
                      failover=failover, rebalancer=rebalancer)
     return loop.run(requests)

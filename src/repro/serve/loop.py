@@ -97,6 +97,16 @@ class ServeResult:
 class ServeLoop:
     """Single-server continuous-batching scheduler on a virtual clock.
 
+    **Between batches** the loop runs up to four background stages, always
+    in this order: rebalance, checkpoint, primary-async replica flush,
+    online controller.  Each is one :meth:`_background` step: the stage's
+    work goes through ``adapter.measure``, its simulated seconds advance
+    the clock (admitting whatever arrives meanwhile), and — for the two
+    stages with no trigger of their own, rebalance and checkpoint — one
+    shared gate skips the step while the stage's cumulative time exceeds
+    its ``budget_fraction`` of cumulative service time.  A stage whose
+    collaborator is ``None`` costs nothing and changes nothing.
+
     Fault-resilience knobs (all inert on a fault-free adapter):
 
     max_retries:
@@ -114,19 +124,15 @@ class ServeLoop:
         it (disable to study unrecovered degradation).
     rebalancer:
         A :class:`repro.balance.OnlineRebalancer` stepped between batches
-        (``None`` disables — the default, with zero behavioral change).
-        Rebalance work runs on the same virtual clock: each step is
-        measured and its simulated seconds advance ``now``; cumulative
-        rebalance time is capped at the rebalancer's ``budget_fraction``
-        of cumulative service time, so migration is amortised against the
-        work it speeds up.
+        (``None`` disables — the default, with zero behavioral change),
+        gated by the rebalancer's ``budget_fraction`` so migration is
+        amortised against the work it speeds up.
     store:
         A :class:`repro.store.DurableStore` already attached to the
         adapter's tree (``None`` disables durability — the default, with
         zero behavioral change).  Two effects: snapshot checkpoints run
         between batches under the store's ``budget_fraction`` gate
-        (identical cadence mechanics to rebalancing, skipped while the
-        journal is clean), and a whole-machine
+        (skipped while the journal is clean), and a whole-machine
         :class:`~repro.faults.MachineKill` triggers a charged crash
         restart (``adapter.crash_restart``) instead of killing the run —
         the killed batch retries on the recovered machine, and because
@@ -180,26 +186,26 @@ class ServeLoop:
         self.checkpoint_time_s = 0.0
         self.checkpoints = 0
         self.restarts: list[dict] = []  # one record per machine restart
+        # Arrivals not yet admitted (sorted), and the head of that stream.
+        self._arrivals = iter(())
+        self._next: Request | None = None
 
     # ------------------------------------------------------------------
     def run(self, requests: list[Request]) -> ServeResult:
         """Serve ``requests`` (any order; sorted by arrival internally)."""
         pending = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
-        n = len(pending)
-        i = 0
+        self._arrivals = iter(pending)
+        self._next = next(self._arrivals, None)
         now = 0.0
         batches: list[BatchRecord] = []
         while True:
             if self.timeout_s is not None:
                 self.queue.expire(now, self.timeout_s)
             if self.queue.is_empty:
-                if i >= n:
+                if self._next is None:
                     break
                 # Idle server: jump to the next arrival.
-                now = max(now, pending[i].arrival_s)
-                while i < n and pending[i].arrival_s <= now:
-                    self.queue.offer(pending[i], pending[i].arrival_s)
-                    i += 1
+                now = self._advance(max(now, self._next.arrival_s))
                 continue
             assert not self.queue.is_empty, "batch forming on empty queue"
             group = self.queue.head_group()
@@ -229,80 +235,41 @@ class ServeLoop:
                     elements=elements, status=status, retries=retries,
                 )
             )
-            # Arrivals that landed while the batch was in service are
-            # admitted at their own instants (queue-state order matters for
-            # the overflow policy).
-            while i < n and pending[i].arrival_s <= end:
-                self.queue.offer(pending[i], pending[i].arrival_s)
-                i += 1
-            now = end
+            now = self._advance(end)
             self.service_time_s += service_s
-            # Background rebalance between batches, inside the time
-            # budget.  The step runs on the virtual clock: its measured
-            # simulated seconds advance `now` and delay queued requests —
-            # migration is not free, it is amortised.
+            # Background stages, in a fixed order (class docstring).
             if self.rebalancer is not None:
-                frac = getattr(self.rebalancer, "budget_fraction", 0.05)
-                if self.rebalance_time_s <= frac * self.service_time_s:
-                    m = self.adapter.measure(
-                        lambda: 0 if self.rebalancer.step() is None else 1
-                    )
+                now, spent = self._background(
+                    now, lambda: 0 if self.rebalancer.step() is None else 1,
+                    self.rebalance_time_s,
+                    getattr(self.rebalancer, "budget_fraction", 0.05))
+                if spent is not None:
                     self.rebalance_steps += 1
-                    if m.sim_time_s > 0.0:
-                        self.rebalance_time_s += m.sim_time_s
-                        end = now + m.sim_time_s
-                        while i < n and pending[i].arrival_s <= end:
-                            self.queue.offer(pending[i], pending[i].arrival_s)
-                            i += 1
-                        now = end
-            # Snapshot checkpoint between batches, inside its own time
-            # budget (same amortisation mechanics as rebalancing): only
-            # when the journal has records the last snapshot doesn't
-            # cover, and only while cumulative checkpoint time stays
-            # under the store's budget fraction of service time.
-            if (self.store is not None and self.store.dirty_records > 0
-                    and self.checkpoint_time_s
-                    <= self.store.budget_fraction * self.service_time_s):
-                m = self.adapter.measure(
-                    lambda: (self.store.checkpoint(self.adapter.tree), 0)[1]
-                )
-                self.checkpoints += 1
-                if m.sim_time_s > 0.0:
-                    self.checkpoint_time_s += m.sim_time_s
-                    end = now + m.sim_time_s
-                    while i < n and pending[i].arrival_s <= end:
-                        self.queue.offer(pending[i], pending[i].arrival_s)
-                        i += 1
-                    now = end
-            # Primary-async replica flush between batches: once the oldest
-            # pending secondary update reaches the staleness bound, ship
-            # the backlog as one charged round on the virtual clock (same
-            # mechanics as the rebalance/checkpoint blocks — replication
-            # is not free either).
+                    self.rebalance_time_s += spent
+            # Checkpoint only records the last snapshot doesn't cover.
+            if self.store is not None and self.store.dirty_records > 0:
+                now, spent = self._background(
+                    now,
+                    lambda: (self.store.checkpoint(self.adapter.tree), 0)[1],
+                    self.checkpoint_time_s, self.store.budget_fraction)
+                if spent is not None:
+                    self.checkpoints += 1
+                    self.checkpoint_time_s += spent
+            # Primary-async replica flush: once the oldest pending
+            # secondary update reaches the staleness bound, ship the
+            # backlog as one charged round.
             reps = self._replicas()
             if reps is not None and reps.flush_due(now):
-                m = self.adapter.measure(lambda: (reps.flush(now), 0)[1])
-                if m.sim_time_s > 0.0:
-                    end = now + m.sim_time_s
-                    while i < n and pending[i].arrival_s <= end:
-                        self.queue.offer(pending[i], pending[i].arrival_s)
-                        i += 1
-                    now = end
+                now, _ = self._background(
+                    now, lambda: (reps.flush(now), 0)[1])
             # Online tuning at phase boundaries — between batches, so
-            # never mid-round.  The controller reads the run's own
-            # signals and may move whitelisted knobs; any charged work
-            # it triggers (a route-filter FPR rebuild) is measured and
-            # advances the virtual clock like the blocks above.  An
-            # inactive controller (empty whitelist) is never called.
+            # never mid-round.  Charged work it triggers (a route-filter
+            # FPR rebuild) is billed like the stages above.  An inactive
+            # controller (empty whitelist) is never called.
             if self.controller is not None and self.controller.due(
                     len(batches)):
-                m = self.adapter.measure(lambda: self.controller.adapt(self))
-                if m.sim_time_s > 0.0:
-                    end = now + m.sim_time_s
-                    while i < n and pending[i].arrival_s <= end:
-                        self.queue.offer(pending[i], pending[i].arrival_s)
-                        i += 1
-                    now = end
+                now, _ = self._background(
+                    now, lambda: self.controller.adapt(self))
         # Drain any remaining async backlog so the staleness accounting
         # covers every fanned write (no latency impact — all requests are
         # already terminal).
@@ -323,6 +290,34 @@ class ServeLoop:
                 "controller": self.controller.audit(),
             }
         return result
+
+    def _advance(self, to: float) -> float:
+        """Move the virtual clock to ``to``: every arrival up to that
+        instant is admitted at its *own* arrival time (queue-state order
+        matters for the overflow policy).  Returns ``to``."""
+        r = self._next
+        while r is not None and r.arrival_s <= to:
+            self.queue.offer(r, r.arrival_s)
+            r = next(self._arrivals, None)
+        self._next = r
+        return to
+
+    def _background(self, now: float, work, spent_s: float = 0.0,
+                    fraction: float | None = None
+                    ) -> tuple[float, float | None]:
+        """One between-batch stage step (see the class docstring).
+
+        With a ``fraction``, the budget gate skips the stage once its
+        cumulative ``spent_s`` exceeds that share of cumulative service
+        time.  Returns ``(now, charged seconds)``; the latter is ``None``
+        when the gate skipped the stage.
+        """
+        if fraction is not None and spent_s > fraction * self.service_time_s:
+            return now, None
+        m = self.adapter.measure(work)
+        if m.sim_time_s > 0.0:
+            now = self._advance(now + m.sim_time_s)
+        return now, m.sim_time_s
 
     def _replicas(self):
         """The adapter tree's ReplicaSet, or None (re-read every time —

@@ -5,9 +5,9 @@ The vector simulator core removes the per-module Python overhead, but a
 (batch forming, per-request bookkeeping).  The sweep runner shards the
 offered load across worker processes: shard ``i`` of ``S`` models an
 independent serving replica that owns ``1/S`` of the traffic — its own
-:class:`~repro.eval.harness.PIMZdTreeAdapter` (same dataset, same index),
-its own arrival process and request stream drawn from a per-shard seed
-(``seed + 1000·i``), and its own virtual clock.
+session from :func:`repro.serve.session.build_session` (same dataset,
+same index), its own arrival process and request stream drawn from a
+per-shard seed (``seed + 1000·i``), and its own virtual clock.
 
 Sharding semantics, not a simulation of one bigger machine: latencies are
 pooled across shards before the percentile summary (every request's
@@ -24,7 +24,7 @@ which is what CI uses for reproducibility checks.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import os
 import time
 import traceback
@@ -34,7 +34,8 @@ import numpy as np
 
 from .stats import latency_summary
 
-__all__ = ["SweepResult", "SweepShardError", "run_shard", "run_sweep"]
+__all__ = ["SweepResult", "SweepShardError", "map_specs", "run_shard",
+           "run_sweep"]
 
 
 class SweepShardError(RuntimeError):
@@ -79,23 +80,7 @@ class SweepResult:
     shard_seeds: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "n_offered": self.n_offered,
-            "n_done": self.n_done,
-            "n_failed": self.n_failed,
-            "n_timed_out": self.n_timed_out,
-            "n_rejected": self.n_rejected,
-            "n_shed": self.n_shed,
-            "aggregate_throughput": self.aggregate_throughput,
-            "aggregate_goodput": self.aggregate_goodput,
-            "latency": self.latency,
-            "queue": self.queue,
-            "service": self.service,
-            "wall_s": self.wall_s,
-            "shard_wall_s": self.shard_wall_s,
-            "shard_seeds": self.shard_seeds,
-        }
+        return dataclasses.asdict(self)
 
     def table(self) -> str:
         lines = [
@@ -121,70 +106,30 @@ class SweepResult:
 def run_shard(spec: dict) -> dict:
     """Run one serve shard described by ``spec``; returns a plain dict.
 
-    ``spec`` keys: dataset, n, n_modules, index, variant kwargs are
-    implicit in index kind, seed, requests, rate, mix, k, deadline_s,
-    queue_depth, overflow, policy, fixed_batch, sim_mode, exec_mode,
-    arrival, tenants (optional tenant→weight dict: tags requests and
-    turns the queue weighted-fair), tune_config (optional resolved
-    ``repro.tune`` config dict — the shard then builds its policy,
-    rebalancer, replicas and route filters through
-    :func:`repro.tune.apply.apply_serving_config`, each replica owning
-    its own copies).  Everything in and out is picklable.
+    ``spec`` holds :class:`~repro.serve.session.ServeSpec` fields (absent
+    ones take the spec's defaults) plus an optional ``shard`` index; the
+    shard is built by :func:`~repro.serve.session.build_session`, so it
+    means exactly what the same spec means to ``repro serve``.  Two
+    superseded keys are still honoured when no ``config`` is given:
+    ``policy="fixed"`` with ``fixed_batch``.  Everything in and out is
+    picklable.
     """
-    from ..eval.experiments import _dataset
-    from ..eval.harness import make_adapter
-    from ..workloads import (bursty_arrivals, diurnal_arrivals,
-                             poisson_arrivals)
-    from . import (AdaptiveBatchPolicy, AdmissionQueue, FixedBatchPolicy,
-                   ServeLoop, make_requests)
     from .request import DEGRADED, DONE
+    from .session import ServeSpec, build_session
 
     t0 = time.perf_counter()
-    seed = int(spec["seed"])
-    data = _dataset(spec["dataset"], int(spec["n"]), int(spec["data_seed"]))
-    arrival_fn = {"poisson": poisson_arrivals, "bursty": bursty_arrivals,
-                  "diurnal": diurnal_arrivals}[spec.get("arrival", "poisson")]
-    arrivals = arrival_fn(float(spec["rate"]), int(spec["requests"]),
-                          seed=seed + 1)
-    requests = make_requests(
-        data, arrivals, mix=spec.get("mix"), k=int(spec.get("k", 10)),
-        deadline_s=float(spec.get("deadline_s", math.inf)), seed=seed + 2,
-        tenants=spec.get("tenants"))
-    tune_config = spec.get("tune_config")
-    rebalancer = None
-    if tune_config is not None:
-        from ..tune.apply import (apply_serving_config, make_index_config)
-
-        idx_cfg = make_index_config(
-            tune_config, kind=spec.get("index", "pim"), n_points=len(data),
-            n_modules=int(spec["n_modules"]))
-        adapter = make_adapter(
-            spec.get("index", "pim"), data, n_modules=int(spec["n_modules"]),
-            seed=seed, sim_mode=spec.get("sim_mode"),
-            exec_mode=spec.get("exec_mode"), config=idx_cfg)
-        parts = apply_serving_config(adapter, tune_config, filter_seed=seed)
-        policy = parts["policy"]
-        rebalancer = parts["rebalancer"]
-    else:
-        adapter = make_adapter(
-            spec.get("index", "pim"), data, n_modules=int(spec["n_modules"]),
-            seed=seed, sim_mode=spec.get("sim_mode"),
-            exec_mode=spec.get("exec_mode"))
-        policy = (FixedBatchPolicy(int(spec.get("fixed_batch", 256)))
-                  if spec.get("policy") == "fixed" else AdaptiveBatchPolicy())
-    loop = ServeLoop(
-        adapter,
-        AdmissionQueue(int(spec.get("queue_depth", 4096)),
-                       overflow=spec.get("overflow", "reject"),
-                       tenants=spec.get("tenants")),
-        policy, rebalancer=rebalancer)
-    result = loop.run(requests)
+    fields = {k: v for k, v in spec.items()
+              if k not in ("shard", "policy", "fixed_batch")}
+    if fields.get("config") is None and spec.get("policy") == "fixed":
+        fields["config"] = {"batch.policy": "fixed",
+                            "batch.fixed": int(spec.get("fixed_batch", 256))}
+    result = build_session(ServeSpec(**fields)).run()
     s = result.stats
     answered = sorted(
         (r for r in result.requests if r.status in (DONE, DEGRADED)),
         key=lambda r: r.rid)
     return {
-        "seed": seed,
+        "seed": int(spec["seed"]),
         "wall_s": time.perf_counter() - t0,
         "n_offered": s.n_offered,
         "n_done": s.n_done,
@@ -223,6 +168,25 @@ def _run_shard_trapped(spec: dict) -> dict:
         }
 
 
+def map_specs(fn, specs: list[dict], procs: int) -> list[dict]:
+    """``[fn(s) for s in specs]``, over a worker pool when ``procs > 1``.
+
+    ``pool.map`` keeps input order, so the result does not depend on how
+    the OS schedules the workers.  ``fn`` must be module-level (it is
+    pickled by import path); fork where available, spawn otherwise.
+    """
+    if procs <= 1 or len(specs) <= 1:
+        return [fn(s) for s in specs]
+    import multiprocessing as mp
+
+    try:
+        ctx = mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX fallback
+        ctx = mp.get_context("spawn")
+    with ctx.Pool(processes=min(procs, len(specs))) as pool:
+        return pool.map(fn, specs)
+
+
 def _raise_if_failed(shards: list[dict]) -> None:
     for s in shards:
         err = s.get("shard_error")
@@ -254,93 +218,55 @@ def _shard_specs(*, procs: int, total_requests: int, seed: int,
     return specs
 
 
-def run_sweep(
-    *,
-    dataset: str = "uniform",
-    n: int = 20_000,
-    n_modules: int = 2048,
-    index: str = "pim",
-    total_requests: int = 1_000_000,
-    rate: float,
-    procs: int | None = None,
-    seed: int = 7,
-    mix: dict[str, float] | None = None,
-    k: int = 10,
-    deadline_s: float = math.inf,
-    queue_depth: int = 4096,
-    overflow: str = "reject",
-    policy: str = "adaptive",
-    fixed_batch: int = 256,
-    sim_mode: str | None = None,
-    exec_mode: str | None = None,
-    arrival: str = "poisson",
-    tenants: dict[str, float] | None = None,
-    tune_config: dict | None = None,
-) -> SweepResult:
+def run_sweep(*, rate: float, total_requests: int = 1_000_000,
+              procs: int | None = None, n_modules: int = 2048,
+              queue_depth: int = 4096, tune_config: dict | None = None,
+              **spec_fields) -> SweepResult:
     """Shard ``total_requests`` across ``procs`` serve replicas and merge.
 
     ``rate`` is the *per-shard* offered rate (each replica sees its own
     independent arrival process at this rate).  ``procs`` defaults to
-    ``os.cpu_count()`` capped at 8; each shard gets seed ``seed + 1000·i``
-    for its arrival/request streams while sharing the dataset (drawn from
-    ``seed`` so every replica serves the same index).  ``tune_config`` (a
-    resolved :mod:`repro.tune` config dict) makes every shard build its
-    serving objects — batch policy, rebalancer, replicas, route filters —
-    through the one config-application path; ``None`` keeps the legacy
-    ``policy``/``fixed_batch`` arguments.
+    ``os.cpu_count()`` capped at 8.  ``tune_config`` is a resolved
+    :mod:`repro.tune` config dict (``None``: the shipped defaults), and
+    ``spec_fields`` are any other
+    :class:`~repro.serve.session.ServeSpec` fields (``dataset``, ``n``,
+    ``index``, ``seed``, ``mix``, ``k``, ``deadline_s``, ``overflow``,
+    ``sim_mode``, ``exec_mode``, ``arrival``, ``tenants``,
+    ``staleness_s``, ...): every shard serves that spec with seed
+    ``seed + 1000·i`` for its arrival/request streams while sharing the
+    dataset (drawn from ``seed``, so every replica serves the same index).
     """
+    from .session import ServeSpec
+
     if procs is None:
         procs = min(8, os.cpu_count() or 1)
     procs = max(1, int(procs))
-    spec_kw = {
-        "dataset": dataset, "n": int(n), "data_seed": int(seed),
-        "n_modules": int(n_modules), "index": index,
-        "rate": float(rate), "mix": mix, "k": int(k),
-        "deadline_s": float(deadline_s),
-        "queue_depth": int(queue_depth), "overflow": overflow,
-        "policy": policy, "fixed_batch": int(fixed_batch),
-        "sim_mode": sim_mode, "exec_mode": exec_mode,
-        "arrival": arrival, "tenants": tenants,
-        "tune_config": tune_config,
-    }
-    specs = _shard_specs(procs=procs, total_requests=total_requests,
-                         seed=seed, spec_kw=spec_kw)
+    spec = ServeSpec(rate=float(rate), n_modules=int(n_modules),
+                     queue_depth=int(queue_depth), config=tune_config,
+                     **spec_fields)
+    specs = _shard_specs(
+        procs=procs, total_requests=total_requests, seed=spec.seed,
+        spec_kw={**dataclasses.asdict(spec), "data_seed": spec.seed})
 
     t0 = time.perf_counter()
-    if procs <= 1 or len(specs) == 1:
-        shards = [_run_shard_trapped(s) for s in specs]
-    else:
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=len(specs)) as pool:
-            shards = pool.map(_run_shard_trapped, specs)
+    shards = map_specs(_run_shard_trapped, specs, procs)
     _raise_if_failed(shards)
     wall = time.perf_counter() - t0
 
-    lat = np.concatenate([np.asarray(s["latency_s"]) for s in shards]) \
-        if shards else np.empty(0)
-    que = np.concatenate([np.asarray(s["queue_s"]) for s in shards]) \
-        if shards else np.empty(0)
-    srv = np.concatenate([np.asarray(s["service_s"]) for s in shards]) \
-        if shards else np.empty(0)
+    def total(key: str):
+        return sum(s[key] for s in shards)
+
+    def pooled(key: str) -> dict[str, float]:
+        return latency_summary(
+            np.concatenate([np.asarray(s[key]) for s in shards]))
+
     return SweepResult(
-        n_shards=len(shards),
-        n_offered=sum(s["n_offered"] for s in shards),
-        n_done=sum(s["n_done"] for s in shards),
-        n_failed=sum(s["n_failed"] for s in shards),
-        n_timed_out=sum(s["n_timed_out"] for s in shards),
-        n_rejected=sum(s["n_rejected"] for s in shards),
-        n_shed=sum(s["n_shed"] for s in shards),
-        aggregate_throughput=sum(s["throughput"] for s in shards),
-        aggregate_goodput=sum(s["goodput"] for s in shards),
-        latency=latency_summary(lat),
-        queue=latency_summary(que),
-        service=latency_summary(srv),
-        wall_s=wall,
+        n_shards=len(shards), n_offered=total("n_offered"),
+        n_done=total("n_done"), n_failed=total("n_failed"),
+        n_timed_out=total("n_timed_out"), n_rejected=total("n_rejected"),
+        n_shed=total("n_shed"), aggregate_throughput=total("throughput"),
+        aggregate_goodput=total("goodput"), latency=pooled("latency_s"),
+        queue=pooled("queue_s"), service=pooled("service_s"), wall_s=wall,
         shard_wall_s=[s["wall_s"] for s in shards],
         shard_seeds=[s["seed"] for s in shards],
     )

@@ -1,9 +1,10 @@
 """Turn one configuration dict into live serving objects.
 
-Every consumer of the knob space — ``repro serve``/``faults``/``sweep``,
-the offline search harness's evaluator and the tuning benchmarks — builds
-its batch policy, rebalancer, replica set and route filters through these
-helpers, so a configuration means exactly one thing everywhere.  A
+Every consumer of the knob space builds its batch policy, rebalancer,
+replica set and route filters through these helpers — inside ``src/`` that
+is one caller, :func:`repro.serve.session.build_session`, which every
+serving entry point goes through — so a configuration means exactly one
+thing everywhere.  A
 default config produces objects byte-identical to the pre-tuner code
 paths (``AdaptiveBatchPolicy()``, no rebalancer, no replicas, no
 filters), which is what keeps the serve goldens green.
@@ -23,8 +24,8 @@ __all__ = [
 _PULL_FACTOR_DEFAULT = 3.0  # PIMZdTreeConfig.pull_imbalance_factor
 
 
-def _pim_tree(adapter):
-    """The adapter's PIM tree, or ``None`` for baseline adapters.
+def _pim_tree(adapter, mechanism: str):
+    """The adapter's PIM tree; raises for the baseline adapters.
 
     The zd/pkd baselines also expose a ``tree`` attribute, so the guard
     checks for the PIM system handle the tree-level mechanisms need
@@ -32,7 +33,10 @@ def _pim_tree(adapter):
     AttributeError instead of a usage error).
     """
     tree = getattr(adapter, "tree", None)
-    return tree if tree is not None and hasattr(tree, "system") else None
+    if tree is None or not hasattr(tree, "system"):
+        raise ValueError(f"{mechanism} a pim index adapter "
+                         f"(got {type(adapter).__name__})")
+    return tree
 
 
 def make_policy(config: dict):
@@ -46,7 +50,7 @@ def make_policy(config: dict):
 
 
 def make_index_config(config: dict, *, kind: str, n_points: int,
-                      n_modules: int, sim_mode: str | None = None):
+                      n_modules: int):
     """Index config carrying the push-pull trigger, or ``None``.
 
     Returns ``None`` when every index-level knob sits at its default so
@@ -60,22 +64,16 @@ def make_index_config(config: dict, *, kind: str, n_points: int,
     from ..core import skew_resistant, throughput_optimized
 
     if kind == "pim-skew":
-        cfg = skew_resistant(n_modules, pull_imbalance_factor=pf)
-    else:
-        cfg = throughput_optimized(n_points, n_modules,
-                                   pull_imbalance_factor=pf)
-    if sim_mode is not None:
-        cfg = cfg.with_overrides(sim_mode=sim_mode)
-    return cfg
+        return skew_resistant(n_modules, pull_imbalance_factor=pf)
+    return throughput_optimized(n_points, n_modules,
+                                pull_imbalance_factor=pf)
 
 
 def make_rebalancer(adapter, config: dict):
     """Online rebalancer per ``rebalance.*`` (``None`` when disabled)."""
     if not config["rebalance.enabled"]:
         return None
-    tree = _pim_tree(adapter)
-    if tree is None:
-        raise ValueError("rebalancing requires a pim index adapter")
+    tree = _pim_tree(adapter, "rebalancing requires")
     from ..balance import BalanceConfig, OnlineRebalancer
 
     cfg = BalanceConfig(
@@ -94,9 +92,7 @@ def attach_replication(adapter, config: dict, *,
     k = int(config["replicate.k"])
     if k < 2:
         return None
-    tree = _pim_tree(adapter)
-    if tree is None:
-        raise ValueError("replication requires a pim index adapter")
+    tree = _pim_tree(adapter, "replication requires")
     from ..replicate import ReplicaSet, ReplicationConfig
 
     cfg = ReplicationConfig(k=k,
@@ -110,9 +106,7 @@ def attach_route_filters(adapter, config: dict, *, seed: int = 0):
     filter summary, or ``None`` when disabled."""
     if not config["route.enabled"]:
         return None
-    tree = _pim_tree(adapter)
-    if tree is None:
-        raise ValueError("route filters require a pim index adapter")
+    tree = _pim_tree(adapter, "route filters require")
     from ..route import RouteFilterSet
 
     rf = RouteFilterSet(tree, fpr=float(config["route.fpr"]), seed=seed)

@@ -9,8 +9,8 @@ run of the target workload class through the measured adapter, exactly
 the machinery ``repro serve`` uses, just scaled down.
 
 Candidates of one generation are independent, so they evaluate in
-parallel over a multiprocessing pool (the same fork-with-spawn-fallback
-sharding ``run_sweep`` uses; ``procs <= 1`` runs inline).  Because the
+parallel over a multiprocessing pool (``repro.serve.sweep.map_specs``,
+the one ``run_sweep`` shards over; ``procs <= 1`` runs inline).  Because the
 expansion order is fixed by knob declaration order and ``pool.map``
 preserves input order, the visit order — and therefore the emitted
 profile — is byte-identical across repeat runs with the same seed,
@@ -177,47 +177,21 @@ class TuneResult:
 def evaluate_config(spec: dict) -> dict:
     """Score one configuration with a short-horizon serve run.
 
-    ``spec`` keys: ``workload``, ``config``, ``seed``, ``n``,
-    ``n_modules``, ``requests``, ``rate``, ``k``, ``deadline_s``,
-    ``queue_depth``.  Returns the objective dict — everything in and out
-    is picklable, mirroring :func:`repro.serve.sweep.run_shard`.
+    ``spec`` keys: ``workload`` (a :data:`WORKLOADS` class, which fixes
+    dataset, arrival process, mix, tenants and index) plus
+    :class:`~repro.serve.session.ServeSpec` fields — ``config``,
+    ``seed``, ``n``, ``n_modules``, ``requests``, ``rate``, ``k``,
+    ``deadline_s``, ``queue_depth``.  Returns the objective dict —
+    everything in and out is picklable, mirroring
+    :func:`repro.serve.sweep.run_shard`.
     """
-    import math
+    from ..serve.session import ServeSpec, build_session
 
-    from ..eval.experiments import _dataset
-    from ..eval.harness import make_adapter
-    from ..serve import AdmissionQueue, ServeLoop, make_requests
-    from ..workloads import (bursty_arrivals, diurnal_arrivals,
-                             poisson_arrivals)
-    from .apply import apply_serving_config, make_index_config
-
-    wl = WORKLOADS[spec["workload"]]
-    config = spec["config"]
-    seed = int(spec["seed"])
-    n = int(spec["n"])
-    n_modules = int(spec["n_modules"])
-
-    data = _dataset(wl["dataset"], n, seed)
-    arrival_fn = {"poisson": poisson_arrivals, "bursty": bursty_arrivals,
-                  "diurnal": diurnal_arrivals}[wl["arrival"]]
-    arrivals = arrival_fn(float(spec["rate"]), int(spec["requests"]),
-                          seed=seed + 1)
-    requests = make_requests(
-        data, arrivals, mix=wl["mix"], k=int(spec.get("k", 10)),
-        deadline_s=float(spec.get("deadline_s", math.inf)), seed=seed + 2,
-        tenants=wl["tenants"])
-    idx_cfg = make_index_config(config, kind=wl["index"], n_points=len(data),
-                                n_modules=n_modules)
-    adapter = make_adapter(wl["index"], data, n_modules=n_modules, seed=seed,
-                           config=idx_cfg)
-    parts = apply_serving_config(adapter, config, filter_seed=seed)
-    loop = ServeLoop(
-        adapter,
-        AdmissionQueue(int(spec.get("queue_depth", 1024)),
-                       tenants=wl["tenants"]),
-        parts["policy"], rebalancer=parts["rebalancer"])
-    stats = loop.run(requests).stats
-    total = adapter.system.stats.total
+    fields = {k: v for k, v in spec.items() if k != "workload"}
+    session = build_session(ServeSpec(**WORKLOADS[spec["workload"]],
+                                      **fields))
+    stats = session.run().stats
+    total = session.adapter.system.stats.total
     return {
         "goodput": float(stats.goodput),
         "p99_s": float(stats.latency["p99"]),
@@ -236,22 +210,6 @@ def _evaluate_trapped(spec: dict) -> dict:
     except Exception as exc:  # noqa: BLE001 - surfaced on the node
         return {"eval_error": f"{type(exc).__name__}: {exc}",
                 "worker_traceback": traceback.format_exc()}
-
-
-def _evaluate_batch(specs: list[dict], procs: int) -> list[dict]:
-    """Evaluate candidate specs, pooled when ``procs > 1`` (order kept)."""
-    if not specs:
-        return []
-    if procs <= 1 or len(specs) == 1:
-        return [_evaluate_trapped(s) for s in specs]
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = mp.get_context("spawn")
-    with ctx.Pool(processes=min(procs, len(specs))) as pool:
-        return pool.map(_evaluate_trapped, specs)
 
 
 # ======================================================================
@@ -310,17 +268,15 @@ def search(workload: str, *, seed: int = 7, n: int = 4000,
     if unknown:
         raise ValueError(f"unknown search knob(s): {', '.join(unknown)}")
 
-    t0 = time.perf_counter()
-    wl = WORKLOADS[workload]
-    if rate is None:
-        from ..eval.experiments import _dataset
-        from ..eval.harness import make_adapter
-        from ..serve import calibrate_capacity
+    from ..serve.sweep import map_specs
 
-        data = _dataset(wl["dataset"], n, seed)
-        probe = make_adapter(wl["index"], data, n_modules=n_modules,
-                             seed=seed)
-        rate = load * calibrate_capacity(probe, data, k=k, seed=seed)
+    t0 = time.perf_counter()
+    if rate is None:
+        from ..serve.session import ServeSpec, resolve_rate
+
+        rate = resolve_rate(ServeSpec(
+            **WORKLOADS[workload], seed=seed, n=n, n_modules=n_modules,
+            requests=requests, load=load, k=k))[0].rate
 
     deadline_s = deadline_ms * 1e-3 if deadline_ms is not None else math.inf
     base_spec = {
@@ -347,7 +303,7 @@ def search(workload: str, *, seed: int = 7, n: int = 4000,
     root = TuneNode(key=root_key, config=root_config, generation=0)
     nodes: dict[str, TuneNode] = {root_key: root}
     visit_order: list[str] = []
-    _settle([root], _evaluate_batch([_spec(root_config)], procs))
+    _settle([root], map_specs(_evaluate_trapped, [_spec(root_config)], 1))
     if root.objectives is None:
         raise RuntimeError(f"baseline evaluation failed: {root.error}")
 
@@ -365,8 +321,8 @@ def search(workload: str, *, seed: int = 7, n: int = 4000,
                 children.append(child)
         if not children:
             break
-        _settle(children, _evaluate_batch([_spec(c.config) for c in children],
-                                          procs))
+        _settle(children, map_specs(
+            _evaluate_trapped, [_spec(c.config) for c in children], procs))
         front = pareto_front(list(nodes.values()))
         front_keys = {f.key for f in front}
         for node in nodes.values():

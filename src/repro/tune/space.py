@@ -58,6 +58,9 @@ class Knob:
     Numeric knobs carry ``lo``/``hi`` bounds and a multiplicative
     refinement ``step`` (the strategy tree refines by multiplying or
     dividing, then clamping); choice knobs enumerate ``choices``.
+    ``flag`` is the CLI option that sets the knob: the CLI generates its
+    ``add_argument`` call from this record and :meth:`ConfigSpace.from_args`
+    reads the value back from :attr:`dest`.
     """
 
     name: str
@@ -68,6 +71,12 @@ class Knob:
     choices: tuple = ()
     step: float = 2.0
     doc: str = ""
+    flag: str = ""
+
+    @property
+    def dest(self) -> str:
+        """The argparse attribute ``flag`` parses into."""
+        return self.flag.lstrip("-").replace("-", "_")
 
     def __post_init__(self) -> None:
         if self.kind not in ("float", "int", "bool", "choice"):
@@ -133,57 +142,46 @@ class Knob:
 # DurableStore's budget_fraction=0.05.  A default config therefore
 # reproduces existing runs byte-for-byte.
 _DEFAULT_KNOBS = (
-    Knob("batch.policy", "choice", "adaptive",
+    Knob("batch.policy", "choice", "adaptive", flag="--policy",
          choices=("adaptive", "fixed"), doc="batch-size policy"),
     Knob("batch.overhead_target", "float", 0.1, lo=0.02, hi=0.4, step=2.0,
+         flag="--overhead-target",
          doc="adaptive policy: fixed-overhead share of batch service time"),
     Knob("batch.fixed", "int", 64, lo=1, hi=4096, step=4.0,
-         doc="fixed policy: constant batch cap"),
-    Knob("rebalance.enabled", "bool", False,
+         flag="--fixed-batch", doc="fixed policy: constant batch cap"),
+    Knob("rebalance.enabled", "bool", False, flag="--rebalance",
          doc="step the online rebalancer between batches"),
     Knob("rebalance.ratio", "float", 1.5, lo=1.1, hi=4.0, step=1.3,
+         flag="--rebalance-ratio",
          doc="max/mean EWMA heat ratio that trips migration"),
     Knob("rebalance.gini", "float", 0.35, lo=0.1, hi=0.8, step=1.5,
-         doc="EWMA heat Gini that trips migration"),
+         flag="--rebalance-gini", doc="EWMA heat Gini that trips migration"),
     Knob("rebalance.budget_words", "float", 65536.0, lo=4096.0,
-         hi=1048576.0, step=4.0, doc="word budget per migration invocation"),
+         hi=1048576.0, step=4.0, flag="--rebalance-budget-words",
+         doc="word budget per migration invocation"),
     Knob("rebalance.budget_fraction", "float", 0.05, lo=0.01, hi=0.3,
-         step=2.0, doc="rebalance time budget as a fraction of service time"),
+         step=2.0, flag="--rebalance-budget",
+         doc="rebalance time budget as a fraction of service time"),
     Knob("pushpull.pull_factor", "float", 3.0, lo=1.0, hi=16.0, step=2.0,
+         flag="--pull-factor",
          doc="push-pull trigger: load-imbalance factor that flips a round "
              "from push to pull"),
-    Knob("replicate.k", "int", 1, lo=1, hi=4, step=2.0,
+    Knob("replicate.k", "int", 1, lo=1, hi=4, step=2.0, flag="--replicate",
          doc="chunk copies incl. the primary (1 = no replication)"),
     Knob("replicate.write_policy", "choice", "write-all",
-         choices=("write-all", "primary-async"), doc="replica write policy"),
-    Knob("route.enabled", "bool", False,
+         choices=("write-all", "primary-async"), flag="--write-policy",
+         doc="replica write policy"),
+    Knob("route.enabled", "bool", False, flag="--route-filter",
          doc="host-resident membership filters pruning provably-empty sends"),
     Knob("route.fpr", "float", 0.01, lo=0.001, hi=0.2, step=4.0,
-         doc="Bloom false-positive-rate target"),
+         flag="--route-fpr", doc="Bloom false-positive-rate target"),
+    # The one knob only a command with a durable store can honour
+    # (``store demo``); everywhere else a profile that moves it conflicts.
     Knob("checkpoint.budget_fraction", "float", 0.05, lo=0.01, hi=0.3,
-         step=2.0, doc="checkpoint time budget as a fraction of service time"),
+         step=2.0, flag="--budget-fraction",
+         doc="checkpoint time budget as a fraction of service time"),
 )
 
-
-# CLI flag -> knob wiring shared by serve/faults/sweep.  ``flag`` is the
-# argparse dest; ``explicit`` decides whether the user actually passed it
-# (None-default flags: not-None; store_true flags: True).
-_ARG_KNOBS = (
-    ("policy", "batch.policy"),
-    ("overhead_target", "batch.overhead_target"),
-    ("fixed_batch", "batch.fixed"),
-    ("rebalance", "rebalance.enabled"),
-    ("rebalance_ratio", "rebalance.ratio"),
-    ("rebalance_gini", "rebalance.gini"),
-    ("rebalance_budget_words", "rebalance.budget_words"),
-    ("rebalance_budget", "rebalance.budget_fraction"),
-    ("pull_factor", "pushpull.pull_factor"),
-    ("replicate", "replicate.k"),
-    ("write_policy", "replicate.write_policy"),
-    ("route_filter", "route.enabled"),
-    ("route_fpr", "route.fpr"),
-    ("checkpoint_budget", "checkpoint.budget_fraction"),
-)
 
 # Knobs that only *refine* an enabled mechanism: passing one explicitly
 # while its gate is off is a conflict, not a silent no-op.
@@ -280,7 +278,9 @@ class ConfigSpace:
         silently-ignored ``--rebalance-ratio`` bug).
 
         ``args`` is an ``argparse.Namespace`` whose knob-backed flags
-        default to ``None`` (store_true gates default ``False``);
+        (each knob's :attr:`Knob.dest`) default to ``None`` (store_true
+        gates default ``False``); a knob the namespace has no attribute
+        for must stay at its default.
         ``profile`` is the ``"config"`` block of a tuned-profile JSON.
         """
         config = self.default_config()
@@ -295,17 +295,24 @@ class ConfigSpace:
                 sources[name] = "profile"
 
         explicit: dict[str, object] = {}
-        for flag, name in _ARG_KNOBS:
-            if not hasattr(args, flag):
+        for knob in self.knobs:
+            if not hasattr(args, knob.dest):
+                # This subcommand has no mechanism the knob could drive
+                # (no flag for it): a profile that moves it would be
+                # silently dropped, so refuse it instead.
+                if config[knob.name] != knob.default:
+                    raise KnobConflict(
+                        f"knob {knob.name}: profile says "
+                        f"{config[knob.name]!r} but this command cannot "
+                        f"apply it (it takes no {knob.flag})")
                 continue
-            value = getattr(args, flag)
-            knob = self.by_name[name]
+            value = getattr(args, knob.dest)
             if knob.kind == "bool":
                 if not value:  # store_true gate left at its default
                     continue
             elif value is None:
                 continue
-            explicit[name] = knob.coerce(value)
+            explicit[knob.name] = knob.coerce(value)
 
         for name, value in explicit.items():
             if sources[name] == "profile" and config[name] != value:

@@ -1,6 +1,11 @@
 """Workload generators, arrival processes and skew statistics (§7 + serving)."""
 
-from .arrivals import bursty_arrivals, diurnal_arrivals, poisson_arrivals
+from .arrivals import (
+    ARRIVALS,
+    bursty_arrivals,
+    diurnal_arrivals,
+    poisson_arrivals,
+)
 from .generators import (
     cosmos_like_points,
     osm_like_points,
@@ -18,6 +23,7 @@ from .skew import (
 )
 
 __all__ = [
+    "ARRIVALS",
     "bin_points",
     "bursty_arrivals",
     "cosmos_like_points",

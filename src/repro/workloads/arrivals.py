@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["poisson_arrivals", "bursty_arrivals", "diurnal_arrivals"]
+__all__ = ["ARRIVALS", "poisson_arrivals", "bursty_arrivals",
+           "diurnal_arrivals"]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -123,3 +124,13 @@ def diurnal_arrivals(rate: float, n: int, seed=0, *, day_s: float = 240.0,
             out[got] = t
             got += 1
     return out
+
+
+# The arrival-process registry: every consumer (CLI ``--arrival`` choices,
+# serve sessions, sweep shards, the tuner's workload classes) resolves a
+# process name here.
+ARRIVALS = {
+    "poisson": poisson_arrivals,
+    "bursty": bursty_arrivals,
+    "diurnal": diurnal_arrivals,
+}
