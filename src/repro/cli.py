@@ -45,18 +45,16 @@ tuned profile, ``report`` prints a profile's headline numbers, and
 Every serving subcommand goes through one pipeline: knob flags are
 generated from the :class:`repro.tune.Knob` records and read back by
 :meth:`repro.tune.ConfigSpace.from_args` (defaults < ``--profile`` <
-flags; contradicting sources, or a refinement flag like
-``--rebalance-ratio`` without its ``--rebalance`` gate, are loud errors),
-the other flags become a :class:`repro.serve.ServeSpec` that is validated
-before any data exists, and :func:`repro.serve.build_session` builds the
-run.  ``--adapt`` (serve/faults) additionally runs the online controller,
-which nudges a whitelisted knob subset at phase boundaries.
+flags; contradicting sources, or ``--rebalance-ratio`` without its
+``--rebalance`` gate, are loud errors), the other flags become a
+:class:`repro.serve.ServeSpec` validated before any data exists, and
+:func:`repro.serve.build_session` builds the run.  ``--adapt``
+(serve/faults) also runs the online controller.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import tempfile
@@ -107,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="raw-event ring-buffer capacity")
     p_tr.add_argument("--no-events", action="store_true",
                       help="omit raw events from the JSON document")
+    p_tr.set_defaults(n=20_000, batch=256, n_modules=32, seed=7)
 
     p_sv = sub.add_parser(
         "serve",
@@ -189,6 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="chunk moves per migration invocation")
     p_bl.add_argument("--out", type=Path, default=None,
                       help="path for the JSON comparison report")
+    p_bl.set_defaults(n=16_000, batch=64, n_modules=16, seed=8)
 
     p_tn = sub.add_parser(
         "tune",
@@ -368,10 +368,7 @@ def _run_trace(args: argparse.Namespace) -> int:
     from .eval.harness import PIMZdTreeAdapter
     from .obs import TraceCollector, load_summary, timeline_csv, write_trace
 
-    n = args.n or 20_000
-    batch = args.batch or 256
-    n_modules = args.n_modules or 32
-    seed = args.seed if args.seed is not None else 7
+    n, batch, n_modules, seed = args.n, args.batch, args.n_modules, args.seed
     ops = tuple(o.strip() for o in args.ops.split(",") if o.strip())
     for op in ops:
         root = op.split("-")[0]
@@ -570,6 +567,55 @@ def _report_wrote(*paths) -> None:
             print(f"wrote {path}")
 
 
+def _open_demo_store(args: argparse.Namespace):
+    """``store demo``'s ``(backend, path, plan)``: a fresh temp dir unless
+    ``--path`` is given; the plan kills the machine at ``--kill-round``."""
+    from .faults import FaultPlan
+    from .store import open_backend
+
+    path = args.path
+    if path is None:
+        tmp = Path(tempfile.mkdtemp(prefix="repro-store-"))
+        path = tmp / "store.db" if args.backend == "sqlite" else tmp
+    plan = (None if args.kill_round is None
+            else FaultPlan(machine_kill_at=args.kill_round))
+    return open_backend(args.backend, path), path, plan
+
+
+def _report_faults(session, plan, result) -> None:
+    """``faults`` extras: what was injected and what it cost."""
+    system = session.adapter.system
+    summary = plan.summary()
+    dead = sorted(system.dead_modules)
+    events = (", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
+              if summary else "none")
+    print(f"\ninjected events: {events}")
+    print(f"dead modules: {dead if dead else 'none'} "
+          f"({system.n_live}/{system.n_modules} live)")
+    retried = sum(1 for b in result.batches if b.retries)
+    print(f"batches: {len(result.batches)} total, {retried} retried")
+    _report_phase_share(session.adapter, "recovery")
+
+
+def _report_store(session, plan) -> None:
+    """``store demo`` extras: checkpoints, machine restarts, their cost."""
+    loop = session.loop
+    print(f"\ncheckpoints: {loop.checkpoints} "
+          f"({loop.checkpoint_time_s * 1e3:.3f}ms of simulated time); "
+          f"WAL records pending: {session.parts['store'].dirty_records}")
+    for r in loop.restarts:
+        print(f"machine killed at t={r['killed_at_s'] * 1e3:.3f}ms, "
+              f"recovered at t={r['recovered_at_s'] * 1e3:.3f}ms "
+              f"(restart {r['restart_s'] * 1e3:.3f}ms = "
+              f"time-to-first-query; {r['replayed']} replayed, "
+              f"{r['skipped_uncommitted']} uncommitted skipped)")
+    if plan is not None and not loop.restarts:
+        print("no machine kill fired (too few BSP rounds before "
+              "--kill-round?)")
+    _report_phase_share(session.adapter, "recovery",
+                        of="the post-restart system's sim time")
+
+
 def _run_serving(args: argparse.Namespace) -> int:
     """serve / faults / tune apply / store demo: one session, one report.
 
@@ -583,37 +629,27 @@ def _run_serving(args: argparse.Namespace) -> int:
 
     # ``tune apply`` is ``serve`` with a mandatory profile.
     command = "serve" if args.command == "tune" else args.command
-    faults, store_demo = command == "faults", command == "store"
     plan = backend = None
-    tracer = TraceCollector() if faults or store_demo else None
     try:
         res = _resolve_config(args)
         spec = _spec_from_args(args, res.config).validate()
-        if faults:
+        if command == "faults":
             plan = _fault_plan(args, spec)
     except ValueError as e:
         print(f"error: {e}")
         return 2
-    if store_demo:
-        from .faults import FaultPlan
-        from .store import open_backend
-
-        path = args.path
-        if path is None:
-            tmp = Path(tempfile.mkdtemp(prefix="repro-store-"))
-            path = tmp / "store.db" if args.backend == "sqlite" else tmp
-        backend = open_backend(args.backend, path)
-        if args.kill_round is not None:
-            plan = FaultPlan(machine_kill_at=args.kill_round)
+    if command == "store":
+        backend, path, plan = _open_demo_store(args)
+    tracer = None if command == "serve" else TraceCollector()
 
     session = build_session(spec, fault_plan=plan, tracer=tracer,
                             backend=backend)
     spec, adapter, loop, parts = (session.spec, session.adapter,
                                   session.loop, session.parts)
     if session.capacity is not None:
-        print(f"calibrated {'fault-free ' if faults else ''}capacity ≈ "
-              f"{session.capacity:.0f} req/s; offering {spec.load:.2f}x = "
-              f"{spec.rate:.0f} req/s")
+        print(f"calibrated {'fault-free ' if command == 'faults' else ''}"
+              f"capacity ≈ {session.capacity:.0f} req/s; offering "
+              f"{spec.load:.2f}x = {spec.rate:.0f} req/s")
     _report_tuned(res)
     rep, flt = parts["replication"], parts["filters"]
     if rep is not None:
@@ -625,7 +661,7 @@ def _run_serving(args: argparse.Namespace) -> int:
               f"{flt['filter_kib']:.1f} KiB resident")
     result = session.run()
 
-    if store_demo:
+    if command == "store":
         print(f"=== store demo — {spec.dataset}, n={spec.n}, "
               f"P={spec.n_modules}, {args.backend} backend at {path} ===")
     else:
@@ -648,35 +684,12 @@ def _run_serving(args: argparse.Namespace) -> int:
         for h in aud["history"]:
             print(f"  phase {h['phase']}: {h['knob']} {h['old']:g} -> "
                   f"{h['new']:g} ({h['why']})")
+    if command == "faults":
+        _report_faults(session, plan, result)
+    if command == "store":
+        _report_store(session, plan)
 
     code = 0
-    if faults:
-        summary = plan.summary()
-        dead = sorted(adapter.system.dead_modules)
-        events = (", ".join(f"{k}={v}" for k, v in sorted(summary.items()))
-                  if summary else "none")
-        print(f"\ninjected events: {events}")
-        print(f"dead modules: {dead if dead else 'none'} "
-              f"({adapter.system.n_live}/{adapter.system.n_modules} live)")
-        retried = sum(1 for b in result.batches if b.retries)
-        print(f"batches: {len(result.batches)} total, {retried} retried")
-        _report_phase_share(adapter, "recovery")
-    store = parts["store"]
-    if store_demo:
-        print(f"\ncheckpoints: {loop.checkpoints} "
-              f"({loop.checkpoint_time_s * 1e3:.3f}ms of simulated time); "
-              f"WAL records pending: {store.dirty_records}")
-        for r in loop.restarts:
-            print(f"machine killed at t={r['killed_at_s'] * 1e3:.3f}ms, "
-                  f"recovered at t={r['recovered_at_s'] * 1e3:.3f}ms "
-                  f"(restart {r['restart_s'] * 1e3:.3f}ms = "
-                  f"time-to-first-query; {r['replayed']} replayed, "
-                  f"{r['skipped_uncommitted']} uncommitted skipped)")
-        if plan is not None and not loop.restarts:
-            print("no machine kill fired (too few BSP rounds before "
-                  "--kill-round?)")
-        _report_phase_share(adapter, "recovery",
-                            of="the post-restart system's sim time")
     if loop.restarts:
         # The serve tracer watches the pre-crash system, whose stats die
         # with the kill — so after a restart, reconcile a *fresh*
@@ -695,7 +708,7 @@ def _run_serving(args: argparse.Namespace) -> int:
         code = _report_reconcile(tracer.timeline.reconcile(
             adapter.system.stats))
 
-    csv = getattr(args, "csv", None)
+    csv, store = getattr(args, "csv", None), parts["store"]
     if args.out is not None or csv is not None:
         tune_doc = None
         if res.non_default() or (controller is not None and controller.active):
@@ -727,10 +740,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
         print(f"calibrated capacity ≈ {capacity:.0f} req/s; offering "
               f"{spec.load:.2f}x = {spec.rate:.0f} req/s per shard")
 
-    fields = dataclasses.asdict(spec)
-    result = run_sweep(procs=args.procs,
-                       total_requests=fields.pop("requests"),
-                       tune_config=fields.pop("config"), **fields)
+    result = run_sweep(
+        procs=args.procs, total_requests=spec.requests,
+        tune_config=spec.config,
+        **{f: getattr(spec, f) for f in (
+            "dataset", "n", "n_modules", "index", "rate", "seed", "mix", "k",
+            "deadline_s", "queue_depth", "overflow", "sim_mode", "arrival",
+            "tenants", "staleness_s")})
 
     print(f"=== sweep — {spec.dataset}, {spec.index}, n={spec.n}, "
           f"P={spec.n_modules}, {spec.arrival} arrivals, "
@@ -759,35 +775,24 @@ def _run_tune(args: argparse.Namespace) -> int:
         return _run_serving(args)
 
     if args.action == "report":
+        from .tune.search import profile_table
+
         try:
             doc = _load_profile(args.profile)
+            params = doc["params"]
+            print(f"=== tuned profile — workload {doc['workload']}, "
+                  f"seed {doc['seed']} ===")
+            print(f"search: {doc['evaluated']} configs evaluated, "
+                  f"{len(doc['pareto_front'])} on the Pareto front "
+                  f"(n={params['n']}, P={params['n_modules']}, "
+                  f"requests={params['requests']})")
+            print(profile_table(doc))
+        except KeyError as e:
+            print(f"error: profile {args.profile} has no {e} block")
+            return 2
         except ValueError as e:
             print(f"error: {e}")
             return 2
-        params = doc.get("params", {})
-        print(f"=== tuned profile — workload {doc['workload']}, "
-              f"seed {doc['seed']} ===")
-        print(f"search: {doc.get('evaluated', '?')} configs evaluated, "
-              f"{len(doc.get('pareto_front', []))} on the Pareto front "
-              f"(n={params.get('n')}, P={params.get('n_modules')}, "
-              f"requests={params.get('requests')})")
-        tuned = doc.get("tuned", {})
-        print("tuned knobs: " + (", ".join(
-            f"{k}={v}" for k, v in sorted(tuned.items())) or "(defaults)"))
-        base, best = doc.get("baseline", {}), doc.get("objectives", {})
-        imp = doc.get("improvement", {})
-
-        def x(v):
-            return f"{v:.2f}x" if isinstance(v, (int, float)) else "n/a"
-
-        print(f"goodput: {base.get('goodput', 0.0):,.1f} -> "
-              f"{best.get('goodput', 0.0):,.1f} req/s "
-              f"({x(imp.get('goodput'))})")
-        print(f"p99:     {base.get('p99_s', 0.0) * 1e3:.3f}ms -> "
-              f"{best.get('p99_s', 0.0) * 1e3:.3f}ms ({x(imp.get('p99'))})")
-        print(f"comm:    {base.get('comm_words', 0.0):,.0f} -> "
-              f"{best.get('comm_words', 0.0):,.0f} words "
-              f"({x(imp.get('comm_words'))})")
         return 0
 
     # ------------------------------------------------------------ search
@@ -842,10 +847,7 @@ def _run_balance(args: argparse.Namespace) -> int:
     from .obs import TraceCollector
     from .workloads import bin_points, gini_coefficient
 
-    n = args.n or 16_000
-    batch = args.batch or 64
-    n_modules = args.n_modules or 16
-    seed = args.seed if args.seed is not None else 8
+    n, batch, n_modules, seed = args.n, args.batch, args.n_modules, args.seed
     if args.steps < 2:
         print("error: --steps must be >= 2")
         return 2

@@ -44,7 +44,7 @@ from .batcher import AdaptiveBatchPolicy, FixedBatchPolicy
 from .loop import BatchRecord, ServeLoop, ServeResult
 from .queue import AdmissionQueue, OVERFLOW_POLICIES
 from .request import KINDS, Request, make_requests
-from .session import ServeSpec, Session, build_session, make_loop, resolve_rate
+from .session import ServeSpec, _make_loop, build_session, resolve_rate
 from .stats import LatencyStats, latency_summary
 from .sweep import SweepResult, SweepShardError, run_shard, run_sweep
 from .tenants import DEFAULT_TENANT, SLO_CLASSES, TenantPolicy
@@ -63,14 +63,12 @@ __all__ = [
     "ServeLoop",
     "ServeResult",
     "ServeSpec",
-    "Session",
     "SweepResult",
     "SweepShardError",
     "TenantPolicy",
     "build_session",
     "calibrate_capacity",
     "latency_summary",
-    "make_loop",
     "make_requests",
     "resolve_rate",
     "run_shard",
@@ -136,9 +134,9 @@ def serve(adapter, requests, *, queue_depth: int = 1024,
         from ..replicate import ReplicaSet
 
         ReplicaSet(adapter.tree, replication).replicate_all()
-    loop = make_loop(adapter, policy, queue_depth=queue_depth,
-                     overflow=overflow, tenants=tenants,
-                     max_retries=max_retries, backoff_s=backoff_s,
-                     timeout_s=timeout_s, degraded_mode=degraded_mode,
-                     failover=failover, rebalancer=rebalancer)
+    loop = _make_loop(adapter, policy, queue_depth=queue_depth,
+                      overflow=overflow, tenants=tenants,
+                      max_retries=max_retries, backoff_s=backoff_s,
+                      timeout_s=timeout_s, degraded_mode=degraded_mode,
+                      failover=failover, rebalancer=rebalancer)
     return loop.run(requests)

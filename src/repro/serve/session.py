@@ -33,8 +33,7 @@ from .queue import AdmissionQueue
 from .request import KINDS, make_requests
 from .tenants import TenantPolicy
 
-__all__ = ["ServeSpec", "Session", "build_session", "make_loop",
-           "resolve_rate"]
+__all__ = ["ServeSpec", "Session", "build_session", "resolve_rate"]
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,8 @@ class Session:
         return self.loop.run(self.requests)
 
 
-def make_loop(adapter, policy, *, queue_depth: int = 1024,
-              overflow: str = "reject", tenants=None, **loop_kw) -> ServeLoop:
+def _make_loop(adapter, policy, *, queue_depth: int = 1024,
+               overflow: str = "reject", tenants=None, **loop_kw) -> ServeLoop:
     """Admission queue + serve loop over ``adapter`` (``loop_kw`` are
     :class:`ServeLoop` keywords)."""
     return ServeLoop(
@@ -138,30 +137,30 @@ def make_loop(adapter, policy, *, queue_depth: int = 1024,
         policy, **loop_kw)
 
 
-def _offered_rate(spec: ServeSpec, data) -> tuple[float, float | None]:
-    """``(rate, capacity)``: the spec's absolute rate, else ``load`` ×
-    capacity measured at a well-amortised reference batch on a throwaway
-    fault-free adapter — so the serving adapter starts cold and capacity
-    means the healthy machine's."""
+def _resolve(spec: ServeSpec):
+    """``(spec, capacity, data)``: ``spec`` validated with its ``rate``
+    pinned, and the dataset it serves.  A spec without a rate offers
+    ``load`` × capacity, measured at a well-amortised reference batch on a
+    throwaway fault-free adapter — so the serving adapter starts cold and
+    capacity means the healthy machine's (``None`` when a rate was given).
+    """
+    spec = spec.validate()
+    data = _dataset(spec.dataset, spec.n, spec.data_seed)
     if spec.rate is not None:
-        return float(spec.rate), None
+        return spec, None, data
     from . import calibrate_capacity
 
     probe = make_adapter(spec.index, data, n_modules=spec.n_modules,
                          seed=spec.seed, sim_mode=spec.sim_mode)
     capacity = calibrate_capacity(probe, data, k=spec.k, seed=spec.seed)
-    return spec.load * capacity, capacity
+    return dataclasses.replace(spec, rate=spec.load * capacity), capacity, data
 
 
 def resolve_rate(spec: ServeSpec) -> tuple[ServeSpec, float | None]:
-    """Validate ``spec`` and pin its ``rate``; also returns the calibrated
+    """Validate ``spec`` and pin its ``rate`` without building the run
+    (for callers that fan one spec out); also returns the calibrated
     capacity (``None`` when the spec already named a rate)."""
-    spec = spec.validate()
-    if spec.rate is not None:
-        return spec, None
-    data = _dataset(spec.dataset, spec.n, spec.data_seed)
-    rate, capacity = _offered_rate(spec, data)
-    return dataclasses.replace(spec, rate=rate), capacity
+    return _resolve(spec)[:2]
 
 
 def build_session(spec: ServeSpec, *, fault_plan=None, tracer=None,
@@ -175,15 +174,13 @@ def build_session(spec: ServeSpec, *, fault_plan=None, tracer=None,
     config's ``checkpoint.budget_fraction``.  Attach order is fixed —
     replicas, route filters, rebalancer, store — because filters index
     replica copies and the store's first snapshot must see all of them.
+    Route filters hash with seed 0 whatever ``spec.seed`` is, so every
+    entry point (and every sweep shard) builds the same Bloom family.
     """
-    spec = spec.validate()
-    arrival_fn = ARRIVALS[spec.arrival]
+    spec, capacity, data = _resolve(spec)
     config = spec.config
-    data = _dataset(spec.dataset, spec.n, spec.data_seed)
-    rate, capacity = _offered_rate(spec, data)
-    spec = dataclasses.replace(spec, rate=rate)
-
-    arrivals = arrival_fn(rate, spec.requests, seed=spec.seed + 1)
+    arrivals = ARRIVALS[spec.arrival](spec.rate, spec.requests,
+                                      seed=spec.seed + 1)
     requests = make_requests(data, arrivals, mix=spec.mix, k=spec.k,
                              deadline_s=spec.deadline_s, seed=spec.seed + 2,
                              tenants=spec.tenants)
@@ -206,7 +203,7 @@ def build_session(spec: ServeSpec, *, fault_plan=None, tracer=None,
         from ..tune.online import OnlineController
 
         controller = OnlineController(window=spec.adapt_window)
-    loop = make_loop(
+    loop = _make_loop(
         adapter, parts["policy"], queue_depth=spec.queue_depth,
         overflow=spec.overflow, tenants=spec.tenants,
         max_retries=spec.max_retries, backoff_s=spec.backoff_s,

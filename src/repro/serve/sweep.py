@@ -25,6 +25,7 @@ which is what CI uses for reproducibility checks.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 import traceback
@@ -34,8 +35,7 @@ import numpy as np
 
 from .stats import latency_summary
 
-__all__ = ["SweepResult", "SweepShardError", "map_specs", "run_shard",
-           "run_sweep"]
+__all__ = ["SweepResult", "SweepShardError", "run_shard", "run_sweep"]
 
 
 class SweepShardError(RuntimeError):
@@ -107,22 +107,30 @@ def run_shard(spec: dict) -> dict:
     """Run one serve shard described by ``spec``; returns a plain dict.
 
     ``spec`` holds :class:`~repro.serve.session.ServeSpec` fields (absent
-    ones take the spec's defaults) plus an optional ``shard`` index; the
-    shard is built by :func:`~repro.serve.session.build_session`, so it
-    means exactly what the same spec means to ``repro serve``.  Two
-    superseded keys are still honoured when no ``config`` is given:
-    ``policy="fixed"`` with ``fixed_batch``.  Everything in and out is
-    picklable.
+    ones take the spec's defaults, except ``queue_depth``: 4096) plus an
+    optional ``shard`` index; the shard is built by
+    :func:`~repro.serve.session.build_session`, so it means exactly what
+    the same spec means to ``repro serve``.  Three superseded keys are
+    still honoured: ``tune_config`` (now ``config``) and, when neither is
+    given, ``policy="fixed"`` with ``fixed_batch``.  Any other key is a
+    ``ValueError`` naming it.  Everything in and out is picklable.
     """
     from .request import DEGRADED, DONE
     from .session import ServeSpec, build_session
 
     t0 = time.perf_counter()
-    fields = {k: v for k, v in spec.items()
-              if k not in ("shard", "policy", "fixed_batch")}
-    if fields.get("config") is None and spec.get("policy") == "fixed":
+    fields = {"queue_depth": 4096, **spec}
+    legacy = {k: fields.pop(k, None)
+              for k in ("shard", "tune_config", "policy", "fixed_batch")}
+    unknown = sorted(set(fields) - {f.name for f in
+                                    dataclasses.fields(ServeSpec)})
+    if unknown:
+        raise ValueError(f"unknown shard spec key(s): {', '.join(unknown)}")
+    if fields.get("config") is None:
+        fields["config"] = legacy["tune_config"]
+    if fields["config"] is None and legacy["policy"] == "fixed":
         fields["config"] = {"batch.policy": "fixed",
-                            "batch.fixed": int(spec.get("fixed_batch", 256))}
+                            "batch.fixed": int(legacy["fixed_batch"] or 256)}
     result = build_session(ServeSpec(**fields)).run()
     s = result.stats
     answered = sorted(
@@ -168,7 +176,7 @@ def _run_shard_trapped(spec: dict) -> dict:
         }
 
 
-def map_specs(fn, specs: list[dict], procs: int) -> list[dict]:
+def _map_specs(fn, specs: list[dict], procs: int) -> list[dict]:
     """``[fn(s) for s in specs]``, over a worker pool when ``procs > 1``.
 
     ``pool.map`` keeps input order, so the result does not depend on how
@@ -218,55 +226,82 @@ def _shard_specs(*, procs: int, total_requests: int, seed: int,
     return specs
 
 
-def run_sweep(*, rate: float, total_requests: int = 1_000_000,
-              procs: int | None = None, n_modules: int = 2048,
-              queue_depth: int = 4096, tune_config: dict | None = None,
-              **spec_fields) -> SweepResult:
+def run_sweep(
+    *,
+    dataset: str = "uniform",
+    n: int = 20_000,
+    n_modules: int = 2048,
+    index: str = "pim",
+    total_requests: int = 1_000_000,
+    rate: float,
+    procs: int | None = None,
+    seed: int = 7,
+    mix: dict[str, float] | None = None,
+    k: int = 10,
+    deadline_s: float = math.inf,
+    queue_depth: int = 4096,
+    overflow: str = "reject",
+    sim_mode: str | None = None,
+    exec_mode: str | None = None,
+    arrival: str = "poisson",
+    tenants: dict[str, float] | None = None,
+    tune_config: dict | None = None,
+    staleness_s: float = 1e-3,
+) -> SweepResult:
     """Shard ``total_requests`` across ``procs`` serve replicas and merge.
 
     ``rate`` is the *per-shard* offered rate (each replica sees its own
     independent arrival process at this rate).  ``procs`` defaults to
-    ``os.cpu_count()`` capped at 8.  ``tune_config`` is a resolved
-    :mod:`repro.tune` config dict (``None``: the shipped defaults), and
-    ``spec_fields`` are any other
-    :class:`~repro.serve.session.ServeSpec` fields (``dataset``, ``n``,
-    ``index``, ``seed``, ``mix``, ``k``, ``deadline_s``, ``overflow``,
-    ``sim_mode``, ``exec_mode``, ``arrival``, ``tenants``,
-    ``staleness_s``, ...): every shard serves that spec with seed
-    ``seed + 1000·i`` for its arrival/request streams while sharing the
-    dataset (drawn from ``seed``, so every replica serves the same index).
+    ``os.cpu_count()`` capped at 8; each shard gets seed ``seed + 1000·i``
+    for its arrival/request streams while sharing the dataset (drawn from
+    ``seed`` so every replica serves the same index).  ``tune_config`` is
+    a resolved :mod:`repro.tune` config dict (``None``: the shipped
+    defaults) and ``staleness_s`` the primary-async staleness bound; the
+    keywords are the :class:`~repro.serve.session.ServeSpec` fields a
+    sharded sweep can honour, and every shard is built from them by
+    :func:`~repro.serve.session.build_session`.
     """
-    from .session import ServeSpec
-
     if procs is None:
         procs = min(8, os.cpu_count() or 1)
     procs = max(1, int(procs))
-    spec = ServeSpec(rate=float(rate), n_modules=int(n_modules),
-                     queue_depth=int(queue_depth), config=tune_config,
-                     **spec_fields)
-    specs = _shard_specs(
-        procs=procs, total_requests=total_requests, seed=spec.seed,
-        spec_kw={**dataclasses.asdict(spec), "data_seed": spec.seed})
+    spec_kw = {
+        "dataset": dataset, "n": int(n), "data_seed": int(seed),
+        "n_modules": int(n_modules), "index": index,
+        "rate": float(rate), "mix": mix, "k": int(k),
+        "deadline_s": float(deadline_s),
+        "queue_depth": int(queue_depth), "overflow": overflow,
+        "sim_mode": sim_mode, "exec_mode": exec_mode,
+        "arrival": arrival, "tenants": tenants,
+        "config": tune_config, "staleness_s": float(staleness_s),
+    }
+    specs = _shard_specs(procs=procs, total_requests=total_requests,
+                         seed=seed, spec_kw=spec_kw)
 
     t0 = time.perf_counter()
-    shards = map_specs(_run_shard_trapped, specs, procs)
+    shards = _map_specs(_run_shard_trapped, specs, procs)
     _raise_if_failed(shards)
     wall = time.perf_counter() - t0
 
-    def total(key: str):
-        return sum(s[key] for s in shards)
-
-    def pooled(key: str) -> dict[str, float]:
-        return latency_summary(
-            np.concatenate([np.asarray(s[key]) for s in shards]))
-
+    lat = np.concatenate([np.asarray(s["latency_s"]) for s in shards]) \
+        if shards else np.empty(0)
+    que = np.concatenate([np.asarray(s["queue_s"]) for s in shards]) \
+        if shards else np.empty(0)
+    srv = np.concatenate([np.asarray(s["service_s"]) for s in shards]) \
+        if shards else np.empty(0)
     return SweepResult(
-        n_shards=len(shards), n_offered=total("n_offered"),
-        n_done=total("n_done"), n_failed=total("n_failed"),
-        n_timed_out=total("n_timed_out"), n_rejected=total("n_rejected"),
-        n_shed=total("n_shed"), aggregate_throughput=total("throughput"),
-        aggregate_goodput=total("goodput"), latency=pooled("latency_s"),
-        queue=pooled("queue_s"), service=pooled("service_s"), wall_s=wall,
+        n_shards=len(shards),
+        n_offered=sum(s["n_offered"] for s in shards),
+        n_done=sum(s["n_done"] for s in shards),
+        n_failed=sum(s["n_failed"] for s in shards),
+        n_timed_out=sum(s["n_timed_out"] for s in shards),
+        n_rejected=sum(s["n_rejected"] for s in shards),
+        n_shed=sum(s["n_shed"] for s in shards),
+        aggregate_throughput=sum(s["throughput"] for s in shards),
+        aggregate_goodput=sum(s["goodput"] for s in shards),
+        latency=latency_summary(lat),
+        queue=latency_summary(que),
+        service=latency_summary(srv),
+        wall_s=wall,
         shard_wall_s=[s["wall_s"] for s in shards],
         shard_seeds=[s["seed"] for s in shards],
     )

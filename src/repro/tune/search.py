@@ -9,7 +9,7 @@ run of the target workload class through the measured adapter, exactly
 the machinery ``repro serve`` uses, just scaled down.
 
 Candidates of one generation are independent, so they evaluate in
-parallel over a multiprocessing pool (``repro.serve.sweep.map_specs``,
+parallel over a multiprocessing pool (``repro.serve.sweep._map_specs``,
 the one ``run_sweep`` shards over; ``procs <= 1`` runs inline).  Because the
 expansion order is fixed by knob declaration order and ``pool.map``
 preserves input order, the visit order — and therefore the emitted
@@ -52,6 +52,7 @@ __all__ = [
     "evaluate_config",
     "search",
     "profile_doc",
+    "profile_table",
     "profile_json",
     "load_profile",
 ]
@@ -153,22 +154,9 @@ class TuneResult:
         return self.nodes[self.root]
 
     def table(self) -> str:
-        base, best = self.baseline.objectives, self.best_node.objectives
-        lines = [
-            f"workload {self.workload}: {len(self.visit_order)} configs "
-            f"evaluated, {len(self.front)} on the Pareto front "
-            f"({self.wall_s:.1f}s wall)",
-            f"{'':16s} {'goodput':>12} {'p99':>12} {'comm words':>14}",
-            f"{'default':16s} {base['goodput']:>12.1f} "
-            f"{base['p99_s'] * 1e3:>10.3f}ms {base['comm_words']:>14,.0f}",
-            f"{'tuned':16s} {best['goodput']:>12.1f} "
-            f"{best['p99_s'] * 1e3:>10.3f}ms {best['comm_words']:>14,.0f}",
-        ]
-        tuned = {k: v for k, v in self.best_node.config.items()
-                 if v != self.space.default_config()[k]}
-        lines.append("tuned knobs: " + (", ".join(
-            f"{k}={v}" for k, v in sorted(tuned.items())) or "(defaults)"))
-        return "\n".join(lines)
+        return (f"workload {self.workload}: {len(self.visit_order)} configs "
+                f"evaluated, {len(self.front)} on the Pareto front "
+                f"({self.wall_s:.1f}s wall)\n" + profile_table(profile_doc(self)))
 
 
 # ======================================================================
@@ -268,7 +256,7 @@ def search(workload: str, *, seed: int = 7, n: int = 4000,
     if unknown:
         raise ValueError(f"unknown search knob(s): {', '.join(unknown)}")
 
-    from ..serve.sweep import map_specs
+    from ..serve.sweep import _map_specs
 
     t0 = time.perf_counter()
     if rate is None:
@@ -303,7 +291,7 @@ def search(workload: str, *, seed: int = 7, n: int = 4000,
     root = TuneNode(key=root_key, config=root_config, generation=0)
     nodes: dict[str, TuneNode] = {root_key: root}
     visit_order: list[str] = []
-    _settle([root], map_specs(_evaluate_trapped, [_spec(root_config)], 1))
+    _settle([root], [_evaluate_trapped(_spec(root_config))])
     if root.objectives is None:
         raise RuntimeError(f"baseline evaluation failed: {root.error}")
 
@@ -321,7 +309,7 @@ def search(workload: str, *, seed: int = 7, n: int = 4000,
                 children.append(child)
         if not children:
             break
-        _settle(children, map_specs(
+        _settle(children, _map_specs(
             _evaluate_trapped, [_spec(c.config) for c in children], procs))
         front = pareto_front(list(nodes.values()))
         front_keys = {f.key for f in front}
@@ -382,6 +370,24 @@ def profile_doc(result: TuneResult) -> dict:
         "pareto_front": list(result.front),
         "visit_order": list(result.visit_order),
     }
+
+
+def profile_table(doc: dict) -> str:
+    """Default-vs-tuned objectives of a profile document, with the gain on
+    each and the knobs that moved — what ``tune search`` prints for a
+    fresh result and ``tune report`` for a stored one."""
+    gain = doc["improvement"]
+    lines = [f"{'':8s} {'goodput':>12} {'p99':>12} {'comm words':>14}"]
+    for label, o in (("default", doc["baseline"]),
+                     ("tuned", doc["objectives"])):
+        lines.append(f"{label:8s} {o['goodput']:>12.1f} "
+                     f"{o['p99_s'] * 1e3:>10.3f}ms {o['comm_words']:>14,.0f}")
+    lines.append(f"{'gain':8s} " + " ".join(
+        f"{'n/a' if gain[k] is None else f'{gain[k]:.2f}x':>{w}}"
+        for k, w in (("goodput", 12), ("p99", 12), ("comm_words", 14))))
+    lines.append("tuned knobs: " + (", ".join(
+        f"{k}={v}" for k, v in sorted(doc["tuned"].items())) or "(defaults)"))
+    return "\n".join(lines)
 
 
 def profile_json(result: TuneResult) -> str:

@@ -124,6 +124,51 @@ def test_run_shard_equals_inline_session():
     assert shard["throughput"] == result.stats.throughput
 
 
+def test_run_shard_spec_keys():
+    """A hand-written shard dict: the pre-``ServeSpec`` ``tune_config`` key
+    still means ``config``, an omitted ``queue_depth`` is the sweep's 4096
+    (not ``serve``'s 1024), and a typo is named instead of ending in a bare
+    ``TypeError`` from the dataclass."""
+    base = {"dataset": "uniform", "data_seed": 5, **SMALL}
+    fixed = {"batch.policy": "fixed", "batch.fixed": 4}
+    want = run_shard({**base, "config": fixed})["latency_s"]
+    assert run_shard({**base, "tune_config": fixed})["latency_s"] == want
+    assert run_shard(base)["latency_s"] != want
+
+    seen = {}
+    real_init = AdmissionQueue.__init__
+
+    def spy(self, depth, **kw):
+        seen["depth"] = depth
+        real_init(self, depth, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AdmissionQueue, "__init__", spy)
+        run_shard(base)
+        assert seen["depth"] == 4096
+        run_shard({**base, "queue_depth": 16})
+        assert seen["depth"] == 16
+    with pytest.raises(ValueError, match="unknown shard spec key.*queue_dept"):
+        run_shard({**base, "queue_dept": 16})
+
+
+def test_route_filters_hash_with_seed_zero_at_every_entry_point():
+    """Before the shared builder the CLI seeded its Bloom filters 0 while
+    sweep shards and the tuner's evaluator used the shard seed.  The
+    builder keeps the CLI's choice (the serve goldens pin it), so a shard
+    or a tuner candidate now routes exactly like ``serve`` on that spec."""
+    from repro.tune.search import WORKLOADS, evaluate_config
+
+    route = {"route.enabled": True}
+    fields = {**SMALL, "seed": 11, "config": route}
+    session = build_session(ServeSpec(**WORKLOADS["varden"], **fields))
+    assert session.adapter.tree.route_filters.seed == 0
+    stats = session.run().stats
+    scored = evaluate_config({"workload": "varden", **fields})
+    assert scored["comm_words"] == session.adapter.system.stats.total.comm_words
+    assert scored["p99_s"] == stats.latency["p99"]
+
+
 def test_faults_with_empty_plan_equals_serve(tmp_path, capsys):
     flags = ["--n", "1500", "--n-modules", "8", "--requests", "80",
              "--rate", "20000", "--mix", "knn=0.7,insert=0.3"]
@@ -254,6 +299,17 @@ def test_removed_arguments_are_gone():
         run_sweep(rate=1000.0, total_requests=4, policy="fixed")
     with pytest.raises(TypeError):
         run_sweep(rate=1000.0, total_requests=4, fixed_batch=8)
+    # ... and ``staleness_s`` is the only keyword run_sweep gained: the
+    # ServeSpec fields a sharded sweep cannot honour are not settable.
+    import inspect
+
+    assert set(inspect.signature(run_sweep).parameters) == {
+        "dataset", "n", "n_modules", "index", "total_requests", "rate",
+        "procs", "seed", "mix", "k", "deadline_s", "queue_depth", "overflow",
+        "sim_mode", "exec_mode", "arrival", "tenants", "tune_config",
+        "staleness_s"}
+    with pytest.raises(TypeError):
+        run_sweep(rate=1000.0, total_requests=4, adapt=True)
     with pytest.raises(TypeError):
         make_index_config(default_space().default_config(), kind="pim",
                           n_points=100, n_modules=4, sim_mode="vector")
