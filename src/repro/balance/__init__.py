@@ -11,9 +11,9 @@ imbalance the rest of the codebase only measures:
   detector and deterministic, budget-bounded victim/destination
   selection over §3.2 meta-node chunks (over-capacity modules are
   mandatory sources);
-* :func:`execute_plan` — charged migration: real BSP rounds booked under
-  the ``"rebalance"`` phase, with persistent placement overrides that
-  compose with fault rehash;
+* :func:`execute_plan` — charged migration: the plan's moves run through
+  :func:`repro.core.relocate.relocate` under the ``"rebalance"`` phase,
+  with persistent placement overrides that compose with fault rehash;
 * :class:`OnlineRebalancer` — the observe/detect/plan/execute driver the
   serve loop runs between batches under a time-budget fraction;
 * :func:`choose_destination` — capacity-aware placement for rebuild
@@ -25,8 +25,7 @@ Driven from the CLI via ``python -m repro.cli balance``.
 """
 
 from .hotness import HotnessTracker
-from .migrate import execute_plan
-from .online import OnlineRebalancer
+from .online import OnlineRebalancer, execute_plan
 from .planner import (
     BalanceConfig,
     MigrationMove,

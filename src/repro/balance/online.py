@@ -16,11 +16,27 @@ the per-chunk popularity counters are halved (so old popularity fades).
 
 from __future__ import annotations
 
+from ..core.relocate import relocate
 from .hotness import HotnessTracker
-from .migrate import execute_plan
-from .planner import BalanceConfig, MigrationPlanner
+from .planner import BalanceConfig, MigrationPlan, MigrationPlanner
 
-__all__ = ["OnlineRebalancer"]
+__all__ = ["OnlineRebalancer", "execute_plan"]
+
+
+def execute_plan(tree, plan: MigrationPlan) -> dict:
+    """Execute ``plan`` against ``tree``; returns a summary dict.
+
+    The moves run as one charged :func:`~repro.core.relocate.relocate`
+    round under the ``"rebalance"`` phase, so the Fig. 6-style breakdown
+    shows the rebalance tax.  Empty plans are free — the inert-config
+    guarantee.
+    """
+    return {
+        "moves": len(plan.moves),
+        "words_moved": relocate(tree, plan.moves, phase="rebalance"),
+        "mandatory_moves": sum(1 for mv in plan.moves if mv.mandatory),
+        "clones": sum(1 for mv in plan.moves if mv.kind == "clone"),
+    }
 
 
 class OnlineRebalancer:

@@ -254,7 +254,7 @@ class MigrationPlanner:
         # splits its read heat across one more copy (read-any routing), so
         # when the pinned chunk is still below its k copies and the split
         # strictly lowers the pair max, the planner emits a clone move.
-        reps = getattr(self.tree, "replicas", None)
+        reps = self.tree.replicas
 
         def try_clone(src: int) -> bool:
             if reps is None or not by_module[src]:

@@ -99,6 +99,11 @@ class MetaNode:
             return 0
         return len(self.l1_ancestors()) + self.l1_desc_metas
 
+    def upload_words(self, config: PIMZdTreeConfig) -> int:
+        """Words sent to install this chunk on a module: the master copy
+        plus one copy per cache that shares it (L1 fan-out)."""
+        return self.size_words(config) * (1 + self.replica_count())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MetaNode(root={self.root.nid} layer={self.layer.name} "

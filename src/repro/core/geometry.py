@@ -68,10 +68,6 @@ class Box:
             np.all(center - radius >= self.lo) and np.all(center + radius <= self.hi)
         )
 
-    def min_dist(self, p: np.ndarray, metric: "Metric") -> float:
-        """Smallest ``metric`` distance from point ``p`` to the box."""
-        return float(dist_point_box(p, self, metric))
-
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 

@@ -98,7 +98,7 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
         # Membership-filter routing (repro.route): suppress candidate
         # probes into closed chunks whose resident z-range the current
         # coarse ball provably misses.
-        rf = getattr(tree, "route_filters", None)
+        rf = tree.route_filters
         use_rf = rf is not None and rf.enabled
         out = executor.run(tasks, cand_handler, round_hook=hook,
                            prune=rf.make_knn_prune(states) if use_rf else None)

@@ -167,7 +167,7 @@ def search_batch(tree, points: np.ndarray, *, phase: str = "search"
         # never pruned.  With a replicated L0 even the routing round is a
         # send, so the global filter gates it; a host-resident L0 walks
         # for free and queries are screened at their first L1/L2 task.
-        rf = getattr(tree, "route_filters", None)
+        rf = tree.route_filters
         use_rf = (rf is not None and rf.enabled
                   and phase in ("search", "delete"))
         live, pre_probed = results, None

@@ -323,13 +323,6 @@ class PIMZdTree:
             n = p
         return n is not self.root
 
-    def _region_root_of(self, node: Node) -> Node:
-        """Topmost non-L0 ancestor of ``node`` (the chunk region root)."""
-        region_root = node
-        while region_root.parent is not None and region_root.parent.layer != Layer.L0:
-            region_root = region_root.parent
-        return region_root
-
     def force_rechunk_region(self, region_root: Node) -> None:
         """Retire and rebuild every chunk at or under ``region_root``.
 
@@ -411,13 +404,9 @@ class PIMZdTree:
             if m.children:
                 m.children = [c for c in m.children if c in self.metas]
         # One round of master movement plus L1 cache rebuild fan-out.
-        words = sum(m.size_words(self.config) for m in new_all)
-        cache_words = sum(
-            m.size_words(self.config) * m.replica_count()
-            for m in new_all
-            if m.layer == Layer.L1
+        self.system.charge_comm_flat(
+            sum(m.upload_words(self.config) for m in new_all)
         )
-        self.system.charge_comm_flat(words + cache_words)
 
     # ==================================================================
     # lazy counters (§3.4)
@@ -486,11 +475,8 @@ class PIMZdTree:
         """
         send_by: dict[int, float] = {}
         for meta in self.metas:
-            words = meta.size_words(self.config)
-            total = words * (
-                1 + (meta.replica_count() if meta.layer == Layer.L1 else 0)
-            )
-            send_by[meta.module] = send_by.get(meta.module, 0.0) + total
+            send_by[meta.module] = (send_by.get(meta.module, 0.0)
+                                    + meta.upload_words(self.config))
         with self.system.round():
             self.system.send_bulk(send_by)
             if not self.l0_on_cpu:

@@ -156,7 +156,7 @@ def insert_batch(tree, points: np.ndarray) -> None:
     # filters' rebuild (inside refresh_residency) can take the cheap
     # in-place path.  A faulted batch never reaches here — its rollback
     # goes through the delete path, which does not stage.
-    rf = getattr(tree, "route_filters", None)
+    rf = tree.route_filters
     if rf is not None:
         rf.stage_inserts(
             np.array([res.key for res in results], dtype=np.uint64))

@@ -4,27 +4,16 @@ The simulator is functional — the canonical tree always lives in host
 memory — so a module crash loses *placement*, not data: every meta-node
 mastered on the dead module must be re-placed (salted hash with the dead
 set excluded, see :meth:`repro.pim.PIMSystem.place`) and its shard
-re-uploaded from the host copy.  The rebuild is charged through the
-simulator under the ``"recovery"`` phase, so recovery cost is visible in
-SimTime and in the Fig. 6-style phase attribution exactly like any other
-work:
-
-* one CPU re-placement hash per moved meta-node;
-* a host-DRAM read of each shard (the canonical index is streamed out);
-* one BSP round sending each shard (master copy plus its L1 replica
-  fan-out) to its new module.
-
-Fault injection is suppressed for the duration (the repair path runs
-over a reliable control channel), which also guarantees recovery
-terminates even under high drop rates.
+re-uploaded from the host copy.  This module only *plans* that — which
+chunks promote a live secondary, which are rebuilt where; the moves are
+executed and charged by :func:`repro.core.relocate.relocate` under the
+``"recovery"`` phase, so recovery cost is visible in SimTime and in the
+Fig. 6-style phase attribution exactly like any other work.
 """
 
 from __future__ import annotations
 
 __all__ = ["fail_over"]
-
-# Host-side salted-hash + bookkeeping work per re-placed meta-node.
-_REPLACE_CPU_OPS = 24
 
 
 def fail_over(tree, dead_mid: int) -> dict:
@@ -32,65 +21,50 @@ def fail_over(tree, dead_mid: int) -> dict:
 
     Returns a summary dict: the dead module id, how many meta-nodes were
     re-placed and the total words re-uploaded.  Idempotent: failing over
-    an already-dead module with no resident meta-nodes is a cheap no-op.
+    an already-dead module that masters nothing does nothing at all — no
+    charge, no residency refresh, no journal record.
     """
     from ..balance.planner import choose_destination
-    from ..core.chunking import MetaNode  # noqa: F401 (documentation import)
-    from ..core.node import Layer
+    from ..core.relocate import Move, relocate
 
     sys = tree.system
-    reps = getattr(tree, "replicas", None)
-    with sys.phase("recovery"), sys.faults_suppressed():
-        sys.decommission(dead_mid)
-        # Replica-aware fast path (repro.replicate): chunks mastered on
-        # the dead module whose ReplicaSet holds a live secondary are
-        # *promoted* — a control-plane pointer swap plus a placement
-        # override, no shard re-upload; the copy is already resident.
-        promotions = reps.on_module_dead(dead_mid) if reps is not None else {}
-        moved = sorted(
-            (m for m in tree.metas if m.module == dead_mid),
-            key=lambda m: m.root.nid,
+    orphans = sorted(
+        (m for m in tree.metas if m.module == dead_mid),
+        key=lambda m: m.root.nid,
+    )
+    summary = {"module": int(dead_mid), "metas_moved": len(orphans),
+               "words_moved": 0.0, "promoted": 0}
+    if not orphans and dead_mid in sys.dead_modules:
+        return summary
+    sys.decommission(dead_mid)
+    # Replica-aware fast path (repro.replicate): chunks mastered on the
+    # dead module whose ReplicaSet holds a live secondary are *promoted* —
+    # a control-plane pointer swap, no shard re-upload; the copy is
+    # already resident.
+    reps = tree.replicas
+    promotions = reps.on_module_dead(dead_mid) if reps is not None else {}
+    moves = []
+    for meta in orphans:
+        nid = meta.root.nid
+        if nid in promotions:
+            moves.append(Move(meta, promotions[nid], "promote"))
+            continue
+        # Capacity-aware re-placement: identical to the plain salted-hash
+        # place() unless the hashed module's capacity budget would be
+        # violated (repro.balance).
+        dst = choose_destination(
+            sys, ("meta", nid), words=meta.size_words(tree.config)
         )
-        words_moved = 0.0
-        promoted = 0
-        rebuilt = []
-        if moved:
-            sys.charge_cpu(len(moved) * _REPLACE_CPU_OPS)
-            with sys.round():
-                for meta in moved:
-                    new_mid = promotions.get(meta.root.nid)
-                    if new_mid is not None:
-                        meta.module = new_mid
-                        sys.set_placement_override(
-                            ("meta", meta.root.nid), new_mid
-                        )
-                        # Only the mastership hand-off control message.
-                        sys.send(new_mid, 2)
-                        promoted += 1
-                        continue
-                    rebuilt.append(meta)
-                    words = meta.size_words(tree.config)
-                    # Capacity-aware re-placement: identical to the plain
-                    # salted-hash place() unless the hashed module's
-                    # capacity budget would be violated (repro.balance).
-                    meta.module = choose_destination(
-                        sys, ("meta", meta.root.nid), words=words
-                    )
-                    replicas = (meta.replica_count()
-                                if meta.layer == Layer.L1 else 0)
-                    total = words * (1 + replicas)
-                    sys.dram_stream(words)
-                    sys.send(meta.module, total)
-                    words_moved += total
-        tree.refresh_residency()
+        moves.append(Move(meta, dst, "rebuild"))
+    summary["words_moved"] = relocate(tree, moves, phase="recovery")
+    summary["promoted"] = len(promotions)
+    if not moves:
+        # Nothing was mastered here, but decommissioning dropped the
+        # module's caches and secondaries: residency changed all the same.
+        with sys.phase("recovery"), sys.faults_suppressed():
+            tree.refresh_residency()
     # Journal the failover (self-committed control record) so a crash
     # after this point replays the same re-placement from the snapshot.
-    journal = getattr(tree, "journal", None)
-    if journal is not None:
-        journal.log_failover(dead_mid)
-    return {
-        "module": int(dead_mid),
-        "metas_moved": len(moved),
-        "words_moved": float(words_moved),
-        "promoted": promoted,
-    }
+    if tree.journal is not None:
+        tree.journal.log_failover(dead_mid)
+    return summary

@@ -180,11 +180,6 @@ class PIMSystem:
         """
         self._trace = tracer
 
-    def detach_tracer(self):
-        """Detach and return the current collector (tracing off)."""
-        tracer, self._trace = self._trace, None
-        return tracer
-
     # ------------------------------------------------------------------
     # faults
     # ------------------------------------------------------------------
@@ -249,27 +244,6 @@ class PIMSystem:
         m.master_words = 0.0
         m.cache_words = 0.0
 
-    @property
-    def machine_dead(self) -> bool:
-        """True once a whole-machine kill landed; rounds now refuse to run."""
-        return self._machine_dead
-
-    def kill_machine(self) -> None:
-        """Externally kill the whole machine (CLI / tests).
-
-        The next BSP round entry raises
-        :class:`~repro.faults.MachineKill`; only the durable tier can
-        bring the service back (see :mod:`repro.store`).
-        """
-        self._machine_dead = True
-        if self._trace is not None:
-            from ..faults.plan import FaultEvent
-
-            self._notify_fault(
-                FaultEvent("machine_kill", -1, self._rounds_charged, 0.0,
-                           "manual")
-            )
-
     def kill_module(self, mid: int) -> None:
         """Externally crash module ``mid`` (CLI / tests), recording the event."""
         self.decommission(mid)
@@ -288,10 +262,6 @@ class PIMSystem:
             on_fault = getattr(self._trace, "on_fault", None)
             if on_fault is not None:
                 on_fault(self.current_phase, event)
-
-    def _check_dead(self, mid: int) -> None:
-        if self._dead and mid in self._dead:
-            raise ModuleFailure(mid)
 
     def _check_drop(self, direction: str, mid: int, words: float) -> None:
         ev = self._faults.should_drop(direction, mid, words, self._rounds_charged)
@@ -356,10 +326,6 @@ class PIMSystem:
         if mid in self._dead:
             raise ValueError(f"cannot pin placement to dead module {mid}")
         self._place_overrides[repr(_canonical_key(key)).encode()] = mid
-
-    def clear_placement_override(self, key) -> None:
-        """Drop ``key``'s override (placement reverts to the salted hash)."""
-        self._place_overrides.pop(repr(_canonical_key(key)).encode(), None)
 
     @property
     def n_placement_overrides(self) -> int:
@@ -448,10 +414,6 @@ class PIMSystem:
             if self._trace is not None:
                 self._trace.on_dram(phase, _WORDS_PER_BLOCK, streamed=False)
         return hit
-
-    def touch_cpu_range(self, base_id, n_blocks: int) -> None:
-        for i in range(int(n_blocks)):
-            self.touch_cpu_block((base_id, i))
 
     def touch_cpu_blocks(self, block_ids) -> None:
         """Sequential CPU accesses to many blocks, charged in one call.
@@ -998,7 +960,3 @@ class PIMSystem:
 
     def snapshot(self) -> PIMStats:
         return self.stats.snapshot()
-
-    def reset_measurement(self) -> PIMStats:
-        """Snapshot used by the harness to measure a phase: ``end.diff(start)``."""
-        return self.snapshot()

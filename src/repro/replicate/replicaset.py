@@ -39,19 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.relocate import PACK_CYCLES_PER_WORD, Move, relocate
+
 __all__ = ["ReplicationConfig", "ReplicaSet", "WRITE_POLICIES"]
 
 WRITE_POLICIES = ("write-all", "primary-async")
-
-# Streaming copy cycles per word on the weak PIM core (matches the
-# migration executor's pack/unpack constant — same kind of bulk move).
-_PACK_CYCLES_PER_WORD = 1
-# Host-side placement + registry bookkeeping per installed/promoted copy
-# (matches the failover/migration control-plane constant).
-_CONTROL_CPU_OPS = 24
-# Control words to repoint mastership at a promoted secondary (no data
-# moves — the copy is already resident).
-_PROMOTE_WORDS = 2
 
 
 @dataclass(frozen=True)
@@ -173,48 +165,24 @@ class ReplicaSet:
     def replicate_all(self) -> dict:
         """Bring every chunk up to ``k`` copies (charged, journaled).
 
-        One BSP round under the ``"replicate"`` phase: per new copy, the
-        primary packs and drains the shard to the host switch
-        (``charge_pim`` + ``recv``) and the destination unpacks and
-        installs it (``charge_pim`` + ``send``) — the same shape as a
-        migration, minus the mastership change.  Fault injection is
-        suppressed (replica control traffic rides the reliable channel).
+        Plans one ``"clone"`` move per missing copy and installs them all
+        in one :func:`~repro.core.relocate.relocate` round under the
+        ``"replicate"`` phase — the same shape as a migration, minus the
+        mastership change.
         """
-        tree = self.tree
-        sys = tree.system
-        installed: list[tuple[int, int]] = []
-        plan: list[tuple[object, int]] = []
-        for meta in sorted(tree.metas, key=lambda m: m.root.nid):
-            while self.copy_count(meta) + sum(
-                    1 for m2, _ in plan if m2 is meta) < self.config.k:
-                chosen = {d for m2, d in plan if m2 is meta}
+        moves: list[Move] = []
+        for meta in sorted(self.tree.metas, key=lambda m: m.root.nid):
+            chosen: set[int] = set()
+            while self.copy_count(meta) + len(chosen) < self.config.k:
                 dst = self.place_secondary(
                     meta, len(self.secondaries(meta)) + len(chosen),
                     exclude=chosen)
                 if dst is None:
                     break
-                plan.append((meta, dst))
-        if not plan:
-            return {"installed": 0, "words": 0.0}
-        words_total = 0.0
-        with sys.phase("replicate"), sys.faults_suppressed():
-            sys.charge_cpu(len(plan) * _CONTROL_CPU_OPS)
-            with sys.round():
-                for meta, dst in plan:
-                    words = meta.size_words(tree.config)
-                    sys.charge_pim(meta.module,
-                                   words * _PACK_CYCLES_PER_WORD)
-                    sys.recv(meta.module, words)
-                    sys.charge_pim(dst, words * _PACK_CYCLES_PER_WORD)
-                    sys.send(dst, words)
-                    self.register(meta.root.nid, dst)
-                    installed.append((meta.root.nid, dst))
-                    words_total += words
-            tree.refresh_residency()
-        journal = getattr(tree, "journal", None)
-        if journal is not None:
-            journal.log_replicate(installed)
-        return {"installed": len(installed), "words": float(words_total)}
+                chosen.add(dst)
+                moves.append(Move(meta, dst, "clone"))
+        words = relocate(self.tree, moves, phase="replicate")
+        return {"installed": len(moves), "words": words}
 
     # ------------------------------------------------------------------
     # read routing
@@ -302,7 +270,7 @@ class ReplicaSet:
                     if meta is None:
                         continue
                     for mid in self.live_secondaries(meta):
-                        sys.charge_pim(mid, words * _PACK_CYCLES_PER_WORD)
+                        sys.charge_pim(mid, words * PACK_CYCLES_PER_WORD)
                         sys.send(mid, words)
                         words_total += words
                     self.staleness_samples.append(max(0.0, now - t0))

@@ -279,7 +279,7 @@ class RouteFilterSet:
             stack.append(node.right)
         # Replica copies: the keys are resident on the secondary modules
         # too (installed/promoted under their own charged phases).
-        reps = getattr(self.tree, "replicas", None)
+        reps = self.tree.replicas
         reps_snap: dict[int, tuple[int, ...]] = {}
         if reps is not None:
             for nid, mids in reps._secondaries.items():

@@ -18,16 +18,19 @@ Replay applies only *committed* batches (see :mod:`repro.store.wal`):
 a batch whose COMMIT marker is missing from the valid prefix was still
 in flight when the machine died, so the serving layer will retry it on
 the recovered machine — skipping it here is what makes the retry
-exactly-once.  Control records (failover, migration) are self-committed
-and re-executed in log order, which — because placement is a pure
-function of (key, seed, dead set, overrides) and ``_batch_counter`` is
-restored from the manifest — reproduces the pre-crash layout exactly.
+exactly-once.  Control records are self-committed and re-executed in log
+order by the code that wrote them — FAILOVER through ``tree.fail_over``,
+MIGRATE / REPLICATE through :func:`repro.core.relocate.relocate` — which,
+because placement is a pure function of (key, seed, dead set, overrides)
+and ``_batch_counter`` is restored from the manifest, reproduces the
+pre-crash layout and charges exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.relocate import Move, relocate
 from .errors import WALCorruption
 from .snapshot import SnapshotStore, decode_tree
 from .wal import (
@@ -43,11 +46,6 @@ from .wal import (
 )
 
 __all__ = ["RecoveryResult", "recover"]
-
-# Mirrors repro.balance.migrate: host-side re-placement bookkeeping per
-# moved chunk and streaming pack/unpack cycles per word.
-_MIGRATE_CPU_OPS = 24
-_PACK_CYCLES_PER_WORD = 1
 
 
 @dataclass
@@ -66,68 +64,23 @@ class RecoveryResult:
     events: list[dict] = field(default_factory=list)
 
 
-def _replay_migrate(tree, pairs: list[tuple[int, int]]) -> None:
-    """Re-execute a journaled migration (same charges as execute_plan)."""
-    sys = tree.system
+def _decode_moves(tree, record) -> list[Move]:
+    """A journaled MIGRATE / REPLICATE record as ``relocate`` moves."""
+    kind, pairs = record.moves()
     by_nid = {m.root.nid: m for m in tree.metas}
-    moves = []
-    for nid, dst in pairs:
-        meta = by_nid.get(nid)
-        # The chunk may have been retired by a later replayed batch's
-        # rechunk before we get here only if the log order were violated —
-        # it never is — but a chunk whose module already matches (replayed
-        # override during rechunk) still re-records its override.
-        if meta is not None:
-            moves.append((meta, meta.module, int(dst)))
-    if not moves:
-        return
-    from ..core.node import Layer
+    moves = [Move(by_nid[nid], dst, kind) for nid, dst in pairs
+             if nid in by_nid]
+    if kind == "clone":
+        dead = tree.system.dead_modules
+        moves = [mv for mv in moves if mv.dst not in dead]
+        if moves and tree.replicas is None:
+            # A REPLICATE record without a manifest registry can only come
+            # from clones journaled before the first checkpoint: rebuild an
+            # implicit registry so the copies exist after restart too.
+            from ..replicate import ReplicaSet
 
-    sys.charge_cpu(len(moves) * _MIGRATE_CPU_OPS)
-    with sys.round():
-        for meta, src, dst in moves:
-            words = meta.size_words(tree.config)
-            replicas = meta.replica_count() if meta.layer == Layer.L1 else 0
-            total = words * (1 + replicas)
-            sys.charge_pim(src, words * _PACK_CYCLES_PER_WORD)
-            sys.recv(src, words)
-            sys.charge_pim(dst, words * _PACK_CYCLES_PER_WORD)
-            sys.send(dst, total)
-            meta.module = dst
-            sys.set_placement_override(("meta", meta.root.nid), dst)
-    tree.refresh_residency()
-
-
-def _replay_replicate(tree, pairs: list[tuple[int, int]]) -> None:
-    """Re-register (and re-charge) journaled secondary-copy installs."""
-    sys = tree.system
-    reps = tree.replicas
-    by_nid = {m.root.nid: m for m in tree.metas}
-    installs = []
-    for nid, dst in pairs:
-        meta = by_nid.get(nid)
-        if meta is None or int(dst) in sys.dead_modules:
-            continue
-        installs.append((meta, int(dst)))
-    if not installs:
-        return
-    if reps is None:
-        # A REPLICATE record without a manifest registry can only come
-        # from clones journaled before the first checkpoint: rebuild an
-        # implicit registry so the copies exist after restart too.
-        from ..replicate import ReplicaSet
-
-        reps = ReplicaSet(tree)
-    sys.charge_cpu(len(installs) * _MIGRATE_CPU_OPS)
-    with sys.round():
-        for meta, dst in installs:
-            words = meta.size_words(tree.config)
-            sys.charge_pim(meta.module, words * _PACK_CYCLES_PER_WORD)
-            sys.recv(meta.module, words)
-            sys.charge_pim(dst, words * _PACK_CYCLES_PER_WORD)
-            sys.send(dst, words)
-            reps.register(meta.root.nid, dst)
-    tree.refresh_residency()
+            ReplicaSet(tree)
+    return moves
 
 
 def recover(backend, *, tracer=None, cost_model=None, validate=True
@@ -261,11 +214,8 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
                 if mid not in system.dead_modules:
                     tree.fail_over(mid)
                 replayed += 1
-            elif r.kind == MIGRATE:
-                _replay_migrate(tree, r.migrate_pairs())
-                replayed += 1
-            elif r.kind == REPLICATE:
-                _replay_replicate(tree, r.replicate_pairs())
+            elif r.kind in (MIGRATE, REPLICATE):
+                relocate(tree, _decode_moves(tree, r), phase="recovery")
                 replayed += 1
             else:
                 raise WALCorruption(

@@ -201,7 +201,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
     # only cover copies installed *after* the snapshot.  Key absent when no
     # ReplicaSet is attached, keeping replication-off manifests (and the
     # round-trip byte-identity tests) unchanged.
-    reps = getattr(tree, "replicas", None)
+    reps = tree.replicas
     if reps is not None:
         manifest["replicas"] = reps.to_manifest()
     # Membership filters (repro.route): persist only (fpr, seed, enabled)
@@ -209,7 +209,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
     # recovery rebuilds them bit-identically under its pinned phase.  Key
     # absent when no RouteFilterSet is attached, keeping filters-off
     # manifests byte-identical.
-    rf = getattr(tree, "route_filters", None)
+    rf = tree.route_filters
     if rf is not None:
         manifest["route_filters"] = rf.to_manifest()
     manifest["checksum"] = _manifest_checksum(manifest)

@@ -20,10 +20,12 @@ kind   name      payload
 6      REPLICATE u32 n, n × (u64 meta_root_nid, u32 dst) (self-committed)
 ====== ========= ==========================================================
 
-A REPLICATE record shares MIGRATE's pairs payload but registers ``dst``
-as a *secondary copy* of the chunk (mastership unchanged) — written when
-the rebalancer clones a hot chunk (``repro.balance``) or a ReplicaSet
-installs its initial copies (``repro.replicate``).
+MIGRATE and REPLICATE are the two *move-list* records, written by
+:func:`repro.core.relocate.relocate` and replayed through it: a MIGRATE
+pair is a ``"migrate"`` move (mastership goes to ``dst``), a REPLICATE
+pair is a ``"clone"`` move (``dst`` gains a *secondary copy*, mastership
+unchanged — the rebalancer cloning a hot chunk, or a ReplicaSet
+installing its initial copies).
 
 **Write-ahead + commit markers.**  ``insert_batch``/``delete_batch``
 append their data record *before* mutating the tree and append the
@@ -31,8 +33,8 @@ COMMIT marker only after the batch fully applied.  Replay applies a
 batch record only if its COMMIT marker is in the valid prefix — so a
 machine kill mid-batch leaves an uncommitted tail that replay skips, and
 the serving layer's retry on the recovered machine never double-applies.
-Control records (FAILOVER, MIGRATE) are appended after the operation
-completed and are self-committed.
+Control records (FAILOVER, MIGRATE, REPLICATE) are appended after the
+operation completed and are self-committed.
 
 **Torn-tail vs. corruption.**  A crash can tear only the *last* append:
 a short header, a body extending past end-of-file, or a checksum
@@ -74,6 +76,10 @@ REPLICATE = 6
 _KIND_NAMES = {INSERT: "insert", DELETE: "delete", COMMIT: "commit",
                FAILOVER: "failover", MIGRATE: "migrate",
                REPLICATE: "replicate"}
+# Move-list record <-> the relocate() move kind it journals.
+_MOVE_KINDS = {MIGRATE: "migrate", REPLICATE: "clone"}
+_MOVE_RECORDS = {kind: rec for rec, kind in _MOVE_KINDS.items()}
+_PAIR = struct.Struct("<QI")       # meta root nid, destination module
 
 
 @dataclass(slots=True)
@@ -104,18 +110,13 @@ class WALRecord:
     def failover_mid(self) -> int:
         return struct.unpack_from("<I", self.payload, 0)[0]
 
-    def migrate_pairs(self) -> list[tuple[int, int]]:
+    def moves(self) -> tuple[str, list[tuple[int, int]]]:
+        """Decode a MIGRATE/REPLICATE payload: the ``relocate`` move kind
+        and its ``(meta root nid, dst)`` pairs."""
         (n,) = struct.unpack_from("<I", self.payload, 0)
-        out = []
-        off = 4
-        for _ in range(n):
-            nid, dst = struct.unpack_from("<QI", self.payload, off)
-            out.append((int(nid), int(dst)))
-            off += 12
-        return out
-
-    # REPLICATE shares MIGRATE's pairs payload (nid, secondary dst).
-    replicate_pairs = migrate_pairs
+        pairs = [_PAIR.unpack_from(self.payload, 4 + i * _PAIR.size)
+                 for i in range(n)]
+        return _MOVE_KINDS[self.kind], pairs
 
 
 @dataclass(slots=True)
@@ -228,15 +229,11 @@ class UpdateJournal:
     def log_failover(self, mid: int) -> int:
         return self._append(FAILOVER, struct.pack("<I", int(mid)))
 
-    def log_migrate(self, pairs: list[tuple[int, int]]) -> int:
+    def log_moves(self, kind: str, pairs: list[tuple[int, int]]) -> int:
+        """One move-list record: ``kind`` is the ``relocate`` move kind
+        (``"migrate"`` or ``"clone"``), ``pairs`` its ``(meta root nid,
+        destination module)`` list."""
         payload = struct.pack("<I", len(pairs)) + b"".join(
-            struct.pack("<QI", int(nid), int(dst)) for nid, dst in pairs
+            _PAIR.pack(int(nid), int(dst)) for nid, dst in pairs
         )
-        return self._append(MIGRATE, payload)
-
-    def log_replicate(self, pairs: list[tuple[int, int]]) -> int:
-        """Secondary-copy installs: (chunk root nid, destination module)."""
-        payload = struct.pack("<I", len(pairs)) + b"".join(
-            struct.pack("<QI", int(nid), int(dst)) for nid, dst in pairs
-        )
-        return self._append(REPLICATE, payload)
+        return self._append(_MOVE_RECORDS[kind], payload)

@@ -20,10 +20,14 @@ machine kill mid-serve, with a checkpoint racing both.
 import numpy as np
 import pytest
 
+from repro.balance import MigrationMove, MigrationPlan, execute_plan
 from repro.core import PIMZdTree
+from repro.core.config import skew_resistant
 from repro.eval import make_adapter
 from repro.faults import FaultPlan
 from repro.pim import PIMSystem
+from repro.replicate import ReplicaSet, ReplicationConfig
+from repro.route import RouteFilterSet
 from repro.serve import (
     AdmissionQueue,
     FixedBatchPolicy,
@@ -283,3 +287,73 @@ def test_module_crash_then_machine_kill_composes(tmp_path):
     assert _images_equal(encode_tree(res.tree, wal_seq=0),
                          encode_tree(adapter.tree, wal_seq=0))
     store.backend.close()
+
+
+# ----------------------------------------------------------------------
+# live ≡ replay: a journaled relocation costs and does the same on replay
+# ----------------------------------------------------------------------
+def _plan_of(tree, kind: str) -> MigrationPlan:
+    """Three hand-picked moves of one kind, one of them an L1 chunk with
+    a cache fan-out so the master-plus-replica install is on the path."""
+    metas = sorted(tree.metas, key=lambda m: m.root.nid)
+    fanned = next(m for m in metas if m.replica_count() > 0)
+    victims = [fanned] + [m for m in metas if m is not fanned][:2]
+    p = tree.system.n_modules
+    return MigrationPlan(moves=[
+        MigrationMove(m, m.module, (m.module + 1 + i) % p,
+                      float(m.size_words(tree.config)), 0.0, kind=kind)
+        for i, m in enumerate(victims)
+    ])
+
+
+_RELOCATIONS = {
+    "migrate": lambda tree: execute_plan(tree, _plan_of(tree, "migrate")),
+    "clone": lambda tree: execute_plan(tree, _plan_of(tree, "clone")),
+    "replicate_all": lambda tree: tree.replicas.replicate_all(),
+}
+
+
+def _layout(tree) -> tuple:
+    return (
+        {m.root.nid: m.module for m in tree.metas},
+        dict(tree.system._place_overrides),
+        dict(tree.replicas._secondaries),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_RELOCATIONS))
+def test_relocation_replay_equals_live(tmp_path, case):
+    """Replaying a MIGRATE / REPLICATE record charges exactly what the
+    live relocation charged and lands on the same layout.
+
+    The live side runs with a journal attached; the replay side is
+    ``recover`` on the store it journaled into, less a recovery of the
+    same store taken before the relocation (so snapshot load and upload
+    cancel).  Totals are compared without the live side's ``"wal"``
+    phase — replay has no journal — and without phase labels, which the
+    pinned ``"recovery"`` phase flattens.
+    """
+    tree = PIMZdTree(
+        uniform_points(600, 3, seed=SEED),
+        system=PIMSystem(8, seed=SEED),
+        config=skew_resistant(8, leaf_size=4, chunk_factor=4, c0=16),
+    )
+    ReplicaSet(tree, ReplicationConfig(k=2))
+    RouteFilterSet(tree)  # makes refresh_residency a charged step
+    backend = open_backend("file", tmp_path / "s")
+    DurableStore(backend).attach(tree)
+    baseline = recover(backend).system.stats.total
+
+    before = tree.system.stats.snapshot()
+    _RELOCATIONS[case](tree)
+    live = tree.system.stats.diff(before)
+    assert live.phases["wal"].cpu_ops > 0  # the move really was journaled
+    live_total = live.total.diff(live.phases["wal"])
+
+    res = recover(backend)
+    assert res.replayed >= 1
+    replay_total = res.system.stats.total.diff(baseline)
+    assert replay_total.to_dict() == live_total.to_dict()
+    assert replay_total.comm_words > 0
+    assert _layout(res.tree) == _layout(tree)
+    backend.close()

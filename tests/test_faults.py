@@ -23,7 +23,9 @@ from repro.eval import make_adapter
 from repro.faults import FaultError, FaultEvent, FaultPlan, MessageLoss, ModuleFailure
 from repro.obs import EventKind, TraceCollector, timeline_json
 from repro.pim import PhaseCounters, PIMSystem
+from repro.route import RouteFilterSet
 from repro.serve import AdmissionQueue, LatencyStats, Request, make_requests, serve
+from repro.store import DurableStore, open_backend
 from repro.workloads import poisson_arrivals, uniform_points
 
 TERMINAL = {"done", "rejected", "shed", "failed", "timed_out", "degraded"}
@@ -276,6 +278,28 @@ class TestFailover:
         adapter.system.kill_module(self.DEAD)
         assert adapter.fail_over(self.DEAD) > 0
         assert adapter.fail_over(self.DEAD) == 0  # nothing left to move
+
+    def test_repeat_fail_over_charges_and_journals_nothing(self, fo_data,
+                                                           tmp_path):
+        """The second failover of a module is a true no-op: with route
+        filters attached a residency refresh is a full charged rebuild,
+        and a second FAILOVER record would dirty the store."""
+        adapter = make_adapter("pim", fo_data, n_modules=8, seed=3)
+        tree = adapter.tree
+        RouteFilterSet(tree)
+        store = DurableStore(open_backend("file", tmp_path / "s"))
+        store.attach(tree)
+        adapter.system.kill_module(self.DEAD)
+        assert tree.fail_over(self.DEAD)["metas_moved"] > 0
+        assert store.dirty_records == 1
+
+        before = adapter.system.stats.snapshot()
+        again = tree.fail_over(self.DEAD)
+        assert again == {"module": self.DEAD, "metas_moved": 0,
+                         "words_moved": 0.0, "promoted": 0}
+        assert adapter.system.stats.to_dict() == before.to_dict()
+        assert store.dirty_records == 1
+        store.backend.close()
 
     def test_trace_reconciles_exactly_under_kill_and_failover(self, fo_data):
         tracer = TraceCollector()
