@@ -198,10 +198,7 @@ def _child_box_dists(tree, left: Node, right: Node, q: np.ndarray,
     (prefix, depth), so entries can never go stale; the cache is cleared
     on residency refreshes only to drop entries for discarded nodes.
     """
-    try:
-        cache = tree._pair_box_cache
-    except AttributeError:
-        cache = tree._pair_box_cache = {}
+    cache = tree._pair_box_cache
     pair = (left.nid, right.nid)
     ent = cache.get(pair)
     if ent is None:

@@ -83,6 +83,10 @@ class PIMZdTree:
         # 2x staleness rule that amortises re-chunking (§3.2).
         self._meta_built_sc: dict[MetaNode, int] = {}
         self.last_executor = None
+        # Derived read-side caches: the vectorised kernels' per-meta region
+        # tables (repro.core.vexec) and the kNN L0 walk's sibling-box pairs.
+        self._region_tables: dict = {}
+        self._pair_box_cache: dict = {}
         # Write-ahead journal (repro.store): attached by DurableStore so
         # insert/delete append before mutating; None means no durability.
         self.journal = None
@@ -513,7 +517,7 @@ class PIMZdTree:
         # The kNN sibling-box cache only ever holds per-node geometry that
         # cannot go stale, but structural changes discard nodes — drop
         # their entries here so the cache tracks the live L0.
-        self.__dict__.pop("_pair_box_cache", None)
+        self._pair_box_cache = {}
         # Membership filters (repro.route) rebuild whenever residency
         # changes: every path that moves keys (upload, insert/delete,
         # migrate/clone, replica install/promotion, failover, recovery)

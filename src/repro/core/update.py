@@ -605,16 +605,20 @@ def delete_batch(tree, points: np.ndarray) -> int:
             )
 
         # ---- Apply pass (one round): remove the points on the modules.
+        # Fault atomicity, as in insert_batch: every fault site of the
+        # round (the sends and the replica fan-out) is charged before the
+        # first leaf shrinks, so a faulted round has mutated nothing.
         with sys.round():
+            for leaf, _keep, _n_removed in plans:
+                if leaf.layer != Layer.L0 and leaf.meta is not None:
+                    words = len(groups[leaf]) * (tree.dims + 1)
+                    sys.send(leaf.meta.module, words)
+                    if tree.replicas is not None:
+                        tree.replicas.on_write(leaf.meta, words)
             for leaf, keep, n_removed in plans:
                 qids = groups[leaf]
                 if leaf.layer != Layer.L0 and leaf.meta is not None:
-                    sys.send(leaf.meta.module, len(qids) * (tree.dims + 1))
                     sys.charge_pim(leaf.meta.module, leaf.count * len(qids) * 2)
-                    if tree.replicas is not None:
-                        tree.replicas.on_write(
-                            leaf.meta, len(qids) * (tree.dims + 1)
-                        )
                 else:
                     sys.charge_cpu(leaf.count * len(qids))
                 if n_removed == 0:

@@ -6,19 +6,22 @@ The scalar operation modules (:mod:`.search`, :mod:`.knn`,
 frontier-at-a-time equivalents that the push-pull executor dispatches
 when ``config.exec_mode == "vectorized"``:
 
-* :class:`LeafStore` — a structure-of-arrays mirror of the leaf payloads
-  (contiguous ``keys``/``pts`` arrays with a free-slot mask) used to
-  gather many leaves' points in one fancy-index operation;
 * :class:`RegionTable` — a flattened per-meta view of the locally
-  traversable subtree (box corners, child indices, per-node cycles and
-  leaf-store slots as parallel arrays), cached between update batches;
+  traversable subtree (box corners, child indices, counts and per-node
+  cycles as parallel arrays), cached until the next update batch.  It
+  is the only derived structure: leaf payloads are read live from
+  ``node.pts`` when a kernel gathers them, so nothing mirrors them;
 * :func:`route_through_l0_vec` — batched L0 routing (whole query
   frontiers advance one tree level per step instead of per-point
   ``step()`` calls);
-* :func:`make_search_group_kernel` / :func:`make_candidate_group_kernel`
-  / :func:`make_fetch_group_kernel` / :func:`make_range_group_kernel` —
-  per-meta group kernels evaluating box distances, kNN candidate
-  distance matrices, and range masks for whole task groups at once;
+* :func:`make_search_group_kernel` — one pointer-walk SEARCH kernel
+  (SEARCH never tests a box, so it uses no table);
+* :func:`make_candidate_group_kernel` / :func:`make_fetch_group_kernel`
+  — the two kNN steps, thin wrappers over one shared ball descent
+  (:func:`_ball_descent`: coarse box-distance prune, optional ℓ∞ prune,
+  one stacked row-distance evaluation per task group);
+* :func:`make_range_group_kernel` — box-mask range count/fetch for
+  whole task groups at once;
 * :func:`seed_l0_boxes` — batched host-side L0 seeding for range queries;
 * :func:`plan_leaf_deletions` — ``np.searchsorted``-based delete
   partitioning.
@@ -52,8 +55,6 @@ from .node import Layer, Node
 from .push_pull import Task
 
 __all__ = [
-    "LeafStore",
-    "leaf_store",
     "RegionTable",
     "region_table",
     "invalidate_exec_caches",
@@ -69,86 +70,6 @@ __all__ = [
 
 _U64 = np.uint64
 _FULL = 1 << 64
-
-
-# ======================================================================
-# structure-of-arrays leaf store
-# ======================================================================
-class LeafStore:
-    """Contiguous keys/points arrays mirroring all leaf payloads.
-
-    Leaves are appended on first use; every leaf mutation in the scalar
-    code *replaces* ``node.keys``/``node.pts`` with fresh arrays (never
-    in-place), so an identity check against the registered ``keys``
-    object detects staleness.  Stale segments flip their ``live`` mask
-    off; when dead rows outnumber half the used rows the store resets
-    and re-fills on demand (amortised O(1) per mutation).
-    """
-
-    __slots__ = ("dims", "keys", "pts", "live", "epoch", "_used", "_dead",
-                 "_seg", "_ref")
-
-    def __init__(self, dims: int, capacity: int = 1024) -> None:
-        self.dims = dims
-        self.epoch = 0
-        self.keys = np.zeros(capacity, dtype=_U64)
-        self.pts = np.zeros((capacity, dims), dtype=np.float64)
-        self.live = np.zeros(capacity, dtype=bool)
-        self._used = 0
-        self._dead = 0
-        self._seg: dict[int, tuple[int, int]] = {}
-        self._ref: dict[int, np.ndarray] = {}
-
-    def _grow(self, need: int) -> None:
-        cap = max(len(self.keys) * 2, self._used + need)
-        keys = np.zeros(cap, dtype=_U64)
-        pts = np.zeros((cap, self.dims), dtype=np.float64)
-        live = np.zeros(cap, dtype=bool)
-        keys[: self._used] = self.keys[: self._used]
-        pts[: self._used] = self.pts[: self._used]
-        live[: self._used] = self.live[: self._used]
-        self.keys, self.pts, self.live = keys, pts, live
-
-    def _reset(self) -> None:
-        self.epoch += 1
-        self._seg.clear()
-        self._ref.clear()
-        self.live[: self._used] = False
-        self._used = 0
-        self._dead = 0
-
-    def slots(self, node: Node) -> tuple[int, int]:
-        """Row range of ``node``'s payload, refreshing a stale segment."""
-        if self._dead > max(1024, self._used // 2):
-            self._reset()
-        nid = node.nid
-        seg = self._seg.get(nid)
-        if seg is not None:
-            if self._ref[nid] is node.keys:
-                return seg
-            s, e = seg
-            self.live[s:e] = False
-            self._dead += e - s
-        n = node.count
-        if self._used + n > len(self.keys):
-            self._grow(n)
-        s = self._used
-        e = s + n
-        self.keys[s:e] = node.keys
-        self.pts[s:e] = node.pts
-        self.live[s:e] = True
-        self._used = e
-        self._seg[nid] = (s, e)
-        self._ref[nid] = node.keys
-        return s, e
-
-
-def leaf_store(tree) -> LeafStore:
-    store = getattr(tree, "_leaf_store", None)
-    if store is None or store.dims != tree.dims:
-        store = LeafStore(tree.dims)
-        tree._leaf_store = store
-    return store
 
 
 # ======================================================================
@@ -212,22 +133,22 @@ class RegionTable:
     """SoA view of the subtree a pushed meta-node may traverse locally.
 
     Holds, as parallel arrays indexed by a *local node index*: box
-    corners, exact counts, per-visit PIM cycles, child indices, Morton
-    key ranges and leaf-store slot ranges.  Nodes where the locality
-    rule fails (the push-pull boundary) are included as *external*
-    terminals so the kernels can emit follow-up tasks for them.
+    corners, exact counts, per-visit PIM cycles, child indices and
+    Morton key ranges.  Leaf payloads are not copied: the kernels read
+    ``nodes[i].pts`` when they gather.  Nodes where the locality rule
+    fails (the push-pull boundary) are included as *external* terminals
+    so the kernels can emit follow-up tasks for them.
 
     Tables are cached on the tree and invalidated wholesale by
-    :func:`invalidate_exec_caches` at the start of every update batch —
-    queries never mutate the tree, so between updates the arrays stay
-    valid.
+    :func:`invalidate_exec_caches` at the end of every update batch,
+    after its mutations — queries never mutate the tree, so between
+    updates the arrays stay valid.
     """
 
     __slots__ = (
         "tree", "meta", "rule_l1", "nodes", "idx_of", "_ext", "_dirty",
-        "store", "epoch", "lo", "hi", "count", "cycles", "is_leaf",
-        "external", "left", "right", "key_lo", "hi_incl", "depth",
-        "seg_lo", "seg_hi",
+        "lo", "hi", "count", "cycles", "is_leaf", "external", "left",
+        "right", "key_lo", "hi_incl", "depth",
     )
 
     def __init__(self, tree, meta) -> None:
@@ -238,8 +159,6 @@ class RegionTable:
         self.idx_of: dict[int, int] = {}
         self._ext: list[bool] = []
         self._dirty = True
-        self.store = leaf_store(tree)
-        self.epoch = -1
         self._add_region(meta.root)
 
     def _local(self, node: Node) -> bool:
@@ -278,12 +197,7 @@ class RegionTable:
         return idx
 
     def refresh(self) -> None:
-        """(Re)build the parallel arrays after region additions.
-
-        Structural arrays only — box corners are deferred to
-        :meth:`need_geometry`, since pure SEARCH traffic (the update
-        pipelines' step 1) never tests a box.
-        """
+        """(Re)build the parallel arrays after region additions."""
         if not self._dirty:
             return
         self._dirty = False
@@ -330,54 +244,23 @@ class RegionTable:
         if len(ii):
             left[ii] = [idx_of[id(nodes[i].left)] for i in ii]
             right[ii] = [idx_of[id(nodes[i].right)] for i in ii]
-        seg_lo = np.zeros(n, dtype=np.intp)
-        seg_hi = np.zeros(n, dtype=np.intp)
-        li = np.flatnonzero(is_leaf & ~ext)
-        if len(li):
-            # Registration can trigger a store compaction mid-pass, which
-            # would invalidate slots read before it; re-read until the
-            # epoch is stable (a second pass registers nothing new, so it
-            # always converges).
-            while True:
-                e0 = self.store.epoch
-                segs = [self.store.slots(nodes[i]) for i in li]
-                if self.store.epoch == e0:
-                    break
-            segs = np.array(segs, dtype=np.intp)
-            seg_lo[li] = segs[:, 0]
-            seg_hi[li] = segs[:, 1]
-        self.lo = None
-        self.hi = None
-        self.count, self.cycles = count, cycles
-        self.is_leaf, self.external = is_leaf, ext
-        self.left, self.right = left, right
-        self.key_lo, self.hi_incl, self.depth = key_lo, hi_incl, depth
-        self.seg_lo, self.seg_hi = seg_lo, seg_hi
-        self.epoch = self.store.epoch
-
-    def need_geometry(self) -> None:
-        """Fill the box-corner arrays (deferred from :meth:`refresh`)."""
-        if self.lo is not None:
-            return
-        nodes = self.nodes
-        ii = np.flatnonzero(~self.external)
+        ii = np.flatnonzero(~ext)
         local = [nodes[i] for i in ii]
-        ensure_node_boxes(self.tree, local)
-        n = len(nodes)
-        dims = self.tree.dims
-        lo = np.zeros((n, dims))
-        hi = np.zeros((n, dims))
+        ensure_node_boxes(tree, local)
+        lo = np.zeros((n, tree.dims))
+        hi = np.zeros((n, tree.dims))
         if local:
             lo[ii] = [nd.box.lo for nd in local]
             hi[ii] = [nd.box.hi for nd in local]
         self.lo, self.hi = lo, hi
+        self.count, self.cycles = count, cycles
+        self.is_leaf, self.external = is_leaf, ext
+        self.left, self.right = left, right
+        self.key_lo, self.hi_incl, self.depth = key_lo, hi_incl, depth
 
 
 def region_table(tree, meta) -> RegionTable:
-    tabs = getattr(tree, "_region_tables", None)
-    if tabs is None:
-        tabs = {}
-        tree._region_tables = tabs
+    tabs = tree._region_tables
     tab = tabs.get(meta)
     if tab is None:
         tab = RegionTable(tree, meta)
@@ -386,34 +269,28 @@ def region_table(tree, meta) -> RegionTable:
 
 
 def invalidate_exec_caches(tree) -> None:
-    """Drop cached region tables; called before every update batch."""
+    """Drop cached region tables; called at the end of every update
+    batch, after its mutations."""
     tree._region_tables = {}
 
 
 def _entries(tab: RegionTable, ts) -> np.ndarray:
-    if tab.store.epoch != tab.epoch:
-        # The leaf store was compacted since this table was built; the
-        # cached slot ranges are stale and must be re-read.
-        tab._dirty = True
     idxs = [tab.entry(t.node) for t in ts]
     tab.refresh()
     return np.array(idxs, dtype=np.intp)
 
 
 def _gather_rows(tab: RegionTable, lnidx: np.ndarray):
-    """Fancy-gather the payload rows of many leaves in one shot.
+    """Stack the payload rows of many (at least one) leaves.
 
     Returns ``(rows, row_pair, lens)``: ``rows`` stacks the leaves'
     points in order, ``row_pair`` maps each row to its index in
     ``lnidx`` and ``lens`` gives the per-leaf row counts.
     """
-    s = tab.seg_lo[lnidx]
-    lens = tab.seg_hi[lnidx] - s
-    tot = int(lens.sum())
-    row_pair = np.repeat(np.arange(len(lnidx), dtype=np.intp), lens)
-    offs = np.arange(tot, dtype=np.intp) - np.repeat(np.cumsum(lens) - lens, lens)
-    rows = tab.store.pts[np.repeat(s, lens) + offs]
-    return rows, row_pair, lens
+    parts = [tab.nodes[i].pts for i in lnidx]
+    lens = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+    row_pair = np.repeat(np.arange(len(parts), dtype=np.intp), lens)
+    return np.concatenate(parts), row_pair, lens
 
 
 def _pos_segments(row_pos: np.ndarray):
@@ -552,20 +429,18 @@ def route_through_l0_vec(tree, results) -> list[Task]:
 # SEARCH group kernel
 # ======================================================================
 def make_search_group_kernel(tree, results):
-    """Frontier-at-a-time descent for one meta's search tasks.
+    """Pointer-walk descent for one meta's search tasks.
 
-    SEARCH is pure pointer-chasing — a region table only pays off when a
-    later leaf-scanning kernel (kNN, range) reuses it.  So the batched
-    descent runs over a table only if one is already cached for this
-    meta; otherwise the kernel walks the pointers directly (scalar-speed)
-    while still aggregating the charges, which is counter-exact either
-    way.
+    SEARCH is pure pointer-chasing — it never tests a box or scans a
+    leaf, so there is nothing for a region table to batch.  The kernel
+    walks the pointers directly (scalar-speed) and aggregates the
+    charges per group, which is counter-exact.
     """
     from .search import TRACE_WORDS
 
     kb = tree.key_bits
 
-    def walk_kernel(meta, ts, g) -> None:
+    def kernel(meta, ts, g) -> None:
         cfg = tree.config
         l1_rule = meta.layer == Layer.L1
         cyc_of: dict[int, float] = {}
@@ -598,117 +473,100 @@ def make_search_group_kernel(tree, results):
                 g.emit(p, Task(t.qid, child.meta, child))
                 break
 
-    def kernel(meta, ts, g) -> None:
-        tabs = getattr(tree, "_region_tables", None)
-        tab = tabs.get(meta) if tabs else None
-        if tab is None:
-            walk_kernel(meta, ts, g)
-            return
-        nidx = _entries(tab, ts)
-        m = len(ts)
-        keys = np.array([results[t.qid].key for t in ts], dtype=_U64)
-        pos = np.arange(m, dtype=np.intp)
-        paths: list[list[int]] = [[] for _ in range(m)]
-        while len(nidx):
-            g.cycles += float(tab.cycles[nidx].sum())
-            for i, p in zip(nidx, pos):
-                paths[p].append(i)
-            leaf = tab.is_leaf[nidx]
-            if leaf.any():
-                g.recv += TRACE_WORDS * int(leaf.sum())
-                for i, p in zip(nidx[leaf], pos[leaf]):
-                    res = results[ts[p].qid]
-                    res.trace.extend(tab.nodes[j] for j in paths[p])
-                    res.leaf = tab.nodes[i]
-            cont = ~leaf
-            nidx, pos = nidx[cont], pos[cont]
-            if not len(nidx):
-                break
-            shift = (kb - 1 - tab.depth[nidx]).astype(_U64)
-            bit = (keys[pos] >> shift) & _U64(1)
-            child = np.where(bit == 1, tab.right[nidx], tab.left[nidx])
-            k = keys[pos]
-            inr = (k >= tab.key_lo[child]) & (k <= tab.hi_incl[child])
-            div = ~inr
-            if div.any():
-                g.recv += TRACE_WORDS * int(div.sum())
-                for p, par, ch in zip(pos[div], nidx[div], child[div]):
-                    res = results[ts[p].qid]
-                    res.trace.extend(tab.nodes[j] for j in paths[p])
-                    res.edge = (tab.nodes[par], tab.nodes[ch])
-            nidx, pos = child[inr], pos[inr]
-            ext = tab.external[nidx]
-            if ext.any():
-                g.recv += TRACE_WORDS * int(ext.sum())
-                for p, ch in zip(pos[ext], nidx[ext]):
-                    res = results[ts[p].qid]
-                    res.trace.extend(tab.nodes[j] for j in paths[p])
-                    node = tab.nodes[ch]
-                    g.emit(p, Task(ts[p].qid, node.meta, node),
-                           -int(tab.key_lo[ch]))
-                keep = ~ext
-                nidx, pos = nidx[keep], pos[keep]
-
     return kernel
 
 
 # ======================================================================
 # kNN group kernels
 # ======================================================================
+def _ball_descent(tree, meta, ts, g, Q, bound, linf_bound, coarse: Metric):
+    """Shared kNN descent: visit every node of ``meta``'s region whose
+    box lies within ``bound[p]`` of query ``p`` under ``coarse`` — and,
+    where ``linf_bound[p]`` is finite, also within that ℓ∞ distance —
+    charging ``g`` and emitting boundary tasks as the scalar handlers do.
+
+    Returns ``(rows, row_pos, dd)`` for the reached leaves in scalar
+    leaf-scan order (stacked points, owning task position, coarse
+    distance to the task's query), or ``None`` if no leaf was reached.
+    """
+    dims = tree.dims
+    box_cyc = coarse.pim_cycles_per_dim * dims
+    linf_cyc = LINF.pim_cycles_per_dim * dims
+    scan_cyc = 6 + coarse.pim_cycles_per_dim * dims  # PIM_POINT_BASE_CYCLES
+    linf_scan_cyc = 6 + LINF.pim_cycles_per_dim * dims
+    tab = region_table(tree, meta)
+    nidx = _entries(tab, ts)
+    use_linf = np.isfinite(linf_bound)
+    pos = np.arange(len(ts), dtype=np.intp)
+    lp_n: list[np.ndarray] = []
+    lp_p: list[np.ndarray] = []
+    while len(nidx):
+        g.cycles += float(tab.cycles[nidx].sum()) + box_cyc * len(nidx)
+        d = _dist_point_boxes(Q[pos], tab.lo[nidx], tab.hi[nidx], coarse)
+        keep = d <= bound[pos]
+        nidx, pos = nidx[keep], pos[keep]
+        lmask = use_linf[pos]
+        if lmask.any():
+            g.cycles += linf_cyc * int(lmask.sum())
+            li = np.flatnonzero(lmask)
+            dl = _dist_point_boxes(
+                Q[pos[li]], tab.lo[nidx[li]], tab.hi[nidx[li]], LINF
+            )
+            drop = li[dl > linf_bound[pos[li]]]
+            if len(drop):
+                km = np.ones(len(nidx), dtype=bool)
+                km[drop] = False
+                nidx, pos = nidx[km], pos[km]
+        if not len(nidx):
+            break
+        leaf = tab.is_leaf[nidx]
+        if leaf.any():
+            ln, lpp = nidx[leaf], pos[leaf]
+            g.cycles += float(tab.count[ln].sum()) * scan_cyc
+            lscan = use_linf[lpp]
+            if lscan.any():
+                g.cycles += float(tab.count[ln[lscan]].sum()) * linf_scan_cyc
+            lp_n.append(ln)
+            lp_p.append(lpp)
+        inner = ~leaf
+        ni, pi = nidx[inner], pos[inner]
+        child = np.concatenate([tab.left[ni], tab.right[ni]])
+        cpos = np.concatenate([pi, pi])
+        cpar = np.concatenate([ni, ni])
+        ext = tab.external[child]
+        if ext.any():
+            for p, ch, pa in zip(cpos[ext], child[ext], cpar[ext]):
+                node = tab.nodes[ch]
+                g.emit(p, Task(ts[p].qid, node.meta, node, None, dims + 3),
+                       _emit_key(tab, pa, ch))
+            ext = ~ext
+            child, cpos = child[ext], cpos[ext]
+        nidx, pos = child, cpos
+
+    if not lp_n:
+        return None
+    ln = np.concatenate(lp_n)
+    lp = np.concatenate(lp_p)
+    # Scalar leaf-scan order: tasks in group order, leaves per task in
+    # right-first DFS order = descending key_lo (disjoint leaves).
+    order = np.lexsort((~tab.key_lo[ln], lp))
+    rows, row_pair, _ = _gather_rows(tab, ln[order])
+    row_pos = lp[order][row_pair]
+    return rows, row_pos, _dist_rows(rows, Q[row_pos], coarse)
+
+
 def make_candidate_group_kernel(tree, states, coarse: Metric, k: int):
     """Fused distance-matrix evaluation for kNN candidate search."""
     dims = tree.dims
-    box_cyc = coarse.pim_cycles_per_dim * dims
-    scan_cyc = 6 + coarse.pim_cycles_per_dim * dims  # PIM_POINT_BASE_CYCLES
 
     def kernel(meta, ts, g) -> None:
-        tab = region_table(tree, meta)
-        nidx = _entries(tab, ts)
-        tab.need_geometry()
         Q = np.stack([states[t.qid].q for t in ts])
         radius = np.array([states[t.qid].radius() for t in ts])
-        pos = np.arange(len(ts), dtype=np.intp)
-        lp_n: list[np.ndarray] = []
-        lp_p: list[np.ndarray] = []
-        while len(nidx):
-            g.cycles += float(tab.cycles[nidx].sum()) + box_cyc * len(nidx)
-            d = _dist_point_boxes(Q[pos], tab.lo[nidx], tab.hi[nidx], coarse)
-            keep = d <= radius[pos]
-            nidx, pos = nidx[keep], pos[keep]
-            if not len(nidx):
-                break
-            leaf = tab.is_leaf[nidx]
-            if leaf.any():
-                ln = nidx[leaf]
-                g.cycles += float(tab.count[ln].sum()) * scan_cyc
-                lp_n.append(ln)
-                lp_p.append(pos[leaf])
-            inner = ~leaf
-            ni, pi = nidx[inner], pos[inner]
-            child = np.concatenate([tab.left[ni], tab.right[ni]])
-            cpos = np.concatenate([pi, pi])
-            cpar = np.concatenate([ni, ni])
-            ext = tab.external[child]
-            if ext.any():
-                for p, ch, pa in zip(cpos[ext], child[ext], cpar[ext]):
-                    node = tab.nodes[ch]
-                    g.emit(p, Task(ts[p].qid, node.meta, node, None, dims + 3),
-                           _emit_key(tab, pa, ch))
-                ext = ~ext
-                child, cpos = child[ext], cpos[ext]
-            nidx, pos = child, cpos
-
-        if not lp_n:
+        hit = _ball_descent(tree, meta, ts, g, Q, radius,
+                            np.full(len(ts), np.inf), coarse)
+        if hit is None:
             return
-        ln = np.concatenate(lp_n)
-        lp = np.concatenate(lp_p)
-        # Scalar leaf-scan order: tasks in group order, leaves per task in
-        # right-first DFS order = descending key_lo (disjoint leaves).
-        order = np.lexsort((~tab.key_lo[ln], lp))
-        ln, lp = ln[order], lp[order]
-        rows, row_pair, _ = _gather_rows(tab, ln)
-        row_pos = lp[row_pair]
-        dd = _dist_rows(rows, Q[row_pos], coarse)
+        rows, row_pos, dd = hit
         for _, a, b in zip(*_pos_segments(row_pos)):
             p = int(row_pos[a])
             dcat = dd[a:b]
@@ -723,83 +581,24 @@ def make_candidate_group_kernel(tree, states, coarse: Metric, k: int):
 def make_fetch_group_kernel(tree, states, coarse: Metric, bounds, exact_radii):
     """Fused ball-fetch for kNN step 4 (anchored bound + ℓ∞ filter)."""
     dims = tree.dims
-    box_cyc = coarse.pim_cycles_per_dim * dims
-    linf_cyc = LINF.pim_cycles_per_dim * dims
-    scan_cyc = 6 + coarse.pim_cycles_per_dim * dims
-    linf_scan_cyc = 6 + LINF.pim_cycles_per_dim * dims
 
     def kernel(meta, ts, g) -> None:
-        tab = region_table(tree, meta)
-        nidx = _entries(tab, ts)
-        tab.need_geometry()
         Q = np.stack([states[t.qid].q for t in ts])
         bnd = np.array([bounds[t.qid] for t in ts])
-        rex = np.array([exact_radii[t.qid] for t in ts])
-        use_linf = (
-            np.isfinite(rex)
+        # As in the scalar handler: no ℓ∞ filter under a coarse ℓ2.
+        rex = (
+            np.array([exact_radii[t.qid] for t in ts])
             if coarse.name != "l2"
-            else np.zeros(len(ts), dtype=bool)
+            else np.full(len(ts), np.inf)
         )
-        pos = np.arange(len(ts), dtype=np.intp)
-        lp_n: list[np.ndarray] = []
-        lp_p: list[np.ndarray] = []
-        while len(nidx):
-            g.cycles += float(tab.cycles[nidx].sum()) + box_cyc * len(nidx)
-            d = _dist_point_boxes(Q[pos], tab.lo[nidx], tab.hi[nidx], coarse)
-            keep = d <= bnd[pos]
-            nidx, pos = nidx[keep], pos[keep]
-            lmask = use_linf[pos]
-            if lmask.any():
-                g.cycles += linf_cyc * int(lmask.sum())
-                li = np.flatnonzero(lmask)
-                dl = _dist_point_boxes(
-                    Q[pos[li]], tab.lo[nidx[li]], tab.hi[nidx[li]], LINF
-                )
-                drop = li[dl > rex[pos[li]]]
-                if len(drop):
-                    km = np.ones(len(nidx), dtype=bool)
-                    km[drop] = False
-                    nidx, pos = nidx[km], pos[km]
-            if not len(nidx):
-                break
-            leaf = tab.is_leaf[nidx]
-            if leaf.any():
-                ln, lpp = nidx[leaf], pos[leaf]
-                g.cycles += float(tab.count[ln].sum()) * scan_cyc
-                lscan = use_linf[lpp]
-                if lscan.any():
-                    g.cycles += float(tab.count[ln[lscan]].sum()) * linf_scan_cyc
-                lp_n.append(ln)
-                lp_p.append(lpp)
-            inner = ~leaf
-            ni, pi = nidx[inner], pos[inner]
-            child = np.concatenate([tab.left[ni], tab.right[ni]])
-            cpos = np.concatenate([pi, pi])
-            cpar = np.concatenate([ni, ni])
-            ext = tab.external[child]
-            if ext.any():
-                for p, ch, pa in zip(cpos[ext], child[ext], cpar[ext]):
-                    node = tab.nodes[ch]
-                    g.emit(p, Task(ts[p].qid, node.meta, node, None, dims + 3),
-                           _emit_key(tab, pa, ch))
-                ext = ~ext
-                child, cpos = child[ext], cpos[ext]
-            nidx, pos = child, cpos
-
-        if not lp_n:
+        hit = _ball_descent(tree, meta, ts, g, Q, bnd, rex, coarse)
+        if hit is None:
             return
-        ln = np.concatenate(lp_n)
-        lp = np.concatenate(lp_p)
-        order = np.lexsort((~tab.key_lo[ln], lp))
-        ln, lp = ln[order], lp[order]
-        rows, row_pair, _ = _gather_rows(tab, ln)
-        row_pos = lp[row_pair]
-        dd = _dist_rows(rows, Q[row_pos], coarse)
+        rows, row_pos, dd = hit
         mask = dd <= bnd[row_pos]
-        lrows = use_linf[row_pos]
-        if lrows.any():
-            ddl = _dist_rows(rows, Q[row_pos], LINF)
-            mask &= ~lrows | (ddl <= rex[row_pos])
+        row_rex = rex[row_pos]
+        if np.isfinite(row_rex).any():
+            mask &= _dist_rows(rows, Q[row_pos], LINF) <= row_rex
         for _, a, b in zip(*_pos_segments(row_pos)):
             p = int(row_pos[a])
             sel = mask[a:b]
@@ -822,7 +621,6 @@ def make_range_group_kernel(tree, boxes, *, fetch: bool):
     def kernel(meta, ts, g) -> None:
         tab = region_table(tree, meta)
         nidx = _entries(tab, ts)
-        tab.need_geometry()
         Lo = np.stack([boxes[t.qid].lo for t in ts])
         Hi = np.stack([boxes[t.qid].hi for t in ts])
         pos = np.arange(len(ts), dtype=np.intp)

@@ -831,39 +831,13 @@ class PIMSystem:
         """Module → CPU transfers from parallel (mids, words) arrays."""
         self._transfer_array("recv", mids, words)
 
-    # -- dict-keyed bulk wrappers ---------------------------------------
-    def charge_pim_bulk(self, cycles_by_mid: dict) -> None:
-        """Charge PIM cycles on many modules, one call per round.
-
-        ``cycles_by_mid`` maps module id → total cycles; each module's
-        round accumulator receives one aggregated increment, which is
-        byte-identical to charging the same total element by element
-        (integer-valued charges sum exactly in float64).
-        """
-        n = len(cycles_by_mid)
-        if not n:
-            return
-        self.charge_pim_array(
-            np.fromiter(cycles_by_mid.keys(), dtype=np.intp, count=n),
-            np.fromiter(cycles_by_mid.values(), dtype=np.float64, count=n),
-        )
-
+    # -- dict-keyed wrapper ----------------------------------------------
     def send_bulk(self, words_by_mid: dict) -> None:
         """CPU → module transfers to many modules in the current round."""
         n = len(words_by_mid)
         if not n:
             return
         self.send_array(
-            np.fromiter(words_by_mid.keys(), dtype=np.intp, count=n),
-            np.fromiter(words_by_mid.values(), dtype=np.float64, count=n),
-        )
-
-    def recv_bulk(self, words_by_mid: dict) -> None:
-        """Module → CPU transfers from many modules in the current round."""
-        n = len(words_by_mid)
-        if not n:
-            return
-        self.recv_array(
             np.fromiter(words_by_mid.keys(), dtype=np.intp, count=n),
             np.fromiter(words_by_mid.values(), dtype=np.float64, count=n),
         )

@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_same_points, brute_knn, brute_range_query
 
+from repro.core.geometry import Box
 from repro.eval import make_adapter
 from repro.faults import FaultError, FaultEvent, FaultPlan, MessageLoss, ModuleFailure
 from repro.obs import EventKind, TraceCollector, timeline_json
@@ -319,6 +321,72 @@ class TestFailover:
         assert len(fault_trace) == len(tracer.fault_events)
         doc = timeline_json(tracer, stats=adapter.system.stats)
         assert doc["faults"] == [ev.to_dict() for ev in tracer.fault_events]
+
+
+# ----------------------------------------------------------------------
+# A faulted update leaves no trace in the tree
+# ----------------------------------------------------------------------
+class _DropNth(FaultPlan):
+    """Armed drop plan that loses exactly the ``nth`` transfer it is asked
+    about — a seeded rate cannot be aimed at one round of one call."""
+
+    def __init__(self, nth: int) -> None:
+        super().__init__(drop_rate=0.5)
+        self.nth = nth
+        self.asked = 0
+
+    def should_drop(self, direction, mid, words, round_index):
+        if self.paused:
+            return None
+        self.asked += 1
+        if self.asked != self.nth:
+            return None
+        ev = FaultEvent("drop", mid, round_index, float(words), direction)
+        self.events.append(ev)
+        return ev
+
+
+@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
+@pytest.mark.parametrize("op", ["insert", "delete"])
+def test_faulted_update_leaves_no_trace(fo_data, op, exec_mode):
+    rng = np.random.default_rng(11)
+    if op == "insert":
+        batch = rng.random((200, 3))
+        want_after = np.vstack([fo_data, batch])
+    else:
+        gone = rng.choice(len(fo_data), 200, replace=False)
+        batch = fo_data[gone]
+        want_after = np.delete(fo_data, gone, axis=0)
+    queries = fo_data[:24] + 1e-4
+    boxes = [Box(q - 0.08, q + 0.08) for q in queries[:8]]
+
+    def build(nth):
+        plan = _DropNth(nth)
+        adapter = make_adapter("pim", fo_data, n_modules=16, seed=3,
+                               exec_mode=exec_mode, fault_plan=plan)
+        return adapter.tree, plan
+
+    tree, plan = build(0)  # never drops: count the transfers of the call
+    getattr(tree, op)(batch)
+    total = plan.asked
+    assert total > 100
+    # Early, middle and late transfers; the last ones are the apply round.
+    for nth in sorted({1, total // 3, total // 2, total - 40, total - 1,
+                       total}):
+        tree, _ = build(nth)
+        with pytest.raises(FaultError):
+            getattr(tree, op)(batch)
+        tree.system.detach_faults()
+        assert_same_points(tree.all_points(), fo_data)
+        tree.check_invariants()
+        for q, (d, _) in zip(queries, tree.knn(queries, 6)):
+            np.testing.assert_allclose(d, brute_knn(fo_data, q, 6),
+                                       atol=1e-12)
+        for box, got in zip(boxes, tree.box_fetch(boxes)):
+            assert_same_points(got, brute_range_query(fo_data, box))
+        getattr(tree, op)(batch)  # the retry applies fully
+        assert_same_points(tree.all_points(), want_after)
+        tree.check_invariants()
 
 
 # ----------------------------------------------------------------------

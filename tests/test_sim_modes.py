@@ -79,9 +79,9 @@ class TestZeroChargeSemantics:
                 a.recv(mid, amt * 2)
         with b.round():
             for mid, amt in script:
-                b.charge_pim_bulk({mid: amt})
+                b.charge_pim_array([mid], [amt])
                 b.send_bulk({mid: amt})
-                b.recv_bulk({mid: amt * 2})
+                b.recv_array([mid], [amt * 2])
         assert a.stats == b.stats
         assert a.stats.to_dict() == b.stats.to_dict()
 
@@ -413,7 +413,7 @@ def _apply_script(sys: PIMSystem, script) -> None:
                         d = {}
                         for mid, amt in op[2]:
                             d[mid] = d.get(mid, 0) + amt
-                        sys.charge_pim_bulk(d)
+                        sys.charge_pim_array(list(d), list(d.values()))
                     elif verb == "bulk_send":
                         d = {}
                         for mid, amt in op[2]:
@@ -423,7 +423,7 @@ def _apply_script(sys: PIMSystem, script) -> None:
                         d = {}
                         for mid, amt in op[2]:
                             d[mid] = d.get(mid, 0) + amt
-                        sys.recv_bulk(d)
+                        sys.recv_array(list(d), list(d.values()))
                     elif op[2]:
                         mids = np.array([m for m, _ in op[2]], dtype=np.intp)
                         amts = np.array([a for _, a in op[2]],
