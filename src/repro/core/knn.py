@@ -33,6 +33,11 @@ from .geometry import L1, L2, LINF, Metric, dist, dist_point_box
 from .node import Layer, Node
 from .push_pull import PushPullExecutor, Task
 from .search import search_batch
+from .vexec import (
+    make_candidate_round_kernel,
+    make_fetch_round_kernel,
+    node_arena,
+)
 
 __all__ = ["knn_batch"]
 
@@ -90,9 +95,7 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
         hook = _make_merge_hook(tree, states, k)
         cand_handler = _make_candidate_handler(tree, states, coarse, k)
         if tree.config.exec_mode == "vectorized":
-            from .vexec import make_candidate_group_kernel
-
-            cand_handler.group_kernel = make_candidate_group_kernel(
+            cand_handler.round_kernel = make_candidate_round_kernel(
                 tree, states, coarse, k
             )
         # Membership-filter routing (repro.route): suppress candidate
@@ -133,9 +136,7 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
         fetch_handler = _make_fetch_handler(tree, states, coarse, bounds,
                                             exact_radii)
         if tree.config.exec_mode == "vectorized":
-            from .vexec import make_fetch_group_kernel
-
-            fetch_handler.group_kernel = make_fetch_group_kernel(
+            fetch_handler.round_kernel = make_fetch_round_kernel(
                 tree, states, coarse, bounds, exact_radii
             )
         fetched = executor2.run(
@@ -193,20 +194,19 @@ def _child_box_dists(tree, left: Node, right: Node, q: np.ndarray,
     :func:`dist_point_box`, so values are bitwise equal to the per-child
     scalar calls the L0 walk used to make.
 
-    The stacked ``(2, dims)`` lo/hi arrays are memoized per (left, right)
-    nid pair — node ids are never reused and a node's box is fixed by its
-    (prefix, depth), so entries can never go stale; the cache is cleared
-    on residency refreshes only to drop entries for discarded nodes.
+    In vectorized mode the stacked ``(2, dims)`` lo/hi arrays are the two
+    children's rows of the node arena (:mod:`.vexec` — the same
+    ``prefix_box_batch`` values ``node_box`` computes one at a time);
+    the reference mode never builds an arena and stacks the two boxes.
     """
-    cache = tree._pair_box_cache
-    pair = (left.nid, right.nid)
-    ent = cache.get(pair)
-    if ent is None:
+    if tree.config.exec_mode == "vectorized":
+        arena = node_arena(tree)
+        rows = (left.row, right.row)
+        lo, hi = arena.lo.take(rows, axis=0), arena.hi.take(rows, axis=0)
+    else:
         bl = tree.node_box(left)
         br = tree.node_box(right)
-        ent = (np.stack((bl.lo, br.lo)), np.stack((bl.hi, br.hi)))
-        cache[pair] = ent
-    lo, hi = ent
+        lo, hi = np.stack((bl.lo, br.lo)), np.stack((bl.hi, br.hi))
     gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)
     if coarse.name == "l1":
         dc = gap.sum(axis=-1)

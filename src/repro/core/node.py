@@ -13,7 +13,10 @@ a PIM-zd-tree node carries:
 * ``layer`` — L0 (globally shared), L1 (partially shared) or L2
   (exclusive), derived from ``count`` against θ_L0/θ_L1 (§3.1);
 * ``meta`` — the meta-node (chunk) the node belongs to (§3.2); ``None``
-  for L0 nodes, which are not chunked.
+  for L0 nodes, which are not chunked;
+* ``row`` — the node's row in the tree's structure-of-arrays arena
+  (:class:`repro.core.vexec.NodeArena`); ``-1`` until the arena first
+  sees the node.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from enum import IntEnum
 
 import numpy as np
 
-__all__ = ["Layer", "Node", "node_words", "LEAF_HEADER_WORDS", "INTERNAL_WORDS"]
+__all__ = ["Layer", "Node", "node_words", "subtree_nodes", "LEAF_HEADER_WORDS",
+           "INTERNAL_WORDS"]
 
 INTERNAL_WORDS = 8  # prefix, depth, counters, two child refs, flags
 LEAF_HEADER_WORDS = 4
@@ -54,6 +58,7 @@ class Node:
         "layer",
         "meta",
         "box",
+        "row",
     )
 
     def __init__(self, nid: int, prefix: int, depth: int) -> None:
@@ -71,6 +76,7 @@ class Node:
         self.layer: Layer = Layer.L2
         self.meta = None  # MetaNode, set by chunking
         self.box = None  # geometry.Box, computed lazily
+        self.row = -1  # index in the tree's NodeArena (repro.core.vexec)
 
     @property
     def is_leaf(self) -> bool:
@@ -106,6 +112,19 @@ class Node:
             f"Node({kind} nid={self.nid} depth={self.depth} count={self.count} "
             f"layer={self.layer.name})"
         )
+
+
+def subtree_nodes(root: Node) -> list[Node]:
+    """Every node at or below ``root``, in left-first pre-order."""
+    out: list[Node] = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        if not n.is_leaf:
+            stack.append(n.right)
+            stack.append(n.left)
+    return out
 
 
 def node_words(node: Node, dims: int) -> int:

@@ -35,7 +35,7 @@ from .node import Layer, Node
 __all__ = [
     "Task",
     "ExecContext",
-    "GroupContext",
+    "RoundOutput",
     "PushPullExecutor",
     "QUERY_WORDS",
     "RESULT_WORDS",
@@ -139,39 +139,30 @@ class ExecContext:
         self._results.append(value)
 
 
-class GroupContext:
-    """Aggregated charging interface for a *group kernel*.
+class RoundOutput:
+    """What a *round kernel* hands back to the executor.
 
-    A group kernel processes every task pushed to one meta-node in a
-    single vectorized pass (``kernel(meta, ts, group_ctx)``).  Instead of
-    charging per (task, node) it accumulates cycles and return words here;
-    the executor flushes the totals with one ``charge_pim``/``recv`` pair
-    per meta.  Because every scalar charge is integer-valued, the
-    aggregated float64 totals are byte-identical to the per-element sums.
-
-    Results and emitted tasks are tagged with the task's position in the
-    group (and emissions additionally with a sort key) so the executor
-    can restore the exact scalar ordering: tasks in group order, and
-    within one task the scalar DFS emission order — emits happen at
-    parent-visit time (parents in right-first pre-order), left child
-    before right.
+    A round kernel (``handler.round_kernel(groups)``, repro.core.vexec)
+    processes every ``(meta, tasks)`` group pushed in one BSP round in a
+    single pass and charges nothing itself.  It returns, per group in
+    ``groups`` order, the PIM ``cycles`` and result ``recv`` words the
+    executor then charges with one ``charge_pim``/``recv`` pair per meta
+    — every scalar charge is integer-valued, so the aggregated float64
+    totals are byte-identical to the per-element sums — plus the round's
+    ``results`` as ``(qid, value)`` and its emitted tasks, both already
+    in the scalar order: groups in ``groups`` order, tasks in group
+    order, and within one task the scalar DFS emission order (emits
+    happen at parent-visit time, parents in right-first pre-order, left
+    child before right).
     """
 
-    __slots__ = ("cycles", "recv", "_results", "_emits", "_seq")
+    __slots__ = ("cycles", "recv", "results", "emits")
 
-    def __init__(self) -> None:
-        self.cycles = 0.0
-        self.recv = 0.0
-        self._results: list[tuple[int, object]] = []
-        self._emits: list[tuple[int, int, int, Task]] = []
-        self._seq = 0
-
-    def result(self, pos: int, value) -> None:
-        self._results.append((pos, value))
-
-    def emit(self, pos: int, task: Task, sort_key: int = 0) -> None:
-        self._emits.append((pos, sort_key, self._seq, task))
-        self._seq += 1
+    def __init__(self, n_groups: int) -> None:
+        self.cycles: list[float] = [0.0] * n_groups
+        self.recv: list[float] = [0.0] * n_groups
+        self.results: list[tuple[int, object]] = []
+        self.emits: list[Task] = []
 
 
 Handler = Callable[[Task, ExecContext], None]
@@ -211,11 +202,11 @@ class PushPullExecutor:
         this one site, so filter decisions are identical by construction.
         """
         results: dict[int, list] = defaultdict(list)
-        # Group kernels (repro.core.vexec) process a whole meta's task
-        # group in one vectorized pass; pulled metas always take the
+        # A round kernel (repro.core.vexec) processes every pushed group
+        # of a round in one vectorized pass; pulled metas always take the
         # scalar per-task path (host-side execution is not the hot loop).
-        group_kernel = (
-            getattr(handler, "group_kernel", None)
+        round_kernel = (
+            getattr(handler, "round_kernel", None)
             if self.config.exec_mode == "vectorized"
             else None
         )
@@ -241,6 +232,16 @@ class PushPullExecutor:
             next_frontier: list[Task] = []
             pulled_items: list[tuple[MetaNode, list[Task]]] = []
 
+            # The kernel is pure compute and runs before any charge; the
+            # loop below then charges group by group, in by_meta order.
+            out = None
+            if round_kernel is not None:
+                pushed = [(m, ts) for m, ts in by_meta.items()
+                          if m not in pulled]
+                if pushed:
+                    out = round_kernel(pushed)
+            gi = 0
+
             reps = self.tree.replicas
             with self.sys.round():
                 for meta, ts in by_meta.items():
@@ -261,21 +262,15 @@ class PushPullExecutor:
                     # count the tasks this meta drew onto its module.
                     meta.hot_hits += len(ts)
                     self.sys.charge_pim(mod, PIM_TASK_DISPATCH_CYCLES)
-                    if group_kernel is not None:
+                    if out is not None:
                         self.sys.send(
                             mod, sum(t.send_words for t in ts)
                         )
-                        g = GroupContext()
-                        group_kernel(meta, ts, g)
-                        self.sys.charge_pim(mod, g.cycles)
+                        self.sys.charge_pim(mod, out.cycles[gi])
                         self.sys.recv(
-                            mod, g.recv + RESULT_WORDS * len(ts)
+                            mod, out.recv[gi] + RESULT_WORDS * len(ts)
                         )
-                        g._results.sort(key=lambda r: r[0])
-                        for pos, value in g._results:
-                            results[ts[pos].qid].append(value)
-                        g._emits.sort(key=lambda e: (e[0], e[1], e[2]))
-                        next_frontier.extend(e[3] for e in g._emits)
+                        gi += 1
                         continue
                     for t in ts:
                         self.sys.send(mod, t.send_words)
@@ -285,6 +280,10 @@ class PushPullExecutor:
                         ctx.return_words(RESULT_WORDS)
                         results[t.qid].extend(ctx._results)
                         next_frontier.extend(ctx._emitted)
+                if out is not None:
+                    for qid, value in out.results:
+                        results[qid].append(value)
+                    next_frontier.extend(out.emits)
                 self.rounds_executed += 1
 
             # Pulled meta-nodes are searched on the host after the fetch.

@@ -190,9 +190,9 @@ def box_count_batch(tree, boxes) -> np.ndarray:
             executor = PushPullExecutor(tree)
             handler = _make_handler(tree, boxes, fetch=False)
             if vectorized:
-                from .vexec import make_range_group_kernel
+                from .vexec import make_range_round_kernel
 
-                handler.group_kernel = make_range_group_kernel(
+                handler.round_kernel = make_range_round_kernel(
                     tree, boxes, fetch=False
                 )
             out = executor.run(tasks, handler)
@@ -229,9 +229,9 @@ def box_fetch_batch(tree, boxes) -> list[np.ndarray]:
             executor = PushPullExecutor(tree)
             handler = _make_handler(tree, boxes, fetch=True)
             if vectorized:
-                from .vexec import make_range_group_kernel
+                from .vexec import make_range_round_kernel
 
-                handler.group_kernel = make_range_group_kernel(
+                handler.round_kernel = make_range_round_kernel(
                     tree, boxes, fetch=True
                 )
             out = executor.run(tasks, handler)

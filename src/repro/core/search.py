@@ -179,9 +179,9 @@ def search_batch(tree, points: np.ndarray, *, phase: str = "search"
             executor = PushPullExecutor(tree)
             handler = make_search_handler(tree, results)
             if tree.config.exec_mode == "vectorized":
-                from .vexec import make_search_group_kernel
+                from .vexec import make_search_round_kernel
 
-                handler.group_kernel = make_search_group_kernel(tree, results)
+                handler.round_kernel = make_search_round_kernel(tree, results)
             executor.run(tasks, handler, prune=prune)
             tree.last_executor = executor
         if prune is not None:

@@ -28,7 +28,7 @@ from .chunking import MetaNode, chunk_region, iter_meta_subtree
 from .config import PIMZdTreeConfig, throughput_optimized
 from .geometry import L2, Box, Metric
 from .morton import MortonCodec, max_bits_per_dim, morton_encode
-from .node import Layer, Node, node_words
+from .node import Layer, Node, node_words, subtree_nodes
 
 __all__ = ["PIMZdTree"]
 
@@ -83,10 +83,10 @@ class PIMZdTree:
         # 2x staleness rule that amortises re-chunking (§3.2).
         self._meta_built_sc: dict[MetaNode, int] = {}
         self.last_executor = None
-        # Derived read-side caches: the vectorised kernels' per-meta region
-        # tables (repro.core.vexec) and the kNN L0 walk's sibling-box pairs.
-        self._region_tables: dict = {}
-        self._pair_box_cache: dict = {}
+        # Derived read-side view: the vectorised kernels' node arena
+        # (repro.core.vexec.NodeArena), built on the first vectorised
+        # query and kept current through the mark_* hooks below.
+        self._arena = None
         # Write-ahead journal (repro.store): attached by DurableStore so
         # insert/delete append before mutating; None means no durability.
         self.journal = None
@@ -189,11 +189,37 @@ class PIMZdTree:
         return Layer(max(raw, node.parent.layer))
 
     def _assign_layers_subtree(self, node: Node, parent_layer: Layer | None) -> None:
-        raw = self.layer_from_sc(node.sc)
-        node.layer = raw if parent_layer is None else Layer(max(raw, parent_layer))
-        if not node.is_leaf:
-            self._assign_layers_subtree(node.left, node.layer)
-            self._assign_layers_subtree(node.right, node.layer)
+        self.mark_dirty_subtree(node)
+        stack = [(node, parent_layer)]
+        while stack:
+            nd, above = stack.pop()
+            raw = self.layer_from_sc(nd.sc)
+            nd.layer = raw if above is None else Layer(max(raw, above))
+            if not nd.is_leaf:
+                stack.append((nd.left, nd.layer))
+                stack.append((nd.right, nd.layer))
+
+    # ==================================================================
+    # node-arena upkeep (repro.core.vexec.NodeArena)
+    # ==================================================================
+    def mark_dirty(self, node: Node) -> None:
+        """A column the arena mirrors (count, layer, meta, child links)
+        changed on ``node``; its row is rewritten at the next flush.
+        A meta-node whose member count changed marks its *root*, whose
+        row carries the chunk's per-visit cycles.  No-op without an arena.
+        """
+        if self._arena is not None:
+            self._arena.dirty.add(node)
+
+    def mark_dirty_subtree(self, root: Node) -> None:
+        """Every node at or below ``root`` changed (a region re-chunked)."""
+        if self._arena is not None:
+            self._arena.dirty.update(subtree_nodes(root))
+
+    def mark_removed(self, node: Node) -> None:
+        """``node`` was unlinked from the tree: its arena row is garbage."""
+        if self._arena is not None:
+            self._arena.remove(node)
 
     def l0_nodes(self) -> list[Node]:
         out: list[Node] = []
@@ -386,6 +412,7 @@ class PIMZdTree:
         for r in processed.values():
             for rr in self._region_roots_below(r):
                 created = chunk_region(rr, self.config, self.dims, self.system.place)
+                self.mark_dirty_subtree(rr)
                 for m in created:
                     self.metas.add(m)
                     self._meta_built_sc[m] = max(1, m.root.sc)
@@ -419,6 +446,7 @@ class PIMZdTree:
         """Apply a subtree-size change; returns True if a snapshot synced."""
         node.count += delta
         node.delta += delta
+        self.mark_dirty(node)
         if node.delta == 0:
             return False
         if not self.config.lazy_counters:
@@ -514,10 +542,6 @@ class PIMZdTree:
             for m in self.system.modules:
                 if not m.failed:
                     m.alloc_cache(w)
-        # The kNN sibling-box cache only ever holds per-node geometry that
-        # cannot go stale, but structural changes discard nodes — drop
-        # their entries here so the cache tracks the live L0.
-        self._pair_box_cache = {}
         # Membership filters (repro.route) rebuild whenever residency
         # changes: every path that moves keys (upload, insert/delete,
         # migrate/clone, replica install/promotion, failover, recovery)
@@ -598,6 +622,12 @@ class PIMZdTree:
     # geometry helper
     # ==================================================================
     def node_box(self, node: Node) -> Box:
+        arena = self._arena
+        if arena is not None and arena.has_row(node):
+            # The arena already holds the corners (``prefix_box_batch``
+            # values, bitwise those of ``prefix_box``): hand out views for
+            # immediate use instead of caching a second copy per node.
+            return Box(arena.lo[node.row], arena.hi[node.row])
         if node.box is None:
             lo, hi = self.codec.prefix_box(node.prefix, node.depth)
             node.box = Box(lo, hi)
@@ -703,3 +733,8 @@ class PIMZdTree:
             assert meta.l1_desc_metas == l1_below(meta), (
                 f"l1_desc_metas drift: {meta.l1_desc_metas} vs {l1_below(meta)}"
             )
+        # The vectorised kernels' arena, once built, mirrors this structure.
+        if self._arena is not None:
+            from .vexec import check_arena
+
+            check_arena(self)

@@ -35,7 +35,6 @@ from ..faults.errors import FaultError
 from .chunking import MetaNode, chunk_region
 from .node import Layer, Node, node_words
 from .search import search_batch
-from .vexec import invalidate_exec_caches
 
 __all__ = ["insert_batch", "delete_batch"]
 
@@ -49,13 +48,12 @@ _UNSET = object()
 class _BatchState:
     """Bookkeeping shared by one update batch."""
 
-    __slots__ = ("new_nodes", "new_links", "cache_words", "retired")
+    __slots__ = ("new_nodes", "new_links", "cache_words")
 
     def __init__(self) -> None:
         self.new_nodes: set[int] = set()
         self.new_links = 0
         self.cache_words = 0.0
-        self.retired: set[Node] = set()
 
 
 # ======================================================================
@@ -151,7 +149,6 @@ def insert_batch(tree, points: np.ndarray) -> None:
         _apply_layer_transitions(tree, synced)
 
         tree.rechunk_stale()
-    invalidate_exec_caches(tree)
     # Insert-only residency change: stage the new keys so the route
     # filters' rebuild (inside refresh_residency) can take the cheap
     # in-place path.  A faulted batch never reaches here — its rollback
@@ -236,7 +233,7 @@ def _merge_leaf(tree, leaf: Node, keys: np.ndarray, pts: np.ndarray,
     # Leaf split: rebuild the leaf into a fresh subtree.
     charge(total * _PIM_BUILD_CYCLES_PER_POINT * max(1, int(np.log2(total + 1))))
     new_root = _build_fresh(tree, merged_keys, merged_pts, leaf.depth, state)
-    _retire_node(tree, leaf, state)
+    _retire_node(tree, leaf)
     state.new_links += 1
     return new_root
 
@@ -331,6 +328,8 @@ def _replace_child(tree, old: Node, new: Node, parent: Node | None = _UNSET) -> 
     if parent is _UNSET:
         parent = old.parent
     new.parent = parent
+    # A new root has no parent whose row would lead the arena to it.
+    tree.mark_dirty(new if parent is None else parent)
     if parent is None:
         tree.root = new
         return
@@ -342,17 +341,24 @@ def _replace_child(tree, old: Node, new: Node, parent: Node | None = _UNSET) -> 
         raise RuntimeError("child replacement: old node not found under parent")
 
 
-def _retire_node(tree, node: Node, state: _BatchState) -> None:
-    """Remove one node from chunk bookkeeping (its subtree, if any, stays)."""
-    state.retired.add(node)
+def _leave_meta(tree, node: Node) -> MetaNode | None:
+    """Take ``node`` out of its chunk's bookkeeping; returns that chunk."""
     meta = node.meta
-    if meta is None:
-        return
-    meta.n_nodes -= 1
-    meta.payload_words -= node_words(node, tree.dims)
-    if meta.root is node:
+    if meta is not None:
+        meta.n_nodes -= 1
+        meta.payload_words -= node_words(node, tree.dims)
+        node.meta = None
+        tree.mark_dirty(node)
+        tree.mark_dirty(meta.root)
+    return meta
+
+
+def _retire_node(tree, node: Node) -> None:
+    """Remove one node from the tree and from chunk bookkeeping."""
+    tree.mark_removed(node)
+    meta = _leave_meta(tree, node)
+    if meta is not None and meta.root is node:
         tree.mark_stale(meta)
-    node.meta = None
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +398,7 @@ def _assign_mixed(tree, node: Node, parent: Node | None, state: _BatchState) -> 
             node.meta = candidate
             candidate.n_nodes += 1
             candidate.payload_words += node_words(node, tree.dims)
+            tree.mark_dirty(candidate.root)
             joined = True
             if candidate.layer == Layer.L1:
                 state.cache_words += node_words(node, tree.dims) * candidate.replica_count()
@@ -492,11 +499,9 @@ def _apply_layer_transitions(tree, synced: list[Node]) -> None:
         moved_any = True
         if new_layer == Layer.L0:
             # Promotion into L0: broadcast the node, re-chunk its region.
-            if node.meta is not None:
-                node.meta.n_nodes -= 1
-                node.meta.payload_words -= node_words(node, tree.dims)
-                tree.mark_stale(node.meta)
-                node.meta = None
+            meta = _leave_meta(tree, node)  # also marks the node's arena row
+            if meta is not None:
+                tree.mark_stale(meta)
             node.layer = Layer.L0
             words = node_words(node, tree.dims)
             if tree.l0_on_cpu:
@@ -645,7 +650,6 @@ def delete_batch(tree, points: np.ndarray) -> int:
 
         _apply_layer_transitions(tree, synced)
         tree.rechunk_stale()
-    invalidate_exec_caches(tree)
     tree.refresh_residency()
     if tree.root.count == 0:
         raise ValueError("delete emptied the tree; PIM-zd-tree requires >= 1 point")
@@ -657,23 +661,17 @@ def delete_batch(tree, points: np.ndarray) -> int:
 def _splice_out_leaf(tree, leaf: Node) -> None:
     """Remove an emptied leaf; collapse its parent onto the sibling."""
     parent = leaf.parent
-    if leaf.meta is not None:
-        leaf.meta.n_nodes -= 1
-        leaf.meta.payload_words -= node_words(leaf, tree.dims)
-        if leaf.meta.root is leaf:
-            tree.mark_stale(leaf.meta)
-        leaf.meta = None
+    _retire_node(tree, leaf)
     if parent is None:
         raise ValueError("delete would empty the tree")
     sibling = parent.right if parent.left is leaf else parent.left
-    needs_region_fix = True
-    if parent.meta is not None:
-        parent.meta.n_nodes -= 1
-        parent.meta.payload_words -= node_words(parent, tree.dims)
-        needs_region_fix = parent.meta.root is parent or sibling.meta is not parent.meta
-        if needs_region_fix:
-            tree.mark_stale(parent.meta)
-        parent.meta = None
+    tree.mark_removed(parent)
+    meta = _leave_meta(tree, parent)
+    needs_region_fix = (
+        meta is None or meta.root is parent or sibling.meta is not meta
+    )
+    if meta is not None and needs_region_fix:
+        tree.mark_stale(meta)
     _replace_child(tree, parent, sibling)
     tree.system.charge_comm_flat(_LINK_WORDS)
     if sibling.parent is None:

@@ -6,23 +6,32 @@ The scalar operation modules (:mod:`.search`, :mod:`.knn`,
 frontier-at-a-time equivalents that the push-pull executor dispatches
 when ``config.exec_mode == "vectorized"``:
 
-* :class:`RegionTable` — a flattened per-meta view of the locally
-  traversable subtree (box corners, child indices, counts and per-node
-  cycles as parallel arrays), cached until the next update batch.  It
-  is the only derived structure: leaf payloads are read live from
-  ``node.pts`` when a kernel gathers them, so nothing mirrors them;
+* :class:`NodeArena` — one tree-wide structure of arrays, a row per live
+  node (box corners, count, child rows, key range, layer, owning meta),
+  kept current by a dirty set the tree's mutation primitives feed and
+  :func:`node_arena` flushes before a kernel reads it.  It is the only
+  derived structure: leaf payloads are read live from ``node.pts`` when
+  a kernel gathers them, so nothing mirrors them;
+* *round kernels* — ``handler.round_kernel(groups)`` receives **every
+  pushed (meta, tasks) group of a BSP round** and returns a
+  :class:`~.push_pull.RoundOutput`: one kernel call per round, the
+  frontier carried as parallel ``(task, row)`` arrays across all groups
+  (:class:`_Round`), locality decided per (task, child) by a vector
+  compare on the arena's ``layer``/``meta_id`` columns.  The kernel is
+  pure compute; the executor charges its per-group totals afterwards;
+* :func:`make_search_round_kernel` — the pointer-walk SEARCH kernel
+  (SEARCH never tests a box, so it loops its groups and uses no arena);
+* :func:`make_candidate_round_kernel` / :func:`make_fetch_round_kernel`
+  — the two kNN steps, thin wrappers over one shared ball descent
+  (:func:`_ball_descent`: coarse box-distance prune, optional ℓ∞ prune,
+  one stacked row-distance evaluation per round);
+* :func:`make_range_round_kernel` — box-mask range count/fetch
+  (:func:`_range_descent`) for a whole round at once;
 * :func:`route_through_l0_vec` — batched L0 routing (whole query
   frontiers advance one tree level per step instead of per-point
   ``step()`` calls);
-* :func:`make_search_group_kernel` — one pointer-walk SEARCH kernel
-  (SEARCH never tests a box, so it uses no table);
-* :func:`make_candidate_group_kernel` / :func:`make_fetch_group_kernel`
-  — the two kNN steps, thin wrappers over one shared ball descent
-  (:func:`_ball_descent`: coarse box-distance prune, optional ℓ∞ prune,
-  one stacked row-distance evaluation per task group);
-* :func:`make_range_group_kernel` — box-mask range count/fetch for
-  whole task groups at once;
-* :func:`seed_l0_boxes` — batched host-side L0 seeding for range queries;
+* :func:`seed_l0_boxes` — batched host-side L0 seeding for range
+  queries, over the arena's L0 rows;
 * :func:`plan_leaf_deletions` — ``np.searchsorted``-based delete
   partitioning.
 
@@ -33,7 +42,8 @@ reference path.  This works because
 
 1. every per-element charge in the scalar path is an integer number of
    cycles/ops/words, so float64 sums are exact and order-independent —
-   aggregating them per (phase, module, round) is lossless;
+   aggregating them per (phase, module, round) with ``np.bincount`` is
+   lossless;
 2. the BSP round structure (which task reaches which meta-node in which
    round) is preserved exactly: emitted tasks are re-ordered into the
    scalar emission order before entering the next frontier;
@@ -43,53 +53,43 @@ reference path.  This works because
    elementwise/row-reduction formulas the scalar path uses, so they
    match bitwise, and concatenation follows the scalar right-child-first
    DFS order: disjoint subtrees are visited in descending ``key_lo``
-   order, which ``np.lexsort`` on ``(pos, ~key_lo)`` reconstructs.
+   order, which ``np.lexsort`` on ``(task, ~key_lo)`` reconstructs;
+5. batching across groups is order-neutral: the flat task index is
+   (group in ``by_meta`` order, position in the group), so results sort
+   by task, emitted tasks by (task, parent in right-first pre-order,
+   child ``key_lo``) and gathered rows by (task, ``~key_lo``) — each the
+   per-group scalar order prefixed with the group.  A task's visit set
+   depends only on round-start state (kNN prunes on the round-start
+   radius), never on another group, and the executor still charges group
+   by group in ``by_meta`` order with the scalar call sequence, so the
+   drop-RNG stream, dead-module checks, tracing and replica read routing
+   see exactly the calls they saw before.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import LINF, Box, Metric
-from .node import Layer, Node
-from .push_pull import Task
+from .chunking import MetaNode
+from .geometry import LINF, Metric
+from .node import Layer, Node, subtree_nodes
+from .push_pull import RoundOutput, Task
 
 __all__ = [
-    "RegionTable",
-    "region_table",
-    "invalidate_exec_caches",
-    "ensure_node_boxes",
+    "NodeArena",
+    "node_arena",
+    "check_arena",
     "route_through_l0_vec",
-    "make_search_group_kernel",
-    "make_candidate_group_kernel",
-    "make_fetch_group_kernel",
-    "make_range_group_kernel",
+    "make_search_round_kernel",
+    "make_candidate_round_kernel",
+    "make_fetch_round_kernel",
+    "make_range_round_kernel",
     "seed_l0_boxes",
     "plan_leaf_deletions",
 ]
 
 _U64 = np.uint64
 _FULL = 1 << 64
-
-
-# ======================================================================
-# batched node boxes
-# ======================================================================
-def ensure_node_boxes(tree, nodes) -> None:
-    """Fill ``node.box`` for every node lacking one, in a single batch.
-
-    Bitwise identical to the lazy scalar ``tree.node_box`` fills (see
-    ``MortonCodec.prefix_box_batch``), so both exec modes see the same
-    cached geometry.
-    """
-    missing = [n for n in nodes if n.box is None]
-    if not missing:
-        return
-    lo, hi = tree.codec.prefix_box_batch(
-        [n.prefix for n in missing], [n.depth for n in missing]
-    )
-    for i, n in enumerate(missing):
-        n.box = Box(lo[i].copy(), hi[i].copy())
 
 
 def _in_range_mask(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -127,192 +127,232 @@ def _dist_rows(rows: np.ndarray, q: np.ndarray, metric: Metric) -> np.ndarray:
 
 
 # ======================================================================
-# flattened per-meta region tables
+# the node arena
 # ======================================================================
-class RegionTable:
-    """SoA view of the subtree a pushed meta-node may traverse locally.
+_DEAD = -2  # ``node.row`` of a node that left the tree: never written again
 
-    Holds, as parallel arrays indexed by a *local node index*: box
-    corners, exact counts, per-visit PIM cycles, child indices and
-    Morton key ranges.  Leaf payloads are not copied: the kernels read
-    ``nodes[i].pts`` when they gather.  Nodes where the locality rule
-    fails (the push-pull boundary) are included as *external* terminals
-    so the kernels can emit follow-up tasks for them.
+# (column, dtype, one value per dimension?)
+_COLUMNS = (
+    ("lo", np.float64, True), ("hi", np.float64, True),
+    ("count", np.int64, False), ("is_leaf", bool, False),
+    ("left", np.intp, False), ("right", np.intp, False),
+    ("key_lo", _U64, False), ("hi_incl", _U64, False),
+    ("depth", np.int64, False), ("layer", np.int8, False),
+    ("meta_id", np.intp, False), ("meta_cycles", np.float64, False),
+)
+# Columns holding rows of other nodes: compared by node identity.
+_LINK_COLUMNS = ("left", "right", "meta_id")
 
-    Tables are cached on the tree and invalidated wholesale by
-    :func:`invalidate_exec_caches` at the end of every update batch,
-    after its mutations — queries never mutate the tree, so between
-    updates the arrays stay valid.
+
+class NodeArena:
+    """Tree-wide structure-of-arrays view: one row per live node.
+
+    Columns, indexed by ``node.row``: box corners ``lo``/``hi``, the
+    exact ``count``, ``is_leaf``, the ``left``/``right`` child rows (-1
+    on leaves), ``key_lo``/``hi_incl``/``depth``, the ``layer``, and the
+    owning meta-node as an integer handle — ``meta_id`` is the row of
+    the meta's root node (-1 in L0) and ``meta_cycles`` holds, *at that
+    root row*, the meta's per-visit PIM cycles (0 elsewhere), so a
+    chunk flipping between sparse and dense rewrites one row, not one
+    per member.  Leaf payloads are not copied: kernels read
+    ``nodes[row].pts`` live.
+
+    Upkeep is a dirty set in the ``mark_dirty → flush`` style: the
+    tree's mutation primitives add the nodes they changed to ``dirty``
+    (``PIMZdTree.mark_dirty`` / ``mark_dirty_subtree``) and
+    :meth:`flush`, run lazily before a kernel reads the arena, rewrites
+    only those rows.  Nodes the arena has not seen yet are found through
+    their (dirty) parents and get appended rows; rows of nodes that left
+    the tree (``PIMZdTree.mark_removed``) become garbage, and once
+    garbage outweighs the live rows the arena is rebuilt compactly.
     """
 
-    __slots__ = (
-        "tree", "meta", "rule_l1", "nodes", "idx_of", "_ext", "_dirty",
-        "lo", "hi", "count", "cycles", "is_leaf", "external", "left",
-        "right", "key_lo", "hi_incl", "depth",
+    __slots__ = ("tree", "n", "dead", "nodes", "dirty") + tuple(
+        name for name, _, _ in _COLUMNS
     )
 
-    def __init__(self, tree, meta) -> None:
+    def __init__(self, tree) -> None:
         self.tree = tree
-        self.meta = meta
-        self.rule_l1 = meta.layer == Layer.L1
-        self.nodes: list[Node] = []
-        self.idx_of: dict[int, int] = {}
-        self._ext: list[bool] = []
-        self._dirty = True
-        self._add_region(meta.root)
+        self.dirty: set[Node] = set()
+        self._rebuild()
 
-    def _local(self, node: Node) -> bool:
-        if self.rule_l1:
-            return node.layer == Layer.L1
-        return node.meta is self.meta
+    # -- row bookkeeping ---------------------------------------------------
+    def has_row(self, node: Node) -> bool:
+        r = node.row
+        return 0 <= r < len(self.nodes) and self.nodes[r] is node
 
-    def _add_region(self, root: Node) -> None:
-        """Register ``root``'s locally-traversable closure."""
-        stack = [root]
+    def remove(self, node: Node) -> None:
+        """``node`` left the tree: its row (if any) is garbage from now on."""
+        if self.has_row(node):
+            self.dead += 1
+        node.row = _DEAD
+
+    def _resize(self, cap: int, keep: int) -> None:
+        dims = self.tree.dims
+        for name, dtype, wide in _COLUMNS:
+            new = np.empty((cap, dims) if wide else cap, dtype=dtype)
+            if keep:
+                new[:keep] = getattr(self, name)[:keep]
+            setattr(self, name, new)
+
+    def _rebuild(self) -> None:
+        """Row every reachable node from scratch (first build, compaction)."""
+        self.nodes = nodes = subtree_nodes(self.tree.root)
+        for row, nd in enumerate(nodes):
+            nd.row = row
+        self.n = len(nodes)
+        self.dead = 0
+        self.dirty.clear()
+        self._resize(2 * self.n + 64, 0)
+        self._write_fixed(nodes)
+        self._write(nodes)
+
+    # -- flush ---------------------------------------------------------------
+    def flush(self) -> None:
+        """Bring the rows of every dirty node up to date."""
+        if not self.dirty:
+            return
+        nodes = self.nodes
+        todo: list[Node] = []
+        stack = list(self.dirty)
+        self.dirty.clear()
         while stack:
             nd = stack.pop()
-            if id(nd) in self.idx_of:
+            if nd.row == _DEAD:
                 continue
-            self.idx_of[id(nd)] = len(self.nodes)
-            self.nodes.append(nd)
-            self._ext.append(False)
-            if nd.is_leaf:
-                continue
-            for child in (nd.left, nd.right):
-                if self._local(child):
-                    stack.append(child)
-                elif id(child) not in self.idx_of:
-                    self.idx_of[id(child)] = len(self.nodes)
-                    self.nodes.append(child)
-                    self._ext.append(True)
-        self._dirty = True
+            if not self.has_row(nd):
+                nd.row = len(nodes)
+                nodes.append(nd)
+            todo.append(nd)
+            if not nd.is_leaf:
+                # New nodes hang off dirty (or new) parents.
+                for child in (nd.left, nd.right):
+                    if not self.has_row(child):
+                        stack.append(child)
+        fresh = nodes[self.n:]
+        if len(nodes) > len(self.count):
+            self._resize(2 * len(nodes), self.n)
+        self.n = len(nodes)
+        self._write_fixed(fresh)
+        self._write(todo)
+        if self.n > 2 * (self.n - self.dead):
+            self._rebuild()
 
-    def entry(self, node: Node) -> int:
-        """Local index of a task's entry node, extending the table if the
-        chunk was transiently disconnected."""
-        idx = self.idx_of.get(id(node))
-        if idx is None:
-            self._add_region(node)
-            idx = self.idx_of[id(node)]
-        return idx
-
-    def refresh(self) -> None:
-        """(Re)build the parallel arrays after region additions."""
-        if not self._dirty:
+    def _write_fixed(self, nodes: list[Node]) -> None:
+        """Columns fixed by a node's (prefix, depth, kind): written once."""
+        n = len(nodes)
+        if not n:
             return
-        self._dirty = False
         tree = self.tree
         kb = tree.key_bits
-        cfg = tree.config
-        nodes = self.nodes
-        ext_l = self._ext
-        n = len(nodes)
-        ext = np.array(ext_l, dtype=bool)
+        rows = np.fromiter((nd.row for nd in nodes), dtype=np.intp, count=n)
         depth = np.fromiter((nd.depth for nd in nodes), dtype=np.int64, count=n)
         prefix = np.fromiter((nd.prefix for nd in nodes), dtype=_U64, count=n)
-        count = np.fromiter((nd.count for nd in nodes), dtype=np.int64, count=n)
-        is_leaf = np.fromiter((nd.is_leaf for nd in nodes), dtype=bool, count=n)
         # key_lo/hi_incl: guard the depth-0 row (a 64-bit shift is UB).
         sh = np.where(depth > 0, kb - depth, 0).astype(_U64)
         key_lo = np.where(depth > 0, prefix << sh, _U64(0))
-        hi_incl = np.where(
+        self.key_lo[rows] = key_lo
+        self.hi_incl[rows] = np.where(
             depth > 0,
             key_lo + ((_U64(1) << sh) - _U64(1)),
             _U64(0xFFFFFFFFFFFFFFFF),
         )
-        # Per-visit cycles are constant per owning meta; memoise the lookup.
-        cyc_of: dict[int, float] = {}
-
-        def _cyc(nd: Node, e: bool) -> float:
-            if e:
-                return 0.0
-            m = nd.meta
-            c = cyc_of.get(id(m))
-            if c is None:
-                c = float(m.cycles_per_node(cfg)) if m is not None else 12.0
-                cyc_of[id(m)] = c
-            return c
-
-        cycles = np.fromiter(
-            (_cyc(nd, e) for nd, e in zip(nodes, ext_l)), dtype=np.float64,
-            count=n,
+        self.depth[rows] = depth
+        self.lo[rows], self.hi[rows] = tree.codec.prefix_box_batch(prefix, depth)
+        self.is_leaf[rows] = np.fromiter(
+            (nd.is_leaf for nd in nodes), dtype=bool, count=n
         )
-        left = np.full(n, -1, dtype=np.intp)
-        right = np.full(n, -1, dtype=np.intp)
-        idx_of = self.idx_of
-        ii = np.flatnonzero(~ext & ~is_leaf)
-        if len(ii):
-            left[ii] = [idx_of[id(nodes[i].left)] for i in ii]
-            right[ii] = [idx_of[id(nodes[i].right)] for i in ii]
-        ii = np.flatnonzero(~ext)
-        local = [nodes[i] for i in ii]
-        ensure_node_boxes(tree, local)
-        lo = np.zeros((n, tree.dims))
-        hi = np.zeros((n, tree.dims))
-        if local:
-            lo[ii] = [nd.box.lo for nd in local]
-            hi[ii] = [nd.box.hi for nd in local]
-        self.lo, self.hi = lo, hi
-        self.count, self.cycles = count, cycles
-        self.is_leaf, self.external = is_leaf, ext
-        self.left, self.right = left, right
-        self.key_lo, self.hi_incl, self.depth = key_lo, hi_incl, depth
+        self.left[rows] = -1
+        self.right[rows] = -1
+
+    def _write(self, nodes: list[Node]) -> None:
+        """Columns the update path can change."""
+        n = len(nodes)
+        cfg = self.tree.config
+        rows = np.fromiter((nd.row for nd in nodes), dtype=np.intp, count=n)
+        self.count[rows] = np.fromiter(
+            (nd.count for nd in nodes), dtype=np.int64, count=n
+        )
+        self.layer[rows] = np.fromiter(
+            (nd.layer for nd in nodes), dtype=np.int8, count=n
+        )
+        meta_id = np.full(n, -1, dtype=np.intp)
+        cycles = np.zeros(n)
+        for i, nd in enumerate(nodes):
+            m = nd.meta
+            if m is not None:
+                meta_id[i] = m.root.row
+                if m.root is nd:
+                    cycles[i] = m.cycles_per_node(cfg)
+        self.meta_id[rows] = meta_id
+        self.meta_cycles[rows] = cycles
+        inner = [nd for nd in nodes if not nd.is_leaf]
+        if inner:
+            k = len(inner)
+            rows = np.fromiter((nd.row for nd in inner), dtype=np.intp, count=k)
+            self.left[rows] = np.fromiter(
+                (nd.left.row for nd in inner), dtype=np.intp, count=k
+            )
+            self.right[rows] = np.fromiter(
+                (nd.right.row for nd in inner), dtype=np.intp, count=k
+            )
 
 
-def region_table(tree, meta) -> RegionTable:
-    tabs = tree._region_tables
-    tab = tabs.get(meta)
-    if tab is None:
-        tab = RegionTable(tree, meta)
-        tabs[meta] = tab
-    return tab
+def node_arena(tree) -> NodeArena:
+    """The tree's arena, flushed; built on the first vectorised query."""
+    arena = tree._arena
+    if arena is None:
+        arena = tree._arena = NodeArena(tree)
+    else:
+        arena.flush()
+    return arena
 
 
-def invalidate_exec_caches(tree) -> None:
-    """Drop cached region tables; called at the end of every update
-    batch, after its mutations."""
-    tree._region_tables = {}
+def check_arena(tree) -> None:
+    """Assert the flushed arena equals one built from scratch.
+
+    Compared over the rows of reachable nodes: every column, with the
+    columns that hold rows (child links, meta handles) compared by the
+    identity of the node they name.  ``tree.check_invariants`` calls
+    this whenever an arena exists.
+    """
+    arena = node_arena(tree)
+    live = subtree_nodes(tree.root)
+    assert all(arena.has_row(nd) for nd in live), "live node without a row"
+    assert arena.n - arena.dead == len(live), "arena live-row count drifted"
+    assert arena.n <= 2 * len(live), "arena garbage exceeds its bound"
+    rows = [nd.row for nd in live]
+    # A fresh build rows the nodes 0..n-1 in ``live`` order; restored below.
+    fresh = NodeArena(tree)
+    try:
+        for name, _, _ in _COLUMNS:
+            have = getattr(arena, name)[rows]
+            want = getattr(fresh, name)[:len(live)]
+            if name in _LINK_COLUMNS:
+                assert all(
+                    (i < 0) == (j < 0)
+                    and (i < 0 or arena.nodes[i] is live[j])
+                    for i, j in zip(have.tolist(), want.tolist())
+                ), f"arena column {name} is stale"
+            else:
+                assert np.array_equal(have, want), f"arena column {name} is stale"
+    finally:
+        for nd, r in zip(live, rows):
+            nd.row = r
 
 
-def _entries(tab: RegionTable, ts) -> np.ndarray:
-    idxs = [tab.entry(t.node) for t in ts]
-    tab.refresh()
-    return np.array(idxs, dtype=np.intp)
-
-
-def _gather_rows(tab: RegionTable, lnidx: np.ndarray):
+def _gather_rows(arena: NodeArena, leaf_rows: np.ndarray):
     """Stack the payload rows of many (at least one) leaves.
 
     Returns ``(rows, row_pair, lens)``: ``rows`` stacks the leaves'
     points in order, ``row_pair`` maps each row to its index in
-    ``lnidx`` and ``lens`` gives the per-leaf row counts.
+    ``leaf_rows`` and ``lens`` gives the per-leaf row counts.
     """
-    parts = [tab.nodes[i].pts for i in lnidx]
+    nodes = arena.nodes
+    parts = [nodes[i].pts for i in leaf_rows.tolist()]
     lens = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
     row_pair = np.repeat(np.arange(len(parts), dtype=np.intp), lens)
     return np.concatenate(parts), row_pair, lens
-
-
-def _pos_segments(row_pos: np.ndarray):
-    """Contiguous [start, end) ranges per position in a sorted pos array."""
-    upos, first = np.unique(row_pos, return_index=True)
-    ends = np.append(first[1:], len(row_pos))
-    return upos, first, ends
-
-
-def _emit_key(tab: RegionTable, parent: int, child: int) -> tuple:
-    """Sort key reproducing the scalar DFS emission order within a task.
-
-    The scalar handlers emit a non-local child when its *parent* is
-    visited, left child before right.  Parents are visited in right-first
-    pre-order, which sorts as ``(hi_incl DESC, depth ASC)``; the left
-    child has the smaller ``key_lo``.
-    """
-    return (
-        -int(tab.hi_incl[parent]),
-        int(tab.depth[parent]),
-        int(tab.key_lo[child]),
-    )
 
 
 # ======================================================================
@@ -426,318 +466,449 @@ def route_through_l0_vec(tree, results) -> list[Task]:
 
 
 # ======================================================================
-# SEARCH group kernel
+# one BSP round as flat arrays
 # ======================================================================
-def make_search_group_kernel(tree, results):
-    """Pointer-walk descent for one meta's search tasks.
+class _Round:
+    """All pushed groups of one BSP round, flattened to per-task arrays.
+
+    The task index ``t`` runs over the groups in the executor's
+    ``by_meta`` order and, inside a group, in task order — sorting by
+    ``t`` *is* sorting by (group, position), which is how the kernels
+    restore the scalar result and emission order across groups.  Kernels
+    carry their frontier as parallel ``(t, row)`` arrays, book cycles
+    and result words per task, and :meth:`output` folds them per group.
+    """
+
+    __slots__ = ("arena", "tasks", "qids", "grp", "mid", "l1", "entry",
+                 "out", "_cyc_t", "_cyc_w", "_recv")
+
+    def __init__(self, tree, groups) -> None:
+        self.arena = node_arena(tree)
+        self.tasks = tasks = [t for _, ts in groups for t in ts]
+        n_groups, n = len(groups), len(tasks)
+        lens = [len(ts) for _, ts in groups]
+        self.qids = [t.qid for t in tasks]
+        self.grp = np.repeat(np.arange(n_groups), lens)
+        # Locality (ExecContext.local on a module): an L1 task sees every
+        # L1 node, any other task only its own meta's members.
+        self.mid = np.repeat(
+            np.fromiter((m.root.row for m, _ in groups), dtype=np.intp,
+                        count=n_groups), lens)
+        self.l1 = np.repeat(
+            np.fromiter((m.layer == Layer.L1 for m, _ in groups), dtype=bool,
+                        count=n_groups), lens)
+        self.entry = np.fromiter((t.node.row for t in tasks), dtype=np.intp,
+                                 count=n)
+        self.out = RoundOutput(n_groups)
+        self._cyc_t: list[np.ndarray] = []
+        self._cyc_w: list[np.ndarray] = []
+        self._recv = np.zeros(n)
+
+    def visit_cycles(self, rows: np.ndarray) -> np.ndarray:
+        a = self.arena
+        return a.meta_cycles[a.meta_id[rows]]
+
+    def local(self, t: np.ndarray, child: np.ndarray) -> np.ndarray:
+        a = self.arena
+        return np.where(self.l1[t], a.layer[child] == Layer.L1,
+                        a.meta_id[child] == self.mid[t])
+
+    def charge(self, t: np.ndarray, cycles: np.ndarray) -> None:
+        """Book ``cycles[i]`` PIM cycles to task ``t[i]``."""
+        self._cyc_t.append(t)
+        self._cyc_w.append(cycles)
+
+    def reply(self, t: np.ndarray, words) -> None:
+        """Result words tasks ``t`` (each at most once) ship back."""
+        self._recv[t] += words
+
+    def emit(self, t, child, parent, payload, send_words) -> None:
+        """Queue boundary tasks in the scalar emission order.
+
+        The scalar handlers emit a non-local child when its *parent* is
+        visited, left child before right.  Parents are visited in
+        right-first pre-order, which sorts as ``(hi_incl DESC, depth
+        ASC)``; the left child has the smaller ``key_lo``.
+        """
+        a = self.arena
+        order = np.lexsort((a.key_lo[child], a.depth[parent],
+                            ~a.hi_incl[parent], t))
+        nodes, qids, emits = a.nodes, self.qids, self.out.emits
+        t, child = t.tolist(), child.tolist()
+        for i in order.tolist():
+            node = nodes[child[i]]
+            emits.append(Task(qids[t[i]], node.meta, node,
+                              None if payload is None else payload[i],
+                              send_words))
+
+    def output(self) -> RoundOutput:
+        out, n_groups = self.out, len(self.out.cycles)
+        if self._cyc_t:
+            out.cycles = np.bincount(
+                self.grp[np.concatenate(self._cyc_t)],
+                weights=np.concatenate(self._cyc_w), minlength=n_groups,
+            ).tolist()
+        out.recv = np.bincount(self.grp, weights=self._recv,
+                               minlength=n_groups).tolist()
+        return out
+
+
+def _pos_segments(row_pos: np.ndarray):
+    """Contiguous [start, end) ranges per position in a sorted pos array."""
+    upos, first = np.unique(row_pos, return_index=True)
+    ends = np.append(first[1:], len(row_pos))
+    return upos, first, ends
+
+
+# ======================================================================
+# SEARCH round kernel
+# ======================================================================
+def make_search_round_kernel(tree, results):
+    """Pointer-walk descent for a round's search tasks.
 
     SEARCH is pure pointer-chasing — it never tests a box or scans a
-    leaf, so there is nothing for a region table to batch.  The kernel
-    walks the pointers directly (scalar-speed) and aggregates the
-    charges per group, which is counter-exact.
+    leaf, so there is nothing for the arena to batch.  The kernel walks
+    the pointers directly (scalar-speed), group by group, and aggregates
+    the charges per group, which is counter-exact.
     """
     from .search import TRACE_WORDS
 
     kb = tree.key_bits
 
-    def kernel(meta, ts, g) -> None:
+    def kernel(groups) -> RoundOutput:
         cfg = tree.config
-        l1_rule = meta.layer == Layer.L1
-        cyc_of: dict[int, float] = {}
-        for p, t in enumerate(ts):
-            res = results[t.qid]
-            node = t.node
-            while True:
-                m = node.meta
-                c = cyc_of.get(id(m))
-                if c is None:
-                    c = float(m.cycles_per_node(cfg)) if m is not None else 12.0
-                    cyc_of[id(m)] = c
-                g.cycles += c
-                res.trace.append(node)
-                if node.is_leaf:
-                    g.recv += TRACE_WORDS
-                    res.leaf = node
+        out = RoundOutput(len(groups))
+        cyc_of: dict[MetaNode, float] = {}
+        for gi, (meta, ts) in enumerate(groups):
+            l1_rule = meta.layer == Layer.L1
+            cycles = 0.0
+            recv = 0.0
+            for t in ts:
+                res = results[t.qid]
+                node = t.node
+                while True:
+                    m = node.meta
+                    c = cyc_of.get(m)
+                    if c is None:
+                        c = cyc_of[m] = float(m.cycles_per_node(cfg))
+                    cycles += c
+                    res.trace.append(node)
+                    if node.is_leaf:
+                        res.leaf = node
+                        break
+                    child = node.child_for_key(res.key, kb)
+                    lo, hi = child.key_range(kb)
+                    if not lo <= res.key < hi:
+                        res.edge = (node, child)
+                        break
+                    if (child.layer == Layer.L1 if l1_rule
+                            else child.meta is meta):
+                        node = child
+                        continue
+                    out.emits.append(Task(t.qid, child.meta, child))
                     break
-                child = node.child_for_key(res.key, kb)
-                lo, hi = child.key_range(kb)
-                if not lo <= res.key < hi:
-                    g.recv += TRACE_WORDS
-                    res.edge = (node, child)
-                    break
-                loc = child.layer == Layer.L1 if l1_rule else child.meta is meta
-                if loc:
-                    node = child
-                    continue
-                g.recv += TRACE_WORDS
-                g.emit(p, Task(t.qid, child.meta, child))
-                break
+                recv += TRACE_WORDS
+            out.cycles[gi] = cycles
+            out.recv[gi] = recv
+        return out
 
     return kernel
 
 
 # ======================================================================
-# kNN group kernels
+# kNN round kernels
 # ======================================================================
-def _ball_descent(tree, meta, ts, g, Q, bound, linf_bound, coarse: Metric):
-    """Shared kNN descent: visit every node of ``meta``'s region whose
-    box lies within ``bound[p]`` of query ``p`` under ``coarse`` — and,
-    where ``linf_bound[p]`` is finite, also within that ℓ∞ distance —
-    charging ``g`` and emitting boundary tasks as the scalar handlers do.
+def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
+    """Shared kNN descent over a whole round: from every task's entry
+    node, visit each locally reachable node whose box lies within
+    ``bound[t]`` of query ``Q[t]`` under ``coarse`` — and, where
+    ``linf_bound[t]`` is finite, also within that ℓ∞ distance — booking
+    cycles and queueing boundary tasks as the scalar handlers do.
 
-    Returns ``(rows, row_pos, dd)`` for the reached leaves in scalar
-    leaf-scan order (stacked points, owning task position, coarse
-    distance to the task's query), or ``None`` if no leaf was reached.
+    Returns ``(rows, row_t, dd)`` for the reached leaves in scalar
+    leaf-scan order (stacked points, owning task, coarse distance to the
+    task's query), or ``None`` if no leaf was reached.
     """
-    dims = tree.dims
+    a = rnd.arena
+    dims = Q.shape[1]
     box_cyc = coarse.pim_cycles_per_dim * dims
     linf_cyc = LINF.pim_cycles_per_dim * dims
     scan_cyc = 6 + coarse.pim_cycles_per_dim * dims  # PIM_POINT_BASE_CYCLES
     linf_scan_cyc = 6 + LINF.pim_cycles_per_dim * dims
-    tab = region_table(tree, meta)
-    nidx = _entries(tab, ts)
     use_linf = np.isfinite(linf_bound)
-    pos = np.arange(len(ts), dtype=np.intp)
-    lp_n: list[np.ndarray] = []
-    lp_p: list[np.ndarray] = []
-    while len(nidx):
-        g.cycles += float(tab.cycles[nidx].sum()) + box_cyc * len(nidx)
-        d = _dist_point_boxes(Q[pos], tab.lo[nidx], tab.hi[nidx], coarse)
-        keep = d <= bound[pos]
-        nidx, pos = nidx[keep], pos[keep]
-        lmask = use_linf[pos]
-        if lmask.any():
-            g.cycles += linf_cyc * int(lmask.sum())
-            li = np.flatnonzero(lmask)
-            dl = _dist_point_boxes(
-                Q[pos[li]], tab.lo[nidx[li]], tab.hi[nidx[li]], LINF
-            )
-            drop = li[dl > linf_bound[pos[li]]]
-            if len(drop):
-                km = np.ones(len(nidx), dtype=bool)
-                km[drop] = False
-                nidx, pos = nidx[km], pos[km]
-        if not len(nidx):
+    any_linf = bool(use_linf.any())
+    t = np.arange(len(Q), dtype=np.intp)
+    row = rnd.entry
+    leaf_t: list[np.ndarray] = []
+    leaf_r: list[np.ndarray] = []
+    em_t: list[np.ndarray] = []
+    em_c: list[np.ndarray] = []
+    em_p: list[np.ndarray] = []
+    while len(row):
+        rnd.charge(t, rnd.visit_cycles(row) + box_cyc)
+        d = _dist_point_boxes(Q[t], a.lo[row], a.hi[row], coarse)
+        keep = d <= bound[t]
+        t, row = t[keep], row[keep]
+        if any_linf:
+            li = np.flatnonzero(use_linf[t])
+            if len(li):
+                rnd.charge(t[li], np.full(len(li), linf_cyc))
+                dl = _dist_point_boxes(Q[t[li]], a.lo[row[li]], a.hi[row[li]],
+                                       LINF)
+                drop = li[dl > linf_bound[t[li]]]
+                if len(drop):
+                    km = np.ones(len(row), dtype=bool)
+                    km[drop] = False
+                    t, row = t[km], row[km]
+        if not len(row):
             break
-        leaf = tab.is_leaf[nidx]
+        leaf = a.is_leaf[row]
         if leaf.any():
-            ln, lpp = nidx[leaf], pos[leaf]
-            g.cycles += float(tab.count[ln].sum()) * scan_cyc
-            lscan = use_linf[lpp]
-            if lscan.any():
-                g.cycles += float(tab.count[ln[lscan]].sum()) * linf_scan_cyc
-            lp_n.append(ln)
-            lp_p.append(lpp)
-        inner = ~leaf
-        ni, pi = nidx[inner], pos[inner]
-        child = np.concatenate([tab.left[ni], tab.right[ni]])
-        cpos = np.concatenate([pi, pi])
-        cpar = np.concatenate([ni, ni])
-        ext = tab.external[child]
-        if ext.any():
-            for p, ch, pa in zip(cpos[ext], child[ext], cpar[ext]):
-                node = tab.nodes[ch]
-                g.emit(p, Task(ts[p].qid, node.meta, node, None, dims + 3),
-                       _emit_key(tab, pa, ch))
-            ext = ~ext
-            child, cpos = child[ext], cpos[ext]
-        nidx, pos = child, cpos
+            lt, lr = t[leaf], row[leaf]
+            rnd.charge(lt, a.count[lr] * scan_cyc)
+            if any_linf:
+                ls = use_linf[lt]
+                if ls.any():
+                    rnd.charge(lt[ls], a.count[lr[ls]] * linf_scan_cyc)
+            leaf_t.append(lt)
+            leaf_r.append(lr)
+            inner = ~leaf
+            t, row = t[inner], row[inner]
+            if not len(row):
+                break
+        child = np.concatenate([a.left[row], a.right[row]])
+        ct = np.concatenate([t, t])
+        loc = rnd.local(ct, child)
+        if not loc.all():
+            ext = ~loc
+            em_t.append(ct[ext])
+            em_c.append(child[ext])
+            em_p.append(np.concatenate([row, row])[ext])
+        t, row = ct[loc], child[loc]
 
-    if not lp_n:
+    if em_t:
+        rnd.emit(np.concatenate(em_t), np.concatenate(em_c),
+                 np.concatenate(em_p), None, dims + 3)
+    if not leaf_t:
         return None
-    ln = np.concatenate(lp_n)
-    lp = np.concatenate(lp_p)
-    # Scalar leaf-scan order: tasks in group order, leaves per task in
-    # right-first DFS order = descending key_lo (disjoint leaves).
-    order = np.lexsort((~tab.key_lo[ln], lp))
-    rows, row_pair, _ = _gather_rows(tab, ln[order])
-    row_pos = lp[order][row_pair]
-    return rows, row_pos, _dist_rows(rows, Q[row_pos], coarse)
+    lr = np.concatenate(leaf_r)
+    lt = np.concatenate(leaf_t)
+    # Scalar leaf-scan order: tasks in (group, position) order, leaves per
+    # task in right-first DFS order = descending key_lo (disjoint leaves).
+    order = np.lexsort((~a.key_lo[lr], lt))
+    rows, row_pair, _ = _gather_rows(a, lr[order])
+    row_t = lt[order][row_pair]
+    return rows, row_t, _dist_rows(rows, Q[row_t], coarse)
 
 
-def make_candidate_group_kernel(tree, states, coarse: Metric, k: int):
+def make_candidate_round_kernel(tree, states, coarse: Metric, k: int):
     """Fused distance-matrix evaluation for kNN candidate search."""
     dims = tree.dims
+    Qall = np.stack([st.q for st in states])
 
-    def kernel(meta, ts, g) -> None:
-        Q = np.stack([states[t.qid].q for t in ts])
-        radius = np.array([states[t.qid].radius() for t in ts])
-        hit = _ball_descent(tree, meta, ts, g, Q, radius,
-                            np.full(len(ts), np.inf), coarse)
-        if hit is None:
-            return
-        rows, row_pos, dd = hit
-        for _, a, b in zip(*_pos_segments(row_pos)):
-            p = int(row_pos[a])
-            dcat = dd[a:b]
-            sel = np.argsort(dcat, kind="stable")[: min(k, len(dcat))]
-            g.cycles += len(dcat) * 6
-            g.recv += len(sel) * (dims + 1)
-            g.result(p, ("cand", dcat[sel], rows[a:b][sel]))
+    def kernel(groups) -> RoundOutput:
+        rnd = _Round(tree, groups)
+        qids = rnd.qids
+        # The round-start radius is fixed for the whole round, so batching
+        # across groups cannot change what any task prunes.
+        radius = np.array([states[q].radius() for q in qids])
+        hit = _ball_descent(rnd, Qall[qids], radius,
+                            np.full(len(qids), np.inf), coarse)
+        if hit is not None:
+            rows, row_t, dd = hit
+            upos, first, ends = _pos_segments(row_t)
+            seg = ends - first
+            rnd.charge(upos, seg * 6)
+            rnd.reply(upos, np.minimum(seg, k) * (dims + 1))
+            results = rnd.out.results
+            for p, s, e in zip(upos.tolist(), first.tolist(), ends.tolist()):
+                dcat = dd[s:e]
+                sel = np.argsort(dcat, kind="stable")[:k]
+                results.append((qids[p], ("cand", dcat[sel], rows[s:e][sel])))
+        return rnd.output()
 
     return kernel
 
 
-def make_fetch_group_kernel(tree, states, coarse: Metric, bounds, exact_radii):
+def make_fetch_round_kernel(tree, states, coarse: Metric, bounds, exact_radii):
     """Fused ball-fetch for kNN step 4 (anchored bound + ℓ∞ filter)."""
     dims = tree.dims
+    Qall = np.stack([st.q for st in states])
+    bounds = np.asarray(bounds, dtype=np.float64)
+    # As in the scalar handler: no ℓ∞ filter under a coarse ℓ2.
+    exact_radii = (
+        np.asarray(exact_radii, dtype=np.float64)
+        if coarse.name != "l2"
+        else np.full(len(bounds), np.inf)
+    )
 
-    def kernel(meta, ts, g) -> None:
-        Q = np.stack([states[t.qid].q for t in ts])
-        bnd = np.array([bounds[t.qid] for t in ts])
-        # As in the scalar handler: no ℓ∞ filter under a coarse ℓ2.
-        rex = (
-            np.array([exact_radii[t.qid] for t in ts])
-            if coarse.name != "l2"
-            else np.full(len(ts), np.inf)
-        )
-        hit = _ball_descent(tree, meta, ts, g, Q, bnd, rex, coarse)
-        if hit is None:
-            return
-        rows, row_pos, dd = hit
-        mask = dd <= bnd[row_pos]
-        row_rex = rex[row_pos]
-        if np.isfinite(row_rex).any():
-            mask &= _dist_rows(rows, Q[row_pos], LINF) <= row_rex
-        for _, a, b in zip(*_pos_segments(row_pos)):
-            p = int(row_pos[a])
-            sel = mask[a:b]
-            n_sel = int(sel.sum())
-            if n_sel:
-                g.recv += n_sel * dims
-                g.result(p, ("pts", rows[a:b][sel]))
+    def kernel(groups) -> RoundOutput:
+        rnd = _Round(tree, groups)
+        qids = rnd.qids
+        Q, bnd, rex = Qall[qids], bounds[qids], exact_radii[qids]
+        hit = _ball_descent(rnd, Q, bnd, rex, coarse)
+        if hit is not None:
+            rows, row_t, dd = hit
+            mask = dd <= bnd[row_t]
+            row_rex = rex[row_t]
+            if np.isfinite(row_rex).any():
+                mask &= _dist_rows(rows, Q[row_t], LINF) <= row_rex
+            _reply_points(rnd, rows, row_t, mask, dims)
+        return rnd.output()
 
     return kernel
 
 
+def _reply_points(rnd: _Round, rows, row_t, mask, dims: int) -> None:
+    """Per task (``row_t`` sorted), ship back the rows ``mask`` selects."""
+    upos, first, ends = _pos_segments(row_t)
+    n_sel = np.add.reduceat(mask.astype(np.intp), first)
+    rnd.reply(upos, n_sel * dims)
+    qids, results = rnd.qids, rnd.out.results
+    for p, s, e, n in zip(upos.tolist(), first.tolist(), ends.tolist(),
+                          n_sel.tolist()):
+        if n:
+            results.append((qids[p], ("pts", rows[s:e][mask[s:e]])))
+
+
 # ======================================================================
-# range-query group kernel
+# range-query round kernel
 # ======================================================================
-def make_range_group_kernel(tree, boxes, *, fetch: bool):
-    """Mask-based range filtering for one meta's box-query tasks."""
-    dims = tree.dims
+def make_range_round_kernel(tree, boxes, *, fetch: bool):
+    """Mask-based range filtering for a round's box-query tasks."""
+    Lo = np.stack([b.lo for b in boxes])
+    Hi = np.stack([b.hi for b in boxes])
+
+    def kernel(groups) -> RoundOutput:
+        rnd = _Round(tree, groups)
+        skip = np.array([t.payload == "all" for t in rnd.tasks], dtype=bool)
+        _range_descent(rnd, Lo[rnd.qids], Hi[rnd.qids], skip, fetch)
+        return rnd.output()
+
+    return kernel
+
+
+def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
+    """Box count/fetch over a whole round; ``skip[t]`` marks tasks whose
+    entry subtree is already known to be contained (``"all"`` mode)."""
+    a = rnd.arena
+    n_tasks, dims = Lo.shape
     scan_cyc = 6 + 2 * dims  # PIM_POINT_BASE + _SCAN_METRIC per dim
-
-    def kernel(meta, ts, g) -> None:
-        tab = region_table(tree, meta)
-        nidx = _entries(tab, ts)
-        Lo = np.stack([boxes[t.qid].lo for t in ts])
-        Hi = np.stack([boxes[t.qid].hi for t in ts])
-        pos = np.arange(len(ts), dtype=np.intp)
-        skip = np.array([t.payload == "all" for t in ts], dtype=bool)
-        totals = np.zeros(len(ts), dtype=np.int64)
-        whole_n: list[np.ndarray] = []
-        whole_p: list[np.ndarray] = []
-        part_n: list[np.ndarray] = []
-        part_p: list[np.ndarray] = []
-        while len(nidx):
-            g.cycles += float(tab.cycles[nidx].sum())
-            tested = ~skip
-            g.cycles += 6.0 * int(tested.sum())  # _PIM_BOX_TEST_CYCLES
-            nlo, nhi = tab.lo[nidx], tab.hi[nidx]
-            ql, qh = Lo[pos], Hi[pos]
-            inter = (nlo <= qh).all(axis=1) & (ql <= nhi).all(axis=1)
-            contained = (ql <= nlo).all(axis=1) & (nhi <= qh).all(axis=1)
-            cont = skip | contained
-            part = tested & inter & ~contained
-            leaf = tab.is_leaf[nidx]
-            if not fetch:
-                cm = cont
-                if cm.any():
-                    np.add.at(totals, pos[cm], tab.count[nidx[cm]])
-                exp_masks = ((part & ~leaf, False),)
-            else:
-                wl = cont & leaf
-                if wl.any():
-                    whole_n.append(nidx[wl])
-                    whole_p.append(pos[wl])
-                exp_masks = ((cont & ~leaf, True), (part & ~leaf, False))
-            pl = part & leaf
-            if pl.any():
-                ln = nidx[pl]
-                g.cycles += float(tab.count[ln].sum()) * scan_cyc
-                part_n.append(ln)
-                part_p.append(pos[pl])
-            cn: list[np.ndarray] = []
-            cp: list[np.ndarray] = []
-            cs: list[np.ndarray] = []
-            cr: list[np.ndarray] = []
-            for msk, flag in exp_masks:
-                if not msk.any():
-                    continue
-                ni, pi = nidx[msk], pos[msk]
-                cn.append(tab.left[ni])
-                cn.append(tab.right[ni])
-                cp.append(pi)
-                cp.append(pi)
-                cs.append(np.full(2 * len(ni), flag, dtype=bool))
-                cr.append(ni)
-                cr.append(ni)
-            if not cn:
-                break
-            nidx = np.concatenate(cn)
-            pos = np.concatenate(cp)
-            skip = np.concatenate(cs)
-            par = np.concatenate(cr)
-            ext = tab.external[nidx]
-            if ext.any():
-                for p, ch, sk, pa in zip(pos[ext], nidx[ext], skip[ext],
-                                         par[ext]):
-                    node = tab.nodes[ch]
-                    g.emit(
-                        p,
-                        Task(ts[p].qid, node.meta, node,
-                             "all" if sk else "test", 2 * dims + 2),
-                        _emit_key(tab, pa, ch),
-                    )
-                ext = ~ext
-                nidx, pos, skip = nidx[ext], pos[ext], skip[ext]
-
+    t = np.arange(n_tasks, dtype=np.intp)
+    row = rnd.entry
+    tot_t: list[np.ndarray] = []
+    tot_v: list[np.ndarray] = []
+    whole_t: list[np.ndarray] = []
+    whole_r: list[np.ndarray] = []
+    part_t: list[np.ndarray] = []
+    part_r: list[np.ndarray] = []
+    em_t: list[np.ndarray] = []
+    em_c: list[np.ndarray] = []
+    em_p: list[np.ndarray] = []
+    em_s: list[np.ndarray] = []
+    while len(row):
+        tested = ~skip
+        # Node visit, plus _PIM_BOX_TEST_CYCLES where the box is tested.
+        rnd.charge(t, rnd.visit_cycles(row) + 6.0 * tested)
+        nlo, nhi = a.lo[row], a.hi[row]
+        ql, qh = Lo[t], Hi[t]
+        inter = (nlo <= qh).all(axis=1) & (ql <= nhi).all(axis=1)
+        contained = (ql <= nlo).all(axis=1) & (nhi <= qh).all(axis=1)
+        cont = skip | contained
+        part = tested & inter & ~contained
+        leaf = a.is_leaf[row]
         if not fetch:
-            if part_n:
-                ln = np.concatenate(part_n)
-                lp = np.concatenate(part_p)
-                rows, row_pair, _ = _gather_rows(tab, ln)
-                row_pos = lp[row_pair]
-                inside = (rows >= Lo[row_pos]).all(axis=1) & (
-                    rows <= Hi[row_pos]
-                ).all(axis=1)
-                if inside.any():
-                    np.add.at(totals, row_pos[inside], 1)
-            for p in range(len(ts)):
-                if totals[p]:
-                    g.recv += 1
-                    g.result(p, ("count", int(totals[p])))
-            return
+            if cont.any():
+                tot_t.append(t[cont])
+                tot_v.append(a.count[row[cont]])
+            exp_masks = ((part & ~leaf, False),)
+        else:
+            wl = cont & leaf
+            if wl.any():
+                whole_t.append(t[wl])
+                whole_r.append(row[wl])
+            exp_masks = ((cont & ~leaf, True), (part & ~leaf, False))
+        pl = part & leaf
+        if pl.any():
+            rnd.charge(t[pl], a.count[row[pl]] * scan_cyc)
+            part_t.append(t[pl])
+            part_r.append(row[pl])
+        cr: list[np.ndarray] = []
+        ct: list[np.ndarray] = []
+        cs: list[np.ndarray] = []
+        cp: list[np.ndarray] = []
+        for msk, flag in exp_masks:
+            if not msk.any():
+                continue
+            ri, ti = row[msk], t[msk]
+            cr += (a.left[ri], a.right[ri])
+            ct += (ti, ti)
+            cs.append(np.full(2 * len(ri), flag, dtype=bool))
+            cp += (ri, ri)
+        if not cr:
+            break
+        row = np.concatenate(cr)
+        t = np.concatenate(ct)
+        skip = np.concatenate(cs)
+        loc = rnd.local(t, row)
+        if not loc.all():
+            ext = ~loc
+            em_t.append(t[ext])
+            em_c.append(row[ext])
+            em_p.append(np.concatenate(cp)[ext])
+            em_s.append(skip[ext])
+            t, row, skip = t[loc], row[loc], skip[loc]
 
-        if not (whole_n or part_n):
-            return
-        ln = np.concatenate(whole_n + part_n)
-        lp = np.concatenate(whole_p + part_p)
-        whole_flag = np.zeros(len(ln), dtype=bool)
-        nw = sum(len(a) for a in whole_n)
-        whole_flag[:nw] = True
-        order = np.lexsort((~tab.key_lo[ln], lp))
-        ln, lp, whole_flag = ln[order], lp[order], whole_flag[order]
-        rows, row_pair, lens = _gather_rows(tab, ln)
-        row_pos = lp[row_pair]
-        # Contained leaves skip the membership test in the scalar path, so
-        # their rows are taken wholesale (no float compare involved).
-        inside = np.repeat(whole_flag, lens)
-        pm = ~inside
-        if pm.any():
-            inside[pm] = (rows[pm] >= Lo[row_pos[pm]]).all(axis=1) & (
-                rows[pm] <= Hi[row_pos[pm]]
+    if em_t:
+        rnd.emit(
+            np.concatenate(em_t), np.concatenate(em_c), np.concatenate(em_p),
+            ["all" if s else "test" for s in np.concatenate(em_s).tolist()],
+            2 * dims + 2,
+        )
+
+    if not fetch:
+        if part_r:
+            lt = np.concatenate(part_t)
+            rows, row_pair, _ = _gather_rows(a, np.concatenate(part_r))
+            row_t = lt[row_pair]
+            inside = (rows >= Lo[row_t]).all(axis=1) & (
+                rows <= Hi[row_t]
             ).all(axis=1)
-        for _, a, b in zip(*_pos_segments(row_pos)):
-            p = int(row_pos[a])
-            sel = inside[a:b]
-            n_sel = int(sel.sum())
-            if n_sel:
-                g.recv += n_sel * dims
-                g.result(p, ("pts", rows[a:b][sel]))
+            tot_t.append(row_t[inside])
+            tot_v.append(np.ones(int(inside.sum()), dtype=np.int64))
+        if tot_t:
+            # Integer-valued weights: the float64 sums are exact.
+            totals = np.bincount(np.concatenate(tot_t),
+                                 weights=np.concatenate(tot_v),
+                                 minlength=n_tasks).astype(np.int64)
+            hit = np.flatnonzero(totals)
+            rnd.reply(hit, 1)
+            qids = rnd.qids
+            rnd.out.results.extend(
+                (qids[p], ("count", n))
+                for p, n in zip(hit.tolist(), totals[hit].tolist())
+            )
+        return
 
-    return kernel
+    if not (whole_r or part_r):
+        return
+    lr = np.concatenate(whole_r + part_r)
+    lt = np.concatenate(whole_t + part_t)
+    whole_flag = np.zeros(len(lr), dtype=bool)
+    whole_flag[:sum(len(x) for x in whole_r)] = True
+    order = np.lexsort((~a.key_lo[lr], lt))
+    lr, lt, whole_flag = lr[order], lt[order], whole_flag[order]
+    rows, row_pair, lens = _gather_rows(a, lr)
+    row_t = lt[row_pair]
+    # Contained leaves skip the membership test in the scalar path, so
+    # their rows are taken wholesale (no float compare involved).
+    inside = np.repeat(whole_flag, lens)
+    pm = ~inside
+    if pm.any():
+        inside[pm] = (rows[pm] >= Lo[row_t[pm]]).all(axis=1) & (
+            rows[pm] <= Hi[row_t[pm]]
+        ).all(axis=1)
+    _reply_points(rnd, rows, row_t, inside, dims)
 
 
 # ======================================================================
@@ -747,20 +918,19 @@ def seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list) -> No
     """Vectorized ``_seed_l0`` over the whole box batch.
 
     Precomputes the (box × L0-node) containment/intersection matrices in
-    one broadcast, then replays the scalar per-box DFS using the matrix
-    — charges are aggregated and the LLC touch sequence is replayed in
-    the exact scalar order.
+    one broadcast over the arena's L0 rows, then replays the scalar
+    per-box DFS using the matrix — charges are aggregated and the LLC
+    touch sequence is replayed in the exact scalar order.
     """
     sys = tree.system
     root = tree.root
     dims = tree.dims
-    l0 = tree.l0_nodes()
-    idx_of: dict[int, int] = {}
-    if l0:
-        ensure_node_boxes(tree, l0)
-        idx_of = {id(nd): j for j, nd in enumerate(l0)}
-        NLo = np.stack([nd.box.lo for nd in l0])
-        NHi = np.stack([nd.box.hi for nd in l0])
+    arena = node_arena(tree)
+    l0 = np.flatnonzero(arena.layer[:arena.n] == Layer.L0)
+    if len(l0):
+        col = np.empty(arena.n, dtype=np.intp)
+        col[l0] = np.arange(len(l0))
+        NLo, NHi = arena.lo[l0], arena.hi[l0]
         QLo = np.stack([b.lo for b in boxes]) if boxes else np.empty((0, dims))
         QHi = np.stack([b.hi for b in boxes]) if boxes else np.empty((0, dims))
         inter = (NLo[None, :, :] <= QHi[:, None, :]).all(-1) & (
@@ -783,7 +953,7 @@ def seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list) -> No
                 continue
             cpu_ops += 4  # _CPU_BOX_TEST_OPS
             touches.append(("pimzd", "l0", node.nid))
-            j = idx_of[id(node)]
+            j = col[node.row]
             if skip or contd[qid, j]:
                 if not fetch:
                     counts[qid] += node.count

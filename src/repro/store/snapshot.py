@@ -386,8 +386,7 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
         if head[4] != _BUILT_SC_NONE
     }
     tree.last_executor = None
-    tree._region_tables = {}
-    tree._pair_box_cache = {}
+    tree._arena = None
     tree.journal = None
     tree.replicas = None  # rebuilt by recovery from the manifest, if any
     tree.route_filters = None  # reattached by recovery from the manifest

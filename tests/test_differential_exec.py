@@ -182,5 +182,8 @@ def test_reference_mode_disables_group_kernels(variant):
                           exec_mode="reference")
     assert ad.tree.config.exec_mode == "reference"
     ad.tree.knn(pts[:8], 3)
-    # Reference mode never builds vectorized region tables for queries.
-    assert not getattr(ad.tree, "_region_tables", {})
+    ad.tree.box_count(make_boxes(pts, 0.2, 4, seed=1))
+    ad.tree.insert(rng.random((20, 3)))
+    ad.tree.box_fetch(make_boxes(pts, 0.2, 4, seed=2))
+    # Reference mode never builds the vectorized kernels' node arena.
+    assert ad.tree._arena is None
