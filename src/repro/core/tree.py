@@ -200,26 +200,40 @@ class PIMZdTree:
                 stack.append((nd.right, nd.layer))
 
     # ==================================================================
-    # node-arena upkeep (repro.core.vexec.NodeArena)
+    # residency listeners: the node arena and the route filters
     # ==================================================================
+    # One marking call per structural change, two consumers (DESIGN.md
+    # § "Residency listeners"): the vectorised kernels' NodeArena rewrites
+    # the marked *rows*, the RouteFilterSet re-scans the marked *chunks*
+    # (``node.meta`` as of the mark; ``None`` is the L0 pseudo-chunk).
     def mark_dirty(self, node: Node) -> None:
-        """A column the arena mirrors (count, layer, meta, child links)
-        changed on ``node``; its row is rewritten at the next flush.
-        A meta-node whose member count changed marks its *root*, whose
-        row carries the chunk's per-visit cycles.  No-op without an arena.
+        """Something a listener mirrors (count, layer, meta, child links,
+        leaf payload) changed on ``node``.  A meta-node whose member count
+        changed marks its *root*, whose arena row carries the chunk's
+        per-visit cycles.  Free when nothing listens.
         """
         if self._arena is not None:
             self._arena.dirty.add(node)
+        if self.route_filters is not None:
+            self.route_filters.dirty.add(node.meta)
 
     def mark_dirty_subtree(self, root: Node) -> None:
         """Every node at or below ``root`` changed (a region re-chunked)."""
+        if self._arena is None and self.route_filters is None:
+            return
+        nodes = subtree_nodes(root)
         if self._arena is not None:
-            self._arena.dirty.update(subtree_nodes(root))
+            self._arena.dirty.update(nodes)
+        if self.route_filters is not None:
+            self.route_filters.dirty.update(nd.meta for nd in nodes)
 
     def mark_removed(self, node: Node) -> None:
-        """``node`` was unlinked from the tree: its arena row is garbage."""
+        """``node`` was unlinked from the tree: its arena row is garbage,
+        its chunk lost a member."""
         if self._arena is not None:
             self._arena.remove(node)
+        if self.route_filters is not None:
+            self.route_filters.dirty.add(node.meta)
 
     def l0_nodes(self) -> list[Node]:
         out: list[Node] = []
@@ -542,7 +556,7 @@ class PIMZdTree:
             for m in self.system.modules:
                 if not m.failed:
                     m.alloc_cache(w)
-        # Membership filters (repro.route) rebuild whenever residency
+        # Membership filters (repro.route) catch up whenever residency
         # changes: every path that moves keys (upload, insert/delete,
         # migrate/clone, replica install/promotion, failover, recovery)
         # funnels through here under its charged phase.
@@ -733,8 +747,11 @@ class PIMZdTree:
             assert meta.l1_desc_metas == l1_below(meta), (
                 f"l1_desc_metas drift: {meta.l1_desc_metas} vs {l1_below(meta)}"
             )
-        # The vectorised kernels' arena, once built, mirrors this structure.
+        # The vectorised kernels' arena, once built, mirrors this structure;
+        # so do the route filters, once attached.
         if self._arena is not None:
             from .vexec import check_arena
 
             check_arena(self)
+        if self.route_filters is not None:
+            self.route_filters.check()

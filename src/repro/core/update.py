@@ -150,9 +150,9 @@ def insert_batch(tree, points: np.ndarray) -> None:
 
         tree.rechunk_stale()
     # Insert-only residency change: stage the new keys so the route
-    # filters' rebuild (inside refresh_residency) can take the cheap
-    # in-place path.  A faulted batch never reaches here — its rollback
-    # goes through the delete path, which does not stage.
+    # filters' rebuild (inside refresh_residency) can charge per new key.
+    # A faulted batch never reaches here — its rollback goes through the
+    # delete path, which does not stage.
     rf = tree.route_filters
     if rf is not None:
         rf.stage_inserts(

@@ -22,27 +22,51 @@ no false negatives over the indexed key set, range summaries are exact
 bounds, and closedness is structural — so answers stay byte-identical
 and a false positive costs exactly what the unfiltered send costs today.
 
-Maintenance is charged honestly.  Filters rebuild from residency inside
-``tree.refresh_residency()``, which every path that moves keys already
-calls under its charged phase (bulk upload, insert/delete batches,
-rebalance migrate/clone, replica install/promotion, failover rebuild,
-recovery replay).  A full rebuild charges ``k`` hash ops per indexed key
-plus a DRAM stream of the filter words under a ``"route"`` phase (the
-pinned ``"recovery"`` phase keeps recovery attribution).  **Insert-only
-batches are cheaper**: the insert path stages its new keys
-(:meth:`RouteFilterSet.stage_inserts`), and when the rebuild's residency
-walk proves nothing else moved, the new bits are OR-ed in place —
-bit-identical to the full rebuild, but charged per *new* key only.
-Deletes, migrations and every other structural change fall back to the
-full rebuild automatically (the staged arithmetic stops matching).
-Probes charge a few host ops each.  Crash-restart persists only ``(fpr,
-seed, enabled)`` in the snapshot manifest — the bit arrays are a pure
-function of residency and seed, so :func:`repro.store.recovery.recover`
-rebuilds them bit-identically.
+Maintenance is charged honestly, and costs the host what the batch
+touched.  Filters catch up inside ``tree.refresh_residency()``, which every
+path that moves keys already calls under its charged phase (bulk upload,
+insert/delete batches, rebalance migrate/clone, replica install/promotion,
+failover rebuild, recovery replay).
+
+*What is cached.*  Per chunk (keyed by its root nid) the resident key
+array and the replica secondaries it was indexed under, next to the
+``(module, lo, hi, closed)`` summary the probes read; plus the keys of the
+"L0" pseudo-chunk (leaves above the chunked layers, global filter only).
+Every filter is a pure function of this cache: the global one the union of
+all arrays, a module's the union over the chunks it masters or holds a
+copy of.
+
+*Who marks.*  The tree's structural primitives — ``mark_dirty``,
+``mark_dirty_subtree``, ``mark_removed``, the same calls that keep the
+vectorised kernels' node arena current (DESIGN.md § "Residency
+listeners") — add the chunk of every node they change to
+``RouteFilterSet.dirty``.  A rebuild re-scans the marked chunks, finds new and retired
+ones by diffing the cache against ``tree.metas`` and moved or re-replicated
+ones by comparing ``(module, *secondaries)``; no leaf of a clean chunk is
+visited.  A filter that only gained keys within its Bloom geometry gets
+them OR-ed in, one that lost a key or outgrew its geometry is rebuilt from
+its chunks' cached arrays, the rest are not read.  Attach, recovery and
+``from_manifest`` are the same routine with an empty cache.
+
+*Why the physical work and the charged work are computed separately.*  The
+simulated bill is the model's, not the host's: a full rebuild charges
+``k`` hash ops per indexed key plus a DRAM stream of the filter words under
+a ``"route"`` phase (the pinned ``"recovery"`` phase keeps recovery
+attribution); an insert batch that staged its keys
+(:meth:`RouteFilterSet.stage_inserts`) and provably changed nothing else
+charges per *new* key only.  Which of the two applies is decided by the
+arithmetic a full residency walk would do, evaluated on the touched chunks
+and cached counts — so the charge is to the integer what walking every
+meta charged, while the bits are always derived from the cache diff and
+never depend on the staging.  Probes charge a few host ops each.
+Crash-restart persists only ``(fpr, seed, enabled)`` in the snapshot
+manifest — the bit arrays are a pure function of residency and seed, so
+:func:`repro.store.recovery.recover` rebuilds them bit-identically.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -62,6 +86,10 @@ _PROBE_BASE_OPS = 2          # range/closedness checks per probe
 _HASH_OPS = 1                # per hash function evaluated
 _REBUILD_OPS_PER_KEY = 1     # per (key, hash) bit set during a rebuild
 _REBUILD_OPS_PER_META = 4    # per-chunk summary bookkeeping
+
+_NO_KEYS = np.empty(0, dtype=np.uint64)
+_HASH_STEPS = np.arange(16, dtype=np.uint64)[:, None]  # i of h1 + i·h2, i < k
+_SCATTER_BLOCK = 1 << 12     # keys hashed per scatter
 
 
 def _splitmix_array(x: np.ndarray, salt: int) -> np.ndarray:
@@ -95,25 +123,11 @@ class _ModuleFilter:
     __slots__ = ("words", "m_bits", "k", "lo", "hi", "n_keys")
 
     def __init__(self, keys: np.ndarray, fpr: float, seed: int) -> None:
-        self.n_keys = len(keys)
-        self.m_bits, self.k = _bloom_params(max(1, self.n_keys), fpr)
+        self.m_bits, self.k = _bloom_params(max(1, len(keys)), fpr)
         self.words = np.zeros(self.m_bits // 64, dtype=np.uint64)
-        if self.n_keys:
-            self.lo = int(keys.min())
-            self.hi = int(keys.max())
-            mask = np.uint64(self.m_bits - 1)
-            h1 = _splitmix_array(keys, seed)
-            h2 = _splitmix_array(keys, seed + 1) | np.uint64(1)
-            with np.errstate(over="ignore"):
-                for i in range(self.k):
-                    idx = (h1 + np.uint64(i) * h2) & mask
-                    np.bitwise_or.at(
-                        self.words, (idx >> np.uint64(6)).astype(np.int64),
-                        np.uint64(1) << (idx & np.uint64(63)),
-                    )
-        else:
-            self.lo = None
-            self.hi = None
+        self.lo = self.hi = None
+        self.n_keys = 0
+        self.add(keys, seed)
 
     def add(self, keys: np.ndarray, seed: int) -> None:
         """OR ``keys``' bits in place and widen the range summary.
@@ -122,20 +136,23 @@ class _ModuleFilter:
         keys' bits to the existing array is *bit-identical* to a full
         rebuild over old ∪ new — provided ``m_bits``/``k`` are unchanged
         (the caller checks :func:`_bloom_params` before choosing this
-        path) and the seed is the same.
+        path) and the seed is the same.  The ``k × n`` bit positions are
+        computed as one matrix and scattered in one pass (per block of
+        ``_SCATTER_BLOCK`` keys), not hash function by hash function.
         """
         if not len(keys):
             return
         mask = np.uint64(self.m_bits - 1)
-        h1 = _splitmix_array(keys, seed)
-        h2 = _splitmix_array(keys, seed + 1) | np.uint64(1)
-        with np.errstate(over="ignore"):
-            for i in range(self.k):
-                idx = (h1 + np.uint64(i) * h2) & mask
-                np.bitwise_or.at(
-                    self.words, (idx >> np.uint64(6)).astype(np.int64),
-                    np.uint64(1) << (idx & np.uint64(63)),
-                )
+        # Blocked so a big filter's index matrix stays a few hundred KiB.
+        for at in range(0, len(keys), _SCATTER_BLOCK):
+            block = keys[at:at + _SCATTER_BLOCK]
+            h1 = _splitmix_array(block, seed)
+            h2 = _splitmix_array(block, seed + 1) | np.uint64(1)
+            idx = (h1 + _HASH_STEPS[:self.k] * h2) & mask
+            np.bitwise_or.at(
+                self.words, (idx >> np.uint64(6)).astype(np.intp).ravel(),
+                (np.uint64(1) << (idx & np.uint64(63))).ravel(),
+            )
         klo, khi = int(keys.min()), int(keys.max())
         self.lo = klo if self.lo is None else min(self.lo, klo)
         self.hi = khi if self.hi is None else max(self.hi, khi)
@@ -155,6 +172,55 @@ class _ModuleFilter:
         return True
 
 
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    if len(parts) > 1:
+        return np.concatenate(parts)
+    return parts[0] if parts else _NO_KEYS
+
+
+def _scan(root, meta) -> tuple[np.ndarray, bool]:
+    """Resident keys of the chunk ``meta`` rooted at ``root`` and whether
+    it is *closed* (no member has a child in another chunk).  With
+    ``meta=None`` and the tree root this is the L0 pseudo-chunk: the keys
+    held above the chunked layers (host/broadcast L0 leaves)."""
+    closed = True
+    parts: list[np.ndarray] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.meta is not meta:
+            closed = False
+            continue
+        if node.is_leaf:
+            if len(node.keys):
+                parts.append(node.keys)
+            continue
+        stack.append(node.left)
+        stack.append(node.right)
+    return _concat(parts), closed
+
+
+def _multiset_delta(old: list[np.ndarray], new: list[np.ndarray]
+                    ) -> tuple[np.ndarray, bool]:
+    """``(added, shrank)`` between two key multisets given as array lists:
+    the keys ``new`` holds beyond ``old`` (with multiplicity), and whether
+    ``old`` holds any key ``new`` lacks (``added`` is then unused)."""
+    if len(old) == len(new) and all(a is b for a, b in zip(old, new)):
+        return _NO_KEYS, False
+    if not old:
+        return _concat(new), False
+    if not new:
+        return _NO_KEYS, True
+    a, b = _concat(old), _concat(new)
+    vals, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    diff = (np.bincount(inv[len(a):], minlength=len(vals))
+            - np.bincount(inv[:len(a)], minlength=len(vals)))
+    if (diff < 0).any():
+        return _NO_KEYS, True
+    grown = diff > 0
+    return np.repeat(vals[grown], diff[grown]), False
+
+
 class RouteFilterSet:
     """Membership-filter routing state attached to a :class:`PIMZdTree`.
 
@@ -168,7 +234,7 @@ class RouteFilterSet:
         if not 0.0 < fpr < 0.5:
             raise ValueError("route-filter FPR must be in (0, 0.5)")
         self.tree = tree
-        self.fpr = float(fpr)
+        self._fpr = float(fpr)
         self.seed = int(seed)
         self.enabled = bool(enabled)
         # Observability counters (host-side, never charged).
@@ -177,36 +243,57 @@ class RouteFilterSet:
         self.fp_probes = 0
         self.probes = 0
         self.rebuilds = 0
-        self.incremental = 0         # rebuilds served by the in-place path
+        self.incremental = 0         # rebuilds charged by the delta formula
         self.keys_indexed = 0
+        self._clear()
+        tree.route_filters = self
+        self.rebuild()
+
+    @property
+    def fpr(self) -> float:
+        return self._fpr
+
+    @fpr.setter
+    def fpr(self, value: float) -> None:
+        """Re-target the false-positive rate (the online controller's
+        knob): every filter's geometry depends on it, so the next
+        :meth:`rebuild` starts over."""
+        self._fpr = float(value)
+        self._clear()
+
+    def _clear(self) -> None:
+        """Forget everything derived from residency: the next
+        :meth:`rebuild` sees every chunk as new."""
         self._global: _ModuleFilter | None = None
         self._filters: dict[int, _ModuleFilter] = {}
         # meta.root.nid -> (module, res_lo, res_hi, closed)
         self._meta_info: dict[int, tuple[int, int | None, int | None, bool]] = {}
-        # Incremental-maintenance state: keys staged by an insert-only
-        # batch, per-chunk resident counts and the replica-placement
-        # snapshot as of the last (re)build — the evidence the next
-        # rebuild uses to prove that setting bits in place is safe.
+        # The chunk cache behind the filters: meta.root.nid -> (resident
+        # keys, replica secondaries) as of the last rebuild, and the keys
+        # of the L0 pseudo-chunk.  Every filter is a function of this
+        # cache, so a rebuild only re-reads the chunks in ``dirty``.
+        self._chunks: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
+        self._l0_keys = _NO_KEYS
+        # Chunks marked by the tree since then — ``PIMZdTree.mark_dirty``
+        # / ``mark_dirty_subtree`` / ``mark_removed`` add ``node.meta`` as
+        # of the mark (a MetaNode, or None for an L0 node): their resident
+        # keys or closedness may differ at the next rebuild.
+        self.dirty: set = {None}
+        # Keys staged by an insert batch (a charging hint, see rebuild).
         self._staged: np.ndarray | None = None
-        self._chunk_counts: dict[int, int] = {}
-        self._reps_snapshot: dict[int, tuple[int, ...]] = {}
-        tree.route_filters = self
-        self.rebuild()
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def stage_inserts(self, keys) -> None:
         """Declare that the residency change now in flight only *adds*
-        ``keys`` (an insert batch).  The next :meth:`rebuild` then tries
-        the in-place incremental path: Bloom bits are an OR over per-key
-        hashes, so OR-ing the new keys' bits into the existing arrays is
-        bit-identical to a full rebuild *provided* nothing else moved —
-        which the rebuild verifies against the staged keys before
-        touching a bit (and otherwise falls back to the full, charged
-        rebuild, so stale or wrong staging can never corrupt a filter).
-        Deletes, migrations and rollbacks never stage, so they keep the
-        full-rebuild path.
+        ``keys`` (an insert batch).  The next :meth:`rebuild` then checks,
+        against what it finds in the touched chunks, that nothing else
+        moved, and if so charges the maintenance per *new* key (the bits
+        can be OR-ed in place) instead of per resident key.  The staging
+        is a charging hint only: which bits are set never depends on it,
+        so stale or wrong staging cannot corrupt a filter.  Deletes,
+        migrations and rollbacks never stage.
         """
         arr = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64))
         if not len(arr):
@@ -214,213 +301,225 @@ class RouteFilterSet:
         self._staged = (arr.copy() if self._staged is None
                         else np.concatenate([self._staged, arr]))
 
+    # One filter per module plus the global one, addressed as ``None``.
+    def _filter(self, mid: int | None) -> _ModuleFilter | None:
+        return self._global if mid is None else self._filters.get(mid)
+
+    def _seed_of(self, mid: int | None) -> int:
+        return self.seed if mid is None else self.seed + 2 * (mid + 1)
+
+    def _fits(self, mid: int | None, n_more: int) -> bool:
+        """Can filter ``mid`` take ``n_more`` keys within its geometry?"""
+        f = self._filter(mid)
+        return f is not None and _bloom_params(
+            max(1, f.n_keys + n_more), self.fpr) == (f.m_bits, f.k)
+
+    def _build_filter(self, mid: int | None, keys: np.ndarray) -> None:
+        """(Re)build one filter over ``keys``; a module left without a
+        resident key has no filter, the global filter always exists."""
+        if mid is None:
+            self._global = _ModuleFilter(keys, self.fpr, self.seed)
+        elif len(keys):
+            self._filters[mid] = _ModuleFilter(keys, self.fpr,
+                                               self._seed_of(mid))
+        else:
+            self._filters.pop(mid, None)
+
     def rebuild(self) -> None:
-        """Recompute every filter from current residency (charged).
+        """Bring every filter up to date with current residency (charged).
 
         Called from ``tree.refresh_residency()`` — i.e. inside every
         charged phase where residency actually changes — and once at
-        attach time.  Determinism: bits are an OR over per-key hashes,
-        so iteration order cannot matter; summaries iterate
-        ``tree.metas`` in list order.
+        attach time, when every chunk is new.  The work follows the
+        touched chunks, not the index: only chunks the tree marked
+        (``dirty``), chunks that appeared in or vanished from
+        ``tree.metas``, and chunks whose ``(module, *secondaries)``
+        changed are looked at, in root-nid order (``tree.metas`` is an
+        identity-hashed set, so its own order follows memory addresses);
+        of those only the marked and new ones are re-scanned.  Each
+        filter whose key multiset only grew, within its Bloom geometry,
+        gets the new keys OR-ed in (:meth:`_ModuleFilter.add`); one that
+        lost a key or outgrew its geometry is rebuilt from the cached
+        arrays of its chunks; the others are not read.
 
-        When an insert-only batch staged its keys via
-        :meth:`stage_inserts` and the residency walk proves nothing else
-        changed, the rebuild is served **incrementally**: new bits are
-        OR-ed into the existing arrays (bit-identical, see
-        :meth:`_ModuleFilter.add`) and only the new keys' hashes are
-        charged, instead of re-hashing every resident key.
+        What is *charged* is the model's bill, computed from counts with
+        no hashing: when an insert batch staged its keys
+        (:meth:`stage_inserts`) and the touched chunks prove nothing else
+        moved, ``k`` hash ops per new (key, copy) — otherwise the
+        full-rebuild formula, ``k`` hash ops per indexed key plus a DRAM
+        stream of every filter word.
         """
-        staged = self._staged
-        self._staged = None
-        tree = self.tree
-        sys = tree.system
-        by_module: dict[int, list[np.ndarray]] = {}
-        meta_info: dict[int, tuple[int, int | None, int | None, bool]] = {}
-        all_keys: list[np.ndarray] = []
-        chunk_keys: dict[int, np.ndarray] = {}
-        for meta in tree.metas:
-            closed = True
-            parts: list[np.ndarray] = []
-            stack = [meta.root]
-            while stack:
-                node = stack.pop()
-                if node.meta is not meta:
-                    closed = False
-                    continue
-                if node.is_leaf:
-                    if len(node.keys):
-                        parts.append(node.keys)
-                    continue
-                stack.append(node.left)
-                stack.append(node.right)
-            nid = meta.root.nid
-            if parts:
-                arr = np.concatenate(parts) if len(parts) > 1 else parts[0]
-                chunk_keys[nid] = arr
-                by_module.setdefault(meta.module, []).append(arr)
-                all_keys.append(arr)
-                meta_info[nid] = (meta.module, int(arr.min()), int(arr.max()),
-                                  closed)
-            else:
-                meta_info[nid] = (meta.module, None, None, closed)
-        # Keys held above the chunked layers (host/broadcast L0 leaves)
-        # still belong in the global filter: absence there must prove
-        # absence everywhere.
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node is None or node.meta is not None:
-                continue
-            if node.is_leaf:
-                if len(node.keys):
-                    all_keys.append(node.keys)
-                continue
-            stack.append(node.left)
-            stack.append(node.right)
-        # Replica copies: the keys are resident on the secondary modules
-        # too (installed/promoted under their own charged phases).
-        reps = self.tree.replicas
-        reps_snap: dict[int, tuple[int, ...]] = {}
-        if reps is not None:
-            for nid, mids in reps._secondaries.items():
-                reps_snap[int(nid)] = tuple(int(m) for m in mids)
-                arr = chunk_keys.get(nid)
-                if arr is None:
-                    continue
-                for mid in mids:
-                    by_module.setdefault(int(mid), []).append(arr)
-
-        if staged is not None and self._try_incremental(
-                staged, chunk_keys, meta_info, all_keys, reps_snap):
-            return
-
-        seed = self.seed
-        self._filters = {
-            mid: _ModuleFilter(
-                np.concatenate(parts) if len(parts) > 1 else parts[0],
-                self.fpr, seed + 2 * (mid + 1),
-            )
-            for mid, parts in by_module.items()
-        }
-        gkeys = (np.concatenate(all_keys) if all_keys
-                 else np.empty(0, dtype=np.uint64))
-        self._global = _ModuleFilter(gkeys, self.fpr, seed)
-        self._meta_info = meta_info
-        self._chunk_counts = {nid: len(arr)
-                              for nid, arr in chunk_keys.items()}
-        self._reps_snapshot = reps_snap
+        delta = self._sync()
         self.rebuilds += 1
         self.keys_indexed = int(sum(f.n_keys for f in self._filters.values())
                                 + self._global.n_keys)
-
+        if delta is not None:
+            self.incremental += 1
+            k_ops, bit_words, n_metas = delta
+        else:
+            filters = [self._global, *self._filters.values()]
+            k_ops = sum(f.k * f.n_keys for f in filters)
+            bit_words = sum(len(f.words) for f in filters)
+            n_metas = len(self._meta_info)
         # Charge the maintenance under its own phase (a pinned phase —
-        # recovery — keeps its label): k hash ops per indexed key, the
-        # per-chunk summary bookkeeping, and a DRAM stream of the bits.
-        k_ops = (self._global.k * self._global.n_keys
-                 + sum(f.k * f.n_keys for f in self._filters.values()))
-        bit_words = (len(self._global.words)
-                     + sum(len(f.words) for f in self._filters.values()))
-        with sys.phase("route"):
-            sys.charge_cpu(k_ops * _REBUILD_OPS_PER_KEY
-                           + len(self._meta_info) * _REBUILD_OPS_PER_META)
-            sys.dram_stream(bit_words)
-
-    def _try_incremental(self, staged: np.ndarray, chunk_keys: dict,
-                         meta_info: dict, all_keys: list,
-                         reps_snap: dict) -> bool:
-        """Serve a rebuild by OR-ing staged insert keys in place.
-
-        All evidence comes from the *fresh* residency walk, checked
-        against the state recorded by the last build — the staging is a
-        hint, never trusted: (1) the chunk set, each chunk's module and
-        closedness, and the replica placement are unchanged; (2) every
-        chunk's resident count grew by exactly its share of the staged
-        keys, and the global count by exactly ``len(staged)`` (a delete,
-        move, split or re-insert of an existing key breaks the
-        arithmetic and falls back); (3) no Bloom geometry changes —
-        ``_bloom_params`` for the new counts must match every touched
-        filter's existing ``(m_bits, k)``.  Only then are bits OR-ed in
-        (bit-identical to the full rebuild, :meth:`_ModuleFilter.add`)
-        and only the *new* keys' hashes charged.  Returns True when the
-        rebuild was served in place.
-        """
-        g = self._global
-        if g is None or not len(staged):
-            return False
-        old_info = self._meta_info
-        if set(meta_info) != set(old_info):
-            return False
-        for nid, (module, _, _, closed) in meta_info.items():
-            old = old_info[nid]
-            if module != old[0] or closed != old[3]:
-                return False
-        if reps_snap != self._reps_snapshot:
-            return False
-        # Per-chunk arithmetic: new count == old count + staged keys
-        # that landed in the chunk (and no chunk lost its keys).
-        added_per_chunk: dict[int, np.ndarray] = {}
-        for nid, arr in chunk_keys.items():
-            add = arr[np.isin(arr, staged)]
-            if len(arr) != self._chunk_counts.get(nid, 0) + len(add):
-                return False
-            if len(add):
-                added_per_chunk[nid] = add
-        for nid, old_n in self._chunk_counts.items():
-            if old_n and nid not in chunk_keys:
-                return False
-        new_gn = int(sum(len(a) for a in all_keys))
-        if new_gn != g.n_keys + len(staged):
-            return False
-        if _bloom_params(max(1, new_gn), self.fpr) != (g.m_bits, g.k):
-            return False
-        # Per-module additions: each touched chunk feeds its primary
-        # module plus every replica secondary holding a copy.
-        added_per_module: dict[int, list[np.ndarray]] = {}
-        for nid, add in added_per_chunk.items():
-            for mid in (meta_info[nid][0], *reps_snap.get(nid, ())):
-                added_per_module.setdefault(int(mid), []).append(add)
-        per_module: list[tuple[int, np.ndarray]] = []
-        for mid in sorted(added_per_module):
-            parts = added_per_module[mid]
-            f = self._filters.get(mid)
-            if f is None:
-                return False  # module gained its first keys: full build
-            add = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            if _bloom_params(max(1, f.n_keys + len(add)),
-                             self.fpr) != (f.m_bits, f.k):
-                return False
-            per_module.append((mid, add))
-
-        # Every check passed — mutate.  Bits are ORs, so the result is
-        # bit-identical to the full rebuild over the same residency.
-        touched: list[tuple[_ModuleFilter, int]] = []
-        for mid, add in per_module:
-            f = self._filters[mid]
-            f.add(add, self.seed + 2 * (mid + 1))
-            touched.append((f, len(add)))
-        g.add(staged, self.seed)
-        touched.append((g, len(staged)))
-        self._meta_info = meta_info
-        self._chunk_counts = {nid: len(arr)
-                              for nid, arr in chunk_keys.items()}
-        self._reps_snapshot = reps_snap
-        self.rebuilds += 1
-        self.incremental += 1
-        self.keys_indexed = int(
-            sum(f.n_keys for f in self._filters.values()) + g.n_keys)
-
-        # Charge only the delta: k hash ops per *new* (key, copy) pair,
-        # summary bookkeeping for the touched chunks, and a DRAM stream
-        # bounded by the bits actually written (never more than the
-        # filter itself — the full-rebuild stream is the ceiling).
-        k_ops = sum(f.k * cnt for f, cnt in touched)
-        bit_words = sum(min(len(f.words), f.k * cnt) for f, cnt in touched)
+        # recovery — keeps its label).
         sys = self.tree.system
         with sys.phase("route"):
             sys.charge_cpu(k_ops * _REBUILD_OPS_PER_KEY
-                           + len(added_per_chunk) * _REBUILD_OPS_PER_META)
+                           + n_metas * _REBUILD_OPS_PER_META)
             sys.dram_stream(bit_words)
-        return True
+
+    def _sync(self) -> tuple[int, int, int] | None:
+        """The uncharged half of :meth:`rebuild`: update cache and filters.
+
+        Returns ``(k_ops, bit_words, chunks)`` of the delta charge when
+        the staged insert keys account for every change, else ``None``
+        (the full-rebuild charge applies).  The test is the arithmetic a
+        full residency walk would do — chunk set, modules, closedness and
+        replica placement unchanged; every chunk grew by exactly the
+        staged keys found in it and the global count by ``len(staged)``
+        (a delete, move, split or re-insert of an existing key breaks
+        it); no touched filter changes Bloom geometry — evaluated on the
+        touched chunks only: equal Morton keys share a leaf, so a clean
+        chunk cannot hold a staged key.
+        """
+        tree = self.tree
+        chunks, info_of = self._chunks, self._meta_info
+        g = self._global
+        staged, self._staged = self._staged, None
+        marked, self.dirty = self.dirty, set()
+        reps = tree.replicas
+        secs_of = reps._secondaries if reps is not None else {}
+
+        # One attribute pass over the metas: which chunks are new, which
+        # changed residency.  (A chunk re-created under the same root was
+        # marked through its nodes by the re-chunk.)
+        live = tree.metas
+        touched = {m for m in marked if m is not None and m in live}
+        nids = set()
+        for meta in live:
+            nid = meta.root.nid
+            nids.add(nid)
+            ent = chunks.get(nid)
+            if ent is None:
+                marked.add(meta)
+                touched.add(meta)
+            elif (meta.module != info_of[nid][0]
+                  or secs_of.get(nid, ()) != ent[1]):
+                touched.add(meta)
+        gone = sorted(nid for nid in chunks if nid not in nids)
+
+        # Old and new key arrays per filter (None: the global one).
+        old: dict[int | None, list[np.ndarray]] = {None: []}
+        new: dict[int | None, list[np.ndarray]] = {None: []}
+
+        def note(parts, keys, residency) -> None:
+            if len(keys):
+                for mid in (None, *residency):
+                    parts.setdefault(mid, []).append(keys)
+
+        incremental = staged is not None and g is not None and not gone
+        grown = 0                      # chunks that took a staged key
+        staged_on: dict[int, int] = {}  # module -> staged (key, copy) pairs
+        n_global = 0 if g is None else g.n_keys
+
+        for nid in gone:
+            keys, secs = chunks.pop(nid)
+            note(old, keys, (info_of.pop(nid)[0], *secs))
+            n_global -= len(keys)
+        for meta in sorted(touched, key=lambda m: m.root.nid):
+            nid = meta.root.nid
+            ent, info = chunks.get(nid), info_of.get(nid)
+            res = (meta.module, *secs_of.get(nid, ()))
+            if ent is None:
+                keys_old, res_old, was_closed = _NO_KEYS, (), None
+            else:
+                keys_old, res_old, was_closed = (
+                    ent[0], (info[0], *ent[1]), info[3])
+            if meta in marked:
+                keys, closed = _scan(meta.root, meta)
+                if np.array_equal(keys, keys_old):
+                    keys = keys_old
+            else:
+                keys, closed = keys_old, was_closed
+            if incremental and res == res_old and closed == was_closed:
+                n_staged = int(np.isin(keys, staged).sum())
+                incremental = len(keys) == len(keys_old) + n_staged
+                if n_staged:
+                    grown += 1
+                    for mid in res:
+                        staged_on[mid] = staged_on.get(mid, 0) + n_staged
+            else:
+                incremental = False
+            note(old, keys_old, res_old)
+            note(new, keys, res)
+            n_global += len(keys) - len(keys_old)
+            chunks[nid] = (keys, res[1:])
+            info_of[nid] = (
+                (meta.module, int(keys.min()), int(keys.max()), closed)
+                if len(keys) else (meta.module, None, None, closed))
+        if None in marked:
+            keys, _ = _scan(tree.root, None)
+            if np.array_equal(keys, self._l0_keys):
+                keys = self._l0_keys
+            note(old, self._l0_keys, ())
+            note(new, keys, ())
+            n_global += len(keys) - len(self._l0_keys)
+            self._l0_keys = keys
+
+        # The charge is settled on the filters as they were.
+        delta = None
+        if (incremental and n_global == g.n_keys + len(staged)
+                and all(self._fits(mid, n)
+                        for mid, n in ((None, len(staged)),
+                                       *staged_on.items()))):
+            hashed = [(g, len(staged))] + [
+                (self._filters[mid], n) for mid, n in staged_on.items()]
+            delta = (sum(f.k * n for f, n in hashed),
+                     sum(min(len(f.words), f.k * n) for f, n in hashed),
+                     grown)
+
+        # Apply: OR the growth in, or rebuild the filter from the cache.
+        stale: dict[int | None, list[np.ndarray]] = {}
+        for mid in sorted(old.keys() | new.keys(),
+                          key=lambda m: -1 if m is None else m):
+            added, shrank = _multiset_delta(old.get(mid, []),
+                                            new.get(mid, []))
+            if self._filter(mid) is None:  # the module's first keys; attach
+                self._build_filter(mid, added)
+            elif shrank or not self._fits(mid, len(added)):
+                stale[mid] = []
+            elif len(added):
+                self._filter(mid).add(added, self._seed_of(mid))
+        if stale:
+            for nid, (keys, secs) in chunks.items():
+                if len(keys):
+                    for mid in (None, info_of[nid][0], *secs):
+                        if mid in stale:
+                            stale[mid].append(keys)
+            if None in stale and len(self._l0_keys):
+                stale[None].append(self._l0_keys)
+            for mid, parts in stale.items():
+                self._build_filter(mid, _concat(parts))
+        return delta
+
+    def check(self) -> None:
+        """Assert that the maintained summaries and every filter equal a
+        set built from scratch on the current tree (uncharged).  Run by
+        ``tree.check_invariants()``: a structural change the tree did not
+        mark fails here."""
+        fresh = copy.copy(self)
+        fresh._clear()
+        fresh._sync()
+        assert self._meta_info == fresh._meta_info, "stale chunk summary"
+        assert self._filters.keys() == fresh._filters.keys(), (
+            "route filters cover the wrong modules")
+        for mid in (None, *self._filters):
+            have, want = self._filter(mid), fresh._filter(mid)
+            assert np.array_equal(have.words, want.words) and all(
+                getattr(have, a) == getattr(want, a)
+                for a in ("m_bits", "k", "lo", "hi", "n_keys")
+            ), f"route filter {mid} differs from a fresh build"
 
     # ------------------------------------------------------------------
     # probes (charged per call)
@@ -438,7 +537,7 @@ class RouteFilterSet:
             self.tree.system.charge_cpu(_PROBE_BASE_OPS)
             return False
         self.tree.system.charge_cpu(_PROBE_BASE_OPS + f.k * _HASH_OPS)
-        return f.probe(key, self.seed + 2 * (mid + 1))
+        return f.probe(key, self._seed_of(mid))
 
     def _probe_meta_range(self, nid: int, zlo: int, zhi: int) -> bool:
         """May the chunk rooted at ``nid`` hold a key in ``[zlo, zhi]``?"""

@@ -91,56 +91,68 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
     metas = sorted(tree.metas, key=lambda m: m.root.nid)
     meta_idx = {id(m): i for i, m in enumerate(metas)}
 
-    node_records: list[bytes] = []
-    chunk_bufs: dict[str, bytearray] = {}
-
-    # Iterative preorder walk (push right then left so left pops first).
+    # Iterative preorder walk (push right then left so left pops first);
+    # leaves are grouped by owning chunk in walk order.
+    nodes: list = []
+    chunk_leaves: dict[str, list] = {}
     stack = [tree.root]
     while stack:
         node = stack.pop()
-        flags = _FLAG_LEAF if node.is_leaf else 0
-        midx = meta_idx[id(node.meta)] if node.meta is not None else -1
-        node_records.append(
-            _NODE.pack(node.nid, node.prefix, node.depth, flags,
-                       int(node.layer), node.count, node.sc, node.delta,
-                       midx)
-        )
+        nodes.append(node)
         if node.is_leaf:
             cid = "l0" if node.meta is None else f"m{node.meta.root.nid}"
-            buf = chunk_bufs.setdefault(cid, bytearray())
-            keys = np.ascontiguousarray(node.keys, dtype="<u8")
-            pts = np.ascontiguousarray(node.pts, dtype="<f8")
-            buf += _LEAF_HEAD.pack(node.nid, len(keys))
-            buf += keys.tobytes()
-            buf += pts.tobytes()
+            chunk_leaves.setdefault(cid, []).append(node)
         else:
             stack.append(node.right)
             stack.append(node.left)
 
-    # Meta table: fixed head + explicit children index list (order matters:
-    # `children` is append-ordered and observable through later rebuilds).
-    meta_records: list[bytes] = []
+    # Topology: every record is packed straight into one buffer of the
+    # final size.  Meta table: fixed head + explicit children index list
+    # (order matters: `children` is append-ordered and observable through
+    # later rebuilds).
+    topo = bytearray(
+        _TOPO_HEAD.size + _NODE.size * len(nodes) + _META.size * len(metas)
+        + _META_KID.size * sum(len(m.children) for m in metas))
+    _TOPO_HEAD.pack_into(topo, 0, len(nodes), len(metas), tree.dims)
+    off = _TOPO_HEAD.size
+    for node in nodes:
+        _NODE.pack_into(
+            topo, off, node.nid, node.prefix, node.depth,
+            _FLAG_LEAF if node.is_leaf else 0, int(node.layer), node.count,
+            node.sc, node.delta,
+            meta_idx[id(node.meta)] if node.meta is not None else -1)
+        off += _NODE.size
     for m in metas:
         parent_idx = (meta_idx[id(m.parent)]
                       if m.parent is not None and id(m.parent) in meta_idx
                       else -1)
         built = tree._meta_built_sc.get(m, _BUILT_SC_NONE)
         stale = 1 if m in tree._stale_metas else 0
-        head = _META.pack(
-            m.root.nid, int(m.module), parent_idx, stale, int(built),
-            int(m.n_nodes), float(m.payload_words), int(m.l1_desc_metas),
-            int(m.hot_hits), len(m.children),
-        )
-        kids = b"".join(
-            _META_KID.pack(meta_idx[id(c)]) for c in m.children
-        )
-        meta_records.append(head + kids)
+        _META.pack_into(
+            topo, off, m.root.nid, int(m.module), parent_idx, stale,
+            int(built), int(m.n_nodes), float(m.payload_words),
+            int(m.l1_desc_metas), int(m.hot_hits), len(m.children))
+        off += _META.size
+        for c in m.children:
+            _META_KID.pack_into(topo, off, meta_idx[id(c)])
+            off += _META_KID.size
+    topology = bytes(topo)
+    del topo, nodes
 
-    topology = (
-        _TOPO_HEAD.pack(len(node_records), len(metas), tree.dims)
-        + b"".join(node_records)
-        + b"".join(meta_records)
-    )
+    # Chunk blobs: each is joined once from its leaves' records and is the
+    # object both hashed and stored.  (``tobytes``, not the arrays' buffer
+    # interface: numpy keeps an exported array's buffer info until the
+    # array dies, ~40 B on every leaf array for the life of the tree.)
+    chunks: dict[str, bytes] = {}
+    for cid, leaves in chunk_leaves.items():
+        parts = []
+        for leaf in leaves:
+            keys = np.ascontiguousarray(leaf.keys, dtype="<u8")
+            pts = np.ascontiguousarray(leaf.pts, dtype="<f8")
+            parts += (_LEAF_HEAD.pack(leaf.nid, len(keys)),
+                      keys.tobytes(), pts.tobytes())
+        chunks[cid] = b"".join(parts)
+    del chunk_leaves
 
     sys = tree.system
     manifest = {
@@ -192,8 +204,8 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
         },
         "topology": {"hash": _blob_hash(topology), "bytes": len(topology)},
         "chunks": {
-            cid: {"hash": _blob_hash(bytes(buf)), "bytes": len(buf)}
-            for cid, buf in sorted(chunk_bufs.items())
+            cid: {"hash": _blob_hash(blob), "bytes": len(blob)}
+            for cid, blob in sorted(chunks.items())
         },
     }
     # Replica registry (repro.replicate): checkpoints truncate the WAL, so
@@ -213,9 +225,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
     if rf is not None:
         manifest["route_filters"] = rf.to_manifest()
     manifest["checksum"] = _manifest_checksum(manifest)
-    return SnapshotImage(
-        manifest, topology, {c: bytes(b) for c, b in chunk_bufs.items()}
-    )
+    return SnapshotImage(manifest, topology, chunks)
 
 
 # ======================================================================
