@@ -49,6 +49,32 @@ class TestBasics:
         assert pts.shape == (500, 3)
 
 
+# SHA-256 of ``varden_points(...).tobytes()`` as generated with NumPy array
+# steps; the walk now steps on Python floats and must not move a bit.
+_VARDEN_DIGESTS = [
+    ((100_000, 3, 7), {},
+     "0f42e4542341fc46fab14aecd27e4c49d9b772d44c4ccd94ed14302e6db3430c"),
+    ((60_000, 3, 7), {},
+     "6a572107b80074f8eef0e6b4c5169b09b48997482be0ab856bd6bb4f020bb3c4"),
+    ((20_000, 2, 3), {},
+     "04b373aca3cf5f28d305d45febe66d4b1e4515f9b2ec1daa6420aaaeffbff47e"),
+    ((5_000, 5, 11), {},
+     "022ce595bf2e9a04acf59675f1ca4b2fe4746ef77484066df260a6606820eb63"),
+    # Frequent restarts and reflections off every face.
+    ((5_000, 3, 5), {"restart_prob": 0.05, "step_scale": 0.2},
+     "f9009ff33ba10e9ba47c09b48f9d2d56b03d377ecf1a43cb1b0cc64fccc9aded"),
+]
+
+
+@pytest.mark.parametrize("args, kw, digest", _VARDEN_DIGESTS,
+                         ids=[f"{a[0]}x{a[1]}-s{a[2]}" for a, _, _ in _VARDEN_DIGESTS])
+def test_varden_bytes_are_pinned(args, kw, digest):
+    import hashlib
+
+    assert hashlib.sha256(varden_points(*args, **kw).tobytes()).hexdigest() == digest
+    assert varden_points(0, args[1], seed=args[2]).shape == (0, args[1])
+
+
 class TestSkewCalibration:
     """The synthetic datasets must match the published Gini coefficients:
     COSMOS ≈ 0.287, OSM ≈ 0.967 over 2048 bins (§7.2)."""
