@@ -10,9 +10,11 @@ drop-in replacements for the scalar per-task handlers: for any workload, both
   aggregate *and* in every per-phase bucket.
 
 Hypothesis drives the op mix through both modes across dims 2/3/5, both
-config variants, duplicate points, and adversarially skewed query/update
+config variants, duplicate points, adversarially skewed query/update
 batches (everything concentrated in one corner so a single module absorbs
-the whole batch, exercising the pull paths and emission ordering).
+the whole batch, exercising the pull paths and emission ordering), and
+tie-heavy data (``ties.tie_heavy``: lattices and duplicate piles queried
+exactly at the kNN bound).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ties import tie_heavy
+
 from repro.core import Box
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
 
@@ -29,11 +33,20 @@ DIMS = st.sampled_from([2, 3, 5])
 VARIANTS = st.sampled_from(["throughput", "skew"])
 
 
-def _build_inputs(dims: int, seed: int, dup: bool, skew: bool):
+def _build_inputs(dims: int, seed: int, dup: bool, skew: bool,
+                  ties: bool = False):
     """One deterministic workload: data, queries, boxes, updates."""
     rng = np.random.default_rng(seed)
     n = 700
     pts = rng.random((n, dims))
+    if ties:
+        # Lattices, duplicate piles and exactly tied kNN queries (tests/ties.py).
+        pts, q = tie_heavy(dims, seed, n_queries=48)
+        n = len(pts)
+        fresh = rng.random((120, dims))
+        boxes = make_boxes(pts, 0.18, 24, seed=seed + 1)
+        dele = np.vstack([pts[rng.integers(0, n, size=80)], fresh[:40]])
+        return pts, q, boxes, fresh, dele
     if dup:
         # Exact duplicate rows (identical Morton keys share a leaf slot).
         pts[n // 2 :] = pts[: n - n // 2]
@@ -122,13 +135,18 @@ def assert_stats_identical(ref, vec) -> None:
     skew=st.booleans(),
     variant=VARIANTS,
     k=st.sampled_from([1, 5, 16]),
+    ties=st.booleans(),
 )
-@example(dims=2, seed=0, dup=True, skew=True, variant="skew", k=5)
-@example(dims=3, seed=1, dup=False, skew=True, variant="throughput", k=1)
-@example(dims=5, seed=2, dup=True, skew=False, variant="throughput", k=16)
+@example(dims=2, seed=0, dup=True, skew=True, variant="skew", k=5, ties=False)
+@example(dims=3, seed=1, dup=False, skew=True, variant="throughput", k=1,
+         ties=False)
+@example(dims=5, seed=2, dup=True, skew=False, variant="throughput", k=16,
+         ties=False)
+@example(dims=3, seed=4, dup=False, skew=False, variant="skew", k=16,
+         ties=True)
 def test_exec_modes_are_differentially_identical(dims, seed, dup, skew,
-                                                 variant, k):
-    pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew)
+                                                 variant, k, ties):
+    pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew, ties)
     ref_out, ref_stats = _run_mode("reference", variant, pts.copy(), q, boxes,
                                    fresh, dele, k)
     vec_out, vec_stats = _run_mode("vectorized", variant, pts.copy(), q, boxes,
@@ -151,11 +169,15 @@ def test_exec_modes_are_differentially_identical(dims, seed, dup, skew,
     skew=st.booleans(),
     variant=VARIANTS,
     k=st.sampled_from([1, 5, 16]),
+    ties=st.booleans(),
 )
-@example(dims=2, seed=0, dup=True, skew=True, variant="skew", k=5)
-@example(dims=3, seed=1, dup=False, skew=True, variant="throughput", k=1)
+@example(dims=2, seed=0, dup=True, skew=True, variant="skew", k=5, ties=False)
+@example(dims=3, seed=1, dup=False, skew=True, variant="throughput", k=1,
+         ties=False)
+@example(dims=2, seed=3, dup=False, skew=False, variant="skew", k=5,
+         ties=True)
 def test_sim_modes_are_differentially_identical(dims, seed, dup, skew,
-                                                variant, k):
+                                                variant, k, ties):
     """Both simulator cores under the full index workload.
 
     The fully scalar oracle (reference exec + scalar sim) and the fully
@@ -163,7 +185,7 @@ def test_sim_modes_are_differentially_identical(dims, seed, dup, skew,
     result and every PIMStats counter — the two orthogonal fast layers
     compose without breaking counter-exactness.
     """
-    pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew)
+    pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew, ties)
     ref_out, ref_stats = _run_mode("reference", variant, pts.copy(), q, boxes,
                                    fresh, dele, k, sim_mode="scalar")
     vec_out, vec_stats = _run_mode("vectorized", variant, pts.copy(), q, boxes,
