@@ -158,47 +158,6 @@ def chunk_region(
     return metas
 
 
-def extend_meta(
-    meta: MetaNode,
-    node: Node,
-    config: PIMZdTreeConfig,
-    dims: int,
-    place: Callable[[object], int],
-) -> list[MetaNode]:
-    """Absorb a brand-new subtree under an existing meta-node.
-
-    ``node`` is the root of a subtree consisting entirely of new nodes
-    whose parent already belongs to ``meta``.  Nodes satisfying the chunk
-    rule against ``meta``'s root join ``meta``; the rest are chunked into
-    fresh meta-nodes (returned) parented under ``meta``.
-    """
-    created: list[MetaNode] = []
-    threshold = meta.root.sc / max(1, config.chunk_factor)
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.layer == meta.layer and n.sc > threshold:
-            n.meta = meta
-            meta.n_nodes += 1
-            meta.payload_words += node_words(n, dims)
-            if not n.is_leaf:
-                stack.append(n.left)
-                stack.append(n.right)
-        else:
-            new = chunk_region(n, config, dims, place)
-            new[0].parent = meta
-            meta.children.append(new[0])
-            created.extend(new)
-    if created:
-        new_l1 = sum(1 for m in created if m.layer == Layer.L1)
-        if new_l1:
-            anc: MetaNode | None = meta
-            while anc is not None:
-                anc.l1_desc_metas += new_l1
-                anc = anc.parent
-    return created
-
-
 def _accumulate_l1_desc(meta: MetaNode) -> int:
     """Post-order fill of ``l1_desc_metas``; returns #L1 metas in subtree."""
     below = 0

@@ -27,7 +27,8 @@ promote   a 2-word mastership hand-off ``send`` (the    ``meta.module = dst`` +
 
 The whole list shares one BSP round, preceded by the host's re-placement
 bookkeeping (``_CONTROL_CPU_OPS`` per move) and followed by one
-``refresh_residency``, all under ``phase`` with fault injection
+``refresh_residency`` (each moved chunk is marked placed, so the residency
+listeners re-book exactly those), all under ``phase`` with fault injection
 suppressed — relocation rides the reliable control channel, so it always
 completes.  With a journal attached, the migrate moves are logged as one
 MIGRATE record and the clone moves as one REPLICATE record (rebuilds and
@@ -91,6 +92,7 @@ def relocate(tree, moves: Sequence, *, phase: str) -> float:
                              else meta.upload_words(cfg))
                     sys.send(dst, total)
                     installed += total
+                tree.mark_placed(meta)
                 if kind == "clone":
                     tree.replicas.register(meta.root.nid, dst)
                 else:

@@ -15,7 +15,9 @@ operation modules (:mod:`.search`, :mod:`.update`, :mod:`.knn`,
 * lazy counters (§3.4): ``record_count_change`` accumulates deltas and
   triggers snapshot syncs per the Table 1 thresholds, charging replica
   updates (L0 broadcast; L1 cached copies) when they fire;
-* residency accounting per module for the Theorem 5.1 space bounds.
+* residency accounting per module for the Theorem 5.1 space bounds, kept
+  in proportion to each batch by the chunk-change feed of
+  :mod:`.residency`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import numpy as np
 
 from ..pim.cost_model import PIMCostModel, upmem_scaled
 from ..pim.model import PIMSystem
-from .chunking import MetaNode, chunk_region, iter_meta_subtree
+from .chunking import MetaNode, chunk_region
 from .config import PIMZdTreeConfig, throughput_optimized
 from .geometry import L2, Box, Metric
 from .morton import MortonCodec, max_bits_per_dim, morton_encode
 from .node import Layer, Node, node_words, subtree_nodes
+from .residency import ResidencyFeed, WordLedger, residency_from_scratch
 
 __all__ = ["PIMZdTree"]
 
@@ -82,6 +85,10 @@ class PIMZdTree:
         # Lazy-counter value of each meta root at chunk-build time, for the
         # 2x staleness rule that amortises re-chunking (§3.2).
         self._meta_built_sc: dict[MetaNode, int] = {}
+        # What changed since the last refresh_residency, and the per-chunk
+        # word accounting that reads it (repro.core.residency).
+        self.feed = ResidencyFeed()
+        self._ledger = WordLedger(self)
         self.last_executor = None
         # Derived read-side view: the vectorised kernels' node arena
         # (repro.core.vexec.NodeArena), built on the first vectorised
@@ -104,7 +111,7 @@ class PIMZdTree:
             self.system.charge_cpu(n * max(1, int(np.log2(n + 1))) * 4)
             self.system.dram_stream(n * (self.dims + 1))
             self.root: Node = self._build_nodes(keys[order], points[order], 0)
-            self._assign_layers_subtree(self.root, parent_layer=None)
+            self._layer_subtree(self.root, parent_layer=None)
             self._chunk_everything()
             self._decide_l0_mode()
             self._upload()
@@ -190,6 +197,11 @@ class PIMZdTree:
 
     def _assign_layers_subtree(self, node: Node, parent_layer: Layer | None) -> None:
         self.mark_dirty_subtree(node)
+        self._layer_subtree(node, parent_layer)
+
+    def _layer_subtree(self, node: Node, parent_layer: Layer | None) -> None:
+        """Layer every node at or below ``node`` (unmarked: the build,
+        whose first refresh reads the whole tree anyway)."""
         stack = [(node, parent_layer)]
         while stack:
             nd, above = stack.pop()
@@ -200,40 +212,78 @@ class PIMZdTree:
                 stack.append((nd.right, nd.layer))
 
     # ==================================================================
-    # residency listeners: the node arena and the route filters
+    # residency listeners: the node arena, the chunk-change feed and the
+    # route filters
     # ==================================================================
-    # One marking call per structural change, two consumers (DESIGN.md
-    # § "Residency listeners"): the vectorised kernels' NodeArena rewrites
-    # the marked *rows*, the RouteFilterSet re-scans the marked *chunks*
-    # (``node.meta`` as of the mark; ``None`` is the L0 pseudo-chunk).
+    # One marking call per structural change (DESIGN.md § "Residency
+    # listeners"): the vectorised kernels' NodeArena rewrites the marked
+    # *rows*; the feed and the RouteFilterSet record the marked *chunks*
+    # (``node.meta`` as of the mark; ``None`` is the L0 pseudo-chunk), and
+    # the feed the meta-less nodes too.
     def mark_dirty(self, node: Node) -> None:
         """Something a listener mirrors (count, layer, meta, child links,
         leaf payload) changed on ``node``.  A meta-node whose member count
         changed marks its *root*, whose arena row carries the chunk's
-        per-visit cycles.  Free when nothing listens.
+        per-visit cycles.
         """
         if self._arena is not None:
             self._arena.dirty.add(node)
+        meta = node.meta
+        self.feed.metas.add(meta)
+        if meta is None:
+            self.feed.touch_l0(node)
         if self.route_filters is not None:
-            self.route_filters.dirty.add(node.meta)
+            self.route_filters.dirty.add(meta)
 
     def mark_dirty_subtree(self, root: Node) -> None:
         """Every node at or below ``root`` changed (a region re-chunked)."""
-        if self._arena is None and self.route_filters is None:
-            return
         nodes = subtree_nodes(root)
         if self._arena is not None:
             self._arena.dirty.update(nodes)
+        metas = {nd.meta for nd in nodes}
+        self.feed.metas.update(metas)
+        if None in metas:
+            for nd in nodes:
+                if nd.meta is None:
+                    self.feed.touch_l0(nd)
         if self.route_filters is not None:
-            self.route_filters.dirty.update(nd.meta for nd in nodes)
+            self.route_filters.dirty.update(metas)
 
     def mark_removed(self, node: Node) -> None:
         """``node`` was unlinked from the tree: its arena row is garbage,
         its chunk lost a member."""
         if self._arena is not None:
             self._arena.remove(node)
+        meta = node.meta
+        self.feed.removed.add(node)
+        self.feed.metas.add(meta)
+        if meta is None:
+            self.feed.touch_l0(node)
         if self.route_filters is not None:
-            self.route_filters.dirty.add(node.meta)
+            self.route_filters.dirty.add(meta)
+
+    def mark_placed(self, meta: MetaNode) -> None:
+        """``meta``'s module or its replica copies changed (``relocate``,
+        a replica set dropping a dead module's copies)."""
+        self.feed.placed.add(meta)
+        self.feed.touch_family(meta)
+
+    def _add_meta(self, meta: MetaNode, built_sc: int | None) -> None:
+        """The one way a chunk enters ``metas`` (build, re-chunk, a new
+        chunk in an update, snapshot decode)."""
+        self.metas.add(meta)
+        self.feed.added.add(meta)
+        if built_sc is not None:
+            self._meta_built_sc[meta] = built_sc
+
+    def _retire_meta(self, meta: MetaNode) -> None:
+        """The one way a chunk leaves ``metas``; its L1 relatives are
+        recorded while its links are still intact."""
+        self.feed.touch_family(meta)
+        self.feed.retired.add(meta)
+        self.metas.discard(meta)
+        self._stale_metas.discard(meta)
+        self._meta_built_sc.pop(meta, None)
 
     def l0_nodes(self) -> list[Node]:
         out: list[Node] = []
@@ -268,13 +318,10 @@ class PIMZdTree:
         return self._region_roots_below(node.left) + self._region_roots_below(node.right)
 
     def _chunk_everything(self) -> None:
-        self.metas.clear()
-        self._stale_metas.clear()
         for region_root in self._region_roots_below(self.root):
-            new = chunk_region(region_root, self.config, self.dims, self.system.place)
-            for m in new:
-                self._meta_built_sc[m] = m.root.sc
-            self.metas.update(new)
+            for m in chunk_region(region_root, self.config, self.dims,
+                                  self.system.place):
+                self._add_meta(m, m.root.sc)
 
     def mark_stale(self, meta: MetaNode) -> None:
         if meta in self.metas:
@@ -294,13 +341,20 @@ class PIMZdTree:
         node→meta references can never dangle) and re-running the §3.2
         chunking rule.  Data movement is charged as one round of traffic
         proportional to the rebuilt masters plus the L1 cache fan-out.
+
+        Only chunks the feed names can be stale: :meth:`meta_is_stale`
+        reads ``meta.root.sc`` and ``_meta_built_sc``, which change only
+        under a mark or when the chunk is created, and ``refresh_residency``
+        keeps a chunk it finds still stale marked for the next call.
         """
         # Canonical (root-nid) order: set iteration follows object hashes,
         # i.e. memory addresses, and the rebuild order is observable — both
         # through the retired/done_regions guards below and through the
         # charged rebuild traffic.
+        feed = self.feed
         stale = sorted(
-            (m for m in self.metas if self.meta_is_stale(m)),
+            (m for m in feed.metas | feed.added | self._stale_metas
+             if m in self.metas and self.meta_is_stale(m)),
             key=lambda m: m.root.nid,
         )
         if not stale:
@@ -330,9 +384,7 @@ class PIMZdTree:
         parent drops it, surviving children re-attach upward, and the
         ancestors' L1-descendant counters shed this meta (its descendants
         stay below the same ancestors, so only the meta itself is shed)."""
-        self.metas.discard(meta)
-        self._stale_metas.discard(meta)
-        self._meta_built_sc.pop(meta, None)
+        self._retire_meta(meta)
         parent = meta.parent if meta.parent in self.metas else None
         if meta.layer == Layer.L1:
             anc = meta.parent
@@ -350,11 +402,16 @@ class PIMZdTree:
 
     def _purge_empty_metas(self) -> None:
         """Drop meta-nodes that lost all members (e.g. their only node was
-        promoted into L0); their children re-attach to the grandparent."""
+        promoted into L0); their children re-attach to the grandparent.
+        A chunk loses members only in ``update._leave_meta``, which marks
+        it, so the feed names every candidate."""
         # Root-nid order: _discard_meta re-appends surviving children to
         # their grandparent, so discard order shapes the meta tree.
+        feed = self.feed
         for m in sorted(
-            (m for m in self.metas if m.n_nodes <= 0), key=lambda m: m.root.nid
+            (m for m in feed.metas | feed.added
+             if m in self.metas and m.n_nodes <= 0),
+            key=lambda m: m.root.nid,
         ):
             self._discard_meta(m)
 
@@ -408,9 +465,7 @@ class PIMZdTree:
                     stack.append(n.left)
                     stack.append(n.right)
         for m in retired:
-            self.metas.discard(m)
-            self._stale_metas.discard(m)
-            self._meta_built_sc.pop(m, None)
+            self._retire_meta(m)
         # Surviving ancestors stop counting the retired L1 descendants.
         for m in retired:
             if m.layer != Layer.L1:
@@ -428,8 +483,7 @@ class PIMZdTree:
                 created = chunk_region(rr, self.config, self.dims, self.system.place)
                 self.mark_dirty_subtree(rr)
                 for m in created:
-                    self.metas.add(m)
-                    self._meta_built_sc[m] = max(1, m.root.sc)
+                    self._add_meta(m, max(1, m.root.sc))
                 parent_meta = None
                 p = rr.parent
                 if p is not None and p.layer != Layer.L0 and p.meta in self.metas:
@@ -443,11 +497,13 @@ class PIMZdTree:
                         while anc is not None:
                             anc.l1_desc_metas += new_l1
                             anc = anc.parent
+                self.feed.touch_family(created[0])
                 new_all.extend(created)
-        # Drop dangling children links from any surviving parents.
-        for m in self.metas:
-            if m.children:
-                m.children = [c for c in m.children if c in self.metas]
+        # Drop the retired chunks from their surviving parents' children
+        # (a child list only ever holds chunks whose parent is its owner).
+        for p in {m.parent for m in retired}:
+            if p in self.metas:
+                p.children = [c for c in p.children if c in self.metas]
         # One round of master movement plus L1 cache rebuild fan-out.
         self.system.charge_comm_flat(
             sum(m.upload_words(self.config) for m in new_all)
@@ -529,45 +585,36 @@ class PIMZdTree:
                 self.system.broadcast(self.l0_words())
 
     def refresh_residency(self) -> None:
-        """Recompute per-module master/cache words from current structure."""
-        for m in self.system.modules:
-            m.master_words = 0.0
-            m.cache_words = 0.0
-        cfg = self.config
-        l1_metas: list[MetaNode] = []
-        for meta in self.metas:
-            words = meta.size_words(cfg)
-            self.system.modules[meta.module].alloc_master(words)
-            if meta.layer == Layer.L1:
-                l1_metas.append(meta)
-        # L1 sharing: each L1 meta is cached on the modules of its L1
-        # ancestors and descendants (§3.1).
-        for meta in l1_metas:
-            words = meta.size_words(cfg)
-            for holder in meta.l1_ancestors():
-                self.system.modules[holder.module].alloc_cache(words)
-            for desc in iter_meta_subtree(meta):
-                if desc is not meta and desc.layer == Layer.L1:
-                    self.system.modules[desc.module].alloc_cache(words)
+        """Bring every residency listener up to date with the feed.
+
+        The listeners read the same feed (``self.feed``) in order — word
+        accounting (master, L1-cache, replica and L0 words per module),
+        the replica registry, the membership filters (repro.route) — and
+        it is then cleared.  Every path that moves keys (upload,
+        insert/delete, migrate/clone, replica install/promotion, failover,
+        recovery) funnels through here under its charged phase.
+        """
+        self._ledger.apply()
         if self.replicas is not None:
             self.replicas.alloc_residency()
-        if not self.l0_on_cpu:
-            w = self.l0_words()
-            for m in self.system.modules:
-                if not m.failed:
-                    m.alloc_cache(w)
-        # Membership filters (repro.route) catch up whenever residency
-        # changes: every path that moves keys (upload, insert/delete,
-        # migrate/clone, replica install/promotion, failover, recovery)
-        # funnels through here under its charged phase.
         if self.route_filters is not None:
             self.route_filters.rebuild()
+        feed = self.feed
+        # A chunk still stale (or empty) waits, marked, for the next
+        # rechunk_stale — a refresh outside an update batch, after a
+        # faulted one, must not drop it.  (Chunks are created fresh; one
+        # decoded from a snapshot is marked by decode_tree.)
+        waiting = [m for m in feed.metas
+                   if m in self.metas
+                   and (m.n_nodes <= 0 or self.meta_is_stale(m))]
+        feed.clear()
+        feed.metas.update(waiting)
 
     def space_words(self) -> dict[str, float]:
         """Space consumption split by category (Theorem 5.1)."""
         master = self.system.master_words()
         cache = self.system.cache_words()
-        host_l0 = float(self.l0_words()) if self.l0_on_cpu else 0.0
+        host_l0 = float(self._ledger.l0_words) if self.l0_on_cpu else 0.0
         return {
             "master": master,
             "cache": cache,
@@ -681,6 +728,26 @@ class PIMZdTree:
 
         return c(self.root)
 
+    def _check_residency(self) -> None:
+        """The booked residency equals a walk over every chunk and the
+        whole L0, and every stale chunk is one ``rechunk_stale`` will
+        look at."""
+        want = residency_from_scratch(self)
+        master, cache = self.system.residency_split()
+        assert np.array_equal(master, want["master"]), "master words drift"
+        assert np.array_equal(cache, want["cache"]), "cache words drift"
+        assert self._ledger.l0_words == want["l0"], "L0 words drift"
+        assert self._ledger.entries.keys() == self.metas, "chunk not booked"
+        replica = np.zeros(self.system.n_modules)
+        for _module, size, _holders, secs in self._ledger.entries.values():
+            for mid in secs:
+                replica[mid] += size
+        assert np.array_equal(replica, want["replica"]), "replica words drift"
+        feed = self.feed
+        seen = feed.metas | feed.added | self._stale_metas
+        assert all(m in seen for m in self.metas if self.meta_is_stale(m)), (
+            "a stale chunk is not marked")
+
     def check_invariants(self) -> None:
         """Raise AssertionError on any structural/layer/counter violation."""
         kb = self.key_bits
@@ -747,6 +814,7 @@ class PIMZdTree:
             assert meta.l1_desc_metas == l1_below(meta), (
                 f"l1_desc_metas drift: {meta.l1_desc_metas} vs {l1_below(meta)}"
             )
+        self._check_residency()
         # The vectorised kernels' arena, once built, mirrors this structure;
         # so do the route filters, once attached.
         if self._arena is not None:

@@ -345,11 +345,13 @@ def _leave_meta(tree, node: Node) -> MetaNode | None:
     """Take ``node`` out of its chunk's bookkeeping; returns that chunk."""
     meta = node.meta
     if meta is not None:
+        # Marked while ``node`` (possibly the root) still belongs to it, so
+        # the chunk itself is named even when its root is the one leaving.
+        tree.mark_dirty(meta.root)
         meta.n_nodes -= 1
         meta.payload_words -= node_words(node, tree.dims)
         node.meta = None
         tree.mark_dirty(node)
-        tree.mark_dirty(meta.root)
     return meta
 
 
@@ -378,6 +380,7 @@ def _assign_mixed(tree, node: Node, parent: Node | None, state: _BatchState) -> 
     node.layer = raw if parent is None else Layer(max(raw, parent.layer))
     if node.layer == Layer.L0:
         node.meta = None
+        tree.feed.touch_l0(node)
         words = node_words(node, tree.dims)
         if tree.l0_on_cpu:
             tree.system.charge_cpu(words)
@@ -407,8 +410,7 @@ def _assign_mixed(tree, node: Node, parent: Node | None, state: _BatchState) -> 
             node.meta = meta
             meta.n_nodes = 1
             meta.payload_words = node_words(node, tree.dims)
-            tree.metas.add(meta)
-            tree._meta_built_sc[meta] = max(1, node.sc)
+            tree._add_meta(meta, max(1, node.sc))
             _relink_meta_parent(tree, meta, candidate)
             if meta.layer == Layer.L1:
                 state.cache_words += meta.size_words(tree.config) * meta.replica_count()
@@ -436,6 +438,8 @@ def _fix_old_subtree_links(tree, node: Node, parent: Node | None) -> None:
 def _relink_meta_parent(tree, child: MetaNode, new_parent: MetaNode | None) -> None:
     if child.parent is new_parent:
         return
+    # The L1 caches of both the old and the new relatives change.
+    tree.feed.touch_family(child)
     sub_l1 = child.l1_desc_metas + (1 if child.layer == Layer.L1 else 0)
     old = child.parent
     if old is not None:
@@ -452,6 +456,7 @@ def _relink_meta_parent(tree, child: MetaNode, new_parent: MetaNode | None) -> N
         while anc is not None:
             anc.l1_desc_metas += sub_l1
             anc = anc.parent
+    tree.feed.touch_family(child)
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +495,7 @@ def _apply_layer_transitions(tree, synced: list[Node]) -> None:
     sys = tree.system
     moved_any = False
     for node in sorted(synced, key=lambda n: n.depth):
-        if _is_detached(tree, node):
+        if tree._node_detached(node):
             continue
         new_layer = tree.clamped_layer(node)
         if new_layer == node.layer:
@@ -515,7 +520,7 @@ def _apply_layer_transitions(tree, synced: list[Node]) -> None:
             tree._assign_layers_subtree(
                 node, node.parent.layer if node.parent is not None else None
             )
-            _force_rechunk_region_at(tree, node)
+            tree.force_rechunk_region(node)
         else:
             # L1 <-> L2: re-layer the (θ-sized) subtree, re-chunk its region.
             tree._assign_layers_subtree(
@@ -528,22 +533,6 @@ def _apply_layer_transitions(tree, synced: list[Node]) -> None:
             pass
         with sys.round():
             pass
-
-
-def _force_rechunk_region_at(tree, node: Node) -> None:
-    """Retire and rebuild the chunks in ``node``'s subtree (locally)."""
-    tree.force_rechunk_region(node)
-
-
-def _is_detached(tree, node: Node) -> bool:
-    """Whether ``node`` was spliced/replaced out of the tree this batch."""
-    n = node
-    while n.parent is not None:
-        p = n.parent
-        if p.left is not n and p.right is not n:
-            return True
-        n = p
-    return n is not tree.root
 
 
 # ======================================================================
@@ -682,9 +671,9 @@ def _splice_out_leaf(tree, leaf: Node) -> None:
         # (detached root) and leave those references dangling.
         if sibling.layer != Layer.L0:
             if needs_region_fix:
-                _force_rechunk_region_at(tree, sibling)
+                tree.force_rechunk_region(sibling)
             elif sibling.meta is not None:
                 tree.mark_stale(sibling.meta)
         return
     if needs_region_fix and sibling.layer != Layer.L0:
-        _force_rechunk_region_at(tree, sibling)
+        tree.force_rechunk_region(sibling)

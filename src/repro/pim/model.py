@@ -163,6 +163,11 @@ class PIMSystem:
         # and failover compose.  Empty by default — one truthiness test on
         # the hot path, byte-identical placement when no migration ran.
         self._place_overrides: dict[bytes, int] = {}
+        # Bumped whenever residency is changed out of band (decommission
+        # zeroes a module): a listener that books words by difference
+        # must re-book from scratch under a new epoch.
+        self.residency_epoch = 0
+        self._capacity_watch = module_capacity_words is not None
 
     # ------------------------------------------------------------------
     # tracing
@@ -243,6 +248,7 @@ class PIMSystem:
         m.failed = True
         m.master_words = 0.0
         m.cache_words = 0.0
+        self.residency_epoch += 1
 
     def kill_module(self, mid: int) -> None:
         """Externally crash module ``mid`` (CLI / tests), recording the event."""
@@ -931,6 +937,48 @@ class PIMSystem:
         if self._vec is not None:
             return self._vec.master_words + self._vec.cache_words
         return np.array([m.used_words for m in self.modules])
+
+    def residency_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(master, cache) words per module, as fresh arrays."""
+        if self._vec is not None:
+            return self._vec.master_words.copy(), self._vec.cache_words.copy()
+        return (np.array([m.master_words for m in self.modules]),
+                np.array([m.cache_words for m in self.modules]))
+
+    def add_residency(self, mids, master, cache) -> None:
+        """Add signed master/cache word changes from parallel arrays.
+
+        The entry point residency upkeep books through, in both sim cores
+        (in the manner of :meth:`charge_pim_array`): element ``i`` adds
+        ``master[i]`` and ``cache[i]`` to module ``mids[i]``.  Word counts
+        are integers, so the totals do not depend on the order.  Capacity
+        pressure is judged on the net change of the whole call: a module
+        whose residency goes from at most ``capacity_words`` to above it
+        records one event, in module-id order — the onset rule of
+        :meth:`PIMModule._check_pressure`, so a module that stays over
+        capacity is not reported again.
+        """
+        mids = np.asarray(mids, dtype=np.intp)
+        if not mids.size:
+            return
+        watched: list = []
+        if self._capacity_watch:
+            watched = [(mid, self.modules[mid].used_words)
+                       for mid in np.unique(mids).tolist()
+                       if self.modules[mid].capacity_words is not None]
+        if self._vec is not None:
+            np.add.at(self._vec.master_words, mids, master)
+            np.add.at(self._vec.cache_words, mids, cache)
+        else:
+            for mid, dm, dc in zip(mids.tolist(), np.asarray(master).tolist(),
+                                   np.asarray(cache).tolist()):
+                m = self.modules[mid]
+                m.master_words += dm
+                m.cache_words += dc
+        for mid, before in watched:
+            m = self.modules[mid]
+            if before <= m.capacity_words < m.used_words:
+                self._capacity_pressure(m)
 
     def snapshot(self) -> PIMStats:
         return self.stats.snapshot()

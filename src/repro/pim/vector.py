@@ -18,8 +18,9 @@ mode is a list of :class:`ModuleView` proxies whose attributes are
 views onto the shared arrays.  The proxy implements the full
 ``PIMModule`` surface (residency alloc/free with the same clamp
 semantics, capacity pressure, ``failed``, the round accumulators), so
-``tree.refresh_residency``, the balance planner, introspection and
-decommissioning run unchanged in either mode.
+the balance planner, introspection and decommissioning run unchanged in
+either mode.  The tree's residency upkeep writes through
+``PIMSystem.add_residency`` instead, one array add per refresh.
 """
 
 from __future__ import annotations

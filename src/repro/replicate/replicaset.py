@@ -122,12 +122,6 @@ class ReplicaSet:
         if int(dst) not in cur:
             self._secondaries[int(nid)] = tuple(sorted(cur + (int(dst),)))
 
-    def prune(self, live_nids: set[int]) -> None:
-        """Drop registry entries whose chunk was retired by a rechunk."""
-        for nid in [n for n in self._secondaries if n not in live_nids]:
-            del self._secondaries[nid]
-            self._pending.pop(nid, None)
-
     @property
     def n_replicated(self) -> int:
         return sum(1 for s in self._secondaries.values() if s)
@@ -293,17 +287,22 @@ class ReplicaSet:
         secondaries are dropped from the registry everywhere.
         """
         dead_mid = int(dead_mid)
+        tree = self.tree
+        by_nid = {m.root.nid: m for m in tree.metas}
         promotions: dict[int, int] = {}
-        for meta in sorted(self.tree.metas, key=lambda m: m.root.nid):
+        for nid in sorted(by_nid):
+            meta = by_nid[nid]
             if meta.module != dead_mid:
                 continue
             live = self.live_secondaries(meta)
             if live:
-                promotions[meta.root.nid] = live[0]
+                promotions[nid] = live[0]
         for nid, secs in list(self._secondaries.items()):
             promoted = promotions.get(nid)
             kept = tuple(m for m in secs
                          if m != dead_mid and m != promoted)
+            if kept != secs and nid in by_nid:
+                tree.mark_placed(by_nid[nid])
             if kept:
                 self._secondaries[nid] = kept
             else:
@@ -315,18 +314,17 @@ class ReplicaSet:
     # residency / durability / stats
     # ------------------------------------------------------------------
     def alloc_residency(self) -> None:
-        """Book secondary copies as cache words (refresh_residency hook)."""
-        tree = self.tree
-        self.prune({m.root.nid for m in tree.metas})
-        dead = tree.system.dead_modules
-        for meta in tree.metas:
-            secs = self._secondaries.get(meta.root.nid)
-            if not secs:
-                continue
-            words = meta.size_words(tree.config)
-            for mid in secs:
-                if mid not in dead:
-                    tree.system.modules[mid].alloc_cache(words)
+        """Residency listener: drop the registry entries of the chunks the
+        tree's feed retired (a chunk re-created under the same root keeps
+        its copies).  The copies' words are booked by the tree's word
+        ledger, from the registry, as the feed's chunks are re-read."""
+        live, feed = self.tree.metas, self.tree.feed
+        kept = {m.root.nid for m in feed.added if m in live}
+        for meta in feed.retired:
+            nid = meta.root.nid
+            if meta not in live and nid not in kept:
+                self._secondaries.pop(nid, None)
+                self._pending.pop(nid, None)
 
     def to_manifest(self) -> dict:
         """Snapshot-manifest encoding (canonical: sorted keys)."""

@@ -40,12 +40,13 @@ copy of.
 ``mark_dirty_subtree``, ``mark_removed``, the same calls that keep the
 vectorised kernels' node arena current (DESIGN.md § "Residency
 listeners") — add the chunk of every node they change to
-``RouteFilterSet.dirty``.  A rebuild re-scans the marked chunks, finds new and retired
-ones by diffing the cache against ``tree.metas`` and moved or re-replicated
-ones by comparing ``(module, *secondaries)``; no leaf of a clean chunk is
-visited.  A filter that only gained keys within its Bloom geometry gets
-them OR-ed in, one that lost a key or outgrew its geometry is rebuilt from
-its chunks' cached arrays, the rest are not read.  Attach, recovery and
+``RouteFilterSet.dirty``.  New, retired, moved and re-replicated chunks
+come from the tree's chunk-change feed (``tree.feed``).  A rebuild
+re-scans the marked and new chunks and re-files the moved ones; no other
+chunk is looked at and no leaf of a clean chunk is visited.  A filter
+that only gained keys within its Bloom geometry gets them OR-ed in, one
+that lost a key or outgrew its geometry is rebuilt from its chunks'
+cached arrays, the rest are not read.  Attach, recovery and
 ``from_manifest`` are the same routine with an empty cache.
 
 *Why the physical work and the charged work are computed separately.*  The
@@ -330,17 +331,18 @@ class RouteFilterSet:
 
         Called from ``tree.refresh_residency()`` — i.e. inside every
         charged phase where residency actually changes — and once at
-        attach time, when every chunk is new.  The work follows the
-        touched chunks, not the index: only chunks the tree marked
-        (``dirty``), chunks that appeared in or vanished from
-        ``tree.metas``, and chunks whose ``(module, *secondaries)``
-        changed are looked at, in root-nid order (``tree.metas`` is an
-        identity-hashed set, so its own order follows memory addresses);
-        of those only the marked and new ones are re-scanned.  Each
-        filter whose key multiset only grew, within its Bloom geometry,
-        gets the new keys OR-ed in (:meth:`_ModuleFilter.add`); one that
-        lost a key or outgrew its geometry is rebuilt from the cached
-        arrays of its chunks; the others are not read.
+        attach time (or after an FPR change), when the cache is empty and
+        every chunk is new.  The work follows the touched chunks, not the
+        index: only chunks the tree marked (``dirty``) and chunks the
+        tree's chunk-change feed (``tree.feed``) reports added, retired or
+        placed (moved, re-replicated) are looked at, in root-nid order
+        (``tree.metas`` is an identity-hashed set, so its own order
+        follows memory addresses); of those only the marked and new ones
+        are re-scanned.  Each filter whose key multiset only grew, within
+        its Bloom geometry, gets the new keys OR-ed in
+        (:meth:`_ModuleFilter.add`); one that lost a key or outgrew its
+        geometry is rebuilt from the cached arrays of its chunks; the
+        others are not read.
 
         What is *charged* is the model's bill, computed from counts with
         no hashing: when an insert batch staged its keys
@@ -391,23 +393,25 @@ class RouteFilterSet:
         reps = tree.replicas
         secs_of = reps._secondaries if reps is not None else {}
 
-        # One attribute pass over the metas: which chunks are new, which
-        # changed residency.  (A chunk re-created under the same root was
-        # marked through its nodes by the re-chunk.)
+        # Which chunks changed: the marked ones, and those the feed saw
+        # enter ``tree.metas``, leave it or change placement.  A chunk
+        # re-created under the same root keeps its nid (and was marked
+        # through its nodes by the re-chunk); an empty cache takes every
+        # chunk as new.
         live = tree.metas
         touched = {m for m in marked if m is not None and m in live}
-        nids = set()
-        for meta in live:
-            nid = meta.root.nid
-            nids.add(nid)
-            ent = chunks.get(nid)
-            if ent is None:
-                marked.add(meta)
-                touched.add(meta)
-            elif (meta.module != info_of[nid][0]
-                  or secs_of.get(nid, ()) != ent[1]):
-                touched.add(meta)
-        gone = sorted(nid for nid in chunks if nid not in nids)
+        gone: list[int] = []
+        if g is None:
+            touched.update(live)
+        else:
+            # A rebuild outside refresh_residency may see these once more
+            # at the next one: re-reading an unchanged chunk changes
+            # nothing, and a nid already dropped is skipped.
+            feed = tree.feed
+            touched.update(m for m in feed.added | feed.placed if m in live)
+            kept = {m.root.nid for m in feed.added if m in live}
+            gone = sorted(({m.root.nid for m in feed.retired if m not in live}
+                           - kept) & chunks.keys())
 
         # Old and new key arrays per filter (None: the global one).
         old: dict[int | None, list[np.ndarray]] = {None: []}
@@ -436,7 +440,7 @@ class RouteFilterSet:
             else:
                 keys_old, res_old, was_closed = (
                     ent[0], (info[0], *ent[1]), info[3])
-            if meta in marked:
+            if ent is None or meta in marked:
                 keys, closed = _scan(meta.root, meta)
                 if np.array_equal(keys, keys_old):
                     keys = keys_old

@@ -243,6 +243,7 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
     from ..core.config import PIMZdTreeConfig
     from ..core.morton import MortonCodec
     from ..core.node import Layer, Node
+    from ..core.residency import ResidencyFeed, WordLedger
     from ..core.tree import PIMZdTree
 
     man = image.manifest
@@ -386,14 +387,19 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
     tree._l0_route_salt = int(man["tree"]["l0_route_salt"])
     tree.root = root
     tree.l0_on_cpu = bool(man["tree"]["l0_on_cpu"])
-    tree.metas = set(metas)
+    # Residency starts from an empty cache: the first refresh books every
+    # chunk.  A decoded chunk may already be stale (its root's counter
+    # can drift in a batch that faulted before rechunk_stale), so each is
+    # also marked for the next rechunk_stale.
+    tree.feed = ResidencyFeed()
+    tree._ledger = WordLedger(tree)
+    tree.metas = set()
+    tree._meta_built_sc = {}
+    for m, (head, _k) in zip(metas, meta_rows):
+        tree._add_meta(m, None if head[4] == _BUILT_SC_NONE else int(head[4]))
+    tree.feed.metas.update(metas)
     tree._stale_metas = {
         m for m, (head, _k) in zip(metas, meta_rows) if head[3]
-    }
-    tree._meta_built_sc = {
-        m: int(head[4])
-        for m, (head, _k) in zip(metas, meta_rows)
-        if head[4] != _BUILT_SC_NONE
     }
     tree.last_executor = None
     tree._arena = None

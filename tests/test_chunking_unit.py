@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PIMZdTree, skew_resistant
-from repro.core.chunking import MetaNode, chunk_region, extend_meta, iter_meta_subtree
+from repro.core.chunking import MetaNode, chunk_region, iter_meta_subtree
 from repro.core.config import PIMZdTreeConfig
 from repro.core.node import Layer, Node, node_words
 from repro.pim import PIMSystem
@@ -171,50 +171,6 @@ class TestSparseDenseModes:
         dense = MetaNode.__new__(MetaNode)
         dense.n_nodes = 8
         assert dense.cycles_per_node(cfg) < sparse.cycles_per_node(cfg)
-
-
-class TestExtendMeta:
-    def test_new_subtree_joins_when_rule_holds(self, rng):
-        pts = rng.random((3000, 3))
-        tree = PIMZdTree(
-            pts, config=skew_resistant(8), system=PIMSystem(8, seed=2)
-        )
-        # Find a large L1 meta and extend it with a fake new node that
-        # trivially satisfies the rule.
-        meta = max(
-            (m for m in tree.metas if m.layer == Layer.L1),
-            key=lambda m: m.root.sc,
-        )
-        n_before = meta.n_nodes
-        fresh = Node(tree.new_nid(), 0, 40)
-        fresh.keys = np.zeros(1, dtype=np.uint64)
-        fresh.pts = np.zeros((1, 3))
-        fresh.count = fresh.sc = meta.root.sc  # same size → joins
-        fresh.layer = Layer.L1
-        created = extend_meta(meta, fresh, tree.config, tree.dims, tree.system.place)
-        assert created == []
-        assert fresh.meta is meta
-        assert meta.n_nodes == n_before + 1
-
-    def test_new_subtree_chunks_when_rule_fails(self, rng):
-        pts = rng.random((3000, 3))
-        tree = PIMZdTree(
-            pts, config=skew_resistant(8), system=PIMSystem(8, seed=2)
-        )
-        meta = max(
-            (m for m in tree.metas if m.layer == Layer.L1),
-            key=lambda m: m.root.sc,
-        )
-        fresh = Node(tree.new_nid(), 0, 40)
-        fresh.keys = np.zeros(1, dtype=np.uint64)
-        fresh.pts = np.zeros((1, 3))
-        fresh.count = fresh.sc = 1
-        fresh.layer = Layer.L2  # wrong layer → new chunk
-        created = extend_meta(meta, fresh, tree.config, tree.dims, tree.system.place)
-        assert len(created) == 1
-        assert fresh.meta is created[0]
-        assert created[0].parent is meta
-        assert created[0] in meta.children
 
 
 class TestReplicaCounting:
