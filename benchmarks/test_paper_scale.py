@@ -1,29 +1,36 @@
-"""Paper-scale smoke: the vector simulator core at P = 2048.
+"""Paper-scale smoke: the array simulator core at P = 2048.
 
-The scalar per-module core tops out around P = 64 (every round close walks
-Python objects); the paper's headline configuration is P = 2048.  Two
-guarantees, checked at that scale:
+The scalar per-module core (the test oracle in ``tests/sim_oracle.py``)
+tops out around P = 64 — every round close walks Python objects; the
+paper's headline configuration is P = 2048.  Two guarantees, checked at
+that scale:
 
-* **Counter-exactness** — `sim_mode="vector"` must leave every PIMStats
-  counter byte-identical to the scalar oracle, on a real index workload
-  sharded over 2048 modules *and* on a synthetic round-charging storm
-  driven straight through the array entry points.
+* **Counter-exactness** — ``PIMSystem`` must leave every PIMStats counter
+  byte-identical to the scalar oracle, on a real index workload sharded
+  over 2048 modules *and* on a synthetic round-charging storm driven
+  straight through the array entry points.
 * **Speed** — the round-accounting core itself must be at least 10×
-  faster than the scalar oracle at P = 2048 charging volumes (the PR's
-  acceptance bar; locally it measures far above that).
+  faster than the scalar oracle at P = 2048 charging volumes.
 
 Run with:  PYTHONPATH=src python -m pytest benchmarks/test_paper_scale.py -q
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import repro.eval.harness
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
 from repro.pim import PIMSystem
 from repro.workloads import uniform_points
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from sim_oracle import ScalarPIMSystem  # noqa: E402
 
 P = 2048
 SEED = 11
@@ -45,9 +52,8 @@ def _assert_equal(a, b, label: str) -> None:
 # ======================================================================
 # differential sanity: real index workload at P = 2048
 # ======================================================================
-def _run_stack(exec_mode: str, sim_mode: str, data, q, boxes, fresh, dele):
-    ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED, exec_mode=exec_mode,
-                          sim_mode=sim_mode)
+def _run_stack(exec_mode: str, data, q, boxes, fresh, dele):
+    ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED, exec_mode=exec_mode)
     tree = ad.tree
     out = {
         "knn": tree.knn(q, 10),
@@ -69,10 +75,11 @@ def test_p2048_sim_modes_identical():
     fresh = uniform_points(2_000, 3, seed=SEED + 2)
     dele = data[rng.integers(0, len(data), size=500)]
 
-    ref_out, ref_stats = _run_stack("reference", "scalar", data, q, boxes,
-                                    fresh, dele)
-    vec_out, vec_stats = _run_stack("vectorized", "vector", data, q, boxes,
-                                    fresh, dele)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
+        ref_out, ref_stats = _run_stack("reference", data, q, boxes, fresh,
+                                        dele)
+    vec_out, vec_stats = _run_stack("vectorized", data, q, boxes, fresh, dele)
 
     for key in ref_out:
         _assert_equal(ref_out[key], vec_out[key], key)
@@ -95,33 +102,33 @@ ROUNDS = 300
 PHASES = ("search", "update", "balance")
 
 
-def _charging_storm(sim_mode: str):
-    """ROUNDS rounds of full-width array charges through one PIMSystem.
+def _charging_storm(system_cls):
+    """ROUNDS rounds of full-width array charges through one system.
 
     Every round touches all P modules with integer-valued, round-varying
     cycle/word amounts — the access pattern of a saturated Fig. 5 batch.
-    In scalar mode the array entry points fall back to per-element scalar
-    calls, so both modes run the exact same charge sequence through the
+    On the scalar oracle the array entry points fall back to per-element
+    calls, so both cores run the exact same charge sequence through the
     same API and must book the exact same stats.
     """
-    sys = PIMSystem(P, seed=SEED, sim_mode=sim_mode)
+    system = system_cls(P, seed=SEED)
     mids = np.arange(P, dtype=np.intp)
     base = (np.arange(P, dtype=np.float64) % 97) + 1.0
     t0 = time.perf_counter()
     for r in range(ROUNDS):
-        with sys.round():
+        with system.round():
             for p, phase in enumerate(PHASES[: 2 + r % 2]):
-                with sys.phase(phase):
-                    sys.charge_pim_array(mids, base + float((r + p) % 13))
-                    sys.send_array(mids, base)
-                    sys.recv_array(mids, np.float64(2.0))
+                with system.phase(phase):
+                    system.charge_pim_array(mids, base + float((r + p) % 13))
+                    system.send_array(mids, base)
+                    system.recv_array(mids, np.float64(2.0))
     wall = time.perf_counter() - t0
-    return sys.stats, wall
+    return system.stats, wall
 
 
 def test_p2048_round_core_speedup():
-    scalar_stats, scalar_wall = _charging_storm("scalar")
-    vector_stats, vector_wall = _charging_storm("vector")
+    scalar_stats, scalar_wall = _charging_storm(ScalarPIMSystem)
+    vector_stats, vector_wall = _charging_storm(PIMSystem)
 
     assert scalar_stats.to_dict() == vector_stats.to_dict()
 

@@ -11,7 +11,7 @@ coldest module would only relocate the straggler and ping-pong forever —
 PIM-tree's skew argument), and the next-hottest movable chunks go to the
 coldest projected destinations.
 
-Over-capacity modules (the wired-up ``PIMModule.over_capacity`` predicate)
+Over-capacity modules (``PIMSystem.over_capacity_modules``)
 are *mandatory* sources: they are drained largest-chunk-first regardless
 of heat, because Theorem 5.1's space bound is a correctness constraint,
 not a performance preference.

@@ -310,10 +310,6 @@ def _add_serve_args(p: argparse.ArgumentParser,
     p.add_argument("--profile", type=Path, default=None,
                    help="tuned-profile JSON (a 'tune search' artifact); "
                         "explicit flags that contradict it are an error")
-    p.add_argument("--sim-mode", default=None, choices=["vector", "scalar"],
-                   help="simulator round-accounting core: the array-backed "
-                        "vector core (default) or the per-module scalar "
-                        "oracle")
     p.add_argument("--tenants", default=None,
                    help="multi-tenant admission: name=weight pairs, e.g. "
                         "gold=4,bronze=1 — requests are tagged in those "
@@ -491,7 +487,7 @@ def _spec_from_args(args: argparse.Namespace, config: dict):
         "requests": args.requests, "load": args.load, "k": args.k,
         "mix": _parse_weights("--mix", args.mix), "config": config,
         "index": flag("index"), "arrival": flag("arrival"),
-        "rate": flag("rate"), "sim_mode": flag("sim_mode"),
+        "rate": flag("rate"),
         "queue_depth": flag("queue_depth"), "overflow": flag("overflow"),
         "tenants": _parse_weights("--tenants", flag("tenants")),
         "deadline_s": flag("deadline_ms", 1e-3),
@@ -745,7 +741,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         tune_config=spec.config,
         **{f: getattr(spec, f) for f in (
             "dataset", "n", "n_modules", "index", "rate", "seed", "mix", "k",
-            "deadline_s", "queue_depth", "overflow", "sim_mode", "arrival",
+            "deadline_s", "queue_depth", "overflow", "arrival",
             "tenants", "staleness_s")})
 
     print(f"=== sweep — {spec.dataset}, {spec.index}, n={spec.n}, "

@@ -48,22 +48,11 @@ class PIMZdTreeConfig:
     # runs the scalar per-element oracle.  Both produce identical results
     # and identical PIMStats counters (enforced by the differential suite).
     exec_mode: str = "vectorized"
-    # Simulator core backing the PIMSystem (see repro.pim.vector):
-    # "vector" keeps per-module round state in NumPy arrays and closes
-    # BSP rounds with array reductions (the paper-scale P=2048 path);
-    # "scalar" keeps one PIMModule object per module (the byte-exact
-    # oracle).  Both produce byte-identical PIMStats (enforced by
-    # tests/test_sim_modes.py).
-    sim_mode: str = "vector"
 
     def __post_init__(self) -> None:
         if self.exec_mode not in ("vectorized", "reference"):
             raise ValueError(
                 f"exec_mode must be 'vectorized' or 'reference', got {self.exec_mode!r}"
-            )
-        if self.sim_mode not in ("vector", "scalar"):
-            raise ValueError(
-                f"sim_mode must be 'vector' or 'scalar', got {self.sim_mode!r}"
             )
         if self.theta_l0 < self.theta_l1:
             raise ValueError("theta_l0 must be >= theta_l1")

@@ -68,9 +68,6 @@ class Box:
             np.all(center - radius >= self.lo) and np.all(center + radius <= self.hi)
         )
 
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
-
     def clip(self, other: "Box") -> "Box":
         """Intersection box (may be degenerate if disjoint)."""
         return Box(np.maximum(self.lo, other.lo), np.minimum(self.hi, other.hi))

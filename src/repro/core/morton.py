@@ -321,11 +321,6 @@ class MortonCodec:
         """Grid coordinates of each key's cell."""
         return morton_decode(keys, self.dims, self.bits, fast=self.fast)
 
-    def cell_center(self, keys: np.ndarray) -> np.ndarray:
-        """Float coordinates of each key's grid-cell centre."""
-        g = self.decode_cell(keys).astype(np.float64)
-        return self.lo + (g + 0.5) / self._scale
-
     def prefix_box(self, prefix: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Bounding box of the tree node with the given key prefix.
 

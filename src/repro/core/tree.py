@@ -570,9 +570,9 @@ class PIMZdTree:
         """Initial distribution of the built tree onto the modules.
 
         The per-meta fan-out is aggregated per destination module and
-        charged through the array-native bulk entry point: at paper scale
-        the build touches every one of the P=2048 modules, and one
-        ``send_bulk`` replaces |metas| scalar sends (byte-identical
+        charged through the array-native entry point: at paper scale the
+        build touches every one of the P=2048 modules, and one
+        ``send_array`` replaces |metas| scalar sends (byte-identical
         counters — integer word counts sum exactly in any order).
         """
         send_by: dict[int, float] = {}
@@ -580,7 +580,7 @@ class PIMZdTree:
             send_by[meta.module] = (send_by.get(meta.module, 0.0)
                                     + meta.upload_words(self.config))
         with self.system.round():
-            self.system.send_bulk(send_by)
+            self.system.send_array(list(send_by), list(send_by.values()))
             if not self.l0_on_cpu:
                 self.system.broadcast(self.l0_words())
 

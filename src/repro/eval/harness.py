@@ -91,7 +91,6 @@ class PIMZdTreeAdapter:
         cost_model=None,
         tracer=None,
         exec_mode: str | None = None,
-        sim_mode: str | None = None,
         fault_plan=None,
     ) -> None:
         if llc_bytes is None:
@@ -103,18 +102,13 @@ class PIMZdTreeAdapter:
                 config = skew_resistant(n_modules)
             else:
                 raise ValueError(f"unknown variant {variant!r}")
-        overrides = {}
         if exec_mode is not None:
-            overrides["exec_mode"] = exec_mode
-        if sim_mode is not None:
-            overrides["sim_mode"] = sim_mode
-        if overrides:
-            config = config.with_overrides(**overrides)
+            config = config.with_overrides(exec_mode=exec_mode)
         # The fault plan is attached only after construction: the machine
         # is healthy at load time, and the build/upload charges stay
         # byte-identical to a fault-free adapter's.
         self.system = PIMSystem(n_modules, seed=seed, llc_bytes=llc_bytes,
-                                tracer=tracer, sim_mode=config.sim_mode)
+                                tracer=tracer)
         if cost_model is not None:
             cost_model = cost_model.scaled(n_modules)
         self.tree = PIMZdTree(points, config=config, system=self.system,
@@ -301,8 +295,8 @@ class PkdTreeAdapter(_BaselineAdapter):
 
 # Kwargs only meaningful for the PIM adapter.  The baselines ignore them so
 # one sweep dict can drive all four kinds through :func:`make_adapter`.
-_PIM_ONLY_KWARGS = ("seed", "exec_mode", "sim_mode", "cost_model", "tracer",
-                    "llc_bytes", "config", "variant", "fault_plan")
+_PIM_ONLY_KWARGS = ("seed", "exec_mode", "cost_model", "tracer", "llc_bytes",
+                    "config", "variant", "fault_plan")
 
 
 def make_adapter(kind: str, points: np.ndarray, **kw):

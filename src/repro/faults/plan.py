@@ -39,7 +39,7 @@ __all__ = ["FaultEvent", "FaultPlan"]
 class FaultEvent:
     """One injected fault, stamped with the BSP round it happened in."""
 
-    kind: str  # "crash" | "drop" | "storm" | "kill" | "machine_kill"
+    kind: str  # "crash" | "drop" | "storm" | "machine_kill"
     mid: int  # module concerned
     round_index: int  # charged-round counter at injection time
     value: float  # words lost / slowdown factor / 0.0
@@ -210,13 +210,6 @@ class FaultPlan:
                                       f"{self.storm_rounds} rounds"))
         self.events.extend(out)
         return out
-
-    def record_kill(self, mid: int, round_index: int) -> FaultEvent:
-        """Record an externally requested kill (CLI / tests)."""
-        ev = FaultEvent("kill", mid, round_index, 0.0, "manual")
-        self.crashed.add(mid)
-        self.events.append(ev)
-        return ev
 
     # ------------------------------------------------------------------
     def _crash(self, mid: int, round_index: int, note: str) -> FaultEvent:

@@ -76,13 +76,6 @@ class Timeline:
         return self.modules[mid]
 
     # -- reconciliation -------------------------------------------------
-    def phase_sums(self) -> PhaseCounters:
-        """Sum of the per-phase counters (must equal ``total``)."""
-        out = PhaseCounters()
-        for c in self.phases.values():
-            out.add(c)
-        return out
-
     def reconcile(self, stats: PIMStats) -> list[str]:
         """Compare against simulator stats; returns mismatch descriptions.
 

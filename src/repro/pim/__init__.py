@@ -16,7 +16,6 @@ from .cost_model import (
     upmem_scaled,
 )
 from .model import PIMSystem
-from .module import PIMModule
 from .stats import PhaseCounters, PIMStats
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "FUTURE_PIM_2048",
     "LRUCache",
     "PIMCostModel",
-    "PIMModule",
     "PIMStats",
     "PIMSystem",
     "PhaseCounters",

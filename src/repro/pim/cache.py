@@ -51,13 +51,6 @@ class LRUCache:
             blocks.popitem(last=False)
         return False
 
-    def touch_range(self, base_id, n_blocks: int) -> int:
-        """Access ``n_blocks`` consecutive blocks; returns the miss count."""
-        before = self.misses
-        for i in range(int(n_blocks)):
-            self.touch((base_id, i))
-        return self.misses - before
-
     def stream(self, words: int) -> None:
         """Charge ``words`` of DRAM traffic without polluting the cache."""
         self.streamed_words += int(words)
@@ -68,8 +61,3 @@ class LRUCache:
 
     def clear(self) -> None:
         self._blocks.clear()
-
-    def reset_counters(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.streamed_words = 0

@@ -28,16 +28,13 @@ An optional :class:`repro.obs.TraceCollector` (``tracer=`` /
 attached the per-charge cost is a single ``is None`` test and the counters
 are byte-identical to an untraced run.
 
-Two simulator cores implement identical semantics (``sim_mode=``):
-``"scalar"`` keeps one :class:`~repro.pim.module.PIMModule` object per
-module (the byte-exact oracle), while ``"vector"`` backs all per-module
-round state with NumPy arrays (:mod:`repro.pim.vector`) and closes
-rounds with a handful of array reductions — the paper-scale (P = 2048)
-fast path.  Both modes produce byte-identical :class:`PIMStats`; the
-differential suite in ``tests/test_sim_modes.py`` enforces it.  The
-array-native entry points (:meth:`charge_pim_array`, :meth:`send_array`,
-:meth:`recv_array`) exist in both modes; in scalar mode they degrade to
-element-by-element charging.
+All per-module state lives in NumPy arrays, one slot per module
+(:class:`~repro.pim.vector.VectorState`): ``charge_pim``/``send``/``recv``
+write one slot, the array-native entry points (:meth:`charge_pim_array`,
+:meth:`send_array`, :meth:`recv_array`) write many, and a round closes
+with a handful of array reductions.  ``tests/sim_oracle.py`` keeps the
+same machine as one Python object per module, charged call by call; the
+differential suites hold the two to byte-identical :class:`PIMStats`.
 
 An optional :class:`repro.faults.FaultPlan` (``fault_plan=`` /
 :meth:`attach_faults`) injects seeded faults at the charging sites:
@@ -60,9 +57,8 @@ import numpy as np
 
 from ..faults.errors import MachineKill, MessageLoss, ModuleFailure
 from .cache import LRUCache
-from .module import PIMModule
 from .stats import PIMStats
-from .vector import VectorState
+from .vector import ModuleView, VectorState
 
 __all__ = ["PIMSystem"]
 
@@ -109,30 +105,12 @@ class PIMSystem:
         seed: int = 0,
         tracer=None,
         fault_plan=None,
-        sim_mode: str = "vector",
     ) -> None:
         if n_modules < 1:
             raise ValueError("need at least one PIM module")
-        if sim_mode not in ("scalar", "vector"):
-            raise ValueError(
-                f"sim_mode must be 'scalar' or 'vector', got {sim_mode!r}"
-            )
         self.n_modules = int(n_modules)
-        self.sim_mode = sim_mode
-        if sim_mode == "vector":
-            self._vec = VectorState(self.n_modules, module_capacity_words)
-            self.modules = self._vec.views
-            if module_capacity_words is not None:
-                self._vec.pressure_cb = self._capacity_pressure
-        else:
-            self._vec = None
-            self.modules = [
-                PIMModule(mid, module_capacity_words)
-                for mid in range(self.n_modules)
-            ]
-            if module_capacity_words is not None:
-                for m in self.modules:
-                    m.pressure_cb = self._capacity_pressure
+        self._vec = VectorState(self.n_modules, module_capacity_words)
+        self.modules = self._vec.views
         self.llc = LRUCache(max(1, llc_bytes // 64), words_per_block=_WORDS_PER_BLOCK)
         self.stats = PIMStats()
         self.seed = seed
@@ -140,7 +118,6 @@ class PIMSystem:
         self._phase_stack: list[str] = []
         self._pin_depth = 0  # >0: inner phase() calls do not relabel
         self._in_round = False
-        self._round_dirty: set[int] = set()
         self._round_entry_phase = "other"
         self._rounds_charged = 0  # non-empty rounds closed so far
         self._trace = tracer
@@ -197,11 +174,6 @@ class PIMSystem:
         """Attach a fault plan (replaces any previous one)."""
         self._faults = plan
 
-    def detach_faults(self):
-        """Detach and return the current fault plan (faults off)."""
-        plan, self._faults = self._faults, None
-        return plan
-
     @property
     def dead_modules(self) -> frozenset[int]:
         """Ids of decommissioned modules."""
@@ -244,24 +216,11 @@ class PIMSystem:
         if self.n_live <= 1:
             raise RuntimeError("cannot decommission the last live module")
         self._dead.add(mid)
-        m = self.modules[mid]
-        m.failed = True
-        m.master_words = 0.0
-        m.cache_words = 0.0
+        v = self._vec
+        v.failed[mid] = True
+        v.master_words[mid] = 0.0
+        v.cache_words[mid] = 0.0
         self.residency_epoch += 1
-
-    def kill_module(self, mid: int) -> None:
-        """Externally crash module ``mid`` (CLI / tests), recording the event."""
-        self.decommission(mid)
-        if self._faults is not None:
-            ev = self._faults.record_kill(int(mid), self._rounds_charged)
-            self._notify_fault(ev)
-        elif self._trace is not None:
-            from ..faults.plan import FaultEvent
-
-            self._notify_fault(
-                FaultEvent("kill", int(mid), self._rounds_charged, 0.0, "manual")
-            )
 
     def _notify_fault(self, event) -> None:
         if self._trace is not None:
@@ -333,12 +292,8 @@ class PIMSystem:
             raise ValueError(f"cannot pin placement to dead module {mid}")
         self._place_overrides[repr(_canonical_key(key)).encode()] = mid
 
-    @property
-    def n_placement_overrides(self) -> int:
-        return len(self._place_overrides)
-
-    def _capacity_pressure(self, module: PIMModule) -> None:
-        """A module allocation crossed ``capacity_words`` — record it.
+    def _capacity_pressure(self, module: ModuleView) -> None:
+        """A residency change took ``module`` past ``capacity_words`` — record it.
 
         Capacity pressure is *recorded*, never booked (like fault events):
         the event reaches an attached ``repro.obs`` collector so dashboards
@@ -473,32 +428,25 @@ class PIMSystem:
         if self._machine_dead:
             raise MachineKill(self._rounds_charged)
         self._in_round = True
-        self._round_dirty.clear()
         self._round_entry_phase = self.current_phase
         try:
             yield
         finally:
             self._in_round = False
-            if self._round_dirty or (
-                    self._vec is not None and self._vec.dirty.any()):
+            if self._vec.dirty.any():
                 self._close_round()
 
     def _close_round(self) -> None:
         """Book one non-empty BSP round into the stats (and the trace)."""
-        if self._vec is None:
-            self._book_round_scalar()
-        else:
-            self._book_round_vector()
+        self._book_round()
         self._rounds_charged += 1
 
         # Advance the fault schedule: storms decay/start, crashes land.
         # Crash events are applied here (decommission) so the failure is
         # detected on the *next* charge addressed to the dead module.
         if self._faults is not None and not self._faults.paused:
-            if self._vec is None:
-                live = [m.mid for m in self.modules if not m.failed]
-            else:
-                live = [int(i) for i in np.flatnonzero(~self._vec.failed)]
+            live = [mid for mid in range(self.n_modules)
+                    if mid not in self._dead]
             for ev in self._faults.on_round_close(self._rounds_charged - 1, live):
                 if ev.kind == "crash":
                     if self.n_live <= 1:
@@ -508,100 +456,16 @@ class PIMSystem:
                     self._machine_dead = True
                 self._notify_fault(ev)
 
-    def _book_round_scalar(self) -> None:
-        """Round booking over the per-module PIMModule objects (oracle)."""
-        dirty = [self.modules[mid] for mid in sorted(self._round_dirty)]
-        straggler = dirty[0]
-        max_words_module = None
-        max_cycles = 0.0
-        max_words = 0.0
-        total_words = 0.0
-        module_rounds = 0
-        for m in dirty:
-            if m.round_cycles > max_cycles:
-                max_cycles = m.round_cycles
-                straggler = m
-            w = m.round_words
-            total_words += w
-            if w > 0:
-                module_rounds += 1
-            if w > max_words:
-                max_words = w
-                max_words_module = m
+    def _book_round(self) -> None:
+        """Book the round over the touched modules' array slots.
 
-        t = self.stats.total
-        t.pim_cycles += max_cycles
-        t.comm_words += total_words
-        t.comm_max_words += max_words
-        t.rounds += 1
-        t.module_rounds += module_rounds
-        # Charge-time attribution: the straggler's cycles split by the
-        # phases it was charged under; comm split by each word's phase; the
-        # bottleneck-link max by the bottleneck module's phases.  Round
-        # scalars go to the entry phase.  Every total increment above is
-        # mirrored exactly by the per-phase increments below, so
-        # ``total == Σ phases`` holds for every counter.
-        for ph, cyc in straggler.round_phase_cycles.items():
-            self.stats.phase(ph).pim_cycles += cyc
-        for m in dirty:
-            for ph, w in m.round_phase_words.items():
-                self.stats.phase(ph).comm_words += w
-        if max_words_module is not None:
-            for ph, w in max_words_module.round_phase_words.items():
-                self.stats.phase(ph).comm_max_words += w
-        entry = self.stats.phase(self._round_entry_phase)
-        entry.rounds += 1
-        entry.module_rounds += module_rounds
-        self.stats.mux_switches += 2
-
-        if self._trace is not None:
-            from ..obs.trace import RoundRecord
-
-            self._trace.on_round(
-                RoundRecord(
-                    index=self._rounds_charged,
-                    entry_phase=self._round_entry_phase,
-                    straggler_mid=straggler.mid,
-                    max_cycles=max_cycles,
-                    total_words=total_words,
-                    max_words=max_words,
-                    max_words_mid=(
-                        max_words_module.mid if max_words_module is not None else -1
-                    ),
-                    module_rounds=module_rounds,
-                    touched=len(dirty),
-                    cycles_by_module={m.mid: m.round_cycles for m in dirty},
-                    words_by_module={m.mid: m.round_words for m in dirty},
-                    pim_cycles_by_phase=dict(straggler.round_phase_cycles),
-                    phase_words_by_module={
-                        m.mid: dict(m.round_phase_words) for m in dirty
-                    },
-                    comm_max_words_by_phase=(
-                        dict(max_words_module.round_phase_words)
-                        if max_words_module is not None
-                        else {}
-                    ),
-                )
-            )
-        for m in dirty:
-            m.begin_round()
-
-    def _book_round_vector(self) -> None:
-        """Round booking over the VectorState arrays.
-
-        Byte-identical to :meth:`_book_round_scalar`: the straggler and
-        bottleneck-link argmaxes use first-occurrence-over-sorted-mids
-        (matching the scalar strict ``>`` scan), per-phase splits are
-        guarded against zero so no spurious phase bucket is created, and
-        all sums are over integer-valued charges (exact in float64, so
-        summation order is irrelevant).
+        The straggler and bottleneck-link argmaxes take the first maximum
+        over ascending module ids; per-phase splits skip zeros, so no
+        empty phase bucket is created; and every charge is an integer, so
+        the float64 sums are exact in any order.
         """
         v = self._vec
-        if self._round_dirty:
-            # Union in the modules the scalar entry points touched.
-            v.dirty[np.fromiter(self._round_dirty, dtype=np.intp,
-                                count=len(self._round_dirty))] = True
-        mids = np.flatnonzero(v.dirty)  # ascending, like sorted(set)
+        mids = np.flatnonzero(v.dirty)  # ascending module ids
         mids_list = mids.tolist()
         rc = v.round_cycles[mids]
         rw = v.round_send_words[mids] + v.round_recv_words[mids]
@@ -689,13 +553,15 @@ class PIMSystem:
             )
         v.reset_round(mids)
 
-    def _module_in_round(self, mid: int) -> PIMModule:
+    def _refuse(self, mid: int) -> None:
+        """Raise for a charge outside a round or addressed to a dead module."""
         if not self._in_round:
             raise RuntimeError("PIM activity is only legal inside a BSP round")
-        if self._dead and mid in self._dead:
-            raise ModuleFailure(mid)
-        self._round_dirty.add(mid)
-        return self.modules[mid]
+        raise ModuleFailure(mid)
+
+    # charge_pim / send / recv write the module's array slots inline (no
+    # helper calls on the hot path): mark it dirty, then add into the
+    # round, total and phase arrays.
 
     def charge_pim(self, mid: int, cycles: float) -> None:
         """Charge PIM-core cycles on module ``mid`` in the current round.
@@ -704,19 +570,24 @@ class PIMSystem:
         multiply the charged cycles — the slow module inflates the round's
         straggler max exactly as §2.1's max-over-modules dictates.
 
-        A zero charge is a complete no-op (matching the bulk/array entry
+        A zero charge is a complete no-op (matching the array entry
         points, which skip zero amounts): it does not dirty the module,
         book a round, or consult the fault plan.
         """
         if not cycles:
             return
         phase = self.current_phase
-        m = self._module_in_round(mid)
+        if not self._in_round or (self._dead and mid in self._dead):
+            self._refuse(mid)
         if self._faults is not None:
             f = self._faults.slow_factor(mid)
             if f != 1.0:
                 cycles = cycles * f
-        m.charge(cycles, phase)
+        v = self._vec
+        v.dirty[mid] = True
+        v.round_cycles[mid] += cycles
+        v.total_cycles[mid] += cycles
+        v.phase_cycles(phase)[mid] += cycles
         if self._trace is not None:
             self._trace.on_pim(phase, mid, cycles)
 
@@ -725,19 +596,23 @@ class PIMSystem:
 
         With a fault plan attached the transfer may be dropped
         (:class:`~repro.faults.MessageLoss`), raised *before* the words are
-        charged; work already charged in the round stands and books when
-        the round closes.
+        charged; the module still counts as touched, and work already
+        charged in the round stands and books when the round closes.
 
-        A zero-word send is a complete no-op (matching the bulk/array
-        entry points): no dirty module, no round, no drop roll.
+        A zero-word send is a complete no-op (matching the array entry
+        points): no dirty module, no round, no drop roll.
         """
         if not words:
             return
         phase = self.current_phase
-        m = self._module_in_round(mid)
+        if not self._in_round or (self._dead and mid in self._dead):
+            self._refuse(mid)
+        v = self._vec
+        v.dirty[mid] = True
         if self._faults is not None:
             self._check_drop("send", mid, words)
-        m.add_recv(words, phase)
+        v.round_recv_words[mid] += words
+        v.phase_words(phase)[mid] += words
         if self._trace is not None:
             self._trace.on_send(phase, mid, words)
 
@@ -749,23 +624,26 @@ class PIMSystem:
         if not words:
             return
         phase = self.current_phase
-        m = self._module_in_round(mid)
+        if not self._in_round or (self._dead and mid in self._dead):
+            self._refuse(mid)
+        v = self._vec
+        v.dirty[mid] = True
         if self._faults is not None:
             self._check_drop("recv", mid, words)
-        m.add_send(words, phase)
+        v.round_send_words[mid] += words
+        v.phase_words(phase)[mid] += words
         if self._trace is not None:
             self._trace.on_recv(phase, mid, words)
 
     # -- array-native entry points --------------------------------------
     #
     # charge_pim_array / send_array / recv_array accept parallel (mids,
-    # amounts) arrays and are available in both sim modes: in scalar mode
-    # (or whenever a tracer, dead modules, or drop faults demand exact
-    # per-element semantics) they degrade to the element-by-element scalar
+    # amounts) arrays and update the VectorState arrays with a handful of
+    # NumPy ops — the path the vexec kernels and the bulk upload ride at
+    # P=2048.  Whenever a tracer, dead modules, or armed drop faults demand
+    # exact per-element semantics they degrade to the element-by-element
     # calls, so they are byte-identical to a hand-written loop by
-    # construction.  In vector mode with no such complication they update
-    # the VectorState arrays with a handful of NumPy ops — the fast path
-    # the vexec kernels and the bulk-build ride at P=2048.
+    # construction.
 
     @staticmethod
     def _as_charge_arrays(mids, amounts):
@@ -783,16 +661,16 @@ class PIMSystem:
     def charge_pim_array(self, mids, cycles) -> None:
         """Charge PIM cycles on many modules from parallel arrays.
 
-        Zero entries are skipped (same no-op semantics as the scalar
-        path); slowdown factors are applied as a per-module multiplier
-        vector.  Byte-identical to calling :meth:`charge_pim` once per
-        element in array order.
+        Zero entries are skipped (same no-op semantics as
+        :meth:`charge_pim`); slowdown factors are applied as a per-module
+        multiplier vector.  Byte-identical to calling :meth:`charge_pim`
+        once per element in array order.
         """
         mids, cycles = self._as_charge_arrays(mids, cycles)
         if mids.size == 0:
             return
         v = self._vec
-        if v is None or self._trace is not None or self._dead:
+        if self._trace is not None or self._dead:
             for mid, c in zip(mids.tolist(), cycles.tolist()):
                 self.charge_pim(mid, c)
             return
@@ -815,7 +693,7 @@ class PIMSystem:
         drops_armed = (self._faults is not None
                        and self._faults.drop_rate > 0.0
                        and not self._faults.paused)
-        if v is None or self._trace is not None or self._dead or drops_armed:
+        if self._trace is not None or self._dead or drops_armed:
             # Element-by-element: preserves per-transfer drop-RNG order,
             # exact ModuleFailure raise points, and per-charge tracing.
             scalar = self.send if direction == "send" else self.recv
@@ -836,17 +714,6 @@ class PIMSystem:
     def recv_array(self, mids, words) -> None:
         """Module → CPU transfers from parallel (mids, words) arrays."""
         self._transfer_array("recv", mids, words)
-
-    # -- dict-keyed wrapper ----------------------------------------------
-    def send_bulk(self, words_by_mid: dict) -> None:
-        """CPU → module transfers to many modules in the current round."""
-        n = len(words_by_mid)
-        if not n:
-            return
-        self.send_array(
-            np.fromiter(words_by_mid.keys(), dtype=np.intp, count=n),
-            np.fromiter(words_by_mid.values(), dtype=np.float64, count=n),
-        )
 
     def charge_comm_flat(self, words: float) -> None:
         """Charge CPU↔PIM words without binding them to a specific round.
@@ -911,52 +778,39 @@ class PIMSystem:
     # residency / reporting
     # ------------------------------------------------------------------
     def master_words(self) -> float:
-        if self._vec is not None:
-            return float(self._vec.master_words.sum())
-        return sum(m.master_words for m in self.modules)
+        return float(self._vec.master_words.sum())
 
     def cache_words(self) -> float:
-        if self._vec is not None:
-            return float(self._vec.cache_words.sum())
-        return sum(m.cache_words for m in self.modules)
+        return float(self._vec.cache_words.sum())
 
     def used_words(self) -> float:
-        if self._vec is not None:
-            return float(self._vec.master_words.sum()
-                         + self._vec.cache_words.sum())
-        return sum(m.used_words for m in self.modules)
+        return float(self._vec.master_words.sum()
+                     + self._vec.cache_words.sum())
 
     def module_loads(self) -> np.ndarray:
         """Cumulative PIM cycles per module (load-balance inspection)."""
-        if self._vec is not None:
-            return self._vec.total_cycles.copy()
-        return np.array([m.total_cycles for m in self.modules])
+        return self._vec.total_cycles.copy()
 
     def residency(self) -> np.ndarray:
         """Words resident per module."""
-        if self._vec is not None:
-            return self._vec.master_words + self._vec.cache_words
-        return np.array([m.used_words for m in self.modules])
+        return self._vec.master_words + self._vec.cache_words
 
     def residency_split(self) -> tuple[np.ndarray, np.ndarray]:
         """(master, cache) words per module, as fresh arrays."""
-        if self._vec is not None:
-            return self._vec.master_words.copy(), self._vec.cache_words.copy()
-        return (np.array([m.master_words for m in self.modules]),
-                np.array([m.cache_words for m in self.modules]))
+        return self._vec.master_words.copy(), self._vec.cache_words.copy()
 
     def add_residency(self, mids, master, cache) -> None:
         """Add signed master/cache word changes from parallel arrays.
 
-        The entry point residency upkeep books through, in both sim cores
-        (in the manner of :meth:`charge_pim_array`): element ``i`` adds
-        ``master[i]`` and ``cache[i]`` to module ``mids[i]``.  Word counts
-        are integers, so the totals do not depend on the order.  Capacity
-        pressure is judged on the net change of the whole call: a module
-        whose residency goes from at most ``capacity_words`` to above it
-        records one event, in module-id order — the onset rule of
-        :meth:`PIMModule._check_pressure`, so a module that stays over
-        capacity is not reported again.
+        The one way residency changes, apart from :meth:`decommission`
+        zeroing a dead module (in the manner of :meth:`charge_pim_array`):
+        element ``i`` adds ``master[i]`` and ``cache[i]`` to module
+        ``mids[i]``.  Word counts are integers, so the totals do not
+        depend on the order.  Capacity pressure is judged on the net
+        change of the whole call: a module whose residency goes from at
+        most ``capacity_words`` to above it records one event, in
+        module-id order, so a module that stays over capacity is not
+        reported again.
         """
         mids = np.asarray(mids, dtype=np.intp)
         if not mids.size:
@@ -966,15 +820,8 @@ class PIMSystem:
             watched = [(mid, self.modules[mid].used_words)
                        for mid in np.unique(mids).tolist()
                        if self.modules[mid].capacity_words is not None]
-        if self._vec is not None:
-            np.add.at(self._vec.master_words, mids, master)
-            np.add.at(self._vec.cache_words, mids, cache)
-        else:
-            for mid, dm, dc in zip(mids.tolist(), np.asarray(master).tolist(),
-                                   np.asarray(cache).tolist()):
-                m = self.modules[mid]
-                m.master_words += dm
-                m.cache_words += dc
+        np.add.at(self._vec.master_words, mids, master)
+        np.add.at(self._vec.cache_words, mids, cache)
         for mid, before in watched:
             m = self.modules[mid]
             if before <= m.capacity_words < m.used_words:

@@ -1,33 +1,27 @@
-"""Array-backed per-module state: the vector simulator core.
+"""Array-backed per-module state: the simulator core.
 
-``sim_mode="vector"`` replaces the P ``PIMModule`` objects with a single
-:class:`VectorState` holding one NumPy array per counter, indexed by
-module id.  Per-round phase attribution keeps the same charge-time
-semantics as the scalar path: one lazily created float64 array per phase
-label active in the current round (``round_phase_cycles`` /
-``round_phase_words``), cleared at round close.
+:class:`VectorState` holds one NumPy array per per-module counter,
+indexed by module id.  Per-round phase attribution is decided at charge
+time: one lazily created float64 array per phase label active in the
+current round (``round_phase_cycles`` / ``round_phase_words``), cleared
+at round close.
 
 Every charge the simulator books is integer-valued (the contract the
 vectorized exec layer already relies on), so float64 array sums are
-exact and order-independent — the vector core's round bookings are
-byte-identical to the scalar oracle's sequential accumulation.
+exact and order-independent — the round bookings are byte-identical to
+a sequential per-module accumulation (the oracle in
+``tests/sim_oracle.py``).
 
 Call sites outside ``repro.pim`` never see the arrays directly: they
-read and mutate residency through ``PIMSystem.modules``, which in vector
-mode is a list of :class:`ModuleView` proxies whose attributes are
-views onto the shared arrays.  The proxy implements the full
-``PIMModule`` surface (residency alloc/free with the same clamp
-semantics, capacity pressure, ``failed``, the round accumulators), so
-the balance planner, introspection and decommissioning run unchanged in
-either mode.  The tree's residency upkeep writes through
-``PIMSystem.add_residency`` instead, one array add per refresh.
+read residency through ``PIMSystem.modules``, a list of
+:class:`ModuleView` read views, one per module slot, which the balance
+planner, introspection, snapshot and recovery use.  Words change only
+through ``PIMSystem.add_residency`` (and ``decommission``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .module import _checked_free
 
 __all__ = ["VectorState", "ModuleView"]
 
@@ -38,7 +32,6 @@ class VectorState:
     __slots__ = (
         "n",
         "capacity_words",
-        "pressure_cb",
         "total_cycles",
         "round_cycles",
         "round_send_words",
@@ -54,11 +47,9 @@ class VectorState:
 
     def __init__(self, n: int, capacity_words: int | None = None) -> None:
         self.n = int(n)
-        # Per-module capacity (None = unlimited), a plain list so tests
-        # and the planner can override a single module's budget exactly
-        # as they would set PIMModule.capacity_words.
+        # Per-module capacity (None = unlimited), a plain list so recovery
+        # and the planner's tests can set a single module's budget.
         self.capacity_words: list = [capacity_words] * int(n)
-        self.pressure_cb = None  # set by the owning PIMSystem
         self.total_cycles = np.zeros(n, dtype=np.float64)
         self.round_cycles = np.zeros(n, dtype=np.float64)
         self.round_send_words = np.zeros(n, dtype=np.float64)
@@ -66,9 +57,7 @@ class VectorState:
         self.master_words = np.zeros(n, dtype=np.float64)
         self.cache_words = np.zeros(n, dtype=np.float64)
         self.failed = np.zeros(n, dtype=bool)
-        # Modules touched by the *array* entry points this round (the
-        # scalar entry points keep using PIMSystem._round_dirty); the
-        # round close unions the two.  A mask beats a Python set here:
+        # Modules touched this round.  A mask beats a Python set here:
         # marking 2048 modules is one fancy-index store, not 2048 hashes.
         self.dirty = np.zeros(n, dtype=bool)
         # Charge-time phase attribution for the current round: one array
@@ -103,7 +92,7 @@ class VectorState:
 
 
 class ModuleView:
-    """``PIMModule``-compatible proxy over one slot of a VectorState."""
+    """Read view of one module's slot in a VectorState."""
 
     __slots__ = ("_v", "mid")
 
@@ -111,7 +100,6 @@ class ModuleView:
         self._v = state
         self.mid = mid
 
-    # -- counters -------------------------------------------------------
     @property
     def capacity_words(self):
         return self._v.capacity_words[self.mid]
@@ -124,126 +112,23 @@ class ModuleView:
     def total_cycles(self) -> float:
         return float(self._v.total_cycles[self.mid])
 
-    @total_cycles.setter
-    def total_cycles(self, value: float) -> None:
-        self._v.total_cycles[self.mid] = value
-
-    @property
-    def round_cycles(self) -> float:
-        return float(self._v.round_cycles[self.mid])
-
-    @round_cycles.setter
-    def round_cycles(self, value: float) -> None:
-        self._v.round_cycles[self.mid] = value
-
-    @property
-    def round_send_words(self) -> float:
-        return float(self._v.round_send_words[self.mid])
-
-    @round_send_words.setter
-    def round_send_words(self, value: float) -> None:
-        self._v.round_send_words[self.mid] = value
-
-    @property
-    def round_recv_words(self) -> float:
-        return float(self._v.round_recv_words[self.mid])
-
-    @round_recv_words.setter
-    def round_recv_words(self, value: float) -> None:
-        self._v.round_recv_words[self.mid] = value
-
-    @property
-    def round_words(self) -> float:
-        return float(
-            self._v.round_send_words[self.mid]
-            + self._v.round_recv_words[self.mid]
-        )
-
     @property
     def failed(self) -> bool:
         return bool(self._v.failed[self.mid])
 
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._v.failed[self.mid] = bool(value)
-
-    @property
-    def pressure_cb(self):
-        return self._v.pressure_cb
-
-    @pressure_cb.setter
-    def pressure_cb(self, cb) -> None:
-        self._v.pressure_cb = cb
-
-    # -- execution ------------------------------------------------------
-    def charge(self, cycles: float, phase: str = "other") -> None:
-        v, mid = self._v, self.mid
-        v.round_cycles[mid] += cycles
-        v.total_cycles[mid] += cycles
-        v.phase_cycles(phase)[mid] += cycles
-
-    def add_recv(self, words: float, phase: str = "other") -> None:
-        v, mid = self._v, self.mid
-        v.round_recv_words[mid] += words
-        v.phase_words(phase)[mid] += words
-
-    def add_send(self, words: float, phase: str = "other") -> None:
-        v, mid = self._v, self.mid
-        v.round_send_words[mid] += words
-        v.phase_words(phase)[mid] += words
-
-    # -- memory residency -----------------------------------------------
     @property
     def master_words(self) -> float:
         return float(self._v.master_words[self.mid])
 
-    @master_words.setter
-    def master_words(self, value: float) -> None:
-        self._v.master_words[self.mid] = value
-
     @property
     def cache_words(self) -> float:
         return float(self._v.cache_words[self.mid])
-
-    @cache_words.setter
-    def cache_words(self, value: float) -> None:
-        self._v.cache_words[self.mid] = value
 
     @property
     def used_words(self) -> float:
         return float(
             self._v.master_words[self.mid] + self._v.cache_words[self.mid]
         )
-
-    def alloc_master(self, words: float) -> None:
-        self._v.master_words[self.mid] += words
-        if self._v.capacity_words[self.mid] is not None:
-            self._check_pressure(words)
-
-    def free_master(self, words: float) -> None:
-        self.master_words = _checked_free(
-            self.master_words, words, self.mid, "master"
-        )
-
-    def alloc_cache(self, words: float) -> None:
-        self._v.cache_words[self.mid] += words
-        if self._v.capacity_words[self.mid] is not None:
-            self._check_pressure(words)
-
-    def free_cache(self, words: float) -> None:
-        self.cache_words = _checked_free(
-            self.cache_words, words, self.mid, "cache"
-        )
-
-    def _check_pressure(self, delta: float) -> None:
-        # Same onset semantics as PIMModule._check_pressure: only the
-        # allocation that crosses capacity fires the callback.
-        v = self._v
-        cap = v.capacity_words[self.mid]
-        if (v.pressure_cb is not None
-                and self.used_words > cap
-                and self.used_words - delta <= cap):
-            v.pressure_cb(self)
 
     def over_capacity(self) -> bool:
         cap = self._v.capacity_words[self.mid]

@@ -47,7 +47,6 @@ class ServeSpec:
     index: str = "pim"
     seed: int = 7
     data_seed: int | None = None    # None ⇒ ``seed``; sweep shards share one
-    sim_mode: str | None = None
     exec_mode: str | None = None
     # offered traffic
     arrival: str = "poisson"
@@ -151,7 +150,7 @@ def _resolve(spec: ServeSpec):
     from . import calibrate_capacity
 
     probe = make_adapter(spec.index, data, n_modules=spec.n_modules,
-                         seed=spec.seed, sim_mode=spec.sim_mode)
+                         seed=spec.seed)
     capacity = calibrate_capacity(probe, data, k=spec.k, seed=spec.seed)
     return dataclasses.replace(spec, rate=spec.load * capacity), capacity, data
 
@@ -186,7 +185,7 @@ def build_session(spec: ServeSpec, *, fault_plan=None, tracer=None,
                              tenants=spec.tenants)
     adapter = make_adapter(
         spec.index, data, n_modules=spec.n_modules, seed=spec.seed,
-        sim_mode=spec.sim_mode, exec_mode=spec.exec_mode,
+        exec_mode=spec.exec_mode,
         fault_plan=fault_plan, tracer=tracer,
         config=make_index_config(config, kind=spec.index, n_points=len(data),
                                  n_modules=spec.n_modules))

@@ -91,12 +91,6 @@ class FileBackend:
         """Keep only the first ``n_bytes`` of the WAL (torn-write tests)."""
         self.wal_reset(self.wal_read()[: int(n_bytes)])
 
-    def wal_size(self) -> int:
-        try:
-            return self.wal_path.stat().st_size
-        except FileNotFoundError:
-            return 0
-
     def close(self) -> None:
         pass
 
@@ -192,12 +186,6 @@ class SQLiteBackend:
 
     def wal_truncate(self, n_bytes: int) -> None:
         self.wal_reset(self.wal_read()[: int(n_bytes)])
-
-    def wal_size(self) -> int:
-        row = self._db.execute(
-            "SELECT COALESCE(SUM(LENGTH(data)), 0) FROM wal"
-        ).fetchone()
-        return int(row[0])
 
     def close(self) -> None:
         self._db.close()

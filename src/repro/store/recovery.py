@@ -6,7 +6,7 @@ whole path runs under a **pinned** ``"recovery"`` phase
 (``system.phase("recovery", pin=True)``): the snapshot read charges host
 CPU + a DRAM stream of the image, the shards go back to the modules
 through the tree's normal bulk-upload entry point (``_upload`` — the
-same ``send_bulk`` + L0 broadcast as a cold build), and each journaled
+same ``send_array`` + L0 broadcast as a cold build), and each journaled
 batch replays through the ordinary ``insert``/``delete`` code so its
 per-module rounds, straggler maxima and comm words are exactly what the
 original batch paid.  Pinning means the inner phases those code paths
@@ -111,10 +111,9 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
         module_capacity_words=cap0,
         seed=int(sysman["seed"]),
         tracer=tracer,
-        sim_mode=sysman["sim_mode"],
     )
     if cap0 is not None:
-        # Restore per-module capacities exactly (init wired pressure_cb).
+        # Restore per-module capacities exactly.
         for m, c in zip(system.modules, caps):
             m.capacity_words = c
 
@@ -144,7 +143,7 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
             system._place_overrides[bytes.fromhex(key_hex)] = int(mid)
 
         # Re-upload the shards through the normal bulk entry point: the
-        # same send_bulk fan-out + L0 broadcast a cold build pays.
+        # same send_array fan-out + L0 broadcast a cold build pays.
         tree._upload()
 
         # Reinstall the replica registry recorded at snapshot time
@@ -174,7 +173,7 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
                     send_by[mid] = send_by.get(mid, 0.0) + words
             if send_by:
                 with system.round():
-                    system.send_bulk(send_by)
+                    system.send_array(list(send_by), list(send_by.values()))
         tree.refresh_residency()
 
         # Reattach the membership filters (repro.route) recorded at

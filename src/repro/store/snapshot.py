@@ -16,7 +16,7 @@ A snapshot is three kinds of artifact in the backend:
 * **the manifest** — canonical JSON naming the blob set plus everything
   needed to rebuild the machine: config fields, Morton codec parameters,
   tree counters (``_next_nid``, ``_batch_counter``, route salt), system
-  parameters (P, seed, sim_mode, LLC bytes, per-module capacities), the
+  parameters (P, seed, LLC bytes, per-module capacities), the
   dead-module set, placement overrides, and the WAL sequence number the
   snapshot covers.  The manifest carries a CRC32 of its own canonical
   encoding; every blob it references is verified against its hash at
@@ -180,7 +180,9 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
             "direct_api": tree.config.direct_api,
             "push_pull": tree.config.push_pull,
             "exec_mode": tree.config.exec_mode,
-            "sim_mode": tree.config.sim_mode,
+            # A format constant: the simulator has one core, but the
+            # manifest keeps the key (a checkpoint charges its bytes).
+            "sim_mode": "vector",
         },
         "codec": {
             "lo": [float(x) for x in np.asarray(tree.codec.lo).ravel()],
@@ -191,7 +193,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
         "system": {
             "n_modules": int(sys.n_modules),
             "seed": int(sys.seed),
-            "sim_mode": sys.sim_mode,
+            "sim_mode": "vector",  # format constant, as in "config"
             "llc_bytes": int(sys.llc.capacity_blocks * 64),
             "dead_modules": sorted(int(m) for m in sys.dead_modules),
             "placement_overrides": {
@@ -361,7 +363,9 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
         m.hot_hits = int(hot_hits)
 
     # -- assemble the tree object (bypassing __init__'s build path) -------
-    cfg = PIMZdTreeConfig(**man["config"])
+    config = dict(man["config"])
+    config.pop("sim_mode", None)
+    cfg = PIMZdTreeConfig(**config)
     codec = MortonCodec(
         np.asarray(man["codec"]["lo"], dtype=np.float64),
         np.asarray(man["codec"]["hi"], dtype=np.float64),

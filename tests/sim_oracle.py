@@ -1,0 +1,314 @@
+"""The scalar simulator core: the differential oracle for ``PIMSystem``.
+
+``PIMSystem`` keeps every per-module counter in NumPy arrays
+(``repro.pim.vector``) and closes a BSP round with a few array
+reductions.  This module keeps the plainest form of the same machine:
+one :class:`PIMModule` object per module, charged one call at a time,
+with the round booked by a Python scan over the touched modules.
+:class:`ScalarPIMSystem` swaps that core into ``PIMSystem`` and inherits
+everything else (phases, placement, faults, tracing, broadcast), so the
+two differ in the core alone.  Every charge is an integer, so both must
+book byte-identical PIMStats — the property ``tests/test_sim_modes.py``,
+``tests/test_differential_exec.py`` and the other differential suites
+hold production to.
+
+Inject it where the system is built, e.g.
+``PIMZdTree(points, system=ScalarPIMSystem(P, seed=s))``; for adapters
+and serving sessions, ``monkeypatch.setattr(repro.eval.harness,
+"PIMSystem", ScalarPIMSystem)``.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+
+from repro.faults.errors import MachineKill, ModuleFailure
+from repro.pim import PIMSystem
+
+__all__ = ["PIMModule", "ScalarPIMSystem"]
+
+
+class PIMModule:
+    """Accounting state of one PIM module."""
+
+    __slots__ = (
+        "mid",
+        "capacity_words",
+        "total_cycles",
+        "round_cycles",
+        "round_send_words",
+        "round_recv_words",
+        "round_phase_cycles",
+        "round_phase_words",
+        "master_words",
+        "cache_words",
+        "failed",
+    )
+
+    def __init__(self, mid: int, capacity_words: int | None = None) -> None:
+        self.mid = mid
+        self.capacity_words = capacity_words
+        self.failed = False
+        self.total_cycles = 0.0
+        self.round_cycles = 0.0
+        self.round_send_words = 0.0
+        self.round_recv_words = 0.0
+        # Charge-time phase attribution within the current round:
+        # sum(round_phase_cycles.values()) == round_cycles and
+        # sum(round_phase_words.values()) == round_words.
+        self.round_phase_cycles: dict[str, float] = {}
+        self.round_phase_words: dict[str, float] = {}
+        self.master_words = 0.0
+        self.cache_words = 0.0
+
+    def charge(self, cycles: float, phase: str) -> None:
+        self.round_cycles += cycles
+        self.total_cycles += cycles
+        d = self.round_phase_cycles
+        d[phase] = d.get(phase, 0.0) + cycles
+
+    def add_recv(self, words: float, phase: str) -> None:
+        """Words arriving CPU → module in the current round."""
+        self.round_recv_words += words
+        d = self.round_phase_words
+        d[phase] = d.get(phase, 0.0) + words
+
+    def add_send(self, words: float, phase: str) -> None:
+        """Words leaving module → CPU in the current round."""
+        self.round_send_words += words
+        d = self.round_phase_words
+        d[phase] = d.get(phase, 0.0) + words
+
+    def begin_round(self) -> None:
+        self.round_cycles = 0.0
+        self.round_send_words = 0.0
+        self.round_recv_words = 0.0
+        self.round_phase_cycles = {}
+        self.round_phase_words = {}
+
+    @property
+    def round_words(self) -> float:
+        return self.round_send_words + self.round_recv_words
+
+    @property
+    def used_words(self) -> float:
+        return self.master_words + self.cache_words
+
+    def over_capacity(self) -> bool:
+        return (self.capacity_words is not None
+                and self.used_words > self.capacity_words)
+
+
+class ScalarPIMSystem(PIMSystem):
+    """``PIMSystem`` over per-module objects, charged element by element."""
+
+    def __init__(self, n_modules: int, *, module_capacity_words=None,
+                 **kw) -> None:
+        super().__init__(n_modules, module_capacity_words=module_capacity_words,
+                         **kw)
+        self._vec = None
+        self.modules = [PIMModule(mid, module_capacity_words)
+                        for mid in range(self.n_modules)]
+        self._round_dirty: set[int] = set()
+
+    # -- rounds ----------------------------------------------------------
+    @contextmanager
+    def round(self):
+        if self._in_round:
+            raise RuntimeError("BSP rounds cannot nest")
+        if self._machine_dead:
+            raise MachineKill(self._rounds_charged)
+        self._in_round = True
+        self._round_dirty.clear()
+        self._round_entry_phase = self.current_phase
+        try:
+            yield
+        finally:
+            self._in_round = False
+            if self._round_dirty:
+                self._close_round()
+
+    def _book_round(self) -> None:
+        dirty = [self.modules[mid] for mid in sorted(self._round_dirty)]
+        straggler = dirty[0]
+        max_words_module = None
+        max_cycles = 0.0
+        max_words = 0.0
+        total_words = 0.0
+        module_rounds = 0
+        for m in dirty:
+            if m.round_cycles > max_cycles:
+                max_cycles = m.round_cycles
+                straggler = m
+            w = m.round_words
+            total_words += w
+            if w > 0:
+                module_rounds += 1
+            if w > max_words:
+                max_words = w
+                max_words_module = m
+
+        t = self.stats.total
+        t.pim_cycles += max_cycles
+        t.comm_words += total_words
+        t.comm_max_words += max_words
+        t.rounds += 1
+        t.module_rounds += module_rounds
+        # The straggler's cycles split by the phases it was charged under;
+        # comm by each word's phase; the bottleneck-link max by the
+        # bottleneck module's phases; round scalars go to the entry phase.
+        for ph, cyc in straggler.round_phase_cycles.items():
+            self.stats.phase(ph).pim_cycles += cyc
+        for m in dirty:
+            for ph, w in m.round_phase_words.items():
+                self.stats.phase(ph).comm_words += w
+        if max_words_module is not None:
+            for ph, w in max_words_module.round_phase_words.items():
+                self.stats.phase(ph).comm_max_words += w
+        entry = self.stats.phase(self._round_entry_phase)
+        entry.rounds += 1
+        entry.module_rounds += module_rounds
+        self.stats.mux_switches += 2
+
+        if self._trace is not None:
+            from repro.obs.trace import RoundRecord
+
+            self._trace.on_round(
+                RoundRecord(
+                    index=self._rounds_charged,
+                    entry_phase=self._round_entry_phase,
+                    straggler_mid=straggler.mid,
+                    max_cycles=max_cycles,
+                    total_words=total_words,
+                    max_words=max_words,
+                    max_words_mid=(
+                        max_words_module.mid if max_words_module is not None
+                        else -1
+                    ),
+                    module_rounds=module_rounds,
+                    touched=len(dirty),
+                    cycles_by_module={m.mid: m.round_cycles for m in dirty},
+                    words_by_module={m.mid: m.round_words for m in dirty},
+                    pim_cycles_by_phase=dict(straggler.round_phase_cycles),
+                    phase_words_by_module={
+                        m.mid: dict(m.round_phase_words) for m in dirty
+                    },
+                    comm_max_words_by_phase=(
+                        dict(max_words_module.round_phase_words)
+                        if max_words_module is not None
+                        else {}
+                    ),
+                )
+            )
+        for m in dirty:
+            m.begin_round()
+
+    # -- charging --------------------------------------------------------
+    def _module_in_round(self, mid: int) -> PIMModule:
+        if not self._in_round:
+            raise RuntimeError("PIM activity is only legal inside a BSP round")
+        if self._dead and mid in self._dead:
+            raise ModuleFailure(mid)
+        self._round_dirty.add(mid)
+        return self.modules[mid]
+
+    def charge_pim(self, mid: int, cycles: float) -> None:
+        if not cycles:
+            return
+        phase = self.current_phase
+        m = self._module_in_round(mid)
+        if self._faults is not None:
+            f = self._faults.slow_factor(mid)
+            if f != 1.0:
+                cycles = cycles * f
+        m.charge(cycles, phase)
+        if self._trace is not None:
+            self._trace.on_pim(phase, mid, cycles)
+
+    def send(self, mid: int, words: float) -> None:
+        if not words:
+            return
+        phase = self.current_phase
+        m = self._module_in_round(mid)
+        if self._faults is not None:
+            self._check_drop("send", mid, words)
+        m.add_recv(words, phase)
+        if self._trace is not None:
+            self._trace.on_send(phase, mid, words)
+
+    def recv(self, mid: int, words: float) -> None:
+        if not words:
+            return
+        phase = self.current_phase
+        m = self._module_in_round(mid)
+        if self._faults is not None:
+            self._check_drop("recv", mid, words)
+        m.add_send(words, phase)
+        if self._trace is not None:
+            self._trace.on_recv(phase, mid, words)
+
+    def charge_pim_array(self, mids, cycles) -> None:
+        mids, cycles = self._as_charge_arrays(mids, cycles)
+        for mid, c in zip(mids.tolist(), cycles.tolist()):
+            self.charge_pim(mid, c)
+
+    def _transfer_array(self, direction: str, mids, words) -> None:
+        mids, words = self._as_charge_arrays(mids, words)
+        scalar = self.send if direction == "send" else self.recv
+        for mid, w in zip(mids.tolist(), words.tolist()):
+            scalar(mid, w)
+
+    # -- residency -------------------------------------------------------
+    def decommission(self, mid: int) -> None:
+        mid = int(mid)
+        if mid in self._dead:
+            return
+        if self.n_live <= 1:
+            raise RuntimeError("cannot decommission the last live module")
+        self._dead.add(mid)
+        m = self.modules[mid]
+        m.failed = True
+        m.master_words = 0.0
+        m.cache_words = 0.0
+        self.residency_epoch += 1
+
+    def add_residency(self, mids, master, cache) -> None:
+        mids = np.asarray(mids, dtype=np.intp)
+        if not mids.size:
+            return
+        watched: list = []
+        if self._capacity_watch:
+            watched = [(mid, self.modules[mid].used_words)
+                       for mid in np.unique(mids).tolist()
+                       if self.modules[mid].capacity_words is not None]
+        for mid, dm, dc in zip(mids.tolist(), np.asarray(master).tolist(),
+                               np.asarray(cache).tolist()):
+            m = self.modules[mid]
+            m.master_words += dm
+            m.cache_words += dc
+        for mid, before in watched:
+            m = self.modules[mid]
+            if before <= m.capacity_words < m.used_words:
+                self._capacity_pressure(m)
+
+    # -- readers ---------------------------------------------------------
+    def master_words(self) -> float:
+        return sum(m.master_words for m in self.modules)
+
+    def cache_words(self) -> float:
+        return sum(m.cache_words for m in self.modules)
+
+    def used_words(self) -> float:
+        return sum(m.used_words for m in self.modules)
+
+    def module_loads(self) -> np.ndarray:
+        return np.array([m.total_cycles for m in self.modules])
+
+    def residency(self) -> np.ndarray:
+        return np.array([m.used_words for m in self.modules])
+
+    def residency_split(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array([m.master_words for m in self.modules]),
+                np.array([m.cache_words for m in self.modules]))

@@ -55,12 +55,12 @@ class TestHotnessTracker:
     def test_ewma_folds_deltas(self):
         sys = PIMSystem(4, seed=0)
         tr = HotnessTracker(sys, alpha=0.5)
-        sys.modules[1].total_cycles = 100.0
+        with sys.round():
+            sys.charge_pim(1, 100.0)
         d = tr.observe()
         assert d[1] == 100.0 and d[0] == 0.0
         assert tr.hotness[1] == pytest.approx(50.0)  # 0.5 * 100
-        sys.modules[1].total_cycles = 100.0  # no new work
-        tr.observe()
+        tr.observe()  # no new work
         assert tr.hotness[1] == pytest.approx(25.0)  # decays
         assert tr.observations == 2
         assert tr.total_delta == pytest.approx(100.0)
@@ -102,7 +102,8 @@ class TestHotnessTracker:
         without folding a delta and keeps the accumulated EWMA skew."""
         old = PIMSystem(4, seed=0)
         tr = HotnessTracker(old, alpha=0.5)
-        old.modules[2].total_cycles = 1000.0
+        with old.round():
+            old.charge_pim(2, 1000.0)
         tr.observe()
         assert tr.hotness[2] == pytest.approx(500.0)
         fresh = PIMSystem(4, seed=0)  # restart: counters back to zero
@@ -160,7 +161,7 @@ class TestInertByteIdentity:
         a = run(False)
         b = run(True)
         assert a.system.stats.to_dict() == b.system.stats.to_dict()
-        assert b.system.n_placement_overrides == 0
+        assert not b.system._place_overrides
         assert "rebalance" not in b.system.stats.phases
 
     def test_inert_config_thresholds_never_trip(self):
@@ -251,14 +252,13 @@ class TestCapacityPressure:
     def test_crossing_alloc_fires_one_event(self):
         tracer = TraceCollector()
         sys = PIMSystem(4, module_capacity_words=100, seed=0, tracer=tracer)
-        m = sys.modules[2]
-        m.alloc_master(90.0)
+        sys.add_residency([2], [90.0], [0.0])
         assert tracer.capacity_events == []
-        m.alloc_master(20.0)  # crossing allocation
+        sys.add_residency([2], [20.0], [0.0])  # crossing allocation
         assert len(tracer.capacity_events) == 1
         ev = tracer.capacity_events[0]
         assert ev["mid"] == 2 and ev["used_words"] == 110.0
-        m.alloc_master(5.0)  # already over: no steady drone
+        sys.add_residency([2], [5.0], [0.0])  # already over: no steady drone
         assert len(tracer.capacity_events) == 1
         assert sys.over_capacity_modules() == [2]
 
@@ -281,13 +281,13 @@ class TestCapacityPressure:
         sys = PIMSystem(8, seed=3)
         for key in [("meta", 5), ("meta", 91), "anything", 42]:
             assert choose_destination(sys, key) == sys.place(key)
-        assert sys.n_placement_overrides == 0
+        assert not sys._place_overrides
 
     def test_choose_destination_respects_capacity(self):
         sys = PIMSystem(4, module_capacity_words=100, seed=0)
         key = ("meta", 1)
         full = sys.place(key)
-        sys.modules[full].alloc_master(95.0)
+        sys.add_residency([full], [95.0], [0.0])
         dst = choose_destination(sys, key, words=50.0)
         assert dst != full
         assert not sys.modules[dst].over_capacity()
@@ -342,7 +342,7 @@ class TestExecutor:
         for mv in plan.moves:
             assert mv.meta.module == mv.dst
             assert ad.system.place(("meta", mv.meta.root.nid)) == mv.dst
-        assert ad.system.n_placement_overrides >= len(plan.moves)
+        assert len(ad.system._place_overrides) >= len(plan.moves)
         # Residency bookkeeping matches the new mastership.
         resid = ad.system.residency()
         assert resid.sum() > 0

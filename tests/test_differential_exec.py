@@ -24,8 +24,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from sim_oracle import ScalarPIMSystem
 from ties import tie_heavy
 
+import repro.eval.harness
 from repro.core import Box
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
 
@@ -69,11 +71,10 @@ def _build_inputs(dims: int, seed: int, dup: bool, skew: bool,
     return pts, q, boxes, fresh, dele
 
 
-def _run_mode(mode: str, variant: str, pts, q, boxes, fresh, dele, k: int,
-              sim_mode: str | None = None):
+def _run_mode(mode: str, variant: str, pts, q, boxes, fresh, dele, k: int):
     """The full op mix in one exec mode; returns comparable results + stats."""
     ad = PIMZdTreeAdapter(pts, n_modules=8, variant=variant, seed=3,
-                          exec_mode=mode, sim_mode=sim_mode)
+                          exec_mode=mode)
     tree = ad.tree
     out = {}
     out["search"] = [
@@ -178,18 +179,21 @@ def test_exec_modes_are_differentially_identical(dims, seed, dup, skew,
          ties=True)
 def test_sim_modes_are_differentially_identical(dims, seed, dup, skew,
                                                 variant, k, ties):
-    """Both simulator cores under the full index workload.
+    """The simulator core against its oracle under the full index workload.
 
-    The fully scalar oracle (reference exec + scalar sim) and the fully
-    vectorized stack (vectorized exec + vector sim) must agree on every
-    result and every PIMStats counter — the two orthogonal fast layers
-    compose without breaking counter-exactness.
+    The fully scalar oracle (reference exec on the scalar simulator core
+    of ``tests/sim_oracle.py``) and the production stack (vectorized exec
+    on the array core) must agree on every result and every PIMStats
+    counter — the two orthogonal fast layers compose without breaking
+    counter-exactness.
     """
     pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew, ties)
-    ref_out, ref_stats = _run_mode("reference", variant, pts.copy(), q, boxes,
-                                   fresh, dele, k, sim_mode="scalar")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
+        ref_out, ref_stats = _run_mode("reference", variant, pts.copy(), q,
+                                       boxes, fresh, dele, k)
     vec_out, vec_stats = _run_mode("vectorized", variant, pts.copy(), q, boxes,
-                                   fresh, dele, k, sim_mode="vector")
+                                   fresh, dele, k)
     for key in ref_out:
         _assert_equal(ref_out[key], vec_out[key], key)
     assert_stats_identical(ref_stats, vec_stats)

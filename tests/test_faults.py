@@ -126,7 +126,7 @@ class TestSystemFaults:
         plan = FaultPlan(seed=0)
         sys.attach_faults(plan)
         assert sys.fault_plan is plan
-        assert sys.detach_faults() is plan
+        sys.attach_faults(None)
         assert sys.fault_plan is None
 
     def test_placement_attempt0_unchanged_and_dead_excluded(self):
@@ -135,7 +135,7 @@ class TestSystemFaults:
         before = {k: ref.place(k) for k in keys}
 
         sys = PIMSystem(8, seed=0)
-        sys.kill_module(3)
+        sys.decommission(3)
         assert sys.dead_modules == frozenset({3})
         assert sys.n_live == 7
         for k in keys:
@@ -148,15 +148,15 @@ class TestSystemFaults:
 
     def test_cannot_kill_last_live_module(self):
         sys = PIMSystem(3)
-        sys.kill_module(0)
-        sys.kill_module(1)
+        sys.decommission(0)
+        sys.decommission(1)
         with pytest.raises(RuntimeError):
             sys.decommission(2)
         assert sys.n_live == 1
 
     def test_charge_to_dead_module_raises_module_failure(self):
         sys = PIMSystem(4)
-        sys.kill_module(2)
+        sys.decommission(2)
         with pytest.raises(ModuleFailure) as ei:
             with sys.round():
                 sys.send(2, 100.0)
@@ -241,7 +241,7 @@ class TestFailover:
         adapter = make_adapter("pim", fo_data, n_modules=8, seed=3,
                                fault_plan=FaultPlan(seed=0))
         adapter.tree.knn(q, 10)          # healthy warm-up
-        adapter.system.kill_module(self.DEAD)
+        adapter.system.decommission(self.DEAD)
         # Detection: the next dispatch touching the dead module faults.
         with pytest.raises(ModuleFailure) as ei:
             adapter.measure(lambda: adapter.knn(q, 10))
@@ -263,7 +263,7 @@ class TestFailover:
         adapter = make_adapter("pim", fo_data, n_modules=8, seed=3,
                                fault_plan=FaultPlan(seed=0))
         assert "recovery" not in adapter.system.stats.phases
-        adapter.system.kill_module(self.DEAD)
+        adapter.system.decommission(self.DEAD)
         m = adapter.measure(lambda: adapter.fail_over(self.DEAD))
         rec = adapter.system.stats.phases["recovery"]
         assert rec.cpu_ops > 0 and rec.comm_words > 0
@@ -277,7 +277,7 @@ class TestFailover:
 
     def test_fail_over_is_idempotent(self, fo_data):
         adapter = make_adapter("pim", fo_data, n_modules=8, seed=3)
-        adapter.system.kill_module(self.DEAD)
+        adapter.system.decommission(self.DEAD)
         assert adapter.fail_over(self.DEAD) > 0
         assert adapter.fail_over(self.DEAD) == 0  # nothing left to move
 
@@ -291,7 +291,7 @@ class TestFailover:
         RouteFilterSet(tree)
         store = DurableStore(open_backend("file", tmp_path / "s"))
         store.attach(tree)
-        adapter.system.kill_module(self.DEAD)
+        adapter.system.decommission(self.DEAD)
         assert tree.fail_over(self.DEAD)["metas_moved"] > 0
         assert store.dirty_records == 1
 
@@ -305,18 +305,25 @@ class TestFailover:
 
     def test_trace_reconciles_exactly_under_kill_and_failover(self, fo_data):
         tracer = TraceCollector()
+        plan = FaultPlan(seed=0)
         adapter = make_adapter("pim", fo_data, n_modules=8, seed=3,
-                               tracer=tracer, fault_plan=FaultPlan(seed=0))
+                               tracer=tracer, fault_plan=plan)
         q = self._queries(fo_data, n=48)
         adapter.tree.knn(q, 8)
-        adapter.system.kill_module(self.DEAD)
+        # Crash DEAD at the close of the next round: a round on a live
+        # module (charged and traced like any other) lands it.
+        sys = adapter.system
+        plan.crash_at[self.DEAD] = 0
+        with sys.round():
+            sys.charge_pim(self.DEAD + 1, 1.0)
+        assert sys.dead_modules == frozenset({self.DEAD})
         adapter.fail_over(self.DEAD)
         adapter.tree.knn(q, 8)
         # Fault events are recorded but never booked: the timeline still
         # reconciles bit-exactly with the PIMStats totals.
         assert tracer.timeline.reconcile(adapter.system.stats) == []
-        kills = [ev for ev in tracer.fault_events if ev.kind == "kill"]
-        assert [ev.mid for ev in kills] == [self.DEAD]
+        crashes = [ev for ev in tracer.fault_events if ev.kind == "crash"]
+        assert [ev.mid for ev in crashes] == [self.DEAD]
         fault_trace = [e for e in tracer.events() if e.kind == EventKind.FAULT]
         assert len(fault_trace) == len(tracer.fault_events)
         doc = timeline_json(tracer, stats=adapter.system.stats)
@@ -376,7 +383,7 @@ def test_faulted_update_leaves_no_trace(fo_data, op, exec_mode):
         tree, _ = build(nth)
         with pytest.raises(FaultError):
             getattr(tree, op)(batch)
-        tree.system.detach_faults()
+        tree.system.attach_faults(None)
         assert_same_points(tree.all_points(), fo_data)
         tree.check_invariants()
         for q, (d, _) in zip(queries, tree.knn(queries, 6)):

@@ -53,9 +53,8 @@ class TestBox:
         assert not b.contains_sphere(np.array([0.5, 0.5]), 0.6)
         assert not b.contains_sphere(np.array([0.05, 0.5]), 0.1)
 
-    def test_volume_and_clip(self):
+    def test_clip(self):
         a = Box(np.zeros(2), np.array([2.0, 3.0]))
-        assert a.volume() == pytest.approx(6.0)
         b = Box(np.array([1.0, 1.0]), np.array([5.0, 2.0]))
         c = a.clip(b)
         assert np.array_equal(c.lo, [1.0, 1.0])

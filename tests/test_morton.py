@@ -173,14 +173,6 @@ class TestCodec:
         with pytest.raises(ValueError):
             MortonCodec(np.zeros(3), np.ones(3), 3, 25)
 
-    def test_cell_center_within_box(self, pts3d):
-        codec = MortonCodec.fit(pts3d)
-        centers = codec.cell_center(codec.encode(pts3d[:100]))
-        assert np.all(centers >= codec.lo) and np.all(centers <= codec.hi)
-        # Cell centres are within one cell diagonal of the original point.
-        cell = (codec.hi - codec.lo) / (2**codec.bits - 1)
-        assert np.all(np.abs(centers - pts3d[:100]) <= cell + 1e-12)
-
 
 class TestPrefixBox:
     def test_root_prefix_is_whole_box(self, pts3d):

@@ -175,7 +175,7 @@ class _World:
         except FaultError:
             assert_same_points(tree.all_points(), before)
         finally:
-            tree.system.detach_faults()
+            tree.system.attach_faults(None)
 
     def fault_insert(self) -> None:
         self._faulted("insert", self._fresh(60))

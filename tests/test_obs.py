@@ -19,7 +19,7 @@ from repro.obs import (
     timeline_json,
     write_trace,
 )
-from repro.pim import PIMSystem
+from repro.pim import PhaseCounters, PIMSystem
 
 COUNTERS = (
     "cpu_ops",
@@ -232,7 +232,9 @@ class TestExport:
         tracer = TraceCollector()
         sys = PIMSystem(4, tracer=tracer)
         _synthetic_workload(sys)
-        sums = tracer.timeline.phase_sums()
+        sums = PhaseCounters()
+        for c in tracer.timeline.phases.values():
+            sums.add(c)
         for f in COUNTERS:
             assert getattr(sums, f) == getattr(tracer.timeline.total, f)
 

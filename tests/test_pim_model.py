@@ -34,22 +34,9 @@ class TestLRUCache:
         c.stream(100)
         assert c.dram_words == 8 + 100
 
-    def test_touch_range(self):
-        c = LRUCache(100)
-        misses = c.touch_range("base", 5)
-        assert misses == 5
-        assert c.touch_range("base", 5) == 0
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             LRUCache(0)
-
-    def test_reset_counters_keeps_contents(self):
-        c = LRUCache(4)
-        c.touch("a")
-        c.reset_counters()
-        assert c.misses == 0
-        assert c.touch("a")  # still resident
 
 
 class TestBSPRounds:
@@ -227,24 +214,17 @@ class TestPlacement:
 class TestResidency:
     def test_alloc_free_master_cache(self):
         sys = PIMSystem(2)
-        m = sys.modules[0]
-        m.alloc_master(100)
-        m.alloc_cache(30)
+        sys.add_residency([0], [100], [30])
         assert sys.master_words() == 100
         assert sys.cache_words() == 30
         assert sys.used_words() == 130
-        m.free_master(100)
-        m.free_cache(30)
+        assert sys.modules[0].used_words == 130
+        sys.add_residency([0], [-100], [-30])
         assert sys.used_words() == 0
-
-    def test_negative_residency_raises(self):
-        sys = PIMSystem(1)
-        with pytest.raises(RuntimeError):
-            sys.modules[0].free_master(1)
 
     def test_capacity_flag(self):
         sys = PIMSystem(1, module_capacity_words=10)
-        sys.modules[0].alloc_master(11)
+        sys.add_residency([0], [11], [0])
         assert sys.modules[0].over_capacity()
 
 

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from sim_oracle import ScalarPIMSystem
 
+import repro.eval.harness
 from repro.balance import (
     BalanceConfig,
     HotnessTracker,
@@ -391,7 +393,7 @@ class TestCloneMoves:
         assert hot.module == src
         assert plan.moves[0].dst in reps.secondaries(hot)
         # No placement override: the master copy never moved.
-        assert tree.system.n_placement_overrides == 0
+        assert not tree.system._place_overrides
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +545,7 @@ class TestServeIntegration:
 
 
 # ----------------------------------------------------------------------
-# inert guarantees + sim-mode identity
+# inert guarantees + oracle-core identity
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     def _workload(self, tree, data):
@@ -563,18 +565,18 @@ class TestByteIdentity:
 
         assert run(False) == run(True)
 
-    def test_scalar_vector_identical_with_replication_on(self):
+    def test_scalar_vector_identical_with_replication_on(self, monkeypatch):
         data = uniform_points(500, 3, seed=SEED)
 
-        def run(sim_mode):
-            ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED,
-                                  sim_mode=sim_mode)
+        def run():
+            ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED)
             ReplicaSet(ad.tree, ReplicationConfig(k=2)).replicate_all()
             self._workload(ad.tree, data)
             ad.tree.fail_over(1)
             return ad.system.stats.to_dict(), registry_of(ad.tree)
 
-        s_stats, s_reg = run("scalar")
-        v_stats, v_reg = run("vector")
+        v_stats, v_reg = run()
+        monkeypatch.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
+        s_stats, s_reg = run()
         assert s_stats == v_stats
         assert s_reg == v_reg

@@ -8,7 +8,8 @@ feed names, and ``rechunk_stale`` looks only at them.  Four guarantees:
   layer-transition directions, forced re-chunks, migrate / clone /
   replica install, failover with promotion, faulted updates, snapshot
   decode + WAL replay, an FPR change), with replicas k ∈ {0, 2}, filters
-  on and off, both exec modes and both sim cores, the per-module master
+  on and off, both exec modes, on the production simulator core and on
+  its scalar oracle (``tests/sim_oracle.py``), the per-module master
   and cache words, the L0 words and the replica words equal the walk over
   every chunk and the whole L0 that ``refresh_residency`` used to be, and
   every stale chunk is one ``rechunk_stale`` will look at
@@ -33,10 +34,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from sim_oracle import ScalarPIMSystem
 from test_node_arena import N_MODULES, N_POINTS, _config
 from test_route_upkeep import VERBS, _leaves_of
 from test_route_upkeep import _World as _RouteWorld
 
+import repro.pim.model
 from repro.core import PIMZdTree, residency
 from repro.core.chunking import MetaNode
 from repro.core.config import throughput_optimized
@@ -50,17 +53,17 @@ from repro.workloads import varden_points
 
 
 class _World(_RouteWorld):
-    """The route-upkeep world, with the filters and the sim core chosen."""
+    """The route-upkeep world, with the filters and the simulator chosen."""
 
-    def __init__(self, dims, variant, seed, tmp, *, exec_mode, sim_mode, k,
+    def __init__(self, dims, variant, seed, tmp, *, exec_mode, system, k,
                  filters) -> None:
         self.rng = np.random.default_rng(seed)
         self.dims = dims
-        cfg = _config(variant).with_overrides(exec_mode=exec_mode,
-                                              sim_mode=sim_mode)
+        self.system_cls = system
+        cfg = _config(variant).with_overrides(exec_mode=exec_mode)
         self.tree = PIMZdTree(
             self.rng.random((N_POINTS, dims)), config=cfg,
-            system=PIMSystem(N_MODULES, seed=seed, sim_mode=sim_mode))
+            system=system(N_MODULES, seed=seed))
         if k:
             ReplicaSet(self.tree, ReplicationConfig(k=k)).replicate_all()
         if filters:
@@ -78,6 +81,13 @@ class _World(_RouteWorld):
         if self.tree.route_filters is not None:
             super().retune()
 
+    def recover(self) -> None:
+        """Recover onto a system of the world's class."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repro.pim.model, "PIMSystem", self.system_cls)
+            super().recover()
+        assert type(self.tree.system) is self.system_cls
+
 
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
@@ -85,30 +95,30 @@ class _World(_RouteWorld):
     dims=st.sampled_from([2, 3, 5]),
     variant=st.sampled_from(["throughput", "skew"]),
     exec_mode=st.sampled_from(["reference", "vectorized"]),
-    sim_mode=st.sampled_from(["scalar", "vector"]),
+    system=st.sampled_from([ScalarPIMSystem, PIMSystem]),
     k=st.sampled_from([0, 2]),
     filters=st.booleans(),
     seed=st.integers(0, 2**16 - 1),
     verbs=st.lists(st.sampled_from(VERBS), min_size=3, max_size=8),
 )
-@example(dims=3, variant="skew", exec_mode="vectorized", sim_mode="vector",
+@example(dims=3, variant="skew", exec_mode="vectorized", system=PIMSystem,
          k=2, filters=True, seed=1, verbs=list(VERBS))
 @example(dims=2, variant="throughput", exec_mode="reference",
-         sim_mode="scalar", k=0, filters=False, seed=2,
+         system=ScalarPIMSystem, k=0, filters=False, seed=2,
          verbs=list(reversed(VERBS)))
-@example(dims=5, variant="skew", exec_mode="reference", sim_mode="scalar",
+@example(dims=5, variant="skew", exec_mode="reference", system=ScalarPIMSystem,
          k=2, filters=False, seed=3,
          verbs=["shrink", "delete_half", "grow", "recover", "pile",
                 "shrink", "fail_over", "fault_insert", "empty_chunk"])
 @example(dims=3, variant="throughput", exec_mode="vectorized",
-         sim_mode="vector", k=0, filters=True, seed=4,
+         system=PIMSystem, k=0, filters=True, seed=4,
          verbs=["pile", "replicate", "insert", "fail_over", "reinsert",
                 "migrate", "fault_delete", "insert", "recover", "insert"])
 def test_ledger_equals_the_full_walk_after_every_verb(
-        dims, variant, exec_mode, sim_mode, k, filters, seed, verbs):
+        dims, variant, exec_mode, system, k, filters, seed, verbs):
     with tempfile.TemporaryDirectory() as tmp:
         world = _World(dims, variant, seed, tmp, exec_mode=exec_mode,
-                       sim_mode=sim_mode, k=k, filters=filters)
+                       system=system, k=k, filters=filters)
         world.tree.check_invariants()
         for verb in verbs:
             getattr(world, verb)()
@@ -195,7 +205,7 @@ def test_a_muted_mark_fails_the_comparison(mute, verbs, k, filters):
     for muted in (False, True):
         with tempfile.TemporaryDirectory() as tmp:
             world = _World(3, "skew", 1, tmp, exec_mode="vectorized",
-                           sim_mode="vector", k=k, filters=filters)
+                           system=PIMSystem, k=k, filters=filters)
             failed = False
             with mute() if muted else contextlib.nullcontext():
                 try:

@@ -17,7 +17,9 @@ import sys
 
 import numpy as np
 import pytest
+from sim_oracle import ScalarPIMSystem
 
+import repro.eval.harness
 from repro.serve import SweepResult, SweepShardError, run_shard, run_sweep
 from repro.serve.sweep import _shard_specs
 
@@ -70,7 +72,7 @@ class TestDeterminism:
                        index="pim", rate=float(SMALL["rate"]), mix=None,
                        k=10, deadline_s=float("inf"), queue_depth=4096,
                        overflow="reject", policy="adaptive", fixed_batch=256,
-                       sim_mode=None, exec_mode=None, arrival="poisson")
+                       exec_mode=None, arrival="poisson")
         specs = _shard_specs(procs=2, total_requests=SMALL["total_requests"],
                              seed=SMALL["seed"], spec_kw=spec_kw)
         shards = [run_shard(s) for s in specs]
@@ -80,9 +82,11 @@ class TestDeterminism:
         assert r.latency["p99"] == float(np.sort(pooled)[
             int(np.ceil(0.99 * len(pooled))) - 1])
 
-    def test_sim_modes_agree_through_the_sweep(self):
-        a = run_sweep(procs=1, sim_mode="scalar", **SMALL)
-        b = run_sweep(procs=1, sim_mode="vector", **SMALL)
+    def test_sim_modes_agree_through_the_sweep(self, monkeypatch):
+        """Inline shards on the scalar oracle core serve identically."""
+        b = run_sweep(procs=1, **SMALL)
+        monkeypatch.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
+        a = run_sweep(procs=1, **SMALL)
         assert _strip_wall(a.to_dict()) == _strip_wall(b.to_dict())
 
 

@@ -1,17 +1,17 @@
-"""Differential oracle for the simulator cores: scalar vs. vector sim_mode.
+"""Differential oracle for the simulator core: production vs. scalar.
 
-The array-backed vector core (``repro.pim.vector``) must be a byte-exact
-drop-in for the per-module scalar oracle: for any charging script — scalar
-calls, dict-keyed bulk calls, array-native calls, phases, zero amounts,
-faults — both ``sim_mode="scalar"`` and ``sim_mode="vector"`` must produce
-byte-identical :class:`repro.pim.stats.PIMStats`.
+``PIMSystem``'s array core (``repro.pim.vector``) must be a byte-exact
+drop-in for the per-module scalar oracle (``tests/sim_oracle.py``): for
+any charging script — per-module calls, array-native calls, phases, zero
+amounts, faults — both must produce byte-identical
+:class:`repro.pim.stats.PIMStats`.
 
-Also locks down the PR's scalar-path bugfixes:
+Also locks down:
 
 * zero-charge unification — ``charge_pim``/``send``/``recv`` with a zero
-  amount are complete no-ops, matching the bulk/array entry points;
-* residency clamp — ``free_master``/``free_cache`` snap a within-tolerance
-  negative residual to exactly 0.0 (drift cannot accumulate);
+  amount are complete no-ops, matching the array entry points;
+* one charge path — ``charge_pim``/``send``/``recv`` write the arrays
+  with no helper calls beyond the phase lookup;
 * broadcast fan-out atomicity — a drop mid-broadcast no longer leaves
   later modules silently unsent;
 * ``HotnessTracker.transfer`` guards (self-transfer, dead destination).
@@ -19,21 +19,24 @@ Also locks down the PR's scalar-path bugfixes:
 
 from __future__ import annotations
 
+from sys import setprofile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sim_oracle import ScalarPIMSystem
 
 from repro.balance import HotnessTracker
 from repro.faults import FaultPlan, MessageLoss
+from repro.obs import TraceCollector
 from repro.pim import PIMSystem
 
 pytestmark = []
 
 
 def both_systems(n=4, **kw):
-    return (PIMSystem(n, sim_mode="scalar", **kw),
-            PIMSystem(n, sim_mode="vector", **kw))
+    return ScalarPIMSystem(n, **kw), PIMSystem(n, **kw)
 
 
 def assert_stats_identical(scalar: PIMSystem, vector: PIMSystem) -> None:
@@ -54,8 +57,7 @@ def assert_stats_identical(scalar: PIMSystem, vector: PIMSystem) -> None:
 # ======================================================================
 class TestZeroChargeSemantics:
     def test_zero_scalar_charges_book_nothing(self):
-        for mode in ("scalar", "vector"):
-            sys = PIMSystem(4, sim_mode=mode)
+        for mode, sys in zip(("scalar", "vector"), both_systems(4)):
             before = sys.snapshot()
             with sys.round():
                 sys.charge_pim(0, 0)
@@ -70,8 +72,8 @@ class TestZeroChargeSemantics:
         """The regression the tentpole gated on: zeros through the scalar
         entry points must book exactly what the bulk path books."""
         script = [(0, 10.0), (1, 0.0), (2, 7.0), (3, 0.0), (0, 0.0), (2, 3.0)]
-        a = PIMSystem(4, sim_mode="scalar")
-        b = PIMSystem(4, sim_mode="scalar")
+        a = PIMSystem(4)
+        b = PIMSystem(4)
         with a.round():
             for mid, amt in script:
                 a.charge_pim(mid, amt)
@@ -80,7 +82,7 @@ class TestZeroChargeSemantics:
         with b.round():
             for mid, amt in script:
                 b.charge_pim_array([mid], [amt])
-                b.send_bulk({mid: amt})
+                b.send_array([mid], [amt])
                 b.recv_array([mid], [amt * 2])
         assert a.stats == b.stats
         assert a.stats.to_dict() == b.stats.to_dict()
@@ -116,42 +118,42 @@ class TestZeroChargeSemantics:
 
 
 # ======================================================================
-# residency clamp (bugfix)
+# one charge path
 # ======================================================================
-class TestResidencyClamp:
-    @pytest.mark.parametrize("mode", ["scalar", "vector"])
-    def test_drift_clamps_to_exact_zero(self, mode):
-        sys = PIMSystem(2, sim_mode=mode)
-        m = sys.modules[0]
-        # 0.1 is inexact in binary; ten allocs/frees drift below zero by
-        # ~1e-17 — within tolerance, so the residual must snap to 0.0.
-        for _ in range(10):
-            m.alloc_master(0.1)
-            m.alloc_cache(0.1)
-        for _ in range(10):
-            m.free_master(0.1)
-            m.free_cache(0.1)
-        assert m.master_words == 0.0
-        assert m.cache_words == 0.0
-        assert m.used_words == 0.0
+def _nested_calls(fn, *args) -> list[str]:
+    """Names of the Python functions ``fn(*args)`` calls, at any depth."""
+    calls: list[str] = []
 
-    @pytest.mark.parametrize("mode", ["scalar", "vector"])
-    def test_drift_does_not_accumulate_across_cycles(self, mode):
-        sys = PIMSystem(2, sim_mode=mode)
-        m = sys.modules[1]
-        for _ in range(500):
-            m.alloc_master(0.3)
-            m.free_master(0.1)
-            m.free_master(0.2)
-        assert m.master_words == 0.0
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
 
-    @pytest.mark.parametrize("mode", ["scalar", "vector"])
-    def test_real_negative_still_raises(self, mode):
-        sys = PIMSystem(2, sim_mode=mode)
-        with pytest.raises(RuntimeError):
-            sys.modules[0].free_master(1.0)
-        with pytest.raises(RuntimeError):
-            sys.modules[0].free_cache(0.5)
+    setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        setprofile(None)
+    assert calls[0] == fn.__name__
+    return calls[1:]
+
+
+class TestOneChargePath:
+    """A per-module charge reads the phase and its phase array, and writes
+    the module's slots inline: no per-module object, no view method."""
+
+    @pytest.mark.parametrize("verb, lookup", [
+        ("charge_pim", "phase_cycles"),
+        ("send", "phase_words"),
+        ("recv", "phase_words"),
+    ])
+    def test_a_charge_makes_at_most_two_nested_calls(self, verb, lookup):
+        sys = PIMSystem(4)
+        with sys.round():
+            nested = _nested_calls(getattr(sys, verb), 2, 7.0)
+        assert nested == ["current_phase", lookup]
+        assert sys.modules[2].total_cycles == (7.0 if verb == "charge_pim"
+                                               else 0.0)
+        assert sys.stats.total.rounds == 1
 
 
 # ======================================================================
@@ -253,55 +255,36 @@ class TestTransferGuards:
 # ModuleView proxy surface (direct unit coverage)
 # ======================================================================
 class TestModuleViewSurface:
-    """The vector-mode ``ModuleView`` writes through to shared state.
+    """``PIMSystem.modules`` are read views over the one VectorState.
 
-    Every ``PIMModule``-compatible attribute the proxy exposes — counter
-    setters, ``failed``, per-module capacity, the pressure callback —
-    must mutate the one underlying :class:`VectorState`, visible from a
-    *fresh* view handle and from the arrays themselves; and the derived
-    read-only properties and pressure-onset semantics must match the
-    scalar module exactly.
+    What the system charges or books is visible through every view
+    handle; ``failed`` and per-module capacity read per slot; capacity
+    pressure is an onset judged on each ``add_residency`` call, exactly
+    as the scalar oracle judges it.
     """
 
     def _view(self, n=4, mid=1, **kw):
-        sys = PIMSystem(n, sim_mode="vector", **kw)
+        sys = PIMSystem(n, **kw)
         return sys, sys.modules[mid]
 
-    def test_counter_setters_write_through(self):
-        sys, m = self._view()
-        m.total_cycles = 12.0
-        m.round_cycles = 5.0
-        m.round_send_words = 3.0
-        m.round_recv_words = 4.0
-        m.master_words = 20.0
-        m.cache_words = 6.0
-        # A fresh handle over the same slot sees every write...
-        f = sys.modules[1]
-        assert f.total_cycles == 12.0 and f.round_cycles == 5.0
-        assert f.round_send_words == 3.0 and f.round_recv_words == 4.0
-        assert f.master_words == 20.0 and f.cache_words == 6.0
-        # ...derived read-only properties recompute from the arrays...
-        assert f.round_words == 7.0
-        assert f.used_words == 26.0
-        # ...and the neighbouring slots are untouched.
-        for other in (0, 2, 3):
-            o = sys.modules[other]
-            assert o.total_cycles == 0.0 and o.used_words == 0.0
-
     def test_values_round_trip_as_python_floats(self):
-        _, m = self._view()
-        m.total_cycles = np.float64(8.0)
-        assert type(m.total_cycles) is float
-        assert type(m.round_words) is float
-        assert type(m.used_words) is float
+        sys, m = self._view()
+        with sys.round():
+            sys.charge_pim(1, np.float64(8.0))
+        sys.add_residency([1], np.array([3.0]), np.array([2.0]))
+        assert type(m.total_cycles) is float and m.total_cycles == 8.0
+        assert type(m.master_words) is float
+        assert type(m.used_words) is float and m.used_words == 5.0
 
     def test_failed_setter_coerces_to_bool(self):
+        """``decommission`` is the one writer of ``failed``; the view
+        reads it as a Python bool."""
         sys, m = self._view()
-        m.failed = 1
+        assert m.failed is False
+        sys.decommission(1)
         assert m.failed is True
         assert sys.modules[1].failed is True
-        m.failed = 0
-        assert m.failed is False
+        assert sys.modules[0].failed is False
 
     def test_capacity_is_per_module(self):
         sys, m = self._view(module_capacity_words=100)
@@ -312,7 +295,7 @@ class TestModuleViewSurface:
 
     def test_over_capacity_with_and_without_limit(self):
         sys, m = self._view(module_capacity_words=None)
-        m.alloc_master(1e9)
+        sys.add_residency([1], [1e9], [0.0])
         assert not m.over_capacity()  # None = unlimited
         m.capacity_words = 10
         assert m.over_capacity()
@@ -321,46 +304,53 @@ class TestModuleViewSurface:
 
     @pytest.mark.parametrize("alloc", ["alloc_master", "alloc_cache"])
     def test_pressure_fires_only_on_the_crossing_alloc(self, alloc):
-        sys, m = self._view(module_capacity_words=10)
-        fired = []
-        m.pressure_cb = lambda mod: fired.append(mod.mid)
-        getattr(m, alloc)(8.0)
+        tracer = TraceCollector()
+        sys = PIMSystem(4, module_capacity_words=10, tracer=tracer)
+        fired = tracer.capacity_events
+
+        def add(words):
+            col = [words, 0.0] if alloc == "alloc_master" else [0.0, words]
+            sys.add_residency([1], [col[0]], [col[1]])
+
+        add(8.0)
         assert fired == []          # under capacity: silent
-        getattr(m, alloc)(5.0)
-        assert fired == [1]         # the crossing allocation fires once
-        getattr(m, alloc)(3.0)
-        assert fired == [1]         # further allocs while over: no drone
+        add(5.0)
+        assert [e["mid"] for e in fired] == [1]  # the crossing add fires
+        add(3.0)
+        assert len(fired) == 1      # further adds while over: no drone
         # Dropping back under and crossing again fires a fresh onset.
-        getattr(m, alloc.replace("alloc", "free"))(8.0)
-        getattr(m, alloc)(4.0)
-        assert fired == [1, 1]
+        add(-8.0)
+        add(4.0)
+        assert [e["mid"] for e in fired] == [1, 1]
 
     def test_pressure_parity_with_scalar(self):
-        """The same alloc/free script fires the same onsets in both modes."""
-        script = [("alloc_master", 6), ("alloc_cache", 3), ("alloc_cache", 4),
-                  ("free_master", 6), ("alloc_master", 2), ("alloc_master", 9)]
+        """The same residency script fires the same onsets in both cores."""
+        script = [([0], [6], [0]), ([0, 1], [0, 4], [3, 0]), ([0], [0], [4]),
+                  ([0], [-6], [0]), ([0, 0], [2, 9], [0, 0]),
+                  ([1, 0], [9, 1], [0, -1])]
         onsets = {}
-        for mode in ("scalar", "vector"):
-            sys = PIMSystem(2, sim_mode=mode, module_capacity_words=12)
-            m = sys.modules[0]
-            fired: list = []
-            m.pressure_cb = lambda mod: fired.append(
-                (mod.mid, mod.used_words))
-            for verb, words in script:
-                getattr(m, verb)(words)
-            onsets[mode] = fired
+        for mode, sys in zip(("scalar", "vector"), both_systems(
+                2, module_capacity_words=12)):
+            sys.attach_tracer(TraceCollector())
+            for mids, master, cache in script:
+                sys.add_residency(mids, master, cache)
+            onsets[mode] = [(e["mid"], e["used_words"])
+                            for e in sys.tracer.capacity_events]
         assert onsets["scalar"] == onsets["vector"]
-        assert len(onsets["scalar"]) == 2  # crossed, receded, crossed again
+        # Module 0 crosses, recedes and crosses again; then module 1.
+        assert [mid for mid, _ in onsets["scalar"]] == [0, 0, 1]
 
     def test_charge_and_comm_hit_shared_arrays(self):
         sys, m = self._view()
-        with sys.round():
-            m.charge(9.0, phase="build")
-            m.add_send(2.0, phase="build")
-            m.add_recv(3.0, phase="build")
-            assert sys.modules[1].round_cycles == 9.0
-            assert sys.modules[1].round_words == 5.0
-        assert sys.modules[1].total_cycles == 9.0
+        with sys.phase("build"), sys.round():
+            sys.charge_pim(1, 9.0)
+            sys.recv(1, 2.0)
+            sys.send(1, 3.0)
+            assert sys._vec.round_cycles[1] == 9.0
+            assert (sys._vec.round_send_words[1]
+                    + sys._vec.round_recv_words[1]) == 5.0
+        assert m.total_cycles == 9.0 and sys.modules[1].total_cycles == 9.0
+        assert sys.stats.phases["build"].comm_words == 5.0
 
 
 # ======================================================================
@@ -418,7 +408,7 @@ def _apply_script(sys: PIMSystem, script) -> None:
                         d = {}
                         for mid, amt in op[2]:
                             d[mid] = d.get(mid, 0) + amt
-                        sys.send_bulk(d)
+                        sys.send_array(list(d), list(d.values()))
                     elif verb == "bulk_recv":
                         d = {}
                         for mid, amt in op[2]:
@@ -487,9 +477,7 @@ class TestSimModeDifferential:
     def test_decommission_and_views(self):
         scalar, vector = both_systems(4)
         for sys in (scalar, vector):
-            sys.modules[1].alloc_master(50)
-            sys.modules[1].alloc_cache(20)
-            sys.modules[2].alloc_master(30)
+            sys.add_residency([1, 2], [50, 30], [20, 0])
             sys.decommission(1)
         for sys in (scalar, vector):
             assert sys.modules[1].failed
@@ -515,11 +503,9 @@ class TestSimModeDifferential:
     def test_traced_runs_agree(self):
         """With a tracer attached the vector core books through the exact
         per-element path; stats must stay identical and rounds reconcile."""
-        from repro.obs import TraceCollector
-
         ta, tb = TraceCollector(), TraceCollector()
-        scalar = PIMSystem(4, sim_mode="scalar", tracer=ta)
-        vector = PIMSystem(4, sim_mode="vector", tracer=tb)
+        scalar = ScalarPIMSystem(4, tracer=ta)
+        vector = PIMSystem(4, tracer=tb)
         script = [[("pim", "q", 0, 5), ("send", "q", 1, 3),
                    ("recv", "u", 0, 2)],
                   [("bulk_pim", "q", [(0, 4), (3, 9)])]]
@@ -535,5 +521,13 @@ class TestSimModeDifferential:
             assert x.straggler_mid == y.straggler_mid
 
     def test_invalid_sim_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PIMSystem(2, sim_mode="simd")
+        """There is one core, so no ``sim_mode`` is accepted anywhere."""
+        from repro.core.config import throughput_optimized
+        from repro.eval.harness import PIMZdTreeAdapter
+
+        with pytest.raises(TypeError):
+            PIMSystem(2, sim_mode="vector")
+        with pytest.raises(TypeError):
+            throughput_optimized(100, 4, sim_mode="vector")
+        with pytest.raises(TypeError):
+            PIMZdTreeAdapter(np.zeros((8, 2)), n_modules=2, sim_mode="vector")
