@@ -6,9 +6,6 @@ Pkd-tree < zd-tree.  We reproduce the *ordering* on per-batch simulated
 latencies (absolute values scale with the simulated batch size).
 """
 
-import math
-import time
-
 import numpy as np
 import pytest
 
@@ -57,65 +54,3 @@ def test_latency_ordering(benchmark):
         print(f"  {kind:4s}: P99 = {p99 * 1e3:8.3f} ms")
     print("  (paper, absolute: pim 32.5 ms, pkd 44.9 ms, zd 210 ms)")
     assert _P99["pim"] < _P99["pkd"] < _P99["zd"]
-
-
-def test_seed_from_child_box_vectorization_speedup(benchmark, datasets):
-    """The batched sibling-pair box-distance evaluation in the kNN L0
-    walk (``_child_box_dists``) must beat the per-child scalar form it
-    replaced — one ``dist_point_box`` call per child for the coarse
-    metric plus one per child for the ℓ∞ secondary filter — with
-    bitwise-equal results on the real OSM-like L0."""
-    from repro.core.geometry import L2, LINF, dist_point_box
-    from repro.core.knn import _child_box_dists
-    from repro.core.node import Layer
-
-    data = datasets["osm"]
-    tree = make_adapter("pim", data, n_modules=N_MODULES).tree
-    pairs = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.layer != Layer.L0 or node.is_leaf:
-            continue
-        if node.left.layer == Layer.L0 or node.right.layer == Layer.L0:
-            pairs.append((node.left, node.right))
-        stack.extend((node.left, node.right))
-    assert pairs, "OSM-like tree has an empty L0"
-    while len(pairs) < 512:  # enough work per rep to time reliably
-        pairs = pairs * 2
-    q = data[SEED % len(data)]
-
-    def batched():
-        return [_child_box_dists(tree, left, right, q, L2, True)
-                for left, right in pairs]
-
-    def legacy():
-        # Exactly the replaced per-pop form: one node_box + dist_point_box
-        # per child for the coarse metric, then again for the ℓ∞ filter.
-        out = []
-        for left, right in pairs:
-            dc = (dist_point_box(q, tree.node_box(left), L2),
-                  dist_point_box(q, tree.node_box(right), L2))
-            dl = (dist_point_box(q, tree.node_box(left), LINF),
-                  dist_point_box(q, tree.node_box(right), LINF))
-            out.append((dc, dl))
-        return out
-
-    for (dc_b, dl_b), (dc_l, dl_l) in zip(batched(), legacy()):
-        assert (float(dc_b[0]), float(dc_b[1])) == dc_l
-        assert (float(dl_b[0]), float(dl_b[1])) == dl_l
-
-    def best_of(fn, reps=5):
-        best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    speedup = best_of(legacy) / best_of(batched)
-    benchmark.pedantic(batched, rounds=1, iterations=1)
-    benchmark.extra_info["speedup_vs_scalar"] = round(speedup, 2)
-    print(f"\n  _seed_from child-box eval: {speedup:.2f}x vs "
-          "per-child scalar dist_point_box")
-    assert speedup >= 1.1, f"expected >=1.1x, measured {speedup:.2f}x"

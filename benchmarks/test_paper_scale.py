@@ -22,7 +22,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import repro.eval.harness
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
@@ -30,6 +29,7 @@ from repro.pim import PIMSystem
 from repro.workloads import uniform_points
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from exec_oracle import exec_engine, reference_exec  # noqa: E402
 from sim_oracle import ScalarPIMSystem  # noqa: E402
 
 P = 2048
@@ -52,16 +52,17 @@ def _assert_equal(a, b, label: str) -> None:
 # ======================================================================
 # differential sanity: real index workload at P = 2048
 # ======================================================================
-def _run_stack(exec_mode: str, data, q, boxes, fresh, dele):
-    ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED, exec_mode=exec_mode)
+def _run_stack(engine: str, data, q, boxes, fresh, dele):
+    ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED)
     tree = ad.tree
-    out = {
-        "knn": tree.knn(q, 10),
-        "bc": tree.box_count(boxes),
-    }
-    tree.insert(fresh)
-    out["ndel"] = tree.delete(dele)
-    out["knn2"] = tree.knn(q, 10)
+    with exec_engine(engine):
+        out = {
+            "knn": tree.knn(q, 10),
+            "bc": tree.box_count(boxes),
+        }
+        tree.insert(fresh)
+        out["ndel"] = tree.delete(dele)
+        out["knn2"] = tree.knn(q, 10)
     tree.check_invariants()
     return out, ad.system.stats
 
@@ -75,7 +76,7 @@ def test_p2048_sim_modes_identical():
     fresh = uniform_points(2_000, 3, seed=SEED + 2)
     dele = data[rng.integers(0, len(data), size=500)]
 
-    with pytest.MonkeyPatch.context() as mp:
+    with reference_exec() as mp:
         mp.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
         ref_out, ref_stats = _run_stack("reference", data, q, boxes, fresh,
                                         dele)

@@ -43,17 +43,8 @@ class PIMZdTreeConfig:
     direct_api: bool = True
     # Design ablations (DESIGN.md §Key design decisions).
     push_pull: bool = True
-    # Execution backend for the batch kernels (see repro.core.vexec):
-    # "vectorized" runs the NumPy frontier-at-a-time kernels, "reference"
-    # runs the scalar per-element oracle.  Both produce identical results
-    # and identical PIMStats counters (enforced by the differential suite).
-    exec_mode: str = "vectorized"
 
     def __post_init__(self) -> None:
-        if self.exec_mode not in ("vectorized", "reference"):
-            raise ValueError(
-                f"exec_mode must be 'vectorized' or 'reference', got {self.exec_mode!r}"
-            )
         if self.theta_l0 < self.theta_l1:
             raise ValueError("theta_l0 must be >= theta_l1")
         if self.theta_l1 < 1:

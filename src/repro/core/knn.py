@@ -22,6 +22,10 @@ PIM-side work (steps 2 and 4) uses the ℓ1 norm — additions only — with the
 steps (3, 5) use exact ℓ2.  Disabling ``fast_l2`` (Table 3 ablation) runs
 ℓ2 directly on the PIM cores at the 32-cycle multiply cost.
 
+Steps 2 and 4 run through the round kernels of :mod:`.vexec` — at the
+modules for pushed groups, on the host for pulled ones — and the CPU's
+steps as batch-wide array passes over the node arena (:class:`_ArrayHost`).
+
 Ties at the bound.  Step 3 clears the candidate store, so step 4 must
 fetch the very point that defined the radius — and every point tying
 it.  In floats it may not: when the k-th neighbour sits at equal offset
@@ -31,8 +35,8 @@ at odd points returned *no* neighbour).  Step 3 therefore inflates the
 exact radius once, by :func:`tie_slack` — the worst-case relative
 rounding error of the computations on both sides of step 4's
 comparisons — and the sphere-containment test, the anchored ℓ1 bound and
-the ℓ∞ bound all read that one value, in both exec modes (the
-``exact_radii`` / ``bounds`` lists both step-4 handlers receive).  Points
+the ℓ∞ bound all read that one value (the ``exact_radii`` / ``bounds``
+lists step 4's kernel receives).  Points
 the slack lets in only widen the step-5 candidate set; the exact filter
 still ranks them by their computed distance.
 """
@@ -43,15 +47,14 @@ import math
 
 import numpy as np
 
-from .geometry import L1, L2, LINF, Metric, dist, dist_point_box
-from .node import Layer, Node
+from .geometry import L1, L2, Metric
 from .push_pull import PushPullExecutor, Task
 from .search import search_batch
 from .vexec import (
     _dist_rows,
     lowest_rows,
-    make_candidate_round_kernel,
-    make_fetch_round_kernel,
+    make_candidate_kernel,
+    make_fetch_kernel,
     node_arena,
     seed_knn_l0,
     segmented_topk,
@@ -86,9 +89,13 @@ class _KnnState:
 
 def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
     """Exact batched kNN; returns a list of ``(dists, points)`` per query."""
-    queries = np.asarray(queries, dtype=np.float64)
+    # Validated before any charge.  A bool is an int, so it is refused
+    # by name; NumPy integers are integers.
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"k must be >= 1, got {k}")
+    queries = np.asarray(queries, dtype=np.float64)
     if queries.size == 0:
         # Empty batch: nothing to do, no rounds.  Short-circuit before
         # atleast_2d, which would turn a bare ``[]`` into one bogus 0-D
@@ -101,44 +108,33 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
     coarse = L1 if use_anchor else metric
     anchor_factor = math.sqrt(dims) if use_anchor else 1.0
 
-    vectorized = tree.config.exec_mode == "vectorized"
     with sys.phase("knn"):
         results = search_batch(tree, queries, phase="knn")
         states = [_KnnState(queries[i], k, dims) for i in range(len(queries))]
-        host = (_ArrayHost if vectorized else _ScalarHost)(
-            tree, results, states, k, metric, coarse, anchor_factor,
-            1.0 + tie_slack(dims))
+        host = _ArrayHost(tree, results, states, k, metric, coarse,
+                          anchor_factor, 1.0 + tie_slack(dims))
 
         # ---- Step 2: candidate subtrees and coarse candidate search -----
         tasks = host.candidate_seeds()
         executor = PushPullExecutor(tree)
-        cand_handler = _make_candidate_handler(tree, states, coarse, k)
-        if vectorized:
-            cand_handler.round_kernel = make_candidate_round_kernel(
-                tree, states, coarse, k
-            )
         # Membership-filter routing (repro.route): suppress candidate
         # probes into closed chunks whose resident z-range the current
         # coarse ball provably misses.
         rf = tree.route_filters
         use_rf = rf is not None and rf.enabled
-        out = executor.run(tasks, cand_handler, round_hook=host.merge,
-                           prune=rf.make_knn_prune(states) if use_rf else None)
-        host.merge(out)  # merge any CPU-seeded results not covered by rounds
+        # The round hook merges each round's candidates as it closes.
+        executor.run(tasks, make_candidate_kernel(tree, states, coarse, k),
+                     round_hook=host.merge,
+                     prune=rf.make_knn_prune(states) if use_rf else None)
 
         # ---- Step 3: exact radius + sphere-covering trace node ----------
         fetch_tasks, bounds, exact_radii = host.fetch_seeds()
 
         # ---- Step 4: fetch all points inside the (anchored) ball ---------
         executor2 = PushPullExecutor(tree)
-        fetch_handler = _make_fetch_handler(tree, states, coarse, bounds,
-                                            exact_radii)
-        if vectorized:
-            fetch_handler.round_kernel = make_fetch_round_kernel(
-                tree, states, coarse, bounds, exact_radii
-            )
         fetched = executor2.run(
-            fetch_tasks, fetch_handler,
+            fetch_tasks,
+            make_fetch_kernel(tree, states, coarse, bounds, exact_radii),
             prune=rf.make_knn_prune(states, bounds) if use_rf else None,
         )
         tree.last_executor = executor2
@@ -148,82 +144,7 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
 
 
 # ----------------------------------------------------------------------
-# the CPU's steps, one query and one node at a time (the oracle)
-# ----------------------------------------------------------------------
-class _ScalarHost:
-    """Steps 2, 3 and 5 per query and per node: what ``exec_mode=
-    "reference"`` runs, and the oracle :class:`_ArrayHost` must match."""
-
-    def __init__(self, tree, results, states, k: int, metric: Metric,
-                 coarse: Metric, anchor: float, slack: float) -> None:
-        self.tree, self.results, self.states = tree, results, states
-        self.k, self.metric, self.coarse = k, metric, coarse
-        self.anchor, self.slack = anchor, slack
-        self.merge = _make_merge_hook(tree, states, k)
-
-    def candidate_seeds(self) -> list[Task]:
-        tree, k = self.tree, self.k
-        tasks: list[Task] = []
-        for res in self.results:
-            tree.system.charge_cpu(len(res.trace) * _CPU_TRACE_OPS)
-            start = _lowest_with_sc(res.trace, 2 * k) or tree.root
-            _seed_from(tree, start, res.qid, self.states[res.qid],
-                       self.coarse, tasks, mode="candidates")
-        return tasks
-
-    def fetch_seeds(self):
-        tree, k, metric = self.tree, self.k, self.metric
-        sys, dims = tree.system, tree.dims
-        fetch_tasks: list[Task] = []
-        bounds: list[float] = []
-        exact_radii: list[float] = []
-        for res in self.results:
-            st = self.states[res.qid]
-            if len(st.cand_d) == 0:
-                r_exact = math.inf
-            else:
-                exact = np.sort(dist(st.cand_p, st.q, metric))
-                sys.charge_cpu(len(exact) * metric.cpu_ops_per_dim * dims)
-                kk = min(k, len(exact))
-                r_exact = (float(exact[kk - 1]) * self.slack
-                           if len(st.cand_d) >= k else math.inf)
-            bound = r_exact * self.anchor if math.isfinite(r_exact) else math.inf
-            bounds.append(bound)
-            exact_radii.append(r_exact)
-            n2 = _lowest_containing_sphere(tree, res.trace, st.q, r_exact)
-            sys.charge_cpu(len(res.trace) * _CPU_TRACE_OPS)
-            # Reset candidate store: step 4 re-fetches the full ball.
-            st.cand_d = np.empty(0)
-            st.cand_p = np.empty((0, dims))
-            _seed_from(tree, n2, res.qid, st, self.coarse, fetch_tasks,
-                       mode="fetch", bound=bound, r_exact=r_exact)
-        return fetch_tasks, bounds, exact_radii
-
-    def answers(self, fetched) -> list:
-        k, metric = self.k, self.metric
-        sys, dims = self.tree.system, self.tree.dims
-        answers = []
-        for res in self.results:
-            st = self.states[res.qid]
-            chunks = [st.cand_p] + [
-                pts for kind, pts in fetched.get(res.qid, []) if kind == "pts"
-            ]
-            allp = np.vstack([c for c in chunks if len(c)]) if any(
-                len(c) for c in chunks
-            ) else np.empty((0, dims))
-            if len(allp):
-                d = dist(allp, st.q, metric)
-                sys.charge_cpu(len(allp) * metric.cpu_ops_per_dim * dims)
-                order = np.argsort(d, kind="stable")[: min(k, len(d))]
-                sys.charge_cpu(len(allp) * max(1, int(np.log2(k + 1))))
-                answers.append((d[order], allp[order]))
-            else:
-                answers.append((np.empty(0), np.empty((0, dims))))
-        return answers
-
-
-# ----------------------------------------------------------------------
-# the CPU's steps as batch-wide array passes (vectorized mode)
+# the CPU's steps as batch-wide array passes
 # ----------------------------------------------------------------------
 class _ArrayHost:
     """Steps 2, 3 and 5 for the whole batch at once, over the node arena.
@@ -234,7 +155,7 @@ class _ArrayHost:
     ``argmax`` along depth).  Both L0 walks are :func:`.vexec.seed_knn_l0`,
     and the round-hook merge, step 3's k-th exact distance and step 5's
     answer are each one :func:`.vexec.segmented_topk`.  Charges and LLC
-    touches equal :class:`_ScalarHost`'s (module docstring of
+    touches equal the per-query oracle's (module docstring of
     :mod:`.vexec`, "Counter-exactness contract").
     """
 
@@ -369,226 +290,3 @@ def tie_slack(dims: int) -> float:
     n = 2 * dims + 6
     nu = n * _UNIT_ROUNDOFF
     return nu / (1.0 - nu)
-
-
-def _lowest_with_sc(trace: list[Node], threshold: int) -> Node | None:
-    for node in reversed(trace):
-        if node.sc >= threshold:
-            return node
-    return None
-
-
-def _lowest_containing_sphere(tree, trace: list[Node], q: np.ndarray, r: float
-                              ) -> Node:
-    if math.isfinite(r):
-        for node in reversed(trace):
-            if tree.node_box(node).contains_sphere(q, r):
-                return node
-    return tree.root
-
-
-def _child_box_dists(tree, left: Node, right: Node, q: np.ndarray,
-                     coarse: Metric, want_linf: bool):
-    """Coarse (and optionally ℓ∞) box distances for a sibling pair.
-
-    One gap evaluation covers both children, and the ℓ∞ distance reuses
-    the same gap array.  The row-wise formula is elementwise identical to
-    :func:`dist_point_box`, so values are bitwise equal to the per-child
-    scalar calls the L0 walk used to make.
-    """
-    bl = tree.node_box(left)
-    br = tree.node_box(right)
-    lo, hi = np.stack((bl.lo, br.lo)), np.stack((bl.hi, br.hi))
-    gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-    if coarse.name == "l1":
-        dc = gap.sum(axis=-1)
-    elif coarse.name == "linf":
-        dc = gap.max(axis=-1)
-    else:
-        dc = np.sqrt((gap * gap).sum(axis=-1))
-    dl = gap.max(axis=-1) if want_linf else None
-    return dc, dl
-
-
-def _seed_from(tree, start: Node, qid: int, state: _KnnState, coarse: Metric,
-               tasks: list[Task], *, mode: str, bound: float = math.inf,
-               r_exact: float = math.inf) -> None:
-    """Walk the L0 portion (on the host) and emit border tasks.
-
-    For ``mode="candidates"`` L0 leaves feed the candidate store directly;
-    for ``mode="fetch"`` they contribute points within the anchored bound
-    (ℓ1 ≤ √D·r) *and* the ℓ∞ secondary filter (ℓ∞ ≤ r — every true kNN
-    satisfies ℓ∞ ≤ ℓ2 ≤ r, and the extra compare-only test shrinks the
-    candidate superset from the ℓ1 cross-polytope to the r-cube).
-
-    Box distances for both children of an expanded node are computed in a
-    single vectorized call (:func:`_child_box_dists`) instead of one
-    ``dist_point_box`` per child per pop — same values, same charges, same
-    LLC touch order; only the host wall-clock changes.
-    """
-    sys = tree.system
-    send_words = tree.dims + 3
-    q = state.q
-    use_linf = mode == "fetch" and math.isfinite(r_exact)
-    # Stack entries carry the precomputed (coarse, ℓ∞) box distances; the
-    # start node (and non-L0 children, whose distances are never used)
-    # carry None and compute lazily.
-    stack = [(start, None, None)]
-    while stack:
-        node, d, dlinf = stack.pop()
-        if node.layer != Layer.L0:
-            tasks.append(Task(qid, node.meta, node, None, send_words))
-            continue
-        sys.charge_cpu(4)
-        sys.touch_cpu_block(("pimzd", "l0", node.nid))
-        if d is None:
-            d = dist_point_box(q, tree.node_box(node), coarse)
-            if use_linf:
-                dlinf = dist_point_box(q, tree.node_box(node), LINF)
-        prune_at = state.radius() if mode == "candidates" else bound
-        if d > prune_at:
-            continue
-        if use_linf and dlinf > r_exact:
-            continue
-        if node.is_leaf:
-            dd = dist(node.pts, q, coarse)
-            sys.charge_cpu(node.count * coarse.cpu_ops_per_dim * tree.dims)
-            if mode == "candidates":
-                _merge_into_state(state, dd, node.pts, state.k)
-            else:
-                mask = dd <= bound
-                if math.isfinite(r_exact):
-                    mask &= dist(node.pts, q, LINF) <= r_exact
-                if mask.any():
-                    _merge_points_into_state(state, node.pts[mask], dd[mask])
-            continue
-        left, right = node.left, node.right
-        if left.layer == Layer.L0 or right.layer == Layer.L0:
-            dc, dl = _child_box_dists(tree, left, right, q, coarse, use_linf)
-            ll, lr = (float(dl[0]), float(dl[1])) if use_linf else (None, None)
-            stack.append((left, float(dc[0]), ll))
-            stack.append((right, float(dc[1]), lr))
-        else:
-            stack.append((left, None, None))
-            stack.append((right, None, None))
-
-
-def _merge_into_state(state: _KnnState, dists: np.ndarray, pts: np.ndarray,
-                      k: int) -> None:
-    d = np.concatenate([state.cand_d, dists])
-    p = np.vstack([state.cand_p, pts]) if len(pts) else state.cand_p
-    order = np.argsort(d, kind="stable")[: min(k, len(d))]
-    state.cand_d = d[order]
-    state.cand_p = p[order]
-
-
-def _merge_points_into_state(state: _KnnState, pts: np.ndarray, dists: np.ndarray
-                             ) -> None:
-    state.cand_d = np.concatenate([state.cand_d, dists])
-    state.cand_p = np.vstack([state.cand_p, pts]) if len(state.cand_p) else pts.copy()
-
-
-def _make_candidate_handler(tree, states: list[_KnnState], coarse: Metric, k: int):
-    dims = tree.dims
-
-    def handler(task: Task, ctx) -> None:
-        state = states[task.qid]
-        # Prune on the round-start radius only: the bound is fixed for the
-        # whole round (BSP-consistent), so the visit set is independent of
-        # traversal order — the property the vectorized frontier kernels
-        # rely on to charge the exact same simulated cost.
-        radius = state.radius()
-        local_d: list[np.ndarray] = []
-        local_p: list[np.ndarray] = []
-        stack = [task.node]
-        while stack:
-            node = stack.pop()
-            ctx.visit_node(node)
-            d = dist_point_box(state.q, tree.node_box(node), coarse)
-            ctx.extra_work(2 * dims, coarse.pim_cycles_per_dim * dims)
-            if d > radius:
-                continue
-            if node.is_leaf:
-                ctx.scan_points(node.count, coarse, dims)
-                dd = dist(node.pts, state.q, coarse)
-                local_d.append(dd)
-                local_p.append(node.pts)
-                continue
-            for child in (node.left, node.right):
-                if ctx.local(child):
-                    stack.append(child)
-                else:
-                    ctx.emit(Task(task.qid, child.meta, child, None, dims + 3))
-        if local_d:
-            dcat = np.concatenate(local_d)
-            pcat = np.vstack(local_p)
-            order = np.argsort(dcat, kind="stable")[: min(k, len(dcat))]
-            ctx.extra_work(len(dcat) * 4, len(dcat) * 6)
-            ctx.return_words(len(order) * (dims + 1))
-            ctx.result(("cand", dcat[order], pcat[order]))
-
-    return handler
-
-
-def _make_merge_hook(tree, states: list[_KnnState], k: int):
-    consumed: dict[int, int] = {}
-
-    def hook(results: dict[int, list]) -> None:
-        for qid, items in results.items():
-            start = consumed.get(qid, 0)
-            fresh = items[start:]
-            consumed[qid] = len(items)
-            for item in fresh:
-                if item[0] != "cand":
-                    continue
-                _, dd, pp = item
-                tree.system.charge_cpu(len(dd) * _CPU_MERGE_OPS)
-                _merge_into_state(states[qid], dd, pp, k)
-
-    return hook
-
-
-def _make_fetch_handler(tree, states: list[_KnnState], coarse: Metric,
-                        bounds: list[float], exact_radii: list[float]):
-    dims = tree.dims
-
-    def handler(task: Task, ctx) -> None:
-        state = states[task.qid]
-        bound = bounds[task.qid]
-        r_exact = exact_radii[task.qid]
-        use_linf = math.isfinite(r_exact) and coarse.name != "l2"
-        stack = [task.node]
-        collected: list[np.ndarray] = []
-        n_pts = 0
-        while stack:
-            node = stack.pop()
-            ctx.visit_node(node)
-            d = dist_point_box(state.q, tree.node_box(node), coarse)
-            ctx.extra_work(2 * dims, coarse.pim_cycles_per_dim * dims)
-            if d > bound:
-                continue
-            if use_linf:
-                ctx.extra_work(2 * dims, LINF.pim_cycles_per_dim * dims)
-                if dist_point_box(state.q, tree.node_box(node), LINF) > r_exact:
-                    continue
-            if node.is_leaf:
-                ctx.scan_points(node.count, coarse, dims)
-                dd = dist(node.pts, state.q, coarse)
-                mask = dd <= bound
-                if use_linf:
-                    ctx.scan_points(node.count, LINF, dims)
-                    mask &= dist(node.pts, state.q, LINF) <= r_exact
-                if mask.any():
-                    collected.append(node.pts[mask])
-                    n_pts += int(mask.sum())
-                continue
-            for child in (node.left, node.right):
-                if ctx.local(child):
-                    stack.append(child)
-                else:
-                    ctx.emit(Task(task.qid, child.meta, child, None, dims + 3))
-        if collected:
-            ctx.return_words(n_pts * dims)
-            ctx.result(("pts", np.vstack(collected)))
-
-    return handler

@@ -90,10 +90,10 @@ class Node:
     def key_lo(self, key_bits: int) -> int:
         """Start of the node's key range.
 
-        The scalar handlers traverse right-child-first (LIFO stack), so
+        A per-task traversal goes right-child-first (LIFO stack), so
         disjoint nodes are visited in *descending* ``key_lo`` order — the
-        vectorized kernels sort by this key to replay the exact scalar
-        visitation order (repro.core.vexec).
+        round kernels sort by this key to replay that visitation order
+        exactly (repro.core.vexec).
         """
         return self.prefix << (key_bits - self.depth) if self.depth else 0
 

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .node import Layer, Node
-from .push_pull import PushPullExecutor, Task, CPU_NODE_OPS
+from .node import Node
+from .push_pull import TRACE_WORDS, PushPullExecutor
+from .vexec import make_search_kernel, route_through_l0
 
 __all__ = ["SearchResult", "search_batch", "route_through_l0"]
-
-TRACE_WORDS = 3  # segment start, segment end, counter-crossing node
-_L0_PIM_CYCLES_PER_NODE = 10
 
 
 class SearchResult:
@@ -56,106 +54,12 @@ class SearchResult:
         self.pruned = False
 
 
-def route_through_l0(tree, results: list[SearchResult]) -> list[Task]:
-    """Traverse the globally-shared layer for every query (Alg. 1 step 1).
-
-    Returns the border tasks entering L1/L2.  Terminal outcomes (leaf or
-    edge divergence inside L0) are written into ``results`` directly.
-    """
-    if tree.config.exec_mode == "vectorized":
-        from .vexec import route_through_l0_vec
-
-        return route_through_l0_vec(tree, results)
-
-    sys = tree.system
-    kb = tree.key_bits
-    tasks: list[Task] = []
-    on_cpu = tree.l0_on_cpu
-
-    def step(res: SearchResult) -> tuple[Node, Node] | None:
-        """Walk L0; returns (parent, border_child) or None if terminal."""
-        node = tree.root
-        lo, hi = node.key_range(kb)
-        if not lo <= res.key < hi:
-            res.edge = (None, node)
-            return None
-        if node.layer != Layer.L0:
-            # Tiny trees (or huge θ_L0) may have an empty L0: the border
-            # sits at the root itself.
-            return None, node
-        while True:
-            res.trace.append(node)
-            if on_cpu:
-                sys.charge_cpu(CPU_NODE_OPS)
-                sys.touch_cpu_block(("pimzd", "l0", node.nid))
-            if node.is_leaf:
-                res.leaf = node
-                return None
-            child = node.child_for_key(res.key, kb)
-            lo, hi = child.key_range(kb)
-            if not lo <= res.key < hi:
-                res.edge = (node, child)
-                return None
-            if child.layer != Layer.L0:
-                return node, child
-            node = child
-
-    if on_cpu:
-        for res in results:
-            out = step(res)
-            if out is not None:
-                tasks.append(Task(res.qid, out[1].meta, out[1]))
-        return tasks
-
-    # L0 replicated across modules: queries are hash-partitioned into P
-    # groups and each group walks its module's replica in one round.
-    with sys.round():
-        for res in results:
-            mid = sys.place(("l0q", tree._l0_route_salt, res.qid))
-            sys.send(mid, 2)
-            out = step(res)
-            depth = len(res.trace)
-            sys.charge_pim(mid, depth * _L0_PIM_CYCLES_PER_NODE)
-            sys.recv(mid, TRACE_WORDS)
-            if out is not None:
-                tasks.append(Task(res.qid, out[1].meta, out[1]))
-    return tasks
-
-
-def make_search_handler(tree, results: list[SearchResult]):
-    """Per-task handler descending within the locally available region."""
-    kb = tree.key_bits
-
-    def handler(task: Task, ctx) -> None:
-        res = results[task.qid]
-        node = task.node
-        while True:
-            ctx.visit_node(node)
-            res.trace.append(node)
-            if node.is_leaf:
-                ctx.return_words(TRACE_WORDS)
-                res.leaf = node
-                return
-            child = node.child_for_key(res.key, kb)
-            lo, hi = child.key_range(kb)
-            if not lo <= res.key < hi:
-                ctx.return_words(TRACE_WORDS)
-                res.edge = (node, child)
-                return
-            if ctx.local(child):
-                node = child
-                continue
-            ctx.return_words(TRACE_WORDS)
-            ctx.emit(Task(task.qid, child.meta, child))
-            return
-
-    return handler
-
-
 def search_batch(tree, points: np.ndarray, *, phase: str = "search"
                  ) -> list[SearchResult]:
     """SEARCH a batch of query points; returns one result per row."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not np.logical_and.reduce(np.isfinite(points), axis=None):
+        raise ValueError("coordinates must be finite, got NaN or ±inf")
     sys = tree.system
     with sys.phase(phase):
         keys = tree.encode_keys(points)
@@ -177,12 +81,7 @@ def search_batch(tree, points: np.ndarray, *, phase: str = "search"
         prune = rf.make_search_prune(results, pre_probed) if use_rf else None
         if tasks:
             executor = PushPullExecutor(tree)
-            handler = make_search_handler(tree, results)
-            if tree.config.exec_mode == "vectorized":
-                from .vexec import make_search_round_kernel
-
-                handler.round_kernel = make_search_round_kernel(tree, results)
-            executor.run(tasks, handler, prune=prune)
+            executor.run(tasks, make_search_kernel(tree, results), prune=prune)
             tree.last_executor = executor
         if prune is not None:
             rf.account_search(results, prune.probed)

@@ -54,6 +54,10 @@ class PIMZdTree:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if points.shape[0] == 0:
             raise ValueError("PIMZdTree requires at least one initial point")
+        # Quantizing would clip a NaN or ±inf coordinate to a corner of the
+        # key space; every entry point refuses one with one reduction.
+        if not np.logical_and.reduce(np.isfinite(points), axis=None):
+            raise ValueError("coordinates must be finite, got NaN or ±inf")
         self.dims = points.shape[1]
         self.system = system if system is not None else PIMSystem(64)
         if config is None:
@@ -90,9 +94,9 @@ class PIMZdTree:
         self.feed = ResidencyFeed()
         self._ledger = WordLedger(self)
         self.last_executor = None
-        # Derived read-side view: the vectorised kernels' node arena
-        # (repro.core.vexec.NodeArena), built on the first vectorised
-        # query and kept current through the mark_* hooks below.
+        # Derived read-side view: the round kernels' node arena
+        # (repro.core.vexec.NodeArena), built on the first batch and
+        # kept current through the mark_* hooks below.
         self._arena = None
         # Write-ahead journal (repro.store): attached by DurableStore so
         # insert/delete append before mutating; None means no durability.

@@ -35,6 +35,7 @@ from ..faults.errors import FaultError
 from .chunking import MetaNode, chunk_region
 from .node import Layer, Node, node_words
 from .search import search_batch
+from .vexec import plan_leaf_deletions
 
 __all__ = ["insert_batch", "delete_batch"]
 
@@ -66,6 +67,8 @@ def insert_batch(tree, points: np.ndarray) -> None:
         return
     if points.shape[1] != tree.dims:
         raise ValueError("dimension mismatch")
+    if not np.logical_and.reduce(np.isfinite(points), axis=None):
+        raise ValueError("coordinates must be finite, got NaN or ±inf")
     sys = tree.system
     # Write-ahead: journal the batch before any mutation; the COMMIT
     # marker lands only after the batch fully applied, so recovery replays
@@ -548,6 +551,8 @@ def delete_batch(tree, points: np.ndarray) -> int:
         return 0
     if points.shape[1] != tree.dims:
         raise ValueError("dimension mismatch")
+    if not np.logical_and.reduce(np.isfinite(points), axis=None):
+        raise ValueError("coordinates must be finite, got NaN or ±inf")
     sys = tree.system
     before = tree.root.count
     # Write-ahead, committed only after the batch applied (see insert).
@@ -570,26 +575,9 @@ def delete_batch(tree, points: np.ndarray) -> int:
         # rejected *before* any structural change.
         plans: list[tuple[Node, np.ndarray, int]] = []
         total_removed = 0
-        vectorized = tree.config.exec_mode == "vectorized"
-        if vectorized:
-            from .vexec import plan_leaf_deletions
         for leaf, qids in groups.items():
-            if vectorized:
-                keep = plan_leaf_deletions(leaf, qids, results, points,
-                                           removal_count)
-            else:
-                keep = np.ones(leaf.count, dtype=bool)
-                for q in qids:
-                    removed_here = 0
-                    p = points[q]
-                    key = np.uint64(results[q].key)
-                    j0 = int(np.searchsorted(leaf.keys, key))
-                    j1 = int(np.searchsorted(leaf.keys, key, side="right"))
-                    for j in range(j0, j1):
-                        if keep[j] and np.array_equal(leaf.pts[j], p):
-                            keep[j] = False
-                            removed_here += 1
-                    removal_count[q] = removed_here
+            keep = plan_leaf_deletions(leaf, qids, results, points,
+                                       removal_count)
             n_removed = int((~keep).sum())
             total_removed += n_removed
             plans.append((leaf, keep, n_removed))

@@ -1,10 +1,8 @@
-"""Vectorized batch-execution kernels for the query/update hot paths.
+"""Batch-execution kernels for the query/update paths.
 
-The scalar operation modules (:mod:`.search`, :mod:`.knn`,
-:mod:`.range_query`, :mod:`.update`) walk the pointer tree one
-(query, node) pair at a time.  This module provides NumPy
-frontier-at-a-time equivalents that the push-pull executor dispatches
-when ``config.exec_mode == "vectorized"``:
+Every operation (:mod:`.search`, :mod:`.knn`, :mod:`.range_query`,
+:mod:`.update`) runs on NumPy frontier-at-a-time kernels from this
+module:
 
 * :class:`NodeArena` — one tree-wide structure of arrays, a row per live
   node (box corners, count, child rows, key range, layer, owning meta),
@@ -12,24 +10,26 @@ when ``config.exec_mode == "vectorized"``:
   :func:`node_arena` flushes before a kernel reads it.  It is the only
   derived structure: leaf payloads are read live from ``node.pts`` when
   a kernel gathers them, so nothing mirrors them;
-* *round kernels* — ``handler.round_kernel(groups)`` receives **every
-  pushed (meta, tasks) group of a BSP round** and returns a
-  :class:`~.push_pull.RoundOutput`: one kernel call per round, the
-  frontier carried as parallel ``(task, row)`` arrays across all groups
-  (:class:`_Round`), locality decided per (task, child) by a vector
-  compare on the arena's ``layer``/``meta_id`` columns.  The kernel is
-  pure compute; the executor charges its per-group totals afterwards;
-* :func:`make_search_round_kernel` — the pointer-walk SEARCH kernel
-  (SEARCH never tests a box, so it loops its groups and uses no arena);
-* :func:`make_candidate_round_kernel` / :func:`make_fetch_round_kernel`
-  — the two kNN steps, thin wrappers over one shared ball descent
+* *round kernels*, one per task kind — ``kernel(groups, on_host)``
+  receives **every (meta, tasks) group of a BSP round that runs at one
+  site** and returns a :class:`~.push_pull.RoundOutput`.  The executor
+  calls it once per round for the pushed groups (at the modules) and
+  once more for the pulled ones (on the host).  The frontier is carried
+  as parallel ``(task, row)`` arrays across all groups (:class:`_Round`),
+  locality decided per (task, child) by a vector compare on the arena's
+  ``layer``/``meta_id`` columns.  The kernel is pure compute; the
+  executor charges its totals afterwards;
+* :func:`make_search_kernel` — the pointer-walk SEARCH kernel (SEARCH
+  never tests a box, so it loops its groups and uses no arena);
+* :func:`make_candidate_kernel` / :func:`make_fetch_kernel` — the two
+  kNN steps, thin wrappers over one shared ball descent
   (:func:`_ball_descent`: coarse box-distance prune, optional ℓ∞ prune,
   one stacked row-distance evaluation per round);
-* :func:`make_range_round_kernel` — box-mask range count/fetch
+* :func:`make_range_kernel` — box-mask range count/fetch
   (:func:`_range_descent`) for a whole round at once;
-* :func:`route_through_l0_vec` — SEARCH's L0 routing over the arena's
-  link and key-range columns: one level per step for the whole batch,
-  or key by key for a batch too small to pay for array calls;
+* :func:`route_through_l0` — SEARCH's L0 routing over the arena's link
+  and key-range columns: one level per step for the whole batch, or key
+  by key for a batch too small to pay for array calls;
 * the kNN host passes (Alg. 3's CPU share, driven by
   ``repro.core.knn._ArrayHost``): :func:`seed_knn_l0` — both L0 walks
   as one ``(query, row)`` frontier per batch; :func:`trace_rows` /
@@ -45,9 +45,10 @@ when ``config.exec_mode == "vectorized"``:
 Counter-exactness contract
 --------------------------
 Every kernel produces *byte-identical* ``PIMStats`` to the scalar
-reference path.  This works because
+engine — per-task handlers walking one (query, node) pair at a time,
+kept as the test oracle ``tests/exec_oracle.py``.  This works because
 
-1. every per-element charge in the scalar path is an integer number of
+1. every per-element charge in the scalar engine is an integer number of
    cycles/ops/words, so float64 sums are exact and order-independent —
    aggregating them per (phase, module, round) with ``np.bincount`` is
    lossless;
@@ -55,9 +56,11 @@ reference path.  This works because
    round) is preserved exactly: emitted tasks are re-ordered into the
    scalar emission order before entering the next frontier;
 3. LLC touch *sequences* (order-sensitive under LRU eviction) are
-   replayed in the exact scalar order via ``touch_cpu_blocks``;
+   replayed in the exact scalar order via ``touch_cpu_blocks`` — on the
+   host a pulled group's visits sort as (task, ``~hi_incl``, depth),
+   each task's right-first pre-order;
 4. all floating-point result values are computed by the same NumPy
-   elementwise/row-reduction formulas the scalar path uses, so they
+   elementwise/row-reduction formulas the scalar engine uses, so they
    match bitwise, and concatenation follows the scalar right-child-first
    DFS order: disjoint subtrees are visited in descending ``key_lo``
    order, which ``np.lexsort`` on ``(task, ~key_lo)`` reconstructs;
@@ -95,17 +98,27 @@ import numpy as np
 from .chunking import MetaNode
 from .geometry import LINF, Metric
 from .node import Layer, Node, subtree_nodes
-from .push_pull import RoundOutput, Task
+from .push_pull import (
+    CPU_BOX_TEST_OPS,
+    CPU_NODE_OPS,
+    CPU_POINT_BASE_OPS,
+    L0_PIM_CYCLES_PER_NODE,
+    PIM_BOX_TEST_CYCLES,
+    PIM_POINT_BASE_CYCLES,
+    TRACE_WORDS,
+    RoundOutput,
+    Task,
+)
 
 __all__ = [
     "NodeArena",
     "node_arena",
     "check_arena",
-    "route_through_l0_vec",
-    "make_search_round_kernel",
-    "make_candidate_round_kernel",
-    "make_fetch_round_kernel",
-    "make_range_round_kernel",
+    "route_through_l0",
+    "make_search_kernel",
+    "make_candidate_kernel",
+    "make_fetch_kernel",
+    "make_range_kernel",
     "seed_knn_l0",
     "trace_rows",
     "lowest_rows",
@@ -340,7 +353,7 @@ class NodeArena:
 
 
 def node_arena(tree) -> NodeArena:
-    """The tree's arena, flushed; built on the first vectorised query."""
+    """The tree's arena, flushed; built on the first batch."""
     arena = tree._arena
     if arena is None:
         arena = tree._arena = NodeArena(tree)
@@ -404,9 +417,11 @@ def _l0_blocks(nodes: list[Node]) -> list[tuple]:
     return list(zip(repeat("pimzd"), repeat("l0"), map(_NID, nodes)))
 
 
-def route_through_l0_vec(tree, results) -> list[Task]:
-    """Vectorized :func:`repro.core.search.route_through_l0`.
+def route_through_l0(tree, results) -> list[Task]:
+    """Traverse the globally-shared layer for every query (Alg. 1 step 1).
 
+    Returns the border tasks entering L1/L2; terminal outcomes (leaf or
+    edge divergence inside L0) are written into ``results`` directly.
     Every query descends L0 over the arena's ``left/right/key_lo/hi_incl/
     layer`` columns: the key bit at the node's depth picks the child, a
     range compare detects a divergent compressed edge.  A batch of more
@@ -415,12 +430,11 @@ def route_through_l0_vec(tree, results) -> list[Task]:
     array calls per level cost more than the whole batch's scalar reads
     — walks each key down the same columns (:func:`_route_each`).
     Traces are Node lists (the update path reads them); terminal
-    outcomes, border tasks and all simulated charges are identical to the
-    scalar walk either way.
+    outcomes, border tasks and all simulated charges are the same either
+    way.  A host-resident L0 charges the CPU per visited node; a
+    replicated one is walked in one round, queries hash-partitioned over
+    the modules.
     """
-    from .search import TRACE_WORDS, _L0_PIM_CYCLES_PER_NODE
-    from .push_pull import CPU_NODE_OPS
-
     sys = tree.system
     a = node_arena(tree)
     root = tree.root
@@ -438,7 +452,7 @@ def route_through_l0_vec(tree, results) -> list[Task]:
     else:
         path, tasks = _route_levels(tree, a, results)
 
-    # -- charges, replayed exactly as the scalar walk orders them -------
+    # -- charges, in the per-query walk's order ---------------------------
     if tree.l0_on_cpu:
         if path:
             sys.charge_cpu(CPU_NODE_OPS * len(path))
@@ -456,7 +470,7 @@ def route_through_l0_vec(tree, results) -> list[Task]:
             mid = sys.place(("l0q", salt, res.qid))
             send_by[mid] = send_by.get(mid, 0.0) + 2
             cyc_by[mid] = (
-                cyc_by.get(mid, 0.0) + len(res.trace) * _L0_PIM_CYCLES_PER_NODE
+                cyc_by.get(mid, 0.0) + len(res.trace) * L0_PIM_CYCLES_PER_NODE
             )
             recv_by[mid] = recv_by.get(mid, 0.0) + TRACE_WORDS
         n_mids = len(send_by)
@@ -578,66 +592,87 @@ def _route_levels(tree, a: NodeArena, results):
 # one BSP round as flat arrays
 # ======================================================================
 class _Round:
-    """All pushed groups of one BSP round, flattened to per-task arrays.
+    """The groups of one BSP round that run at one site, as flat arrays.
 
     The task index ``t`` runs over the groups in the executor's
     ``by_meta`` order and, inside a group, in task order — sorting by
     ``t`` *is* sorting by (group, position), which is how the kernels
     restore the scalar result and emission order across groups.  Kernels
-    carry their frontier as parallel ``(t, row)`` arrays, book cycles
-    and result words per task, and :meth:`output` folds them per group.
+    carry their frontier as parallel ``(t, row)`` arrays and book work
+    per task in the site's unit — PIM cycles at a module, CPU ops on the
+    host (``on_host``: pulled groups), each charge site picking its pair
+    once per call.  :meth:`output` folds a module's cycles and result
+    words per group; on the host it sums the ops and orders the visited
+    rows, which become the LLC touches.
     """
 
-    __slots__ = ("arena", "tasks", "qids", "grp", "mid", "l1", "entry",
-                 "out", "_cyc_t", "_cyc_w", "_recv")
+    __slots__ = ("arena", "on_host", "tasks", "qids", "grp", "mid", "l1",
+                 "entry", "out", "_work_t", "_work", "_recv", "_seen_t",
+                 "_seen_r")
 
-    def __init__(self, tree, groups) -> None:
+    def __init__(self, tree, groups, on_host: bool) -> None:
         self.arena = node_arena(tree)
+        self.on_host = on_host
         self.tasks = tasks = [t for _, ts in groups for t in ts]
         n_groups, n = len(groups), len(tasks)
         lens = [len(ts) for _, ts in groups]
         self.qids = [t.qid for t in tasks]
         self.grp = np.repeat(np.arange(n_groups), lens)
-        # Locality (ExecContext.local on a module): an L1 task sees every
-        # L1 node, any other task only its own meta's members.
+        # Locality: on a module an L1 task sees every L1 node (the module
+        # caches all L1 descendants, §3.1); any other task — and every
+        # task on the host, which fetched only the meta's master nodes —
+        # sees only its own meta's members.
         self.mid = np.repeat(
             np.fromiter((m.root.row for m, _ in groups), dtype=np.intp,
                         count=n_groups), lens)
         self.l1 = np.repeat(
-            np.fromiter((m.layer == Layer.L1 for m, _ in groups), dtype=bool,
-                        count=n_groups), lens)
+            np.fromiter((m.layer == Layer.L1 and not on_host
+                         for m, _ in groups), dtype=bool, count=n_groups),
+            lens)
         self.entry = np.fromiter((t.node.row for t in tasks), dtype=np.intp,
                                  count=n)
         self.out = RoundOutput(n_groups)
-        self._cyc_t: list[np.ndarray] = []
-        self._cyc_w: list[np.ndarray] = []
+        self._work_t: list[np.ndarray] = []
+        self._work: list[np.ndarray] = []
         self._recv = np.zeros(n)
-
-    def visit_cycles(self, rows: np.ndarray) -> np.ndarray:
-        a = self.arena
-        return a.meta_cycles[a.meta_id[rows]]
+        self._seen_t: list[np.ndarray] = []
+        self._seen_r: list[np.ndarray] = []
 
     def local(self, t: np.ndarray, child: np.ndarray) -> np.ndarray:
         a = self.arena
         return np.where(self.l1[t], a.layer[child] == _L1,
                         a.meta_id[child] == self.mid[t])
 
-    def charge(self, t: np.ndarray, cycles: np.ndarray) -> None:
-        """Book ``cycles[i]`` PIM cycles to task ``t[i]``."""
-        self._cyc_t.append(t)
-        self._cyc_w.append(cycles)
+    def charge(self, t: np.ndarray, work: np.ndarray) -> None:
+        """Book ``work[i]`` (cycles at a module, ops on the host) to task
+        ``t[i]``."""
+        self._work_t.append(t)
+        self._work.append(work)
+
+    def visit(self, t: np.ndarray, row: np.ndarray, test) -> None:
+        """Tasks ``t`` visit nodes ``row`` and test them at ``test`` each
+        (a scalar or an array): the node visit costs its meta's cycles
+        at a module, ``CPU_NODE_OPS`` on the host."""
+        if self.on_host:
+            self.charge(t, np.full(len(t), CPU_NODE_OPS) + test)
+            self._seen_t.append(t)
+            self._seen_r.append(row)
+        else:
+            a = self.arena
+            self.charge(t, a.meta_cycles[a.meta_id[row]] + test)
 
     def reply(self, t: np.ndarray, words) -> None:
-        """Result words tasks ``t`` (each at most once) ship back."""
+        """Result words tasks ``t`` (each at most once) ship back from a
+        module; :meth:`output` drops them on the host."""
         self._recv[t] += words
 
     def emit(self, t, child, parent, payload, send_words) -> None:
         """Queue boundary tasks in the scalar emission order.
 
-        The scalar handlers emit a non-local child when its *parent* is
-        visited, left child before right.  Parents are visited in
-        right-first pre-order, which sorts as ``(hi_incl DESC, depth
-        ASC)``; the left child has the smaller ``key_lo``.
+        A non-local child is emitted when its *parent* is visited, left
+        child before right.  Parents are visited in right-first
+        pre-order, which sorts as ``(hi_incl DESC, depth ASC)``; the left
+        child has the smaller ``key_lo``.
         """
         a = self.arena
         order = np.lexsort((a.key_lo[child], a.depth[parent],
@@ -651,11 +686,23 @@ class _Round:
                               send_words))
 
     def output(self) -> RoundOutput:
-        out, n_groups = self.out, len(self.out.cycles)
-        if self._cyc_t:
+        out = self.out
+        work = np.concatenate(self._work) if self._work else np.zeros(0)
+        if self.on_host:
+            out.cpu_ops = float(work.sum())
+            if self._seen_t:
+                # The visit order: per task, right-first pre-order.
+                a = self.arena
+                t, r = np.concatenate(self._seen_t), np.concatenate(self._seen_r)
+                rows = r[np.lexsort((a.depth[r], ~a.hi_incl[r], t))]
+                out.touched = list(map(_NID, map(a.nodes.__getitem__,
+                                                 rows.tolist())))
+            return out
+        n_groups = len(out.cycles)
+        if self._work_t:
             out.cycles = np.bincount(
-                self.grp[np.concatenate(self._cyc_t)],
-                weights=np.concatenate(self._cyc_w), minlength=n_groups,
+                self.grp[np.concatenate(self._work_t)], weights=work,
+                minlength=n_groups,
             ).tolist()
         out.recv = np.bincount(self.grp, weights=self._recv,
                                minlength=n_groups).tolist()
@@ -672,24 +719,24 @@ def _pos_segments(row_pos: np.ndarray):
 # ======================================================================
 # SEARCH round kernel
 # ======================================================================
-def make_search_round_kernel(tree, results):
+def make_search_kernel(tree, results):
     """Pointer-walk descent for a round's search tasks.
 
     SEARCH is pure pointer-chasing — it never tests a box or scans a
     leaf, so there is nothing for the arena to batch.  The kernel walks
     the pointers directly (scalar-speed), group by group, and aggregates
-    the charges per group, which is counter-exact.
+    the charges per group, which is counter-exact.  On the host the
+    visits are the path itself, in order.
     """
-    from .search import TRACE_WORDS
-
     kb = tree.key_bits
 
-    def kernel(groups) -> RoundOutput:
+    def kernel(groups, on_host: bool) -> RoundOutput:
         cfg = tree.config
         out = RoundOutput(len(groups))
+        touched = out.touched
         cyc_of: dict[MetaNode, float] = {}
         for gi, (meta, ts) in enumerate(groups):
-            l1_rule = meta.layer == Layer.L1
+            l1_rule = meta.layer == Layer.L1 and not on_host
             cycles = 0.0
             recv = 0.0
             for t in ts:
@@ -702,6 +749,8 @@ def make_search_round_kernel(tree, results):
                         c = cyc_of[m] = float(m.cycles_per_node(cfg))
                     cycles += c
                     res.trace.append(node)
+                    if on_host:
+                        touched.append(node.nid)
                     if node.is_leaf:
                         res.leaf = node
                         break
@@ -719,6 +768,7 @@ def make_search_round_kernel(tree, results):
                 recv += TRACE_WORDS
             out.cycles[gi] = cycles
             out.recv[gi] = recv
+        out.cpu_ops = float(CPU_NODE_OPS * len(touched))
         return out
 
     return kernel
@@ -732,7 +782,7 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     node, visit each locally reachable node whose box lies within
     ``bound[t]`` of query ``Q[t]`` under ``coarse`` — and, where
     ``linf_bound[t]`` is finite, also within that ℓ∞ distance — booking
-    cycles and queueing boundary tasks as the scalar handlers do.
+    work and queueing boundary tasks as a per-task traversal would.
 
     Returns ``(rows, row_t, dd)`` for the reached leaves in scalar
     leaf-scan order (stacked points, owning task, coarse distance to the
@@ -740,11 +790,19 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     """
     a = rnd.arena
     dims = Q.shape[1]
-    box_cyc = coarse.pim_cycles_per_dim * dims
-    linf_cyc = LINF.pim_cycles_per_dim * dims
-    # PIM_POINT_BASE_CYCLES; floats, so the int32 counts they scale widen.
-    scan_cyc = 6.0 + coarse.pim_cycles_per_dim * dims
-    linf_scan_cyc = 6.0 + LINF.pim_cycles_per_dim * dims
+    # This site's cost of a box test and of one scanned point (floats, so
+    # the int32 counts they scale widen): a host test is 2·D ops whatever
+    # the metric.
+    if rnd.on_host:
+        box_w = linf_w = 2 * dims
+        scan_w = float(CPU_POINT_BASE_OPS + coarse.cpu_ops_per_dim * dims)
+        linf_scan_w = float(CPU_POINT_BASE_OPS + LINF.cpu_ops_per_dim * dims)
+    else:
+        box_w = coarse.pim_cycles_per_dim * dims
+        linf_w = LINF.pim_cycles_per_dim * dims
+        scan_w = float(PIM_POINT_BASE_CYCLES + coarse.pim_cycles_per_dim * dims)
+        linf_scan_w = float(PIM_POINT_BASE_CYCLES
+                            + LINF.pim_cycles_per_dim * dims)
     use_linf = np.isfinite(linf_bound)
     any_linf = bool(use_linf.any())
     t = np.arange(len(Q), dtype=np.intp)
@@ -755,14 +813,14 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     em_c: list[np.ndarray] = []
     em_p: list[np.ndarray] = []
     while len(row):
-        rnd.charge(t, rnd.visit_cycles(row) + box_cyc)
+        rnd.visit(t, row, box_w)
         d = _dist_point_boxes(Q[t], a.lo[row], a.hi[row], coarse)
         keep = d <= bound[t]
         t, row = t[keep], row[keep]
         if any_linf:
             li = np.flatnonzero(use_linf[t])
             if len(li):
-                rnd.charge(t[li], np.full(len(li), linf_cyc))
+                rnd.charge(t[li], np.full(len(li), linf_w))
                 dl = _dist_point_boxes(Q[t[li]], a.lo[row[li]], a.hi[row[li]],
                                        LINF)
                 drop = li[dl > linf_bound[t[li]]]
@@ -775,11 +833,11 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
         leaf = a.is_leaf[row]
         if leaf.any():
             lt, lr = t[leaf], row[leaf]
-            rnd.charge(lt, a.count[lr] * scan_cyc)
+            rnd.charge(lt, a.count[lr] * scan_w)
             if any_linf:
                 ls = use_linf[lt]
                 if ls.any():
-                    rnd.charge(lt[ls], a.count[lr[ls]] * linf_scan_cyc)
+                    rnd.charge(lt[ls], a.count[lr[ls]] * linf_scan_w)
             leaf_t.append(lt)
             leaf_r.append(lr)
             inner = ~leaf
@@ -811,13 +869,13 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     return rows, row_t, _dist_rows(rows, Q[row_t], coarse)
 
 
-def make_candidate_round_kernel(tree, states, coarse: Metric, k: int):
+def make_candidate_kernel(tree, states, coarse: Metric, k: int):
     """Fused distance-matrix evaluation for kNN candidate search."""
     dims = tree.dims
     Qall = np.stack([st.q for st in states])
 
-    def kernel(groups) -> RoundOutput:
-        rnd = _Round(tree, groups)
+    def kernel(groups, on_host: bool) -> RoundOutput:
+        rnd = _Round(tree, groups, on_host)
         qids = rnd.qids
         # The round-start radius is fixed for the whole round, so batching
         # across groups cannot change what any task prunes.
@@ -828,7 +886,8 @@ def make_candidate_round_kernel(tree, states, coarse: Metric, k: int):
             rows, row_t, dd = hit
             upos, first, ends = _pos_segments(row_t)
             seg = ends - first
-            rnd.charge(upos, seg * 6)
+            # The candidate sort: 4 ops per candidate, 6 cycles.
+            rnd.charge(upos, seg * (4 if rnd.on_host else 6))
             rnd.reply(upos, np.minimum(seg, k) * (dims + 1))
             results = rnd.out.results
             for p, s, e in zip(upos.tolist(), first.tolist(), ends.tolist()):
@@ -840,20 +899,20 @@ def make_candidate_round_kernel(tree, states, coarse: Metric, k: int):
     return kernel
 
 
-def make_fetch_round_kernel(tree, states, coarse: Metric, bounds, exact_radii):
+def make_fetch_kernel(tree, states, coarse: Metric, bounds, exact_radii):
     """Fused ball-fetch for kNN step 4 (anchored bound + ℓ∞ filter)."""
     dims = tree.dims
     Qall = np.stack([st.q for st in states])
     bounds = np.asarray(bounds, dtype=np.float64)
-    # As in the scalar handler: no ℓ∞ filter under a coarse ℓ2.
+    # No ℓ∞ filter under a coarse ℓ2.
     exact_radii = (
         np.asarray(exact_radii, dtype=np.float64)
         if coarse.name != "l2"
         else np.full(len(bounds), np.inf)
     )
 
-    def kernel(groups) -> RoundOutput:
-        rnd = _Round(tree, groups)
+    def kernel(groups, on_host: bool) -> RoundOutput:
+        rnd = _Round(tree, groups, on_host)
         qids = rnd.qids
         Q, bnd, rex = Qall[qids], bounds[qids], exact_radii[qids]
         hit = _ball_descent(rnd, Q, bnd, rex, coarse)
@@ -1107,13 +1166,13 @@ def _reply_points(rnd: _Round, rows, row_t, mask, dims: int) -> None:
 # ======================================================================
 # range-query round kernel
 # ======================================================================
-def make_range_round_kernel(tree, boxes, *, fetch: bool):
+def make_range_kernel(tree, boxes, *, fetch: bool):
     """Mask-based range filtering for a round's box-query tasks."""
     Lo = np.stack([b.lo for b in boxes])
     Hi = np.stack([b.hi for b in boxes])
 
-    def kernel(groups) -> RoundOutput:
-        rnd = _Round(tree, groups)
+    def kernel(groups, on_host: bool) -> RoundOutput:
+        rnd = _Round(tree, groups, on_host)
         skip = np.array([t.payload == "all" for t in rnd.tasks], dtype=bool)
         _range_descent(rnd, Lo[rnd.qids], Hi[rnd.qids], skip, fetch)
         return rnd.output()
@@ -1126,7 +1185,13 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
     entry subtree is already known to be contained (``"all"`` mode)."""
     a = rnd.arena
     n_tasks, dims = Lo.shape
-    scan_cyc = 6.0 + 2 * dims  # PIM_POINT_BASE + _SCAN_METRIC per dim
+    # This site's cost of a box test and of one point-in-box test (two
+    # compares per dimension).
+    if rnd.on_host:
+        test_w, scan_w = CPU_BOX_TEST_OPS, float(CPU_POINT_BASE_OPS + 2 * dims)
+    else:
+        test_w = PIM_BOX_TEST_CYCLES
+        scan_w = float(PIM_POINT_BASE_CYCLES + 2 * dims)
     t = np.arange(n_tasks, dtype=np.intp)
     row = rnd.entry
     tot_t: list[np.ndarray] = []
@@ -1141,8 +1206,8 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
     em_s: list[np.ndarray] = []
     while len(row):
         tested = ~skip
-        # Node visit, plus _PIM_BOX_TEST_CYCLES where the box is tested.
-        rnd.charge(t, rnd.visit_cycles(row) + 6.0 * tested)
+        # Node visit, plus a box test unless the entry is known contained.
+        rnd.visit(t, row, test_w * tested)
         nlo, nhi = a.lo[row], a.hi[row]
         ql, qh = Lo[t], Hi[t]
         inter = (nlo <= qh).all(axis=1) & (ql <= nhi).all(axis=1)
@@ -1163,7 +1228,7 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
             exp_masks = ((cont & ~leaf, True), (part & ~leaf, False))
         pl = part & leaf
         if pl.any():
-            rnd.charge(t[pl], a.count[row[pl]] * scan_cyc)
+            rnd.charge(t[pl], a.count[row[pl]] * scan_w)
             part_t.append(t[pl])
             part_r.append(row[pl])
         cr: list[np.ndarray] = []
@@ -1233,7 +1298,7 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
     lr, lt, whole_flag = lr[order], lt[order], whole_flag[order]
     rows, row_pair, lens = _gather_rows(a, lr)
     row_t = lt[row_pair]
-    # Contained leaves skip the membership test in the scalar path, so
+    # Contained leaves skip the membership test, so
     # their rows are taken wholesale (no float compare involved).
     inside = np.repeat(whole_flag, lens)
     pm = ~inside
@@ -1248,7 +1313,7 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
 # host-side L0 seeding for range queries
 # ======================================================================
 def seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list) -> None:
-    """Vectorized ``_seed_l0`` over the whole box batch.
+    """Host-side L0 seeding for the whole box batch.
 
     Precomputes the (box × L0-node) containment/intersection matrices in
     one broadcast over the arena's L0 rows, then replays the scalar
@@ -1284,7 +1349,7 @@ def seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list) -> No
                          2 * dims + 2)
                 )
                 continue
-            cpu_ops += 4  # _CPU_BOX_TEST_OPS
+            cpu_ops += CPU_BOX_TEST_OPS
             touches.append(("pimzd", "l0", node.nid))
             j = col[node.row]
             if skip or contd[qid, j]:

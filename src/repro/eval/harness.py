@@ -90,7 +90,6 @@ class PIMZdTreeAdapter:
         llc_bytes: int | None = None,
         cost_model=None,
         tracer=None,
-        exec_mode: str | None = None,
         fault_plan=None,
     ) -> None:
         if llc_bytes is None:
@@ -102,8 +101,6 @@ class PIMZdTreeAdapter:
                 config = skew_resistant(n_modules)
             else:
                 raise ValueError(f"unknown variant {variant!r}")
-        if exec_mode is not None:
-            config = config.with_overrides(exec_mode=exec_mode)
         # The fault plan is attached only after construction: the machine
         # is healthy at load time, and the build/upload charges stay
         # byte-identical to a fault-free adapter's.
@@ -295,8 +292,8 @@ class PkdTreeAdapter(_BaselineAdapter):
 
 # Kwargs only meaningful for the PIM adapter.  The baselines ignore them so
 # one sweep dict can drive all four kinds through :func:`make_adapter`.
-_PIM_ONLY_KWARGS = ("seed", "exec_mode", "cost_model", "tracer", "llc_bytes",
-                    "config", "variant", "fault_plan")
+_PIM_ONLY_KWARGS = ("seed", "cost_model", "tracer", "llc_bytes", "config",
+                    "variant", "fault_plan")
 
 
 def make_adapter(kind: str, points: np.ndarray, **kw):

@@ -570,8 +570,7 @@ class RouteFilterSet:
         provably-absent keys.  Returns ``(surviving results, probed
         qids)``; the executor-level filter skips re-probing survivors.
         """
-        from ..core.push_pull import QUERY_WORDS
-        from ..core.search import TRACE_WORDS
+        from ..core.push_pull import QUERY_WORDS, TRACE_WORDS
 
         live = []
         probed: set[int] = set()

@@ -47,7 +47,6 @@ class ServeSpec:
     index: str = "pim"
     seed: int = 7
     data_seed: int | None = None    # None ⇒ ``seed``; sweep shards share one
-    exec_mode: str | None = None
     # offered traffic
     arrival: str = "poisson"
     requests: int = 2000
@@ -185,7 +184,6 @@ def build_session(spec: ServeSpec, *, fault_plan=None, tracer=None,
                              tenants=spec.tenants)
     adapter = make_adapter(
         spec.index, data, n_modules=spec.n_modules, seed=spec.seed,
-        exec_mode=spec.exec_mode,
         fault_plan=fault_plan, tracer=tracer,
         config=make_index_config(config, kind=spec.index, n_points=len(data),
                                  n_modules=spec.n_modules))

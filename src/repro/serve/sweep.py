@@ -241,7 +241,6 @@ def run_sweep(
     deadline_s: float = math.inf,
     queue_depth: int = 4096,
     overflow: str = "reject",
-    exec_mode: str | None = None,
     arrival: str = "poisson",
     tenants: dict[str, float] | None = None,
     tune_config: dict | None = None,
@@ -269,7 +268,6 @@ def run_sweep(
         "rate": float(rate), "mix": mix, "k": int(k),
         "deadline_s": float(deadline_s),
         "queue_depth": int(queue_depth), "overflow": overflow,
-        "exec_mode": exec_mode,
         "arrival": arrival, "tenants": tenants,
         "config": tune_config, "staleness_s": float(staleness_s),
     }

@@ -58,6 +58,16 @@ _TOPO_HEAD = struct.Struct("<IIQ")    # n_nodes, n_metas, dims
 _FLAG_LEAF = 1
 _BUILT_SC_NONE = -(1 << 62)
 
+# Manifest keys that once named a choice between two execution engines or
+# two simulator cores.  Each choice is gone, but the keys stay, written
+# with one fixed value: a checkpoint charges the manifest's bytes, so
+# dropping them would move every store golden.  Decoding drops them
+# whatever value an older manifest recorded.
+_FORMAT_CONSTANTS = {
+    "config": {"exec_mode": "vectorized", "sim_mode": "vector"},
+    "system": {"sim_mode": "vector"},
+}
+
 
 class SnapshotImage:
     """In-memory form of one snapshot: manifest dict + named byte blobs."""
@@ -179,10 +189,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
             "fast_l2": tree.config.fast_l2,
             "direct_api": tree.config.direct_api,
             "push_pull": tree.config.push_pull,
-            "exec_mode": tree.config.exec_mode,
-            # A format constant: the simulator has one core, but the
-            # manifest keeps the key (a checkpoint charges its bytes).
-            "sim_mode": "vector",
+            **_FORMAT_CONSTANTS["config"],
         },
         "codec": {
             "lo": [float(x) for x in np.asarray(tree.codec.lo).ravel()],
@@ -193,7 +200,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
         "system": {
             "n_modules": int(sys.n_modules),
             "seed": int(sys.seed),
-            "sim_mode": "vector",  # format constant, as in "config"
+            **_FORMAT_CONSTANTS["system"],
             "llc_bytes": int(sys.llc.capacity_blocks * 64),
             "dead_modules": sorted(int(m) for m in sys.dead_modules),
             "placement_overrides": {
@@ -363,9 +370,9 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
         m.hot_hits = int(hot_hits)
 
     # -- assemble the tree object (bypassing __init__'s build path) -------
-    config = dict(man["config"])
-    config.pop("sim_mode", None)
-    cfg = PIMZdTreeConfig(**config)
+    cfg = PIMZdTreeConfig(**{
+        key: value for key, value in man["config"].items()
+        if key not in _FORMAT_CONSTANTS["config"]})
     codec = MortonCodec(
         np.asarray(man["codec"]["lo"], dtype=np.float64),
         np.asarray(man["codec"]["hi"], dtype=np.float64),

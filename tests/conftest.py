@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from exec_oracle import exec_engine
 
 from repro.core.geometry import L1, L2, LINF, Box
 
@@ -11,6 +12,14 @@ from repro.core.geometry import L1, L2, LINF, Box
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+@pytest.fixture
+def engine(request):
+    """Parametrised indirectly with ``"reference"`` or ``"vectorized"``:
+    the whole test runs on the scalar oracle engine or on production."""
+    with exec_engine(request.param):
+        yield request.param
 
 
 @pytest.fixture

@@ -1,0 +1,752 @@
+"""The scalar execution engine: the differential oracle for the round kernels.
+
+Production runs every task kind (SEARCH, kNN candidates, kNN fetch, box
+count/fetch) through one round kernel in ``repro.core.vexec``, at a
+module for pushed groups and on the host for pulled ones, and the CPU's
+share of each operation as batch-wide array passes.  This module keeps
+the plainest form of the same engine: per-task handlers driven through
+an :class:`ExecContext`, one query and one node at a time, with an
+executor that charges every task on its own (one ``send``, one
+``charge_pim`` per visit, one ``recv`` per reply).  Every charge is an
+integer, so both engines must book byte-identical PIMStats — the
+property ``tests/test_differential_exec.py``, ``test_knn_host_pipeline``
+and ``test_golden_stats`` hold production to.
+
+:func:`reference_exec` swaps this engine into the production modules
+for the duration of a ``with`` block.  It composes with the scalar
+simulator core of ``tests/sim_oracle.py``::
+
+    with reference_exec() as mp:
+        mp.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
+        ...
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from contextlib import contextmanager, nullcontext
+
+import numpy as np
+import pytest
+
+import repro.core.knn
+import repro.core.range_query
+import repro.core.search
+import repro.core.update
+from repro.core.geometry import LINF, Box, Metric, dist, dist_point_box
+from repro.core.knn import _CPU_MERGE_OPS, _CPU_TRACE_OPS, _KnnState
+from repro.core.node import Layer, Node
+from repro.core.push_pull import (
+    CPU_BOX_TEST_OPS,
+    CPU_NODE_OPS,
+    CPU_POINT_BASE_OPS,
+    L0_PIM_CYCLES_PER_NODE,
+    PIM_BOX_TEST_CYCLES,
+    PIM_POINT_BASE_CYCLES,
+    PIM_TASK_DISPATCH_CYCLES,
+    RESULT_WORDS,
+    TRACE_WORDS,
+    PushPullExecutor,
+    Task,
+)
+
+__all__ = ["ExecContext", "reference_exec", "exec_engine"]
+
+
+# ======================================================================
+# the executor
+# ======================================================================
+class ExecContext:
+    """Charging interface handed to handlers; binds one task execution."""
+
+    __slots__ = ("_tree", "_sys", "meta", "on_cpu", "_module", "_emitted", "_results",
+                 "qid")
+
+    def __init__(self, tree, meta, on_cpu: bool, qid: int,
+                 module: int | None = None) -> None:
+        self._tree = tree
+        self._sys = tree.system
+        self.meta = meta
+        self.on_cpu = on_cpu
+        # Execution site: the mastering module unless read routing picked
+        # a replica (repro.replicate) — then all charges land there.
+        self._module = meta.module if module is None else module
+        self._emitted: list[Task] = []
+        self._results: list = []
+        self.qid = qid
+
+    # -- locality rules ---------------------------------------------------
+    def local(self, node: Node) -> bool:
+        """May the current execution site keep traversing into ``node``?"""
+        if self.on_cpu:
+            # Pulled execution sees only this meta-node's master nodes.
+            return node.meta is self.meta
+        if self.meta.layer == Layer.L1:
+            # The module caches every L1 descendant meta-node (§3.1).
+            return node.layer == Layer.L1
+        return node.meta is self.meta
+
+    # -- charging ---------------------------------------------------------
+    def visit_node(self, node: Node) -> None:
+        if self.on_cpu:
+            self._sys.charge_cpu(CPU_NODE_OPS)
+            self._sys.touch_cpu_block(("pimzd", "pulled", node.nid))
+        else:
+            cycles = node.meta.cycles_per_node(self._tree.config) if node.meta else 12
+            self._sys.charge_pim(self._module, cycles)
+
+    def scan_points(self, n_points: int, metric: Metric, dims: int) -> None:
+        """Charge ``n_points`` distance evaluations under ``metric``."""
+        if self.on_cpu:
+            self._sys.charge_cpu(
+                n_points * (CPU_POINT_BASE_OPS + metric.cpu_ops_per_dim * dims)
+            )
+        else:
+            self._sys.charge_pim(
+                self._module,
+                n_points * (PIM_POINT_BASE_CYCLES + metric.pim_cycles_per_dim * dims),
+            )
+
+    def extra_work(self, cpu_ops: float, pim_cycles: float) -> None:
+        """Charge handler-specific work (heap pushes, compares, …)."""
+        if self.on_cpu:
+            self._sys.charge_cpu(cpu_ops)
+        else:
+            self._sys.charge_pim(self._module, pim_cycles)
+
+    def return_words(self, words: float) -> None:
+        """Result payload shipped back to the CPU at round end."""
+        if not self.on_cpu:
+            self._sys.recv(self._module, words)
+
+    # -- control flow -------------------------------------------------------
+    def emit(self, task: Task) -> None:
+        """Schedule ``task`` for the next round."""
+        self._emitted.append(task)
+
+    def result(self, value) -> None:
+        self._results.append(value)
+
+
+def _run(self, tasks, handler, *, round_hook=None, prune=None):
+    """``PushPullExecutor.run`` with every task run by its handler."""
+    results: dict[int, list] = defaultdict(list)
+    frontier = list(tasks)
+    while frontier:
+        by_meta = defaultdict(list)
+        for t in frontier:
+            by_meta[t.meta].append(t)
+        pulled = self._decide_pulls(by_meta)
+        if prune is not None:
+            by_meta = {
+                m: kept
+                for m, ts in by_meta.items()
+                if (kept := [t for t in ts if not prune(t)])
+            }
+            if not by_meta:
+                break
+        next_frontier: list[Task] = []
+        pulled_items = []
+
+        reps = self.tree.replicas
+        with self.sys.round():
+            for meta, ts in by_meta.items():
+                mod = (meta.module if reps is None
+                       else reps.read_module(meta, len(ts)))
+                if meta in pulled:
+                    # Fetch only the master storage (§3.3).
+                    self.sys.recv(mod, meta.size_words(self.config))
+                    pulled_items.append((meta, ts))
+                    self.pulled_tasks += len(ts)
+                    continue
+                self.pushed_tasks += len(ts)
+                meta.hot_hits += len(ts)
+                self.sys.charge_pim(mod, PIM_TASK_DISPATCH_CYCLES)
+                for t in ts:
+                    self.sys.send(mod, t.send_words)
+                    ctx = ExecContext(self.tree, meta, False, t.qid,
+                                      module=mod)
+                    handler(t, ctx)
+                    ctx.return_words(RESULT_WORDS)
+                    results[t.qid].extend(ctx._results)
+                    next_frontier.extend(ctx._emitted)
+            self.rounds_executed += 1
+
+        # Pulled meta-nodes are searched on the host after the fetch.
+        for meta, ts in pulled_items:
+            self.pulled_metas += 1
+            for t in ts:
+                ctx = ExecContext(self.tree, meta, True, t.qid)
+                handler(t, ctx)
+                results[t.qid].extend(ctx._results)
+                next_frontier.extend(ctx._emitted)
+
+        if round_hook is not None:
+            round_hook(results)
+        frontier = next_frontier
+    return results
+
+
+# ======================================================================
+# SEARCH
+# ======================================================================
+def route_through_l0(tree, results) -> list[Task]:
+    """Traverse the globally-shared layer for every query (Alg. 1 step 1)."""
+    sys = tree.system
+    kb = tree.key_bits
+    tasks: list[Task] = []
+    on_cpu = tree.l0_on_cpu
+
+    def step(res):
+        """Walk L0; returns (parent, border_child) or None if terminal."""
+        node = tree.root
+        lo, hi = node.key_range(kb)
+        if not lo <= res.key < hi:
+            res.edge = (None, node)
+            return None
+        if node.layer != Layer.L0:
+            # Tiny trees (or huge θ_L0) may have an empty L0: the border
+            # sits at the root itself.
+            return None, node
+        while True:
+            res.trace.append(node)
+            if on_cpu:
+                sys.charge_cpu(CPU_NODE_OPS)
+                sys.touch_cpu_block(("pimzd", "l0", node.nid))
+            if node.is_leaf:
+                res.leaf = node
+                return None
+            child = node.child_for_key(res.key, kb)
+            lo, hi = child.key_range(kb)
+            if not lo <= res.key < hi:
+                res.edge = (node, child)
+                return None
+            if child.layer != Layer.L0:
+                return node, child
+            node = child
+
+    if on_cpu:
+        for res in results:
+            out = step(res)
+            if out is not None:
+                tasks.append(Task(res.qid, out[1].meta, out[1]))
+        return tasks
+
+    # L0 replicated across modules: queries are hash-partitioned into P
+    # groups and each group walks its module's replica in one round.
+    with sys.round():
+        for res in results:
+            mid = sys.place(("l0q", tree._l0_route_salt, res.qid))
+            sys.send(mid, 2)
+            out = step(res)
+            depth = len(res.trace)
+            sys.charge_pim(mid, depth * L0_PIM_CYCLES_PER_NODE)
+            sys.recv(mid, TRACE_WORDS)
+            if out is not None:
+                tasks.append(Task(res.qid, out[1].meta, out[1]))
+    return tasks
+
+
+def make_search_handler(tree, results):
+    """Per-task handler descending within the locally available region."""
+    kb = tree.key_bits
+
+    def handler(task: Task, ctx) -> None:
+        res = results[task.qid]
+        node = task.node
+        while True:
+            ctx.visit_node(node)
+            res.trace.append(node)
+            if node.is_leaf:
+                ctx.return_words(TRACE_WORDS)
+                res.leaf = node
+                return
+            child = node.child_for_key(res.key, kb)
+            lo, hi = child.key_range(kb)
+            if not lo <= res.key < hi:
+                ctx.return_words(TRACE_WORDS)
+                res.edge = (node, child)
+                return
+            if ctx.local(child):
+                node = child
+                continue
+            ctx.return_words(TRACE_WORDS)
+            ctx.emit(Task(task.qid, child.meta, child))
+            return
+
+    return handler
+
+
+# ======================================================================
+# kNN: the CPU's steps one query and one node at a time, and the handlers
+# ======================================================================
+class _ScalarHost:
+    """Steps 2, 3 and 5 per query and per node: the oracle
+    ``repro.core.knn._ArrayHost`` must match."""
+
+    def __init__(self, tree, results, states, k: int, metric: Metric,
+                 coarse: Metric, anchor: float, slack: float) -> None:
+        self.tree, self.results, self.states = tree, results, states
+        self.k, self.metric, self.coarse = k, metric, coarse
+        self.anchor, self.slack = anchor, slack
+        self.merge = _make_merge_hook(tree, states, k)
+
+    def candidate_seeds(self) -> list[Task]:
+        tree, k = self.tree, self.k
+        tasks: list[Task] = []
+        for res in self.results:
+            tree.system.charge_cpu(len(res.trace) * _CPU_TRACE_OPS)
+            start = _lowest_with_sc(res.trace, 2 * k) or tree.root
+            _seed_from(tree, start, res.qid, self.states[res.qid],
+                       self.coarse, tasks, mode="candidates")
+        return tasks
+
+    def fetch_seeds(self):
+        tree, k, metric = self.tree, self.k, self.metric
+        sys, dims = tree.system, tree.dims
+        fetch_tasks: list[Task] = []
+        bounds: list[float] = []
+        exact_radii: list[float] = []
+        for res in self.results:
+            st = self.states[res.qid]
+            if len(st.cand_d) == 0:
+                r_exact = math.inf
+            else:
+                exact = np.sort(dist(st.cand_p, st.q, metric))
+                sys.charge_cpu(len(exact) * metric.cpu_ops_per_dim * dims)
+                kk = min(k, len(exact))
+                r_exact = (float(exact[kk - 1]) * self.slack
+                           if len(st.cand_d) >= k else math.inf)
+            bound = r_exact * self.anchor if math.isfinite(r_exact) else math.inf
+            bounds.append(bound)
+            exact_radii.append(r_exact)
+            n2 = _lowest_containing_sphere(tree, res.trace, st.q, r_exact)
+            sys.charge_cpu(len(res.trace) * _CPU_TRACE_OPS)
+            # Reset candidate store: step 4 re-fetches the full ball.
+            st.cand_d = np.empty(0)
+            st.cand_p = np.empty((0, dims))
+            _seed_from(tree, n2, res.qid, st, self.coarse, fetch_tasks,
+                       mode="fetch", bound=bound, r_exact=r_exact)
+        return fetch_tasks, bounds, exact_radii
+
+    def answers(self, fetched) -> list:
+        k, metric = self.k, self.metric
+        sys, dims = self.tree.system, self.tree.dims
+        answers = []
+        for res in self.results:
+            st = self.states[res.qid]
+            chunks = [st.cand_p] + [
+                pts for kind, pts in fetched.get(res.qid, []) if kind == "pts"
+            ]
+            allp = np.vstack([c for c in chunks if len(c)]) if any(
+                len(c) for c in chunks
+            ) else np.empty((0, dims))
+            if len(allp):
+                d = dist(allp, st.q, metric)
+                sys.charge_cpu(len(allp) * metric.cpu_ops_per_dim * dims)
+                order = np.argsort(d, kind="stable")[: min(k, len(d))]
+                sys.charge_cpu(len(allp) * max(1, int(np.log2(k + 1))))
+                answers.append((d[order], allp[order]))
+            else:
+                answers.append((np.empty(0), np.empty((0, dims))))
+        return answers
+
+
+def _lowest_with_sc(trace: list[Node], threshold: int) -> Node | None:
+    for node in reversed(trace):
+        if node.sc >= threshold:
+            return node
+    return None
+
+
+def _lowest_containing_sphere(tree, trace: list[Node], q: np.ndarray, r: float
+                              ) -> Node:
+    if math.isfinite(r):
+        for node in reversed(trace):
+            if tree.node_box(node).contains_sphere(q, r):
+                return node
+    return tree.root
+
+
+def _child_box_dists(tree, left: Node, right: Node, q: np.ndarray,
+                     coarse: Metric, want_linf: bool):
+    """Coarse (and optionally ℓ∞) box distances for a sibling pair.
+
+    One gap evaluation covers both children, and the ℓ∞ distance reuses
+    the same gap array; elementwise identical to :func:`dist_point_box`.
+    """
+    bl = tree.node_box(left)
+    br = tree.node_box(right)
+    lo, hi = np.stack((bl.lo, br.lo)), np.stack((bl.hi, br.hi))
+    gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+    if coarse.name == "l1":
+        dc = gap.sum(axis=-1)
+    elif coarse.name == "linf":
+        dc = gap.max(axis=-1)
+    else:
+        dc = np.sqrt((gap * gap).sum(axis=-1))
+    dl = gap.max(axis=-1) if want_linf else None
+    return dc, dl
+
+
+def _seed_from(tree, start: Node, qid: int, state: _KnnState, coarse: Metric,
+               tasks: list[Task], *, mode: str, bound: float = math.inf,
+               r_exact: float = math.inf) -> None:
+    """Walk the L0 portion (on the host) and emit border tasks.
+
+    For ``mode="candidates"`` L0 leaves feed the candidate store directly;
+    for ``mode="fetch"`` they contribute points within the anchored bound
+    (ℓ1 ≤ √D·r) *and* the ℓ∞ secondary filter (ℓ∞ ≤ r).
+    """
+    sys = tree.system
+    send_words = tree.dims + 3
+    q = state.q
+    use_linf = mode == "fetch" and math.isfinite(r_exact)
+    # Stack entries carry the precomputed (coarse, ℓ∞) box distances; the
+    # start node (and non-L0 children, whose distances are never used)
+    # carry None and compute lazily.
+    stack = [(start, None, None)]
+    while stack:
+        node, d, dlinf = stack.pop()
+        if node.layer != Layer.L0:
+            tasks.append(Task(qid, node.meta, node, None, send_words))
+            continue
+        sys.charge_cpu(4)
+        sys.touch_cpu_block(("pimzd", "l0", node.nid))
+        if d is None:
+            d = dist_point_box(q, tree.node_box(node), coarse)
+            if use_linf:
+                dlinf = dist_point_box(q, tree.node_box(node), LINF)
+        prune_at = state.radius() if mode == "candidates" else bound
+        if d > prune_at:
+            continue
+        if use_linf and dlinf > r_exact:
+            continue
+        if node.is_leaf:
+            dd = dist(node.pts, q, coarse)
+            sys.charge_cpu(node.count * coarse.cpu_ops_per_dim * tree.dims)
+            if mode == "candidates":
+                _merge_into_state(state, dd, node.pts, state.k)
+            else:
+                mask = dd <= bound
+                if math.isfinite(r_exact):
+                    mask &= dist(node.pts, q, LINF) <= r_exact
+                if mask.any():
+                    _merge_points_into_state(state, node.pts[mask], dd[mask])
+            continue
+        left, right = node.left, node.right
+        if left.layer == Layer.L0 or right.layer == Layer.L0:
+            dc, dl = _child_box_dists(tree, left, right, q, coarse, use_linf)
+            ll, lr = (float(dl[0]), float(dl[1])) if use_linf else (None, None)
+            stack.append((left, float(dc[0]), ll))
+            stack.append((right, float(dc[1]), lr))
+        else:
+            stack.append((left, None, None))
+            stack.append((right, None, None))
+
+
+def _merge_into_state(state: _KnnState, dists: np.ndarray, pts: np.ndarray,
+                      k: int) -> None:
+    d = np.concatenate([state.cand_d, dists])
+    p = np.vstack([state.cand_p, pts]) if len(pts) else state.cand_p
+    order = np.argsort(d, kind="stable")[: min(k, len(d))]
+    state.cand_d = d[order]
+    state.cand_p = p[order]
+
+
+def _merge_points_into_state(state: _KnnState, pts: np.ndarray, dists: np.ndarray
+                             ) -> None:
+    state.cand_d = np.concatenate([state.cand_d, dists])
+    state.cand_p = np.vstack([state.cand_p, pts]) if len(state.cand_p) else pts.copy()
+
+
+def _make_candidate_handler(tree, states: list[_KnnState], coarse: Metric, k: int):
+    dims = tree.dims
+
+    def handler(task: Task, ctx) -> None:
+        state = states[task.qid]
+        # Prune on the round-start radius only: the bound is fixed for the
+        # whole round (BSP-consistent), so the visit set is independent of
+        # traversal order.
+        radius = state.radius()
+        local_d: list[np.ndarray] = []
+        local_p: list[np.ndarray] = []
+        stack = [task.node]
+        while stack:
+            node = stack.pop()
+            ctx.visit_node(node)
+            d = dist_point_box(state.q, tree.node_box(node), coarse)
+            ctx.extra_work(2 * dims, coarse.pim_cycles_per_dim * dims)
+            if d > radius:
+                continue
+            if node.is_leaf:
+                ctx.scan_points(node.count, coarse, dims)
+                dd = dist(node.pts, state.q, coarse)
+                local_d.append(dd)
+                local_p.append(node.pts)
+                continue
+            for child in (node.left, node.right):
+                if ctx.local(child):
+                    stack.append(child)
+                else:
+                    ctx.emit(Task(task.qid, child.meta, child, None, dims + 3))
+        if local_d:
+            dcat = np.concatenate(local_d)
+            pcat = np.vstack(local_p)
+            order = np.argsort(dcat, kind="stable")[: min(k, len(dcat))]
+            ctx.extra_work(len(dcat) * 4, len(dcat) * 6)
+            ctx.return_words(len(order) * (dims + 1))
+            ctx.result(("cand", dcat[order], pcat[order]))
+
+    return handler
+
+
+def _make_merge_hook(tree, states: list[_KnnState], k: int):
+    consumed: dict[int, int] = {}
+
+    def hook(results: dict[int, list]) -> None:
+        for qid, items in results.items():
+            start = consumed.get(qid, 0)
+            fresh = items[start:]
+            consumed[qid] = len(items)
+            for item in fresh:
+                if item[0] != "cand":
+                    continue
+                _, dd, pp = item
+                tree.system.charge_cpu(len(dd) * _CPU_MERGE_OPS)
+                _merge_into_state(states[qid], dd, pp, k)
+
+    return hook
+
+
+def _make_fetch_handler(tree, states: list[_KnnState], coarse: Metric,
+                        bounds: list[float], exact_radii: list[float]):
+    dims = tree.dims
+
+    def handler(task: Task, ctx) -> None:
+        state = states[task.qid]
+        bound = bounds[task.qid]
+        r_exact = exact_radii[task.qid]
+        use_linf = math.isfinite(r_exact) and coarse.name != "l2"
+        stack = [task.node]
+        collected: list[np.ndarray] = []
+        n_pts = 0
+        while stack:
+            node = stack.pop()
+            ctx.visit_node(node)
+            d = dist_point_box(state.q, tree.node_box(node), coarse)
+            ctx.extra_work(2 * dims, coarse.pim_cycles_per_dim * dims)
+            if d > bound:
+                continue
+            if use_linf:
+                ctx.extra_work(2 * dims, LINF.pim_cycles_per_dim * dims)
+                if dist_point_box(state.q, tree.node_box(node), LINF) > r_exact:
+                    continue
+            if node.is_leaf:
+                ctx.scan_points(node.count, coarse, dims)
+                dd = dist(node.pts, state.q, coarse)
+                mask = dd <= bound
+                if use_linf:
+                    ctx.scan_points(node.count, LINF, dims)
+                    mask &= dist(node.pts, state.q, LINF) <= r_exact
+                if mask.any():
+                    collected.append(node.pts[mask])
+                    n_pts += int(mask.sum())
+                continue
+            for child in (node.left, node.right):
+                if ctx.local(child):
+                    stack.append(child)
+                else:
+                    ctx.emit(Task(task.qid, child.meta, child, None, dims + 3))
+        if collected:
+            ctx.return_words(n_pts * dims)
+            ctx.result(("pts", np.vstack(collected)))
+
+    return handler
+
+
+# ======================================================================
+# range queries
+# ======================================================================
+def _classify(tree, node: Node, box: Box) -> str:
+    nbox = tree.node_box(node)
+    if not box.intersects(nbox):
+        return "disjoint"
+    if box.contains_box(nbox):
+        return "contained"
+    return "partial"
+
+
+def _seed_l0(tree, box: Box, qid: int, tasks: list[Task], *,
+             fetch: bool, counts: list[int], chunks: list[np.ndarray]) -> None:
+    """Walk the L0 portion on the host; emit border tasks."""
+    sys = tree.system
+    stack: list[tuple[Node, bool]] = [(tree.root, False)]
+    while stack:
+        node, skip_test = stack.pop()
+        if node.layer != Layer.L0:
+            words = 2 * tree.dims + 2  # the box corners + query id/mode
+            tasks.append(
+                Task(qid, node.meta, node, "all" if skip_test else "test", words)
+            )
+            continue
+        sys.charge_cpu(CPU_BOX_TEST_OPS)
+        sys.touch_cpu_block(("pimzd", "l0", node.nid))
+        cls = "contained" if skip_test else _classify(tree, node, box)
+        if cls == "disjoint":
+            continue
+        if cls == "contained":
+            if not fetch:
+                counts[qid] += node.count
+                continue
+            if node.is_leaf:
+                chunks.append(node.pts)
+                continue
+            stack.append((node.left, True))
+            stack.append((node.right, True))
+            continue
+        if node.is_leaf:
+            mask = box.contains_point(node.pts)
+            sys.charge_cpu(node.count * 2 * tree.dims)
+            if fetch:
+                if mask.any():
+                    chunks.append(node.pts[mask])
+            else:
+                counts[qid] += int(np.count_nonzero(mask))
+            continue
+        stack.append((node.left, False))
+        stack.append((node.right, False))
+
+
+def _seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list):
+    """``repro.core.vexec.seed_l0_boxes``'s signature over :func:`_seed_l0`."""
+    for qid, box in enumerate(boxes):
+        _seed_l0(tree, box, qid, tasks, fetch=fetch, counts=counts,
+                 chunks=chunks_list[qid])
+
+
+def _make_handler(tree, boxes: list[Box], *, fetch: bool):
+    dims = tree.dims
+
+    def handler(task: Task, ctx) -> None:
+        box = boxes[task.qid]
+        stack: list[tuple[Node, bool]] = [(task.node, task.payload == "all")]
+        total = 0
+        collected: list[np.ndarray] = []
+        n_pts = 0
+        while stack:
+            node, skip_test = stack.pop()
+            ctx.visit_node(node)
+            if skip_test:
+                cls = "contained"
+            else:
+                ctx.extra_work(CPU_BOX_TEST_OPS, PIM_BOX_TEST_CYCLES)
+                cls = _classify(tree, node, box)
+            if cls == "disjoint":
+                continue
+            if cls == "contained" and not fetch:
+                total += node.count
+                continue
+            if node.is_leaf:
+                if cls == "contained":
+                    if fetch:
+                        collected.append(node.pts)
+                        n_pts += node.count
+                    continue
+                ctx.scan_points(node.count, _SCAN_METRIC, dims)
+                mask = box.contains_point(node.pts)
+                if fetch:
+                    if mask.any():
+                        collected.append(node.pts[mask])
+                        n_pts += int(mask.sum())
+                else:
+                    total += int(np.count_nonzero(mask))
+                continue
+            nxt = cls == "contained"
+            for child in (node.left, node.right):
+                if ctx.local(child):
+                    stack.append((child, nxt))
+                else:
+                    ctx.emit(
+                        Task(task.qid, child.meta, child,
+                             "all" if nxt else "test", 2 * dims + 2)
+                    )
+        if fetch:
+            if collected:
+                ctx.return_words(n_pts * dims)
+                ctx.result(("pts", np.vstack(collected)))
+        elif total:
+            ctx.return_words(1)
+            ctx.result(("count", total))
+
+    return handler
+
+
+class _ScanCost:
+    """Box membership test cost profile (compare-only, like ℓ∞)."""
+
+    name = "boxtest"
+    cpu_ops_per_dim = 2
+    pim_cycles_per_dim = 2
+
+
+_SCAN_METRIC = _ScanCost()
+
+
+# ======================================================================
+# delete planning
+# ======================================================================
+def _plan_leaf_deletions(leaf, qids, results, points, removal_count):
+    """Which stored rows of ``leaf`` go: one row compare at a time."""
+    keep = np.ones(leaf.count, dtype=bool)
+    for q in qids:
+        removed_here = 0
+        p = points[q]
+        key = np.uint64(results[q].key)
+        j0 = int(np.searchsorted(leaf.keys, key))
+        j1 = int(np.searchsorted(leaf.keys, key, side="right"))
+        for j in range(j0, j1):
+            if keep[j] and np.array_equal(leaf.pts[j], p):
+                keep[j] = False
+                removed_here += 1
+        removal_count[q] = removed_here
+    return keep
+
+
+# ======================================================================
+# the swap
+# ======================================================================
+_SWAPS = (
+    (PushPullExecutor, "run", _run),
+    (repro.core.search, "route_through_l0", route_through_l0),
+    (repro.core.search, "make_search_kernel", make_search_handler),
+    (repro.core.knn, "_ArrayHost", _ScalarHost),
+    (repro.core.knn, "make_candidate_kernel", _make_candidate_handler),
+    (repro.core.knn, "make_fetch_kernel", _make_fetch_handler),
+    (repro.core.range_query, "seed_l0_boxes", _seed_l0_boxes),
+    (repro.core.range_query, "make_range_kernel", _make_handler),
+    (repro.core.update, "plan_leaf_deletions", _plan_leaf_deletions),
+)
+
+
+@contextmanager
+def reference_exec():
+    """Run every operation through the scalar engine inside the block.
+
+    Each production kernel factory is replaced by the handler factory of
+    the same signature, the executor by :func:`_run`, and the batch-wide
+    host passes by their per-query forms.  Yields the
+    :class:`pytest.MonkeyPatch` holding the swap, so callers can add
+    their own patches (e.g. the scalar simulator core) to the same undo.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name, oracle in _SWAPS:
+            mp.setattr(owner, name, oracle)
+        yield mp
+
+
+def exec_engine(name: str):
+    """The engine a parametrised suite names: ``"reference"`` runs
+    :func:`reference_exec`, ``"vectorized"`` runs production."""
+    return reference_exec() if name == "reference" else nullcontext()

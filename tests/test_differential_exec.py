@@ -1,8 +1,9 @@
-"""Property-based differential oracle: vectorized vs. reference execution.
+"""Property-based differential oracle: production vs. the scalar engine.
 
-The vectorized group kernels (``repro.core.vexec``) must be *counter-exact*
-drop-in replacements for the scalar per-task handlers: for any workload, both
-``exec_mode="vectorized"`` and ``exec_mode="reference"`` must produce
+The round kernels (``repro.core.vexec``) must be *counter-exact* drop-in
+replacements for the scalar per-task handlers kept in
+``tests/exec_oracle.py``: for any workload, production and the same
+workload under ``reference_exec()`` must produce
 
 * identical operation results (search traces, kNN neighbour sets, range
   counts, fetched point sets, delete counts), and
@@ -14,22 +15,33 @@ config variants, duplicate points, adversarially skewed query/update
 batches (everything concentrated in one corner so a single module absorbs
 the whole batch, exercising the pull paths and emission ordering), and
 tie-heavy data (``ties.tie_heavy``: lattices and duplicate piles queried
-exactly at the kNN bound).
+exactly at the kNN bound).  A hot-spot batch (:func:`hot_spot`) proves
+the host site: every operation pulls groups there, and they still match
+the scalar handlers bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from exec_oracle import exec_engine, reference_exec
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-
 from sim_oracle import ScalarPIMSystem
 from ties import tie_heavy
 
 import repro.eval.harness
-from repro.core import Box
+from repro.core import Box, PIMZdTree
+from repro.core.config import skew_resistant
+from repro.core.push_pull import PushPullExecutor
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
+from repro.pim import PIMSystem
+from repro.serve import ServeSpec
+from repro.store.snapshot import _manifest_checksum, decode_tree, encode_tree
+from repro.workloads import varden_points
 
 DIMS = st.sampled_from([2, 3, 5])
 VARIANTS = st.sampled_from(["throughput", "skew"])
@@ -71,24 +83,24 @@ def _build_inputs(dims: int, seed: int, dup: bool, skew: bool,
     return pts, q, boxes, fresh, dele
 
 
-def _run_mode(mode: str, variant: str, pts, q, boxes, fresh, dele, k: int):
-    """The full op mix in one exec mode; returns comparable results + stats."""
-    ad = PIMZdTreeAdapter(pts, n_modules=8, variant=variant, seed=3,
-                          exec_mode=mode)
+def _run_mode(engine: str, variant: str, pts, q, boxes, fresh, dele, k: int):
+    """The full op mix on one engine; returns comparable results + stats."""
+    ad = PIMZdTreeAdapter(pts, n_modules=8, variant=variant, seed=3)
     tree = ad.tree
     out = {}
-    out["search"] = [
-        (r.qid, r.key, r.leaf.nid, tuple(n.nid for n in r.trace))
-        for r in tree.search(pts[:32])
-    ]
-    out["knn"] = tree.knn(q, k)
-    out["bc"] = tree.box_count(boxes)
-    out["bf"] = tree.box_fetch(boxes)
-    tree.insert(fresh)
-    out["bc2"] = tree.box_count(boxes)
-    out["ndel"] = tree.delete(dele)
-    out["knn2"] = tree.knn(q, k)
-    out["bf2"] = tree.box_fetch(boxes)
+    with exec_engine(engine):
+        out["search"] = [
+            (r.qid, r.key, r.leaf.nid, tuple(n.nid for n in r.trace))
+            for r in tree.search(pts[:32])
+        ]
+        out["knn"] = tree.knn(q, k)
+        out["bc"] = tree.box_count(boxes)
+        out["bf"] = tree.box_fetch(boxes)
+        tree.insert(fresh)
+        out["bc2"] = tree.box_count(boxes)
+        out["ndel"] = tree.delete(dele)
+        out["knn2"] = tree.knn(q, k)
+        out["bf2"] = tree.box_fetch(boxes)
     tree.check_invariants()
     return out, ad.system.stats
 
@@ -181,14 +193,14 @@ def test_sim_modes_are_differentially_identical(dims, seed, dup, skew,
                                                 variant, k, ties):
     """The simulator core against its oracle under the full index workload.
 
-    The fully scalar oracle (reference exec on the scalar simulator core
-    of ``tests/sim_oracle.py``) and the production stack (vectorized exec
-    on the array core) must agree on every result and every PIMStats
-    counter — the two orthogonal fast layers compose without breaking
-    counter-exactness.
+    The fully scalar oracle (the scalar engine of ``tests/exec_oracle.py``
+    on the scalar simulator core of ``tests/sim_oracle.py``) and the
+    production stack (round kernels on the array core) must agree on
+    every result and every PIMStats counter — the two orthogonal fast
+    layers compose without breaking counter-exactness.
     """
     pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew, ties)
-    with pytest.MonkeyPatch.context() as mp:
+    with reference_exec() as mp:
         mp.setattr(repro.eval.harness, "PIMSystem", ScalarPIMSystem)
         ref_out, ref_stats = _run_mode("reference", variant, pts.copy(), q,
                                        boxes, fresh, dele, k)
@@ -199,17 +211,106 @@ def test_sim_modes_are_differentially_identical(dims, seed, dup, skew,
     assert_stats_identical(ref_stats, vec_stats)
 
 
-@pytest.mark.parametrize("variant", ["throughput", "skew"])
-def test_reference_mode_disables_group_kernels(variant):
-    """The scalar oracle must not silently route through the kernels."""
-    rng = np.random.default_rng(0)
-    pts = rng.random((400, 3))
-    ad = PIMZdTreeAdapter(pts, n_modules=4, variant=variant, seed=1,
-                          exec_mode="reference")
-    assert ad.tree.config.exec_mode == "reference"
-    ad.tree.knn(pts[:8], 3)
-    ad.tree.box_count(make_boxes(pts, 0.2, 4, seed=1))
-    ad.tree.insert(rng.random((20, 3)))
-    ad.tree.box_fetch(make_boxes(pts, 0.2, 4, seed=2))
-    # Reference mode never builds the vectorized kernels' node arena.
-    assert ad.tree._arena is None
+def test_one_engine_and_no_knob():
+    """No config field, adapter keyword or serve spec picks an engine, and
+    a manifest that recorded ``exec_mode="reference"`` still decodes:
+    the key is a format constant, written as ``"vectorized"``."""
+    with pytest.raises(TypeError):
+        skew_resistant(4, exec_mode="reference")
+    with pytest.raises(TypeError):
+        PIMZdTreeAdapter(np.zeros((8, 2)), n_modules=2, exec_mode="reference")
+    with pytest.raises(TypeError):
+        ServeSpec(exec_mode="reference")
+
+    tree = PIMZdTree(np.random.default_rng(0).random((300, 2)),
+                     config=skew_resistant(4), system=PIMSystem(4, seed=1))
+    image = encode_tree(tree)
+    assert image.manifest["config"]["exec_mode"] == "vectorized"
+    image.manifest["config"]["exec_mode"] = "reference"
+    image.manifest["checksum"] = _manifest_checksum(image.manifest)
+    again = decode_tree(image, PIMSystem(4, seed=1), cost_model=tree.cost_model)
+    assert again.config == tree.config
+    assert encode_tree(again).manifest["config"]["exec_mode"] == "vectorized"
+
+
+# ----------------------------------------------------------------------
+# the host site: pulled groups
+# ----------------------------------------------------------------------
+def hot_spot(small_llc: bool) -> SimpleNamespace:
+    """A Varden tree plus kNN queries and boxes piled on one stored point.
+
+    32 duplicate queries and 16 jittered ones (likewise 40 boxes) put more
+    than ``pull_threshold_l2`` tasks on every meta along that point's
+    path, so SEARCH, both kNN steps, BoxCount and BoxFetch each pull
+    groups to the host; a few spread-out queries and boxes keep pushed
+    groups in the same rounds.  ``c0=64`` makes θ_L0/θ_L1 exceed B, so an
+    L1 region spans several chunks and a pulled L1 meta must stop at its
+    own master nodes.  The LLC is small enough that visit order moves
+    ``dram_words``: 40 blocks keep L0 on the host, 8 replicate it on the
+    modules (``small_llc``).
+    """
+    pts = varden_points(3000, 3, seed=7)
+    system = PIMSystem(8, seed=1, llc_bytes=512 if small_llc else 2560)
+    tree = PIMZdTree(pts, config=skew_resistant(8, c0=64), system=system)
+    assert tree.l0_on_cpu is not small_llc
+    rng = np.random.default_rng(7)
+    hot = pts[rng.integers(0, len(pts))]
+    near = hot + rng.random((16, 3)) * 1e-3
+    queries = np.vstack([np.repeat(hot[None], 32, axis=0), near,
+                         pts[rng.integers(0, len(pts), 16)]])
+    side = np.full(3, 2e-3)
+    boxes = ([Box(hot - side, hot + side)] * 24
+             + [Box(lo - side, hot + side) for lo in near]
+             + make_boxes(pts, 0.1, 8, seed=7))
+    return SimpleNamespace(tree=tree, queries=queries, boxes=boxes,
+                           fresh=hot + rng.random((40, 3)) * 1e-4)
+
+
+def _run_hot_spot(engine: str, small_llc: bool):
+    """The hot-spot op mix on one engine: answers, stats, and the metas
+    pulled per (operation, kernel factory)."""
+    hs = hot_spot(small_llc)
+    tree, out, pulled = hs.tree, {}, Counter()
+    calls = (
+        ("search", lambda: [(r.leaf and r.leaf.nid,
+                             tuple(n.nid for n in r.trace))
+                            for r in tree.search(hs.queries)]),
+        ("knn", lambda: tree.knn(hs.queries, 4)),
+        ("box_count", lambda: tree.box_count(hs.boxes)),
+        ("box_fetch", lambda: tree.box_fetch(hs.boxes)),
+        ("insert", lambda: tree.insert(hs.fresh)),
+        ("knn2", lambda: tree.knn(hs.queries, 9)),
+        ("delete", lambda: tree.delete(hs.fresh[::2])),
+    )
+    with exec_engine(engine), pytest.MonkeyPatch.context() as mp:
+        run = PushPullExecutor.run
+
+        def counted(self, tasks, kernel, **kw):
+            res = run(self, tasks, kernel, **kw)
+            pulled[op, kernel.__qualname__.split(".")[0]] += self.pulled_metas
+            return res
+
+        mp.setattr(PushPullExecutor, "run", counted)
+        for op, call in calls:
+            out[op] = call()
+    tree.check_invariants()
+    return out, tree.system.stats, pulled
+
+
+@pytest.mark.parametrize("small_llc", [False, True], ids=["l0-host", "l0-pim"])
+def test_pulled_groups_match_the_oracle(small_llc):
+    """Pulled groups run the round kernels on the host: answers and every
+    PIMStats counter (``dram_words`` too, so the LLC touch order) equal
+    the scalar handlers', with L0 on the host and replicated."""
+    ref_out, ref_stats, _ = _run_hot_spot("reference", small_llc)
+    out, stats, pulled = _run_hot_spot("vectorized", small_llc)
+    for key in ref_out:
+        _assert_equal(ref_out[key], out[key], key)
+    assert_stats_identical(ref_stats, stats)
+    for site in (("search", "make_search_kernel"),
+                 ("knn", "make_search_kernel"),
+                 ("knn", "make_candidate_kernel"),
+                 ("knn", "make_fetch_kernel"),
+                 ("box_count", "make_range_kernel"),
+                 ("box_fetch", "make_range_kernel")):
+        assert pulled[site] > 0, site

@@ -101,7 +101,6 @@ class TestAdapters:
         shared = dict(
             n_modules=8,
             seed=3,
-            exec_mode="vectorized",
             llc_bytes=1 << 20,
             cost_model=upmem_scaled(2048),
             tracer=TraceCollector(capacity=1024),

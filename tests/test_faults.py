@@ -353,9 +353,9 @@ class _DropNth(FaultPlan):
         return ev
 
 
-@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
 @pytest.mark.parametrize("op", ["insert", "delete"])
-def test_faulted_update_leaves_no_trace(fo_data, op, exec_mode):
+def test_faulted_update_leaves_no_trace(fo_data, op, engine):
     rng = np.random.default_rng(11)
     if op == "insert":
         batch = rng.random((200, 3))
@@ -370,7 +370,7 @@ def test_faulted_update_leaves_no_trace(fo_data, op, exec_mode):
     def build(nth):
         plan = _DropNth(nth)
         adapter = make_adapter("pim", fo_data, n_modules=16, seed=3,
-                               exec_mode=exec_mode, fault_plan=plan)
+                               fault_plan=plan)
         return adapter.tree, plan
 
     tree, plan = build(0)  # never drops: count the transfers of the call

@@ -1,7 +1,8 @@
 """Golden-file snapshots of full PIMStats for three canned workloads.
 
 Every counter the simulator produces (aggregate and per-phase) is pinned
-to a checked-in JSON file, and both execution modes must reproduce it
+to a checked-in JSON file, and both execution engines — production and
+the scalar oracle of ``tests/exec_oracle.py`` — must reproduce it
 exactly — counters are sums of integer-valued per-element charges, so
 float64 equality is well-defined and platform-stable.  Any change to
 charging, round structure, phase attribution, routing, or the group
@@ -12,8 +13,8 @@ Regenerating after an *intentional* cost-model change:
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_stats.py
 
 (then review and commit the updated ``tests/golden/*.json``).  The files
-are regenerated from ``exec_mode="reference"`` — the scalar oracle — and
-the test asserts that both modes match them.
+are regenerated from the scalar oracle (the ``reference`` cases), and the
+test asserts that both engines match them.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ def _boxes(centers: np.ndarray, side: float) -> list[Box]:
     return [Box(c - side / 2, c + side / 2) for c in centers]
 
 
-def workload_uniform3d_queries(exec_mode: str) -> PIMZdTreeAdapter:
+def workload_uniform3d_queries() -> PIMZdTreeAdapter:
     """Read-mostly: kNN + range over a static uniform 3-D cloud."""
     rng = np.random.default_rng(1001)
     pts = rng.random((1500, 3))
-    ad = PIMZdTreeAdapter(pts, n_modules=8, seed=3, exec_mode=exec_mode)
+    ad = PIMZdTreeAdapter(pts, n_modules=8, seed=3)
     q = pts[rng.integers(0, len(pts), size=64)] + rng.random((64, 3)) * 1e-4
     ad.tree.knn(np.clip(q, 0.0, 1.0), 8)
     boxes = _boxes(pts[rng.integers(0, len(pts), size=24)], 0.2)
@@ -54,12 +55,11 @@ def workload_uniform3d_queries(exec_mode: str) -> PIMZdTreeAdapter:
     return ad
 
 
-def workload_updates2d(exec_mode: str) -> PIMZdTreeAdapter:
+def workload_updates2d() -> PIMZdTreeAdapter:
     """Update-heavy: interleaved insert/delete/search on a 2-D cloud."""
     rng = np.random.default_rng(2002)
     pts = rng.random((1200, 2))
-    ad = PIMZdTreeAdapter(pts, n_modules=8, variant="throughput", seed=4,
-                          exec_mode=exec_mode)
+    ad = PIMZdTreeAdapter(pts, n_modules=8, variant="throughput", seed=4)
     ad.tree.insert(rng.random((300, 2)))
     ad.tree.search(pts[:100])
     ad.tree.delete(pts[rng.integers(0, len(pts), size=200)])
@@ -67,12 +67,11 @@ def workload_updates2d(exec_mode: str) -> PIMZdTreeAdapter:
     return ad
 
 
-def workload_skewed5d(exec_mode: str) -> PIMZdTreeAdapter:
+def workload_skewed5d() -> PIMZdTreeAdapter:
     """Adversarial: all queries and updates in one tiny 5-D corner."""
     rng = np.random.default_rng(3003)
     pts = rng.random((900, 5))
-    ad = PIMZdTreeAdapter(pts, n_modules=8, variant="skew", seed=5,
-                          exec_mode=exec_mode)
+    ad = PIMZdTreeAdapter(pts, n_modules=8, variant="skew", seed=5)
     anchor = pts[0]
     q = np.clip(anchor + rng.random((48, 5)) * 1e-3, 0.0, 1.0)
     ad.tree.knn(q, 6)
@@ -102,18 +101,18 @@ def stats_to_jsonable(stats) -> dict:
     }
 
 
-def run_workload(name: str, exec_mode: str) -> dict:
-    ad = WORKLOADS[name](exec_mode)
+def run_workload(name: str) -> dict:
+    ad = WORKLOADS[name]()
     return stats_to_jsonable(ad.system.stats)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-def test_golden_stats(name: str, exec_mode: str):
+@pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+def test_golden_stats(name: str, engine: str):
     path = GOLDEN_DIR / f"{name}.json"
-    got = run_workload(name, exec_mode)
+    got = run_workload(name)
     if REGEN:
-        if exec_mode == "reference":  # golden files come from the oracle
+        if engine == "reference":  # golden files come from the oracle
             GOLDEN_DIR.mkdir(exist_ok=True)
             path.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
         return
@@ -123,7 +122,7 @@ def test_golden_stats(name: str, exec_mode: str):
     )
     want = json.loads(path.read_text())
     if got != want:
-        lines = [f"{name} [{exec_mode}] diverges from {path.name}:"]
+        lines = [f"{name} [{engine}] diverges from {path.name}:"]
         for lab in sorted(set(got["phases"]) | set(want["phases"])):
             a, b = want["phases"].get(lab), got["phases"].get(lab)
             if a != b:

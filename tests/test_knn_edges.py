@@ -17,10 +17,8 @@ from repro.core.tree import PIMZdTree
 from repro.pim.model import PIMSystem
 
 
-def make_tree(pts, *, n_modules=4, exec_mode=None):
+def make_tree(pts, *, n_modules=4):
     cfg = skew_resistant(n_modules)
-    if exec_mode is not None:
-        cfg = cfg.with_overrides(exec_mode=exec_mode)
     dims = pts.shape[1]
     return PIMZdTree(
         pts,
@@ -57,9 +55,9 @@ class TestEmptyBatch:
 
 
 class TestKLargerThanResident:
-    @pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-    def test_returns_all_resident_points(self, pts, exec_mode):
-        tree = make_tree(pts, exec_mode=exec_mode)
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+    def test_returns_all_resident_points(self, pts, engine):
+        tree = make_tree(pts)
         n = len(pts)
         for ans_d, ans_p in tree.knn(pts[:3], n + 17):
             assert ans_d.shape == (n,)
@@ -87,9 +85,9 @@ class TestKLargerThanResident:
 
 
 class TestDuplicateQueries:
-    @pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-    def test_duplicates_get_identical_answers(self, pts, exec_mode):
-        tree = make_tree(pts, exec_mode=exec_mode)
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+    def test_duplicates_get_identical_answers(self, pts, engine):
+        tree = make_tree(pts)
         q = np.vstack([pts[7], pts[7], pts[7], pts[11], pts[7]])
         answers = tree.knn(q, 5)
         assert len(answers) == 5

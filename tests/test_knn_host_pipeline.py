@@ -1,11 +1,11 @@
 """kNN's host side as batch-wide array passes ≡ the per-query oracle.
 
-In ``exec_mode="vectorized"`` the CPU's share of Alg. 3 — SEARCH's L0
-routing, both L0 walks (steps 2 and 4), the start/covering trace node
-(step 3) and the three top-k merges — runs as level-synchronous passes
-over the node arena (``repro.core.knn._ArrayHost`` on
-``repro.core.vexec``).  ``exec_mode="reference"`` keeps the per-query,
-per-node helpers as the oracle.  Both must return identical answers and
+The CPU's share of Alg. 3 — SEARCH's L0 routing, both L0 walks (steps 2
+and 4), the start/covering trace node (step 3) and the three top-k
+merges — runs as level-synchronous passes over the node arena
+(``repro.core.knn._ArrayHost`` on ``repro.core.vexec``).
+``tests/exec_oracle.py`` keeps the per-query, per-node helpers as the
+oracle (``reference_exec()``).  Both must return identical answers and
 byte-identical ``PIMStats`` (``dram_words`` included, so the LLC touch
 order is checked) on:
 
@@ -15,20 +15,23 @@ order is checked) on:
   moves *during* the L0 walk;
 * ℓ2 with ``fast_l2`` on and off, ℓ1 and ℓ∞; route filters on and off.
 
-Plus: the vectorized path never calls the scalar helpers, and the
-segmented top-k equals per-segment stable sorts.
+Plus: production never calls the scalar helpers — not even for groups
+pulled to the host — and the segmented top-k equals per-segment stable
+sorts.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from exec_oracle import exec_engine
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from test_differential_exec import assert_stats_identical
+from test_differential_exec import assert_stats_identical, hot_spot
 from ties import PILE, family, queries, tie_heavy
 
-from repro.core import knn as knn_mod
 from repro.core import vexec
 from repro.core.config import skew_resistant, throughput_optimized
 from repro.core.geometry import L1, L2, LINF, Box
@@ -42,10 +45,10 @@ N_MODULES = 8
 METRICS = {"l2": L2, "l1": L1, "linf": LINF}
 
 
-def _build(pts, mode: str, *, fast_l2: bool, small_llc: bool, filters: bool,
+def _build(pts, *, fast_l2: bool, small_llc: bool, filters: bool,
            config=None, n_modules: int = N_MODULES):
     cfg = (config or skew_resistant(n_modules)).with_overrides(
-        exec_mode=mode, fast_l2=fast_l2)
+        fast_l2=fast_l2)
     # A one-block LLC cannot hold L0, so L0 is replicated on the modules;
     # otherwise the evaluation harness's LLC for this many points.
     llc = 64 if small_llc else scaled_llc_bytes(22 * 2**20, len(pts))
@@ -56,13 +59,14 @@ def _build(pts, mode: str, *, fast_l2: bool, small_llc: bool, filters: bool,
     return tree
 
 
-def _run(pts, q, ks, metric, mode, **kw):
-    tree = _build(pts, mode, **kw)
-    out = [tree.knn(q, k, metric) for k in ks]
-    # An insert between batches: SEARCH on the update path reads (and
-    # flushes) the arena too, and the next batch sees the grown tree.
-    tree.insert(np.vstack([q[:5], pts[:3]]))
-    out += [tree.knn(q, k, metric) for k in ks]
+def _run(pts, q, ks, metric, engine, **kw):
+    tree = _build(pts, **kw)
+    with exec_engine(engine):
+        out = [tree.knn(q, k, metric) for k in ks]
+        # An insert between batches: SEARCH on the update path reads (and
+        # flushes) the arena too, and the next batch sees the grown tree.
+        tree.insert(np.vstack([q[:5], pts[:3]]))
+        out += [tree.knn(q, k, metric) for k in ks]
     tree.check_invariants()
     return tree, out
 
@@ -179,8 +183,7 @@ def test_route_strategies_agree(dims, seed, n):
     # Two tight clusters: long compressed edges inside L0 that a key
     # between them leaves.
     pts = np.vstack([base * 0.01 + 0.1, base * 0.01 + 0.8])
-    tree = _build(pts, "vectorized", fast_l2=True, small_llc=False,
-                  filters=False)
+    tree = _build(pts, fast_l2=True, small_llc=False, filters=False)
     q = np.vstack([pts[rng.integers(0, len(pts), n)],
                    rng.random((n, dims))])
     keys = [int(k) for k in tree.encode_keys(q)]
@@ -202,31 +205,37 @@ def test_route_strategies_agree(dims, seed, n):
 # replaced, not forked
 # ----------------------------------------------------------------------
 def test_vectorized_knn_calls_no_scalar_helper(monkeypatch):
-    """The per-query helpers are the oracle only.  (A *pulled* meta runs
-    the scalar per-task handler on the host by design — the premise
-    below is that this batch pulls nothing.)"""
+    """The per-query, per-node helpers are the oracle only — on a batch
+    that pushes everything and on a hot-spot batch whose groups are
+    pulled to the host at every step."""
     pts, q = tie_heavy(3, 1)
-    tree = _build(pts, "vectorized", fast_l2=True, small_llc=False,
-                  filters=False)
+    tree = _build(pts, fast_l2=True, small_llc=False, filters=False)
     tree.knn(q, 4)  # the arena exists from here on
+    hot = hot_spot(small_llc=False)
+    hot.tree.knn(hot.queries, 4)
 
     def forbidden(name):
         def trap(*args, **kwargs):
-            raise AssertionError(f"vectorized kNN called {name}")
+            raise AssertionError(f"production kNN called {name}")
         return trap
 
-    for name in ("_seed_from", "_lowest_containing_sphere",
-                 "_child_box_dists", "_lowest_with_sc"):
-        monkeypatch.setattr(knn_mod, name, forbidden(name))
     monkeypatch.setattr(PIMZdTree, "node_box", forbidden("node_box"))
     monkeypatch.setattr(Box, "contains_sphere", forbidden("contains_sphere"))
     monkeypatch.setattr(PIMSystem, "touch_cpu_block",
                         forbidden("touch_cpu_block"))
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("repro.core")
+                and hasattr(mod, "dist_point_box")):
+            monkeypatch.setattr(mod, "dist_point_box",
+                                forbidden("dist_point_box"))
     before = tree.system.stats.total.dram_words
     for k in (1, 8, 2 * PILE):
         tree.knn(q, k)
     assert tree.last_executor.pulled_tasks == 0
     assert tree.system.stats.total.dram_words > before  # L0 touches happened
+    for k in (1, 8):
+        hot.tree.knn(hot.queries, k)
+        assert hot.tree.last_executor.pulled_tasks > 0
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ the update path keeps current through a dirty set.  Three guarantees:
 * **bounded garbage** — a churn of 20× the tree size through
   insert/delete batches never leaves more than 2× the live rows behind;
 * **the deterministic proxy** — a kNN or box batch enters the descent /
-  range kernel exactly once per executor round that pushes anything, and
+  range kernel exactly once per executor round and site (pushed groups,
+  pulled groups) that runs anything, and
   a one-point insert between two kNN batches rewrites O(path) rows.
 """
 
@@ -398,7 +399,9 @@ def test_allocation_history_does_not_order_the_flush(monkeypatch):
     (uniform_points, 64), (varden_points, 512),
 ])
 def test_one_kernel_entry_per_pushed_round(monkeypatch, dataset, n_modules):
-    """The deterministic proxy for "one kernel call per BSP round"."""
+    """The deterministic proxy for "one kernel call per BSP round and
+    site": a round enters its kernel once for its pushed groups and once
+    for its pulled ones."""
     data = dataset(6000, 3, seed=7)
     tree = make_adapter("pim", data, n_modules=n_modules, seed=7).tree
 
@@ -409,17 +412,17 @@ def test_one_kernel_entry_per_pushed_round(monkeypatch, dataset, n_modules):
             return _fn(*args, **kw)
         monkeypatch.setattr(vexec, name, counted)
 
-    # Executor rounds that push at least one group, by operation handler.
-    pushed_rounds: Counter = Counter()
+    # (round, site) pairs that run at least one group, by kernel factory.
+    site_rounds: Counter = Counter()
     run, decide = PushPullExecutor.run, PushPullExecutor._decide_pulls
 
-    def tagged_run(self, tasks, handler, **kw):
-        self.kind = handler.__qualname__.split(".")[0]
-        return run(self, tasks, handler, **kw)
+    def tagged_run(self, tasks, kernel, **kw):
+        self.kind = kernel.__qualname__.split(".")[0]
+        return run(self, tasks, kernel, **kw)
 
     def counting_decide(self, by_meta):
         pulled = decide(self, by_meta)
-        pushed_rounds[self.kind] += len(pulled) < len(by_meta)
+        site_rounds[self.kind] += (len(pulled) < len(by_meta)) + bool(pulled)
         return pulled
 
     monkeypatch.setattr(PushPullExecutor, "run", tagged_run)
@@ -428,8 +431,8 @@ def test_one_kernel_entry_per_pushed_round(monkeypatch, dataset, n_modules):
     rng = np.random.default_rng(7)
     queries = data[rng.integers(0, len(data), size=64)] + 1e-4
     tree.knn(queries, 10)
-    knn_rounds = (pushed_rounds["_make_candidate_handler"]
-                  + pushed_rounds["_make_fetch_handler"])
+    knn_rounds = (site_rounds["make_candidate_kernel"]
+                  + site_rounds["make_fetch_kernel"])
     assert knn_rounds >= 2
     assert entries["_ball_descent"] == knn_rounds
     assert entries["_range_descent"] == 0
@@ -437,8 +440,8 @@ def test_one_kernel_entry_per_pushed_round(monkeypatch, dataset, n_modules):
     boxes = make_boxes(data, 0.1, 32, seed=7)
     tree.box_count(boxes)
     tree.box_fetch(boxes)
-    assert pushed_rounds["_make_handler"] >= 1
-    assert entries["_range_descent"] == pushed_rounds["_make_handler"]
+    assert site_rounds["make_range_kernel"] >= 1
+    assert entries["_range_descent"] == site_rounds["make_range_kernel"]
     assert entries["_ball_descent"] == knn_rounds
 
     # One inserted point between two kNN batches: the flush rewrites the

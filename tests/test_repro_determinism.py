@@ -15,6 +15,7 @@ nid.  The suite-level assertions here lock that down.
 from __future__ import annotations
 
 import numpy as np
+from exec_oracle import exec_engine
 
 from repro.eval.harness import PIMZdTreeAdapter, run_suite
 from repro.workloads import (
@@ -27,17 +28,18 @@ from repro.workloads import (
 OPS = ("insert", "bc-10", "bf-10", "10-nn")
 
 
-def _one_run(exec_mode: str):
+def _one_run(engine: str):
     data = uniform_points(4000, 3, seed=np.random.default_rng(123))
     fresh_rng = np.random.default_rng(456)
 
     def fresh(n: int) -> np.ndarray:
         return uniform_points(n, 3, seed=fresh_rng)
 
-    ad = PIMZdTreeAdapter(data, n_modules=8, seed=5, exec_mode=exec_mode)
-    ms = run_suite(ad, data=data, ops=OPS, batch=128, seed=11,
-                   fresh_points=fresh)
-    ad.tree.delete(uniform_points(200, 3, seed=np.random.default_rng(789)))
+    ad = PIMZdTreeAdapter(data, n_modules=8, seed=5)
+    with exec_engine(engine):
+        ms = run_suite(ad, data=data, ops=OPS, batch=128, seed=11,
+                       fresh_points=fresh)
+        ad.tree.delete(uniform_points(200, 3, seed=np.random.default_rng(789)))
     return ms, ad.system.stats
 
 

@@ -8,7 +8,8 @@ feed names, and ``rechunk_stale`` looks only at them.  Four guarantees:
   layer-transition directions, forced re-chunks, migrate / clone /
   replica install, failover with promotion, faulted updates, snapshot
   decode + WAL replay, an FPR change), with replicas k ∈ {0, 2}, filters
-  on and off, both exec modes, on the production simulator core and on
+  on and off, on production and on the scalar execution engine
+  (``tests/exec_oracle.py``), on the production simulator core and on
   its scalar oracle (``tests/sim_oracle.py``), the per-module master
   and cache words, the L0 words and the replica words equal the walk over
   every chunk and the whole L0 that ``refresh_residency`` used to be, and
@@ -33,6 +34,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
+from exec_oracle import exec_engine
 from hypothesis import strategies as st
 from sim_oracle import ScalarPIMSystem
 from test_node_arena import N_MODULES, N_POINTS, _config
@@ -55,12 +57,12 @@ from repro.workloads import varden_points
 class _World(_RouteWorld):
     """The route-upkeep world, with the filters and the simulator chosen."""
 
-    def __init__(self, dims, variant, seed, tmp, *, exec_mode, system, k,
+    def __init__(self, dims, variant, seed, tmp, *, system, k,
                  filters) -> None:
         self.rng = np.random.default_rng(seed)
         self.dims = dims
         self.system_cls = system
-        cfg = _config(variant).with_overrides(exec_mode=exec_mode)
+        cfg = _config(variant)
         self.tree = PIMZdTree(
             self.rng.random((N_POINTS, dims)), config=cfg,
             system=system(N_MODULES, seed=seed))
@@ -94,31 +96,31 @@ class _World(_RouteWorld):
 @given(
     dims=st.sampled_from([2, 3, 5]),
     variant=st.sampled_from(["throughput", "skew"]),
-    exec_mode=st.sampled_from(["reference", "vectorized"]),
+    engine=st.sampled_from(["reference", "vectorized"]),
     system=st.sampled_from([ScalarPIMSystem, PIMSystem]),
     k=st.sampled_from([0, 2]),
     filters=st.booleans(),
     seed=st.integers(0, 2**16 - 1),
     verbs=st.lists(st.sampled_from(VERBS), min_size=3, max_size=8),
 )
-@example(dims=3, variant="skew", exec_mode="vectorized", system=PIMSystem,
+@example(dims=3, variant="skew", engine="vectorized", system=PIMSystem,
          k=2, filters=True, seed=1, verbs=list(VERBS))
-@example(dims=2, variant="throughput", exec_mode="reference",
+@example(dims=2, variant="throughput", engine="reference",
          system=ScalarPIMSystem, k=0, filters=False, seed=2,
          verbs=list(reversed(VERBS)))
-@example(dims=5, variant="skew", exec_mode="reference", system=ScalarPIMSystem,
+@example(dims=5, variant="skew", engine="reference", system=ScalarPIMSystem,
          k=2, filters=False, seed=3,
          verbs=["shrink", "delete_half", "grow", "recover", "pile",
                 "shrink", "fail_over", "fault_insert", "empty_chunk"])
-@example(dims=3, variant="throughput", exec_mode="vectorized",
+@example(dims=3, variant="throughput", engine="vectorized",
          system=PIMSystem, k=0, filters=True, seed=4,
          verbs=["pile", "replicate", "insert", "fail_over", "reinsert",
                 "migrate", "fault_delete", "insert", "recover", "insert"])
 def test_ledger_equals_the_full_walk_after_every_verb(
-        dims, variant, exec_mode, system, k, filters, seed, verbs):
-    with tempfile.TemporaryDirectory() as tmp:
-        world = _World(dims, variant, seed, tmp, exec_mode=exec_mode,
-                       system=system, k=k, filters=filters)
+        dims, variant, engine, system, k, filters, seed, verbs):
+    with tempfile.TemporaryDirectory() as tmp, exec_engine(engine):
+        world = _World(dims, variant, seed, tmp, system=system, k=k,
+                       filters=filters)
         world.tree.check_invariants()
         for verb in verbs:
             getattr(world, verb)()
@@ -204,8 +206,8 @@ def _mute_l0_touch():
 def test_a_muted_mark_fails_the_comparison(mute, verbs, k, filters):
     for muted in (False, True):
         with tempfile.TemporaryDirectory() as tmp:
-            world = _World(3, "skew", 1, tmp, exec_mode="vectorized",
-                           system=PIMSystem, k=k, filters=filters)
+            world = _World(3, "skew", 1, tmp, system=PIMSystem, k=k,
+                           filters=filters)
             failed = False
             with mute() if muted else contextlib.nullcontext():
                 try:

@@ -24,11 +24,8 @@ from repro.store import DurableStore, open_backend, recover
 N_MODULES = 8
 
 
-def make_tree(pts, *, n_modules=N_MODULES, exec_mode=None, fpr=None,
-              seed=0):
+def make_tree(pts, *, n_modules=N_MODULES, fpr=None, seed=0):
     cfg = skew_resistant(n_modules)
-    if exec_mode is not None:
-        cfg = cfg.with_overrides(exec_mode=exec_mode)
     tree = PIMZdTree(np.asarray(pts, dtype=np.float64), config=cfg,
                      system=PIMSystem(n_modules, seed=0),
                      bounds=(np.zeros(pts.shape[1]), np.ones(pts.shape[1])))
@@ -114,13 +111,13 @@ def test_fpr_validation():
 # ----------------------------------------------------------------------
 # byte-identity + monotone savings
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-def test_search_answers_identical_and_words_fewer(exec_mode):
+@pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+def test_search_answers_identical_and_words_fewer(engine):
     rng = np.random.default_rng(11)
     pts = rng.random((4000, 3))
     queries = np.vstack([pts[:80], rng.random((80, 3))])
-    t0 = make_tree(pts, exec_mode=exec_mode)
-    t1 = make_tree(pts, exec_mode=exec_mode, fpr=0.01)
+    t0 = make_tree(pts)
+    t1 = make_tree(pts, fpr=0.01)
     r0 = t0.search(queries)
     r1 = t1.search(queries)
     assert search_presence(r0) == search_presence(r1)
@@ -133,13 +130,13 @@ def test_search_answers_identical_and_words_fewer(exec_mode):
     assert rf.queries_pruned + rf.fp_probes <= absent + rf.probes
 
 
-@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-def test_delete_identical_and_words_fewer(exec_mode):
+@pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+def test_delete_identical_and_words_fewer(engine):
     rng = np.random.default_rng(13)
     pts = rng.random((4000, 3))
     delq = np.vstack([pts[200:260], rng.random((60, 3))])
-    t0 = make_tree(pts, exec_mode=exec_mode)
-    t1 = make_tree(pts, exec_mode=exec_mode, fpr=0.01)
+    t0 = make_tree(pts)
+    t1 = make_tree(pts, fpr=0.01)
     assert t0.delete(delq) == t1.delete(delq) == 60
     assert comm_words(t1) < comm_words(t0)
     a0, a1 = t0.all_points(), t1.all_points()
@@ -147,13 +144,13 @@ def test_delete_identical_and_words_fewer(exec_mode):
     assert np.array_equal(a0[order], a1[np.lexsort(a1.T[::-1])])
 
 
-@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-def test_knn_identical_and_words_never_more(exec_mode):
+@pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+def test_knn_identical_and_words_never_more(engine):
     rng = np.random.default_rng(17)
     pts = rng.random((4000, 3))
     qs = rng.random((40, 3))
-    t0 = make_tree(pts, exec_mode=exec_mode)
-    t1 = make_tree(pts, exec_mode=exec_mode, fpr=0.01)
+    t0 = make_tree(pts)
+    t1 = make_tree(pts, fpr=0.01)
     for (d0, p0), (d1, p1) in zip(t0.knn(qs, 5), t1.knn(qs, 5)):
         assert np.array_equal(d0, d1)
         assert np.array_equal(p0, p1)
@@ -226,8 +223,8 @@ def test_summary_counters():
     assert s["filter_kib"] > 0
 
 
-@pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-def test_replicated_l0_gate(exec_mode):
+@pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+def test_replicated_l0_gate(engine):
     """With L0 replicated on the modules (tiny LLC), even the routing
     round is a send — the global filter must gate it, keep answers
     identical, and shave the round participation of absent keys."""
@@ -236,7 +233,7 @@ def test_replicated_l0_gate(exec_mode):
     queries = np.vstack([pts[:80], rng.random((80, 3))])
 
     def mk(fpr):
-        cfg = skew_resistant(N_MODULES).with_overrides(exec_mode=exec_mode)
+        cfg = skew_resistant(N_MODULES)
         tree = PIMZdTree(pts, config=cfg,
                          system=PIMSystem(N_MODULES, llc_bytes=4096, seed=0),
                          bounds=(np.zeros(3), np.ones(3)))

@@ -7,13 +7,15 @@ books (communicated words, per-round participant maxima, rounds, PIM
 cycles) are never larger — filters can only remove provably-empty sends,
 and a false positive costs exactly what the unfiltered send costs.  The
 same must hold through a crash-restart cycle (the filters rebuild from
-the recovered residency) and across both execution modes.
+the recovered residency) and on both execution engines (production and
+the scalar oracle of ``tests/exec_oracle.py``).
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+from exec_oracle import exec_engine, reference_exec
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +46,8 @@ def _points(kind: str, n: int, dims: int, seed: int) -> np.ndarray:
     return uniform_points(n, dims, seed=seed)
 
 
-def _make(pts, exec_mode, *, fpr=None):
-    cfg = skew_resistant(N_MODULES).with_overrides(exec_mode=exec_mode)
+def _make(pts, *, fpr=None):
+    cfg = skew_resistant(N_MODULES)
     tree = PIMZdTree(pts, config=cfg, system=PIMSystem(N_MODULES, seed=0))
     if fpr is not None:
         RouteFilterSet(tree, fpr=fpr)
@@ -96,22 +98,23 @@ def _assert_same_answers(a, b):
     kind=st.sampled_from(["uniform", "varden", "duplicates"]),
     n=st.integers(64, 400),
     seed=st.integers(0, 2**16),
-    exec_mode=st.sampled_from(["reference", "vectorized"]),
+    engine=st.sampled_from(["reference", "vectorized"]),
     fpr=st.sampled_from([0.001, 0.01, 0.1]),
 )
 def test_filters_identical_answers_never_more_traffic(
-        dims, kind, n, seed, exec_mode, fpr):
+        dims, kind, n, seed, engine, fpr):
     pts = _points(kind, n, dims, seed)
     queries = np.vstack([pts[: min(8, n)],
                          _points(kind, 8, dims, seed + 1)])
     k = min(3, n)
-    t0 = _make(pts, exec_mode)
-    t1 = _make(pts, exec_mode, fpr=fpr)
+    t0 = _make(pts)
+    t1 = _make(pts, fpr=fpr)
     base0 = t0.system.stats.to_dict()["total"]
     base1 = t1.system.stats.to_dict()["total"]
     deletes = kind != "duplicates"
-    a0 = _run_workload(t0, pts, queries, k, deletes=deletes)
-    a1 = _run_workload(t1, pts, queries, k, deletes=deletes)
+    with exec_engine(engine):
+        a0 = _run_workload(t0, pts, queries, k, deletes=deletes)
+        a1 = _run_workload(t1, pts, queries, k, deletes=deletes)
     _assert_same_answers(a0, a1)
     tot0 = t0.system.stats.to_dict()["total"]
     tot1 = t1.system.stats.to_dict()["total"]
@@ -128,16 +131,17 @@ def test_filters_identical_answers_never_more_traffic(
     seed=st.integers(0, 2**16),
 )
 def test_filters_on_exec_modes_agree(kind, n, seed):
-    """Reference vs vectorized differential with pruning active: the
-    executor frontier is the single choke point, so both modes must make
+    """Oracle vs production differential with pruning active: the
+    executor frontier is the single choke point, so both engines must make
     identical pruning decisions and return identical answers."""
     pts = _points(kind, n, 3, seed)
     queries = np.vstack([pts[: min(8, n)], _points(kind, 8, 3, seed + 1)])
     k = min(3, n)
-    tr = _make(pts, "reference", fpr=0.01)
-    tv = _make(pts, "vectorized", fpr=0.01)
+    tr = _make(pts, fpr=0.01)
+    tv = _make(pts, fpr=0.01)
     deletes = kind != "duplicates"
-    ar = _run_workload(tr, pts, queries, k, deletes=deletes)
+    with reference_exec():
+        ar = _run_workload(tr, pts, queries, k, deletes=deletes)
     av = _run_workload(tv, pts, queries, k, deletes=deletes)
     _assert_same_answers(ar, av)
     fr, fv = tr.route_filters, tv.route_filters

@@ -34,6 +34,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import brute_box_count, brute_knn
+from exec_oracle import exec_engine
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_node_arena import N_MODULES, N_POINTS, _config
@@ -438,10 +439,10 @@ def _leaves_of(meta):
 class _World(_ArenaWorld):
     """A filtered tree (optionally replicated) behind a journal."""
 
-    def __init__(self, dims, variant, seed, tmp, *, exec_mode, k) -> None:
+    def __init__(self, dims, variant, seed, tmp, *, k) -> None:
         self.rng = np.random.default_rng(seed)
         self.dims = dims
-        cfg = _config(variant).with_overrides(exec_mode=exec_mode)
+        cfg = _config(variant)
         self.tree = PIMZdTree(self.rng.random((N_POINTS, dims)), config=cfg,
                               system=PIMSystem(N_MODULES, seed=seed))
         if k:
@@ -518,25 +519,26 @@ class _World(_ArenaWorld):
 @given(
     dims=st.sampled_from([2, 3, 5]),
     variant=st.sampled_from(["throughput", "skew"]),
-    exec_mode=st.sampled_from(["reference", "vectorized"]),
+    engine=st.sampled_from(["reference", "vectorized"]),
     k=st.sampled_from([0, 2]),
     seed=st.integers(0, 2**16 - 1),
     verbs=st.lists(st.sampled_from(VERBS), min_size=3, max_size=8),
 )
-@example(dims=3, variant="skew", exec_mode="vectorized", k=2, seed=1,
+@example(dims=3, variant="skew", engine="vectorized", k=2, seed=1,
          verbs=list(VERBS))
-@example(dims=2, variant="throughput", exec_mode="reference", k=0, seed=2,
+@example(dims=2, variant="throughput", engine="reference", k=0, seed=2,
          verbs=list(reversed(VERBS)))
-@example(dims=5, variant="skew", exec_mode="reference", k=2, seed=3,
+@example(dims=5, variant="skew", engine="reference", k=2, seed=3,
          verbs=["shrink", "delete_half", "grow", "recover", "pile",
                 "shrink", "fail_over", "geometry", "empty_chunk"])
-@example(dims=3, variant="throughput", exec_mode="vectorized", k=0, seed=4,
+@example(dims=3, variant="throughput", engine="vectorized", k=0, seed=4,
          verbs=["pile", "replicate", "insert", "fail_over", "reinsert",
                 "migrate", "fault_insert", "insert", "recover", "insert"])
 def test_filters_equal_fresh_build_and_legacy_charge_after_every_verb(
-        dims, variant, exec_mode, k, seed, verbs):
-    with tempfile.TemporaryDirectory() as tmp, _shadowed():
-        world = _World(dims, variant, seed, tmp, exec_mode=exec_mode, k=k)
+        dims, variant, engine, k, seed, verbs):
+    with (tempfile.TemporaryDirectory() as tmp, _shadowed(),
+          exec_engine(engine)):
+        world = _World(dims, variant, seed, tmp, k=k)
         layers = Counter(m.layer for m in world.tree.metas)
         assert layers[Layer.L1] and layers[Layer.L2], layers
         assert world.tree.root.layer == Layer.L0
@@ -555,7 +557,7 @@ def test_verbs_reach_the_cases_they_are_named_for():
     keys, the delta charge and each fallback of it are taken, a chunk is
     emptied and a Bloom geometry is outgrown."""
     with tempfile.TemporaryDirectory() as tmp, _shadowed():
-        world = _World(3, "skew", 1, tmp, exec_mode="vectorized", k=2)
+        world = _World(3, "skew", 1, tmp, k=2)
         tree = world.tree
         rf = tree.route_filters
         while rf.incremental == 0:
@@ -680,7 +682,7 @@ def test_a_muted_mark_fails_in_the_update_flow(primitive, verb):
     chunk's keys, a re-chunk changes its members."""
     for muted in (False, True):
         with tempfile.TemporaryDirectory() as tmp:
-            world = _World(3, "skew", 1, tmp, exec_mode="vectorized", k=2)
+            world = _World(3, "skew", 1, tmp, k=2)
             with _muted(primitive) if muted else contextlib.nullcontext():
                 verb(world)
             if muted:

@@ -154,22 +154,22 @@ class TestEmptyAndEdgeBatches:
 
 
 class TestRangeOracle:
-    """box_fetch must return the exact brute-force point set, per exec mode."""
+    """box_fetch must return the exact brute-force point set, per engine."""
 
-    @pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-    def test_box_fetch_matches_brute_range_query(self, rng, exec_mode):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+    def test_box_fetch_matches_brute_range_query(self, rng, engine):
         pts = rng.random((3000, 3))
-        tree = make_tree(pts, exec_mode=exec_mode)
+        tree = make_tree(pts)
         centers = pts[rng.integers(0, len(pts), size=16)]
         for c, side in zip(centers, rng.random(16) * 0.3 + 0.02):
             box = Box(c - side / 2, c + side / 2)
             got = tree.box_fetch([box])[0]
             assert_same_points(got, brute_range_query(pts, box))
 
-    @pytest.mark.parametrize("exec_mode", ["reference", "vectorized"])
-    def test_box_fetch_oracle_after_updates(self, rng, exec_mode):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
+    def test_box_fetch_oracle_after_updates(self, rng, engine):
         pts = rng.random((2000, 2))
-        tree = make_tree(pts, "throughput", exec_mode=exec_mode)
+        tree = make_tree(pts, "throughput")
         fresh = rng.random((300, 2))
         tree.insert(fresh)
         gone = pts[rng.integers(0, len(pts), size=250)]

@@ -306,7 +306,7 @@ def test_removed_arguments_are_gone():
     assert set(inspect.signature(run_sweep).parameters) == {
         "dataset", "n", "n_modules", "index", "total_requests", "rate",
         "procs", "seed", "mix", "k", "deadline_s", "queue_depth", "overflow",
-        "exec_mode", "arrival", "tenants", "tune_config",
+        "arrival", "tenants", "tune_config",
         "staleness_s"}
     with pytest.raises(TypeError):
         run_sweep(rate=1000.0, total_requests=4, adapt=True)
