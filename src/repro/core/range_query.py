@@ -33,7 +33,14 @@ from .vexec import make_range_kernel, seed_l0_boxes
 __all__ = ["box_count_batch", "box_fetch_batch"]
 
 
-def _normalize_boxes(tree, boxes) -> list[Box]:
+def _normalize_boxes(tree, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's box corners as ``(Lo, Hi)``, each ``(n, D)``.
+
+    Both are views of one corner stack whose rows run ``lo0, hi0, lo1,
+    hi1, …``; seeding and the range kernel read the views.  Non-finite
+    corners and inverted boxes (``lo > hi`` in some dimension) are refused
+    before anything is charged; a zero-width box (``lo == hi``) is valid.
+    """
     if isinstance(boxes, Box):
         boxes = [boxes]
     out = []
@@ -43,57 +50,64 @@ def _normalize_boxes(tree, boxes) -> list[Box]:
             b = Box(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
         if b.dims != tree.dims:
             raise ValueError("box dimensionality mismatch")
-        out.append(b)
+        out.append((b.lo, b.hi))
+    if not out:
+        empty = np.empty((0, tree.dims))
+        return empty, empty
+    corners = np.array(out)
+    if not np.logical_and.reduce(np.isfinite(corners), axis=None):
+        raise ValueError("box corners must be finite, got NaN or ±inf")
+    Lo, Hi = corners[:, 0], corners[:, 1]
+    if (Lo > Hi).any():
+        raise ValueError("box lo must not exceed hi in any dimension")
     # Dispatching a box to meta-nodes compares against the corners' Morton
     # keys; encode both corners per query (charged per z-order mode).
-    if out:
-        corners = np.vstack([np.vstack([b.lo, b.hi]) for b in out])
-        if not np.logical_and.reduce(np.isfinite(corners), axis=None):
-            raise ValueError("box corners must be finite, got NaN or ±inf")
-        tree.encode_keys(corners)
-    return out
+    tree.encode_keys(corners.reshape(-1, tree.dims))
+    return Lo, Hi
 
 
 def box_count_batch(tree, boxes) -> np.ndarray:
     """Exact number of stored points in each box."""
-    boxes = _normalize_boxes(tree, boxes)
+    Lo, Hi = _normalize_boxes(tree, boxes)
+    n = len(Lo)
     sys = tree.system
     with sys.phase("boxcount"):
-        counts = [0] * len(boxes)
+        counts = [0] * n
         tasks: list[Task] = []
-        seed_l0_boxes(tree, boxes, tasks, fetch=False, counts=counts,
-                      chunks_list=[[] for _ in boxes])
+        seed_l0_boxes(tree, Lo, Hi, tasks, fetch=False, counts=counts,
+                      chunks_list=[[] for _ in range(n)])
         if tasks:
             executor = PushPullExecutor(tree)
-            out = executor.run(tasks, make_range_kernel(tree, boxes, fetch=False))
+            out = executor.run(tasks, make_range_kernel(tree, Lo, Hi, fetch=False))
             tree.last_executor = executor
             for qid, items in out.items():
                 for kind, value in items:
                     if kind == "count":
                         counts[qid] += value
-        sys.charge_cpu(len(boxes) * 2)
+        sys.charge_cpu(n * 2)
     return np.array(counts, dtype=np.int64)
 
 
 def box_fetch_batch(tree, boxes) -> list[np.ndarray]:
     """All stored points in each box, one ``(m, D)`` array per box."""
-    boxes = _normalize_boxes(tree, boxes)
+    Lo, Hi = _normalize_boxes(tree, boxes)
+    n = len(Lo)
     sys = tree.system
     with sys.phase("boxfetch"):
-        per_query_chunks: list[list[np.ndarray]] = [[] for _ in boxes]
+        per_query_chunks: list[list[np.ndarray]] = [[] for _ in range(n)]
         tasks: list[Task] = []
-        seed_l0_boxes(tree, boxes, tasks, fetch=True, counts=[0] * len(boxes),
+        seed_l0_boxes(tree, Lo, Hi, tasks, fetch=True, counts=[0] * n,
                       chunks_list=per_query_chunks)
         if tasks:
             executor = PushPullExecutor(tree)
-            out = executor.run(tasks, make_range_kernel(tree, boxes, fetch=True))
+            out = executor.run(tasks, make_range_kernel(tree, Lo, Hi, fetch=True))
             tree.last_executor = executor
             for qid, items in out.items():
                 for kind, value in items:
                     if kind == "pts":
                         per_query_chunks[qid].append(value)
         answers = []
-        for qid in range(len(boxes)):
+        for qid in range(n):
             chunks = per_query_chunks[qid]
             if chunks:
                 allp = np.vstack(chunks)

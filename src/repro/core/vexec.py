@@ -38,7 +38,8 @@ module:
   masked compare and an ``argmax`` along depth; :func:`segmented_topk`
   — every per-query stable sort as one ``lexsort``;
 * :func:`seed_l0_boxes` — batched host-side L0 seeding for range
-  queries, over the arena's L0 rows;
+  queries: (box × L0-row) intersect/contain masks built one dimension
+  at a time over the arena's L0 rows, read by the per-box scalar DFS;
 * :func:`plan_leaf_deletions` — ``np.searchsorted``-based delete
   partitioning.
 
@@ -1166,10 +1167,9 @@ def _reply_points(rnd: _Round, rows, row_t, mask, dims: int) -> None:
 # ======================================================================
 # range-query round kernel
 # ======================================================================
-def make_range_kernel(tree, boxes, *, fetch: bool):
-    """Mask-based range filtering for a round's box-query tasks."""
-    Lo = np.stack([b.lo for b in boxes])
-    Hi = np.stack([b.hi for b in boxes])
+def make_range_kernel(tree, Lo, Hi, *, fetch: bool):
+    """Mask-based range filtering for a round's box-query tasks; ``Lo`` /
+    ``Hi`` are the batch's ``(n, D)`` box corners, row ``qid`` per box."""
 
     def kernel(groups, on_host: bool) -> RoundOutput:
         rnd = _Round(tree, groups, on_host)
@@ -1312,73 +1312,80 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
 # ======================================================================
 # host-side L0 seeding for range queries
 # ======================================================================
-def seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list) -> None:
+def seed_l0_boxes(tree, Lo, Hi, tasks, *, fetch: bool, counts,
+                  chunks_list) -> None:
     """Host-side L0 seeding for the whole box batch.
 
-    Precomputes the (box × L0-node) containment/intersection matrices in
-    one broadcast over the arena's L0 rows, then replays the scalar
-    per-box DFS using the matrix — charges are aggregated and the LLC
-    touch sequence is replayed in the exact scalar order.
+    ``Lo`` / ``Hi`` are the batch's ``(n, D)`` box corners.  The (box ×
+    L0-row) intersect and contain masks over the arena's L0 rows are built
+    one dimension at a time: per dimension, one ``(n, n_L0)`` compare per
+    box face, ANDed into the two masks in place (no ``(box, row, D)``
+    temporary, no reduction over ``D``).  The scalar per-box right-first
+    DFS then reads them in its own pop order — charges are aggregated and
+    the LLC touch sequence is replayed in the exact scalar order.  (A
+    level-synchronous frontier is exact too, but slower on narrow batches
+    and deep L0s, and no faster on wide ones: the DFS visits few nodes.)
     """
     sys = tree.system
     root = tree.root
     dims = tree.dims
+    L0 = Layer.L0
     arena = node_arena(tree)
     l0 = np.flatnonzero(arena.layer[:arena.n] == _L0)
-    if len(l0):
-        col = np.empty(arena.n, dtype=np.intp)
-        col[l0] = np.arange(len(l0))
-        NLo, NHi = arena.lo[l0], arena.hi[l0]
-        QLo = np.stack([b.lo for b in boxes]) if boxes else np.empty((0, dims))
-        QHi = np.stack([b.hi for b in boxes]) if boxes else np.empty((0, dims))
-        inter = (NLo[None, :, :] <= QHi[:, None, :]).all(-1) & (
-            QLo[:, None, :] <= NHi[None, :, :]
-        ).all(-1)
-        contd = (QLo[:, None, :] <= NLo[None, :, :]).all(-1) & (
-            NHi[None, :, :] <= QHi[:, None, :]
-        ).all(-1)
-    touches: list[tuple] = []
-    cpu_ops = 0
-    for qid, box in enumerate(boxes):
+    col = np.empty(arena.n, dtype=np.intp)
+    col[l0] = np.arange(len(l0))
+    # One contiguous row per dimension on the node side; (n, 1) columns
+    # on the box side.
+    NLo, NHi = arena.lo[l0].T.copy(), arena.hi[l0].T.copy()
+    QLo, QHi = Lo.T[:, :, None], Hi.T[:, :, None]
+    inter = np.ones((len(Lo), len(l0)), dtype=bool)
+    contd = np.ones_like(inter)
+    for d in range(dims):
+        inter &= NLo[d] <= QHi[d]
+        inter &= QLo[d] <= NHi[d]
+        contd &= QLo[d] <= NLo[d]
+        contd &= NHi[d] <= QHi[d]
+    visited: list[Node] = []
+    visit, emit = visited.append, tasks.append
+    scan_ops = 0
+    for qid in range(len(Lo)):
+        contd_q, inter_q = contd[qid], inter[qid]
         stack: list[tuple[Node, bool]] = [(root, False)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, skip = stack.pop()
-            if node.layer != Layer.L0:
-                tasks.append(
-                    Task(qid, node.meta, node, "all" if skip else "test",
-                         2 * dims + 2)
-                )
+            node, skip = pop()
+            if node.layer != L0:
+                emit(Task(qid, node.meta, node, "all" if skip else "test",
+                          2 * dims + 2))
                 continue
-            cpu_ops += CPU_BOX_TEST_OPS
-            touches.append(("pimzd", "l0", node.nid))
+            visit(node)
             j = col[node.row]
-            if skip or contd[qid, j]:
+            if skip or contd_q[j]:
                 if not fetch:
                     counts[qid] += node.count
-                    continue
-                if node.is_leaf:
+                elif node.keys is not None:
                     chunks_list[qid].append(node.pts)
-                    continue
-                stack.append((node.left, True))
-                stack.append((node.right, True))
+                else:
+                    push((node.left, True))
+                    push((node.right, True))
                 continue
-            if not inter[qid, j]:
+            if not inter_q[j]:
                 continue
-            if node.is_leaf:
-                mask = box.contains_point(node.pts)
-                cpu_ops += node.count * 2 * dims
+            if node.keys is not None:
+                pts = node.pts
+                mask = ((pts >= Lo[qid]) & (pts <= Hi[qid])).all(axis=-1)
+                scan_ops += node.count * 2 * dims
                 if fetch:
                     if mask.any():
-                        chunks_list[qid].append(node.pts[mask])
+                        chunks_list[qid].append(pts[mask])
                 else:
                     counts[qid] += int(np.count_nonzero(mask))
                 continue
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-    if cpu_ops:
-        sys.charge_cpu(cpu_ops)
-    if touches:
-        sys.touch_cpu_blocks(touches)
+            push((node.left, False))
+            push((node.right, False))
+    if visited:
+        sys.charge_cpu(CPU_BOX_TEST_OPS * len(visited) + scan_ops)
+        sys.touch_cpu_blocks(_l0_blocks(visited))
 
 
 # ======================================================================

@@ -619,15 +619,16 @@ def _seed_l0(tree, box: Box, qid: int, tasks: list[Task], *,
         stack.append((node.right, False))
 
 
-def _seed_l0_boxes(tree, boxes, tasks, *, fetch: bool, counts, chunks_list):
+def _seed_l0_boxes(tree, Lo, Hi, tasks, *, fetch: bool, counts, chunks_list):
     """``repro.core.vexec.seed_l0_boxes``'s signature over :func:`_seed_l0`."""
-    for qid, box in enumerate(boxes):
+    for qid, box in enumerate(map(Box, Lo, Hi)):
         _seed_l0(tree, box, qid, tasks, fetch=fetch, counts=counts,
                  chunks=chunks_list[qid])
 
 
-def _make_handler(tree, boxes: list[Box], *, fetch: bool):
+def _make_handler(tree, Lo, Hi, *, fetch: bool):
     dims = tree.dims
+    boxes = list(map(Box, Lo, Hi))
 
     def handler(task: Task, ctx) -> None:
         box = boxes[task.qid]

@@ -6,6 +6,9 @@
   corner of the key space and store or match it silently.  Updates refuse
   it before the write-ahead append: the tree keeps its size and the WAL
   gains no record.
+* **Inverted boxes** — a box with ``lo > hi`` in some dimension is
+  refused before any charge (it used to answer as empty while the walk
+  still charged every node spanning the gap); ``lo == hi`` stays valid.
 * **kNN's ``k``** — a non-integral or boolean ``k`` (``2.5`` used to fail
   inside step 2 after SEARCH was charged; ``True`` ran as 1-NN) and
   ``k < 1`` are refused before any charge, naming ``k``; NumPy integers
@@ -69,6 +72,23 @@ def test_non_finite_coordinates_are_refused(tmp_path, entry, value):
     assert backend.wal_read() == wal  # no record, not even an uncommitted one
     assert tree.system.stats.total == stats.total  # nothing charged
     tree.check_invariants()
+
+
+@pytest.mark.parametrize("op", ["box_count", "box_fetch"])
+def test_inverted_boxes_are_refused_before_any_charge(op):
+    tree = _tree(500)
+    stats = copy.deepcopy(tree.system.stats)
+    ok = Box(np.full(3, 0.2), np.full(3, 0.6))
+    inverted = Box(np.array([0.2, 0.6, 0.2]), np.array([0.6, 0.2, 0.6]))
+    with pytest.raises(ValueError, match="lo must not exceed hi"):
+        getattr(tree, op)([ok, inverted])
+    with pytest.raises(ValueError, match="lo must not exceed hi"):
+        getattr(tree, op)([(inverted.lo, inverted.hi)])
+    assert tree.system.stats == stats
+    # A zero-width box is a point query, not an inverted box.
+    p = tree.all_points()[7]
+    got = getattr(tree, op)([Box(p, p)])[0]
+    assert (got if op == "box_count" else len(got)) >= 1
 
 
 @pytest.mark.parametrize("k", [2.5, np.float64(3.0), True, False, "3", None],
