@@ -31,6 +31,10 @@ from collections import defaultdict
 from itertools import repeat
 from typing import Callable
 
+import numpy as np
+
+from ..faults.errors import FaultError
+from ..pim.model import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
 from .chunking import MetaNode
 from .node import Layer, Node
 
@@ -57,6 +61,11 @@ CPU_NODE_OPS = 6
 CPU_POINT_BASE_OPS = 2
 CPU_BOX_TEST_OPS = 4
 
+# The charge kinds of one pushed group in booking order, repeated for a
+# round of up to 1024 groups (see PushPullExecutor._charge_round).
+_GROUP_KINDS = np.tile(np.array([CHARGE_PIM, CHARGE_SEND, CHARGE_PIM,
+                                 CHARGE_RECV], dtype=np.intp), 1024)
+
 
 class Task:
     """One query's presence at one meta-node for the next round."""
@@ -78,25 +87,29 @@ class RoundOutput:
     A round kernel, ``kernel(groups, on_host)``, processes every
     ``(meta, tasks)`` group that runs at one site in one BSP round in a
     single pass and charges nothing itself.  At the modules
-    (``on_host=False``) it returns, per group in ``groups`` order, the PIM
-    ``cycles`` and result ``recv`` words the executor then charges with
-    one ``charge_pim``/``recv`` pair per meta.  On the host (the round's
-    pulled groups) it returns the CPU ops of all groups, ``cpu_ops``, and
-    ``touched``, the nid of every visited node in the order the host
-    visits them: task by task, each task's nodes in right-first
-    pre-order.  Every per-visit charge is integer-valued, so the
-    aggregated float64 totals are byte-identical to per-element sums.
-    Either way the round's ``results`` come as ``(qid, value)`` and its
-    emitted tasks in task order, each task's emissions in DFS order
-    (emits happen at parent-visit time, parents in right-first
-    pre-order, left child before right).
+    (``on_host=False``) it returns three float64 arrays with one entry
+    per group in ``groups`` order: the PIM ``cycles``, the ``recv`` words
+    of the results (a ``RESULT_WORDS`` header per task included), and
+    ``send``, the group's summed task ``send_words``.  The executor books
+    them, after the dispatch cycles, in the round's one
+    :meth:`~repro.pim.PIMSystem.charge_sequence` call.  On the host (the round's pulled groups) it returns the CPU ops
+    of all groups, ``cpu_ops``, and ``touched``, the nid of every visited
+    node in the order the host visits them: task by task, each task's
+    nodes in right-first pre-order.  Every per-visit charge is
+    integer-valued, so the aggregated float64 totals are byte-identical
+    to per-element sums.  Either way the round's ``results`` come as
+    ``(qid, value)`` and its emitted tasks in task order, each task's
+    emissions in DFS order (emits happen at parent-visit time, parents in
+    right-first pre-order, left child before right).
     """
 
-    __slots__ = ("cycles", "recv", "cpu_ops", "touched", "results", "emits")
+    __slots__ = ("cycles", "recv", "send", "cpu_ops", "touched", "results",
+                 "emits")
 
     def __init__(self, n_groups: int) -> None:
-        self.cycles: list[float] = [0.0] * n_groups
-        self.recv: list[float] = [0.0] * n_groups
+        self.cycles = np.zeros(n_groups)
+        self.recv = np.zeros(n_groups)
+        self.send = np.zeros(n_groups)
         self.cpu_ops = 0.0
         self.touched: list[int] = []
         self.results: list[tuple[int, object]] = []
@@ -139,7 +152,6 @@ class PushPullExecutor:
         the task, suppressing its send entirely.
         """
         results: dict[int, list] = defaultdict(list)
-        sys = self.sys
         frontier = list(tasks)
         while frontier:
             by_meta: dict[MetaNode, list[Task]] = defaultdict(list)
@@ -159,49 +171,22 @@ class PushPullExecutor:
                 }
                 if not by_meta:
                     break
-            pulled_items: list[tuple[MetaNode, list[Task]]] = []
-
-            # The kernel is pure compute and runs before any charge; the
-            # loop below then charges group by group, in by_meta order.
-            pushed = [(m, ts) for m, ts in by_meta.items() if m not in pulled]
-            outs: list[RoundOutput] = []
-            if pushed:
-                out = kernel(pushed, False)
-                outs.append(out)
-            gi = 0
-
-            reps = self.tree.replicas
-            with sys.round():
-                for meta, ts in by_meta.items():
-                    # Read routing: with a ReplicaSet attached, this round's
-                    # work for the chunk may land on a replica module; one
-                    # routing decision per (chunk, round).
-                    mod = (meta.module if reps is None
-                           else reps.read_module(meta, len(ts)))
-                    if meta in pulled:
-                        # Fetch only the master storage (§3.3); the
-                        # traversal runs on the host after the round.
-                        sys.recv(mod, meta.size_words(self.config))
-                        pulled_items.append((meta, ts))
-                        self.pulled_tasks += len(ts)
-                        continue
-                    self.pushed_tasks += len(ts)
-                    # Popularity signal for repro.balance victim selection:
-                    # count the tasks this meta drew onto its module.
-                    meta.hot_hits += len(ts)
-                    sys.charge_pim(mod, PIM_TASK_DISPATCH_CYCLES)
-                    sys.send(mod, sum(t.send_words for t in ts))
-                    sys.charge_pim(mod, out.cycles[gi])
-                    sys.recv(mod, out.recv[gi] + RESULT_WORDS * len(ts))
-                    gi += 1
-                self.rounds_executed += 1
+            groups = list(by_meta.items())
+            pushed = ([g for g in groups if g[0] not in pulled] if pulled
+                      else groups)
+            # The kernel is pure compute and runs before any charge.
+            out = kernel(pushed, False) if pushed else None
+            with self.sys.round():
+                self._charge_round(groups, pulled, out)
+            outs = [] if out is None else [out]
 
             # Pulled meta-nodes run through the same kernel on the host.
+            pulled_items = [g for g in groups if g[0] in pulled] if pulled else []
             if pulled_items:
                 self.pulled_metas += len(pulled_items)
                 host = kernel(pulled_items, True)
-                sys.charge_cpu(host.cpu_ops)
-                sys.touch_cpu_blocks(
+                self.sys.charge_cpu(host.cpu_ops)
+                self.sys.touch_cpu_blocks(
                     zip(repeat("pimzd"), repeat("pulled"), host.touched))
                 outs.append(host)
 
@@ -214,17 +199,93 @@ class PushPullExecutor:
                 round_hook(results)
         return results
 
+    def _charge_round(self, groups, pulled, out) -> None:
+        """Book one round's groups with one charge sequence.
+
+        Read routing goes group by group first: with a ReplicaSet
+        attached, a chunk's work may land on a replica module, one
+        routing decision per (chunk, round), and each choice feeds the
+        next through the routed load.  A pushed group then books four
+        elements — dispatch, its tasks' words, the kernel's cycles, the
+        results — and a pulled group one, the fetch of its master storage
+        (§3.3), padded with no-op zeros so element ``i`` belongs to group
+        ``i // 4``.  ``hot_hits`` and the task counters follow the
+        booking.  When it raises at group ``j``, routing is rolled back
+        and replayed for groups ``0..j``, and the counters take the
+        groups before ``j`` plus ``j`` itself if pushed: what charging
+        group by group leaves behind.
+        """
+        reps = self.tree.replicas
+        if reps is None:
+            mods = [m.module for m, _ in groups]
+        else:
+            routed = reps.routing_state()
+            mods = [reps.read_module(m, len(ts)) for m, ts in groups]
+        n = len(groups)
+        amounts = np.zeros((n, 4))
+        if pulled:
+            is_pulled = np.fromiter((m in pulled for m, _ in groups), dtype=bool,
+                                    count=n)
+            cfg = self.config
+            amounts[is_pulled, 3] = [m.size_words(cfg) for m, _ in groups
+                                     if m in pulled]
+            rows = ~is_pulled
+        else:
+            rows = slice(None)
+        if out is not None:
+            amounts[rows, 0] = PIM_TASK_DISPATCH_CYCLES
+            amounts[rows, 1] = out.send
+            amounts[rows, 2] = out.cycles
+            amounts[rows, 3] = out.recv
+        kinds = (_GROUP_KINDS[:4 * n] if 4 * n <= len(_GROUP_KINDS)
+                 else np.resize(_GROUP_KINDS, 4 * n))
+        try:
+            self.sys.charge_sequence(
+                kinds, np.array(mods, dtype=np.intp).repeat(4),
+                amounts.reshape(-1))
+        except FaultError as e:
+            j = e.charge_index // 4
+            if reps is not None:
+                reps.restore_routing(routed)
+                for m, ts in groups[:j + 1]:
+                    reps.read_module(m, len(ts))
+            done = groups[:j + (groups[j][0] not in pulled)]
+            self._count(done, pulled)
+            raise
+        self._count(groups, pulled)
+        self.rounds_executed += 1
+
+    def _count(self, groups, pulled) -> None:
+        """Book the groups' task counters and pushed ``hot_hits``."""
+        n_pushed = n_pulled = 0
+        for meta, ts in groups:
+            k = len(ts)
+            if meta in pulled:
+                n_pulled += k
+            else:
+                n_pushed += k
+                # Popularity signal for repro.balance victim selection:
+                # count the tasks this meta drew onto its module.
+                meta.hot_hits += k
+        self.pushed_tasks += n_pushed
+        self.pulled_tasks += n_pulled
+
     # ------------------------------------------------------------------
     def _decide_pulls(self, by_meta: dict[MetaNode, list[Task]]) -> set[MetaNode]:
         cfg = self.config
         if not cfg.push_pull:
+            return set()
+        # Both rules pull only a group larger than their threshold, so a
+        # round with no such group pulls nothing.
+        sizes = list(map(len, by_meta.values()))
+        if max(sizes) <= min(cfg.pull_threshold_l1, cfg.pull_threshold_l2):
             return set()
         pulled: set[MetaNode] = set()
 
         # L1 rule (Alg. 1 step 2): pull hot meta-nodes while the busiest
         # module gets more than `factor`× the average load.
         l1_counts = {
-            m: len(ts) for m, ts in by_meta.items() if m.layer == Layer.L1
+            m: c for m, c in zip(by_meta, sizes) if m.layer == Layer.L1
         }
         k_l1 = cfg.pull_threshold_l1
         while l1_counts:
@@ -246,7 +307,7 @@ class PushPullExecutor:
         # L2 rule (Alg. 1 step 4): pull any meta-node with more than B
         # queries.
         k_l2 = cfg.pull_threshold_l2
-        for m, ts in by_meta.items():
-            if m.layer == Layer.L2 and len(ts) > k_l2:
+        for m, c in zip(by_meta, sizes):
+            if m.layer == Layer.L2 and c > k_l2:
                 pulled.add(m)
         return pulled

@@ -71,10 +71,11 @@ kept as the test oracle ``tests/exec_oracle.py``.  This works because
    child ``key_lo``) and gathered rows by (task, ``~key_lo``) — each the
    per-group scalar order prefixed with the group.  A task's visit set
    depends only on round-start state (kNN prunes on the round-start
-   radius), never on another group, and the executor still charges group
-   by group in ``by_meta`` order with the scalar call sequence, so the
-   drop-RNG stream, dead-module checks, tracing and replica read routing
-   see exactly the calls they saw before.
+   radius), never on another group.  The executor books the round as one
+   ``charge_sequence`` whose elements are, in ``by_meta`` order, the
+   per-group scalar calls, and read routing still runs group by group,
+   so the drop-RNG stream, dead-module raise points, tracing and replica
+   routing see exactly what per-group charging gave them.
 
 The host passes keep the same contract without rounds: their charges
 are integer CPU ops, summed into one ``charge_cpu`` per pass; their LLC
@@ -96,6 +97,7 @@ from operator import attrgetter, is_not
 
 import numpy as np
 
+from ..pim.model import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
 from .chunking import MetaNode
 from .geometry import LINF, Metric
 from .node import Layer, Node, subtree_nodes
@@ -106,6 +108,7 @@ from .push_pull import (
     L0_PIM_CYCLES_PER_NODE,
     PIM_BOX_TEST_CYCLES,
     PIM_POINT_BASE_CYCLES,
+    RESULT_WORDS,
     TRACE_WORDS,
     RoundOutput,
     Task,
@@ -135,6 +138,7 @@ _U64 = np.uint64
 _NID, _ROW, _SC = attrgetter("nid"), attrgetter("row"), attrgetter("sc")
 _COUNT, _DEPTH, _LAYER = attrgetter("count"), attrgetter("depth"), attrgetter("layer")
 _PREFIX, _KEYS = attrgetter("prefix"), attrgetter("keys")
+_SEND_WORDS = attrgetter("send_words")
 _LEFT, _RIGHT, _TRACE = attrgetter("left"), attrgetter("right"), attrgetter("trace")
 # Layers as plain ints for array compares: an IntEnum operand sends NumPy
 # through the enum metaclass's ``__getattr__`` on every compare.
@@ -464,9 +468,10 @@ def route_through_l0(tree, results) -> list[Task]:
         cyc_by: dict[int, float] = {}
         recv_by: dict[int, float] = {}
         # Aggregate per placed module; all three dicts share one key
-        # sequence (first-appearance order), so a single mids array drives
-        # the three array-native charges below — and, under a drop-prone
-        # fault plan, the per-transfer RNG is consumed in that same order.
+        # sequence (first-appearance order), and the round books every
+        # module's send, then every module's cycles, then every module's
+        # recv, in that order — so a drop-prone fault plan rolls the
+        # transfers in that order too.
         for res in results:
             mid = sys.place(("l0q", salt, res.qid))
             send_by[mid] = send_by.get(mid, 0.0) + 2
@@ -476,17 +481,16 @@ def route_through_l0(tree, results) -> list[Task]:
             recv_by[mid] = recv_by.get(mid, 0.0) + TRACE_WORDS
         n_mids = len(send_by)
         mids = np.fromiter(send_by.keys(), dtype=np.intp, count=n_mids)
+        amounts = np.fromiter(
+            chain(send_by.values(), cyc_by.values(), recv_by.values()),
+            dtype=np.float64, count=3 * n_mids)
         with sys.round():
-            sys.send_array(
-                mids, np.fromiter(send_by.values(), dtype=np.float64,
-                                  count=n_mids))
-            sys.charge_pim_array(
-                mids, np.fromiter(cyc_by.values(), dtype=np.float64,
-                                  count=n_mids))
-            sys.recv_array(
-                mids, np.fromiter(recv_by.values(), dtype=np.float64,
-                                  count=n_mids))
+            sys.charge_sequence(np.repeat(_ROUTE_KINDS, n_mids),
+                                np.tile(mids, 3), amounts)
     return tasks
+
+
+_ROUTE_KINDS = np.array([CHARGE_SEND, CHARGE_PIM, CHARGE_RECV], dtype=np.intp)
 
 
 # Batches up to this many queries route key by key.  Measured crossover:
@@ -635,7 +639,8 @@ class _Round:
         self.out = RoundOutput(n_groups)
         self._work_t: list[np.ndarray] = []
         self._work: list[np.ndarray] = []
-        self._recv = np.zeros(n)
+        # Every task's reply carries a RESULT_WORDS header.
+        self._recv = np.full(n, float(RESULT_WORDS))
         self._seen_t: list[np.ndarray] = []
         self._seen_r: list[np.ndarray] = []
 
@@ -704,9 +709,12 @@ class _Round:
             out.cycles = np.bincount(
                 self.grp[np.concatenate(self._work_t)], weights=work,
                 minlength=n_groups,
-            ).tolist()
+            )
         out.recv = np.bincount(self.grp, weights=self._recv,
-                               minlength=n_groups).tolist()
+                               minlength=n_groups)
+        send = np.fromiter(map(_SEND_WORDS, self.tasks), dtype=np.float64,
+                           count=len(self.tasks))
+        out.send = np.bincount(self.grp, weights=send, minlength=n_groups)
         return out
 
 
@@ -738,9 +746,9 @@ def make_search_kernel(tree, results):
         cyc_of: dict[MetaNode, float] = {}
         for gi, (meta, ts) in enumerate(groups):
             l1_rule = meta.layer == Layer.L1 and not on_host
-            cycles = 0.0
-            recv = 0.0
+            cycles = recv = send = 0.0
             for t in ts:
+                send += t.send_words
                 res = results[t.qid]
                 node = t.node
                 while True:
@@ -766,9 +774,10 @@ def make_search_kernel(tree, results):
                         continue
                     out.emits.append(Task(t.qid, child.meta, child))
                     break
-                recv += TRACE_WORDS
+                recv += TRACE_WORDS + RESULT_WORDS
             out.cycles[gi] = cycles
             out.recv[gi] = recv
+            out.send[gi] = send
         out.cpu_ops = float(CPU_NODE_OPS * len(touched))
         return out
 

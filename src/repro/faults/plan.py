@@ -155,6 +155,34 @@ class FaultPlan:
             return None
         if self._rng.random() >= self.drop_rate:
             return None
+        return self.record_drop(direction, mid, words, round_index)
+
+    def first_drop(self, n: int) -> int:
+        """Roll ``n`` transfers for loss at once: the index of the first
+        lost one, or ``n`` if none is.
+
+        Consumes exactly the draws :meth:`should_drop` makes rolling the
+        same transfers one by one up to the first loss: ``random(n)``
+        yields the doubles of ``n`` single ``random()`` calls, and after a
+        loss the generator is rewound and re-advanced past that roll
+        only.  Records nothing; the caller books the loss with
+        :meth:`record_drop`.
+        """
+        if self.paused or self.drop_rate <= 0.0 or n == 0:
+            return n
+        bitgen = self._rng.bit_generator
+        state = bitgen.state
+        lost = np.flatnonzero(self._rng.random(n) < self.drop_rate)
+        if not lost.size:
+            return n
+        j = int(lost[0])
+        bitgen.state = state
+        self._rng.random(j + 1)
+        return j
+
+    def record_drop(self, direction: str, mid: int, words: float,
+                    round_index: int) -> FaultEvent:
+        """Record one lost transfer; returns the event."""
         ev = FaultEvent("drop", mid, round_index, float(words), direction)
         self.events.append(ev)
         return ev

@@ -15,10 +15,13 @@ from .cost_model import (
     SimTime,
     upmem_scaled,
 )
-from .model import PIMSystem
+from .model import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PIMSystem
 from .stats import PhaseCounters, PIMStats
 
 __all__ = [
+    "CHARGE_PIM",
+    "CHARGE_RECV",
+    "CHARGE_SEND",
     "CONSERVATIVE_PIM_2048",
     "FUTURE_PIM_2048",
     "LRUCache",

@@ -30,9 +30,10 @@ are byte-identical to an untraced run.
 
 All per-module state lives in NumPy arrays, one slot per module
 (:class:`~repro.pim.vector.VectorState`): ``charge_pim``/``send``/``recv``
-write one slot, the array-native entry points (:meth:`charge_pim_array`,
-:meth:`send_array`, :meth:`recv_array`) write many, and a round closes
-with a handful of array reductions.  ``tests/sim_oracle.py`` keeps the
+write one slot, :meth:`charge_sequence` books a whole ordered sequence of
+them with a few ``np.add.at`` calls (:meth:`charge_pim_array`,
+:meth:`send_array` and :meth:`recv_array` are its one-kind forms), and a
+round closes with a handful of array reductions.  ``tests/sim_oracle.py`` keeps the
 same machine as one Python object per module, charged call by call; the
 differential suites hold the two to byte-identical :class:`PIMStats`.
 
@@ -58,9 +59,9 @@ import numpy as np
 from ..faults.errors import MachineKill, MessageLoss, ModuleFailure
 from .cache import LRUCache
 from .stats import PIMStats
-from .vector import ModuleView, VectorState
+from .vector import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, ModuleView, VectorState
 
-__all__ = ["PIMSystem"]
+__all__ = ["PIMSystem", "CHARGE_PIM", "CHARGE_SEND", "CHARGE_RECV"]
 
 _WORDS_PER_BLOCK = 8  # 64-byte cache blocks
 
@@ -467,12 +468,14 @@ class PIMSystem:
         v = self._vec
         mids = np.flatnonzero(v.dirty)  # ascending module ids
         mids_list = mids.tolist()
-        rc = v.round_cycles[mids]
-        rw = v.round_send_words[mids] + v.round_recv_words[mids]
-        i_straggler = int(np.argmax(rc))
+        rb = v.round_totals(mids)
+        rc = rb[CHARGE_PIM]
+        v.total_cycles[mids] += rc
+        rw = rb[CHARGE_SEND] + rb[CHARGE_RECV]
+        i_straggler = int(rc.argmax())
         straggler_mid = mids_list[i_straggler]
         max_cycles = float(rc[i_straggler])
-        i_words = int(np.argmax(rw))
+        i_words = int(rw.argmax())
         max_words = float(rw[i_words])
         max_words_mid = mids_list[i_words] if max_words > 0 else None
         if max_words <= 0:
@@ -486,17 +489,20 @@ class PIMSystem:
         t.comm_max_words += max_words
         t.rounds += 1
         t.module_rounds += module_rounds
+        # Per-phase arrays are (kind, module); a module's words are its
+        # send and recv rows together.
         for ph, arr in v.round_phase_cycles.items():
-            c = float(arr[straggler_mid])
+            c = float(arr[CHARGE_PIM, straggler_mid])
             if c != 0.0:
                 self.stats.phase(ph).pim_cycles += c
         for ph, arr in v.round_phase_words.items():
-            w = float(arr.sum())
+            w = float(arr[CHARGE_SEND:].sum())
             if w != 0.0:
                 self.stats.phase(ph).comm_words += w
         if max_words_mid is not None:
             for ph, arr in v.round_phase_words.items():
-                w = float(arr[max_words_mid])
+                w = float(arr[CHARGE_SEND, max_words_mid]
+                          + arr[CHARGE_RECV, max_words_mid])
                 if w != 0.0:
                     self.stats.phase(ph).comm_max_words += w
         entry = self.stats.phase(self._round_entry_phase)
@@ -507,6 +513,10 @@ class PIMSystem:
         if self._trace is not None:
             from ..obs.trace import RoundRecord
 
+            cycles = {ph: arr[CHARGE_PIM]
+                      for ph, arr in v.round_phase_cycles.items()}
+            words = {ph: arr[CHARGE_SEND] + arr[CHARGE_RECV]
+                     for ph, arr in v.round_phase_words.items()}
             self._trace.on_round(
                 RoundRecord(
                     index=self._rounds_charged,
@@ -520,22 +530,17 @@ class PIMSystem:
                     ),
                     module_rounds=module_rounds,
                     touched=len(mids_list),
-                    cycles_by_module={
-                        m: float(v.round_cycles[m]) for m in mids_list
-                    },
-                    words_by_module={
-                        m: float(v.round_send_words[m] + v.round_recv_words[m])
-                        for m in mids_list
-                    },
+                    cycles_by_module=dict(zip(mids_list, rc.tolist())),
+                    words_by_module=dict(zip(mids_list, rw.tolist())),
                     pim_cycles_by_phase={
                         ph: float(arr[straggler_mid])
-                        for ph, arr in v.round_phase_cycles.items()
+                        for ph, arr in cycles.items()
                         if arr[straggler_mid] != 0.0
                     },
                     phase_words_by_module={
                         m: {
                             ph: float(arr[m])
-                            for ph, arr in v.round_phase_words.items()
+                            for ph, arr in words.items()
                             if arr[m] != 0.0
                         }
                         for m in mids_list
@@ -543,7 +548,7 @@ class PIMSystem:
                     comm_max_words_by_phase=(
                         {
                             ph: float(arr[max_words_mid])
-                            for ph, arr in v.round_phase_words.items()
+                            for ph, arr in words.items()
                             if arr[max_words_mid] != 0.0
                         }
                         if max_words_mid is not None
@@ -561,7 +566,7 @@ class PIMSystem:
 
     # charge_pim / send / recv write the module's array slots inline (no
     # helper calls on the hot path): mark it dirty, then add into the
-    # round, total and phase arrays.
+    # current phase's array at (kind, module).
 
     def charge_pim(self, mid: int, cycles: float) -> None:
         """Charge PIM-core cycles on module ``mid`` in the current round.
@@ -585,9 +590,7 @@ class PIMSystem:
                 cycles = cycles * f
         v = self._vec
         v.dirty[mid] = True
-        v.round_cycles[mid] += cycles
-        v.total_cycles[mid] += cycles
-        v.phase_cycles(phase)[mid] += cycles
+        v.phase_cycles(phase)[CHARGE_PIM, mid] += cycles
         if self._trace is not None:
             self._trace.on_pim(phase, mid, cycles)
 
@@ -611,8 +614,7 @@ class PIMSystem:
         v.dirty[mid] = True
         if self._faults is not None:
             self._check_drop("send", mid, words)
-        v.round_recv_words[mid] += words
-        v.phase_words(phase)[mid] += words
+        v.phase_words(phase)[CHARGE_SEND, mid] += words
         if self._trace is not None:
             self._trace.on_send(phase, mid, words)
 
@@ -630,90 +632,123 @@ class PIMSystem:
         v.dirty[mid] = True
         if self._faults is not None:
             self._check_drop("recv", mid, words)
-        v.round_send_words[mid] += words
-        v.phase_words(phase)[mid] += words
+        v.phase_words(phase)[CHARGE_RECV, mid] += words
         if self._trace is not None:
             self._trace.on_recv(phase, mid, words)
 
     # -- array-native entry points --------------------------------------
-    #
-    # charge_pim_array / send_array / recv_array accept parallel (mids,
-    # amounts) arrays and update the VectorState arrays with a handful of
-    # NumPy ops — the path the vexec kernels and the bulk upload ride at
-    # P=2048.  Whenever a tracer, dead modules, or armed drop faults demand
-    # exact per-element semantics they degrade to the element-by-element
-    # calls, so they are byte-identical to a hand-written loop by
-    # construction.
 
-    @staticmethod
-    def _as_charge_arrays(mids, amounts):
-        """Canonicalise to (intp mids, float64 amounts) with zeros dropped."""
+    def charge_sequence(self, kinds, mids, amounts) -> None:
+        """Book a sequence of PIM charges and transfers in one call.
+
+        Element ``i`` is the triple ``(kinds[i], mids[i], amounts[i])``,
+        its kind one of :data:`CHARGE_PIM`, :data:`CHARGE_SEND`,
+        :data:`CHARGE_RECV` (a scalar kind or amount applies to every
+        element).  The call is byte-identical to making the matching
+        :meth:`charge_pim` / :meth:`send` / :meth:`recv` call once per
+        element in order: zero amounts are no-ops, straggler factors
+        multiply each PIM element, and ``np.add.at`` adds every amount
+        into its slots in element order.
+
+        A charge to a dead module or a dropped transfer at element ``j``
+        books the elements before ``j`` (a dropped transfer also marks
+        its module touched, as :meth:`send` does) and then raises what
+        the scalar call raises, with ``charge_index = j``: the position in
+        the caller's sequence, zero elements counted.  The drop rolls come
+        from one :meth:`~repro.faults.FaultPlan.first_drop` call, which
+        consumes exactly the draws the scalar calls would.  A tracer sees
+        the booked elements' events in element order after the booking,
+        then the fault.
+        """
         mids = np.asarray(mids, dtype=np.intp)
         amounts = np.asarray(amounts, dtype=np.float64)
+        kinds = np.asarray(kinds, dtype=np.intp)
         if amounts.ndim == 0:
-            amounts = np.broadcast_to(amounts, mids.shape)
-        nz = amounts != 0.0
-        if not nz.all():
-            mids = mids[nz]
-            amounts = amounts[nz]
-        return mids, amounts
+            amounts = np.full(mids.shape, amounts)
+        if kinds.ndim == 0:
+            kinds = np.full(mids.shape, kinds)
+        pos = None
+        if np.count_nonzero(amounts) < amounts.size:
+            pos = np.flatnonzero(amounts)
+            kinds, mids, amounts = kinds[pos], mids[pos], amounts[pos]
+        if not mids.size:
+            return
+        if not self._in_round:
+            raise RuntimeError("PIM activity is only legal inside a BSP round")
+        end, err = len(mids), None
+        if self._faults is not None or self._dead:
+            amounts, end, err = self._fault_prefix(kinds, mids, amounts)
+            kinds, mids, amounts = kinds[:end], mids[:end], amounts[:end]
+        if end:
+            # Each kind is a row of the phase's (3, P) array: one flat
+            # add.at books the sequence, every slot in element order.
+            v = self._vec
+            v.dirty[mids] = True
+            idx = kinds * self.n_modules
+            idx += mids
+            phase = self.current_phase
+            n_xfer = np.count_nonzero(kinds)  # CHARGE_PIM is 0
+            if n_xfer < len(kinds):
+                arr = v.phase_cycles(phase)
+            if n_xfer:
+                arr = v.phase_words(phase)
+            np.add.at(arr.reshape(-1), idx, amounts)
+            if self._trace is not None:
+                t = self._trace
+                hooks = (t.on_pim, t.on_send, t.on_recv)
+                for k, mid, a in zip(kinds.tolist(), mids.tolist(),
+                                     amounts.tolist()):
+                    hooks[k](phase, mid, a)
+        if err is not None:
+            if isinstance(err, MessageLoss):
+                self._notify_fault(self._faults.record_drop(
+                    err.direction, err.mid, err.words, self._rounds_charged))
+            err.charge_index = end if pos is None else int(pos[end])
+            raise err
+
+    def _fault_prefix(self, kinds, mids, amounts):
+        """Apply straggler factors and find where a sequence stops.
+
+        Returns ``(amounts, end, err)``: the amounts with each PIM element
+        slowed, the number of elements that book, and the error element
+        ``end`` raises (``None`` if all book).  A dropped transfer marks
+        its module touched here.
+        """
+        v, plan = self._vec, self._faults
+        pim = kinds == CHARGE_PIM
+        if plan is not None:
+            # x * 1.0 == x exactly, so the all-ones baseline is inert.
+            slowed = amounts * plan.slow_vector(self.n_modules)[mids]
+            amounts = np.where(pim, slowed, amounts)
+        end, err = len(mids), None
+        if self._dead:
+            dead = np.flatnonzero(v.failed[mids])
+            if dead.size:
+                end = int(dead[0])
+                err = ModuleFailure(int(mids[end]))
+        if plan is not None:
+            xfer = np.flatnonzero(~pim[:end])
+            j = plan.first_drop(len(xfer))
+            if j < len(xfer):
+                end = int(xfer[j])
+                mid = int(mids[end])
+                v.dirty[mid] = True
+                direction = "send" if kinds[end] == CHARGE_SEND else "recv"
+                err = MessageLoss(mid, direction, float(amounts[end]))
+        return amounts, end, err
 
     def charge_pim_array(self, mids, cycles) -> None:
-        """Charge PIM cycles on many modules from parallel arrays.
-
-        Zero entries are skipped (same no-op semantics as
-        :meth:`charge_pim`); slowdown factors are applied as a per-module
-        multiplier vector.  Byte-identical to calling :meth:`charge_pim`
-        once per element in array order.
-        """
-        mids, cycles = self._as_charge_arrays(mids, cycles)
-        if mids.size == 0:
-            return
-        v = self._vec
-        if self._trace is not None or self._dead:
-            for mid, c in zip(mids.tolist(), cycles.tolist()):
-                self.charge_pim(mid, c)
-            return
-        if not self._in_round:
-            raise RuntimeError("PIM activity is only legal inside a BSP round")
-        if self._faults is not None:
-            # x * 1.0 == x exactly, so the all-ones baseline is inert.
-            cycles = cycles * self._faults.slow_vector(self.n_modules)[mids]
-        v.dirty[mids] = True
-        phase_arr = v.phase_cycles(self.current_phase)
-        np.add.at(v.round_cycles, mids, cycles)
-        np.add.at(v.total_cycles, mids, cycles)
-        np.add.at(phase_arr, mids, cycles)
-
-    def _transfer_array(self, direction: str, mids, words) -> None:
-        mids, words = self._as_charge_arrays(mids, words)
-        if mids.size == 0:
-            return
-        v = self._vec
-        drops_armed = (self._faults is not None
-                       and self._faults.drop_rate > 0.0
-                       and not self._faults.paused)
-        if self._trace is not None or self._dead or drops_armed:
-            # Element-by-element: preserves per-transfer drop-RNG order,
-            # exact ModuleFailure raise points, and per-charge tracing.
-            scalar = self.send if direction == "send" else self.recv
-            for mid, w in zip(mids.tolist(), words.tolist()):
-                scalar(mid, w)
-            return
-        if not self._in_round:
-            raise RuntimeError("PIM activity is only legal inside a BSP round")
-        v.dirty[mids] = True
-        acc = v.round_recv_words if direction == "send" else v.round_send_words
-        np.add.at(acc, mids, words)
-        np.add.at(v.phase_words(self.current_phase), mids, words)
+        """PIM cycles on many modules: :meth:`charge_sequence` with every
+        element a :data:`CHARGE_PIM`."""
+        self.charge_sequence(CHARGE_PIM, mids, cycles)
 
     def send_array(self, mids, words) -> None:
         """CPU → module transfers from parallel (mids, words) arrays."""
-        self._transfer_array("send", mids, words)
+        self.charge_sequence(CHARGE_SEND, mids, words)
 
     def recv_array(self, mids, words) -> None:
         """Module → CPU transfers from parallel (mids, words) arrays."""
-        self._transfer_array("recv", mids, words)
+        self.charge_sequence(CHARGE_RECV, mids, words)
 
     def charge_comm_flat(self, words: float) -> None:
         """Charge CPU↔PIM words without binding them to a specific round.

@@ -1,10 +1,12 @@
 """Array-backed per-module state: the simulator core.
 
 :class:`VectorState` holds one NumPy array per per-module counter,
-indexed by module id.  Per-round phase attribution is decided at charge
-time: one lazily created float64 array per phase label active in the
-current round (``round_phase_cycles`` / ``round_phase_words``), cleared
-at round close.
+indexed by module id.  A round's charges accumulate per phase label:
+one lazily created ``(3, n)`` array per label active in the round, rows
+by charge kind (:data:`CHARGE_PIM`, :data:`CHARGE_SEND`,
+:data:`CHARGE_RECV`), so a mixed sequence of charges books with one flat
+index ``kind * n + mid``.  The round's per-module totals are the phase
+arrays summed when it closes; the arrays are then dropped.
 
 Every charge the simulator books is integer-valued (the contract the
 vectorized exec layer already relies on), so float64 array sums are
@@ -23,7 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["VectorState", "ModuleView"]
+__all__ = ["VectorState", "ModuleView", "CHARGE_PIM", "CHARGE_SEND",
+           "CHARGE_RECV"]
+
+# Charge kinds: a charge_pim (cycles), a send (words CPU → module) or a
+# recv (words module → CPU).  Each is the row a charge of that kind books
+# into in a per-phase array.
+CHARGE_PIM, CHARGE_SEND, CHARGE_RECV = 0, 1, 2
 
 
 class VectorState:
@@ -33,9 +41,6 @@ class VectorState:
         "n",
         "capacity_words",
         "total_cycles",
-        "round_cycles",
-        "round_send_words",
-        "round_recv_words",
         "master_words",
         "cache_words",
         "failed",
@@ -50,42 +55,61 @@ class VectorState:
         # Per-module capacity (None = unlimited), a plain list so recovery
         # and the planner's tests can set a single module's budget.
         self.capacity_words: list = [capacity_words] * int(n)
+        # Cumulative cycles of the closed rounds: a round adds its cycles
+        # when it closes.
         self.total_cycles = np.zeros(n, dtype=np.float64)
-        self.round_cycles = np.zeros(n, dtype=np.float64)
-        self.round_send_words = np.zeros(n, dtype=np.float64)
-        self.round_recv_words = np.zeros(n, dtype=np.float64)
         self.master_words = np.zeros(n, dtype=np.float64)
         self.cache_words = np.zeros(n, dtype=np.float64)
         self.failed = np.zeros(n, dtype=bool)
         # Modules touched this round.  A mask beats a Python set here:
         # marking 2048 modules is one fancy-index store, not 2048 hashes.
         self.dirty = np.zeros(n, dtype=bool)
-        # Charge-time phase attribution for the current round: one array
-        # per phase label, created on first charge under that label.
+        # The current round's charges: one (3, n) array per phase label,
+        # rows by kind, created on the first charge under that label.
+        # round_phase_cycles lists the labels in the order of their first
+        # PIM charge, round_phase_words in the order of their first
+        # transfer; a label with both is one array in both.
         self.round_phase_cycles: dict[str, np.ndarray] = {}
         self.round_phase_words: dict[str, np.ndarray] = {}
         self.views = [ModuleView(self, mid) for mid in range(self.n)]
 
     # -- per-round phase arrays ----------------------------------------
     def phase_cycles(self, phase: str) -> np.ndarray:
+        """``phase``'s array, listed as a label with PIM cycles."""
         arr = self.round_phase_cycles.get(phase)
         if arr is None:
-            arr = np.zeros(self.n, dtype=np.float64)
+            arr = self.round_phase_words.get(phase)
+            if arr is None:
+                arr = np.zeros((3, self.n), dtype=np.float64)
             self.round_phase_cycles[phase] = arr
         return arr
 
     def phase_words(self, phase: str) -> np.ndarray:
+        """``phase``'s array, listed as a label with transfers."""
         arr = self.round_phase_words.get(phase)
         if arr is None:
-            arr = np.zeros(self.n, dtype=np.float64)
+            arr = self.round_phase_cycles.get(phase)
+            if arr is None:
+                arr = np.zeros((3, self.n), dtype=np.float64)
             self.round_phase_words[phase] = arr
         return arr
 
+    def round_totals(self, mids) -> np.ndarray:
+        """The round's charges so far as a ``(3, len(mids))`` array, rows
+        by kind, columns for modules ``mids``: the phase arrays summed."""
+        cyc = self.round_phase_cycles
+        arrs = list(cyc.values())
+        arrs += [arr for ph, arr in self.round_phase_words.items()
+                 if ph not in cyc]
+        if len(arrs) == 1:
+            return arrs[0].take(mids, axis=1)
+        out = np.zeros((3, len(mids)), dtype=np.float64)
+        for arr in arrs:
+            out += arr.take(mids, axis=1)
+        return out
+
     def reset_round(self, mids: np.ndarray) -> None:
-        """Clear the round accumulators of the modules in ``mids``."""
-        self.round_cycles[mids] = 0.0
-        self.round_send_words[mids] = 0.0
-        self.round_recv_words[mids] = 0.0
+        """Drop the round's phase arrays; ``mids`` are its touched modules."""
         self.dirty[mids] = False
         self.round_phase_cycles.clear()
         self.round_phase_words.clear()

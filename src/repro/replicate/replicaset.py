@@ -203,6 +203,16 @@ class ReplicaSet:
         self._routed[best] = best_load + float(weight)
         return best
 
+    def routing_state(self) -> dict[int, float]:
+        """A copy of the routed-work counters (see :meth:`restore_routing`)."""
+        return dict(self._routed)
+
+    def restore_routing(self, state: dict[int, float]) -> None:
+        """Roll the routed-work counters back to a :meth:`routing_state`
+        copy: a round whose charging failed part-way replays only the
+        reads it got to."""
+        self._routed = dict(state)
+
     # ------------------------------------------------------------------
     # write fan-out
     # ------------------------------------------------------------------

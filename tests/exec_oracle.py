@@ -12,6 +12,11 @@ integer, so both engines must book byte-identical PIMStats — the
 property ``tests/test_differential_exec.py``, ``test_knn_host_pipeline``
 and ``test_golden_stats`` hold production to.
 
+:func:`run_per_group` is the production executor as it was before its
+rounds were booked with one ``charge_sequence`` call: the same kernels,
+each (meta, tasks) group charged by its own scalar calls.  It is the
+reference for that booking under faults, tracing and replica routing.
+
 :func:`reference_exec` swaps this engine into the production modules
 for the duration of a ``with`` block.  It composes with the scalar
 simulator core of ``tests/sim_oracle.py``::
@@ -51,7 +56,7 @@ from repro.core.push_pull import (
     Task,
 )
 
-__all__ = ["ExecContext", "reference_exec", "exec_engine"]
+__all__ = ["ExecContext", "reference_exec", "exec_engine", "run_per_group"]
 
 
 # ======================================================================
@@ -185,6 +190,75 @@ def _run(self, tasks, handler, *, round_hook=None, prune=None):
         if round_hook is not None:
             round_hook(results)
         frontier = next_frontier
+    return results
+
+
+def run_per_group(self, tasks, kernel, *, round_hook=None, prune=None):
+    """``PushPullExecutor.run`` charging group by group: the reference for
+    its one-call round booking.
+
+    Production kernels, production pull decisions; each group makes its
+    own scalar calls in ``by_meta`` order — routing, then the counters and
+    ``hot_hits``, then ``charge_pim``/``send``/``charge_pim``/``recv`` (a
+    pulled group one ``recv``) — so a fault at group ``j`` leaves groups
+    after ``j`` untouched by construction.  Swap it in with
+    ``monkeypatch.setattr(PushPullExecutor, "run", run_per_group)``.
+    """
+    results: dict[int, list] = defaultdict(list)
+    sys = self.sys
+    frontier = list(tasks)
+    while frontier:
+        by_meta = defaultdict(list)
+        for t in frontier:
+            by_meta[t.meta].append(t)
+        pulled = self._decide_pulls(by_meta)
+        if prune is not None:
+            by_meta = {
+                m: kept
+                for m, ts in by_meta.items()
+                if (kept := [t for t in ts if not prune(t)])
+            }
+            if not by_meta:
+                break
+        pulled_items = []
+        pushed = [(m, ts) for m, ts in by_meta.items() if m not in pulled]
+        outs = []
+        if pushed:
+            out = kernel(pushed, False)
+            outs.append(out)
+        gi = 0
+        reps = self.tree.replicas
+        with sys.round():
+            for meta, ts in by_meta.items():
+                mod = (meta.module if reps is None
+                       else reps.read_module(meta, len(ts)))
+                if meta in pulled:
+                    sys.recv(mod, meta.size_words(self.config))
+                    pulled_items.append((meta, ts))
+                    self.pulled_tasks += len(ts)
+                    continue
+                self.pushed_tasks += len(ts)
+                meta.hot_hits += len(ts)
+                sys.charge_pim(mod, PIM_TASK_DISPATCH_CYCLES)
+                sys.send(mod, sum(t.send_words for t in ts))
+                sys.charge_pim(mod, float(out.cycles[gi]))
+                sys.recv(mod, float(out.recv[gi]))
+                gi += 1
+            self.rounds_executed += 1
+        if pulled_items:
+            self.pulled_metas += len(pulled_items)
+            host = kernel(pulled_items, True)
+            sys.charge_cpu(host.cpu_ops)
+            sys.touch_cpu_blocks(
+                ("pimzd", "pulled", nid) for nid in host.touched)
+            outs.append(host)
+        frontier = []
+        for o in outs:
+            for qid, value in o.results:
+                results[qid].append(value)
+            frontier += o.emits
+        if round_hook is not None:
+            round_hook(results)
     return results
 
 

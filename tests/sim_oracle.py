@@ -24,8 +24,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.faults.errors import MachineKill, ModuleFailure
-from repro.pim import PIMSystem
+from repro.faults.errors import FaultError, MachineKill, ModuleFailure
+from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PIMSystem
 
 __all__ = ["PIMModule", "ScalarPIMSystem"]
 
@@ -249,16 +249,22 @@ class ScalarPIMSystem(PIMSystem):
         if self._trace is not None:
             self._trace.on_recv(phase, mid, words)
 
-    def charge_pim_array(self, mids, cycles) -> None:
-        mids, cycles = self._as_charge_arrays(mids, cycles)
-        for mid, c in zip(mids.tolist(), cycles.tolist()):
-            self.charge_pim(mid, c)
-
-    def _transfer_array(self, direction: str, mids, words) -> None:
-        mids, words = self._as_charge_arrays(mids, words)
-        scalar = self.send if direction == "send" else self.recv
-        for mid, w in zip(mids.tolist(), words.tolist()):
-            scalar(mid, w)
+    def charge_sequence(self, kinds, mids, amounts) -> None:
+        """One scalar call per element, in order; a fault names the
+        element it stopped at, as production's ``charge_index`` does."""
+        mids = np.asarray(mids, dtype=np.intp)
+        amounts = np.broadcast_to(np.asarray(amounts, dtype=np.float64),
+                                  mids.shape)
+        kinds = np.broadcast_to(np.asarray(kinds, dtype=np.intp), mids.shape)
+        calls = {CHARGE_PIM: self.charge_pim, CHARGE_SEND: self.send,
+                 CHARGE_RECV: self.recv}
+        for i, (kind, mid, amount) in enumerate(zip(
+                kinds.tolist(), mids.tolist(), amounts.tolist())):
+            try:
+                calls[kind](mid, amount)
+            except FaultError as e:
+                e.charge_index = i
+                raise
 
     # -- residency -------------------------------------------------------
     def decommission(self, mid: int) -> None:

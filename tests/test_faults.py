@@ -352,6 +352,16 @@ class _DropNth(FaultPlan):
         self.events.append(ev)
         return ev
 
+    def first_drop(self, n):
+        if self.paused:
+            return n
+        j = self.nth - self.asked - 1
+        if 0 <= j < n:
+            self.asked += j + 1
+            return j
+        self.asked += n
+        return n
+
 
 @pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
 @pytest.mark.parametrize("op", ["insert", "delete"])

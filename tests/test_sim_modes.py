@@ -30,7 +30,7 @@ from sim_oracle import ScalarPIMSystem
 from repro.balance import HotnessTracker
 from repro.faults import FaultPlan, MessageLoss
 from repro.obs import TraceCollector
-from repro.pim import PIMSystem
+from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PIMSystem
 
 pytestmark = []
 
@@ -346,9 +346,8 @@ class TestModuleViewSurface:
             sys.charge_pim(1, 9.0)
             sys.recv(1, 2.0)
             sys.send(1, 3.0)
-            assert sys._vec.round_cycles[1] == 9.0
-            assert (sys._vec.round_send_words[1]
-                    + sys._vec.round_recv_words[1]) == 5.0
+            cycles, sent, received = sys._vec.round_totals([1])[:, 0]
+            assert cycles == 9.0 and sent + received == 5.0
         assert m.total_cycles == 9.0 and sys.modules[1].total_cycles == 9.0
         assert sys.stats.phases["build"].comm_words == 5.0
 
@@ -358,7 +357,8 @@ class TestModuleViewSurface:
 # ======================================================================
 VERBS = st.sampled_from(["pim", "send", "recv", "bulk_pim", "bulk_send",
                          "bulk_recv", "arr_pim", "arr_send", "arr_recv",
-                         "flat"])
+                         "flat", "seq"])
+KINDS = st.sampled_from([CHARGE_PIM, CHARGE_SEND, CHARGE_RECV])
 PHASES = st.sampled_from(["build", "query", "update", "other"])
 AMOUNTS = st.integers(0, 40)  # zeros included on purpose
 
@@ -373,7 +373,12 @@ def charge_scripts(draw):
         for _ in range(n_ops):
             verb = draw(VERBS)
             phase = draw(PHASES)
-            if verb.startswith(("bulk", "arr")):
+            if verb == "seq":
+                # Mixed kinds, zeros and repeated mids in one sequence.
+                ops.append((verb, phase, draw(st.lists(
+                    st.tuples(KINDS, st.integers(0, 3), AMOUNTS),
+                    min_size=0, max_size=12))))
+            elif verb.startswith(("bulk", "arr")):
                 pairs = draw(st.lists(
                     st.tuples(st.integers(0, 3), AMOUNTS),
                     min_size=0, max_size=5))
@@ -399,6 +404,10 @@ def _apply_script(sys: PIMSystem, script) -> None:
                         sys.recv(op[2], op[3])
                     elif verb == "flat":
                         sys.charge_comm_flat(op[3])
+                    elif verb == "seq":
+                        sys.charge_sequence([k for k, _, _ in op[2]],
+                                            [m for _, m, _ in op[2]],
+                                            [a for _, _, a in op[2]])
                     elif verb == "bulk_pim":
                         d = {}
                         for mid, amt in op[2]:
@@ -435,9 +444,10 @@ class TestSimModeDifferential:
         _apply_script(vector, script)
         assert_stats_identical(scalar, vector)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(script=charge_scripts(), seed=st.integers(0, 100))
-    def test_identical_under_faults(self, script, seed):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(script=charge_scripts(), seed=st.integers(0, 100),
+           traced=st.booleans())
+    def test_identical_under_faults(self, script, seed, traced):
         plan_kw = dict(seed=seed, drop_rate=0.15, slow_factors={1: 3.0},
                        storm_rate=0.3, storm_factor=4.0, storm_rounds=2,
                        crash_rate=0.05, max_crashes=2)
@@ -445,12 +455,16 @@ class TestSimModeDifferential:
             4, fault_plan=FaultPlan(**plan_kw))
         # Re-create the plan per system: each consumes its own RNG stream.
         vector._faults = FaultPlan(**plan_kw)
+        if traced:
+            for sys in (scalar, vector):
+                sys.attach_tracer(TraceCollector())
 
         def run(sys):
             try:
                 _apply_script(sys, script)
             except Exception as e:  # noqa: BLE001 - faults are the point
-                return type(e).__name__, str(e)
+                return (type(e).__name__, str(e),
+                        getattr(e, "charge_index", None))
             return None
 
         ra, rb = run(scalar), run(vector)
@@ -458,6 +472,10 @@ class TestSimModeDifferential:
         assert_stats_identical(scalar, vector)
         assert ([e.to_dict() for e in scalar.fault_plan.events]
                 == [e.to_dict() for e in vector.fault_plan.events])
+        if traced:
+            assert ([e.to_dict() for e in scalar.tracer.events()]
+                    == [e.to_dict() for e in vector.tracer.events()])
+            assert scalar.tracer.fault_events == vector.tracer.fault_events
 
     def test_straggler_tiebreak_matches(self):
         """Equal round cycles: both modes pick the lowest dirty mid."""
