@@ -317,10 +317,6 @@ class MortonCodec:
         """Encode float points to Morton keys."""
         return morton_encode(self.quantize(points), self.bits, fast=self.fast)
 
-    def decode_cell(self, keys: np.ndarray) -> np.ndarray:
-        """Grid coordinates of each key's cell."""
-        return morton_decode(keys, self.dims, self.bits, fast=self.fast)
-
     def prefix_box(self, prefix: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Bounding box of the tree node with the given key prefix.
 

@@ -18,9 +18,10 @@ Every structural change the tree makes is *recorded* as it happens, in one
   descendants, read *before* and *after* the change.
 
 ``refresh_residency`` hands the feed to its listeners in order — word
-accounting (:class:`WordLedger`), the replica registry, the route filters
-— and ``rechunk_stale`` reads the same marks for its candidates, so none
-of them walks every chunk, every L0 node or every module in steady state.
+accounting (:class:`WordLedger`), then each attached serving tier
+(``tree.tiers``: the replica registry, the route filters) — and
+``rechunk_stale`` reads the same marks for its candidates, so none of them
+walks every chunk, every L0 node or every module in steady state.
 One mark the tree cannot make is a module zeroed by
 ``PIMSystem.decommission``: the system bumps ``residency_epoch`` and the
 ledger re-books from an empty cache, the same routine that runs first
@@ -121,7 +122,6 @@ class WordLedger:
         sys, cfg, live = tree.system, tree.config, tree.metas
         dead = sys.dead_modules
         reps = tree.replicas
-        secs_of = reps._secondaries if reps is not None else {}
         mids: list[int] = []
         master: list[float] = []
         cache: list[float] = []
@@ -153,7 +153,7 @@ class WordLedger:
             old = entries.get(meta)
             if meta in live:
                 if old is None or meta in remake:
-                    secs = secs_of.get(meta.root.nid, ())
+                    secs = reps.secondaries(meta) if reps is not None else ()
                     new = (meta.module, meta.size_words(cfg), _holders(meta),
                            tuple(m for m in secs if m not in dead))
                 else:

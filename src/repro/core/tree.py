@@ -41,6 +41,11 @@ _SYNC_WORDS = 2  # one counter update message: node address + value
 class PIMZdTree:
     """Batch-dynamic zd-tree distributed over a simulated PIM system."""
 
+    # The optional serving tiers (repro.replicate.ReplicaSet,
+    # repro.route.RouteFilterSet), set as one attaches; see ``tiers``.
+    replicas = None
+    route_filters = None
+
     def __init__(
         self,
         points: np.ndarray,
@@ -101,12 +106,6 @@ class PIMZdTree:
         # Write-ahead journal (repro.store): attached by DurableStore so
         # insert/delete append before mutating; None means no durability.
         self.journal = None
-        # K-way replica registry (repro.replicate): attached by ReplicaSet;
-        # None means single-copy mastership — all replica hooks inert.
-        self.replicas = None
-        # Membership-filter routing (repro.route): attached by
-        # RouteFilterSet; None means no filters — all routing hooks inert.
-        self.route_filters = None
 
         with self.system.phase("build"):
             keys = self.encode_keys(points)
@@ -216,14 +215,12 @@ class PIMZdTree:
                 stack.append((nd.right, nd.layer))
 
     # ==================================================================
-    # residency listeners: the node arena, the chunk-change feed and the
-    # route filters
+    # residency listeners: the node arena and the chunk-change feed
     # ==================================================================
     # One marking call per structural change (DESIGN.md § "Residency
     # listeners"): the vectorised kernels' NodeArena rewrites the marked
-    # *rows*; the feed and the RouteFilterSet record the marked *chunks*
-    # (``node.meta`` as of the mark; ``None`` is the L0 pseudo-chunk), and
-    # the feed the meta-less nodes too.
+    # *rows*; the feed records the marked *chunks* (``node.meta`` as of
+    # the mark; ``None`` is the L0 pseudo-chunk) and the meta-less nodes.
     def mark_dirty(self, node: Node) -> None:
         """Something a listener mirrors (count, layer, meta, child links,
         leaf payload) changed on ``node``.  A meta-node whose member count
@@ -236,8 +233,6 @@ class PIMZdTree:
         self.feed.metas.add(meta)
         if meta is None:
             self.feed.touch_l0(node)
-        if self.route_filters is not None:
-            self.route_filters.dirty.add(meta)
 
     def mark_dirty_subtree(self, root: Node) -> None:
         """Every node at or below ``root`` changed (a region re-chunked)."""
@@ -250,8 +245,6 @@ class PIMZdTree:
             for nd in nodes:
                 if nd.meta is None:
                     self.feed.touch_l0(nd)
-        if self.route_filters is not None:
-            self.route_filters.dirty.update(metas)
 
     def mark_removed(self, node: Node) -> None:
         """``node`` was unlinked from the tree: its arena row is garbage,
@@ -263,8 +256,6 @@ class PIMZdTree:
         self.feed.metas.add(meta)
         if meta is None:
             self.feed.touch_l0(node)
-        if self.route_filters is not None:
-            self.route_filters.dirty.add(meta)
 
     def mark_placed(self, meta: MetaNode) -> None:
         """``meta``'s module or its replica copies changed (``relocate``,
@@ -593,16 +584,14 @@ class PIMZdTree:
 
         The listeners read the same feed (``self.feed``) in order — word
         accounting (master, L1-cache, replica and L0 words per module),
-        the replica registry, the membership filters (repro.route) — and
-        it is then cleared.  Every path that moves keys (upload,
+        then each attached tier's ``refresh()`` (:attr:`tiers`) — and it
+        is then cleared.  Every path that moves keys (upload,
         insert/delete, migrate/clone, replica install/promotion, failover,
         recovery) funnels through here under its charged phase.
         """
         self._ledger.apply()
-        if self.replicas is not None:
-            self.replicas.alloc_residency()
-        if self.route_filters is not None:
-            self.route_filters.rebuild()
+        for tier in self.tiers:
+            tier.refresh()
         feed = self.feed
         # A chunk still stale (or empty) waits, marked, for the next
         # rechunk_stale — a refresh outside an update batch, after a
@@ -613,6 +602,15 @@ class PIMZdTree:
                    and (m.n_nodes <= 0 or self.meta_is_stale(m))]
         feed.clear()
         feed.metas.update(waiting)
+
+    @property
+    def tiers(self) -> tuple:
+        """The attached serving tiers, replicas first.  Their protocol:
+        ``refresh()`` after the word ledger, ``check()`` in
+        :meth:`check_invariants`, and ``MANIFEST_KEY`` / ``to_manifest()``
+        / ``restore(tree, doc)`` for snapshots (repro.store)."""
+        return tuple(t for t in (self.replicas, self.route_filters)
+                     if t is not None)
 
     def space_words(self) -> dict[str, float]:
         """Space consumption split by category (Theorem 5.1)."""
@@ -820,10 +818,10 @@ class PIMZdTree:
             )
         self._check_residency()
         # The vectorised kernels' arena, once built, mirrors this structure;
-        # so do the route filters, once attached.
+        # each attached tier checks its own state against it.
         if self._arena is not None:
             from .vexec import check_arena
 
             check_arena(self)
-        if self.route_filters is not None:
-            self.route_filters.check()
+        for tier in self.tiers:
+            tier.check()

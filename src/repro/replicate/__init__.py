@@ -15,9 +15,11 @@ resistance targets.  This package adds the missing degree of freedom:
   (``read-any``), write fan-out accounting, async-flush staleness
   tracking, replica-aware failover promotion, and crash-restart rebind.
 
-A tree with ``tree.replicas is None`` (the default) takes none of these
-code paths: every hook in the core is a single ``is None`` test, so
-replication-off runs stay byte-identical to pre-replication builds.
+A ReplicaSet is a serving tier (``tree.tiers``): the tree refreshes,
+checks, persists and restores it through the tier protocol only, and
+other modules read the registry through ``secondaries()`` and
+``pending``.  With ``tree.replicas is None`` (the default) none of these
+paths runs, so replication-off runs stay byte-identical.
 """
 
 from .replicaset import ReplicaSet, ReplicationConfig, WRITE_POLICIES

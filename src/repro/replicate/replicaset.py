@@ -241,6 +241,11 @@ class ReplicaSet:
         else:
             pend[0] += float(words)
 
+    @property
+    def pending(self) -> bool:
+        """Are there unflushed ``primary-async`` writes?"""
+        return bool(self._pending)
+
     def oldest_pending_s(self, now: float) -> float:
         """Age of the oldest unflushed async write (0.0 when clean)."""
         if not self._pending:
@@ -321,9 +326,11 @@ class ReplicaSet:
         return promotions
 
     # ------------------------------------------------------------------
-    # residency / durability / stats
+    # the tier protocol: residency, invariants, durability
     # ------------------------------------------------------------------
-    def alloc_residency(self) -> None:
+    MANIFEST_KEY = "replicas"
+
+    def refresh(self) -> None:
         """Residency listener: drop the registry entries of the chunks the
         tree's feed retired (a chunk re-created under the same root keeps
         its copies).  The copies' words are booked by the tree's word
@@ -335,6 +342,17 @@ class ReplicaSet:
             if meta not in live and nid not in kept:
                 self._secondaries.pop(nid, None)
                 self._pending.pop(nid, None)
+
+    def check(self) -> None:
+        """Assert that the registry names live chunks only, that no copy
+        sits on its chunk's primary module, and that every pending write
+        belongs to a registered chunk (``tree.check_invariants()``)."""
+        primary = {m.root.nid: m.module for m in self.tree.metas}
+        for nid, secs in self._secondaries.items():
+            assert nid in primary, f"replica registry names retired chunk {nid}"
+            assert primary[nid] not in secs, f"{nid} sits on its primary module"
+        assert self._pending.keys() <= self._secondaries.keys(), (
+            "pending replica write for an unregistered chunk")
 
     def to_manifest(self) -> dict:
         """Snapshot-manifest encoding (canonical: sorted keys)."""
@@ -349,17 +367,28 @@ class ReplicaSet:
         }
 
     @classmethod
-    def from_manifest(cls, tree, doc: dict) -> "ReplicaSet":
-        """Rebuild the registry from a snapshot manifest (uncharged —
-        recovery charges the secondary re-uploads itself)."""
-        cfg = ReplicationConfig(
-            k=int(doc["k"]),
-            write_policy=doc["write_policy"],
-            staleness_bound_s=float(doc["staleness_bound_s"]),
-        )
-        rs = cls(tree, cfg)
-        for nid, mids in doc.get("secondaries", {}).items():
-            rs._secondaries[int(nid)] = tuple(sorted(int(m) for m in mids))
+    def restore(cls, tree, doc: dict) -> "ReplicaSet":
+        """Reattach the registry a snapshot manifest recorded and re-upload
+        its copies (charged).  A copy on a module that died, or of a chunk
+        the tree no longer has, is dropped (the rebalancer may re-clone
+        it); the rest go back in one round, the primaries' bulk fan-out."""
+        rs = cls(tree, ReplicationConfig(
+            k=int(doc["k"]), write_policy=doc["write_policy"],
+            staleness_bound_s=float(doc["staleness_bound_s"])))
+        sys = tree.system
+        by_nid = {m.root.nid: m for m in tree.metas}
+        send_by: dict[int, float] = {}
+        for nid, mids in sorted((int(nid), sorted(map(int, mids)))
+                                for nid, mids in doc["secondaries"].items()):
+            live = tuple(m for m in mids if m not in sys.dead_modules)
+            if nid in by_nid and live:
+                rs._secondaries[nid] = live
+                for mid in live:
+                    send_by[mid] = (send_by.get(mid, 0.0)
+                                    + by_nid[nid].size_words(tree.config))
+        if send_by:
+            with sys.round():
+                sys.send_array(list(send_by), list(send_by.values()))
         return rs
 
     def summary(self) -> dict:

@@ -36,18 +36,16 @@ Every filter is a pure function of this cache: the global one the union of
 all arrays, a module's the union over the chunks it masters or holds a
 copy of.
 
-*Who marks.*  The tree's structural primitives — ``mark_dirty``,
-``mark_dirty_subtree``, ``mark_removed``, the same calls that keep the
-vectorised kernels' node arena current (DESIGN.md § "Residency
-listeners") — add the chunk of every node they change to
-``RouteFilterSet.dirty``.  New, retired, moved and re-replicated chunks
-come from the tree's chunk-change feed (``tree.feed``).  A rebuild
+*Who marks.*  The tree's chunk-change feed (``tree.feed``, DESIGN.md §
+"Residency listeners"): its marking calls record the chunk of every node
+they change, and new, retired, moved and re-replicated chunks.  A refresh
 re-scans the marked and new chunks and re-files the moved ones; no other
 chunk is looked at and no leaf of a clean chunk is visited.  A filter
 that only gained keys within its Bloom geometry gets them OR-ed in, one
 that lost a key or outgrew its geometry is rebuilt from its chunks'
-cached arrays, the rest are not read.  Attach, recovery and
-``from_manifest`` are the same routine with an empty cache.
+cached arrays, the rest are not read.  Attach, an FPR change and
+recovery (:meth:`RouteFilterSet.restore`) are the same routine with an
+empty cache, which takes every chunk and the L0 pseudo-chunk as marked.
 
 *Why the physical work and the charged work are computed separately.*  The
 simulated bill is the model's, not the host's: a full rebuild charges
@@ -225,13 +223,20 @@ def _multiset_delta(old: list[np.ndarray], new: list[np.ndarray]
 class RouteFilterSet:
     """Membership-filter routing state attached to a :class:`PIMZdTree`.
 
-    Constructing one attaches it as ``tree.route_filters`` (mirroring
-    :class:`repro.replicate.ReplicaSet`) and builds the filters from the
-    current residency, charged under a ``"route"`` phase.
+    Constructing one attaches it as ``tree.route_filters`` (a serving
+    tier, like :class:`repro.replicate.ReplicaSet`) and builds the filters
+    from the current residency, charged under a ``"route"`` phase.
     """
+
+    MANIFEST_KEY = "route_filters"
 
     def __init__(self, tree, *, fpr: float = DEFAULT_FPR, seed: int = 0,
                  enabled: bool = True) -> None:
+        self._attach(tree, fpr, seed, enabled)
+        self.refresh()
+
+    def _attach(self, tree, fpr: float, seed: int, enabled: bool) -> None:
+        """Attach to ``tree`` with an empty cache (nothing built)."""
         if not 0.0 < fpr < 0.5:
             raise ValueError("route-filter FPR must be in (0, 0.5)")
         self.tree = tree
@@ -248,7 +253,6 @@ class RouteFilterSet:
         self.keys_indexed = 0
         self._clear()
         tree.route_filters = self
-        self.rebuild()
 
     @property
     def fpr(self) -> float:
@@ -258,29 +262,24 @@ class RouteFilterSet:
     def fpr(self, value: float) -> None:
         """Re-target the false-positive rate (the online controller's
         knob): every filter's geometry depends on it, so the next
-        :meth:`rebuild` starts over."""
+        :meth:`refresh` starts over."""
         self._fpr = float(value)
         self._clear()
 
     def _clear(self) -> None:
         """Forget everything derived from residency: the next
-        :meth:`rebuild` sees every chunk as new."""
+        :meth:`refresh` sees every chunk as new."""
         self._global: _ModuleFilter | None = None
         self._filters: dict[int, _ModuleFilter] = {}
         # meta.root.nid -> (module, res_lo, res_hi, closed)
         self._meta_info: dict[int, tuple[int, int | None, int | None, bool]] = {}
         # The chunk cache behind the filters: meta.root.nid -> (resident
-        # keys, replica secondaries) as of the last rebuild, and the keys
+        # keys, replica secondaries) as of the last refresh, and the keys
         # of the L0 pseudo-chunk.  Every filter is a function of this
-        # cache, so a rebuild only re-reads the chunks in ``dirty``.
+        # cache, so a refresh only re-reads the chunks the feed marked.
         self._chunks: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
         self._l0_keys = _NO_KEYS
-        # Chunks marked by the tree since then — ``PIMZdTree.mark_dirty``
-        # / ``mark_dirty_subtree`` / ``mark_removed`` add ``node.meta`` as
-        # of the mark (a MetaNode, or None for an L0 node): their resident
-        # keys or closedness may differ at the next rebuild.
-        self.dirty: set = {None}
-        # Keys staged by an insert batch (a charging hint, see rebuild).
+        # Keys staged by an insert batch (a charging hint, see refresh).
         self._staged: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -288,7 +287,7 @@ class RouteFilterSet:
     # ------------------------------------------------------------------
     def stage_inserts(self, keys) -> None:
         """Declare that the residency change now in flight only *adds*
-        ``keys`` (an insert batch).  The next :meth:`rebuild` then checks,
+        ``keys`` (an insert batch).  The next :meth:`refresh` then checks,
         against what it finds in the touched chunks, that nothing else
         moved, and if so charges the maintenance per *new* key (the bits
         can be OR-ed in place) instead of per resident key.  The staging
@@ -326,16 +325,16 @@ class RouteFilterSet:
         else:
             self._filters.pop(mid, None)
 
-    def rebuild(self) -> None:
+    def refresh(self) -> None:
         """Bring every filter up to date with current residency (charged).
 
         Called from ``tree.refresh_residency()`` — i.e. inside every
         charged phase where residency actually changes — and once at
         attach time (or after an FPR change), when the cache is empty and
         every chunk is new.  The work follows the touched chunks, not the
-        index: only chunks the tree marked (``dirty``) and chunks the
-        tree's chunk-change feed (``tree.feed``) reports added, retired or
-        placed (moved, re-replicated) are looked at, in root-nid order
+        index: only chunks the tree's chunk-change feed (``tree.feed``)
+        reports marked, added, retired or placed (moved, re-replicated)
+        are looked at, in root-nid order
         (``tree.metas`` is an identity-hashed set, so its own order
         follows memory addresses); of those only the marked and new ones
         are re-scanned.  Each filter whose key multiset only grew, within
@@ -372,7 +371,7 @@ class RouteFilterSet:
             sys.dram_stream(bit_words)
 
     def _sync(self) -> tuple[int, int, int] | None:
-        """The uncharged half of :meth:`rebuild`: update cache and filters.
+        """The uncharged half of :meth:`refresh`: update cache and filters.
 
         Returns ``(k_ops, bit_words, chunks)`` of the delta charge when
         the staged insert keys account for every change, else ``None``
@@ -389,25 +388,24 @@ class RouteFilterSet:
         chunks, info_of = self._chunks, self._meta_info
         g = self._global
         staged, self._staged = self._staged, None
-        marked, self.dirty = self.dirty, set()
         reps = tree.replicas
-        secs_of = reps._secondaries if reps is not None else {}
 
-        # Which chunks changed: the marked ones, and those the feed saw
-        # enter ``tree.metas``, leave it or change placement.  A chunk
-        # re-created under the same root keeps its nid (and was marked
-        # through its nodes by the re-chunk); an empty cache takes every
-        # chunk as new.
-        live = tree.metas
-        touched = {m for m in marked if m is not None and m in live}
+        # Which chunks changed: the marked ones (None: the L0 pseudo-chunk)
+        # and those the feed saw enter ``tree.metas``, leave it or change
+        # placement.  A chunk re-created under the same root keeps its nid
+        # (and was marked through its nodes by the re-chunk); an empty
+        # cache takes every chunk, and the L0 pseudo-chunk, as new.
+        live, feed = tree.metas, tree.feed
         gone: list[int] = []
         if g is None:
-            touched.update(live)
+            marked = {None}
+            touched = set(live)
         else:
-            # A rebuild outside refresh_residency may see these once more
-            # at the next one: re-reading an unchanged chunk changes
-            # nothing, and a nid already dropped is skipped.
-            feed = tree.feed
+            # A refresh outside refresh_residency sees these once more at
+            # the next one: re-reading an unchanged chunk changes nothing,
+            # and a nid already dropped is skipped.
+            marked = feed.metas
+            touched = {m for m in marked if m is not None and m in live}
             touched.update(m for m in feed.added | feed.placed if m in live)
             kept = {m.root.nid for m in feed.added if m in live}
             gone = sorted(({m.root.nid for m in feed.retired if m not in live}
@@ -434,7 +432,8 @@ class RouteFilterSet:
         for meta in sorted(touched, key=lambda m: m.root.nid):
             nid = meta.root.nid
             ent, info = chunks.get(nid), info_of.get(nid)
-            res = (meta.module, *secs_of.get(nid, ()))
+            res = (meta.module,
+                   *(reps.secondaries(meta) if reps is not None else ()))
             if ent is None:
                 keys_old, res_old, was_closed = _NO_KEYS, (), None
             else:
@@ -675,7 +674,7 @@ class RouteFilterSet:
         return prune
 
     # ------------------------------------------------------------------
-    # observability + persistence
+    # observability + persistence (the tier protocol's snapshot half)
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         return {
@@ -700,6 +699,11 @@ class RouteFilterSet:
         return {"fpr": self.fpr, "seed": self.seed, "enabled": self.enabled}
 
     @classmethod
-    def from_manifest(cls, tree, doc: dict) -> "RouteFilterSet":
-        return cls(tree, fpr=float(doc["fpr"]), seed=int(doc["seed"]),
-                   enabled=bool(doc.get("enabled", True)))
+    def restore(cls, tree, doc: dict) -> "RouteFilterSet":
+        """Reattach the filters a snapshot manifest recorded, with an empty
+        cache and nothing built: the next ``tree.refresh_residency()``
+        builds them, charged like the constructor's build."""
+        rf = cls.__new__(cls)
+        rf._attach(tree, float(doc["fpr"]), int(doc["seed"]),
+                   bool(doc.get("enabled", True)))
+        return rf

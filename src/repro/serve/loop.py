@@ -274,7 +274,7 @@ class ServeLoop:
         # covers every fanned write (no latency impact — all requests are
         # already terminal).
         reps = self._replicas()
-        if reps is not None and reps._pending:
+        if reps is not None and reps.pending:
             self.adapter.measure(lambda: (reps.flush(now), 0)[1])
         result = ServeResult(requests=pending, batches=batches)
         if reps is not None:

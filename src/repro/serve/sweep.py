@@ -110,9 +110,7 @@ def run_shard(spec: dict) -> dict:
     ones take the spec's defaults, except ``queue_depth``: 4096) plus an
     optional ``shard`` index; the shard is built by
     :func:`~repro.serve.session.build_session`, so it means exactly what
-    the same spec means to ``repro serve``.  Three superseded keys are
-    still honoured: ``tune_config`` (now ``config``) and, when neither is
-    given, ``policy="fixed"`` with ``fixed_batch``.  Any other key is a
+    the same spec means to ``repro serve``.  Any other key is a
     ``ValueError`` naming it.  Everything in and out is picklable.
     """
     from .request import DEGRADED, DONE
@@ -120,17 +118,11 @@ def run_shard(spec: dict) -> dict:
 
     t0 = time.perf_counter()
     fields = {"queue_depth": 4096, **spec}
-    legacy = {k: fields.pop(k, None)
-              for k in ("shard", "tune_config", "policy", "fixed_batch")}
+    fields.pop("shard", None)
     unknown = sorted(set(fields) - {f.name for f in
                                     dataclasses.fields(ServeSpec)})
     if unknown:
         raise ValueError(f"unknown shard spec key(s): {', '.join(unknown)}")
-    if fields.get("config") is None:
-        fields["config"] = legacy["tune_config"]
-    if fields["config"] is None and legacy["policy"] == "fixed":
-        fields["config"] = {"batch.policy": "fixed",
-                            "batch.fixed": int(legacy["fixed_batch"] or 256)}
     result = build_session(ServeSpec(**fields)).run()
     s = result.stats
     answered = sorted(

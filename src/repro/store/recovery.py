@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.relocate import Move, relocate
+from ..replicate import ReplicaSet
+from ..route import RouteFilterSet
 from .errors import WALCorruption
 from .snapshot import SnapshotStore, decode_tree
 from .wal import (
@@ -46,6 +48,9 @@ from .wal import (
 )
 
 __all__ = ["RecoveryResult", "recover"]
+
+# Every serving tier a manifest can carry, in restore order.
+_TIERS = (ReplicaSet, RouteFilterSet)
 
 
 @dataclass
@@ -77,8 +82,6 @@ def _decode_moves(tree, record) -> list[Move]:
             # A REPLICATE record without a manifest registry can only come
             # from clones journaled before the first checkpoint: rebuild an
             # implicit registry so the copies exist after restart too.
-            from ..replicate import ReplicaSet
-
             ReplicaSet(tree)
     return moves
 
@@ -146,46 +149,18 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
         # same send_array fan-out + L0 broadcast a cold build pays.
         tree._upload()
 
-        # Reinstall the replica registry recorded at snapshot time
-        # (repro.replicate): secondaries on modules that died are dropped
-        # (the copy is lost; the rebalancer may re-clone later), the rest
-        # are re-uploaded with the same bulk fan-out the primaries paid.
-        if "replicas" in man:
-            from ..replicate import ReplicaSet
-
-            reps = ReplicaSet.from_manifest(tree, man["replicas"])
-            dead = system.dead_modules
-            by_nid = {m.root.nid: m for m in tree.metas}
-            send_by: dict[int, float] = {}
-            for nid in sorted(reps._secondaries):
-                meta = by_nid.get(nid)
-                if meta is None:
-                    del reps._secondaries[nid]
-                    continue
-                live = tuple(m for m in reps._secondaries[nid]
-                             if m not in dead)
-                if not live:
-                    del reps._secondaries[nid]
-                    continue
-                reps._secondaries[nid] = live
-                words = meta.size_words(tree.config)
-                for mid in live:
-                    send_by[mid] = send_by.get(mid, 0.0) + words
-            if send_by:
-                with system.round():
-                    system.send_array(list(send_by), list(send_by.values()))
+        # Restore the serving tiers recorded at snapshot time *before*
+        # replay, replicas first: the replica registry drops copies on
+        # dead modules and re-uploads the rest (one round), the filters
+        # reattach empty.  The refresh then books the restored residency
+        # and builds the filters from it (a pure function of keys + seed,
+        # so they match the pre-crash filters bit-for-bit); the replayed
+        # batches maintain both exactly as the originals did.  Every
+        # charge lands in the pinned "recovery" phase.
+        for tier in _TIERS:
+            if tier.MANIFEST_KEY in man:
+                tier.restore(tree, man[tier.MANIFEST_KEY])
         tree.refresh_residency()
-
-        # Reattach the membership filters (repro.route) recorded at
-        # snapshot time *before* replay: the bit arrays rebuild from the
-        # restored residency (a pure function of keys + seed, so they
-        # match the pre-crash filters bit-for-bit) and the replayed
-        # batches then maintain them exactly as the originals did.  The
-        # rebuild charges land in the pinned "recovery" phase.
-        if "route_filters" in man:
-            from ..route import RouteFilterSet
-
-            RouteFilterSet.from_manifest(tree, man["route_filters"])
 
         # Replay the journal suffix in log order.
         for r in records:

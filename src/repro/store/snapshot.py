@@ -217,22 +217,14 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
             for cid, blob in sorted(chunks.items())
         },
     }
-    # Replica registry (repro.replicate): checkpoints truncate the WAL, so
-    # the secondary-copy map must ride in the manifest — REPLICATE records
-    # only cover copies installed *after* the snapshot.  Key absent when no
-    # ReplicaSet is attached, keeping replication-off manifests (and the
-    # round-trip byte-identity tests) unchanged.
-    reps = tree.replicas
-    if reps is not None:
-        manifest["replicas"] = reps.to_manifest()
-    # Membership filters (repro.route): persist only (fpr, seed, enabled)
-    # — the bit arrays are a pure function of residency and seed, so
-    # recovery rebuilds them bit-identically under its pinned phase.  Key
-    # absent when no RouteFilterSet is attached, keeping filters-off
-    # manifests byte-identical.
-    rf = tree.route_filters
-    if rf is not None:
-        manifest["route_filters"] = rf.to_manifest()
+    # The serving tiers (tree.tiers): the replica registry must ride in
+    # the manifest, since checkpoints truncate the WAL and REPLICATE
+    # records only cover copies installed *after* the snapshot; the route
+    # filters persist only (fpr, seed, enabled), their bits being a pure
+    # function of residency and seed.  A detached tier's key is absent,
+    # keeping tier-off manifests byte-identical.
+    for tier in tree.tiers:
+        manifest[tier.MANIFEST_KEY] = tier.to_manifest()
     manifest["checksum"] = _manifest_checksum(manifest)
     return SnapshotImage(manifest, topology, chunks)
 
@@ -414,9 +406,7 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
     }
     tree.last_executor = None
     tree._arena = None
-    tree.journal = None
-    tree.replicas = None  # rebuilt by recovery from the manifest, if any
-    tree.route_filters = None  # reattached by recovery from the manifest
+    tree.journal = None  # no serving tier either: recovery restores them
     # Re-link nodes to their metas from the recorded assignment.
     for node, midx in decoded:
         node.meta = metas[midx] if midx >= 0 else None

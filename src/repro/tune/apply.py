@@ -21,8 +21,6 @@ __all__ = [
     "apply_serving_config",
 ]
 
-_PULL_FACTOR_DEFAULT = 3.0  # PIMZdTreeConfig.pull_imbalance_factor
-
 
 def _pim_tree(adapter, mechanism: str):
     """The adapter's PIM tree; raises for the baseline adapters.
@@ -51,16 +49,10 @@ def make_policy(config: dict):
 
 def make_index_config(config: dict, *, kind: str, n_points: int,
                       n_modules: int):
-    """Index config carrying the push-pull trigger, or ``None``.
-
-    Returns ``None`` when every index-level knob sits at its default so
-    the adapter takes its historical construction path (byte-identical
-    goldens); otherwise builds the variant config with
-    ``pull_imbalance_factor`` overridden.
-    """
+    """The ``kind`` variant's index config with ``pull_imbalance_factor``
+    from ``pushpull.pull_factor``.  At the knob's default it equals the
+    config the adapter builds itself; the CPU baselines drop it."""
     pf = float(config["pushpull.pull_factor"])
-    if pf == _PULL_FACTOR_DEFAULT:
-        return None
     from ..core import skew_resistant, throughput_optimized
 
     if kind == "pim-skew":

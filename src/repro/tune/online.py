@@ -238,7 +238,7 @@ class OnlineController:
         if new == cur:
             return 0
         rf.fpr = new
-        rf.rebuild()  # charged under phase("route"); we run inside measure
+        rf.refresh()  # charged under phase("route"); we run inside measure
         self._record(knob.name, cur, new, share, why)
         return 1
 

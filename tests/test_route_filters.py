@@ -287,7 +287,7 @@ def test_insert_incremental_bits_match_full_rebuild():
     assert rf.incremental == 1
     assert rf.rebuilds == 2  # attach (full) + insert (incremental)
     after_inc = _filter_bits(rf)
-    rf.rebuild()  # nothing staged -> the full path, same residency
+    rf.refresh()  # nothing staged -> the full path, same residency
     assert rf.incremental == 1 and rf.rebuilds == 3
     _assert_bits_equal(after_inc, _filter_bits(rf))
     assert rf.summary()["incremental"] == 1
@@ -309,7 +309,7 @@ def test_incremental_maintenance_charges_less():
     inc_cost = route_cpu() - base
     assert rf.incremental == 1
     base = route_cpu()
-    rf.rebuild()  # full
+    rf.refresh()  # full
     full_cost = route_cpu() - base
     assert inc_cost > 0
     assert inc_cost * 5 < full_cost
@@ -361,7 +361,7 @@ def test_incremental_with_replicas_covers_copies():
     t.insert(fresh)
     assert rf.incremental == 1
     after_inc = _filter_bits(rf)
-    rf.rebuild()
+    rf.refresh()
     _assert_bits_equal(after_inc, _filter_bits(rf))
     res = t.search(fresh)
     assert all(search_presence(res))

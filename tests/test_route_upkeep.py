@@ -1,9 +1,10 @@
 """Route-filter upkeep (``repro.route.RouteFilterSet``) under every verb.
 
-The filter set keeps a per-chunk key cache and lets the tree's marking
-primitives (``mark_dirty`` / ``mark_dirty_subtree`` / ``mark_removed``)
-name the chunks a batch touched; ``rebuild`` then re-scans only those and
-ORs into, or rebuilds, only the filters they feed.  Four guarantees:
+The filter set keeps a per-chunk key cache and reads the chunks a batch
+touched from the tree's chunk-change feed, which the marking primitives
+(``mark_dirty`` / ``mark_dirty_subtree`` / ``mark_removed``) fill;
+``refresh`` then re-scans only those and ORs into, or rebuilds, only the
+filters they feed.  Four guarantees:
 
 * **filters ≡ fresh build** — after any verb that can change what is
   resident where (insert incl. re-inserted keys, piles of equal keys and a
@@ -13,10 +14,10 @@ ORs into, or rebuilds, only the filters they feed.  Four guarantees:
   faulted insert that rolls back; snapshot decode + WAL replay) every
   filter, ``_meta_info`` and the counters equal a set built from scratch
   (``tree.check_invariants()`` → ``RouteFilterSet.check``);
-* **charge ≡ legacy** — every ``rebuild`` charges, to the last integer,
+* **charge ≡ legacy** — every ``refresh`` charges, to the last integer,
   what the parent commit's full residency walk + ``_try_incremental``
   charged; that code is kept verbatim below as the oracle and shadows
-  every rebuild (bits, ``_meta_info``, ``rebuilds`` / ``incremental`` /
+  every refresh (bits, ``_meta_info``, ``rebuilds`` / ``incremental`` /
   ``keys_indexed`` are compared as well);
 * **the deterministic proxy** — a one-point insert re-scans only chunks on
   the key's root-to-leaf path, a migrate rebuilds one module's filter, a
@@ -43,6 +44,7 @@ from test_node_arena import _World as _ArenaWorld
 from repro.core import PIMZdTree
 from repro.core.node import Layer
 from repro.core.relocate import Move, relocate
+from repro.core.residency import ResidencyFeed
 from repro.eval import make_adapter
 from repro.eval.harness import make_boxes
 from repro.pim import PIMSystem
@@ -375,7 +377,7 @@ class _LegacyFilters:
 
 
 # ======================================================================
-# shadowing: every RouteFilterSet.rebuild is followed by the oracle's
+# shadowing: every RouteFilterSet.refresh is followed by the oracle's
 # ======================================================================
 def _filter_fields(f):
     return (f.m_bits, f.k, f.lo, f.hi, f.n_keys, f.words.tobytes())
@@ -383,11 +385,11 @@ def _filter_fields(f):
 
 @contextlib.contextmanager
 def _shadowed():
-    """Run the oracle's rebuild after every real one — same tree, same
+    """Run the oracle's rebuild after every real refresh — same tree, same
     staged keys — and hold the two against each other."""
-    real = RouteFilterSet.rebuild
+    real = RouteFilterSet.refresh
 
-    def rebuild(self) -> None:
+    def refresh(self) -> None:
         oracle = self.__dict__.get("_oracle")
         if oracle is None:
             oracle = self._oracle = _LegacyFilters(self)
@@ -399,7 +401,7 @@ def _shadowed():
         oracle.rebuild()
         assert (total.cpu_ops - before[0], total.dram_words - before[1]) == (
             ledger.cpu_ops - before[2], ledger.dram_words - before[3]
-        ), "rebuild charged differently from the legacy walk"
+        ), "refresh charged differently from the legacy walk"
         assert (self.rebuilds, self.incremental, self.keys_indexed) == (
             oracle.rebuilds, oracle.incremental, oracle.keys_indexed)
         assert self._meta_info == oracle._meta_info
@@ -409,7 +411,7 @@ def _shadowed():
             assert _filter_fields(f) == _filter_fields(oracle._filters[mid]), mid
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RouteFilterSet, "rebuild", rebuild)
+        mp.setattr(RouteFilterSet, "refresh", refresh)
         yield
 
 
@@ -501,7 +503,7 @@ class _World(_ArenaWorld):
         """What the online controller does when it moves ``route.fpr``."""
         rf = self.tree.route_filters
         rf.fpr = 0.05 if rf.fpr == 0.01 else 0.01
-        rf.rebuild()
+        rf.refresh()
 
     def clone(self) -> None:
         if self.tree.replicas is not None:
@@ -592,16 +594,16 @@ def _small_tree(seed: int = 4) -> PIMZdTree:
 
 @contextlib.contextmanager
 def _muted(primitive: str):
-    """The tree primitive still serves the arena but tells the filters
-    nothing — the mutation each mark must be killed by."""
+    """The tree primitive still serves the arena but records nothing in
+    the chunk-change feed — the mutation each mark must be killed by."""
     original = getattr(PIMZdTree, primitive)
 
     def deaf(self, node):
-        rf, self.route_filters = self.route_filters, None
+        feed, self.feed = self.feed, ResidencyFeed()
         try:
             original(self, node)
         finally:
-            self.route_filters = rf
+            self.feed = feed
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PIMZdTree, primitive, deaf)
@@ -615,7 +617,7 @@ def test_each_primitive_marks_the_chunk_it_changed(primitive, muted):
     """Drive the primitives one at a time, outside an update batch (where
     the search-path count changes mark the same chunks and hide a missing
     mark): a leaf of a multi-leaf chunk loses keys, one primitive reports
-    it, and the next rebuild must re-scan exactly that chunk."""
+    it, and the next refresh must re-scan exactly that chunk."""
     tree = _small_tree()
     rf = tree.route_filters
     meta = next(m for m in sorted(tree.metas, key=lambda m: m.root.nid)
@@ -625,8 +627,8 @@ def test_each_primitive_marks_the_chunk_it_changed(primitive, muted):
     with _muted(primitive) if muted else contextlib.nullcontext():
         getattr(tree, primitive)(
             meta.root if primitive == "mark_dirty_subtree" else leaf)
-    assert (rf.dirty == {meta}) is not muted
-    rf.rebuild()
+    assert (tree.feed.metas == {meta}) is not muted
+    rf.refresh()
     if muted:
         with pytest.raises(AssertionError, match="stale chunk summary|differs"):
             rf.check()
@@ -646,8 +648,8 @@ def test_l0_nodes_mark_the_l0_pseudo_chunk():
     assert len(rf._l0_keys) == leaf.count
     leaf.keys, leaf.pts = leaf.keys[1:], leaf.pts[1:]
     tree.mark_dirty(leaf)
-    assert rf.dirty == {None}
-    rf.rebuild()
+    assert tree.feed.metas == {None}
+    rf.refresh()
     assert len(rf._l0_keys) == leaf.count - 1
     rf.check()
 
@@ -679,18 +681,36 @@ def _demote_and_rechunk(world) -> None:
 ])
 def test_a_muted_mark_fails_in_the_update_flow(primitive, verb):
     """The same mutation inside the real update code: an insert changes a
-    chunk's keys, a re-chunk changes its members."""
+    chunk's keys, a re-chunk changes its members.  The feed each refresh
+    reads then lacks a chunk it names unmuted, and the filters notice."""
+    fed = {}
     for muted in (False, True):
         with tempfile.TemporaryDirectory() as tmp:
             world = _World(3, "skew", 1, tmp, k=2)
-            with _muted(primitive) if muted else contextlib.nullcontext():
-                verb(world)
+            tree = world.tree
+            fed[muted] = marks = set()
+            refresh = tree.refresh_residency
+
+            def recorded() -> None:
+                marks.update(m.root.nid for m in tree.feed.metas
+                             if m is not None)
+                refresh()
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tree, "refresh_residency", recorded)
+                with _muted(primitive) if muted else contextlib.nullcontext():
+                    verb(world)
+            # (the demotion leaves counters outside Lemma 3.1 on purpose,
+            # so the unmuted run checks the filters alone)
             if muted:
                 with pytest.raises(AssertionError, match="stale chunk"):
-                    world.tree.route_filters.check()
+                    tree.route_filters.check()
+                with pytest.raises(AssertionError):
+                    tree.check_invariants()
             else:
-                world.tree.route_filters.check()
+                tree.route_filters.check()
             world.backend.close()
+    assert fed[False] - fed[True]
 
 
 def test_check_invariants_notices_a_stale_filter():
@@ -751,7 +771,7 @@ def test_allocation_history_does_not_order_the_summaries():
 # the deterministic proxy: work follows the touched chunks
 # ======================================================================
 class _Probe:
-    """Counts, per ``rebuild``, what the upkeep looked at and hashed."""
+    """Counts, per ``refresh``, what the upkeep looked at and hashed."""
 
     def __init__(self, mp, rf) -> None:
         self.rf = rf
@@ -876,7 +896,7 @@ def serve_identity(n: int, n_modules: int, requests: int, rate: float,
                    tmp: str) -> dict:
     """Serve a mixed Varden stream with replicas k=2, filters, the
     rebalancer and a checkpointing store (the shape of the ledger's
-    everything-on workload: 10-point boxes, 30 % inserts), every rebuild
+    everything-on workload: 10-point boxes, 30 % inserts), every refresh
     shadowed by the oracle."""
     data = varden_points(n, 3, seed=7)
     adapter = make_adapter("pim", data, n_modules=n_modules, seed=7)

@@ -71,8 +71,7 @@ class TestDeterminism:
                        data_seed=SMALL["seed"], n_modules=SMALL["n_modules"],
                        index="pim", rate=float(SMALL["rate"]), mix=None,
                        k=10, deadline_s=float("inf"), queue_depth=4096,
-                       overflow="reject", policy="adaptive", fixed_batch=256,
-                       arrival="poisson")
+                       overflow="reject", arrival="poisson")
         specs = _shard_specs(procs=2, total_requests=SMALL["total_requests"],
                              seed=SMALL["seed"], spec_kw=spec_kw)
         shards = [run_shard(s) for s in specs]

@@ -125,15 +125,19 @@ def test_run_shard_equals_inline_session():
 
 
 def test_run_shard_spec_keys():
-    """A hand-written shard dict: the pre-``ServeSpec`` ``tune_config`` key
-    still means ``config``, an omitted ``queue_depth`` is the sweep's 4096
-    (not ``serve``'s 1024), and a typo is named instead of ending in a bare
-    ``TypeError`` from the dataclass."""
+    """A hand-written shard dict: a superseded pre-``ServeSpec`` key
+    (``tune_config``, ``policy``, ``fixed_batch``) is an unknown key, an
+    omitted ``queue_depth`` is the sweep's 4096 (not ``serve``'s 1024),
+    and a typo is named instead of ending in a bare ``TypeError`` from
+    the dataclass."""
     base = {"dataset": "uniform", "data_seed": 5, **SMALL}
     fixed = {"batch.policy": "fixed", "batch.fixed": 4}
     want = run_shard({**base, "config": fixed})["latency_s"]
-    assert run_shard({**base, "tune_config": fixed})["latency_s"] == want
     assert run_shard(base)["latency_s"] != want
+    for key, value in (("tune_config", fixed), ("policy", "fixed"),
+                       ("fixed_batch", 4)):
+        with pytest.raises(ValueError, match=f"unknown shard spec key.*{key}"):
+            run_shard({**base, key: value})
 
     seen = {}
     real_init = AdmissionQueue.__init__
