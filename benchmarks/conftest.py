@@ -1,12 +1,13 @@
 """Shared benchmark infrastructure.
 
-Each benchmark module regenerates one table or figure of the paper's §7
-evaluation.  All benches share session-scoped datasets and calibrated
-query boxes, run the identical operation suites through
-``repro.eval.harness``, record the *simulated* metrics (throughput,
-traffic per element) in ``benchmark.extra_info``, and print the
-paper-style rows so the run log can be compared against the paper (see
-EXPERIMENTS.md for the recorded comparison).
+Each figure and table benchmark regenerates one table or figure of the
+paper's §7 evaluation by calling its runner in ``repro.eval.experiments``
+(the same function ``python -m repro.cli <name>`` runs), records the
+*simulated* metrics (throughput, traffic per element) in
+``benchmark.extra_info``, and prints the paper-style rows so the run log
+can be compared against the paper (see EXPERIMENTS.md for the recorded
+comparison).  The fixtures below serve the benches that have no runner
+(ablations, cost-model robustness, execution-engine smoke).
 
 Scale: warmups default to 40k points (the paper uses 300M on real silicon;
 DESIGN.md documents the joint machine scaling that keeps the shape
@@ -15,50 +16,30 @@ comparable), with P = 64 simulated modules.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.eval import calibrate_box_side, make_adapter, run_suite
-from repro.workloads import cosmos_like_points, osm_like_points, uniform_points
+from repro.eval import calibrate_box_side, fresh_points
+from repro.eval.experiments import DATASETS
 
 WARMUP_N = 40_000
 BATCH = 512
 N_MODULES = 64
 SEED = 7
 
-_GENERATORS = {
-    "uniform": uniform_points,
-    "cosmos": cosmos_like_points,
-    "osm": osm_like_points,
-}
+_NAMES = ("uniform", "cosmos", "osm")
 
 
 @pytest.fixture(scope="session")
 def datasets():
-    return {
-        name: gen(WARMUP_N, 3, seed=SEED) for name, gen in _GENERATORS.items()
-    }
+    return {name: DATASETS[name](WARMUP_N, 3, seed=SEED) for name in _NAMES}
 
 
 @pytest.fixture(scope="session")
 def fresh_points_factory():
-    """Per-dataset fresh-point sources, each threading ONE seeded Generator.
-
-    The generators accept a ``np.random.Generator`` directly, so every
-    draw advances a single explicit stream — no module-level RNG state,
-    and two factories built the same way produce identical streams.
-    """
-
-    def factory(name: str):
-        gen = _GENERATORS[name]
-        rng = np.random.default_rng((SEED, sorted(_GENERATORS).index(name)))
-
-        def fresh(n: int) -> np.ndarray:
-            return gen(n, 3, seed=rng)
-
-        return fresh
-
-    return factory
+    """Per-dataset fresh-point sources (:func:`repro.eval.fresh_points`):
+    each call returns a new source, so two built the same way produce
+    identical streams."""
+    return lambda name: fresh_points(name, SEED)
 
 
 @pytest.fixture(scope="session")
@@ -70,25 +51,3 @@ def box_sides(datasets):
             t: calibrate_box_side(data, t, seed=SEED) for t in (1, 10, 100)
         }
     return out
-
-
-def run_fig5_suite(kind: str, data, fresh, sides, ops, *, batch=BATCH,
-                   n_modules=N_MODULES, seed=SEED):
-    """One index's Fig. 5 measurement suite."""
-    adapter = make_adapter(kind, data, n_modules=n_modules)
-    return adapter, run_suite(
-        adapter,
-        data=data,
-        ops=ops,
-        batch=batch,
-        seed=seed,
-        fresh_points=fresh,
-        box_sides=sides,
-    )
-
-
-def record(benchmark, measurements):
-    """Stash simulated metrics on the pytest-benchmark record."""
-    for m in measurements:
-        benchmark.extra_info[f"{m.op}:mops"] = round(m.throughput / 1e6, 4)
-        benchmark.extra_info[f"{m.op}:B/elem"] = round(m.traffic_per_element, 2)

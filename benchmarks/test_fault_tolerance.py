@@ -21,7 +21,7 @@ import pytest
 
 from repro.eval import make_adapter
 from repro.faults import FaultPlan
-from repro.serve import make_requests, serve
+from repro.serve import AdaptiveBatchPolicy, AdmissionQueue, ServeLoop, make_requests
 from repro.workloads import poisson_arrivals, uniform_points
 
 N = 6_000
@@ -51,8 +51,9 @@ def _faulty_run(data, *, drop_rate, overflow, crash_at=None):
     arrivals = poisson_arrivals(RATE, REQUESTS, seed=SEED + 1)
     requests = make_requests(data, arrivals, k=K, deadline_s=DEADLINE_S,
                              seed=SEED + 2)
-    res = serve(adapter, requests, queue_depth=QUEUE_DEPTH,
-                overflow=overflow, backoff_s=1e-5, timeout_s=TIMEOUT_S)
+    loop = ServeLoop(adapter, AdmissionQueue(QUEUE_DEPTH, overflow=overflow),
+                     AdaptiveBatchPolicy(), backoff_s=1e-5, timeout_s=TIMEOUT_S)
+    res = loop.run(requests)
     return res, adapter, plan
 
 

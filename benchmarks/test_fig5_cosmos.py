@@ -5,42 +5,25 @@ over 2048 bins); the synthetic stand-in is calibrated to the same
 statistic (see ``repro.workloads.cosmos_like_points`` and DESIGN.md).
 """
 
-import pytest
-
-from repro.eval import fig5_table, geomean, speedup_summary
-
-from conftest import record, run_fig5_suite
+from repro.eval import geomean, run_fig5
 
 # A representative subset keeps the three-index suite affordable while
 # covering every operation family of Fig. 5(b).
 OPS = ("insert", "bc-1", "bc-100", "bf-10", "bf-100", "1-nn", "10-nn")
 
-_RESULTS: dict[str, list] = {}
 
+def test_fig5_cosmos(benchmark):
+    res = benchmark.pedantic(run_fig5, args=("cosmos",), kwargs={"ops": OPS},
+                             rounds=1, iterations=1)
+    _RESULTS = res.raw
+    for name, ms in _RESULTS.items():
+        for m in ms:
+            benchmark.extra_info[f"{name}:{m.op}:mops"] = round(m.throughput / 1e6, 4)
+            benchmark.extra_info[f"{name}:{m.op}:B/elem"] = round(m.traffic_per_element, 2)
+        assert all(m.elements > 0 for m in ms)
 
-@pytest.mark.parametrize("kind", ["pim", "pkd", "zd"])
-def test_fig5_cosmos_suite(benchmark, kind, datasets, fresh_points_factory,
-                           box_sides):
-    data = datasets["cosmos"]
-    fresh = fresh_points_factory("cosmos")
-    sides = box_sides["cosmos"]
-
-    def run():
-        adapter, ms = run_fig5_suite(kind, data, fresh, sides, OPS)
-        _RESULTS[adapter.name] = ms
-        return ms
-
-    ms = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(benchmark, ms)
-    assert all(m.elements > 0 for m in ms)
-
-
-def test_fig5_cosmos_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_RESULTS) == {"pim-zd-tree", "pkd-tree", "zd-tree"}
-    print("\n=== Fig. 5(b) — COSMOS-like dataset (Gini ≈ 0.29) ===")
-    print(fig5_table(_RESULTS))
-    print(speedup_summary(_RESULTS))
+    print(f"\n{res}")
     pim = {m.op: m for m in _RESULTS["pim-zd-tree"]}
     for other_name in ("pkd-tree", "zd-tree"):
         other = {m.op: m for m in _RESULTS[other_name]}

@@ -6,40 +6,23 @@ batches of the paper's §7.2 real-world runs query the warmed-up data's own
 distribution, so queries here are sampled from the dataset itself.
 """
 
-import pytest
-
-from repro.eval import fig5_table, geomean, speedup_summary
-
-from conftest import record, run_fig5_suite
+from repro.eval import geomean, run_fig5
 
 OPS = ("insert", "bc-1", "bc-100", "bf-10", "bf-100", "1-nn", "10-nn")
 
-_RESULTS: dict[str, list] = {}
 
+def test_fig5_osm(benchmark):
+    res = benchmark.pedantic(run_fig5, args=("osm",), kwargs={"ops": OPS},
+                             rounds=1, iterations=1)
+    _RESULTS = res.raw
+    for name, ms in _RESULTS.items():
+        for m in ms:
+            benchmark.extra_info[f"{name}:{m.op}:mops"] = round(m.throughput / 1e6, 4)
+            benchmark.extra_info[f"{name}:{m.op}:B/elem"] = round(m.traffic_per_element, 2)
+        assert all(m.elements > 0 for m in ms)
 
-@pytest.mark.parametrize("kind", ["pim", "pkd", "zd"])
-def test_fig5_osm_suite(benchmark, kind, datasets, fresh_points_factory,
-                        box_sides):
-    data = datasets["osm"]
-    fresh = fresh_points_factory("osm")
-    sides = box_sides["osm"]
-
-    def run():
-        adapter, ms = run_fig5_suite(kind, data, fresh, sides, OPS)
-        _RESULTS[adapter.name] = ms
-        return ms
-
-    ms = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(benchmark, ms)
-    assert all(m.elements > 0 for m in ms)
-
-
-def test_fig5_osm_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_RESULTS) == {"pim-zd-tree", "pkd-tree", "zd-tree"}
-    print("\n=== Fig. 5(c) — OSM-like dataset (Gini ≈ 0.97) ===")
-    print(fig5_table(_RESULTS))
-    print(speedup_summary(_RESULTS))
+    print(f"\n{res}")
     pim = {m.op: m for m in _RESULTS["pim-zd-tree"]}
     for other_name in ("pkd-tree", "zd-tree"):
         other = {m.op: m for m in _RESULTS[other_name]}

@@ -7,39 +7,21 @@ and asserting the headline shape: PIM-zd-tree leads on every operation
 family and reduces memory traffic across the board.
 """
 
-import pytest
-
-from repro.eval import FIG5_OPS, fig5_table, geomean, speedup_summary
-
-from conftest import record, run_fig5_suite
-
-_RESULTS: dict[str, list] = {}
+from repro.eval import geomean, run_fig5
 
 
-@pytest.mark.parametrize("kind", ["pim", "pkd", "zd"])
-def test_fig5_uniform_suite(benchmark, kind, datasets, fresh_points_factory,
-                            box_sides):
-    data = datasets["uniform"]
-    fresh = fresh_points_factory("uniform")
-    sides = box_sides["uniform"]
+def test_fig5_uniform(benchmark):
+    res = benchmark.pedantic(run_fig5, args=("uniform",), rounds=1, iterations=1)
+    _RESULTS = res.raw
+    for name, ms in _RESULTS.items():
+        for m in ms:
+            benchmark.extra_info[f"{name}:{m.op}:mops"] = round(m.throughput / 1e6, 4)
+            benchmark.extra_info[f"{name}:{m.op}:B/elem"] = round(m.traffic_per_element, 2)
+        assert all(m.throughput > 0 for m in ms)
 
-    def run():
-        adapter, ms = run_fig5_suite(kind, data, fresh, sides, FIG5_OPS)
-        _RESULTS[adapter.name] = ms
-        return ms
-
-    ms = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(benchmark, ms)
-    assert all(m.throughput > 0 for m in ms)
-
-
-def test_fig5_uniform_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    """Printed table + the paper's qualitative claims."""
+    # Printed table + the paper's qualitative claims.
     assert set(_RESULTS) == {"pim-zd-tree", "pkd-tree", "zd-tree"}
-    print("\n=== Fig. 5(a) — uniform random workloads ===")
-    print(fig5_table(_RESULTS))
-    print(speedup_summary(_RESULTS))
+    print(f"\n{res}")
 
     pim = {m.op: m for m in _RESULTS["pim-zd-tree"]}
     pkd = {m.op: m for m in _RESULTS["pkd-tree"]}

@@ -11,17 +11,7 @@ when it happened, so an op's time lands in its own phase label rather
 than whatever phase was live when its BSP round closed.
 """
 
-import pytest
-
-from repro.eval import (
-    format_table,
-    make_adapter,
-    make_boxes,
-    phase_breakdown_table,
-    run_op,
-)
-
-from conftest import BATCH, N_MODULES, SEED
+from repro.eval import run_fig6
 
 OPS = ("insert", "bc-1", "bc-100", "bf-100", "100-nn")
 
@@ -34,27 +24,11 @@ PRIMARY_PHASE = {
     "100-nn": "knn",
 }
 
-_BREAKDOWN: dict[str, dict] = {}
-_MEASUREMENTS: list = []
 
-
-def test_fig6_breakdown(benchmark, datasets, fresh_points_factory, box_sides):
-    data = datasets["uniform"]
-    fresh = fresh_points_factory("uniform")
-    sides = box_sides["uniform"]
-
-    def run():
-        adapter = make_adapter("pim", data, n_modules=N_MODULES)
-        for op in OPS:
-            m = run_op(
-                adapter, op, data=data, batch=BATCH, seed=SEED,
-                box_sides=sides, fresh_points=fresh,
-            )
-            _BREAKDOWN[op] = m.breakdown_fractions()
-            _MEASUREMENTS.append(m)
-        return _BREAKDOWN
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig6_breakdown(benchmark):
+    res = benchmark.pedantic(run_fig6, kwargs={"ops": OPS}, rounds=1, iterations=1)
+    _MEASUREMENTS = res.raw["measurements"]
+    _BREAKDOWN = {m.op: m.breakdown_fractions() for m in _MEASUREMENTS}
     for op, frac in _BREAKDOWN.items():
         for part, v in frac.items():
             benchmark.extra_info[f"{op}:{part}"] = round(v, 3)
@@ -62,15 +36,8 @@ def test_fig6_breakdown(benchmark, datasets, fresh_points_factory, box_sides):
         for ph, v in m.phase_fractions().items():
             benchmark.extra_info[f"{m.op}:phase:{ph}"] = round(v, 3)
 
-
-def test_fig6_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_BREAKDOWN) == set(OPS)
-    print("\n=== Fig. 6 — runtime breakdown of PIM-zd-tree operations ===")
-    rows = [
-        [op, f["cpu"], f["pim"], f["comm"]] for op, f in _BREAKDOWN.items()
-    ]
-    print(format_table(["op", "cpu", "pim", "comm"], rows))
+    print(f"\n{res}")
 
     # BoxFetch-100's output volume makes communication its largest share
     # relative to the small box ops (paper: "high CPU-PIM communication
@@ -85,8 +52,6 @@ def test_fig6_report_and_shape(benchmark):
 
     # Charge-time per-phase attribution: each op's own phase owns the
     # bulk of its time (routing/rechunk overheads land under "other").
-    print("\n=== Fig. 6 — per-phase attribution (charge-time) ===")
-    print(phase_breakdown_table(_MEASUREMENTS))
     by_op = {m.op: m for m in _MEASUREMENTS}
     assert set(by_op) == set(OPS)
     for op, want in PRIMARY_PHASE.items():

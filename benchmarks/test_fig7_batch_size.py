@@ -7,43 +7,22 @@ proportionally smaller here because the LLC is scaled with the dataset,
 DESIGN.md).
 """
 
-import pytest
-
-from repro.eval import format_table, make_adapter
-from repro.workloads import uniform_points
-
-from conftest import N_MODULES, SEED
+from repro.eval import run_fig7
 
 # Scaled-down analogue of the paper's 50k…2M sweep.
 BATCH_SIZES = (128, 256, 512, 1024, 2048, 4096)
 
-_ROWS: list[list] = []
 
-
-def test_fig7_batch_size_sweep(benchmark, datasets):
-    data = datasets["uniform"]
-
-    def run():
-        for batch in BATCH_SIZES:
-            adapter = make_adapter("pim", data, n_modules=N_MODULES)
-            fresh = uniform_points(batch, 3, seed=SEED * 31 + batch)
-            m = adapter.measure(lambda: adapter.insert(fresh))
-            _ROWS.append(
-                [batch, m.throughput / 1e6, m.traffic_bytes / batch]
-            )
-        return _ROWS
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig7_batch_size(benchmark):
+    res = benchmark.pedantic(run_fig7, kwargs={"batch_sizes": BATCH_SIZES},
+                             rounds=1, iterations=1)
+    _ROWS = res.rows
     for batch, mops, traffic in _ROWS:
         benchmark.extra_info[f"batch{batch}:mops"] = round(mops, 4)
         benchmark.extra_info[f"batch{batch}:B/op"] = round(traffic, 1)
 
-
-def test_fig7_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert len(_ROWS) == len(BATCH_SIZES)
-    print("\n=== Fig. 7 — INSERT vs batch size ===")
-    print(format_table(["batch", "MOp/s", "traffic B/op"], _ROWS))
+    print(f"\n{res}")
 
     mops = [r[1] for r in _ROWS]
     traffic = [r[2] for r in _ROWS]

@@ -7,50 +7,21 @@ fall, so their throughput degrades (paper: 1.4–1.6× over a 15× size range)
 and traffic grows (1.3–1.5×).
 """
 
-import numpy as np
-import pytest
-
-from repro.eval import format_table, make_adapter
-from repro.workloads import uniform_points
-
-from conftest import N_MODULES, SEED
+from repro.eval import run_fig8
 
 SIZES = (10_000, 20_000, 40_000, 80_000)
-BATCH = 384
-
-_TP: dict[str, list[float]] = {}
-_TRAFFIC: dict[str, list[float]] = {}
 
 
-@pytest.mark.parametrize("kind", ["pim", "pkd", "zd"])
-def test_fig8_size_sweep(benchmark, kind):
-    def run():
-        tps, traffics = [], []
-        for n in SIZES:
-            data = uniform_points(n, 3, seed=SEED)
-            adapter = make_adapter(kind, data, n_modules=N_MODULES)
-            rng = np.random.default_rng(SEED + n)
-            q = data[rng.integers(0, n, BATCH)]
-            m = adapter.measure(lambda: adapter.knn(q, 1))
-            tps.append(m.throughput / 1e6)
-            traffics.append(m.traffic_per_element)
-        _TP[kind] = tps
-        _TRAFFIC[kind] = traffics
-        return tps
+def test_fig8_dataset_size(benchmark):
+    res = benchmark.pedantic(run_fig8, kwargs={"sizes": SIZES}, rounds=1, iterations=1)
+    _TP = res.raw["throughput"]
+    _TRAFFIC = res.raw["traffic"]
+    for kind, tps in _TP.items():
+        for n, tp in zip(SIZES, tps):
+            benchmark.extra_info[f"{kind}:n{n}:mops"] = round(tp, 4)
 
-    tps = benchmark.pedantic(run, rounds=1, iterations=1)
-    for n, tp in zip(SIZES, tps):
-        benchmark.extra_info[f"n{n}:mops"] = round(tp, 4)
-
-
-def test_fig8_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_TP) == {"pim", "pkd", "zd"}
-    print("\n=== Fig. 8 — 1-NN throughput vs dataset size ===")
-    rows = []
-    for kind in ("pim", "pkd", "zd"):
-        rows.append([kind] + [round(v, 3) for v in _TP[kind]])
-    print(format_table(["index"] + [f"n={n}" for n in SIZES], rows))
+    print(f"\n{res}")
 
     def degradation(kind):
         return max(_TP[kind]) / max(min(_TP[kind]), 1e-12)

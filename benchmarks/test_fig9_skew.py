@@ -6,47 +6,21 @@ degrades sharply once more than ~0.1% of the batch is skewed (paper:
 ≤4.1% fluctuation vs 10.66× degradation at 2%).
 """
 
-import pytest
-
-from repro.eval import format_table, make_adapter
-from repro.workloads import zipf_mix_queries
-
-from conftest import N_MODULES, SEED
+from repro.eval import run_fig9
 
 FRACTIONS = (0.0, 0.002, 0.02, 0.2, 1.0)
-BATCH = 768
-
-_TP: dict[str, list[float]] = {}
 
 
-@pytest.mark.parametrize("variant", ["pim", "pim-skew"])
-def test_fig9_skew_sweep(benchmark, variant, datasets):
-    data = datasets["uniform"]
+def test_fig9_skew(benchmark):
+    res = benchmark.pedantic(run_fig9, kwargs={"fractions": FRACTIONS},
+                             rounds=1, iterations=1)
+    _TP = res.raw["throughput"]
+    for variant, tps in _TP.items():
+        for frac, tp in zip(FRACTIONS, tps):
+            benchmark.extra_info[f"{variant}:varden{frac}:mops"] = round(tp, 4)
 
-    def run():
-        adapter = make_adapter(variant, data, n_modules=N_MODULES)
-        tps = []
-        for i, frac in enumerate(FRACTIONS):
-            q = zipf_mix_queries(data, BATCH, frac, seed=SEED * 100 + i)
-            m = adapter.measure(lambda: adapter.knn(q, 1))
-            tps.append(m.throughput / 1e6)
-        _TP[variant] = tps
-        return tps
-
-    tps = benchmark.pedantic(run, rounds=1, iterations=1)
-    for frac, tp in zip(FRACTIONS, tps):
-        benchmark.extra_info[f"varden{frac}:mops"] = round(tp, 4)
-
-
-def test_fig9_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_TP) == {"pim", "pim-skew"}
-    print("\n=== Fig. 9 — 1-NN throughput vs Varden query fraction ===")
-    rows = [
-        [name] + [round(v, 3) for v in _TP[name]]
-        for name in ("pim", "pim-skew")
-    ]
-    print(format_table(["variant"] + [f"{f:g}" for f in FRACTIONS], rows))
+    print(f"\n{res}")
 
     skew_tp = _TP["pim-skew"]
     thr_tp = _TP["pim"]

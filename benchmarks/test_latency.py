@@ -6,51 +6,17 @@ Pkd-tree < zd-tree.  We reproduce the *ordering* on per-batch simulated
 latencies (absolute values scale with the simulated batch size).
 """
 
-import numpy as np
-import pytest
-
-from repro.eval import make_adapter, percentile
-
-from conftest import N_MODULES, SEED
-
-BATCHES = 24
-BATCH = 96
+from repro.eval import run_latency
 
 
-def _latencies(kind, data):
-    adapter = make_adapter(kind, data, n_modules=N_MODULES)
-    rng = np.random.default_rng(SEED + 1)
-    lats = []
-    for _ in range(BATCHES):
-        q = data[rng.integers(0, len(data), BATCH)]
-        m = adapter.measure(lambda: adapter.knn(q, 1))
-        lats.append(m.sim_time_s)
-    return lats
+def test_latency(benchmark):
+    res = benchmark.pedantic(run_latency, args=("osm",), rounds=1, iterations=1)
+    _P99 = res.raw["p99_s"]
+    for kind in _P99:
+        benchmark.extra_info[f"{kind}:p99_s"] = _P99[kind]
+        benchmark.extra_info[f"{kind}:p50_s"] = res.raw["p50_s"][kind]
+        assert _P99[kind] > 0
 
-
-_P99: dict[str, float] = {}
-
-
-@pytest.mark.parametrize("kind", ["pim", "pkd", "zd"])
-def test_latency_1nn_osm(benchmark, kind, datasets):
-    data = datasets["osm"]
-
-    def run():
-        lats = _latencies(kind, data)
-        _P99[kind] = percentile(lats, 99)
-        return lats
-
-    lats = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["p99_s"] = _P99[kind]
-    benchmark.extra_info["p50_s"] = percentile(lats, 50)
-    assert _P99[kind] > 0
-
-
-def test_latency_ordering(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_P99) == {"pim", "pkd", "zd"}
-    print("\n=== §7.2 latency — P99 per-batch 1-NN latency on OSM-like ===")
-    for kind, p99 in _P99.items():
-        print(f"  {kind:4s}: P99 = {p99 * 1e3:8.3f} ms")
-    print("  (paper, absolute: pim 32.5 ms, pkd 44.9 ms, zd 210 ms)")
+    print(f"\n{res}")
     assert _P99["pim"] < _P99["pkd"] < _P99["zd"]

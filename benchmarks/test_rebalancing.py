@@ -61,8 +61,7 @@ def test_rebalance_recovers_throughput_2x(benchmark, skewed_data):
         rows_off = throughput_timeline(adapter_off, boxes, steps=STEPS,
                                        batch=BATCH, kind="bc")
         adapter_on, tracer_on = _build(skewed_data)
-        rebalancer = OnlineRebalancer(adapter_on.tree,
-                                      BalanceConfig(seed=SEED))
+        rebalancer = OnlineRebalancer(adapter_on.tree, BalanceConfig())
         rows_on = throughput_timeline(adapter_on, boxes, steps=STEPS,
                                       batch=BATCH, kind="bc",
                                       rebalancer=rebalancer)

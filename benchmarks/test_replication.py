@@ -22,13 +22,14 @@ from __future__ import annotations
 import pytest
 
 from repro.eval import make_adapter
-from repro.replicate import ReplicationConfig
+from repro.replicate import ReplicaSet, ReplicationConfig
 from repro.serve import (
+    AdmissionQueue,
     FixedBatchPolicy,
+    ServeLoop,
     TenantPolicy,
     calibrate_capacity,
     make_requests,
-    serve,
 )
 from repro.workloads import poisson_arrivals, uniform_points
 
@@ -92,13 +93,9 @@ def _attack_stream(data, capacity):
 
 def _run(data, requests, *, tenants):
     adapter = make_adapter("pim", data, n_modules=N_MODULES, seed=SEED)
-    return serve(
-        adapter, requests,
-        queue_depth=QUEUE_DEPTH, overflow="shed-oldest",
-        policy=FixedBatchPolicy(BATCH),
-        tenants=tenants,
-        replication=ReplicationConfig(k=2),
-    ).stats
+    ReplicaSet(adapter.tree, ReplicationConfig(k=2)).replicate_all()
+    queue = AdmissionQueue(QUEUE_DEPTH, overflow="shed-oldest", tenants=tenants)
+    return ServeLoop(adapter, queue, FixedBatchPolicy(BATCH)).run(requests).stats
 
 
 def test_victim_p99_survives_adversarial_flood(benchmark, data, capacity):

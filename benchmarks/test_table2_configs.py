@@ -6,73 +6,18 @@ throughput-optimized layout, and the (slightly larger but bounded)
 O(log_B log_B P)-style communication of the skew-resistant layout.
 """
 
-import numpy as np
-import pytest
-
-from repro.eval import format_table, make_adapter
-from repro.workloads import uniform_points
-
-from conftest import N_MODULES, SEED
-
-BATCH = 512
-
-_ROWS: list[list] = []
+from repro.eval import run_table2
 
 
-def _comm_per_op(adapter, fn, nops):
-    snap = adapter.system.snapshot()
-    fn()
-    d = adapter.system.stats.diff(snap).total
-    return d.comm_words / nops, d.rounds
-
-
-def test_table2_configs(benchmark, datasets):
-    data = datasets["uniform"]
-
-    def run():
-        rng = np.random.default_rng(SEED)
-        for variant in ("pim", "pim-skew"):
-            adapter = make_adapter(variant, data, n_modules=N_MODULES)
-            space = adapter.tree.space_words()["total"]
-            point_words = len(data) * (adapter.tree.dims + 1)
-            q = data[rng.integers(0, len(data), BATCH)]
-            search_w, search_r = _comm_per_op(
-                adapter, lambda: adapter.tree.search(q), BATCH
-            )
-            fresh = uniform_points(BATCH, 3, seed=SEED + 5)
-            ins_w, ins_r = _comm_per_op(
-                adapter, lambda: adapter.insert(fresh), BATCH
-            )
-            knn_w, _ = _comm_per_op(adapter, lambda: adapter.knn(q[:128], 10), 128)
-            _ROWS.append(
-                [
-                    adapter.variant,
-                    round(space / point_words, 2),
-                    round(search_w, 1),
-                    search_r,
-                    round(ins_w, 1),
-                    round(knn_w, 1),
-                ]
-            )
-        return _ROWS
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table2_configs(benchmark):
+    res = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+    _ROWS = res.rows
     for row in _ROWS:
         benchmark.extra_info[f"{row[0]}:space_x"] = row[1]
         benchmark.extra_info[f"{row[0]}:search_w"] = row[2]
 
-
-def test_table2_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert len(_ROWS) == 2
-    print("\n=== Table 2 — configuration properties (measured) ===")
-    print(
-        format_table(
-            ["config", "space/points", "search w/op", "rounds", "insert w/op",
-             "knn-10 w/op"],
-            _ROWS,
-        )
-    )
+    print(f"\n{res}")
     thr, skw = _ROWS
     # Space O(n) for both (Theorem 5.1): within a constant of raw points.
     assert thr[1] < 10 and skw[1] < 10

@@ -14,66 +14,19 @@ reports measured slowdowns and asserts each targeted operation slows
 down when its technique is removed.
 """
 
-import pytest
-
-from repro.core import throughput_optimized
-from repro.eval import PIMZdTreeAdapter, format_table, geomean, run_op
-
-from conftest import N_MODULES, SEED
-from conftest import BATCH as FULL_BATCH
-
-BATCH = FULL_BATCH // 2
-OPS = ("insert", "bc-10", "bf-10", "10-nn")
-ABLATIONS = {
-    "lazy-counter": {"lazy_counters": False},
-    "fast-zorder": {"fast_zorder": False},
-    "fast-l2": {"fast_l2": False},
-    "direct-api": {"direct_api": False},
-}
-
-_SLOWDOWN: dict[str, dict[str, float]] = {}
+from repro.eval import TABLE3_ABLATIONS as ABLATIONS
+from repro.eval import geomean, run_table3
 
 
-def _suite_times(datasets, fresh_points_factory, box_sides, **cfg_over):
-    data = datasets["uniform"]
-    cfg = throughput_optimized(len(data), N_MODULES, **cfg_over)
-    adapter = PIMZdTreeAdapter(data, n_modules=N_MODULES, config=cfg)
-    fresh = fresh_points_factory("uniform")
-    times = {}
-    for op in OPS:
-        m = run_op(
-            adapter, op, data=data, batch=BATCH, seed=SEED,
-            box_sides=box_sides["uniform"], fresh_points=fresh,
-        )
-        times[op] = m.sim_time_s / max(1, m.elements)
-    return times
-
-
-def test_table3_ablations(benchmark, datasets, fresh_points_factory, box_sides):
-    def run():
-        base = _suite_times(datasets, fresh_points_factory, box_sides)
-        for name, over in ABLATIONS.items():
-            abl = _suite_times(datasets, fresh_points_factory, box_sides, **over)
-            _SLOWDOWN[name] = {op: abl[op] / base[op] for op in OPS}
-        return _SLOWDOWN
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table3_ablation(benchmark):
+    res = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    _SLOWDOWN = res.raw["slowdown"]
     for name, per_op in _SLOWDOWN.items():
         for op, s in per_op.items():
             benchmark.extra_info[f"{name}:{op}"] = round(s, 3)
 
-
-def test_table3_report_and_shape(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert set(_SLOWDOWN) == set(ABLATIONS)
-    print("\n=== Table 3 — slowdown with each technique removed ===")
-    rows = [
-        [name] + [round(_SLOWDOWN[name][op], 3) for op in OPS]
-        for name in ABLATIONS
-    ]
-    print(format_table(["technique"] + list(OPS), rows))
-    print("(paper: lazy 1.49x insert; fast z-order 1.99x/1.58x/1.31x/1.67x;")
-    print(" fast l2 1.58x knn; direct API 1.06-1.09x)")
+    print(f"\n{res}")
 
     # Lazy counters target INSERT (paper 1.49x).
     assert _SLOWDOWN["lazy-counter"]["insert"] > 1.05

@@ -60,7 +60,6 @@ class BalanceConfig:
     ewma_alpha: float = 0.3
     max_moves: int = 8
     min_keep: int = 1  # hottest chunks pinned per source module
-    seed: int = 0
 
 
 def inert_balance() -> BalanceConfig:

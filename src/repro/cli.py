@@ -360,7 +360,7 @@ def _run_one(name: str, kwargs: dict) -> ExperimentResult:
 def _run_trace(args: argparse.Namespace) -> int:
     """The ``trace`` subcommand: traced workload → timeline export."""
     from .eval import phase_breakdown_table, run_suite
-    from .eval.experiments import _dataset
+    from .eval.experiments import _dataset, fresh_points
     from .eval.harness import PIMZdTreeAdapter
     from .obs import TraceCollector, load_summary, timeline_csv, write_trace
 
@@ -380,18 +380,12 @@ def _run_trace(args: argparse.Namespace) -> int:
         return 2
 
     data = _dataset(args.dataset, n, seed)
-    gen = DATASETS[args.dataset]
-    counter = {"i": 0}
-
-    def fresh(m: int):
-        counter["i"] += 1
-        return gen(m, 3, seed=seed * 1000 + counter["i"])
-
     tracer = TraceCollector(capacity=args.ring)
     adapter = PIMZdTreeAdapter(data, n_modules=n_modules, seed=seed,
                                tracer=tracer)
     measurements = run_suite(adapter, data=data, ops=ops, batch=batch,
-                             seed=seed, fresh_points=fresh)
+                             seed=seed,
+                             fresh_points=fresh_points(args.dataset, seed))
 
     print(f"=== trace — {args.dataset}, n={n}, batch={batch}, "
           f"P={n_modules}, ops={','.join(ops)} ===")
@@ -855,7 +849,6 @@ def _run_balance(args: argparse.Namespace) -> int:
         gini_threshold=args.gini_threshold,
         budget_words=args.budget_words,
         max_moves=args.max_moves,
-        seed=seed,
     )
 
     def build():

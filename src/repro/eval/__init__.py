@@ -2,7 +2,9 @@
 
 from .experiments import (
     ALL_EXPERIMENTS,
+    TABLE3_ABLATIONS,
     ExperimentResult,
+    fresh_points,
     run_fig5,
     run_fig6,
     run_fig7,

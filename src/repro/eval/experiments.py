@@ -1,11 +1,16 @@
-"""Programmatic definitions of every §7 experiment.
+"""The paper's §7 experiments, one function each.
 
 Each ``run_*`` function reproduces one table or figure of the paper and
-returns a structured :class:`ExperimentResult` (rows + column names +
-paper reference), so the experiments can be driven from scripts, notebooks
-or the CLI (``python -m repro.cli``) as well as from the pytest benchmark
-suite.  Parameters default to the scaled-down sizes of DESIGN.md and can
-be raised toward paper scale on bigger machines.
+returns an :class:`ExperimentResult`: the printed table (headers + rows),
+the paper reference, and in ``raw`` the unrounded values the figure
+benchmarks assert on.  ``python -m repro.cli <name>`` and
+``benchmarks/test_<figure>.py`` both call these functions, so both print
+the same numbers.  Parameters default to the benchmarks' scaled-down
+sizes (DESIGN.md) and can be raised toward paper scale on bigger
+machines.
+
+Every index, variant or ablation compared in one run inserts the same
+points: each gets its own :func:`fresh_points` source for the dataset.
 """
 
 from __future__ import annotations
@@ -31,12 +36,20 @@ from .harness import (
     run_op,
     run_suite,
 )
-from .metrics import OpMeasurement, percentile
-from .report import bar_chart, format_table
+from .metrics import percentile
+from .report import (
+    bar_chart,
+    fig5_rows,
+    format_table,
+    phase_breakdown_table,
+    speedup_summary,
+)
 
 __all__ = [
     "ExperimentResult",
     "DATASETS",
+    "TABLE3_ABLATIONS",
+    "fresh_points",
     "run_fig5",
     "run_latency",
     "run_fig6",
@@ -70,19 +83,40 @@ class ExperimentResult:
     def table(self) -> str:
         return format_table(self.headers, self.rows)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         out = f"=== {self.name} ({self.paper_ref}) ===\n{self.table()}"
         if self.notes:
             out += f"\n{self.notes}"
         return out
 
 
-def _dataset(name: str, n: int, seed: int) -> np.ndarray:
+def _generator(name: str) -> Callable:
     try:
-        gen = DATASETS[name]
+        return DATASETS[name]
     except KeyError:
         raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
-    return gen(n, 3, seed=seed)
+
+
+def _dataset(name: str, n: int, seed: int) -> np.ndarray:
+    return _generator(name)(n, 3, seed=seed)
+
+
+def fresh_points(dataset: str, seed: int) -> Callable[[int], np.ndarray]:
+    """A source of points to insert, drawn from ``dataset``'s distribution.
+
+    ``fresh(m)`` returns the next ``m`` points of one seeded stream per
+    ``(seed, dataset)``.  Two sources built with the same arguments yield
+    the same points, so each side of a comparison gets its own.
+    """
+    gen = _generator(dataset)
+    rng = np.random.default_rng((seed, sorted(DATASETS).index(dataset)))
+    return lambda m: gen(m, 3, seed=rng)
+
+
+def _box_sides(data: np.ndarray, ops: Sequence[str], seed: int) -> dict[int, float]:
+    """Calibrated box sides for every box op's target coverage (§7.2)."""
+    targets = sorted({int(o.split("-")[1]) for o in ops if o.startswith(("bc-", "bf-"))})
+    return {t: calibrate_box_side(data, t, seed=seed) for t in targets}
 
 
 # ======================================================================
@@ -100,51 +134,31 @@ def run_fig5(
 ) -> ExperimentResult:
     """Throughput + per-element traffic for all operations and indexes."""
     data = _dataset(dataset, n, seed)
-    gen = DATASETS[dataset]
-    counter = {"i": 0}
-
-    def fresh(m: int) -> np.ndarray:
-        counter["i"] += 1
-        return gen(m, 3, seed=seed * 1000 + counter["i"])
-
-    targets = sorted({int(o.split("-")[1]) for o in ops if o.startswith(("bc-", "bf-"))})
-    sides = {t: calibrate_box_side(data, t, seed=seed) for t in targets}
-
-    results: dict[str, list[OpMeasurement]] = {}
+    sides = _box_sides(data, ops, seed)
+    results = {}
     for kind in indexes:
         adapter = make_adapter(kind, data, n_modules=n_modules)
         results[adapter.name] = run_suite(
             adapter, data=data, ops=ops, batch=batch, seed=seed,
-            fresh_points=fresh, box_sides=sides,
+            fresh_points=fresh_points(dataset, seed), box_sides=sides,
         )
-
-    headers = ["op"]
-    names = list(results)
-    for name in names:
-        headers += [f"{name} MOp/s", f"{name} B/elem"]
-    rows = []
-    for i, op in enumerate(ops):
-        row = [op]
-        for name in names:
-            m = results[name][i]
-            row += [round(m.throughput / 1e6, 4), round(m.traffic_per_element, 1)]
-        rows.append(row)
+    headers, rows = fig5_rows(results)
     # A terminal rendition of the Fig. 5 bars for one representative op.
-    bar_op = ops[-1]
-    idx = list(ops).index(bar_op)
+    names = list(results)
     chart = bar_chart(
-        names,
-        [results[nm][idx].throughput / 1e6 for nm in names],
-        unit=" MOp/s",
-        log=True,
+        names, [results[nm][-1].throughput / 1e6 for nm in names],
+        unit=" MOp/s", log=True,
     )
+    notes = f"throughput, {ops[-1]} (log-scale bars):\n{chart}"
+    if "pim-zd-tree" in results and len(results) > 1:
+        notes = f"{speedup_summary(results)}\n{notes}"
     return ExperimentResult(
         name=f"fig5-{dataset}",
         paper_ref="Fig. 5",
         headers=headers,
         rows=rows,
-        notes=f"throughput, {bar_op} (log-scale bars):\n{chart}",
-        raw={k: [m.row() for m in v] for k, v in results.items()},
+        notes=notes,
+        raw=results,
     )
 
 
@@ -164,6 +178,8 @@ def run_latency(
     """P50/P99 per-batch kNN latency for the three indexes."""
     data = _dataset(dataset, n, seed)
     rows = []
+    p50: dict[str, float] = {}
+    p99: dict[str, float] = {}
     for kind in ("pim", "pkd", "zd"):
         adapter = make_adapter(kind, data, n_modules=n_modules)
         rng = np.random.default_rng(seed + 1)
@@ -171,9 +187,9 @@ def run_latency(
         for _ in range(n_batches):
             q = data[rng.integers(0, len(data), batch)]
             lats.append(adapter.measure(lambda: adapter.knn(q, k)).sim_time_s)
+        p50[kind], p99[kind] = percentile(lats, 50), percentile(lats, 99)
         rows.append(
-            [adapter.name, round(percentile(lats, 50) * 1e3, 3),
-             round(percentile(lats, 99) * 1e3, 3)]
+            [adapter.name, round(p50[kind] * 1e3, 3), round(p99[kind] * 1e3, 3)]
         )
     return ExperimentResult(
         name=f"latency-{dataset}",
@@ -181,6 +197,7 @@ def run_latency(
         headers=["index", "P50 ms", "P99 ms"],
         rows=rows,
         notes="paper (absolute, full scale): pim 32.5 ms, pkd 44.9 ms, zd 210 ms",
+        raw={"p50_s": p50, "p99_s": p99},
     )
 
 
@@ -195,28 +212,23 @@ def run_fig6(
     seed: int = 7,
     ops: Sequence[str] = ("insert", "bc-1", "bc-100", "bf-100", "100-nn"),
 ) -> ExperimentResult:
+    """CPU / PIM / communication shares and per-phase attribution per op."""
     data = _dataset("uniform", n, seed)
     adapter = make_adapter("pim", data, n_modules=n_modules)
-    sides = {t: calibrate_box_side(data, t, seed=seed) for t in (1, 100)}
-    counter = {"i": 0}
-
-    def fresh(m: int) -> np.ndarray:
-        counter["i"] += 1
-        return uniform_points(m, 3, seed=seed * 31 + counter["i"])
-
-    rows = []
-    for op in ops:
-        m = run_op(
-            adapter, op, data=data, batch=batch, seed=seed,
-            box_sides=sides, fresh_points=fresh,
-        )
-        f = m.breakdown_fractions()
-        rows.append([op, round(f["cpu"], 3), round(f["pim"], 3), round(f["comm"], 3)])
+    sides = _box_sides(data, ops, seed)
+    fresh = fresh_points("uniform", seed)
+    ms = [
+        run_op(adapter, op, data=data, batch=batch, seed=seed,
+               box_sides=sides, fresh_points=fresh)
+        for op in ops
+    ]
     return ExperimentResult(
         name="fig6",
         paper_ref="Fig. 6",
         headers=["op", "cpu", "pim", "comm"],
-        rows=rows,
+        rows=[[m.op, *m.breakdown_fractions().values()] for m in ms],
+        notes=f"per-phase attribution (charge-time):\n{phase_breakdown_table(ms)}",
+        raw={"measurements": ms},
     )
 
 
@@ -230,15 +242,14 @@ def run_fig7(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
+    """INSERT throughput and traffic per op versus batch size."""
     data = _dataset("uniform", n, seed)
     rows = []
     for batch in batch_sizes:
         adapter = make_adapter("pim", data, n_modules=n_modules)
         fresh = uniform_points(batch, 3, seed=seed * 31 + batch)
         m = adapter.measure(lambda: adapter.insert(fresh))
-        rows.append(
-            [batch, round(m.throughput / 1e6, 4), round(m.traffic_bytes / batch, 1)]
-        )
+        rows.append([batch, m.throughput / 1e6, m.traffic_bytes / batch])
     return ExperimentResult(
         name="fig7",
         paper_ref="Fig. 7",
@@ -257,23 +268,26 @@ def run_fig8(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
-    rows = []
+    """1-NN throughput and traffic per element versus dataset size."""
+    tp: dict[str, list[float]] = {}
+    traffic: dict[str, list[float]] = {}
     for kind in ("pim", "pkd", "zd"):
-        row = [kind]
+        tp[kind], traffic[kind] = [], []
         for n in sizes:
             data = uniform_points(n, 3, seed=seed)
             adapter = make_adapter(kind, data, n_modules=n_modules)
             rng = np.random.default_rng(seed + n)
             q = data[rng.integers(0, n, batch)]
             m = adapter.measure(lambda: adapter.knn(q, 1))
-            row.append(round(m.throughput / 1e6, 4))
-        rows.append(row)
+            tp[kind].append(m.throughput / 1e6)
+            traffic[kind].append(m.traffic_per_element)
     return ExperimentResult(
         name="fig8",
         paper_ref="Fig. 8",
         headers=["index"] + [f"n={n}" for n in sizes],
-        rows=rows,
+        rows=[[kind] + [round(v, 3) for v in tps] for kind, tps in tp.items()],
         notes="paper: PIM stable; Pkd degrades 1.4x, zd 1.6x over a 15x sweep",
+        raw={"throughput": tp, "traffic": traffic},
     )
 
 
@@ -288,16 +302,18 @@ def run_fig9(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
+    """1-NN throughput of both variants under Uniform+Varden query mixes."""
     data = _dataset("uniform", n, seed)
+    tp: dict[str, list[float]] = {}
     rows = []
     for variant in ("pim", "pim-skew"):
         adapter = make_adapter(variant, data, n_modules=n_modules)
-        row = [adapter.variant]
+        tp[variant] = []
         for i, frac in enumerate(fractions):
             q = zipf_mix_queries(data, batch, frac, seed=seed * 100 + i)
             m = adapter.measure(lambda: adapter.knn(q, 1))
-            row.append(round(m.throughput / 1e6, 4))
-        rows.append(row)
+            tp[variant].append(m.throughput / 1e6)
+        rows.append([adapter.variant] + [round(v, 3) for v in tp[variant]])
     return ExperimentResult(
         name="fig9",
         paper_ref="Fig. 9",
@@ -305,6 +321,7 @@ def run_fig9(
         rows=rows,
         notes="paper: skew-resistant fluctuates <= 4.1%; throughput-optimized "
               "degrades 10.66x at 2% Varden",
+        raw={"throughput": tp},
     )
 
 
@@ -318,29 +335,36 @@ def run_table2(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
+    """Space, and words and rounds per SEARCH / INSERT / 10-NN, per variant."""
     data = _dataset("uniform", n, seed)
     rng = np.random.default_rng(seed)
+
+    def comm_per_op(adapter, fn, nops):
+        snap = adapter.system.snapshot()
+        fn()
+        d = adapter.system.stats.diff(snap).total
+        return d.comm_words / nops, d.rounds
+
     rows = []
     for variant in ("pim", "pim-skew"):
         adapter = make_adapter(variant, data, n_modules=n_modules)
         space = adapter.tree.space_words()["total"]
         point_words = len(data) * (adapter.tree.dims + 1)
         q = data[rng.integers(0, len(data), batch)]
-        snap = adapter.system.snapshot()
-        adapter.tree.search(q)
-        d = adapter.system.stats.diff(snap).total
-        rows.append(
-            [
-                adapter.variant,
-                round(space / point_words, 2),
-                round(d.comm_words / batch, 1),
-                d.rounds,
-            ]
-        )
+        search_w, search_r = comm_per_op(adapter, lambda: adapter.tree.search(q), batch)
+        fresh = uniform_points(batch, 3, seed=seed + 5)
+        ins_w, _ = comm_per_op(adapter, lambda: adapter.insert(fresh), batch)
+        kq = q[:128]
+        knn_w, _ = comm_per_op(adapter, lambda: adapter.knn(kq, 10), len(kq))
+        rows.append([
+            adapter.variant, round(space / point_words, 2), round(search_w, 1),
+            search_r, round(ins_w, 1), round(knn_w, 1),
+        ])
     return ExperimentResult(
         name="table2",
         paper_ref="Table 2",
-        headers=["config", "space/points", "search words/op", "search rounds"],
+        headers=["config", "space/points", "search w/op", "rounds",
+                 "insert w/op", "knn-10 w/op"],
         rows=rows,
     )
 
@@ -348,6 +372,14 @@ def run_table2(
 # ======================================================================
 # Table 3 — implementation-technique ablations
 # ======================================================================
+TABLE3_ABLATIONS = {
+    "lazy-counter": {"lazy_counters": False},
+    "fast-zorder": {"fast_zorder": False},
+    "fast-l2": {"fast_l2": False},
+    "direct-api": {"direct_api": False},
+}
+
+
 def run_table3(
     *,
     n: int = 40_000,
@@ -356,17 +388,14 @@ def run_table3(
     seed: int = 7,
     ops: Sequence[str] = ("insert", "bc-10", "bf-10", "10-nn"),
 ) -> ExperimentResult:
+    """Per-element slowdown when each implementation technique is removed."""
     data = _dataset("uniform", n, seed)
-    sides = {10: calibrate_box_side(data, 10, seed=seed)}
-    counter = {"i": 0}
-
-    def fresh(m: int) -> np.ndarray:
-        counter["i"] += 1
-        return uniform_points(m, 3, seed=seed * 77 + counter["i"])
+    sides = _box_sides(data, ops, seed)
 
     def suite(**cfg_over) -> dict[str, float]:
         cfg = throughput_optimized(len(data), n_modules, **cfg_over)
         adapter = PIMZdTreeAdapter(data, n_modules=n_modules, config=cfg)
+        fresh = fresh_points("uniform", seed)
         out = {}
         for op in ops:
             m = run_op(
@@ -377,23 +406,18 @@ def run_table3(
         return out
 
     base = suite()
-    ablations = {
-        "lazy-counter": {"lazy_counters": False},
-        "fast-zorder": {"fast_zorder": False},
-        "fast-l2": {"fast_l2": False},
-        "direct-api": {"direct_api": False},
-    }
-    rows = []
-    for name, over in ablations.items():
+    slowdown = {}
+    for name, over in TABLE3_ABLATIONS.items():
         abl = suite(**over)
-        rows.append([name] + [round(abl[op] / base[op], 3) for op in ops])
+        slowdown[name] = {op: abl[op] / base[op] for op in ops}
     return ExperimentResult(
         name="table3",
         paper_ref="Table 3",
         headers=["technique removed"] + list(ops),
-        rows=rows,
+        rows=[[name] + [round(s[op], 3) for op in ops] for name, s in slowdown.items()],
         notes="paper: lazy 1.49x insert; fast z-order 1.99/1.58/1.31/1.67x; "
               "fast l2 1.58x knn; direct API 1.06-1.09x",
+        raw={"slowdown": slowdown},
     )
 
 

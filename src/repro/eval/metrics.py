@@ -83,16 +83,6 @@ class OpMeasurement:
             "comm": self.comm_s / total,
         }
 
-    def row(self) -> dict:
-        return {
-            "index": self.index,
-            "op": self.op,
-            "throughput_mops": self.throughput / 1e6,
-            "traffic_B_per_elem": self.traffic_per_element,
-            "sim_time_s": self.sim_time_s,
-            "elements": self.elements,
-        }
-
 
 def percentile(values, q: float) -> float:
     """Nearest-rank percentile (used for the §7.2 P99 latency numbers)."""

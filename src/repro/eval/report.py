@@ -14,6 +14,7 @@ from .metrics import OpMeasurement
 
 __all__ = [
     "format_table",
+    "fig5_rows",
     "fig5_table",
     "phase_breakdown_table",
     "speedup_summary",
@@ -44,8 +45,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def fig5_table(measurements: dict[str, list[OpMeasurement]]) -> str:
-    """Render a Fig. 5 style table: one row per op, one column pair per index."""
+def fig5_rows(measurements: dict[str, list[OpMeasurement]]) -> tuple[list, list]:
+    """Fig. 5 layout: one row per op, one (MOp/s, B/elem) column pair per
+    index; returns ``(headers, rows)``."""
     indexes = list(measurements)
     ops = [m.op for m in measurements[indexes[0]]]
     headers = ["op"]
@@ -58,7 +60,12 @@ def fig5_table(measurements: dict[str, list[OpMeasurement]]) -> str:
             m = measurements[ix][i]
             row += [m.throughput / 1e6, m.traffic_per_element]
         rows.append(row)
-    return format_table(headers, rows)
+    return headers, rows
+
+
+def fig5_table(measurements: dict[str, list[OpMeasurement]]) -> str:
+    """Render a Fig. 5 style table (:func:`fig5_rows`)."""
+    return format_table(*fig5_rows(measurements))
 
 
 def phase_breakdown_table(measurements: Iterable[OpMeasurement]) -> str:

@@ -44,7 +44,7 @@ from .batcher import AdaptiveBatchPolicy, FixedBatchPolicy
 from .loop import BatchRecord, ServeLoop, ServeResult
 from .queue import AdmissionQueue, OVERFLOW_POLICIES
 from .request import KINDS, Request, make_requests
-from .session import ServeSpec, _make_loop, build_session, resolve_rate
+from .session import ServeSpec, build_session, resolve_rate
 from .stats import LatencyStats, latency_summary
 from .sweep import SweepResult, SweepShardError, run_shard, run_sweep
 from .tenants import DEFAULT_TENANT, SLO_CLASSES, TenantPolicy
@@ -73,7 +73,6 @@ __all__ = [
     "resolve_rate",
     "run_shard",
     "run_sweep",
-    "serve",
 ]
 
 
@@ -103,40 +102,3 @@ def calibrate_capacity(adapter, data, *, kind: str = "knn", k: int = 10,
     if m.sim_time_s <= 0:
         raise RuntimeError("calibration batch took zero simulated time")
     return batch / m.sim_time_s
-
-
-def serve(adapter, requests, *, queue_depth: int = 1024,
-          overflow: str = "reject", policy=None,
-          max_retries: int = 3, backoff_s: float = 1e-4,
-          timeout_s: float | None = None, degraded_mode: bool = True,
-          failover: bool = True, rebalancer=None,
-          tenants=None, replication=None) -> ServeResult:
-    """One-call serve run over a caller-built adapter and request list
-    (:func:`repro.serve.session.build_session` builds those too).
-
-    The fault-resilience knobs (``max_retries``, ``backoff_s``,
-    ``timeout_s``, ``degraded_mode``, ``failover``) are forwarded to
-    :class:`ServeLoop`; all are inert on a fault-free adapter except
-    ``timeout_s``, which expires over-age queued requests regardless.
-    ``rebalancer`` (a :class:`repro.balance.OnlineRebalancer`) enables
-    budget-capped background migration between batches.
-
-    ``tenants`` (a :class:`TenantPolicy` or a tenant→weight dict) turns
-    the admission queue into weighted-fair dequeue with fair-share
-    shedding.  ``replication`` (a
-    :class:`repro.replicate.ReplicationConfig`) attaches a ReplicaSet to
-    the adapter's tree and installs the initial K-way copies (charged)
-    before serving starts.
-    """
-    if policy is None:
-        policy = AdaptiveBatchPolicy()
-    if replication is not None:
-        from ..replicate import ReplicaSet
-
-        ReplicaSet(adapter.tree, replication).replicate_all()
-    loop = _make_loop(adapter, policy, queue_depth=queue_depth,
-                      overflow=overflow, tenants=tenants,
-                      max_retries=max_retries, backoff_s=backoff_s,
-                      timeout_s=timeout_s, degraded_mode=degraded_mode,
-                      failover=failover, rebalancer=rebalancer)
-    return loop.run(requests)

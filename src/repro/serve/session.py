@@ -125,16 +125,6 @@ class Session:
         return self.loop.run(self.requests)
 
 
-def _make_loop(adapter, policy, *, queue_depth: int = 1024,
-               overflow: str = "reject", tenants=None, **loop_kw) -> ServeLoop:
-    """Admission queue + serve loop over ``adapter`` (``loop_kw`` are
-    :class:`ServeLoop` keywords)."""
-    return ServeLoop(
-        adapter, AdmissionQueue(queue_depth, overflow=overflow,
-                                tenants=tenants),
-        policy, **loop_kw)
-
-
 def _resolve(spec: ServeSpec):
     """``(spec, capacity, data)``: ``spec`` validated with its ``rate``
     pinned, and the dataset it serves.  A spec without a rate offers
@@ -200,10 +190,10 @@ def build_session(spec: ServeSpec, *, fault_plan=None, tracer=None,
         from ..tune.online import OnlineController
 
         controller = OnlineController(window=spec.adapt_window)
-    loop = _make_loop(
-        adapter, parts["policy"], queue_depth=spec.queue_depth,
-        overflow=spec.overflow, tenants=spec.tenants,
-        max_retries=spec.max_retries, backoff_s=spec.backoff_s,
+    loop = ServeLoop(
+        adapter, AdmissionQueue(spec.queue_depth, overflow=spec.overflow,
+                                tenants=spec.tenants),
+        parts["policy"], max_retries=spec.max_retries, backoff_s=spec.backoff_s,
         timeout_s=spec.timeout_s, degraded_mode=spec.degraded_mode,
         failover=spec.failover, rebalancer=parts["rebalancer"], store=store,
         controller=controller, max_restarts=spec.max_restarts)

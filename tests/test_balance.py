@@ -188,7 +188,7 @@ class TestPlanner:
         ad = make_adapter()
         boxes = hot_boxes(ad.tree)
         tr = self._hot_tracker(ad, boxes)
-        planner = MigrationPlanner(ad.tree, BalanceConfig(seed=SEED))
+        planner = MigrationPlanner(ad.tree, BalanceConfig())
         assert planner.should_rebalance(tr)
         p1 = planner.plan(tr)
         p2 = planner.plan(tr)
@@ -215,7 +215,7 @@ class TestPlanner:
         ad = make_adapter()
         boxes = hot_boxes(ad.tree)
         tr = self._hot_tracker(ad, boxes)
-        cfg = BalanceConfig(max_moves=2, seed=SEED)
+        cfg = BalanceConfig(max_moves=2)
         plan = MigrationPlanner(ad.tree, cfg).plan(tr)
         assert 0 < len(plan.moves) <= 2
         hot_mid, hot_metas = hottest_colocated_metas(ad.tree)
@@ -232,7 +232,7 @@ class TestPlanner:
         """After migration repairs the skew, later steps plan nothing."""
         ad = make_adapter()
         boxes = hot_boxes(ad.tree)
-        reb = OnlineRebalancer(ad.tree, BalanceConfig(seed=SEED))
+        reb = OnlineRebalancer(ad.tree, BalanceConfig())
         migrated_steps = []
         for s in range(8):
             ad.box_count([boxes[(j + s * 32) % len(boxes)]
@@ -307,7 +307,7 @@ class TestExecutor:
             ad.box_count([boxes[(j + s * 32) % len(boxes)]
                           for j in range(32)])
         tr.observe()
-        return MigrationPlanner(ad.tree, BalanceConfig(seed=SEED)).plan(tr)
+        return MigrationPlanner(ad.tree, BalanceConfig()).plan(tr)
 
     def test_empty_plan_charges_nothing(self):
         ad = make_adapter()
@@ -379,15 +379,18 @@ class TestExecutor:
 # ----------------------------------------------------------------------
 class TestServeIntegration:
     def test_serve_accepts_rebalancer(self):
-        from repro.serve import make_requests, serve
+        from repro.serve import (AdaptiveBatchPolicy, AdmissionQueue,
+                                 ServeLoop, make_requests)
         from repro.workloads import poisson_arrivals
 
         data = varden_points(N, 3, seed=SEED)
         ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED)
-        reb = OnlineRebalancer(ad.tree, BalanceConfig(seed=SEED))
+        reb = OnlineRebalancer(ad.tree, BalanceConfig())
         arrivals = poisson_arrivals(20_000.0, 200, seed=SEED + 1)
         reqs = make_requests(data, arrivals, k=5, seed=SEED + 2)
-        res = serve(ad, reqs, rebalancer=reb)
+        loop = ServeLoop(ad, AdmissionQueue(1024), AdaptiveBatchPolicy(),
+                         rebalancer=reb)
+        res = loop.run(reqs)
         assert res.stats.n_offered == 200
         assert reb.steps > 0
 
@@ -399,7 +402,7 @@ class TestServeIntegration:
 
         data = varden_points(N, 3, seed=SEED)
         ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED)
-        reb = OnlineRebalancer(ad.tree, BalanceConfig(seed=SEED))
+        reb = OnlineRebalancer(ad.tree, BalanceConfig())
         arrivals = poisson_arrivals(20_000.0, 300, seed=SEED + 1)
         reqs = make_requests(data, arrivals, k=5, seed=SEED + 2)
         loop = ServeLoop(ad, AdmissionQueue(256, overflow="reject"),

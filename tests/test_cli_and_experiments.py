@@ -43,6 +43,19 @@ class TestExperimentFunctions:
         assert len(r.rows) == 1
         assert r.rows[0][1] > 0
 
+    def test_fig5_indexes_insert_the_same_points(self):
+        """Each index draws its own copy of one insert stream, so an index's
+        columns do not depend on which other indexes ran before it."""
+        kw = dict(batch=64, ops=("insert", "bc-10", "1-nn"), **SMALL)
+        alone = run_fig5("uniform", indexes=("pim",), **kw)
+        after_zd = run_fig5("uniform", indexes=("zd", "pim"), **kw)
+        cols = ["pim-zd-tree MOp/s", "pim-zd-tree B/elem"]
+
+        def pim_columns(r):
+            return [[row[r.headers.index(c)] for c in cols] for row in r.rows]
+
+        assert pim_columns(alone) == pim_columns(after_zd)
+
     def test_fig5_unknown_dataset(self):
         with pytest.raises(ValueError):
             run_fig5("planets", **SMALL)
@@ -81,10 +94,16 @@ class TestExperimentFunctions:
             assert row[1] < 20  # space within a constant of raw points
 
     def test_table3_rows(self):
-        r = run_table3(batch=48, ops=("insert", "10-nn"), **SMALL)
+        ops = ("insert", "bc-10", "bf-10", "10-nn")
+        r = run_table3(batch=48, ops=ops, **SMALL)
         assert len(r.rows) == 4
         for row in r.rows:
             assert all(v > 0 for v in row[1:])
+        rows = {row[0]: dict(zip(ops, row[1:])) for row in r.rows}
+        # Base and ablation insert the same points, so a technique leaves
+        # the operations it does not touch exactly as fast as before.
+        assert [rows["fast-l2"][op] for op in ("insert", "bc-10", "bf-10")] == [1.0] * 3
+        assert [rows["lazy-counter"][op] for op in ("bc-10", "bf-10", "10-nn")] == [1.0] * 3
 
 
 class TestCLI:

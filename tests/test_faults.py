@@ -26,7 +26,8 @@ from repro.faults import FaultError, FaultEvent, FaultPlan, MessageLoss, ModuleF
 from repro.obs import EventKind, TraceCollector, timeline_json
 from repro.pim import PhaseCounters, PIMSystem
 from repro.route import RouteFilterSet
-from repro.serve import AdmissionQueue, LatencyStats, Request, make_requests, serve
+from repro.serve import (AdaptiveBatchPolicy, AdmissionQueue, LatencyStats, Request,
+                         ServeLoop, make_requests)
 from repro.store import DurableStore, open_backend
 from repro.workloads import poisson_arrivals, uniform_points
 
@@ -422,8 +423,10 @@ def _faulty_serve(data, *, drop_rate=0.0, crash_at=None, timeout_s=None,
     arrivals = poisson_arrivals(rate, n_req, seed=21)
     reqs = make_requests(data, arrivals, k=10, deadline_s=5e-3, seed=9,
                          mix=mix)
-    res = serve(adapter, reqs, queue_depth=64, overflow=overflow,
-                backoff_s=1e-5, timeout_s=timeout_s, failover=failover)
+    loop = ServeLoop(adapter, AdmissionQueue(64, overflow=overflow),
+                     AdaptiveBatchPolicy(), backoff_s=1e-5,
+                     timeout_s=timeout_s, failover=failover)
+    res = loop.run(reqs)
     return res, adapter, plan
 
 

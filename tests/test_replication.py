@@ -31,7 +31,7 @@ from repro.core import PIMZdTree
 from repro.eval.harness import PIMZdTreeAdapter
 from repro.pim import PIMSystem
 from repro.replicate import ReplicaSet, ReplicationConfig, WRITE_POLICIES
-from repro.serve import AdmissionQueue, make_requests, serve
+from repro.serve import AdaptiveBatchPolicy, AdmissionQueue, ServeLoop, make_requests
 from repro.store import DurableStore, encode_tree, open_backend
 from repro.workloads import poisson_arrivals, uniform_points
 
@@ -486,16 +486,19 @@ def rep_data():
     return uniform_points(1200, 3, seed=11)
 
 
-def _serve(data, **kw):
+def _serve(data, *, replication=None, tenants=None, req_tenants=None):
     adapter = PIMZdTreeAdapter(data, n_modules=P, seed=SEED)
     arrivals = poisson_arrivals(40_000.0, 120, seed=21)
-    tenants = kw.pop("req_tenants", None)
     reqs = make_requests(
         data, arrivals,
         mix={"knn": 0.7, "bc": 0.15, "insert": 0.15},
-        k=5, seed=22, tenants=tenants,
+        k=5, seed=22, tenants=req_tenants,
     )
-    return serve(adapter, reqs, queue_depth=64, **kw)
+    if replication is not None:
+        ReplicaSet(adapter.tree, replication).replicate_all()
+    loop = ServeLoop(adapter, AdmissionQueue(64, tenants=tenants),
+                     AdaptiveBatchPolicy())
+    return loop.run(reqs)
 
 
 class TestServeIntegration:

@@ -30,7 +30,6 @@ from repro.serve import (
     calibrate_capacity,
     latency_summary,
     make_requests,
-    serve,
 )
 from repro.workloads import poisson_arrivals, uniform_points
 
@@ -310,12 +309,13 @@ class TestServeLoop:
         assert loose.n_late == 0
         assert loose.goodput == loose.throughput
 
-    def test_serve_convenience_wrapper(self, serve_data):
+    def test_adaptive_policy_serves_every_request(self, serve_data):
         adapter = make_adapter("pim", serve_data, n_modules=8, seed=3)
         arrivals = poisson_arrivals(20_000.0, 40, seed=5)
         reqs = make_requests(serve_data, arrivals, mix={"knn": 1.0}, k=5,
                              seed=6)
-        res = serve(adapter, reqs, queue_depth=64)
+        loop = ServeLoop(adapter, AdmissionQueue(64), AdaptiveBatchPolicy())
+        res = loop.run(reqs)
         assert res.stats.n_done == 40
 
     def test_calibrate_capacity(self, serve_data):
