@@ -52,24 +52,26 @@ __all__ = [
 
 _U64 = np.uint64
 
-# Magic masks for spreading 32 bits with one-bit gaps (2-D case).
-_MASKS_2 = (
+# Magic (shift, mask) stages for spreading 32 bits with one-bit gaps
+# (2-D case), as ``np.uint64`` so no stage converts a Python int.
+_MASKS_2 = tuple((_U64(shift), _U64(mask)) for shift, mask in (
     (16, 0x0000FFFF0000FFFF),
     (8, 0x00FF00FF00FF00FF),
     (4, 0x0F0F0F0F0F0F0F0F),
     (2, 0x3333333333333333),
     (1, 0x5555555555555555),
-)
+))
 
-# Magic masks for spreading 21 bits with two-bit gaps (3-D case); the
+# Magic stages for spreading 21 bits with two-bit gaps (3-D case); the
 # constants are the ones printed in the paper (§6).
-_MASKS_3 = (
+_MASKS_3 = tuple((_U64(shift), _U64(mask)) for shift, mask in (
     (32, 0x001F00000000FFFF),
     (16, 0x001F0000FF0000FF),
     (8, 0x100F00F00F00F00F),
     (4, 0x10C30C30C30C30C3),
     (2, 0x1249249249249249),
-)
+))
+_LOW_32, _LOW_21 = _U64(0xFFFFFFFF), _U64(0x1FFFFF)
 
 
 def max_bits_per_dim(dims: int) -> int:
@@ -99,17 +101,17 @@ def _as_u64(x) -> np.ndarray:
 
 def split_by_2(x) -> np.ndarray:
     """Spread the low 32 bits of ``x`` so bit ``i`` moves to bit ``2*i``."""
-    v = _as_u64(x) & _U64(0xFFFFFFFF)
+    v = _as_u64(x) & _LOW_32
     for shift, mask in _MASKS_2:
-        v = (v | (v << _U64(shift))) & _U64(mask)
+        v = (v | (v << shift)) & mask
     return v
 
 
 def split_by_3(x) -> np.ndarray:
     """Spread the low 21 bits of ``x`` so bit ``i`` moves to bit ``3*i``."""
-    v = _as_u64(x) & _U64(0x1FFFFF)
+    v = _as_u64(x) & _LOW_21
     for shift, mask in _MASKS_3:
-        v = (v | (v << _U64(shift))) & _U64(mask)
+        v = (v | (v << shift)) & mask
     return v
 
 
@@ -225,9 +227,20 @@ def morton_encode(grid: np.ndarray, bits: int, *, fast: bool = True) -> np.ndarr
         raise ValueError(f"key would need {dims * bits} bits; max is 64")
     spread = split_bits_lut if fast else split_bits_naive
     key = np.zeros(n, dtype=_U64)
-    for d in range(dims):
-        key |= spread(grid[:, d], dims, bits) << _U64(dims - 1 - d)
+    for start in range(0, n, _ENCODE_BLOCK):
+        # One spread of the block's whole grid; column d then shifts to
+        # its interleave offset D - 1 - d and the columns OR together.
+        spread_block = spread(grid[start:start + _ENCODE_BLOCK], dims, bits)
+        block = key[start:start + _ENCODE_BLOCK]
+        for d in range(dims):
+            block |= spread_block[:, d] << _U64(dims - 1 - d)
     return key
+
+
+# Rows spread per pass of :func:`morton_encode`: a block's (rows, D)
+# temporaries stay in cache, where spreading a million-row grid at once
+# ran slower than a column at a time.
+_ENCODE_BLOCK = 8192
 
 
 def morton_encode_naive(grid: np.ndarray, bits: int) -> np.ndarray:

@@ -16,9 +16,10 @@ module:
   calls it once per round for the pushed groups (at the modules) and
   once more for the pulled ones (on the host).  The frontier is carried
   as parallel ``(task, row)`` arrays across all groups (:class:`_Round`),
-  locality decided per (task, child) by a vector compare on the arena's
-  ``layer``/``meta_id`` columns.  The kernel is pure compute; the
-  executor charges its totals afterwards;
+  one level per step; locality is one vector compare per level on the
+  arena's ``layer`` or ``meta_id`` column, the rule picked once per
+  round.  The kernel is pure compute; the executor charges its totals
+  afterwards;
 * :func:`make_search_kernel` — the pointer-walk SEARCH kernel (SEARCH
   never tests a box, so it loops its groups and uses no arena);
 * :func:`make_candidate_kernel` / :func:`make_fetch_kernel` — the two
@@ -92,8 +93,8 @@ in pre-order (:func:`_pile_visits`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, repeat
-from operator import attrgetter, is_not
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, is_not, itemgetter
 
 import numpy as np
 
@@ -140,9 +141,17 @@ _COUNT, _DEPTH, _LAYER = attrgetter("count"), attrgetter("depth"), attrgetter("l
 _PREFIX, _KEYS = attrgetter("prefix"), attrgetter("keys")
 _SEND_WORDS = attrgetter("send_words")
 _LEFT, _RIGHT, _TRACE = attrgetter("left"), attrgetter("right"), attrgetter("trace")
+_QID, _NODE, _META = attrgetter("qid"), attrgetter("node"), attrgetter("meta")
+_ROOT, _PTS = attrgetter("root"), attrgetter("pts")
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 # Layers as plain ints for array compares: an IntEnum operand sends NumPy
 # through the enum metaclass's ``__getattr__`` on every compare.
 _L0, _L1 = int(Layer.L0), int(Layer.L1)
+# Reductions as ufunc methods: one C call each, where ``ndarray.sum`` /
+# ``.max`` / ``.any`` go through a Python wrapper.  ``np.add.reduce`` is
+# what ``ndarray.sum`` runs, so results are bitwise the same.
+_SUM, _MAX, _SUM_AT = np.add.reduce, np.maximum.reduce, np.add.reduceat
+_ANY, _ALL = np.logical_or.reduce, np.logical_and.reduce
 
 
 def _box_gaps(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -153,10 +162,10 @@ def _box_gaps(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _norm(v: np.ndarray, metric: Metric) -> np.ndarray:
     """Row-wise norm of non-negative offsets, in :mod:`.geometry`'s formulas."""
     if metric.name == "l1":
-        return v.sum(axis=-1)
+        return _SUM(v, axis=-1)
     if metric.name == "linf":
-        return v.max(axis=-1)
-    return np.sqrt((v * v).sum(axis=-1))
+        return _MAX(v, axis=-1)
+    return np.sqrt(_SUM(v * v, axis=-1))
 
 
 def _dist_point_boxes(p: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -407,11 +416,10 @@ def _gather_rows(arena: NodeArena, leaf_rows: np.ndarray):
     points in order, ``row_pair`` maps each row to its index in
     ``leaf_rows`` and ``lens`` gives the per-leaf row counts.
     """
-    nodes = arena.nodes
-    parts = [nodes[i].pts for i in leaf_rows.tolist()]
-    lens = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
-    row_pair = np.repeat(np.arange(len(parts), dtype=np.intp), lens)
-    return np.concatenate(parts), row_pair, lens
+    parts = list(map(_PTS, map(arena.nodes.__getitem__, leaf_rows.tolist())))
+    n = leaf_rows.size
+    lens = np.fromiter(map(len, parts), dtype=np.intp, count=n)
+    return np.concatenate(parts), np.arange(n).repeat(lens), lens
 
 
 # ======================================================================
@@ -596,6 +604,10 @@ def _route_levels(tree, a: NodeArena, results):
 # ======================================================================
 # one BSP round as flat arrays
 # ======================================================================
+# The locality rule of a round, fixed once per kernel call (``_Round.rule``).
+LAYER_RULE, META_RULE, MIXED_RULE = "layer", "meta", "mixed"
+
+
 class _Round:
     """The groups of one BSP round that run at one site, as flat arrays.
 
@@ -603,126 +615,129 @@ class _Round:
     ``by_meta`` order and, inside a group, in task order — sorting by
     ``t`` *is* sorting by (group, position), which is how the kernels
     restore the scalar result and emission order across groups.  Kernels
-    carry their frontier as parallel ``(t, row)`` arrays and book work
-    per task in the site's unit — PIM cycles at a module, CPU ops on the
-    host (``on_host``: pulled groups), each charge site picking its pair
-    once per call.  :meth:`output` folds a module's cycles and result
-    words per group; on the host it sums the ops and orders the visited
-    rows, which become the LLC touches.
+    carry their frontier as parallel ``(t, row)`` arrays and book into
+    per-task columns in the site's unit — ``work`` (PIM cycles at a
+    module, CPU ops on the host: pulled groups) and ``recv`` (result
+    words, a ``RESULT_WORDS`` header each) — each charge site picking its
+    weights once per call.  :meth:`output` sums a module's columns per
+    group; on the host it sums the ops and orders the visited rows, which
+    become the LLC touches.
+
+    Locality: on a module an L1 task sees every L1 node (the module
+    caches all L1 descendants, §3.1); any other task — and every task on
+    the host, which fetched only the meta's master nodes — sees only its
+    own meta's members.  ``rule`` says which compare a round needs:
+    ``LAYER_RULE`` when every task is a pushed L1 task (every meta at
+    P = 64 and P = 2048), ``META_RULE`` on the host or with no L1 task,
+    ``MIXED_RULE`` — a per-task choice — only when both kinds share a
+    pushed round.
     """
 
-    __slots__ = ("arena", "on_host", "tasks", "qids", "grp", "mid", "l1",
-                 "entry", "out", "_work_t", "_work", "_recv", "_seen_t",
-                 "_seen_r")
+    __slots__ = ("arena", "on_host", "tasks", "qids", "n", "starts", "rule",
+                 "mid", "l1", "entry", "out", "work", "recv", "_acc", "_seen")
 
     def __init__(self, tree, groups, on_host: bool) -> None:
         self.arena = node_arena(tree)
         self.on_host = on_host
-        self.tasks = tasks = [t for _, ts in groups for t in ts]
-        n_groups, n = len(groups), len(tasks)
-        lens = [len(ts) for _, ts in groups]
-        self.qids = [t.qid for t in tasks]
-        self.grp = np.repeat(np.arange(n_groups), lens)
-        # Locality: on a module an L1 task sees every L1 node (the module
-        # caches all L1 descendants, §3.1); any other task — and every
-        # task on the host, which fetched only the meta's master nodes —
-        # sees only its own meta's members.
-        self.mid = np.repeat(
-            np.fromiter((m.root.row for m, _ in groups), dtype=np.intp,
-                        count=n_groups), lens)
-        self.l1 = np.repeat(
-            np.fromiter((m.layer == Layer.L1 and not on_host
-                         for m, _ in groups), dtype=bool, count=n_groups),
-            lens)
-        self.entry = np.fromiter((t.node.row for t in tasks), dtype=np.intp,
+        metas = list(map(_FIRST, groups))
+        per_group = list(map(_SECOND, groups))
+        self.tasks = tasks = list(chain.from_iterable(per_group))
+        n_groups, n = len(metas), len(tasks)
+        self.n = n
+        lens = np.fromiter(map(len, per_group), dtype=np.intp, count=n_groups)
+        self.starts = lens.cumsum() - lens
+        self.qids = list(map(_QID, tasks))
+        self.entry = np.fromiter(map(_ROW, map(_NODE, tasks)), dtype=np.intp,
                                  count=n)
+        layers = [] if on_host else list(map(_LAYER, metas))
+        n_l1 = layers.count(Layer.L1)
+        self.mid = self.l1 = None
+        if n_l1 == n_groups:
+            self.rule = LAYER_RULE
+        else:
+            self.mid = np.fromiter(map(_ROW, map(_ROOT, metas)), dtype=np.intp,
+                                   count=n_groups).repeat(lens)
+            if n_l1:
+                self.rule = MIXED_RULE
+                self.l1 = (np.fromiter(layers, dtype=np.int8, count=n_groups)
+                           == _L1).repeat(lens)
+            else:
+                self.rule = META_RULE
         self.out = RoundOutput(n_groups)
-        self._work_t: list[np.ndarray] = []
-        self._work: list[np.ndarray] = []
-        # Every task's reply carries a RESULT_WORDS header.
-        self._recv = np.full(n, float(RESULT_WORDS))
-        self._seen_t: list[np.ndarray] = []
-        self._seen_r: list[np.ndarray] = []
+        # Per-task columns: work, result words, task words (summed per
+        # group by ``output``).  Every entry is an integer, so the sums are
+        # exact in any order.
+        self._acc = acc = np.zeros((n, 3))
+        self.work, self.recv = acc[:, 0], acc[:, 1]
+        self.recv += RESULT_WORDS
+        acc[:, 2] = np.fromiter(map(_SEND_WORDS, tasks), dtype=np.float64,
+                                count=n)
+        self._seen = None
 
     def local(self, t: np.ndarray, child: np.ndarray) -> np.ndarray:
+        """Is ``child`` inside task ``t``'s reach at this site?"""
         a = self.arena
-        return np.where(self.l1[t], a.layer[child] == _L1,
-                        a.meta_id[child] == self.mid[t])
+        if self.rule is LAYER_RULE:
+            return a.layer[child] == _L1
+        same_meta = a.meta_id[child] == self.mid[t]
+        if self.rule is META_RULE:
+            return same_meta
+        return np.where(self.l1[t], a.layer[child] == _L1, same_meta)
 
-    def charge(self, t: np.ndarray, work: np.ndarray) -> None:
-        """Book ``work[i]`` (cycles at a module, ops on the host) to task
-        ``t[i]``."""
-        self._work_t.append(t)
-        self._work.append(work)
-
-    def visit(self, t: np.ndarray, row: np.ndarray, test) -> None:
-        """Tasks ``t`` visit nodes ``row`` and test them at ``test`` each
-        (a scalar or an array): the node visit costs its meta's cycles
-        at a module, ``CPU_NODE_OPS`` on the host."""
+    def node_cost(self, row: np.ndarray):
+        """Cost of visiting ``row``: its meta's cycles at a module,
+        ``CPU_NODE_OPS`` on the host."""
         if self.on_host:
-            self.charge(t, np.full(len(t), CPU_NODE_OPS) + test)
-            self._seen_t.append(t)
-            self._seen_r.append(row)
-        else:
-            a = self.arena
-            self.charge(t, a.meta_cycles[a.meta_id[row]] + test)
+            return CPU_NODE_OPS
+        a = self.arena
+        return a.meta_cycles[a.meta_id[row]]
 
-    def reply(self, t: np.ndarray, words) -> None:
-        """Result words tasks ``t`` (each at most once) ship back from a
-        module; :meth:`output` drops them on the host."""
-        self._recv[t] += words
+    def visited(self, t: np.ndarray, row: np.ndarray, work: np.ndarray) -> None:
+        """Tasks ``t`` visited nodes ``row`` at ``work`` each (node visit,
+        tests and leaf scans together): the one descent of a kernel."""
+        self.work += np.bincount(t, weights=work, minlength=self.n)
+        if self.on_host:
+            self._seen = (t, row)
 
-    def emit(self, t, child, parent, payload, send_words) -> None:
+    def emit(self, t, child, parent, send_words, payload=None) -> None:
         """Queue boundary tasks in the scalar emission order.
 
         A non-local child is emitted when its *parent* is visited, left
         child before right.  Parents are visited in right-first
         pre-order, which sorts as ``(hi_incl DESC, depth ASC)``; the left
-        child has the smaller ``key_lo``.
+        child has the smaller ``key_lo``.  ``payload``, when given, is an
+        array aligned with ``t``.
         """
         a = self.arena
         order = np.lexsort((a.key_lo[child], a.depth[parent],
                             ~a.hi_incl[parent], t))
-        nodes, qids, emits = a.nodes, self.qids, self.out.emits
-        t, child = t.tolist(), child.tolist()
-        for i in order.tolist():
-            node = nodes[child[i]]
-            emits.append(Task(qids[t[i]], node.meta, node,
-                              None if payload is None else payload[i],
-                              send_words))
+        nodes = list(map(a.nodes.__getitem__, child[order].tolist()))
+        self.out.emits.extend(map(
+            Task, map(self.qids.__getitem__, t[order].tolist()),
+            map(_META, nodes), nodes,
+            repeat(None) if payload is None else payload[order].tolist(),
+            repeat(send_words)))
 
     def output(self) -> RoundOutput:
         out = self.out
-        work = np.concatenate(self._work) if self._work else np.zeros(0)
         if self.on_host:
-            out.cpu_ops = float(work.sum())
-            if self._seen_t:
+            out.cpu_ops = float(_SUM(self.work))
+            if self._seen is not None:
                 # The visit order: per task, right-first pre-order.
                 a = self.arena
-                t, r = np.concatenate(self._seen_t), np.concatenate(self._seen_r)
+                t, r = self._seen
                 rows = r[np.lexsort((a.depth[r], ~a.hi_incl[r], t))]
                 out.touched = list(map(_NID, map(a.nodes.__getitem__,
                                                  rows.tolist())))
             return out
-        n_groups = len(out.cycles)
-        if self._work_t:
-            out.cycles = np.bincount(
-                self.grp[np.concatenate(self._work_t)], weights=work,
-                minlength=n_groups,
-            )
-        out.recv = np.bincount(self.grp, weights=self._recv,
-                               minlength=n_groups)
-        send = np.fromiter(map(_SEND_WORDS, self.tasks), dtype=np.float64,
-                           count=len(self.tasks))
-        out.send = np.bincount(self.grp, weights=send, minlength=n_groups)
+        out.cycles, out.recv, out.send = _SUM_AT(self._acc, self.starts,
+                                                 axis=0).T
         return out
 
 
-def _pos_segments(row_pos: np.ndarray):
-    """Contiguous [start, end) ranges per position in a sorted pos array."""
-    upos, first = np.unique(row_pos, return_index=True)
-    ends = np.append(first[1:], len(row_pos))
-    return upos, first, ends
+def _slices(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """``arr[s:e]`` for each ``(s, e)``, lazily."""
+    return map(arr.__getitem__, map(slice, starts.tolist(), ends.tolist()))
 
 
 # ======================================================================
@@ -794,6 +809,13 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     ``linf_bound[t]`` is finite, also within that ℓ∞ distance — booking
     work and queueing boundary tasks as a per-task traversal would.
 
+    One level per step over the whole round's ``(t, row)`` frontier: one
+    gap array feeds both box tests, and a level's node visits, tests and
+    leaf scans are booked as one work entry per visited row.  A level's
+    rows are in no particular order — reached leaves, emits and host
+    touches are re-sorted afterwards and every charge is an integer
+    (module docstring, "Counter-exactness contract").
+
     Returns ``(rows, row_t, dd)`` for the reached leaves in scalar
     leaf-scan order (stacked points, owning task, coarse distance to the
     task's query), or ``None`` if no leaf was reached.
@@ -813,64 +835,50 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
         scan_w = float(PIM_POINT_BASE_CYCLES + coarse.pim_cycles_per_dim * dims)
         linf_scan_w = float(PIM_POINT_BASE_CYCLES
                             + LINF.pim_cycles_per_dim * dims)
+    # Per task: the ℓ∞ test (run where the coarse test passed) and each
+    # scanned point's weight, ℓ∞ re-check included where it applies.
     use_linf = np.isfinite(linf_bound)
-    any_linf = bool(use_linf.any())
+    any_linf = _ANY(use_linf)
+    test_w = use_linf * linf_w
+    point_w = scan_w + use_linf * linf_scan_w
     t = np.arange(len(Q), dtype=np.intp)
     row = rnd.entry
-    leaf_t: list[np.ndarray] = []
-    leaf_r: list[np.ndarray] = []
-    em_t: list[np.ndarray] = []
-    em_c: list[np.ndarray] = []
-    em_p: list[np.ndarray] = []
-    while len(row):
-        rnd.visit(t, row, box_w)
-        d = _dist_point_boxes(Q[t], a.lo[row], a.hi[row], coarse)
-        keep = d <= bound[t]
-        t, row = t[keep], row[keep]
+    levels: list[tuple] = []    # (t, row, coarse pass, reached leaf) per level
+    edges: list[tuple] = []     # (t, child, parent, local) per level
+    while True:
+        gap = _box_gaps(Q[t], a.lo[row], a.hi[row])
+        near = coarse_ok = _norm(gap, coarse) <= bound[t]
         if any_linf:
-            li = np.flatnonzero(use_linf[t])
-            if len(li):
-                rnd.charge(t[li], np.full(len(li), linf_w))
-                dl = _dist_point_boxes(Q[t[li]], a.lo[row[li]], a.hi[row[li]],
-                                       LINF)
-                drop = li[dl > linf_bound[t[li]]]
-                if len(drop):
-                    km = np.ones(len(row), dtype=bool)
-                    km[drop] = False
-                    t, row = t[km], row[km]
-        if not len(row):
+            near = coarse_ok & (_MAX(gap, axis=1) <= linf_bound[t])
+        leaf = near & a.is_leaf[row]
+        levels.append((t, row, coarse_ok, leaf))
+        inner = (near ^ leaf).nonzero()[0]
+        if not inner.size:
             break
-        leaf = a.is_leaf[row]
-        if leaf.any():
-            lt, lr = t[leaf], row[leaf]
-            rnd.charge(lt, a.count[lr] * scan_w)
-            if any_linf:
-                ls = use_linf[lt]
-                if ls.any():
-                    rnd.charge(lt[ls], a.count[lr[ls]] * linf_scan_w)
-            leaf_t.append(lt)
-            leaf_r.append(lr)
-            inner = ~leaf
-            t, row = t[inner], row[inner]
-            if not len(row):
-                break
-        child = np.concatenate([a.left[row], a.right[row]])
-        ct = np.concatenate([t, t])
-        loc = rnd.local(ct, child)
-        if not loc.all():
-            ext = ~loc
-            em_t.append(ct[ext])
-            em_c.append(child[ext])
-            em_p.append(np.concatenate([row, row])[ext])
-        t, row = ct[loc], child[loc]
+        r, pair = row[inner], np.concatenate((inner, inner))
+        child, parent = np.concatenate((a.left[r], a.right[r])), row[pair]
+        t = t[pair]
+        loc = rnd.local(t, child)
+        edges.append((t, child, parent, loc))
+        t, row = t[loc], child[loc]
+        if not t.size:
+            break
 
-    if em_t:
-        rnd.emit(np.concatenate(em_t), np.concatenate(em_c),
-                 np.concatenate(em_p), None, dims + 3)
-    if not leaf_t:
+    vt, vr, coarse_ok, leaf = map(np.concatenate, zip(*levels))
+    # Each visit: the node and its coarse test, the ℓ∞ test where the
+    # coarse one passed, and a reached leaf's point scan.
+    work = rnd.node_cost(vr) + box_w + leaf * (a.count[vr] * point_w[vt])
+    if any_linf:
+        work += coarse_ok * test_w[vt]
+    rnd.visited(vt, vr, work)
+    if edges:
+        et, ec, ep, loc = map(np.concatenate, zip(*edges))
+        ext = ~loc
+        if _ANY(ext):
+            rnd.emit(et[ext], ec[ext], ep[ext], dims + 3)
+    lt, lr = vt[leaf], vr[leaf]
+    if not lt.size:
         return None
-    lr = np.concatenate(leaf_r)
-    lt = np.concatenate(leaf_t)
     # Scalar leaf-scan order: tasks in (group, position) order, leaves per
     # task in right-first DFS order = descending key_lo (disjoint leaves).
     order = np.lexsort((~a.key_lo[lr], lt))
@@ -886,24 +894,24 @@ def make_candidate_kernel(tree, states, coarse: Metric, k: int):
 
     def kernel(groups, on_host: bool) -> RoundOutput:
         rnd = _Round(tree, groups, on_host)
-        qids = rnd.qids
+        qids, n = rnd.qids, rnd.n
         # The round-start radius is fixed for the whole round, so batching
         # across groups cannot change what any task prunes.
         radius = np.array([states[q].radius() for q in qids])
-        hit = _ball_descent(rnd, Qall[qids], radius,
-                            np.full(len(qids), np.inf), coarse)
+        hit = _ball_descent(rnd, Qall[qids], radius, np.full(n, np.inf), coarse)
         if hit is not None:
             rows, row_t, dd = hit
-            upos, first, ends = _pos_segments(row_t)
-            seg = ends - first
+            sel, kept = segmented_topk(dd, row_t, k, n)
             # The candidate sort: 4 ops per candidate, 6 cycles.
-            rnd.charge(upos, seg * (4 if rnd.on_host else 6))
-            rnd.reply(upos, np.minimum(seg, k) * (dims + 1))
-            results = rnd.out.results
-            for p, s, e in zip(upos.tolist(), first.tolist(), ends.tolist()):
-                dcat = dd[s:e]
-                sel = np.argsort(dcat, kind="stable")[:k]
-                results.append((qids[p], ("cand", dcat[sel], rows[s:e][sel])))
+            rnd.work += np.bincount(row_t, minlength=n) * (4 if on_host else 6)
+            rnd.recv += kept * (dims + 1)
+            ends = kept.cumsum()
+            got = kept.nonzero()[0]
+            starts, ends = (ends - kept)[got], ends[got]
+            rnd.out.results.extend(zip(
+                map(qids.__getitem__, got.tolist()),
+                zip(repeat("cand"), _slices(dd[sel], starts, ends),
+                    _slices(rows[sel], starts, ends))))
         return rnd.output()
 
     return kernel
@@ -930,7 +938,7 @@ def make_fetch_kernel(tree, states, coarse: Metric, bounds, exact_radii):
             rows, row_t, dd = hit
             mask = dd <= bnd[row_t]
             row_rex = rex[row_t]
-            if np.isfinite(row_rex).any():
+            if _ANY(np.isfinite(row_rex)):
                 mask &= _dist_rows(rows, Q[row_t], LINF) <= row_rex
             _reply_points(rnd, rows, row_t, mask, dims)
         return rnd.output()
@@ -954,8 +962,7 @@ def segmented_topk(d: np.ndarray, seg: np.ndarray, k: int, n_seg: int):
     """
     order = np.lexsort((d, seg))
     counts = np.bincount(seg, minlength=n_seg)
-    first = np.cumsum(counts) - counts
-    rank = np.arange(len(d)) - np.repeat(first, counts)
+    rank = np.arange(d.size) - (counts.cumsum() - counts).repeat(counts)
     return order[rank < k], np.minimum(counts, k)
 
 
@@ -1029,76 +1036,66 @@ def seed_knn_l0(tree, Q, start, coarse: Metric, *, states=None, k: int = 0,
     row = np.asarray(start, dtype=np.intp)
     par = np.full(len(Q), -1, dtype=np.intp)
     # Every node any query reaches, level by level: its query, row, parent
-    # entry and whether it is in L0.  ``leaves``: entries of leaves to scan.
-    ent_q, ent_r, ent_p, ent_l0, level_at = [], [], [], [], [0]
-    leaves: list[np.ndarray] = []
+    # entry, whether it is in L0 and whether it is a leaf to scan.  A
+    # level's entries are in no particular order: the scalar order is
+    # restored by one ``lexsort`` below.
+    levels: list[tuple] = []
+    base = 0    # entries before this level
     while True:
-        base = level_at[-1]
-        l0 = a.layer[row] == _L0
-        ent_q.append(q)
-        ent_r.append(row)
-        ent_p.append(par)
-        ent_l0.append(l0)
-        level_at.append(base + len(row))
-        go = l0
+        go = l0 = a.layer[row] == _L0
         if fetch:
             # One gap array feeds both tests (border rows are tested too,
             # and dropped by ``l0``); an infinite r_exact — no ℓ∞ filter in
             # the scalar walk — passes every finite ℓ∞ distance.
             gap = _box_gaps(Q[q], a.lo[row], a.hi[row])
-            go = (go & (_norm(gap, coarse) <= bound[q])
-                  & (gap.max(axis=-1) <= r_exact[q]))
-        leaf = a.is_leaf[row]
-        if np.count_nonzero(go & leaf):
-            leaves.append((go & leaf).nonzero()[0] + base)
-            go = go & ~leaf
-        go = go.nonzero()[0]
-        if not len(go):
+            go = (l0 & (_norm(gap, coarse) <= bound[q])
+                  & (_MAX(gap, axis=1) <= r_exact[q]))
+        leaf = go & a.is_leaf[row]
+        levels.append((q, row, par, l0, leaf))
+        inner = (go ^ leaf).nonzero()[0]
+        if not inner.size:
             break
-        r, qg, pg = row[go], q[go], go + base
+        r, pair = row[inner], np.concatenate((inner, inner))
+        q, par = q[pair], pair + base
+        base += row.size
         row = np.concatenate((a.left[r], a.right[r]))
-        q, par = np.concatenate((qg, qg)), np.concatenate((pg, pg))
 
-    if len(ent_q) == 1:
+    eq, er, ep, l0, leaves = map(np.concatenate, zip(*levels))
+    leaves = leaves.nonzero()[0]
+    if len(levels) == 1:
         # One entry per query, in query order: already the scalar order.
-        eq, er, l0 = ent_q[0], ent_r[0], ent_l0[0]
-        order = np.arange(len(eq))
+        order = np.arange(eq.size)
     else:
-        eq, er, l0 = (np.concatenate(ent_q), np.concatenate(ent_r),
-                      np.concatenate(ent_l0))
         order = np.lexsort((a.depth[er], ~a.hi_incl[er], eq))
     cpu = 0
-    if leaves and not fetch:
-        popped, cpu = _pile_visits(a, Q, coarse, states, k, eq, er,
-                                   np.concatenate(ent_p), l0, order, level_at,
-                                   np.concatenate(leaves))
+    if leaves.size and not fetch:
+        level_at = list(accumulate(map(len, map(_SECOND, levels)), initial=0))
+        popped, cpu = _pile_visits(a, Q, coarse, states, k, eq, er, ep, l0,
+                                   order, level_at, leaves)
         order = order[popped[order]]
     l0 = l0[order]
     walked, border = er[order[l0]], order[~l0]
-    cpu += 4 * len(walked)
+    cpu += 4 * walked.size
     pts = pts_q = None
     if fetch:
         pts, pts_q = np.empty((0, dims)), np.empty(0, dtype=np.intp)
-        if leaves:
-            le = np.concatenate(leaves)
-            le = le[np.lexsort((~a.key_lo[er[le]], eq[le]))]
-            cpu += int(a.count[er[le]].sum()) * coarse.cpu_ops_per_dim * dims
-            pts, pair, _ = _gather_rows(a, er[le])
-            pts_q = eq[le][pair]
+        if leaves.size:
+            le = leaves[np.lexsort((~a.key_lo[er[leaves]], eq[leaves]))]
+            cpu += int(_SUM(a.count[er[le]])) * coarse.cpu_ops_per_dim * dims
+            pts, owner, _ = _gather_rows(a, er[le])
+            pts_q = eq[le][owner]
             diff = np.abs(pts - Q[pts_q])
             keep = ((_norm(diff, coarse) <= bound[pts_q])
-                    & (diff.max(axis=-1) <= r_exact[pts_q]))
+                    & (_MAX(diff, axis=1) <= r_exact[pts_q]))
             pts, pts_q = pts[keep], pts_q[keep]
     if cpu:
         sys.charge_cpu(cpu)
-    if len(walked):
+    if walked.size:
         sys.touch_cpu_blocks(_l0_blocks(list(map(nodes.__getitem__,
                                                   walked.tolist()))))
-    tasks = []
-    send_words = dims + 3
-    for i, r in zip(eq[border].tolist(), er[border].tolist()):
-        node = nodes[r]
-        tasks.append(Task(i, node.meta, node, None, send_words))
+    seeds = list(map(nodes.__getitem__, er[border].tolist()))
+    tasks = list(map(Task, eq[border].tolist(), map(_META, seeds), seeds,
+                     repeat(None), repeat(dims + 3)))
     return tasks, pts, pts_q
 
 
@@ -1163,14 +1160,15 @@ def _pile_visits(a: NodeArena, Q, coarse: Metric, states, k: int, eq, er, ep,
 
 def _reply_points(rnd: _Round, rows, row_t, mask, dims: int) -> None:
     """Per task (``row_t`` sorted), ship back the rows ``mask`` selects."""
-    upos, first, ends = _pos_segments(row_t)
-    n_sel = np.add.reduceat(mask.astype(np.intp), first)
-    rnd.reply(upos, n_sel * dims)
-    qids, results = rnd.qids, rnd.out.results
-    for p, s, e, n in zip(upos.tolist(), first.tolist(), ends.tolist(),
-                          n_sel.tolist()):
-        if n:
-            results.append((qids[p], ("pts", rows[s:e][mask[s:e]])))
+    counts = np.bincount(row_t[mask], minlength=rnd.n)
+    rnd.recv += counts * dims
+    got = counts.nonzero()[0]
+    if got.size:
+        ends = counts.cumsum()
+        rnd.out.results.extend(zip(
+            map(rnd.qids.__getitem__, got.tolist()),
+            zip(repeat("pts"), _slices(rows[mask], (ends - counts)[got],
+                                       ends[got]))))
 
 
 # ======================================================================
@@ -1189,9 +1187,19 @@ def make_range_kernel(tree, Lo, Hi, *, fetch: bool):
     return kernel
 
 
+# A range task's payload by its ``skip`` flag.
+_RANGE_MODES = np.array(["test", "all"], dtype=object)
+
+
 def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
     """Box count/fetch over a whole round; ``skip[t]`` marks tasks whose
-    entry subtree is already known to be contained (``"all"`` mode)."""
+    entry subtree is already known to be contained (``"all"`` mode).
+
+    One level per step over the ``(t, row)`` frontier, children expanded
+    once per level; a level's rows are in no particular order — totals
+    are sums, and fetched leaves, emits and host touches are re-sorted
+    afterwards (module docstring, "Counter-exactness contract").
+    """
     a = rnd.arena
     n_tasks, dims = Lo.shape
     # This site's cost of a box test and of one point-in-box test (two
@@ -1203,118 +1211,80 @@ def _range_descent(rnd: _Round, Lo, Hi, skip, fetch: bool) -> None:
         scan_w = float(PIM_POINT_BASE_CYCLES + 2 * dims)
     t = np.arange(n_tasks, dtype=np.intp)
     row = rnd.entry
-    tot_t: list[np.ndarray] = []
-    tot_v: list[np.ndarray] = []
-    whole_t: list[np.ndarray] = []
-    whole_r: list[np.ndarray] = []
-    part_t: list[np.ndarray] = []
-    part_r: list[np.ndarray] = []
-    em_t: list[np.ndarray] = []
-    em_c: list[np.ndarray] = []
-    em_p: list[np.ndarray] = []
-    em_s: list[np.ndarray] = []
-    while len(row):
+    levels: list[tuple] = []    # (t, row, tested, contained, partial) per level
+    edges: list[tuple] = []     # (t, child, parent, skip, local) per level
+    while True:
         tested = ~skip
-        # Node visit, plus a box test unless the entry is known contained.
-        rnd.visit(t, row, test_w * tested)
         nlo, nhi = a.lo[row], a.hi[row]
         ql, qh = Lo[t], Hi[t]
-        inter = (nlo <= qh).all(axis=1) & (ql <= nhi).all(axis=1)
-        contained = (ql <= nlo).all(axis=1) & (nhi <= qh).all(axis=1)
+        inter = _ALL((nlo <= qh) & (ql <= nhi), axis=1)
+        contained = _ALL((ql <= nlo) & (nhi <= qh), axis=1)
         cont = skip | contained
         part = tested & inter & ~contained
         leaf = a.is_leaf[row]
-        if not fetch:
-            if cont.any():
-                tot_t.append(t[cont])
-                tot_v.append(a.count[row[cont]])
-            exp_masks = ((part & ~leaf, False),)
-        else:
-            wl = cont & leaf
-            if wl.any():
-                whole_t.append(t[wl])
-                whole_r.append(row[wl])
-            exp_masks = ((cont & ~leaf, True), (part & ~leaf, False))
-        pl = part & leaf
-        if pl.any():
-            rnd.charge(t[pl], a.count[row[pl]] * scan_w)
-            part_t.append(t[pl])
-            part_r.append(row[pl])
-        cr: list[np.ndarray] = []
-        ct: list[np.ndarray] = []
-        cs: list[np.ndarray] = []
-        cp: list[np.ndarray] = []
-        for msk, flag in exp_masks:
-            if not msk.any():
-                continue
-            ri, ti = row[msk], t[msk]
-            cr += (a.left[ri], a.right[ri])
-            ct += (ti, ti)
-            cs.append(np.full(2 * len(ri), flag, dtype=bool))
-            cp += (ri, ri)
-        if not cr:
+        levels.append((t, row, tested, cont, part))
+        # Counting totals a contained subtree; fetching opens it down to
+        # its leaves, whose points are then taken wholesale.
+        inner = (((part | cont) if fetch else part) & ~leaf).nonzero()[0]
+        if not inner.size:
             break
-        row = np.concatenate(cr)
-        t = np.concatenate(ct)
-        skip = np.concatenate(cs)
-        loc = rnd.local(t, row)
-        if not loc.all():
-            ext = ~loc
-            em_t.append(t[ext])
-            em_c.append(row[ext])
-            em_p.append(np.concatenate(cp)[ext])
-            em_s.append(skip[ext])
-            t, row, skip = t[loc], row[loc], skip[loc]
+        r, pair = row[inner], np.concatenate((inner, inner))
+        child, parent = np.concatenate((a.left[r], a.right[r])), row[pair]
+        t, skip = t[pair], cont[pair]
+        loc = rnd.local(t, child)
+        edges.append((t, child, parent, skip, loc))
+        t, row, skip = t[loc], child[loc], skip[loc]
+        if not t.size:
+            break
 
-    if em_t:
-        rnd.emit(
-            np.concatenate(em_t), np.concatenate(em_c), np.concatenate(em_p),
-            ["all" if s else "test" for s in np.concatenate(em_s).tolist()],
-            2 * dims + 2,
-        )
+    vt, vr, tested, cont, part = map(np.concatenate, zip(*levels))
+    part &= a.is_leaf[vr]
+    # Each visit: the node, a box test unless the entry is known
+    # contained, and the point tests of a partly covered leaf.
+    rnd.visited(vt, vr, rnd.node_cost(vr) + test_w * tested
+                + part * (a.count[vr] * scan_w))
+    if edges:
+        et, ec, ep, es, loc = map(np.concatenate, zip(*edges))
+        ext = ~loc
+        if _ANY(ext):
+            rnd.emit(et[ext], ec[ext], ep[ext], 2 * dims + 2,
+                     _RANGE_MODES[es[ext].view(np.int8)])
+    pt, pr = vt[part], vr[part]
 
     if not fetch:
-        if part_r:
-            lt = np.concatenate(part_t)
-            rows, row_pair, _ = _gather_rows(a, np.concatenate(part_r))
-            row_t = lt[row_pair]
-            inside = (rows >= Lo[row_t]).all(axis=1) & (
-                rows <= Hi[row_t]
-            ).all(axis=1)
-            tot_t.append(row_t[inside])
-            tot_v.append(np.ones(int(inside.sum()), dtype=np.int64))
-        if tot_t:
-            # Integer-valued weights: the float64 sums are exact.
-            totals = np.bincount(np.concatenate(tot_t),
-                                 weights=np.concatenate(tot_v),
-                                 minlength=n_tasks).astype(np.int64)
-            hit = np.flatnonzero(totals)
-            rnd.reply(hit, 1)
-            qids = rnd.qids
-            rnd.out.results.extend(
-                (qids[p], ("count", n))
-                for p, n in zip(hit.tolist(), totals[hit].tolist())
-            )
+        # Integer-valued weights: the float64 sums are exact.
+        totals = np.bincount(vt[cont], weights=a.count[vr[cont]],
+                             minlength=n_tasks)
+        if pr.size:
+            rows, row_pair, _ = _gather_rows(a, pr)
+            row_t = pt[row_pair]
+            inside = _ALL((rows >= Lo[row_t]) & (rows <= Hi[row_t]), axis=1)
+            totals += np.bincount(row_t[inside], minlength=n_tasks)
+        hit = totals.nonzero()[0]
+        rnd.recv[hit] += 1
+        rnd.out.results.extend(zip(
+            map(rnd.qids.__getitem__, hit.tolist()),
+            zip(repeat("count"), totals[hit].astype(np.int64).tolist())))
         return
 
-    if not (whole_r or part_r):
+    cont &= a.is_leaf[vr]
+    wr = vr[cont]
+    lr = np.concatenate((wr, pr))
+    if not lr.size:
         return
-    lr = np.concatenate(whole_r + part_r)
-    lt = np.concatenate(whole_t + part_t)
-    whole_flag = np.zeros(len(lr), dtype=bool)
-    whole_flag[:sum(len(x) for x in whole_r)] = True
+    lt = np.concatenate((vt[cont], pt))
+    whole = np.arange(lr.size) < wr.size
     order = np.lexsort((~a.key_lo[lr], lt))
-    lr, lt, whole_flag = lr[order], lt[order], whole_flag[order]
+    lr, lt, whole = lr[order], lt[order], whole[order]
     rows, row_pair, lens = _gather_rows(a, lr)
     row_t = lt[row_pair]
     # Contained leaves skip the membership test, so
     # their rows are taken wholesale (no float compare involved).
-    inside = np.repeat(whole_flag, lens)
+    inside = whole.repeat(lens)
     pm = ~inside
-    if pm.any():
-        inside[pm] = (rows[pm] >= Lo[row_t[pm]]).all(axis=1) & (
-            rows[pm] <= Hi[row_t[pm]]
-        ).all(axis=1)
+    if _ANY(pm):
+        inside[pm] = _ALL((rows[pm] >= Lo[row_t[pm]])
+                          & (rows[pm] <= Hi[row_t[pm]]), axis=1)
     _reply_points(rnd, rows, row_t, inside, dims)
 
 

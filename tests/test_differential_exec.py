@@ -34,8 +34,8 @@ from sim_oracle import ScalarPIMSystem
 from ties import tie_heavy
 
 import repro.eval.harness
-from repro.core import Box, PIMZdTree
-from repro.core.config import skew_resistant
+from repro.core import Box, PIMZdTree, throughput_optimized, vexec
+from repro.core.config import PIMZdTreeConfig, skew_resistant
 from repro.core.push_pull import PushPullExecutor
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
 from repro.pim import PIMSystem
@@ -236,7 +236,7 @@ def test_one_engine_and_no_knob():
 # ----------------------------------------------------------------------
 # the host site: pulled groups
 # ----------------------------------------------------------------------
-def hot_spot(small_llc: bool) -> SimpleNamespace:
+def hot_spot(small_llc: bool, **knobs) -> SimpleNamespace:
     """A Varden tree plus kNN queries and boxes piled on one stored point.
 
     32 duplicate queries and 16 jittered ones (likewise 40 boxes) put more
@@ -247,11 +247,12 @@ def hot_spot(small_llc: bool) -> SimpleNamespace:
     L1 region spans several chunks and a pulled L1 meta must stop at its
     own master nodes.  The LLC is small enough that visit order moves
     ``dram_words``: 40 blocks keep L0 on the host, 8 replicate it on the
-    modules (``small_llc``).
+    modules (``small_llc``).  ``knobs`` go to ``skew_resistant``.
     """
     pts = varden_points(3000, 3, seed=7)
     system = PIMSystem(8, seed=1, llc_bytes=512 if small_llc else 2560)
-    tree = PIMZdTree(pts, config=skew_resistant(8, c0=64), system=system)
+    tree = PIMZdTree(pts, config=skew_resistant(8, c0=64, **knobs),
+                     system=system)
     assert tree.l0_on_cpu is not small_llc
     rng = np.random.default_rng(7)
     hot = pts[rng.integers(0, len(pts))]
@@ -314,3 +315,91 @@ def test_pulled_groups_match_the_oracle(small_llc):
                  ("box_count", "make_range_kernel"),
                  ("box_fetch", "make_range_kernel")):
         assert pulled[site] > 0, site
+
+
+# ----------------------------------------------------------------------
+# the locality rule of a round
+# ----------------------------------------------------------------------
+def _locality_world(kind: str):
+    """A tree, kNN queries and boxes whose rounds take ``kind``'s rule.
+
+    ``layer``: uniform data at P = 64 under the throughput-optimized
+    layout, where every meta is L1, so every pushed task compares layers.
+    ``meta``: θ_L1 = θ_L0, so every meta is L2 and no task is L1.
+    ``mixed``: the hot spot, whose L1 and L2 metas share pushed rounds
+    and whose pulled groups run on the host (the meta rule there); with
+    4-point leaves an L2 meta has inner nodes, so the meta compare inside
+    a mixed round decides something.
+    """
+    if kind == "mixed":
+        hs = hot_spot(small_llc=False, leaf_size=4)
+        return hs.tree, hs.queries, hs.boxes
+    rng = np.random.default_rng(5)
+    pts = rng.random((3000, 3))
+    if kind == "layer":
+        n_modules, config = 64, throughput_optimized(len(pts), 64)
+    else:
+        n_modules = 8
+        config = PIMZdTreeConfig("l2-only", theta_l0=64, theta_l1=64,
+                                 chunk_factor=16)
+    tree = PIMZdTree(pts, config=config, system=PIMSystem(n_modules, seed=1))
+    queries = pts[rng.integers(0, len(pts), 48)] + rng.random((48, 3)) * 1e-3
+    return tree, queries, make_boxes(pts, 0.1, 24, seed=5)
+
+
+def _run_locality(engine: str, kind: str):
+    """kNN (steps 2 and 4), BoxCount and BoxFetch on one engine: answers,
+    stats, and the rule of every round-kernel call per (operation,
+    kernel factory, on the host?)."""
+    tree, queries, boxes = _locality_world(kind)
+    rules: dict[tuple, set] = {}
+    site = None
+    # Two k: in the hot spot k = 2 gives the candidate step a mixed round
+    # in which an L1 task crosses into another L1 meta.
+    calls = (("knn", lambda: (tree.knn(queries, 2), tree.knn(queries, 9))),
+             ("box_count", lambda: tree.box_count(boxes)),
+             ("box_fetch", lambda: tree.box_fetch(boxes)))
+    with exec_engine(engine), pytest.MonkeyPatch.context() as mp:
+        run, init = PushPullExecutor.run, vexec._Round.__init__
+
+        def labelled(self, tasks, kernel, **kw):
+            nonlocal site
+            site = (op, kernel.__qualname__.split(".")[0])
+            return run(self, tasks, kernel, **kw)
+
+        def recorded(self, tree, groups, on_host):
+            init(self, tree, groups, on_host)
+            rules.setdefault((*site, on_host), set()).add(self.rule)
+
+        mp.setattr(PushPullExecutor, "run", labelled)
+        mp.setattr(vexec._Round, "__init__", recorded)
+        out = {}
+        for op, call in calls:
+            out[op] = call()
+    tree.check_invariants()
+    return out, tree.system.stats, rules
+
+
+@pytest.mark.parametrize("kind", ["layer", "meta", "mixed"])
+def test_each_locality_rule_matches_the_oracle(kind):
+    """Each locality rule a round can pick — layers when every pushed
+    task is L1, metas on the host or with no L1 task, per task when L1
+    and L2 metas share a round — gives the scalar handlers' answers and
+    PIMStats (``dram_words`` included), in both kNN steps, BoxCount and
+    BoxFetch."""
+    ref_out, ref_stats, _ = _run_locality("reference", kind)
+    out, stats, rules = _run_locality("vectorized", kind)
+    for key in ref_out:
+        _assert_equal(ref_out[key], out[key], key)
+    assert_stats_identical(ref_stats, stats)
+    for site in (("knn", "make_candidate_kernel"),
+                 ("knn", "make_fetch_kernel"),
+                 ("box_count", "make_range_kernel"),
+                 ("box_fetch", "make_range_kernel")):
+        pushed = rules.get((*site, False), set())
+        if kind == "mixed":
+            assert vexec.MIXED_RULE in pushed, site
+            assert rules.get((*site, True)) == {vexec.META_RULE}, site
+        else:
+            want = vexec.LAYER_RULE if kind == "layer" else vexec.META_RULE
+            assert pushed == {want}, site

@@ -89,6 +89,23 @@ class TestEncodeDecode:
         keys = morton_encode(g, bits)
         assert np.array_equal(morton_decode(keys, dims, bits), g)
 
+    @pytest.mark.parametrize("n", [0, 1, 1000, 20000])
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "naive"])
+    @pytest.mark.parametrize("dims", range(1, 9))
+    def test_one_pass_encode_matches_the_per_dimension_loop(self, dims, fast,
+                                                            n, rng):
+        # D = 2 and 3 take the magic-mask path, the others the byte LUT;
+        # 20000 rows span three encode blocks.
+        bits = max_bits_per_dim(dims)
+        g = rng.integers(0, 2**bits, size=(n, dims), dtype=np.uint64)
+        spread = split_bits_lut if fast else split_bits_naive
+        want = np.zeros(n, dtype=np.uint64)
+        for d in range(dims):
+            want |= spread(g[:, d], dims, bits) << np.uint64(dims - 1 - d)
+        got = morton_encode(g, bits, fast=fast)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("dims", [2, 3, 5])
     def test_fast_equals_naive(self, dims, rng):
         bits = max_bits_per_dim(dims)
