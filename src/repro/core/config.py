@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 __all__ = ["PIMZdTreeConfig", "throughput_optimized", "skew_resistant"]
 
@@ -67,8 +68,7 @@ class PIMZdTreeConfig:
         """K for L2 pulls: ``B`` (Alg. 1 step 4)."""
         return max(1, self.chunk_factor)
 
-    def lazy_delta_bounds(self, layer: int, theta_ratio_log: float | None = None
-                          ) -> tuple[float, float]:
+    def lazy_delta_bounds(self, layer: int) -> tuple[float, float]:
         """(Δ_min, Δ_max) of Table 1 for a node in ``layer`` (0, 1 or 2)."""
         if not self.lazy_counters:
             return (0.0, 0.0)
@@ -81,6 +81,11 @@ class PIMZdTreeConfig:
             d = max(1.0, d)
             return (-0.5 * d, d)
         return (0.0, 0.0)
+
+    @cached_property
+    def delta_bounds(self) -> tuple[tuple[float, float], ...]:
+        """:meth:`lazy_delta_bounds` of each layer, indexed by layer."""
+        return tuple(self.lazy_delta_bounds(layer) for layer in range(3))
 
     def with_overrides(self, **kw) -> "PIMZdTreeConfig":
         return replace(self, **kw)

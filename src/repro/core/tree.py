@@ -12,9 +12,11 @@ operation modules (:mod:`.search`, :mod:`.update`, :mod:`.knn`,
 * meta-node chunking and its amortised maintenance: chunks are rebuilt for
   a region when its root's lazy counter drifts by 2× from the value the
   chunk was built at, mirroring the amortisation of §3.2;
-* lazy counters (§3.4): ``record_count_change`` accumulates deltas and
-  triggers snapshot syncs per the Table 1 thresholds, charging replica
-  updates (L0 broadcast; L1 cached copies) when they fire;
+* lazy counters (§3.4): ``record_count_changes`` applies a batch's count
+  deltas — one arena scatter, marks only for leaves and synced chunk
+  roots — and triggers snapshot syncs per the Table 1 thresholds,
+  charging replica updates (L0 broadcast; L1 cached copies) when they
+  fire;
 * residency accounting per module for the Theorem 5.1 space bounds, kept
   in proportion to each batch by the chunk-change feed of
   :mod:`.residency`.
@@ -194,9 +196,10 @@ class PIMZdTree:
     def clamped_layer(self, node: Node) -> Layer:
         """Layer from the lazy counter, kept monotone under the parent."""
         raw = self.layer_from_sc(node.sc)
-        if node.parent is None:
+        parent = node.parent
+        if parent is None or raw >= parent.layer:
             return raw
-        return Layer(max(raw, node.parent.layer))
+        return parent.layer
 
     def _assign_layers_subtree(self, node: Node, parent_layer: Layer | None) -> None:
         self.mark_dirty_subtree(node)
@@ -508,24 +511,53 @@ class PIMZdTree:
     # lazy counters (§3.4)
     # ==================================================================
     def record_count_change(self, node: Node, delta: int) -> bool:
-        """Apply a subtree-size change; returns True if a snapshot synced."""
-        node.count += delta
-        node.delta += delta
-        self.mark_dirty(node)
-        if node.delta == 0:
-            return False
-        if not self.config.lazy_counters:
-            # Eager (strictly consistent) counters: every individual update
-            # propagates its increment to the master and all replicas the
-            # moment it happens — the "prohibitively expensive" strawman of
-            # §3.4 and the Table 3 "Lazy Counter" ablation.
-            self.sync_counter(node, eager_updates=abs(delta))
-            return True
-        dmin, dmax = self.config.lazy_delta_bounds(int(node.layer))
-        if node.delta >= dmax or node.delta <= dmin:
-            self.sync_counter(node)
-            return True
-        return False
+        """Apply one subtree-size change; returns True if a snapshot synced."""
+        return bool(self.record_count_changes({node: delta}))
+
+    def record_count_changes(self, deltas: dict[Node, int]) -> list[Node]:
+        """Apply a batch's subtree-size changes, syncing each snapshot that
+        crossed its Table 1 bound; returns the synced nodes in ``deltas``
+        order.
+
+        A count change alone is not a mark: the internal nodes' arena
+        counts move in one scatter.  A leaf is marked (its payload and
+        words changed with its count), and so is a chunk root whose
+        snapshot synced (``meta_is_stale`` reads its ``sc``).
+        """
+        lazy = self.config.lazy_counters
+        bounds = self.config.delta_bounds  # all (0, 0) without lazy counters
+        arena = self._arena
+        nodes = () if arena is None else arena.nodes
+        n_rows = len(nodes)
+        rows: list[int] = []
+        row_deltas: list[int] = []
+        synced: list[Node] = []
+        for node, d in deltas.items():
+            if d == 0:
+                continue
+            node.count += d
+            node.delta += d
+            mark = node.keys is not None
+            if not mark:
+                r = node.row
+                if 0 <= r < n_rows and nodes[r] is node:
+                    rows.append(r)
+                    row_deltas.append(d)
+            dmin, dmax = bounds[node.layer]
+            if node.delta != 0 and not dmin < node.delta < dmax:
+                # Without lazy counters every change syncs, charged as
+                # per-update immediate propagation to the master and all
+                # replicas: the "prohibitively expensive" strawman of §3.4
+                # and the Table 3 "Lazy Counter" ablation.
+                self.sync_counter(node, eager_updates=0 if lazy else abs(d))
+                synced.append(node)
+                meta = node.meta
+                mark = mark or (meta is not None and meta.root is node)
+            if mark:
+                self.mark_dirty(node)
+        if rows:
+            arena.count[rows] += np.array(row_deltas, dtype=np.int32)
+        return synced
 
     def sync_counter(self, node: Node, eager_updates: int = 0) -> None:
         """Publish the exact count into the replicated snapshot (charged).

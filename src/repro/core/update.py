@@ -28,6 +28,7 @@ are re-chunked.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,6 +45,7 @@ _PIM_BUILD_CYCLES_PER_POINT = 14
 _CPU_GROUP_OPS_PER_KEY = 8
 _LINK_WORDS = 2  # one parent->child pointer update
 _UNSET = object()
+_DEPTH = attrgetter("depth")
 
 
 class _BatchState:
@@ -482,13 +484,7 @@ def _apply_path_deltas(tree, results_with_sign) -> list[Node]:
         for node in res.trace:
             deltas[node] += sign
     tree.system.charge_cpu(len(deltas) * 4)
-    synced: list[Node] = []
-    for node, d in deltas.items():
-        if d == 0:
-            continue
-        if tree.record_count_change(node, d):
-            synced.append(node)
-    return synced
+    return tree.record_count_changes(deltas)
 
 
 def _apply_layer_transitions(tree, synced: list[Node]) -> None:
@@ -497,11 +493,9 @@ def _apply_layer_transitions(tree, synced: list[Node]) -> None:
         return
     sys = tree.system
     moved_any = False
-    for node in sorted(synced, key=lambda n: n.depth):
-        if tree._node_detached(node):
-            continue
+    for node in sorted(synced, key=_DEPTH):
         new_layer = tree.clamped_layer(node)
-        if new_layer == node.layer:
+        if new_layer == node.layer or tree._node_detached(node):
             continue
         old_layer = node.layer
         moved_any = True

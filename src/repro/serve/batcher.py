@@ -29,6 +29,7 @@ wait for more arrivals — and deterministic.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 __all__ = ["FixedBatchPolicy", "AdaptiveBatchPolicy"]
 
@@ -69,7 +70,9 @@ class AdaptiveBatchPolicy:
         self.min_batch = int(min_batch)
         self.max_batch = int(max_batch)
         self.window = int(window)
-        self._obs: dict[tuple, list[tuple[int, float]]] = {}
+        # Per group, the window's batch sizes and service times.
+        self._sizes: dict[tuple, list[int]] = {}
+        self._times: dict[tuple, list[float]] = {}
         self._probe: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
@@ -81,31 +84,14 @@ class AdaptiveBatchPolicy:
             # distinct batch sizes while staying work-conserving.
             probe = self._probe.get(group, self.min_batch)
             return min(backlog, probe, self.max_batch)
-        a, b = fit
-        # A noisy window can fit b <= 0 (or an a/b ratio far beyond the
-        # observed range), which would jump the batch straight to
-        # max_batch on the strength of a degenerate extrapolation.  Cap
-        # every fitted choice at 2x the largest batch actually observed:
-        # growth stays geometric (like the bootstrap probes) instead of
-        # cliff-jumping into head-of-line blocking.
-        cap = max(self.min_batch, 2 * max(sz for sz, _ in self._obs[group]))
-        if a <= 0.0:
-            # No measurable fixed overhead: batching buys nothing, serve in
-            # the finest grains the backlog allows.
-            return min(backlog, max(1, self.min_batch))
-        if b <= 0.0:
-            # No measurable marginal cost: amortise as hard as the
-            # observed range supports.
-            return min(backlog, cap, self.max_batch)
-        f = self.overhead_target
-        b_star = math.ceil(a * (1.0 - f) / (b * f))
-        b_star = max(b_star, self.min_batch)
-        return min(backlog, b_star, cap, self.max_batch)
+        return min(backlog, self._target(group, *fit)[0])
 
     def observe(self, group: tuple, size: int, service_s: float) -> None:
-        obs = self._obs.setdefault(group, [])
-        obs.append((int(size), float(service_s)))
-        del obs[: -self.window]
+        sizes = self._sizes.setdefault(group, [])
+        times = self._times.setdefault(group, [])
+        sizes.append(int(size))
+        times.append(float(service_s))
+        del sizes[: -self.window], times[: -self.window]
         self._probe[group] = min(max(2 * int(size), self.min_batch),
                                  self.max_batch)
 
@@ -121,23 +107,16 @@ class AdaptiveBatchPolicy:
         so tuned profiles and online adaptations are auditable.
         """
         groups: dict[str, dict] = {}
-        for group, obs in sorted(self._obs.items(), key=lambda kv: str(kv[0])):
-            entry: dict = {"n_obs": len(obs)}
+        for group, sizes in sorted(self._sizes.items(),
+                                   key=lambda kv: str(kv[0])):
+            entry: dict = {"n_obs": len(sizes)}
             fit = self._fit(group)
             if fit is None:
                 entry.update(a=None, b=None, target=None,
                              probe=self._probe.get(group, self.min_batch))
             else:
                 a, b = fit
-                cap = max(self.min_batch, 2 * max(sz for sz, _ in obs))
-                if a <= 0.0:
-                    target = max(1, self.min_batch)
-                elif b <= 0.0:
-                    target = min(cap, self.max_batch)
-                else:
-                    f = self.overhead_target
-                    target = min(max(math.ceil(a * (1.0 - f) / (b * f)),
-                                     self.min_batch), cap, self.max_batch)
+                target, cap = self._target(group, a, b)
                 entry.update(a=a, b=b, target=int(target), cap=int(cap))
             groups["/".join(str(p) for p in group)] = entry
         return {
@@ -150,17 +129,40 @@ class AdaptiveBatchPolicy:
         }
 
     # ------------------------------------------------------------------
+    def _target(self, group: tuple, a: float, b: float) -> tuple[int, int]:
+        """``(B*, cap)``: the backlog-independent batch size for the fit
+        ``(a, b)``, and the observed-range cap it is clamped by."""
+        # A noisy window can fit b <= 0 (or an a/b ratio far beyond the
+        # observed range), which would jump the batch straight to
+        # max_batch on the strength of a degenerate extrapolation.  Cap
+        # every fitted choice at 2x the largest batch actually observed:
+        # growth stays geometric (like the bootstrap probes) instead of
+        # cliff-jumping into head-of-line blocking.
+        cap = max(self.min_batch, 2 * max(self._sizes[group]))
+        if a <= 0.0:
+            # No measurable fixed overhead: batching buys nothing, serve in
+            # the finest grains the backlog allows.
+            return max(1, self.min_batch), cap
+        if b <= 0.0:
+            # No measurable marginal cost: amortise as hard as the
+            # observed range supports.
+            return min(cap, self.max_batch), cap
+        f = self.overhead_target
+        b_star = max(math.ceil(a * (1.0 - f) / (b * f)), self.min_batch)
+        return min(b_star, cap, self.max_batch), cap
+
     def _fit(self, group: tuple) -> tuple[float, float] | None:
         """Least-squares ``t(B) = a + b·B`` over the window; ``None`` until
         two distinct batch sizes have been observed."""
-        obs = self._obs.get(group)
-        if not obs or len({sz for sz, _ in obs}) < 2:
+        sizes = self._sizes.get(group)
+        if not sizes or len(set(sizes)) < 2:
             return None
-        n = len(obs)
-        sx = sum(sz for sz, _ in obs)
-        sy = sum(t for _, t in obs)
-        sxx = sum(sz * sz for sz, _ in obs)
-        sxy = sum(sz * t for sz, t in obs)
+        times = self._times[group]
+        n = len(sizes)
+        sx = sum(sizes)
+        sy = sum(times)
+        sxx = sum(map(mul, sizes, sizes))
+        sxy = sum(map(mul, sizes, times))
         denom = n * sxx - sx * sx
         if denom <= 0:
             return None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PIMZdTree, skew_resistant, throughput_optimized
+from repro.core import PIMZdTree, skew_resistant, throughput_optimized, vexec
 from repro.core.node import Layer
 from repro.pim import PIMSystem
 
@@ -124,3 +124,49 @@ class TestSyncBehaviour:
         tree = make_tree(pts, "skew")
         node = tree.root
         assert not tree.record_count_change(node, 0)
+
+
+# ----------------------------------------------------------------------
+# the count path: one arena scatter, marks only where more than a count
+# changed
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("variant", ["throughput", "skew"])
+def test_count_changes_mark_only_leaves_and_synced_roots(rng, variant):
+    """An insert into a leaf with room leaves no internal node dirty in
+    the arena except chunk roots whose snapshot synced; the path's other
+    count changes reach the arena through the scatter, which
+    ``check_invariants`` compares with a fresh build."""
+    tree = make_tree(rng.random((3000, 3)), variant)
+    arena = vexec.node_arena(tree)
+    assert not arena.dirty
+    leaf = next(nd for nd in walk(tree)
+                if nd.is_leaf and nd.count < tree.config.leaf_size)
+    counts = {nd: nd.count for nd in walk(tree)}
+    tree.insert(leaf.pts[:1])
+    assert tree._arena is arena and leaf.count == counts[leaf] + 1
+    changed = [nd for nd in walk(tree)
+               if not nd.is_leaf and nd.count != counts[nd]]
+    assert changed and tree.root in changed
+    dirty_inner = [nd for nd in arena.dirty if not nd.is_leaf]
+    assert all(
+        nd.meta is not None and nd.meta.root is nd and nd.delta == 0
+        for nd in dirty_inner
+    ), "a count-only change marked its node"
+    assert len(dirty_inner) < len(changed)
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("variant", ["throughput", "skew", "eager", "override"])
+def test_delta_bounds_match_table1_per_layer(variant):
+    if variant == "throughput":
+        cfg = throughput_optimized(20_000, 16)
+    elif variant == "skew":
+        cfg = skew_resistant(64)
+    elif variant == "eager":
+        cfg = skew_resistant(64, lazy_counters=False)
+    else:
+        cfg = throughput_optimized(20_000, 16).with_overrides(theta_l1=7,
+                                                              chunk_factor=5)
+    assert len(cfg.delta_bounds) == len(Layer)
+    for layer in Layer:
+        assert cfg.delta_bounds[layer] == cfg.lazy_delta_bounds(int(layer))
