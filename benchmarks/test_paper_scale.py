@@ -25,7 +25,7 @@ import numpy as np
 
 import repro.eval.harness
 from repro.eval.harness import PIMZdTreeAdapter, make_boxes
-from repro.pim import PIMSystem
+from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PIMSystem
 from repro.workloads import uniform_points
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -108,9 +108,9 @@ def _charging_storm(system_cls):
 
     Every round touches all P modules with integer-valued, round-varying
     cycle/word amounts — the access pattern of a saturated Fig. 5 batch.
-    On the scalar oracle the array entry points fall back to per-element
-    calls, so both cores run the exact same charge sequence through the
-    same API and must book the exact same stats.
+    The scalar oracle books each ``charge_sequence`` element by element,
+    so both cores run the exact same charge sequence through the same
+    API and must book the exact same stats.
     """
     system = system_cls(P, seed=SEED)
     mids = np.arange(P, dtype=np.intp)
@@ -120,9 +120,11 @@ def _charging_storm(system_cls):
         with system.round():
             for p, phase in enumerate(PHASES[: 2 + r % 2]):
                 with system.phase(phase):
-                    system.charge_pim_array(mids, base + float((r + p) % 13))
-                    system.send_array(mids, base)
-                    system.recv_array(mids, np.float64(2.0))
+                    system.charge_sequence(CHARGE_PIM, mids,
+                                           base + float((r + p) % 13))
+                    system.charge_sequence(CHARGE_SEND, mids, base)
+                    system.charge_sequence(CHARGE_RECV, mids,
+                                           np.float64(2.0))
     wall = time.perf_counter() - t0
     return system.stats, wall
 

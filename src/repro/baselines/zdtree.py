@@ -125,14 +125,12 @@ class ZdTree:
     def _encode(self, points: np.ndarray) -> np.ndarray:
         # Prior shared-memory implementations interleave bit by bit (O(bits)
         # work per key); the fast O(log bits) codec is a PIM-zd-tree
-        # technique (§6) but can be enabled here for experimentation.
+        # technique (§6) but can be enabled here for experimentation.  The
+        # keys are the same either way: only the charged work differs.
+        keys = self.codec.encode(points)
         if self.naive_zorder:
-            from ..core.morton import morton_encode
-
-            keys = morton_encode(self.codec.quantize(points), self.codec.bits, fast=False)
             self.meter.work(len(points) * self._kb)
         else:
-            keys = self.codec.encode(points)
             self.meter.work(
                 len(points) * self.dims * max(1, int(np.log2(self.codec.bits)))
             )

@@ -10,12 +10,15 @@ bit first, cycling through dimensions.  This module provides
 * a byte-lookup-table generalisation for arbitrary dimension
   (``split_bits_lut``), which keeps the O(bits / 8) table-lookup cost the
   paper's technique targets while supporting D > 3;
-* ``split_bits_naive`` — the O(bits) per-bit reference implementation used
-  by prior work, kept both as a correctness oracle and as the ablation
-  target for Table 3 ("Fast z-order" row);
 * :class:`MortonCodec` — quantises floating-point points inside a bounding
   box onto an integer grid and encodes/decodes full Morton keys, exposing
   the prefix→cell geometry the tree needs for bounding boxes.
+
+The O(bits) per-bit interleaving of prior work yields bitwise-equal keys,
+so it is not run: the Table 3 "Fast z-order" ablation is a charge
+(``PIMZdTree.encode_keys`` books O(log bits) or O(bits) CPU ops per key
+from ``config.fast_zorder``; ``ZdTree`` likewise from ``naive_zorder``).
+The per-bit reference lives with the tests (``tests/test_morton.py``).
 
 Bit layout convention
 ---------------------
@@ -41,11 +44,8 @@ __all__ = [
     "compact_by_3",
     "split_bits_lut",
     "compact_bits_lut",
-    "split_bits_naive",
-    "compact_bits_naive",
     "morton_encode",
     "morton_decode",
-    "morton_encode_naive",
     "MortonCodec",
     "max_bits_per_dim",
 ]
@@ -183,32 +183,16 @@ def compact_bits_lut(x, dims: int, bits: int) -> np.ndarray:
     return out
 
 
-def split_bits_naive(x, dims: int, bits: int) -> np.ndarray:
-    """O(bits) per-bit spreading — the reference / ablation implementation."""
-    v = _as_u64(x) & _mask_u64(bits)
-    out = np.zeros_like(v)
-    for i in range(bits):
-        out |= ((v >> _U64(i)) & _U64(1)) << _U64(i * dims)
-    return out
-
-
-def compact_bits_naive(x, dims: int, bits: int) -> np.ndarray:
-    """O(bits) per-bit gathering — inverse of :func:`split_bits_naive`."""
-    v = _as_u64(x)
-    out = np.zeros_like(v)
-    for i in range(bits):
-        out |= ((v >> _U64(i * dims)) & _U64(1)) << _U64(i)
-    return out
-
-
 def _mask_u64(nbits: int) -> np.uint64:
     if nbits >= 64:
         return _U64(0xFFFFFFFFFFFFFFFF)
     return _U64((1 << nbits) - 1)
 
 
-def morton_encode(grid: np.ndarray, bits: int, *, fast: bool = True) -> np.ndarray:
+def morton_encode(grid: np.ndarray, bits: int) -> np.ndarray:
     """Interleave integer grid coordinates into Morton keys.
+
+    Spreads with the O(log bits) / LUT technique of §6.
 
     Parameters
     ----------
@@ -217,20 +201,17 @@ def morton_encode(grid: np.ndarray, bits: int, *, fast: bool = True) -> np.ndarr
         ``< 2**bits``.
     bits:
         Bits per dimension; ``D * bits`` must be ≤ 64.
-    fast:
-        Use the O(log bits) / LUT spreading (paper's technique).  With
-        ``fast=False`` the naive O(bits) loop is used (Table 3 ablation).
     """
     grid = np.atleast_2d(np.asarray(grid))
     n, dims = grid.shape
     if dims * bits > 64:
         raise ValueError(f"key would need {dims * bits} bits; max is 64")
-    spread = split_bits_lut if fast else split_bits_naive
     key = np.zeros(n, dtype=_U64)
     for start in range(0, n, _ENCODE_BLOCK):
         # One spread of the block's whole grid; column d then shifts to
         # its interleave offset D - 1 - d and the columns OR together.
-        spread_block = spread(grid[start:start + _ENCODE_BLOCK], dims, bits)
+        spread_block = split_bits_lut(grid[start:start + _ENCODE_BLOCK],
+                                      dims, bits)
         block = key[start:start + _ENCODE_BLOCK]
         for d in range(dims):
             block |= spread_block[:, d] << _U64(dims - 1 - d)
@@ -243,18 +224,12 @@ def morton_encode(grid: np.ndarray, bits: int, *, fast: bool = True) -> np.ndarr
 _ENCODE_BLOCK = 8192
 
 
-def morton_encode_naive(grid: np.ndarray, bits: int) -> np.ndarray:
-    """Alias of ``morton_encode(..., fast=False)`` for the ablation bench."""
-    return morton_encode(grid, bits, fast=False)
-
-
-def morton_decode(keys: np.ndarray, dims: int, bits: int, *, fast: bool = True) -> np.ndarray:
+def morton_decode(keys: np.ndarray, dims: int, bits: int) -> np.ndarray:
     """Invert :func:`morton_encode`: recover the ``(n, D)`` grid coordinates."""
     keys = np.atleast_1d(_as_u64(keys))
-    compact = compact_bits_lut if fast else compact_bits_naive
     grid = np.empty((keys.shape[0], dims), dtype=_U64)
     for d in range(dims):
-        grid[:, d] = compact(keys >> _U64(dims - 1 - d), dims, bits)
+        grid[:, d] = compact_bits_lut(keys >> _U64(dims - 1 - d), dims, bits)
     return grid
 
 
@@ -275,15 +250,12 @@ class MortonCodec:
         Number of dimensions.
     bits:
         Bits per dimension.  ``key_bits = dims * bits``.
-    fast:
-        Whether encoding uses the fast spreading path.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     dims: int
     bits: int
-    fast: bool = True
     _scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -300,7 +272,7 @@ class MortonCodec:
         object.__setattr__(self, "_scale", scale)
 
     @classmethod
-    def fit(cls, points: np.ndarray, bits: int | None = None, *, fast: bool = True,
+    def fit(cls, points: np.ndarray, bits: int | None = None, *,
             pad: float = 1e-9) -> "MortonCodec":
         """Build a codec whose box (slightly padded) covers ``points``."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -310,7 +282,7 @@ class MortonCodec:
         lo = points.min(axis=0)
         hi = points.max(axis=0)
         span = np.maximum(hi - lo, 1.0)
-        return cls(lo - pad * span, hi + pad * span, dims, bits, fast)
+        return cls(lo - pad * span, hi + pad * span, dims, bits)
 
     @property
     def key_bits(self) -> int:
@@ -328,7 +300,7 @@ class MortonCodec:
 
     def encode(self, points: np.ndarray) -> np.ndarray:
         """Encode float points to Morton keys."""
-        return morton_encode(self.quantize(points), self.bits, fast=self.fast)
+        return morton_encode(self.quantize(points), self.bits)
 
     def prefix_box(self, prefix: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Bounding box of the tree node with the given key prefix.

@@ -29,19 +29,23 @@ The whole list shares one BSP round, preceded by the host's re-placement
 bookkeeping (``_CONTROL_CPU_OPS`` per move) and followed by one
 ``refresh_residency`` (each moved chunk is marked placed, so the residency
 listeners re-book exactly those), all under ``phase`` with fault injection
-suppressed — relocation rides the reliable control channel, so it always
-completes.  With a journal attached, the migrate moves are logged as one
-MIGRATE record and the clone moves as one REPLICATE record (rebuilds and
-promotions are covered by the FAILOVER record their planner writes).
-Recovery replays those records by calling this same function: the
-recovered tree has no journal yet, the pinned ``"recovery"`` phase
-overrides ``phase``, and the fresh system has no fault plan, so no flag
-is needed to tell replay from live.
+suppressed — relocation rides the reliable control channel, so no
+transfer drops.  Every move is charged, in one ``charge_sequence`` call,
+before the first is applied: a move addressing a dead module raises
+``ModuleFailure`` with no move applied.  With a journal attached, the
+migrate moves are logged as one MIGRATE record and the clone moves as one
+REPLICATE record (rebuilds and promotions are covered by the FAILOVER
+record their planner writes).  Recovery replays those records by calling
+this same function: the recovered tree has no journal yet, the pinned
+``"recovery"`` phase overrides ``phase``, and the fresh system has no
+fault plan, so no flag is needed to tell replay from live.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
+
+from ..pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
 
 __all__ = ["Move", "PACK_CYCLES_PER_WORD", "relocate"]
 
@@ -72,26 +76,31 @@ def relocate(tree, moves: Sequence, *, phase: str) -> float:
         return 0.0
     sys, cfg = tree.system, tree.config
     installed = 0.0
+    charges = []  # (kind, module, amount), every move's in list order
     with sys.phase(phase), sys.faults_suppressed():
         sys.charge_cpu(len(moves) * _CONTROL_CPU_OPS)
         with sys.round():
             for mv in moves:
                 meta, dst, kind = mv.meta, int(mv.dst), mv.kind
                 if kind == "promote":
-                    sys.send(dst, _PROMOTE_WORDS)
+                    charges += ((CHARGE_SEND, dst, _PROMOTE_WORDS),)
+                    continue
+                words = meta.size_words(cfg)
+                if kind == "rebuild":
+                    sys.dram_stream(words)
                 else:
-                    words = meta.size_words(cfg)
-                    if kind == "rebuild":
-                        sys.dram_stream(words)
-                    else:
-                        pack = words * PACK_CYCLES_PER_WORD
-                        sys.charge_pim(meta.module, pack)
-                        sys.recv(meta.module, words)
-                        sys.charge_pim(dst, pack)
-                    total = (words if kind == "clone"
-                             else meta.upload_words(cfg))
-                    sys.send(dst, total)
-                    installed += total
+                    pack = words * PACK_CYCLES_PER_WORD
+                    charges += ((CHARGE_PIM, meta.module, pack),
+                                (CHARGE_RECV, meta.module, words),
+                                (CHARGE_PIM, dst, pack))
+                total = words if kind == "clone" else meta.upload_words(cfg)
+                charges += ((CHARGE_SEND, dst, total),)
+                installed += total
+            # Every move is charged before any is applied, so a dead
+            # destination raises with the placement untouched.
+            sys.charge_sequence(*zip(*charges))
+            for mv in moves:
+                meta, dst, kind = mv.meta, int(mv.dst), mv.kind
                 tree.mark_placed(meta)
                 if kind == "clone":
                     tree.replicas.register(meta.root.nid, dst)

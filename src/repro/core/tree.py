@@ -27,11 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..pim.cost_model import PIMCostModel, upmem_scaled
-from ..pim.model import PIMSystem
+from ..pim.model import CHARGE_SEND, PIMSystem
 from .chunking import MetaNode, chunk_region
 from .config import PIMZdTreeConfig, throughput_optimized
 from .geometry import L2, Box, Metric
-from .morton import MortonCodec, max_bits_per_dim, morton_encode
+from .morton import MortonCodec, max_bits_per_dim
 from .node import Layer, Node, node_words, subtree_nodes
 from .residency import ResidencyFeed, WordLedger, residency_from_scratch
 
@@ -77,15 +77,9 @@ class PIMZdTree:
         if bounds is not None:
             lo, hi = bounds
             self.codec = MortonCodec(
-                lo, hi, self.dims, bits or max_bits_per_dim(self.dims),
-                fast=config.fast_zorder,
-            )
+                lo, hi, self.dims, bits or max_bits_per_dim(self.dims))
         else:
             self.codec = MortonCodec.fit(points, bits)
-            if not config.fast_zorder:
-                self.codec = MortonCodec(
-                    self.codec.lo, self.codec.hi, self.dims, self.codec.bits, fast=False
-                )
         self.key_bits = self.codec.key_bits
 
         self._next_nid = 0
@@ -130,19 +124,19 @@ class PIMZdTree:
 
         Fast mode costs O(log bits) word operations per dimension (§6);
         naive interleaving costs O(bits) — the Table 3 "Fast z-order"
-        ablation flips this switch.
+        ablation flips this switch.  Both yield the same keys, so only the
+        charge differs.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = len(points)
+        keys = self.codec.encode(points)
         if self.config.fast_zorder:
             # O(log bits) shift/mask stages per dimension (§6).
-            keys = self.codec.encode(points)
             self.system.charge_cpu(
                 n * (self.dims * 4 * max(1, int(np.log2(self.codec.bits))) + 8)
             )
         else:
             # Bit-by-bit interleaving: extract, shift, or — per key bit.
-            keys = morton_encode(self.codec.quantize(points), self.codec.bits, fast=False)
             self.system.charge_cpu(n * (8 * self.key_bits + self.dims))
         self.system.dram_stream(n * self.dims)
         return keys
@@ -597,17 +591,17 @@ class PIMZdTree:
         """Initial distribution of the built tree onto the modules.
 
         The per-meta fan-out is aggregated per destination module and
-        charged through the array-native entry point: at paper scale the
-        build touches every one of the P=2048 modules, and one
-        ``send_array`` replaces |metas| scalar sends (byte-identical
-        counters — integer word counts sum exactly in any order).
+        booked with one ``charge_sequence`` call: at paper scale the build
+        touches every one of the P=2048 modules (integer word counts sum
+        exactly in any order).
         """
         send_by: dict[int, float] = {}
         for meta in self.metas:
             send_by[meta.module] = (send_by.get(meta.module, 0.0)
                                     + meta.upload_words(self.config))
         with self.system.round():
-            self.system.send_array(list(send_by), list(send_by.values()))
+            self.system.charge_sequence(CHARGE_SEND, list(send_by),
+                                        list(send_by.values()))
             if not self.l0_on_cpu:
                 self.system.broadcast(self.l0_words())
 

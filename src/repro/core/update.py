@@ -33,6 +33,7 @@ from operator import attrgetter
 import numpy as np
 
 from ..faults.errors import FaultError
+from ..pim import CHARGE_PIM, CHARGE_SEND
 from .chunking import MetaNode, chunk_region
 from .node import Layer, Node, node_words
 from .search import search_batch
@@ -51,12 +52,14 @@ _DEPTH = attrgetter("depth")
 class _BatchState:
     """Bookkeeping shared by one update batch."""
 
-    __slots__ = ("new_nodes", "new_links", "cache_words")
+    __slots__ = ("new_nodes", "new_links", "cache_words", "pim")
 
     def __init__(self) -> None:
         self.new_nodes: set[int] = set()
         self.new_links = 0
         self.cache_words = 0.0
+        # The merges' (module, cycles), booked after the last merge.
+        self.pim: list[tuple[int, float]] = []
 
 
 # ======================================================================
@@ -85,15 +88,16 @@ def insert_batch(tree, points: np.ndarray) -> None:
         sys.charge_cpu(n * _CPU_GROUP_OPS_PER_KEY, span=np.log2(n + 2))
         sys.dram_stream(n * (tree.dims + 1))
         groups: dict[Node, list[int]] = defaultdict(list)
+        batch = tree._batch_counter
+        aux = []
         for res in results:
             target = res.leaf if res.leaf is not None else res.edge[1]
             groups[target].append(res.qid)
-            # The batch's auxiliary structures (trace records, grouping
-            # tables) occupy the LLC; very large batches evict the shared
-            # upper-tree blocks — the Fig. 7 traffic uptick (§7.3).
-            sys.touch_cpu_block(
-                ("pimzd", "batchaux", tree._batch_counter, res.qid // 4)
-            )
+            aux += (("pimzd", "batchaux", batch, res.qid // 4),)
+        # The batch's auxiliary structures (trace records, grouping
+        # tables) occupy the LLC; very large batches evict the shared
+        # upper-tree blocks — the Fig. 7 traffic uptick (§7.3).
+        sys.touch_cpu_blocks(aux)
 
         # ---- Step 3e first: exact counts + lazy counters on the paths ----
         # (Counts must be current before new LCA internals copy them.)
@@ -101,18 +105,18 @@ def insert_batch(tree, points: np.ndarray) -> None:
 
         # ---- Step 3a/b: apply structural merges (one round + link round) --
         # Fault atomicity: every fault site in the round (the sends — drop
-        # roll plus dead-module check; the merges' charge_pim can only
-        # address a module a send already vetted this round) is charged
-        # *before* the first merge mutates the tree.  If the round faults,
-        # no point was merged, so undoing the step-3e count deltas restores
-        # the exact pre-insert logical state and a retry (or a serving-layer
-        # compensation) never sees a half-applied batch.  On a fault-free
-        # run the charges are identical — only their order within the round
-        # changes, which the round close does not observe.
+        # roll plus dead-module check; the merges' cycles can only address
+        # a module a send already vetted this round) is charged *before*
+        # the first merge mutates the tree.  If the round faults, no point
+        # was merged, so undoing the step-3e count deltas restores the
+        # exact pre-insert logical state and a retry (or a serving-layer
+        # compensation) never sees a half-applied batch.  The merges'
+        # cycles book in one more call after the last merge.
         state = _BatchState()
         try:
             with sys.round():
                 staged = []
+                writes = []
                 for target, qids in groups.items():
                     karr = np.array(
                         [results[q].key for q in qids], dtype=np.uint64
@@ -121,19 +125,15 @@ def insert_batch(tree, points: np.ndarray) -> None:
                     keys = karr[order]
                     pts = points[qids][order]
                     if target.layer != Layer.L0 and target.meta is not None:
-                        sys.send(
-                            target.meta.module, len(keys) * (tree.dims + 1)
-                        )
-                        # Replica write fan-out shares this batch's round
-                        # (write-all) or is deferred under the staleness
-                        # bound (primary-async); inert without a ReplicaSet.
-                        if tree.replicas is not None:
-                            tree.replicas.on_write(
-                                target.meta, len(keys) * (tree.dims + 1)
-                            )
+                        writes += ((target.meta,
+                                    len(keys) * (tree.dims + 1)),)
                     staged.append((target, keys, pts))
+                if writes:
+                    _charge_writes(tree, writes)
                 for target, keys, pts in staged:
                     _merge_target(tree, target, keys, pts, state)
+                if state.pim:
+                    sys.charge_sequence(CHARGE_PIM, *zip(*state.pim))
         except FaultError:
             with sys.faults_suppressed():
                 _apply_path_deltas(tree, ((res, -1) for res in results))
@@ -167,6 +167,33 @@ def insert_batch(tree, points: np.ndarray) -> None:
         journal.commit(wal_seq)
 
 
+def _charge_writes(tree, writes: list[tuple[MetaNode, float]]) -> None:
+    """Book an update round's sends in one call, per ``(meta, words)``
+    its primary then its replica fan-out, and record in the ReplicaSet
+    the sends that went through, as sending one by one would have."""
+    reps = tree.replicas
+    sends = []
+    fanned = []  # (meta, words, index of its primary send, fan-out size)
+    for meta, words in writes:
+        secs = () if reps is None else reps.fan_out(meta)
+        fanned += ((meta, words, len(sends), len(secs)),)
+        sends += ((meta.module, words),)
+        if secs:
+            sends += [(mid, words) for mid in secs]
+    reached = len(sends)
+    try:
+        tree.system.charge_sequence(CHARGE_SEND, *zip(*sends))
+    except FaultError as e:
+        reached = e.charge_index
+        raise
+    finally:
+        if reps is not None:
+            for meta, words, start, n_secs in fanned:
+                if start < reached:
+                    reps.on_write(meta, words,
+                                  min(n_secs, reached - start - 1))
+
+
 def _merge_target(tree, target: Node, keys: np.ndarray, pts: np.ndarray,
                   state: _BatchState) -> None:
     """Perform the structural merge for one target leaf or edge."""
@@ -176,7 +203,7 @@ def _merge_target(tree, target: Node, keys: np.ndarray, pts: np.ndarray,
 
     def charge(cycles: float) -> None:
         if on_module:
-            sys.charge_pim(mid, cycles)
+            state.pim += ((mid, cycles),)
         else:
             # Host cores retire roughly 4x the instructions per second of a
             # PIM core per the cost model; fold that into the op count.
@@ -474,15 +501,16 @@ def _apply_path_deltas(tree, results_with_sign) -> list[Node]:
     Returns nodes whose snapshots synced (transition candidates).
     """
     deltas: dict[Node, int] = defaultdict(int)
+    batch = tree._batch_counter
+    aux = []
     for res, sign in results_with_sign:
-        # Second pass over the batch's trace records: for batches whose
-        # auxiliary structures exceed the LLC this re-read misses — the
-        # Fig. 7 large-batch traffic uptick (§7.3).
-        tree.system.touch_cpu_block(
-            ("pimzd", "batchaux", tree._batch_counter, res.qid // 4)
-        )
+        aux += (("pimzd", "batchaux", batch, res.qid // 4),)
         for node in res.trace:
             deltas[node] += sign
+    # Second pass over the batch's trace records: for batches whose
+    # auxiliary structures exceed the LLC this re-read misses — the
+    # Fig. 7 large-batch traffic uptick (§7.3).
+    tree.system.touch_cpu_blocks(aux)
     tree.system.charge_cpu(len(deltas) * 4)
     return tree.record_count_changes(deltas)
 
@@ -583,18 +611,19 @@ def delete_batch(tree, points: np.ndarray) -> int:
         # ---- Apply pass (one round): remove the points on the modules.
         # Fault atomicity, as in insert_batch: every fault site of the
         # round (the sends and the replica fan-out) is charged before the
-        # first leaf shrinks, so a faulted round has mutated nothing.
+        # first leaf shrinks, so a faulted round has mutated nothing; the
+        # leaves' cycles book in one more call after the last leaf.
         with sys.round():
-            for leaf, _keep, _n_removed in plans:
-                if leaf.layer != Layer.L0 and leaf.meta is not None:
-                    words = len(groups[leaf]) * (tree.dims + 1)
-                    sys.send(leaf.meta.module, words)
-                    if tree.replicas is not None:
-                        tree.replicas.on_write(leaf.meta, words)
+            writes = [(leaf.meta, len(groups[leaf]) * (tree.dims + 1))
+                      for leaf, _keep, _n_removed in plans
+                      if leaf.layer != Layer.L0 and leaf.meta is not None]
+            if writes:
+                _charge_writes(tree, writes)
+            pim = []
             for leaf, keep, n_removed in plans:
                 qids = groups[leaf]
                 if leaf.layer != Layer.L0 and leaf.meta is not None:
-                    sys.charge_pim(leaf.meta.module, leaf.count * len(qids) * 2)
+                    pim += ((leaf.meta.module, leaf.count * len(qids) * 2),)
                 else:
                     sys.charge_cpu(leaf.count * len(qids))
                 if n_removed == 0:
@@ -606,6 +635,8 @@ def delete_batch(tree, points: np.ndarray) -> int:
                     leaf.pts = leaf.pts[keep]
                 else:
                     emptied.append(leaf)
+            if pim:
+                sys.charge_sequence(CHARGE_PIM, *zip(*pim))
 
         # Counts first (so splice decisions and transitions see exact sizes).
         def with_signs():

@@ -74,8 +74,8 @@ kept as the test oracle ``tests/exec_oracle.py``.  This works because
    depends only on round-start state (kNN prunes on the round-start
    radius), never on another group.  The executor books the round as one
    ``charge_sequence`` whose elements are, in ``by_meta`` order, the
-   per-group scalar calls, and read routing still runs group by group,
-   so the drop-RNG stream, dead-module raise points, tracing and replica
+   charges per-group booking makes, and read routing still runs group
+   by group, so the drop-RNG stream, dead-module raise points, tracing and replica
    routing see exactly what per-group charging gave them.
 
 The host passes keep the same contract without rounds: their charges

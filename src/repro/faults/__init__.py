@@ -7,8 +7,8 @@ path:
 
 * :class:`FaultPlan` — a seeded schedule of module crashes, straggler
   storms and transient CPU↔PIM message drops, consulted by
-  :class:`~repro.pim.PIMSystem` at ``charge_pim``/``send``/``recv`` and
-  at round close; every injected event is recorded (and forwarded to an
+  :class:`~repro.pim.PIMSystem` in ``charge_sequence`` and at round
+  close; every injected event is recorded (and forwarded to an
   attached ``repro.obs`` collector);
 * :class:`ModuleFailure` / :class:`MessageLoss` — typed errors raised at
   the charging sites (:class:`FaultError` is the common base);

@@ -117,23 +117,15 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # hooks consulted by PIMSystem
     # ------------------------------------------------------------------
-    def slow_factor(self, mid: int) -> float:
-        """Cycle multiplier currently in force on module ``mid``."""
-        f = self.slow_factors.get(mid, 1.0)
-        if self._storms and mid in self._storms:
-            f *= self.storm_factor
-        return f
-
     def slow_vector(self, n: int) -> np.ndarray:
-        """Length-``n`` cycle-multiplier vector (``slow_factor`` per mid).
+        """Length-``n`` cycle-multiplier vector, one entry per module.
 
-        ``vec[mid]`` is computed exactly as :meth:`slow_factor` computes
-        it (static factor, then ``*= storm_factor`` while stormed), so
-        multiplying a charge vector by this is byte-identical to the
-        per-element path — including the inert ``* 1.0`` baseline.  The
-        vector is cached and rebuilt only when the storm set changes
-        (storms mutate only at round close), keeping the vectorized
-        charge path allocation-free between fault events.
+        ``vec[mid]`` is the module's static factor, times
+        ``storm_factor`` while a storm is on it (1.0 for a healthy
+        module: multiplying by it is exact).  The vector is cached and
+        rebuilt only when the storm set changes (storms mutate only at
+        round close), keeping the charge path allocation-free between
+        fault events.
         """
         vec = self._slow_vec
         if vec is None or vec.shape[0] != n:
@@ -148,25 +140,16 @@ class FaultPlan:
             self._slow_vec = vec
         return vec
 
-    def should_drop(self, direction: str, mid: int, words: float,
-                    round_index: int) -> FaultEvent | None:
-        """Roll for a transient message loss; records and returns the event."""
-        if self.paused or self.drop_rate <= 0.0:
-            return None
-        if self._rng.random() >= self.drop_rate:
-            return None
-        return self.record_drop(direction, mid, words, round_index)
-
     def first_drop(self, n: int) -> int:
         """Roll ``n`` transfers for loss at once: the index of the first
         lost one, or ``n`` if none is.
 
-        Consumes exactly the draws :meth:`should_drop` makes rolling the
-        same transfers one by one up to the first loss: ``random(n)``
-        yields the doubles of ``n`` single ``random()`` calls, and after a
-        loss the generator is rewound and re-advanced past that roll
-        only.  Records nothing; the caller books the loss with
-        :meth:`record_drop`.
+        Each transfer is lost with probability ``drop_rate``, one
+        ``random()`` draw per transfer up to and including the first
+        loss: ``random(n)`` yields the doubles of ``n`` single
+        ``random()`` calls, and after a loss the generator is rewound and
+        re-advanced past that roll only.  Records nothing; the caller
+        books the loss with :meth:`record_drop`.
         """
         if self.paused or self.drop_rate <= 0.0 or n == 0:
             return n

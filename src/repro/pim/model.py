@@ -7,13 +7,13 @@ would execute (CPU or a specific module) and what it would transfer, and
 the simulator accounts for it exactly as the PIM Model defines:
 
 * **CPU work/span** — ``charge_cpu``; CPU↔DRAM traffic flows through an
-  LRU LLC model (``touch_cpu_block`` / ``dram_stream``).
-* **PIM time** — within a BSP :meth:`round`, ``charge_pim(mid, cycles)``
-  accumulates per-module work; at round close the *maximum* over modules
-  is added (stragglers determine round completion, §2.1).
-* **Communication** — ``send``/``recv``/``broadcast`` inside a round count
-  words total and per-module; each round also counts two mux switches
-  (CPU→PIM and PIM→CPU handover [54]).
+  LRU LLC model (``touch_cpu_blocks`` / ``dram_stream``).
+* **PIM time and communication** — within a BSP :meth:`round`, every
+  module charge is an element of a :meth:`charge_sequence` call: PIM
+  cycles, a CPU → module send or a module → CPU recv.  At round close
+  the *maximum* over modules of the cycles is added (stragglers determine
+  round completion, §2.1), words are counted in total and per module,
+  and two mux switches (CPU→PIM and PIM→CPU handover [54]).
 
 Phases (:meth:`phase`) label charges for the Fig. 6 runtime breakdown;
 attribution is decided *at charge time*: work/communication charged while a
@@ -29,12 +29,10 @@ attached the per-charge cost is a single ``is None`` test and the counters
 are byte-identical to an untraced run.
 
 All per-module state lives in NumPy arrays, one slot per module
-(:class:`~repro.pim.vector.VectorState`): ``charge_pim``/``send``/``recv``
-write one slot, :meth:`charge_sequence` books a whole ordered sequence of
-them with a few ``np.add.at`` calls (:meth:`charge_pim_array`,
-:meth:`send_array` and :meth:`recv_array` are its one-kind forms), and a
-round closes with a handful of array reductions.  ``tests/sim_oracle.py`` keeps the
-same machine as one Python object per module, charged call by call; the
+(:class:`~repro.pim.vector.VectorState`): :meth:`charge_sequence` books a
+round's charges with a few ``np.add.at`` calls and a round closes with a
+handful of array reductions.  ``tests/sim_oracle.py`` keeps the same
+machine as one Python object per module, charged element by element; the
 differential suites hold the two to byte-identical :class:`PIMStats`.
 
 An optional :class:`repro.faults.FaultPlan` (``fault_plan=`` /
@@ -42,7 +40,7 @@ An optional :class:`repro.faults.FaultPlan` (``fault_plan=`` /
 charges addressed to a decommissioned module raise
 :class:`~repro.faults.ModuleFailure`, transfers may be dropped
 (:class:`~repro.faults.MessageLoss`, raised before the words are
-charged), straggler slowdowns multiply ``charge_pim`` cycles, and each
+charged), straggler slowdowns multiply PIM cycles, and each
 round close advances the plan's crash/storm schedule.  With no plan
 attached (and no dead modules) every fault check is a single ``is None``
 or empty-set test and the counters are byte-identical to a fault-free
@@ -53,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from functools import partialmethod
 
 import numpy as np
 
@@ -229,12 +228,6 @@ class PIMSystem:
             if on_fault is not None:
                 on_fault(self.current_phase, event)
 
-    def _check_drop(self, direction: str, mid: int, words: float) -> None:
-        ev = self._faults.should_drop(direction, mid, words, self._rounds_charged)
-        if ev is not None:
-            self._notify_fault(ev)
-            raise MessageLoss(mid, direction, words)
-
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
@@ -366,24 +359,11 @@ class PIMSystem:
         if self._trace is not None:
             self._trace.on_cpu(phase, ops, span)
 
-    def touch_cpu_block(self, block_id) -> bool:
-        """One CPU access to a 64-byte block; charges DRAM traffic on miss."""
-        hit = self.llc.touch(block_id)
-        if not hit:
-            phase = self.current_phase
-            self.stats.total.dram_words += _WORDS_PER_BLOCK
-            self.stats.phase(phase).dram_words += _WORDS_PER_BLOCK
-            if self._trace is not None:
-                self._trace.on_dram(phase, _WORDS_PER_BLOCK, streamed=False)
-        return hit
-
     def touch_cpu_blocks(self, block_ids) -> None:
-        """Sequential CPU accesses to many blocks, charged in one call.
+        """CPU accesses to 64-byte blocks, in order, charged in one call.
 
-        Equivalent to calling :meth:`touch_cpu_block` on each id in order
-        (the LLC sees the identical access sequence, so hit/miss behaviour
-        and therefore ``dram_words`` are byte-identical); the stats update
-        is aggregated into a single per-phase increment.
+        The LLC sees each id in turn; every miss costs one block of DRAM
+        traffic, booked (and traced) as one increment for the whole call.
         """
         touch = self.llc.touch
         misses = 0
@@ -558,141 +538,73 @@ class PIMSystem:
             )
         v.reset_round(mids)
 
-    def _refuse(self, mid: int) -> None:
-        """Raise for a charge outside a round or addressed to a dead module."""
-        if not self._in_round:
-            raise RuntimeError("PIM activity is only legal inside a BSP round")
-        raise ModuleFailure(mid)
-
-    # charge_pim / send / recv write the module's array slots inline (no
-    # helper calls on the hot path): mark it dirty, then add into the
-    # current phase's array at (kind, module).
-
-    def charge_pim(self, mid: int, cycles: float) -> None:
-        """Charge PIM-core cycles on module ``mid`` in the current round.
-
-        With a fault plan attached, straggler slowdowns (static and storm)
-        multiply the charged cycles — the slow module inflates the round's
-        straggler max exactly as §2.1's max-over-modules dictates.
-
-        A zero charge is a complete no-op (matching the array entry
-        points, which skip zero amounts): it does not dirty the module,
-        book a round, or consult the fault plan.
-        """
-        if not cycles:
-            return
-        phase = self.current_phase
-        if not self._in_round or (self._dead and mid in self._dead):
-            self._refuse(mid)
-        if self._faults is not None:
-            f = self._faults.slow_factor(mid)
-            if f != 1.0:
-                cycles = cycles * f
-        v = self._vec
-        v.dirty[mid] = True
-        v.phase_cycles(phase)[CHARGE_PIM, mid] += cycles
-        if self._trace is not None:
-            self._trace.on_pim(phase, mid, cycles)
-
-    def send(self, mid: int, words: float) -> None:
-        """CPU → module transfer of ``words`` words in the current round.
-
-        With a fault plan attached the transfer may be dropped
-        (:class:`~repro.faults.MessageLoss`), raised *before* the words are
-        charged; the module still counts as touched, and work already
-        charged in the round stands and books when the round closes.
-
-        A zero-word send is a complete no-op (matching the array entry
-        points): no dirty module, no round, no drop roll.
-        """
-        if not words:
-            return
-        phase = self.current_phase
-        if not self._in_round or (self._dead and mid in self._dead):
-            self._refuse(mid)
-        v = self._vec
-        v.dirty[mid] = True
-        if self._faults is not None:
-            self._check_drop("send", mid, words)
-        v.phase_words(phase)[CHARGE_SEND, mid] += words
-        if self._trace is not None:
-            self._trace.on_send(phase, mid, words)
-
-    def recv(self, mid: int, words: float) -> None:
-        """Module → CPU transfer of ``words`` words in the current round.
-
-        A zero-word recv is a complete no-op, like :meth:`send`.
-        """
-        if not words:
-            return
-        phase = self.current_phase
-        if not self._in_round or (self._dead and mid in self._dead):
-            self._refuse(mid)
-        v = self._vec
-        v.dirty[mid] = True
-        if self._faults is not None:
-            self._check_drop("recv", mid, words)
-        v.phase_words(phase)[CHARGE_RECV, mid] += words
-        if self._trace is not None:
-            self._trace.on_recv(phase, mid, words)
-
-    # -- array-native entry points --------------------------------------
-
     def charge_sequence(self, kinds, mids, amounts) -> None:
         """Book a sequence of PIM charges and transfers in one call.
 
-        Element ``i`` is the triple ``(kinds[i], mids[i], amounts[i])``,
-        its kind one of :data:`CHARGE_PIM`, :data:`CHARGE_SEND`,
-        :data:`CHARGE_RECV` (a scalar kind or amount applies to every
-        element).  The call is byte-identical to making the matching
-        :meth:`charge_pim` / :meth:`send` / :meth:`recv` call once per
-        element in order: zero amounts are no-ops, straggler factors
-        multiply each PIM element, and ``np.add.at`` adds every amount
-        into its slots in element order.
+        The one way a module is charged.  Element ``i`` is ``(kinds[i],
+        mids[i], amounts[i])``: :data:`CHARGE_PIM` cycles, or
+        :data:`CHARGE_SEND` (CPU → module) / :data:`CHARGE_RECV` (module →
+        CPU) words; a scalar kind or amount applies to every element.
+        Zero amounts are skipped, straggler factors multiply each PIM
+        element, and ``np.add.at`` adds the amounts in element order, as
+        ``tests/sim_oracle.py`` books them one by one.
 
         A charge to a dead module or a dropped transfer at element ``j``
-        books the elements before ``j`` (a dropped transfer also marks
-        its module touched, as :meth:`send` does) and then raises what
-        the scalar call raises, with ``charge_index = j``: the position in
-        the caller's sequence, zero elements counted.  The drop rolls come
-        from one :meth:`~repro.faults.FaultPlan.first_drop` call, which
-        consumes exactly the draws the scalar calls would.  A tracer sees
-        the booked elements' events in element order after the booking,
-        then the fault.
+        books the elements before ``j`` (a dropped transfer also marks its
+        module touched) and then raises :class:`~repro.faults.ModuleFailure`
+        or :class:`~repro.faults.MessageLoss` (raised before its words are
+        charged), with ``charge_index = j``: the position in the caller's
+        sequence, zero elements counted.  Work already booked in the round
+        stands and books when the round closes.  The drop rolls come from
+        one :meth:`~repro.faults.FaultPlan.first_drop` call, one roll per
+        transfer up to the first loss.  A tracer sees the booked elements'
+        events in element order after the booking, then the fault.
         """
         mids = np.asarray(mids, dtype=np.intp)
         amounts = np.asarray(amounts, dtype=np.float64)
-        kinds = np.asarray(kinds, dtype=np.intp)
         if amounts.ndim == 0:
             amounts = np.full(mids.shape, amounts)
-        if kinds.ndim == 0:
-            kinds = np.full(mids.shape, kinds)
+        faulty = self._faults is not None or self._dead
+        # A scalar kind books into one row, unless the fault checks or a
+        # tracer read each element's kind.
+        kind = (kinds if type(kinds) is int and not faulty
+                and self._trace is None else None)
+        if kind is None:
+            kinds = np.asarray(kinds, dtype=np.intp)
+            if kinds.ndim == 0:
+                kinds = np.full(mids.shape, kinds)
         pos = None
-        if np.count_nonzero(amounts) < amounts.size:
-            pos = np.flatnonzero(amounts)
-            kinds, mids, amounts = kinds[pos], mids[pos], amounts[pos]
+        if 0.0 in amounts:
+            pos = amounts.nonzero()[0]
+            mids, amounts = mids[pos], amounts[pos]
+            if kind is None:
+                kinds = kinds[pos]
         if not mids.size:
             return
         if not self._in_round:
             raise RuntimeError("PIM activity is only legal inside a BSP round")
         end, err = len(mids), None
-        if self._faults is not None or self._dead:
+        if faulty:
             amounts, end, err = self._fault_prefix(kinds, mids, amounts)
             kinds, mids, amounts = kinds[:end], mids[:end], amounts[:end]
         if end:
-            # Each kind is a row of the phase's (3, P) array: one flat
-            # add.at books the sequence, every slot in element order.
             v = self._vec
             v.dirty[mids] = True
-            idx = kinds * self.n_modules
-            idx += mids
             phase = self.current_phase
-            n_xfer = np.count_nonzero(kinds)  # CHARGE_PIM is 0
-            if n_xfer < len(kinds):
-                arr = v.phase_cycles(phase)
-            if n_xfer:
-                arr = v.phase_words(phase)
-            np.add.at(arr.reshape(-1), idx, amounts)
+            if kind is not None:
+                arr = (v.phase_cycles(phase) if kind == CHARGE_PIM
+                       else v.phase_words(phase))
+                np.add.at(arr[kind], mids, amounts)
+            else:
+                # Each kind is a row of the phase's (3, P) array: one flat
+                # add.at books the sequence, every slot in element order.
+                idx = kinds * self.n_modules
+                idx += mids
+                if CHARGE_PIM in kinds:
+                    arr = v.phase_cycles(phase)
+                if CHARGE_SEND in kinds or CHARGE_RECV in kinds:
+                    arr = v.phase_words(phase)
+                np.add.at(arr.reshape(-1), idx, amounts)
             if self._trace is not None:
                 t = self._trace
                 hooks = (t.on_pim, t.on_send, t.on_recv)
@@ -737,18 +649,11 @@ class PIMSystem:
                 err = MessageLoss(mid, direction, float(amounts[end]))
         return amounts, end, err
 
-    def charge_pim_array(self, mids, cycles) -> None:
-        """PIM cycles on many modules: :meth:`charge_sequence` with every
-        element a :data:`CHARGE_PIM`."""
-        self.charge_sequence(CHARGE_PIM, mids, cycles)
-
-    def send_array(self, mids, words) -> None:
-        """CPU → module transfers from parallel (mids, words) arrays."""
-        self.charge_sequence(CHARGE_SEND, mids, words)
-
-    def recv_array(self, mids, words) -> None:
-        """Module → CPU transfers from parallel (mids, words) arrays."""
-        self.charge_sequence(CHARGE_RECV, mids, words)
+    # One-kind forms of charge_sequence, kept for the benchmark harness's
+    # round micro-benchmark (bench/layers.py); src/ calls charge_sequence.
+    charge_pim_array = partialmethod(charge_sequence, CHARGE_PIM)
+    send_array = partialmethod(charge_sequence, CHARGE_SEND)
+    recv_array = partialmethod(charge_sequence, CHARGE_RECV)
 
     def charge_comm_flat(self, words: float) -> None:
         """Charge CPU↔PIM words without binding them to a specific round.
@@ -769,40 +674,39 @@ class PIMSystem:
             self._trace.on_comm_flat(phase, words, max_words)
 
     def broadcast(self, words_per_module: float) -> None:
-        """CPU → all live modules (replication update); charged per module.
+        """CPU → all live modules (replication update), in module-id order.
 
-        The fan-out is atomic per module under a fault plan: every live
-        module is attempted even when an earlier transfer is dropped, so
-        a mid-loop :class:`~repro.faults.MessageLoss` can no longer leave
-        later modules silently unsent.  The outcome is recorded in
-        :attr:`last_broadcast` as ``(delivered_mids, dropped_mids)`` (both
-        in module-id order, so a seeded plan reproduces it exactly); if
-        any transfer dropped, the first loss is re-raised after the
-        fan-out completes, carrying ``delivered_mids`` / ``dropped_mids``
-        attributes for the caller's retry logic.
+        One :meth:`charge_sequence` over the live modules.  The fan-out is
+        atomic per module under a fault plan: after a dropped transfer
+        the sequence resumes at the next module, so every live module is
+        attempted and no later module is left silently unsent.  The
+        outcome is recorded in :attr:`last_broadcast` as
+        ``(delivered_mids, dropped_mids)`` (both in module-id order, so a
+        seeded plan reproduces it exactly); if any transfer dropped, the
+        first loss is re-raised after the fan-out completes, carrying
+        ``delivered_mids`` / ``dropped_mids`` attributes for the caller's
+        retry logic.
         """
-        plan = self._faults
-        if plan is None or plan.drop_rate <= 0.0 or plan.paused:
-            live = [mid for mid in range(self.n_modules)
-                    if mid not in self._dead]
-            self.send_array(np.asarray(live, dtype=np.intp),
-                            float(words_per_module))
-            self.last_broadcast = (tuple(live), ())
-            return
+        live = [mid for mid in range(self.n_modules) if mid not in self._dead]
         delivered: list[int] = []
         dropped: list[int] = []
         first_loss: MessageLoss | None = None
-        for mid in range(self.n_modules):
-            if mid in self._dead:
-                continue
+        start = 0
+        while start < len(live):
             try:
-                self.send(mid, words_per_module)
+                self.charge_sequence(CHARGE_SEND, live[start:],
+                                     words_per_module)
             except MessageLoss as e:
-                dropped.append(mid)
+                j = start + e.charge_index
+                delivered += live[start:j]
+                dropped.append(live[j])
                 if first_loss is None:
+                    e.charge_index = j
                     first_loss = e
+                start = j + 1
             else:
-                delivered.append(mid)
+                delivered += live[start:]
+                break
         self.last_broadcast = (tuple(delivered), tuple(dropped))
         if first_loss is not None:
             first_loss.delivered_mids = tuple(delivered)
@@ -838,7 +742,7 @@ class PIMSystem:
         """Add signed master/cache word changes from parallel arrays.
 
         The one way residency changes, apart from :meth:`decommission`
-        zeroing a dead module (in the manner of :meth:`charge_pim_array`):
+        zeroing a dead module (in the manner of :meth:`charge_sequence`):
         element ``i`` adds ``master[i]`` and ``cache[i]`` to module
         ``mids[i]``.  Word counts are integers, so the totals do not
         depend on the order.  Capacity pressure is judged on the net

@@ -28,8 +28,8 @@ import numpy as np
 __all__ = ["VectorState", "ModuleView", "CHARGE_PIM", "CHARGE_SEND",
            "CHARGE_RECV"]
 
-# Charge kinds: a charge_pim (cycles), a send (words CPU → module) or a
-# recv (words module → CPU).  Each is the row a charge of that kind books
+# Charge kinds: PIM cycles, a send (words CPU → module) or a recv (words
+# module → CPU).  Each is the row a charge of that kind books
 # into in a per-phase array.
 CHARGE_PIM, CHARGE_SEND, CHARGE_RECV = 0, 1, 2
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.relocate import PACK_CYCLES_PER_WORD, Move, relocate
+from ..pim import CHARGE_PIM, CHARGE_SEND
 
 __all__ = ["ReplicationConfig", "ReplicaSet", "WRITE_POLICIES"]
 
@@ -216,24 +217,26 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # write fan-out
     # ------------------------------------------------------------------
-    def on_write(self, meta, words: float) -> None:
-        """Propagate an update batch's ``words`` to the secondaries.
+    def fan_out(self, meta) -> tuple[int, ...]:
+        """Where an update batch's write to ``meta`` goes besides the
+        primary, in the batch's round (sharing its straggler max, like the
+        L1 cache fan-out): the live secondaries under ``write-all``."""
+        if self.config.write_policy != "write-all":
+            return ()
+        return self.live_secondaries(meta)
 
-        ``write-all``: synchronous sends inside the caller's round (both
-        update paths call this from within the batch's merge/apply round,
-        so the fan-out shares the round's straggler max exactly like the
-        L1 cache fan-out does).  ``primary-async``: accumulate pending
-        words; :meth:`flush` ships them later under the staleness bound.
-        """
+    def on_write(self, meta, words: float, sent: int = 0) -> None:
+        """Record an update batch's ``words`` to ``meta`` once its primary
+        send went through: under ``write-all``, ``sent`` of its
+        :meth:`fan_out` sends went through too; under ``primary-async``
+        the words pend until :meth:`flush` ships them, within the
+        staleness bound."""
         secs = self.live_secondaries(meta)
         if not secs:
             return
         self.writes_fanned += 1
         if self.config.write_policy == "write-all":
-            sys = self.tree.system
-            for mid in secs:
-                sys.send(mid, words)
-                self.words_fanned += float(words)
+            self.words_fanned += float(words) * sent
             return
         pend = self._pending.get(meta.root.nid)
         if pend is None:
@@ -271,6 +274,7 @@ class ReplicaSet:
         by_nid = {m.root.nid: m for m in tree.metas}
         flushed = 0
         words_total = 0.0
+        charges = []  # (kind, module, amount)
         with sys.phase("replicate"), sys.faults_suppressed():
             with sys.round():
                 for nid in sorted(self._pending):
@@ -279,11 +283,14 @@ class ReplicaSet:
                     if meta is None:
                         continue
                     for mid in self.live_secondaries(meta):
-                        sys.charge_pim(mid, words * PACK_CYCLES_PER_WORD)
-                        sys.send(mid, words)
+                        charges += (
+                            (CHARGE_PIM, mid, words * PACK_CYCLES_PER_WORD),
+                            (CHARGE_SEND, mid, words))
                         words_total += words
                     self.staleness_samples.append(max(0.0, now - t0))
                     flushed += 1
+                if charges:
+                    sys.charge_sequence(*zip(*charges))
         self._pending.clear()
         self.flushes += 1
         self.words_fanned += words_total
@@ -388,7 +395,8 @@ class ReplicaSet:
                                     + by_nid[nid].size_words(tree.config))
         if send_by:
             with sys.round():
-                sys.send_array(list(send_by), list(send_by.values()))
+                sys.charge_sequence(CHARGE_SEND, list(send_by),
+                                    list(send_by.values()))
         return rs
 
     def summary(self) -> dict:

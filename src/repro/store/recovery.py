@@ -6,7 +6,7 @@ whole path runs under a **pinned** ``"recovery"`` phase
 (``system.phase("recovery", pin=True)``): the snapshot read charges host
 CPU + a DRAM stream of the image, the shards go back to the modules
 through the tree's normal bulk-upload entry point (``_upload`` — the
-same ``send_array`` + L0 broadcast as a cold build), and each journaled
+same one-call send + L0 broadcast as a cold build), and each journaled
 batch replays through the ordinary ``insert``/``delete`` code so its
 per-module rounds, straggler maxima and comm words are exactly what the
 original batch paid.  Pinning means the inner phases those code paths
@@ -146,7 +146,7 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
             system._place_overrides[bytes.fromhex(key_hex)] = int(mid)
 
         # Re-upload the shards through the normal bulk entry point: the
-        # same send_array fan-out + L0 broadcast a cold build pays.
+        # same one-call fan-out + L0 broadcast a cold build pays.
         tree._upload()
 
         # Restore the serving tiers recorded at snapshot time *before*

@@ -195,7 +195,7 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
             "lo": [float(x) for x in np.asarray(tree.codec.lo).ravel()],
             "hi": [float(x) for x in np.asarray(tree.codec.hi).ravel()],
             "bits": int(tree.codec.bits),
-            "fast": bool(tree.codec.fast),
+            "fast": bool(tree.config.fast_zorder),
         },
         "system": {
             "n_modules": int(sys.n_modules),
@@ -370,7 +370,6 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
         np.asarray(man["codec"]["hi"], dtype=np.float64),
         dims,
         int(man["codec"]["bits"]),
-        fast=bool(man["codec"]["fast"]),
     )
     tree = PIMZdTree.__new__(PIMZdTree)
     tree.dims = dims

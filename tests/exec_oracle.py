@@ -6,8 +6,8 @@ module for pushed groups and on the host for pulled ones, and the CPU's
 share of each operation as batch-wide array passes.  This module keeps
 the plainest form of the same engine: per-task handlers driven through
 an :class:`ExecContext`, one query and one node at a time, with an
-executor that charges every task on its own (one ``send``, one
-``charge_pim`` per visit, one ``recv`` per reply).  Every charge is an
+executor that charges every task on its own (one send, one PIM charge
+per visit, one recv per reply, each a one-element ``charge_sequence``).  Every charge is an
 integer, so both engines must book byte-identical PIMStats — the
 property ``tests/test_differential_exec.py``, ``test_knn_host_pipeline``
 and ``test_golden_stats`` hold production to.
@@ -55,8 +55,14 @@ from repro.core.push_pull import (
     PushPullExecutor,
     Task,
 )
+from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
 
 __all__ = ["ExecContext", "reference_exec", "exec_engine", "run_per_group"]
+
+
+def _one(sys, kind: int, mid: int, amount: float) -> None:
+    """Book one charge: a one-element ``charge_sequence``."""
+    sys.charge_sequence(kind, (mid,), (amount,))
 
 
 # ======================================================================
@@ -96,10 +102,10 @@ class ExecContext:
     def visit_node(self, node: Node) -> None:
         if self.on_cpu:
             self._sys.charge_cpu(CPU_NODE_OPS)
-            self._sys.touch_cpu_block(("pimzd", "pulled", node.nid))
+            self._sys.touch_cpu_blocks((("pimzd", "pulled", node.nid),))
         else:
             cycles = node.meta.cycles_per_node(self._tree.config) if node.meta else 12
-            self._sys.charge_pim(self._module, cycles)
+            _one(self._sys, CHARGE_PIM, self._module, cycles)
 
     def scan_points(self, n_points: int, metric: Metric, dims: int) -> None:
         """Charge ``n_points`` distance evaluations under ``metric``."""
@@ -108,22 +114,20 @@ class ExecContext:
                 n_points * (CPU_POINT_BASE_OPS + metric.cpu_ops_per_dim * dims)
             )
         else:
-            self._sys.charge_pim(
-                self._module,
-                n_points * (PIM_POINT_BASE_CYCLES + metric.pim_cycles_per_dim * dims),
-            )
+            _one(self._sys, CHARGE_PIM, self._module,
+                 n_points * (PIM_POINT_BASE_CYCLES + metric.pim_cycles_per_dim * dims))
 
     def extra_work(self, cpu_ops: float, pim_cycles: float) -> None:
         """Charge handler-specific work (heap pushes, compares, …)."""
         if self.on_cpu:
             self._sys.charge_cpu(cpu_ops)
         else:
-            self._sys.charge_pim(self._module, pim_cycles)
+            _one(self._sys, CHARGE_PIM, self._module, pim_cycles)
 
     def return_words(self, words: float) -> None:
         """Result payload shipped back to the CPU at round end."""
         if not self.on_cpu:
-            self._sys.recv(self._module, words)
+            _one(self._sys, CHARGE_RECV, self._module, words)
 
     # -- control flow -------------------------------------------------------
     def emit(self, task: Task) -> None:
@@ -161,15 +165,16 @@ def _run(self, tasks, handler, *, round_hook=None, prune=None):
                        else reps.read_module(meta, len(ts)))
                 if meta in pulled:
                     # Fetch only the master storage (§3.3).
-                    self.sys.recv(mod, meta.size_words(self.config))
+                    _one(self.sys, CHARGE_RECV, mod,
+                         meta.size_words(self.config))
                     pulled_items.append((meta, ts))
                     self.pulled_tasks += len(ts)
                     continue
                 self.pushed_tasks += len(ts)
                 meta.hot_hits += len(ts)
-                self.sys.charge_pim(mod, PIM_TASK_DISPATCH_CYCLES)
+                _one(self.sys, CHARGE_PIM, mod, PIM_TASK_DISPATCH_CYCLES)
                 for t in ts:
-                    self.sys.send(mod, t.send_words)
+                    _one(self.sys, CHARGE_SEND, mod, t.send_words)
                     ctx = ExecContext(self.tree, meta, False, t.qid,
                                       module=mod)
                     handler(t, ctx)
@@ -198,9 +203,9 @@ def run_per_group(self, tasks, kernel, *, round_hook=None, prune=None):
     its one-call round booking.
 
     Production kernels, production pull decisions; each group makes its
-    own scalar calls in ``by_meta`` order — routing, then the counters and
-    ``hot_hits``, then ``charge_pim``/``send``/``charge_pim``/``recv`` (a
-    pulled group one ``recv``) — so a fault at group ``j`` leaves groups
+    own one-element calls in ``by_meta`` order — routing, then the
+    counters and ``hot_hits``, then PIM/send/PIM/recv (a pulled group one
+    recv) — so a fault at group ``j`` leaves groups
     after ``j`` untouched by construction.  Swap it in with
     ``monkeypatch.setattr(PushPullExecutor, "run", run_per_group)``.
     """
@@ -233,16 +238,16 @@ def run_per_group(self, tasks, kernel, *, round_hook=None, prune=None):
                 mod = (meta.module if reps is None
                        else reps.read_module(meta, len(ts)))
                 if meta in pulled:
-                    sys.recv(mod, meta.size_words(self.config))
+                    _one(sys, CHARGE_RECV, mod, meta.size_words(self.config))
                     pulled_items.append((meta, ts))
                     self.pulled_tasks += len(ts)
                     continue
                 self.pushed_tasks += len(ts)
                 meta.hot_hits += len(ts)
-                sys.charge_pim(mod, PIM_TASK_DISPATCH_CYCLES)
-                sys.send(mod, sum(t.send_words for t in ts))
-                sys.charge_pim(mod, float(out.cycles[gi]))
-                sys.recv(mod, float(out.recv[gi]))
+                _one(sys, CHARGE_PIM, mod, PIM_TASK_DISPATCH_CYCLES)
+                _one(sys, CHARGE_SEND, mod, sum(t.send_words for t in ts))
+                _one(sys, CHARGE_PIM, mod, float(out.cycles[gi]))
+                _one(sys, CHARGE_RECV, mod, float(out.recv[gi]))
                 gi += 1
             self.rounds_executed += 1
         if pulled_items:
@@ -287,7 +292,7 @@ def route_through_l0(tree, results) -> list[Task]:
             res.trace.append(node)
             if on_cpu:
                 sys.charge_cpu(CPU_NODE_OPS)
-                sys.touch_cpu_block(("pimzd", "l0", node.nid))
+                sys.touch_cpu_blocks((("pimzd", "l0", node.nid),))
             if node.is_leaf:
                 res.leaf = node
                 return None
@@ -312,11 +317,11 @@ def route_through_l0(tree, results) -> list[Task]:
     with sys.round():
         for res in results:
             mid = sys.place(("l0q", tree._l0_route_salt, res.qid))
-            sys.send(mid, 2)
+            _one(sys, CHARGE_SEND, mid, 2)
             out = step(res)
             depth = len(res.trace)
-            sys.charge_pim(mid, depth * L0_PIM_CYCLES_PER_NODE)
-            sys.recv(mid, TRACE_WORDS)
+            _one(sys, CHARGE_PIM, mid, depth * L0_PIM_CYCLES_PER_NODE)
+            _one(sys, CHARGE_RECV, mid, TRACE_WORDS)
             if out is not None:
                 tasks.append(Task(res.qid, out[1].meta, out[1]))
     return tasks
@@ -487,7 +492,7 @@ def _seed_from(tree, start: Node, qid: int, state: _KnnState, coarse: Metric,
             tasks.append(Task(qid, node.meta, node, None, send_words))
             continue
         sys.charge_cpu(4)
-        sys.touch_cpu_block(("pimzd", "l0", node.nid))
+        sys.touch_cpu_blocks((("pimzd", "l0", node.nid),))
         if d is None:
             d = dist_point_box(q, tree.node_box(node), coarse)
             if use_linf:
@@ -666,7 +671,7 @@ def _seed_l0(tree, box: Box, qid: int, tasks: list[Task], *,
             )
             continue
         sys.charge_cpu(CPU_BOX_TEST_OPS)
-        sys.touch_cpu_block(("pimzd", "l0", node.nid))
+        sys.touch_cpu_blocks((("pimzd", "l0", node.nid),))
         cls = "contained" if skip_test else _classify(tree, node, box)
         if cls == "disjoint":
             continue

@@ -1,16 +1,20 @@
 """The scalar simulator core: the differential oracle for ``PIMSystem``.
 
 ``PIMSystem`` keeps every per-module counter in NumPy arrays
-(``repro.pim.vector``) and closes a BSP round with a few array
-reductions.  This module keeps the plainest form of the same machine:
-one :class:`PIMModule` object per module, charged one call at a time,
+(``repro.pim.vector``), books every module charge through one call,
+``charge_sequence``, and closes a BSP round with a few array reductions.
+This module keeps the plainest form of the same machine, and the only
+per-element booking code: one :class:`PIMModule` object per module,
+charged one element at a time through ``charge_pim`` / ``send`` /
+``recv`` — each with its own dead-module refusal, straggler lookup
+(:func:`slow_factor`) and sequential drop roll (:func:`should_drop`) —
 with the round booked by a Python scan over the touched modules.
 :class:`ScalarPIMSystem` swaps that core into ``PIMSystem`` and inherits
-everything else (phases, placement, faults, tracing, broadcast), so the
-two differ in the core alone.  Every charge is an integer, so both must
-book byte-identical PIMStats — the property ``tests/test_sim_modes.py``,
-``tests/test_differential_exec.py`` and the other differential suites
-hold production to.
+everything else (phases, placement, fault schedule, tracing, broadcast),
+so the two differ in the core alone.  Every charge is an integer, so both
+must book byte-identical PIMStats — the property
+``tests/test_sim_modes.py``, ``tests/test_differential_exec.py`` and the
+other differential suites hold production to.
 
 Inject it where the system is built, e.g.
 ``PIMZdTree(points, system=ScalarPIMSystem(P, seed=s))``; for adapters
@@ -24,10 +28,30 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.faults.errors import FaultError, MachineKill, ModuleFailure
+from repro.faults.errors import FaultError, MachineKill, MessageLoss, ModuleFailure
 from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PIMSystem
 
-__all__ = ["PIMModule", "ScalarPIMSystem"]
+__all__ = ["PIMModule", "ScalarPIMSystem", "should_drop", "slow_factor"]
+
+
+def slow_factor(plan, mid: int) -> float:
+    """Cycle multiplier ``plan`` puts on module ``mid``: its static
+    factor, times ``storm_factor`` while a storm is on it."""
+    f = plan.slow_factors.get(mid, 1.0)
+    if plan._storms and mid in plan._storms:
+        f *= plan.storm_factor
+    return f
+
+
+def should_drop(plan, direction: str, mid: int, words: float,
+                round_index: int):
+    """Roll one transfer for loss: one ``random()`` draw unless ``plan``
+    is paused or drop-free; records and returns the event, or ``None``."""
+    if plan.paused or plan.drop_rate <= 0.0:
+        return None
+    if plan._rng.random() >= plan.drop_rate:
+        return None
+    return plan.record_drop(direction, mid, words, round_index)
 
 
 class PIMModule:
@@ -214,13 +238,20 @@ class ScalarPIMSystem(PIMSystem):
         self._round_dirty.add(mid)
         return self.modules[mid]
 
+    def _check_drop(self, direction: str, mid: int, words: float) -> None:
+        ev = should_drop(self._faults, direction, mid, words,
+                         self._rounds_charged)
+        if ev is not None:
+            self._notify_fault(ev)
+            raise MessageLoss(mid, direction, words)
+
     def charge_pim(self, mid: int, cycles: float) -> None:
         if not cycles:
             return
         phase = self.current_phase
         m = self._module_in_round(mid)
         if self._faults is not None:
-            f = self._faults.slow_factor(mid)
+            f = slow_factor(self._faults, mid)
             if f != 1.0:
                 cycles = cycles * f
         m.charge(cycles, phase)

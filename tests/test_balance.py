@@ -30,7 +30,7 @@ from repro.eval.skewbench import (
     queries_under_metas,
 )
 from repro.obs import TraceCollector
-from repro.pim import PIMSystem
+from repro.pim import CHARGE_PIM, PIMSystem
 from repro.workloads import varden_points
 
 N = 8_000
@@ -56,7 +56,7 @@ class TestHotnessTracker:
         sys = PIMSystem(4, seed=0)
         tr = HotnessTracker(sys, alpha=0.5)
         with sys.round():
-            sys.charge_pim(1, 100.0)
+            sys.charge_sequence(CHARGE_PIM, [1], [100.0])
         d = tr.observe()
         assert d[1] == 100.0 and d[0] == 0.0
         assert tr.hotness[1] == pytest.approx(50.0)  # 0.5 * 100
@@ -103,7 +103,7 @@ class TestHotnessTracker:
         old = PIMSystem(4, seed=0)
         tr = HotnessTracker(old, alpha=0.5)
         with old.round():
-            old.charge_pim(2, 1000.0)
+            old.charge_sequence(CHARGE_PIM, [2], [1000.0])
         tr.observe()
         assert tr.hotness[2] == pytest.approx(500.0)
         fresh = PIMSystem(4, seed=0)  # restart: counters back to zero

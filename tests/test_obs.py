@@ -19,7 +19,7 @@ from repro.obs import (
     timeline_json,
     write_trace,
 )
-from repro.pim import PhaseCounters, PIMSystem
+from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PhaseCounters, PIMSystem
 
 COUNTERS = (
     "cpu_ops",
@@ -49,19 +49,17 @@ def _synthetic_workload(sys: PIMSystem) -> None:
         sys.charge_cpu(123, span=17)
         sys.dram_stream(64)
         with sys.round():
-            sys.charge_pim(0, 40)
-            sys.charge_pim(1, 55)
-            sys.send(1, 9)
+            sys.charge_sequence([CHARGE_PIM, CHARGE_PIM, CHARGE_SEND],
+                                [0, 1, 1], [40, 55, 9])
             with sys.phase("insert"):
-                sys.charge_pim(1, 5)
-                sys.recv(0, 3)
+                sys.charge_sequence([CHARGE_PIM, CHARGE_RECV], [1, 0], [5, 3])
     with sys.phase("knn"):
         sys.charge_comm_flat(30)
-        sys.touch_cpu_block("blk")
+        sys.touch_cpu_blocks(["blk"])
         with sys.round():
             pass  # empty round: must charge nothing, emit nothing
         with sys.round():
-            sys.send(2, 11)
+            sys.charge_sequence(CHARGE_SEND, [2], [11])
 
 
 class TestByteIdentity:
@@ -144,11 +142,10 @@ class TestRoundRecords:
         sys = PIMSystem(4, tracer=tracer)
         with sys.phase("build"):
             with sys.round():
-                sys.charge_pim(0, 10)
-                sys.charge_pim(2, 90)
-                sys.send(2, 8)
+                sys.charge_sequence([CHARGE_PIM, CHARGE_PIM, CHARGE_SEND],
+                                    [0, 2, 2], [10, 90, 8])
                 with sys.phase("insert"):
-                    sys.send(0, 3)
+                    sys.charge_sequence(CHARGE_SEND, [0], [3])
         (rec,) = tracer.rounds()
         assert rec.index == 0
         assert rec.entry_phase == "build"
@@ -176,13 +173,12 @@ class TestRoundRecords:
         tracer = TraceCollector()
         sys = PIMSystem(4, tracer=tracer)
         with sys.round():
-            sys.charge_pim(1, 30)
-            sys.send(1, 5)
-            sys.recv(1, 2)
+            sys.charge_sequence([CHARGE_PIM, CHARGE_SEND, CHARGE_RECV],
+                                [1, 1, 1], [30, 5, 2])
         m = tracer.timeline.module(1)
         assert m.cycles == 30
-        assert m.recv_words == 5  # CPU → module (send())
-        assert m.send_words == 2  # module → CPU (recv())
+        assert m.recv_words == 5  # CPU → module (CHARGE_SEND)
+        assert m.send_words == 2  # module → CPU (CHARGE_RECV)
         assert m.active_rounds == 1
         assert m.straggler_rounds == 1
 

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.pim import (
+    CHARGE_PIM,
+    CHARGE_RECV,
+    CHARGE_SEND,
     LRUCache,
     PIMCostModel,
     PIMSystem,
     UPMEM_2048,
     upmem_scaled,
 )
+
+KINDS = {"pim": CHARGE_PIM, "send": CHARGE_SEND, "recv": CHARGE_RECV}
 
 
 class TestLRUCache:
@@ -43,16 +48,14 @@ class TestBSPRounds:
     def test_pim_time_is_max_over_modules(self):
         sys = PIMSystem(4)
         with sys.round():
-            sys.charge_pim(0, 10)
-            sys.charge_pim(1, 50)
-            sys.charge_pim(2, 20)
+            sys.charge_sequence(CHARGE_PIM, [0, 1, 2], [10, 50, 20])
         assert sys.stats.total.pim_cycles == 50
 
     def test_rounds_accumulate(self):
         sys = PIMSystem(2)
         for _ in range(3):
             with sys.round():
-                sys.charge_pim(0, 1)
+                sys.charge_sequence(CHARGE_PIM, [0], [1])
         assert sys.stats.total.rounds == 3
         assert sys.stats.mux_switches == 6
         assert sys.stats.total.pim_cycles == 3
@@ -60,9 +63,8 @@ class TestBSPRounds:
     def test_comm_totals_and_max(self):
         sys = PIMSystem(4)
         with sys.round():
-            sys.send(0, 10)
-            sys.send(1, 4)
-            sys.recv(1, 2)
+            sys.charge_sequence([CHARGE_SEND, CHARGE_SEND, CHARGE_RECV],
+                                [0, 1, 1], [10, 4, 2])
         assert sys.stats.total.comm_words == 16
         assert sys.stats.total.comm_max_words == 10
         assert sys.stats.total.module_rounds == 2
@@ -81,16 +83,16 @@ class TestBSPRounds:
         assert sys.stats.total.module_rounds == 0
         # A real round afterwards still charges normally.
         with sys.round():
-            sys.charge_pim(0, 5)
+            sys.charge_sequence(CHARGE_PIM, [0], [5])
         assert sys.stats.total.rounds == 1
         assert sys.stats.mux_switches == 2
 
     def test_pim_activity_outside_round_raises(self):
         sys = PIMSystem(2)
         with pytest.raises(RuntimeError):
-            sys.charge_pim(0, 1)
+            sys.charge_sequence(CHARGE_PIM, [0], [1])
         with pytest.raises(RuntimeError):
-            sys.send(0, 1)
+            sys.charge_sequence(CHARGE_SEND, [0], [1])
 
     def test_rounds_do_not_nest(self):
         sys = PIMSystem(2)
@@ -133,8 +135,8 @@ class TestPhases:
         with sys.phase("outer"):
             with sys.round():
                 with sys.phase("inner"):
-                    sys.charge_pim(0, 100)
-                    sys.send(0, 7)
+                    sys.charge_sequence([CHARGE_PIM, CHARGE_SEND], [0, 0],
+                                        [100, 7])
         inner = sys.stats.phases["inner"]
         assert inner.pim_cycles == 100
         assert inner.comm_words == 7
@@ -152,10 +154,10 @@ class TestPhases:
         sys = PIMSystem(2)
         with sys.round():
             with sys.phase("a"):
-                sys.charge_pim(0, 30)
+                sys.charge_sequence(CHARGE_PIM, [0], [30])
             with sys.phase("b"):
-                sys.charge_pim(0, 70)
-                sys.charge_pim(1, 10)  # not the straggler
+                # Module 1 is not the straggler.
+                sys.charge_sequence(CHARGE_PIM, [0, 1], [70, 10])
         assert sys.stats.total.pim_cycles == 100
         assert sys.stats.phases["a"].pim_cycles == 30
         assert sys.stats.phases["b"].pim_cycles == 70
@@ -166,7 +168,7 @@ class TestPhases:
         snap = sys.snapshot()
         sys.charge_cpu(7)
         with sys.round():
-            sys.send(0, 3)
+            sys.charge_sequence(CHARGE_SEND, [0], [3])
         d = sys.stats.diff(snap)
         assert d.total.cpu_ops == 7
         assert d.total.comm_words == 3
@@ -176,8 +178,7 @@ class TestPhases:
 class TestCPUSide:
     def test_llc_miss_charges_dram(self):
         sys = PIMSystem(2, llc_bytes=64 * 100)
-        sys.touch_cpu_block("n1")
-        sys.touch_cpu_block("n1")
+        sys.touch_cpu_blocks(["n1", "n1"])
         assert sys.stats.total.dram_words == 8  # one miss
 
     def test_dram_stream(self):
@@ -280,10 +281,9 @@ class TestCostModel:
         balanced = PIMSystem(4)
         skewed = PIMSystem(4)
         with balanced.round():
-            for m in range(4):
-                balanced.charge_pim(m, 25)
+            balanced.charge_sequence(CHARGE_PIM, range(4), 25)
         with skewed.round():
-            skewed.charge_pim(0, 100)
+            skewed.charge_sequence(CHARGE_PIM, [0], [100])
         assert skewed.stats.total.pim_cycles > balanced.stats.total.pim_cycles
 
 
@@ -358,12 +358,8 @@ class TestPhaseSumInvariant:
                         with sys.round():
                             for verb, mid, amount, inner in arg:
                                 with sys.phase(inner):
-                                    if verb == "pim":
-                                        sys.charge_pim(mid, amount)
-                                    elif verb == "send":
-                                        sys.send(mid, amount)
-                                    else:
-                                        sys.recv(mid, amount)
+                                    sys.charge_sequence(KINDS[verb], [mid],
+                                                        [amount])
             self._check(sys)
 
         run()
@@ -371,9 +367,7 @@ class TestPhaseSumInvariant:
     def test_llc_misses_respect_invariant(self):
         sys = PIMSystem(2, llc_bytes=64 * 4)
         with sys.phase("scan"):
-            for i in range(16):
-                sys.touch_cpu_block(("blk", i))
+            sys.touch_cpu_blocks([("blk", i) for i in range(16)])
         with sys.phase("rescan"):
-            for i in range(16):
-                sys.touch_cpu_block(("blk", i))
+            sys.touch_cpu_blocks([("blk", i) for i in range(16)])
         self._check(sys)

@@ -216,17 +216,22 @@ class TestReadRouting:
 # ----------------------------------------------------------------------
 class TestWritePolicies:
     def test_write_all_fans_out_inside_callers_round(self):
-        tree = make_tree()
-        reps = ReplicaSet(tree, ReplicationConfig(k=3))
-        reps.replicate_all()
-        meta = min(tree.metas, key=lambda m: m.root.nid)
-        sys = tree.system
-        before = sys.stats.snapshot()
-        with sys.round():
-            reps.on_write(meta, 50.0)
-        d = sys.stats.diff(before)
-        assert d.total.comm_words == 2 * 50.0  # one send per secondary
-        assert reps.writes_fanned == 1 and reps.words_fanned == 100.0
+        """An insert batch ships its words to each write-all secondary in
+        the batch's own apply round: the same rounds as without replicas,
+        plus one send per secondary."""
+        point = uniform_points(600, 3, seed=SEED)[:1] + 1e-9
+        diffs = {}
+        for k in (1, 3):
+            tree = make_tree()
+            reps = ReplicaSet(tree, ReplicationConfig(k=k))
+            reps.replicate_all()
+            before = tree.system.stats.snapshot()
+            tree.insert(point)
+            diffs[k] = tree.system.stats.diff(before).phases["insert"]
+        words = point.shape[1] + 1  # one point: coordinates + key
+        assert diffs[3].rounds == diffs[1].rounds
+        assert diffs[3].comm_words == diffs[1].comm_words + 2 * words
+        assert reps.writes_fanned == 1 and reps.words_fanned == 2 * words
 
     def test_write_all_insert_costs_more_than_unreplicated(self):
         def run(k):

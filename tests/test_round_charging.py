@@ -12,11 +12,18 @@ same pull decisions, one scalar call per charge.  Covered here:
   at group ``j`` leaves the groups after ``j`` untouched;
 * the batched drop rolls consume exactly the sequential draws;
 * the early exit in ``_decide_pulls`` decides what the full rule does;
-* a pushed round at P = 2048 makes no scalar charge from the executor.
+* a pushed round at P = 2048 makes no scalar charge from the executor;
+* the other rounds (insert and delete, relocation, replica flush,
+  broadcast) book one call per group of fault sites: a seeded faulty
+  serve matches what it booked when each charge was a call of its own,
+  a faulted insert records the replica writes it sent, and a relocation
+  to a dead module applies no move.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from collections import defaultdict
 from types import SimpleNamespace
@@ -26,16 +33,17 @@ import pytest
 from exec_oracle import run_per_group
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sim_oracle import should_drop
 
 from repro.core import PIMZdTree, skew_resistant, throughput_optimized
 from repro.core.geometry import Box
 from repro.core.node import Layer
 from repro.core.push_pull import PushPullExecutor
-from repro.faults import FaultError, FaultPlan, ModuleFailure
+from repro.faults import FaultError, FaultPlan, MessageLoss, ModuleFailure
 from repro.obs import TraceCollector
 from repro.pim import PIMSystem
 from repro.replicate import WRITE_POLICIES, ReplicaSet, ReplicationConfig
-from repro.workloads import varden_points
+from repro.workloads import uniform_points, varden_points
 
 P = 16
 SEED = 5
@@ -168,14 +176,14 @@ def test_executor_matches_per_group_charging_under_faults(
 
 
 def test_batched_drop_rolls_match_sequential_rolls():
-    """``first_drop(n)`` returns where the one-by-one rolls first drop and
-    leaves the generator where they leave it."""
+    """``first_drop(n)`` returns where the one-by-one rolls of the scalar
+    oracle first drop and leaves the generator where they leave it."""
     for seed in range(40):
         for n in (0, 1, 7, 60):
             seq = FaultPlan(seed=seed, drop_rate=0.05)
             batch = FaultPlan(seed=seed, drop_rate=0.05)
             want = next((i for i in range(n)
-                         if seq.should_drop("send", 0, 1.0, 0) is not None), n)
+                         if should_drop(seq, "send", 0, 1.0, 0) is not None), n)
             assert batch.first_drop(n) == want
             assert (batch._rng.bit_generator.state
                     == seq._rng.bit_generator.state)
@@ -268,3 +276,164 @@ def test_a_pushed_round_makes_no_scalar_charge_from_the_executor():
     assert tree.last_executor.pushed_tasks > 0
     assert "charge_sequence" in from_executor
     assert not {"charge_pim", "send", "recv"} & set(from_executor)
+
+
+# ----------------------------------------------------------------------
+# the fault path of a whole serve, pinned
+# ----------------------------------------------------------------------
+def _pinned_serve(policy: str) -> dict:
+    """A seeded Varden serve at P = 16 under replicas k = 2, a rebalancer,
+    a drop-prone plan with stragglers, storms and one crash (on a module
+    that masters chunks, so failover runs and a faulted insert batch is
+    compensated) and a tracer."""
+    from repro.serve import ServeSpec, build_session
+
+    spec = ServeSpec(
+        dataset="varden", n=4000, n_modules=P, seed=3, requests=300,
+        rate=40_000.0, mix={"knn": 0.4, "bc": 0.1, "bf": 0.1, "insert": 0.4},
+        config={"replicate.k": 2, "replicate.write_policy": policy,
+                "rebalance.enabled": True, "rebalance.ratio": 1.1,
+                "rebalance.budget_fraction": 0.3})
+    plan = FaultPlan(seed=11, drop_rate=0.005, slow_factors={2: 2.0, 9: 3.0},
+                     storm_rate=0.02, storm_factor=4.0, storm_rounds=2,
+                     crash_at={14: 40})
+    tracer = TraceCollector()
+    session = build_session(spec, fault_plan=plan, tracer=tracer)
+    result = session.run()
+    stats = session.adapter.system.stats
+    digest = hashlib.sha256(
+        json.dumps(stats.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+    return {
+        "stats": digest,
+        "faults": [(e.kind, e.mid, e.round_index, e.value, e.note)
+                   for e in plan.events],
+        "batches": len(result.batches),
+        "not_clean": [(i, b.kind, b.status, b.retries)
+                      for i, b in enumerate(result.batches)
+                      if (b.status, b.retries) != ("done", 0)],
+        "reconciles": tracer.timeline.reconcile(stats) == [],
+        "phases": sorted(stats.phases),
+        "migrations": session.parts["rebalancer"].migrations,
+    }
+
+
+# Recorded when those rounds booked one element per call.
+PINNED_SERVES = {
+    "write-all": {
+        "stats": "9f1a46cfb5356bd8",
+        "faults": [("crash", 14, 40, 0.0, "scheduled"),
+                   ("storm", 15, 72, 4.0, "2 rounds"),
+                   ("drop", 13, 75, 6.0, "send"),
+                   ("storm", 0, 77, 4.0, "2 rounds"),
+                   ("storm", 6, 125, 4.0, "2 rounds"),
+                   ("drop", 0, 136, 5.0, "recv"),
+                   ("drop", 2, 137, 5.0, "recv"),
+                   ("drop", 15, 190, 4.0, "send"),
+                   ("storm", 6, 195, 4.0, "2 rounds"),
+                   ("storm", 13, 198, 4.0, "2 rounds"),
+                   ("drop", 10, 226, 1118.0, "recv"),
+                   ("drop", 6, 240, 6.0, "send")],
+        "batches": 134,
+        "not_clean": [(29, "insert", "done", 1), (33, "knn", "done", 1),
+                      (66, "knn", "done", 2), (91, "insert", "done", 1),
+                      (113, "bf", "done", 1), (124, "knn", "done", 1)],
+        "reconciles": True,
+    },
+    "primary-async": {
+        "stats": "28d73e108f74d416",
+        "faults": [("storm", 5, 21, 4.0, "2 rounds"),
+                   ("crash", 14, 40, 0.0, "scheduled"),
+                   ("storm", 4, 55, 4.0, "2 rounds"),
+                   ("drop", 10, 71, 8.0, "send"),
+                   ("drop", 3, 122, 15.0, "recv"),
+                   ("drop", 13, 127, 2.0, "send"),
+                   ("drop", 12, 165, 10.0, "recv"),
+                   ("drop", 13, 172, 8.0, "send"),
+                   ("storm", 5, 198, 4.0, "2 rounds"),
+                   ("drop", 10, 206, 521.0, "recv"),
+                   ("drop", 15, 222, 338.0, "recv")],
+        "batches": 113,
+        "not_clean": [(27, "insert", "done", 1), (30, "bf", "done", 1),
+                      (57, "insert", "done", 1), (58, "knn", "done", 1),
+                      (75, "insert", "done", 1), (77, "bf", "done", 1),
+                      (98, "bf", "done", 1), (106, "bf", "done", 1)],
+        "reconciles": True,
+    },
+}
+
+
+@pytest.mark.parametrize("policy", WRITE_POLICIES)
+def test_fault_path_serve_is_pinned(policy):
+    """Every round of the serve books what it booked when insert, delete,
+    relocate, replica flush and broadcast still charged element by
+    element: PIMStats, fault events, batch outcomes and reconciliation."""
+    got = _pinned_serve(policy)
+    assert {"recovery", "delete", "rebalance", "replicate"} <= set(
+        got.pop("phases"))
+    assert got.pop("migrations") > 0
+    assert got == PINNED_SERVES[policy]
+
+
+def test_relocate_to_a_dead_module_applies_no_move(varden):
+    """``relocate`` charges every move before it applies any: a dead
+    destination raises ``ModuleFailure`` with the moves before it in the
+    list still unapplied."""
+    from repro.core.relocate import Move, relocate
+
+    system = PIMSystem(P, seed=SEED)
+    tree = PIMZdTree(varden, config=skew_resistant(P), system=system)
+    ReplicaSet(tree, ReplicationConfig(k=2)).replicate_all()
+    metas = sorted(tree.metas, key=lambda m: m.root.nid)
+    dead = (metas[2].module + 1) % P
+    system.decommission(dead)  # nothing moved off it: no failover ran
+    live = [m for m in range(P) if m != dead]
+    a, b, c = [m for m in metas if m.module != dead][:3]
+    moves = [Move(a, next(m for m in live if m != a.module), "migrate"),
+             Move(b, next(m for m in live if m != b.module
+                          and m not in tree.replicas.secondaries(b)), "clone"),
+             Move(c, dead, "migrate")]
+
+    def state():
+        return ({m.root.nid: m.module for m in tree.metas},
+                dict(system._place_overrides),
+                dict(tree.replicas._secondaries),
+                system.residency().tolist())
+
+    before = state()
+    with pytest.raises(ModuleFailure) as err:
+        relocate(tree, moves, phase="rebalance")
+    assert err.value.mid == dead
+    assert state() == before
+
+
+# Recorded when each update send was a call of its own: the ReplicaSet's
+# (writes_fanned, words_fanned, pending words) after an insert whose
+# apply round drops its last, second-to-last or third-to-last send.  With
+# k = 3 under write-all those are the last write's primary and its two
+# secondaries; under primary-async, the last three primaries.
+PINNED_WRITES = {
+    "write-all": {444: (137, 1592.0, 0.0), 445: (138, 1592.0, 0.0),
+                  446: (138, 1596.0, 0.0)},
+    "primary-async": {168: (135, 0.0, 788.0), 169: (136, 0.0, 792.0),
+                      170: (137, 0.0, 796.0)},
+}
+
+
+@pytest.mark.parametrize("policy", WRITE_POLICIES)
+def test_a_faulted_update_round_records_only_the_sends_made(policy):
+    """The apply round's sends are one call; the ReplicaSet still records
+    a write only when its primary send went through and, under write-all,
+    counts only the fan-out sends made before the drop."""
+    from test_faults import _DropNth
+
+    data = uniform_points(3000, 3, seed=1)
+    batch = uniform_points(200, 3, seed=2)
+    for nth, want in PINNED_WRITES[policy].items():
+        tree = PIMZdTree(data, system=PIMSystem(P, seed=1))
+        reps = ReplicaSet(tree, ReplicationConfig(k=3, write_policy=policy))
+        reps.replicate_all()
+        tree.system.attach_faults(_DropNth(nth))
+        with pytest.raises(MessageLoss):
+            tree.insert(batch)
+        pending = sum(words for words, _ in reps._pending.values())
+        assert (reps.writes_fanned, reps.words_fanned, pending) == want

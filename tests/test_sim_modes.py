@@ -2,15 +2,15 @@
 
 ``PIMSystem``'s array core (``repro.pim.vector``) must be a byte-exact
 drop-in for the per-module scalar oracle (``tests/sim_oracle.py``): for
-any charging script — per-module calls, array-native calls, phases, zero
-amounts, faults — both must produce byte-identical
-:class:`repro.pim.stats.PIMStats`.
+any charging script — one-element and many-element ``charge_sequence``
+calls, one kind or mixed, phases, zero amounts, faults — both must
+produce byte-identical :class:`repro.pim.stats.PIMStats`.
 
 Also locks down:
 
-* zero-charge unification — ``charge_pim``/``send``/``recv`` with a zero
-  amount are complete no-ops, matching the array entry points;
-* one charge path — ``charge_pim``/``send``/``recv`` write the arrays
+* zero-charge unification — a zero amount is a complete no-op, in the
+  oracle's scalar calls as in ``charge_sequence``;
+* one charge path — a one-kind ``charge_sequence`` writes the arrays
   with no helper calls beyond the phase lookup;
 * broadcast fan-out atomicity — a drop mid-broadcast no longer leaves
   later modules silently unsent;
@@ -60,19 +60,19 @@ class TestZeroChargeSemantics:
         for mode, sys in zip(("scalar", "vector"), both_systems(4)):
             before = sys.snapshot()
             with sys.round():
-                sys.charge_pim(0, 0)
-                sys.send(1, 0.0)
-                sys.recv(2, 0)
+                sys.charge_sequence(CHARGE_PIM, [0], [0])
+                sys.charge_sequence(CHARGE_SEND, [1], [0.0])
+                sys.charge_sequence(CHARGE_RECV, [2], [0])
             d = sys.stats.diff(before).total
             assert d.rounds == 0, mode
             assert sys.stats.mux_switches == 0, mode
             assert d.pim_cycles == 0 and d.comm_words == 0, mode
 
     def test_scalar_vs_bulk_identical_with_zeros(self):
-        """The regression the tentpole gated on: zeros through the scalar
-        entry points must book exactly what the bulk path books."""
+        """Zeros through the oracle's scalar calls book exactly what
+        ``charge_sequence`` books for them."""
         script = [(0, 10.0), (1, 0.0), (2, 7.0), (3, 0.0), (0, 0.0), (2, 3.0)]
-        a = PIMSystem(4)
+        a = ScalarPIMSystem(4)
         b = PIMSystem(4)
         with a.round():
             for mid, amt in script:
@@ -81,21 +81,20 @@ class TestZeroChargeSemantics:
                 a.recv(mid, amt * 2)
         with b.round():
             for mid, amt in script:
-                b.charge_pim_array([mid], [amt])
-                b.send_array([mid], [amt])
-                b.recv_array([mid], [amt * 2])
+                b.charge_sequence([CHARGE_PIM, CHARGE_SEND, CHARGE_RECV],
+                                  [mid] * 3, [amt, amt, amt * 2])
         assert a.stats == b.stats
         assert a.stats.to_dict() == b.stats.to_dict()
 
     def test_zero_only_round_is_empty(self):
         sys = PIMSystem(2)
         with sys.round():
-            sys.send(0, 0.0)
+            sys.charge_sequence(CHARGE_SEND, [0], [0.0])
         assert sys.stats.total.rounds == 0
         assert sys.stats.mux_switches == 0
 
     def test_zero_send_consumes_no_drop_rng(self):
-        """A zero-word send must not roll the drop RNG (bulk never did)."""
+        """A zero-word send must not roll the drop RNG."""
         plan_a = FaultPlan(seed=5, drop_rate=0.5)
         plan_b = FaultPlan(seed=5, drop_rate=0.5)
         a = PIMSystem(2, fault_plan=plan_a)
@@ -106,9 +105,9 @@ class TestZeroChargeSemantics:
             for _ in range(20):
                 with sys.round():
                     if with_zero:
-                        sys.send(1, 0.0)
+                        sys.charge_sequence(CHARGE_SEND, [1], [0.0])
                     try:
-                        sys.send(0, 4)
+                        sys.charge_sequence(CHARGE_SEND, [0], [4])
                         outcomes.append("ok")
                     except MessageLoss:
                         outcomes.append("drop")
@@ -120,26 +119,28 @@ class TestZeroChargeSemantics:
 # ======================================================================
 # one charge path
 # ======================================================================
-def _nested_calls(fn, *args) -> list[str]:
-    """Names of the Python functions ``fn(*args)`` calls, at any depth."""
-    calls: list[str] = []
+def _nested_calls(fn, *args) -> list[tuple[str, str]]:
+    """(name, file) of the Python functions ``fn(*args)`` calls, at any
+    depth."""
+    calls: list[tuple[str, str]] = []
 
     def profile(frame, event, arg):
         if event == "call":
-            calls.append(frame.f_code.co_name)
+            calls.append((frame.f_code.co_name, frame.f_code.co_filename))
 
     setprofile(profile)
     try:
         fn(*args)
     finally:
         setprofile(None)
-    assert calls[0] == fn.__name__
+    assert calls[0][0] == fn.__name__
     return calls[1:]
 
 
 class TestOneChargePath:
-    """A per-module charge reads the phase and its phase array, and writes
-    the module's slots inline: no per-module object, no view method."""
+    """A one-kind charge reads the phase and its phase array, and writes
+    the module's slots inline: no per-module object, no view method, no
+    per-element kind array."""
 
     @pytest.mark.parametrize("verb, lookup", [
         ("charge_pim", "phase_cycles"),
@@ -147,13 +148,31 @@ class TestOneChargePath:
         ("recv", "phase_words"),
     ])
     def test_a_charge_makes_at_most_two_nested_calls(self, verb, lookup):
+        kind = {"charge_pim": CHARGE_PIM, "send": CHARGE_SEND,
+                "recv": CHARGE_RECV}[verb]
         sys = PIMSystem(4)
         with sys.round():
-            nested = _nested_calls(getattr(sys, verb), 2, 7.0)
-        assert nested == ["current_phase", lookup]
+            nested = _nested_calls(sys.charge_sequence, kind, [2], [7.0])
+        assert [name for name, file in nested if "repro" in file] == [
+            "current_phase", lookup]
         assert sys.modules[2].total_cycles == (7.0 if verb == "charge_pim"
                                                else 0.0)
         assert sys.stats.total.rounds == 1
+
+    def test_one_kind_forms_book_what_charge_sequence_books(self):
+        """``charge_pim_array`` / ``send_array`` / ``recv_array`` (kept for
+        the benchmark harness) are ``charge_sequence`` with the kind
+        bound."""
+        a, b = PIMSystem(4), PIMSystem(4)
+        mids, amounts = [0, 2, 2], [3.0, 0.0, 5.0]
+        with a.round():
+            a.charge_pim_array(mids, amounts)
+            a.send_array(mids, amounts)
+            a.recv_array(mids, amounts)
+        with b.round():
+            for kind in (CHARGE_PIM, CHARGE_SEND, CHARGE_RECV):
+                b.charge_sequence(kind, mids, amounts)
+        assert a.stats.to_dict() == b.stats.to_dict()
 
 
 # ======================================================================
@@ -210,8 +229,7 @@ class TestTransferGuards:
         sys = PIMSystem(n)
         tr = HotnessTracker(sys, alpha=1.0)
         with sys.round():
-            sys.charge_pim(0, 100)
-            sys.charge_pim(1, 50)
+            sys.charge_sequence(CHARGE_PIM, [0, 1], [100, 50])
         tr.observe()
         return sys, tr
 
@@ -270,7 +288,7 @@ class TestModuleViewSurface:
     def test_values_round_trip_as_python_floats(self):
         sys, m = self._view()
         with sys.round():
-            sys.charge_pim(1, np.float64(8.0))
+            sys.charge_sequence(CHARGE_PIM, [1], [np.float64(8.0)])
         sys.add_residency([1], np.array([3.0]), np.array([2.0]))
         assert type(m.total_cycles) is float and m.total_cycles == 8.0
         assert type(m.master_words) is float
@@ -343,9 +361,8 @@ class TestModuleViewSurface:
     def test_charge_and_comm_hit_shared_arrays(self):
         sys, m = self._view()
         with sys.phase("build"), sys.round():
-            sys.charge_pim(1, 9.0)
-            sys.recv(1, 2.0)
-            sys.send(1, 3.0)
+            sys.charge_sequence([CHARGE_PIM, CHARGE_RECV, CHARGE_SEND],
+                                [1, 1, 1], [9.0, 2.0, 3.0])
             cycles, sent, received = sys._vec.round_totals([1])[:, 0]
             assert cycles == 9.0 and sent + received == 5.0
         assert m.total_cycles == 9.0 and sys.modules[1].total_cycles == 9.0
@@ -360,6 +377,7 @@ VERBS = st.sampled_from(["pim", "send", "recv", "bulk_pim", "bulk_send",
                          "flat", "seq"])
 KINDS = st.sampled_from([CHARGE_PIM, CHARGE_SEND, CHARGE_RECV])
 PHASES = st.sampled_from(["build", "query", "update", "other"])
+ONE_KIND = {"pim": CHARGE_PIM, "send": CHARGE_SEND, "recv": CHARGE_RECV}
 AMOUNTS = st.integers(0, 40)  # zeros included on purpose
 
 
@@ -396,12 +414,8 @@ def _apply_script(sys: PIMSystem, script) -> None:
             for op in round_ops:
                 verb, phase = op[0], op[1]
                 with sys.phase(phase):
-                    if verb == "pim":
-                        sys.charge_pim(op[2], op[3])
-                    elif verb == "send":
-                        sys.send(op[2], op[3])
-                    elif verb == "recv":
-                        sys.recv(op[2], op[3])
+                    if verb in ONE_KIND:
+                        sys.charge_sequence(ONE_KIND[verb], [op[2]], [op[3]])
                     elif verb == "flat":
                         sys.charge_comm_flat(op[3])
                     elif verb == "seq":
@@ -412,27 +426,25 @@ def _apply_script(sys: PIMSystem, script) -> None:
                         d = {}
                         for mid, amt in op[2]:
                             d[mid] = d.get(mid, 0) + amt
-                        sys.charge_pim_array(list(d), list(d.values()))
+                        sys.charge_sequence(CHARGE_PIM, list(d),
+                                            list(d.values()))
                     elif verb == "bulk_send":
                         d = {}
                         for mid, amt in op[2]:
                             d[mid] = d.get(mid, 0) + amt
-                        sys.send_array(list(d), list(d.values()))
+                        sys.charge_sequence(CHARGE_SEND, list(d),
+                                            list(d.values()))
                     elif verb == "bulk_recv":
                         d = {}
                         for mid, amt in op[2]:
                             d[mid] = d.get(mid, 0) + amt
-                        sys.recv_array(list(d), list(d.values()))
+                        sys.charge_sequence(CHARGE_RECV, list(d),
+                                            list(d.values()))
                     elif op[2]:
                         mids = np.array([m for m, _ in op[2]], dtype=np.intp)
                         amts = np.array([a for _, a in op[2]],
                                         dtype=np.float64)
-                        if verb == "arr_pim":
-                            sys.charge_pim_array(mids, amts)
-                        elif verb == "arr_send":
-                            sys.send_array(mids, amts)
-                        else:
-                            sys.recv_array(mids, amts)
+                        sys.charge_sequence(ONE_KIND[verb[4:]], mids, amts)
 
 
 class TestSimModeDifferential:
@@ -483,9 +495,10 @@ class TestSimModeDifferential:
         for sys in (scalar, vector):
             with sys.round():
                 with sys.phase("a"):
-                    sys.charge_pim(2, 10)
+                    sys.charge_sequence(CHARGE_PIM, [2], [10])
                 with sys.phase("b"):
-                    sys.charge_pim(1, 10)  # tie: mid 1 wins (sorted order)
+                    # Tie: mid 1 wins (sorted order).
+                    sys.charge_sequence(CHARGE_PIM, [1], [10])
         assert_stats_identical(scalar, vector)
         assert scalar.stats.phases["b"].pim_cycles == 10
         assert "a" not in {
@@ -505,13 +518,14 @@ class TestSimModeDifferential:
             assert list(sys.residency()) == [0.0, 0.0, 30.0, 0.0]
         with pytest.raises(Exception):
             with vector.round():
-                vector.charge_pim(1, 5)
+                vector.charge_sequence(CHARGE_PIM, [1], [5])
 
     def test_module_loads_shapes(self):
         scalar, vector = both_systems(3)
         for sys in (scalar, vector):
             with sys.round():
-                sys.charge_pim_array(np.array([0, 2]), np.array([7.0, 9.0]))
+                sys.charge_sequence(CHARGE_PIM, np.array([0, 2]),
+                                    np.array([7.0, 9.0]))
         assert np.array_equal(scalar.module_loads(), vector.module_loads())
         # module_loads returns a copy, not a live view of the core.
         loads = vector.module_loads()
@@ -519,8 +533,8 @@ class TestSimModeDifferential:
         assert vector.module_loads()[0] == 7.0
 
     def test_traced_runs_agree(self):
-        """With a tracer attached the vector core books through the exact
-        per-element path; stats must stay identical and rounds reconcile."""
+        """With a tracer attached the vector core emits one event per
+        element; stats must stay identical and rounds reconcile."""
         ta, tb = TraceCollector(), TraceCollector()
         scalar = ScalarPIMSystem(4, tracer=ta)
         vector = PIMSystem(4, tracer=tb)
