@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import os
 import sqlite3
+from itertools import filterfalse
+from operator import methodcaller
 from pathlib import Path
 
 __all__ = ["FileBackend", "SQLiteBackend", "open_backend"]
+
+_IS_TMP = methodcaller("endswith", ".tmp")
 
 
 class FileBackend:
@@ -46,9 +50,6 @@ class FileBackend:
     def get_blob(self, key: str) -> bytes:
         return (self.blob_dir / key).read_bytes()
 
-    def has_blob(self, key: str) -> bool:
-        return (self.blob_dir / key).exists()
-
     def delete_blob(self, key: str) -> None:
         try:
             os.unlink(self.blob_dir / key)
@@ -56,8 +57,7 @@ class FileBackend:
             pass
 
     def list_blobs(self) -> list[str]:
-        return sorted(p.name for p in self.blob_dir.iterdir()
-                      if not p.name.endswith(".tmp"))
+        return sorted(filterfalse(_IS_TMP, os.listdir(self.blob_dir)))
 
     # -- manifest -------------------------------------------------------
     def put_manifest(self, data: bytes) -> None:
@@ -131,14 +131,6 @@ class SQLiteBackend:
         if row is None:
             raise KeyError(key)
         return bytes(row[0])
-
-    def has_blob(self, key: str) -> bool:
-        return (
-            self._db.execute(
-                "SELECT 1 FROM blobs WHERE key = ?", (key,)
-            ).fetchone()
-            is not None
-        )
 
     def delete_blob(self, key: str) -> None:
         self._db.execute("DELETE FROM blobs WHERE key = ?", (key,))

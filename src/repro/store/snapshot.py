@@ -24,11 +24,22 @@ A snapshot is three kinds of artifact in the backend:
   corruption is always loud, never silent.
 
 The encoding is a pure function of the logical tree state (metas sorted
-by root nid, preorder node walk, sorted manifest keys), which is what
-makes ``encode(decode(encode(t))) == encode(t)`` — the round-trip
-identity the property suite locks down — and lets the crash-restart
-benchmark assert recovered-vs-oracle equality as byte equality of the
-two encodings.
+by root nid, nodes in left-first preorder, sorted manifest keys), which
+is what makes ``encode(decode(encode(t))) == encode(t)`` — the
+round-trip identity the property suite locks down — and lets the
+crash-restart benchmark assert recovered-vs-oracle equality as byte
+equality of the two encodings.
+
+Encoding is array code over the tree's node arena
+(:class:`repro.core.vexec.NodeArena`), not a walk: preorder is the sort
+order of the live rows by ``(key_lo, depth)``, each node-record field is
+one column pass into a structured array, and each chunk blob is one join
+over its leaves.  A checkpoint therefore costs a few Python calls per
+column and per chunk, not per node.  (A tree with no arena yet is listed
+by ``subtree_nodes`` instead; encoding never builds one.)  The per-node
+encoder it replaced is the test oracle ``tests/store_oracle.py``.
+Decoding reads every node record with one ``frombuffer`` and rejects any
+record count that overruns its blob with :class:`SnapshotCorruption`.
 """
 
 from __future__ import annotations
@@ -37,17 +48,26 @@ import hashlib
 import json
 import struct
 import zlib
+from itertools import chain, repeat
+from operator import attrgetter, is_not
 
 import numpy as np
 
+from ..core.node import subtree_nodes
 from .errors import SnapshotCorruption
 
 __all__ = ["SnapshotImage", "encode_tree", "decode_tree", "SnapshotStore"]
 
 MANIFEST_VERSION = 1
 
-# nid, prefix, depth, flags, layer, count, sc, delta, meta_idx
-_NODE = struct.Struct("<QQHBBqqqi")
+# One node record, packed little-endian (the struct ``<QQHBBqqqi``).
+_NODE = np.dtype([
+    ("nid", "<u8"), ("prefix", "<u8"), ("depth", "<u2"), ("flags", "u1"),
+    ("layer", "u1"), ("count", "<i8"), ("sc", "<i8"), ("delta", "<i8"),
+    ("meta", "<i4"),
+])
+# The record fields read straight off each node.
+_NODE_ATTRS = ("nid", "prefix", "depth", "layer", "count", "sc", "delta")
 # root_nid, module, parent_idx, stale, built_sc, n_nodes, payload_words,
 # l1_desc_metas, hot_hits, n_children
 _META = struct.Struct("<QiiBqIdiQH")
@@ -57,6 +77,12 @@ _TOPO_HEAD = struct.Struct("<IIQ")    # n_nodes, n_metas, dims
 
 _FLAG_LEAF = 1
 _BUILT_SC_NONE = -(1 << 62)
+
+_NID, _ROW, _KEYS, _PTS = (attrgetter("nid"), attrgetter("row"),
+                           attrgetter("keys"), attrgetter("pts"))
+_META_OF, _ROOT_NID = attrgetter("meta"), attrgetter("root.nid")
+_U8, _F8 = np.dtype("<u8"), np.dtype("<f8")
+_TOBYTES = np.ndarray.tobytes
 
 # Manifest keys that once named a choice between two execution engines or
 # two simulator cores.  Each choice is gone, but the keys stay, written
@@ -98,72 +124,100 @@ def _manifest_checksum(doc: dict) -> int:
 # ======================================================================
 def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
     """Serialize ``tree`` (and its system's durable state) canonically."""
-    metas = sorted(tree.metas, key=lambda m: m.root.nid)
-    meta_idx = {id(m): i for i, m in enumerate(metas)}
+    return _assemble(tree, *_encode_blobs(tree), wal_seq=wal_seq)
 
-    # Iterative preorder walk (push right then left so left pops first);
-    # leaves are grouped by owning chunk in walk order.
-    nodes: list = []
-    chunk_leaves: dict[str, list] = {}
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if node.is_leaf:
-            cid = "l0" if node.meta is None else f"m{node.meta.root.nid}"
-            chunk_leaves.setdefault(cid, []).append(node)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
 
-    # Topology: every record is packed straight into one buffer of the
-    # final size.  Meta table: fixed head + explicit children index list
-    # (order matters: `children` is append-ordered and observable through
-    # later rebuilds).
-    topo = bytearray(
-        _TOPO_HEAD.size + _NODE.size * len(nodes) + _META.size * len(metas)
-        + _META_KID.size * sum(len(m.children) for m in metas))
-    _TOPO_HEAD.pack_into(topo, 0, len(nodes), len(metas), tree.dims)
-    off = _TOPO_HEAD.size
-    for node in nodes:
-        _NODE.pack_into(
-            topo, off, node.nid, node.prefix, node.depth,
-            _FLAG_LEAF if node.is_leaf else 0, int(node.layer), node.count,
-            node.sc, node.delta,
-            meta_idx[id(node.meta)] if node.meta is not None else -1)
-        off += _NODE.size
+def _encode_blobs(tree) -> tuple[bytes, dict[str, bytes]]:
+    """``(topology, chunk id -> blob)``: column passes over the nodes.
+
+    The node records are in left-first preorder.  When the tree has a
+    node arena, that is the order of its live rows by ``(key_lo,
+    depth)``: in a binary trie a node's subtree is the key range starting
+    at its ``key_lo``, an ancestor shares its first key with its leftmost
+    descendants at a smaller depth, and a right subtree starts past the
+    end of its left sibling's.  A tree without one yet (decoded, or
+    checkpointed before its first batch) is walked instead: building the
+    arena here would move its first build, and its memory, ahead of the
+    first batch.  Each record field is one ``fromiter`` over the ordered
+    nodes.
+    """
+    metas = sorted(tree.metas, key=_ROOT_NID)
+    pos = {m: i for i, m in enumerate(metas)}
+    arena = tree._arena
+    if arena is None:
+        nodes = subtree_nodes(tree.root)
+        is_leaf = np.fromiter(map(is_not, map(_KEYS, nodes), repeat(None)),
+                              dtype=bool, count=len(nodes))
+    else:
+        arena.flush()
+        rows = np.fromiter(map(_ROW, arena.nodes), dtype=np.intp,
+                           count=arena.n)
+        live = np.flatnonzero(rows == np.arange(arena.n))
+        order = live[np.lexsort((arena.depth[live], arena.key_lo[live]))]
+        nodes = list(map(arena.nodes.__getitem__, order.tolist()))
+        is_leaf = arena.is_leaf[order]
+    n = len(nodes)
+    rec = np.empty(n, dtype=_NODE)
+    for name in _NODE_ATTRS:
+        rec[name] = np.fromiter(map(attrgetter(name), nodes),
+                                dtype=_NODE[name], count=n)
+    rec["flags"] = is_leaf
+    rec["meta"] = np.fromiter(map(pos.get, map(_META_OF, nodes), repeat(-1)),
+                              dtype=np.int32, count=n)
+
+    # Meta table: fixed head + explicit children index list (order
+    # matters: `children` is append-ordered and observable through later
+    # rebuilds).
+    parts = [_TOPO_HEAD.pack(n, len(metas), tree.dims), rec.tobytes()]
+    built_sc, stale = tree._meta_built_sc, tree._stale_metas
     for m in metas:
-        parent_idx = (meta_idx[id(m.parent)]
-                      if m.parent is not None and id(m.parent) in meta_idx
-                      else -1)
-        built = tree._meta_built_sc.get(m, _BUILT_SC_NONE)
-        stale = 1 if m in tree._stale_metas else 0
-        _META.pack_into(
-            topo, off, m.root.nid, int(m.module), parent_idx, stale,
-            int(built), int(m.n_nodes), float(m.payload_words),
-            int(m.l1_desc_metas), int(m.hot_hits), len(m.children))
-        off += _META.size
-        for c in m.children:
-            _META_KID.pack_into(topo, off, meta_idx[id(c)])
-            off += _META_KID.size
-    topology = bytes(topo)
-    del topo, nodes
+        parts.append(_META.pack(
+            m.root.nid, int(m.module), pos.get(m.parent, -1),
+            1 if m in stale else 0, int(built_sc.get(m, _BUILT_SC_NONE)),
+            int(m.n_nodes), float(m.payload_words), int(m.l1_desc_metas),
+            int(m.hot_hits), len(m.children)))
+        parts += map(_META_KID.pack, map(pos.__getitem__, m.children))
+    topology = b"".join(parts)
+    leaf_at = np.flatnonzero(rec["flags"])
+    leaf_chunk = rec["meta"][leaf_at]
+    del parts, rec
 
-    # Chunk blobs: each is joined once from its leaves' records and is the
-    # object both hashed and stored.  (``tobytes``, not the arrays' buffer
-    # interface: numpy keeps an exported array's buffer info until the
-    # array dies, ~40 B on every leaf array for the life of the tree.)
+    # Chunk blobs: leaves grouped by owning chunk (one stable sort keeps
+    # walk order inside a chunk), chunks in the order the walk first
+    # reaches them, each blob joined once from its leaves' records and
+    # built before the next so only one chunk's pieces are held at once.
+    by_chunk = np.argsort(leaf_chunk, kind="stable")
+    chunk_of = leaf_chunk[by_chunk]
+    by_chunk = leaf_at[by_chunk]
+    starts = np.flatnonzero(np.diff(chunk_of, prepend=-2))
+    leaves = list(map(nodes.__getitem__, by_chunk.tolist()))
+    spans = sorted(zip(by_chunk[starts].tolist(), starts.tolist(),
+                       [*starts[1:].tolist(), len(leaves)],
+                       chunk_of[starts].tolist()))
     chunks: dict[str, bytes] = {}
-    for cid, leaves in chunk_leaves.items():
-        parts = []
-        for leaf in leaves:
-            keys = np.ascontiguousarray(leaf.keys, dtype="<u8")
-            pts = np.ascontiguousarray(leaf.pts, dtype="<f8")
-            parts += (_LEAF_HEAD.pack(leaf.nid, len(keys)),
-                      keys.tobytes(), pts.tobytes())
-        chunks[cid] = b"".join(parts)
-    del chunk_leaves
+    for _first, start, end, midx in spans:
+        cid = "l0" if midx < 0 else f"m{metas[midx].root.nid}"
+        chunks[cid] = _leaf_blob(leaves[start:end])
+    return topology, chunks
 
+
+def _leaf_blob(leaves: list) -> bytes:
+    """One chunk blob: a ``(nid, n)`` head, the keys, the points, per leaf.
+
+    (``tobytes``, not the arrays' buffer interface: numpy keeps an
+    exported array's buffer info until the array dies, ~40 B on every
+    leaf array for the life of the tree.)
+    """
+    heads = map(_LEAF_HEAD.pack, map(_NID, leaves),
+                map(len, map(_KEYS, leaves)))
+    keys = map(_TOBYTES, map(np.asarray, map(_KEYS, leaves), repeat(_U8)))
+    pts = map(_TOBYTES, map(np.asarray, map(_PTS, leaves), repeat(_F8)))
+    return b"".join(chain.from_iterable(zip(heads, keys, pts)))
+
+
+def _assemble(tree, topology: bytes, chunks: dict[str, bytes], *,
+              wal_seq: int) -> SnapshotImage:
+    """The image of ``tree`` around its encoded blobs: adds the manifest."""
     sys = tree.system
     manifest = {
         "version": MANIFEST_VERSION,
@@ -266,11 +320,18 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
     # -- leaf payloads ---------------------------------------------------
     dims = int(man["tree"]["dims"])
     payloads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for blob in image.chunks.values():
+    for cid, blob in image.chunks.items():
         off = 0
         while off < len(blob):
+            if off + _LEAF_HEAD.size > len(blob):
+                raise SnapshotCorruption(
+                    f"chunk blob {cid!r} ends inside a leaf head")
             nid, n = _LEAF_HEAD.unpack_from(blob, off)
             off += _LEAF_HEAD.size
+            if off + 8 * n * (1 + dims) > len(blob):
+                raise SnapshotCorruption(
+                    f"chunk blob {cid!r}: leaf {nid} holds {n} points, "
+                    f"more than the blob's remaining {len(blob) - off} bytes")
             keys = np.frombuffer(blob, dtype="<u8", count=n, offset=off).copy()
             off += 8 * n
             pts = np.frombuffer(
@@ -280,66 +341,80 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
             payloads[int(nid)] = (keys, pts)
 
     # -- topology ---------------------------------------------------------
-    n_nodes, n_metas, topo_dims = _TOPO_HEAD.unpack_from(image.topology, 0)
+    topo = image.topology
+    if len(topo) < _TOPO_HEAD.size:
+        raise SnapshotCorruption("topology blob ends inside its head")
+    n_nodes, n_metas, topo_dims = _TOPO_HEAD.unpack_from(topo, 0)
     if topo_dims != dims:
         raise SnapshotCorruption("topology/manifest dims mismatch")
-    off = _TOPO_HEAD.size
-    node_rows = []
-    for _ in range(n_nodes):
-        node_rows.append(_NODE.unpack_from(image.topology, off))
-        off += _NODE.size
+    off = _TOPO_HEAD.size + _NODE.itemsize * n_nodes
+    if off > len(topo):
+        raise SnapshotCorruption(
+            f"topology blob too short for its {n_nodes} node records")
+    records = np.frombuffer(topo, dtype=_NODE, count=n_nodes,
+                            offset=_TOPO_HEAD.size)
     meta_rows = []
     for _ in range(n_metas):
-        head = _META.unpack_from(image.topology, off)
+        if off + _META.size > len(topo):
+            raise SnapshotCorruption(
+                f"topology blob too short for its {n_metas} meta records")
+        head = _META.unpack_from(topo, off)
         off += _META.size
         n_kids = head[-1]
-        kids = [
-            _META_KID.unpack_from(image.topology, off + _META_KID.size * j)[0]
-            for j in range(n_kids)
-        ]
+        if off + _META_KID.size * n_kids > len(topo):
+            raise SnapshotCorruption(
+                f"topology blob too short for meta {head[0]}'s children")
+        kids = list(struct.unpack_from(f"<{n_kids}i", topo, off))
         off += _META_KID.size * n_kids
         meta_rows.append((head, kids))
-    if off != len(image.topology):
+    if off != len(topo):
         raise SnapshotCorruption("trailing bytes after topology records")
 
-    # Rebuild the node tree from the preorder walk (each internal node is
-    # followed by its left then right subtrees).  Recursion depth is
-    # bounded by key_bits (<= 64) plus the leaf level.
-    pos = 0
+    # Rebuild the node tree from the preorder records: each internal node
+    # is followed by its left then right subtree, so a stack of internal
+    # nodes still short of a child places every record.
+    columns = [records[name].tolist() for name in _NODE.names]
     decoded: list[tuple[Node, int]] = []  # (node, meta_idx) in preorder
-
-    def build() -> Node:
-        nonlocal pos
-        nid, prefix, depth, flags, layer, count, sc, delta, midx = \
-            node_rows[pos]
-        pos += 1
-        node = Node(int(nid), int(prefix), int(depth))
-        node.count = int(count)
-        node.sc = int(sc)
-        node.delta = int(delta)
-        node.layer = Layer(int(layer))
-        decoded.append((node, int(midx)))
+    open_inner: list[Node] = []
+    for nid, prefix, depth, flags, layer, count, sc, delta, midx in zip(
+            *columns):
+        node = Node(nid, prefix, depth)
+        node.count = count
+        node.sc = sc
+        node.delta = delta
+        node.layer = Layer(layer)
+        if decoded:
+            if not open_inner:
+                raise SnapshotCorruption(
+                    "topology walk did not consume all nodes")
+            parent = open_inner[-1]
+            node.parent = parent
+            if parent.left is None:
+                parent.left = node
+            else:
+                parent.right = node
+                open_inner.pop()
+        decoded.append((node, midx))
         if flags & _FLAG_LEAF:
             try:
-                keys, pts = payloads[int(nid)]
+                node.keys, node.pts = payloads[nid]
             except KeyError:
                 raise SnapshotCorruption(
                     f"leaf {nid} has no payload in any chunk blob"
                 ) from None
-            node.keys = keys
-            node.pts = pts
         else:
-            node.left = build()
-            node.right = build()
-            node.left.parent = node
-            node.right.parent = node
-        return node
-
-    root = build()
-    if pos != n_nodes:
-        raise SnapshotCorruption("topology walk did not consume all nodes")
+            open_inner.append(node)
+    if not decoded or open_inner:
+        raise SnapshotCorruption("topology walk ran out of node records")
+    root = decoded[0][0]
 
     # -- metas ------------------------------------------------------------
+    children = np.array([k for _h, ks in meta_rows for k in ks],
+                        dtype=np.int64)
+    owners = np.append(records["meta"], [h[2] for h, _k in meta_rows])
+    if ((children < 0) | (children >= n_metas)).any() or (
+            (owners < -1) | (owners >= n_metas)).any():
+        raise SnapshotCorruption("topology names a meta record it lacks")
     nid_to_node = {n.nid: n for n, _ in decoded}
     metas: list[MetaNode] = []
     for head, _kids in meta_rows:
@@ -438,21 +513,21 @@ class SnapshotStore:
             blobs = {image.manifest["topology"]["hash"]: image.topology}
             for cid, ref in image.manifest["chunks"].items():
                 blobs[ref["hash"]] = image.chunks[cid]
-            written = 0
-            written_bytes = 0
-            for h, data in sorted(blobs.items()):
-                if not self.backend.has_blob(h):
-                    self.backend.put_blob(h, data)
-                    written += 1
-                    written_bytes += len(data)
+            # One listing answers "already stored?" for every blob and
+            # names the GC's candidates: what this flush writes is live.
+            stored = self.backend.list_blobs()
+            dirty = sorted(blobs.keys() - set(stored))
+            for h in dirty:
+                self.backend.put_blob(h, blobs[h])
+            written = len(dirty)
+            written_bytes = sum(map(len, map(blobs.get, dirty)))
             manifest_bytes = json.dumps(
                 image.manifest, sort_keys=True, separators=(",", ":")
             ).encode()
             self.backend.put_manifest(manifest_bytes)
             # Garbage-collect blobs no longer referenced by the manifest.
-            live = set(blobs)
-            for key in self.backend.list_blobs():
-                if key not in live:
+            for key in stored:
+                if key not in blobs:
                     self.backend.delete_blob(key)
 
             written_words = (written_bytes + len(manifest_bytes) + 7) // 8
