@@ -142,27 +142,24 @@ class PIMZdTreeAdapter:
         return self._measurement_since(start, elements)
 
     def _measurement_since(self, start, elements: int) -> OpMeasurement:
-        delta_stats = self.system.stats.diff(start)
-        delta = delta_stats.total
-        t = self.tree.cost_model.time(delta)
-        phases: dict[str, dict[str, float]] = {}
-        for label, c in delta_stats.phases.items():
-            pt = self.tree.cost_model.time(c)
-            if pt.total_s > 0:
-                phases[label] = {
-                    "cpu_s": pt.cpu_s, "pim_s": pt.pim_s, "comm_s": pt.comm_s,
-                }
+        # One pricing pass over the delta ledger: row 0 is the total, then
+        # one row per phase label, in first-booking order.
+        delta = self.system.stats.diff(start)
+        priced = self.tree.cost_model.price(delta)
+        cpu_s, pim_s, comm_s, total_s, traffic = priced[0]
         return OpMeasurement(
             index=self.name,
             op="",
             ops=0,
             elements=elements,
-            sim_time_s=t.total_s,
-            traffic_bytes=self.tree.cost_model.traffic_bytes(delta),
-            cpu_s=t.cpu_s,
-            pim_s=t.pim_s,
-            comm_s=t.comm_s,
-            phases=phases,
+            sim_time_s=total_s,
+            traffic_bytes=traffic,
+            cpu_s=cpu_s,
+            pim_s=pim_s,
+            comm_s=comm_s,
+            phases={label: {"cpu_s": p[0], "pim_s": p[1], "comm_s": p[2]}
+                    for label, p in zip(delta.labels, priced[1:])
+                    if p[3] > 0},
         )
 
     # -- operation surface ------------------------------------------------

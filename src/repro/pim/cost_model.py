@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .stats import PhaseCounters
+import numpy as np
+
+from .stats import (COMM_MAX_WORDS, COMM_WORDS, CPU_OPS, DRAM_WORDS,
+                    MODULE_ROUNDS, PIM_CYCLES, ROUNDS, PhaseCounters)
 
 __all__ = ["PIMCostModel", "SimTime", "UPMEM_2048", "upmem_scaled"]
 
@@ -129,29 +132,51 @@ class PIMCostModel:
     def word_multiplier(self) -> float:
         return 1.0 if self.direct_api else self.sdk_word_cost_multiplier
 
-    def time(self, c: PhaseCounters) -> SimTime:
-        """Convert one phase's counters into simulated seconds."""
-        compute_s = c.cpu_ops / (self.cpu_freq_hz * self.cpu_threads * self.cpu_ipc)
-        dram_s = c.dram_words * WORD_BYTES / self.dram_bw_bytes_s
-        cpu_s = max(compute_s, dram_s)
+    def price(self, stats) -> list[list[float]]:
+        """Price every row of a :class:`~repro.pim.stats.PIMStats` ledger
+        in one array pass: per row (the total, then each phase in
+        ``stats.labels`` order) ``[cpu_s, pim_s, comm_s, total_s,
+        traffic_bytes]`` as Python floats, each equal to what
+        :meth:`time` and :meth:`traffic_bytes` give for that row."""
+        return self._price(stats.matrix).tolist()
 
-        pim_s = c.pim_cycles / self.pim_freq_hz
+    def _price(self, m: np.ndarray) -> np.ndarray:
+        """The five prices of each counter row of ``m`` (ledger columns),
+        each computed in :meth:`time`'s operation order."""
+        compute_s = m[:, CPU_OPS] / (
+            self.cpu_freq_hz * self.cpu_threads * self.cpu_ipc)
+        dram_s = m[:, DRAM_WORDS] * WORD_BYTES / self.dram_bw_bytes_s
+        cpu_s = np.maximum(compute_s, dram_s)
 
-        words = c.comm_words * self.word_multiplier
-        max_words = c.comm_max_words * self.word_multiplier
+        pim_s = m[:, PIM_CYCLES] / self.pim_freq_hz
+
+        wm = self.word_multiplier
+        words = m[:, COMM_WORDS] * wm
+        max_words = m[:, COMM_MAX_WORDS] * wm
         bus_s = words * WORD_BYTES / self.pim_bus_bw_bytes_s
         link_s = max_words * WORD_BYTES / self.pim_module_link_bw_bytes_s
         dma = self.dma_setup_direct_s if self.direct_api else self.dma_setup_sdk_s
         comm_s = (
-            max(bus_s, link_s)
-            + c.rounds * self.round_overhead_s
-            + c.module_rounds * dma
+            np.maximum(bus_s, link_s)
+            + m[:, ROUNDS] * self.round_overhead_s
+            + m[:, MODULE_ROUNDS] * dma
         )
+        traffic = (words + m[:, DRAM_WORDS]) * WORD_BYTES
+        return np.array((cpu_s, pim_s, comm_s, cpu_s + pim_s + comm_s,
+                         traffic)).T
+
+    def time(self, c: PhaseCounters) -> SimTime:
+        """Convert one phase's counters into simulated seconds.
+
+        Within the CPU and the communication components the roofline max
+        is taken; the components themselves add (see the module doc).
+        """
+        cpu_s, pim_s, comm_s = self._price(np.array([c.as_row()]))[0, :3].tolist()
         return SimTime(cpu_s, pim_s, comm_s)
 
     def traffic_bytes(self, c: PhaseCounters) -> float:
         """Memory-bus bytes: CPU↔PIM words plus CPU↔DRAM words (§7.1)."""
-        return (c.comm_words * self.word_multiplier + c.dram_words) * WORD_BYTES
+        return self._price(np.array([c.as_row()]))[0, 4].item()
 
 
 UPMEM_2048 = PIMCostModel()

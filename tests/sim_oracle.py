@@ -1,4 +1,5 @@
-"""The scalar simulator core: the differential oracle for ``PIMSystem``.
+"""The scalar simulator core and ledger: the differential oracle for
+``PIMSystem``.
 
 ``PIMSystem`` keeps every per-module counter in NumPy arrays
 (``repro.pim.vector``), books every module charge through one call,
@@ -16,6 +17,15 @@ must book byte-identical PIMStats — the property
 ``tests/test_sim_modes.py``, ``tests/test_differential_exec.py`` and the
 other differential suites hold production to.
 
+It books into :class:`OracleLedger`, the plainest form of the
+``PIMStats`` ledger: one :class:`PhaseCounters` per phase label in a
+dict, each counter a Python attribute added to one charge at a time, the
+LLC touched one block at a time (``LRUCache.touch``).  Production's
+``PIMStats`` is one float64 matrix booked by row; the two must agree on
+``to_dict()``, ``diff()``, ``==`` and the harness's per-phase prices
+(``tests/test_ledger.py``).  :func:`oracle_time` keeps the cost model's
+scalar formula that ``PIMCostModel.price`` evaluates as arrays.
+
 Inject it where the system is built, e.g.
 ``PIMZdTree(points, system=ScalarPIMSystem(P, seed=s))``; for adapters
 and serving sessions, ``monkeypatch.setattr(repro.eval.harness,
@@ -25,13 +35,119 @@ and serving sessions, ``monkeypatch.setattr(repro.eval.harness,
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.faults.errors import FaultError, MachineKill, MessageLoss, ModuleFailure
 from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND, PIMSystem
+from repro.pim.cost_model import WORD_BYTES, SimTime
+from repro.pim.stats import PhaseCounters
 
-__all__ = ["PIMModule", "ScalarPIMSystem", "should_drop", "slow_factor"]
+__all__ = ["OracleLedger", "PIMModule", "ScalarPIMSystem", "oracle_phase_prices",
+           "oracle_time", "oracle_traffic_bytes", "should_drop", "slow_factor"]
+
+_WORDS_PER_BLOCK = 8
+
+
+@dataclass(eq=False)
+class OracleLedger:
+    """The ``PIMStats`` ledger as one ``PhaseCounters`` per phase label.
+
+    ``phases`` is in first-booking order (dict insertion order); a label
+    gets its entry from :meth:`phase` on its first booking.
+    """
+
+    total: PhaseCounters = field(default_factory=PhaseCounters)
+    phases: dict[str, PhaseCounters] = field(default_factory=dict)
+    mux_switches: int = 0
+
+    def phase(self, label: str) -> PhaseCounters:
+        if label not in self.phases:
+            self.phases[label] = PhaseCounters()
+        return self.phases[label]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.phases)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The counters as production's ledger matrix (row 0 the total)."""
+        return np.array([c.as_row() for c in (self.total,
+                                              *self.phases.values())],
+                        dtype=np.float64)
+
+    def snapshot(self) -> "OracleLedger":
+        snap = OracleLedger(total=self.total.copy(),
+                            mux_switches=self.mux_switches)
+        snap.phases = {k: v.copy() for k, v in self.phases.items()}
+        return snap
+
+    def diff(self, earlier: "OracleLedger") -> "OracleLedger":
+        """Phases in this ledger's order, then labels only ``earlier`` has."""
+        out = OracleLedger(
+            total=self.total.diff(earlier.total),
+            mux_switches=self.mux_switches - earlier.mux_switches,
+        )
+        labels = list(self.phases)
+        labels += [k for k in earlier.phases if k not in self.phases]
+        for label in labels:
+            a = self.phases.get(label, PhaseCounters())
+            b = earlier.phases.get(label, PhaseCounters())
+            out.phases[label] = a.diff(b)
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "total": self.total.to_dict(),
+            "phases": {k: self.phases[k].to_dict() for k in sorted(self.phases)},
+            "mux_switches": self.mux_switches,
+        }
+
+    def __eq__(self, other) -> bool:
+        if not hasattr(other, "to_dict") or not hasattr(other, "phases"):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    __hash__ = None
+
+
+def oracle_time(cm, c: PhaseCounters) -> SimTime:
+    """``PIMCostModel``'s time formula, one phase at a time in Python."""
+    compute_s = c.cpu_ops / (cm.cpu_freq_hz * cm.cpu_threads * cm.cpu_ipc)
+    dram_s = c.dram_words * WORD_BYTES / cm.dram_bw_bytes_s
+    cpu_s = max(compute_s, dram_s)
+
+    pim_s = c.pim_cycles / cm.pim_freq_hz
+
+    words = c.comm_words * cm.word_multiplier
+    max_words = c.comm_max_words * cm.word_multiplier
+    bus_s = words * WORD_BYTES / cm.pim_bus_bw_bytes_s
+    link_s = max_words * WORD_BYTES / cm.pim_module_link_bw_bytes_s
+    dma = cm.dma_setup_direct_s if cm.direct_api else cm.dma_setup_sdk_s
+    comm_s = (
+        max(bus_s, link_s)
+        + c.rounds * cm.round_overhead_s
+        + c.module_rounds * dma
+    )
+    return SimTime(cpu_s, pim_s, comm_s)
+
+
+def oracle_traffic_bytes(cm, c: PhaseCounters) -> float:
+    return (c.comm_words * cm.word_multiplier + c.dram_words) * WORD_BYTES
+
+
+def oracle_phase_prices(delta, cm) -> dict:
+    """The harness's ``OpMeasurement.phases`` for a delta ledger: each
+    phase priced on its own, kept if its time is positive."""
+    out = {}
+    for label, c in delta.phases.items():
+        pt = oracle_time(cm, c)
+        if pt.total_s > 0:
+            out[label] = {"cpu_s": pt.cpu_s, "pim_s": pt.pim_s,
+                          "comm_s": pt.comm_s}
+    return out
 
 
 def slow_factor(plan, mid: int) -> float:
@@ -126,16 +242,84 @@ class PIMModule:
 
 
 class ScalarPIMSystem(PIMSystem):
-    """``PIMSystem`` over per-module objects, charged element by element."""
+    """``PIMSystem`` over per-module objects, charged element by element,
+    booking into an :class:`OracleLedger`."""
 
     def __init__(self, n_modules: int, *, module_capacity_words=None,
                  **kw) -> None:
         super().__init__(n_modules, module_capacity_words=module_capacity_words,
                          **kw)
         self._vec = None
+        self.stats = OracleLedger()
         self.modules = [PIMModule(mid, module_capacity_words)
                         for mid in range(self.n_modules)]
         self._round_dirty: set[int] = set()
+        # The round's labels in the order of their first PIM charge and
+        # of their first transfer (dicts as ordered sets).
+        self._round_cycle_labels: dict[str, None] = {}
+        self._round_word_labels: dict[str, None] = {}
+
+    # -- phases ----------------------------------------------------------
+    @contextmanager
+    def phase(self, label: str, *, pin: bool = False):
+        if self._pin_depth and not pin:
+            yield
+            return
+        outer = self._phase
+        self._phase = label
+        if pin:
+            self._pin_depth += 1
+        try:
+            yield
+        finally:
+            self._phase = outer
+            if pin:
+                self._pin_depth -= 1
+
+    # -- CPU side --------------------------------------------------------
+    def charge_cpu(self, ops: float, span: float = 0.0) -> None:
+        phase = self.current_phase
+        t = self.stats.total
+        t.cpu_ops += ops
+        t.cpu_span += span
+        p = self.stats.phase(phase)
+        p.cpu_ops += ops
+        p.cpu_span += span
+        if self._trace is not None:
+            self._trace.on_cpu(phase, ops, span)
+
+    def touch_cpu_blocks(self, block_ids) -> None:
+        touch = self.llc.touch
+        misses = 0
+        for b in block_ids:
+            if not touch(b):
+                misses += 1
+        if misses:
+            words = misses * _WORDS_PER_BLOCK
+            phase = self.current_phase
+            self.stats.total.dram_words += words
+            self.stats.phase(phase).dram_words += words
+            if self._trace is not None:
+                self._trace.on_dram(phase, words, streamed=False)
+
+    def dram_stream(self, words: float) -> None:
+        phase = self.current_phase
+        self.llc.streamed_words += int(words)
+        self.stats.total.dram_words += words
+        self.stats.phase(phase).dram_words += words
+        if self._trace is not None:
+            self._trace.on_dram(phase, words, streamed=True)
+
+    def charge_comm_flat(self, words: float) -> None:
+        if words <= 0:
+            return
+        phase = self.current_phase
+        max_words = words / self.n_live
+        for counters in (self.stats.total, self.stats.phase(phase)):
+            counters.comm_words += words
+            counters.comm_max_words += max_words
+        if self._trace is not None:
+            self._trace.on_comm_flat(phase, words, max_words)
 
     # -- rounds ----------------------------------------------------------
     @contextmanager
@@ -146,16 +330,18 @@ class ScalarPIMSystem(PIMSystem):
             raise MachineKill(self._rounds_charged)
         self._in_round = True
         self._round_dirty.clear()
+        self._round_cycle_labels = {}
+        self._round_word_labels = {}
         self._round_entry_phase = self.current_phase
         try:
             yield
         finally:
             self._in_round = False
             if self._round_dirty:
-                self._close_round()
+                self._close_round(sorted(self._round_dirty))
 
-    def _book_round(self) -> None:
-        dirty = [self.modules[mid] for mid in sorted(self._round_dirty)]
+    def _book_round(self, mids) -> None:
+        dirty = [self.modules[mid] for mid in mids]
         straggler = dirty[0]
         max_words_module = None
         max_cycles = 0.0
@@ -183,14 +369,23 @@ class ScalarPIMSystem(PIMSystem):
         # The straggler's cycles split by the phases it was charged under;
         # comm by each word's phase; the bottleneck-link max by the
         # bottleneck module's phases; round scalars go to the entry phase.
-        for ph, cyc in straggler.round_phase_cycles.items():
-            self.stats.phase(ph).pim_cycles += cyc
-        for m in dirty:
-            for ph, w in m.round_phase_words.items():
-                self.stats.phase(ph).comm_words += w
+        # Labels are visited in the order of their first PIM charge (for
+        # cycles) or first transfer (for words) in the round, so labels
+        # first booked at this close get their buckets in that order.
+        for ph in self._round_cycle_labels:
+            cyc = straggler.round_phase_cycles.get(ph)
+            if cyc:
+                self.stats.phase(ph).pim_cycles += cyc
+        for ph in self._round_word_labels:
+            for m in dirty:
+                w = m.round_phase_words.get(ph)
+                if w:
+                    self.stats.phase(ph).comm_words += w
         if max_words_module is not None:
-            for ph, w in max_words_module.round_phase_words.items():
-                self.stats.phase(ph).comm_max_words += w
+            for ph in self._round_word_labels:
+                w = max_words_module.round_phase_words.get(ph)
+                if w:
+                    self.stats.phase(ph).comm_max_words += w
         entry = self.stats.phase(self._round_entry_phase)
         entry.rounds += 1
         entry.module_rounds += module_rounds
@@ -255,6 +450,7 @@ class ScalarPIMSystem(PIMSystem):
             if f != 1.0:
                 cycles = cycles * f
         m.charge(cycles, phase)
+        self._round_cycle_labels[phase] = None
         if self._trace is not None:
             self._trace.on_pim(phase, mid, cycles)
 
@@ -266,6 +462,7 @@ class ScalarPIMSystem(PIMSystem):
         if self._faults is not None:
             self._check_drop("send", mid, words)
         m.add_recv(words, phase)
+        self._round_word_labels[phase] = None
         if self._trace is not None:
             self._trace.on_send(phase, mid, words)
 
@@ -277,6 +474,7 @@ class ScalarPIMSystem(PIMSystem):
         if self._faults is not None:
             self._check_drop("recv", mid, words)
         m.add_send(words, phase)
+        self._round_word_labels[phase] = None
         if self._trace is not None:
             self._trace.on_recv(phase, mid, words)
 
@@ -305,6 +503,7 @@ class ScalarPIMSystem(PIMSystem):
         if self.n_live <= 1:
             raise RuntimeError("cannot decommission the last live module")
         self._dead.add(mid)
+        self._live.remove(mid)
         m = self.modules[mid]
         m.failed = True
         m.master_words = 0.0

@@ -394,11 +394,13 @@ def _shadowed():
         if oracle is None:
             oracle = self._oracle = _LegacyFilters(self)
         oracle._staged, oracle.fpr = self._staged, self.fpr
-        total, ledger = self.tree.system.stats.total, oracle.tree.system
+        stats, ledger = self.tree.system.stats, oracle.tree.system
+        total = stats.total  # a copy of the ledger's total row
         before = (total.cpu_ops, total.dram_words,
                   ledger.cpu_ops, ledger.dram_words)
         real(self)
         oracle.rebuild()
+        total = stats.total
         assert (total.cpu_ops - before[0], total.dram_words - before[1]) == (
             ledger.cpu_ops - before[2], ledger.dram_words - before[3]
         ), "refresh charged differently from the legacy walk"
