@@ -363,7 +363,8 @@ class TestModuleViewSurface:
         with sys.phase("build"), sys.round():
             sys.charge_sequence([CHARGE_PIM, CHARGE_RECV, CHARGE_SEND],
                                 [1, 1, 1], [9.0, 2.0, 3.0])
-            cycles, sent, received = sys._vec.round_totals([1])[:, 0]
+            _labels, charges = sys._vec.round_charges([1])
+            cycles, sent, received = np.add.reduce(charges)[:, 0]
             assert cycles == 9.0 and sent + received == 5.0
         assert m.total_cycles == 9.0 and sys.modules[1].total_cycles == 9.0
         assert sys.stats.phases["build"].comm_words == 5.0
