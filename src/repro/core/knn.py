@@ -117,8 +117,8 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
         # ---- Step 2: candidate subtrees and coarse candidate search -----
         tasks = host.candidate_seeds()
         executor = PushPullExecutor(tree)
-        # Membership-filter routing (repro.route): suppress candidate
-        # probes into closed chunks whose resident z-range the current
+        # Membership-filter routing (repro.route): once per round, drop
+        # the tasks into closed chunks whose resident z-range the current
         # coarse ball provably misses.
         rf = tree.route_filters
         use_rf = rf is not None and rf.enabled

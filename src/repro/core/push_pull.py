@@ -138,7 +138,7 @@ class PushPullExecutor:
         kernel: Kernel,
         *,
         round_hook: Callable[[dict[int, list]], None] | None = None,
-        prune: Callable[[Task], bool] | None = None,
+        prune: Callable[[list], list] | None = None,
     ) -> dict[int, list]:
         """Execute ``tasks`` (and everything they emit) to completion.
 
@@ -146,10 +146,12 @@ class PushPullExecutor:
         after each round with the results accumulated so far — kNN uses it
         to merge candidate sets and tighten pruning radii between rounds.
 
-        ``prune`` is the membership-filter hook (repro.route): it runs on
-        the host at frontier-formation time — before grouping, read
-        routing, or any charge for the round — and returning True drops
-        the task, suppressing its send entirely.
+        ``prune`` is the membership-filter group hook (repro.route),
+        called once per round on the host after the pull decision and
+        before read routing or any charge: it takes the round's
+        ``(meta, tasks)`` groups and returns the kept ones, in the same
+        order, with each group's kept tasks in task order and emptied
+        groups dropped.  A dropped task's send is suppressed entirely.
         """
         results: dict[int, list] = defaultdict(list)
         frontier = list(tasks)
@@ -163,15 +165,11 @@ class PushPullExecutor:
             # push (or vice versa), so a filtered round charges a strict
             # subset of the unfiltered round's communication and cycles.
             pulled = self._decide_pulls(by_meta)
-            if prune is not None:
-                by_meta = {
-                    m: kept
-                    for m, ts in by_meta.items()
-                    if (kept := [t for t in ts if not prune(t)])
-                }
-                if not by_meta:
-                    break
             groups = list(by_meta.items())
+            if prune is not None:
+                groups = prune(groups)
+                if not groups:
+                    break
             pushed = ([g for g in groups if g[0] not in pulled] if pulled
                       else groups)
             # The kernel is pure compute and runs before any charge.

@@ -70,7 +70,8 @@ def search_batch(tree, points: np.ndarray, *, phase: str = "search"
         # the target leaf/edge; kNN needs the byte-identical trace) are
         # never pruned.  With a replicated L0 even the routing round is a
         # send, so the global filter gates it; a host-resident L0 walks
-        # for free and queries are screened at their first L1/L2 task.
+        # for free and queries are screened at their first L1/L2 task,
+        # by the executor's once-per-round group hook.
         rf = tree.route_filters
         use_rf = (rf is not None and rf.enabled
                   and phase in ("search", "delete"))

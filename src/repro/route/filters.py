@@ -40,10 +40,12 @@ copy of.
 "Residency listeners"): its marking calls record the chunk of every node
 they change, and new, retired, moved and re-replicated chunks.  A refresh
 re-scans the marked and new chunks and re-files the moved ones; no other
-chunk is looked at and no leaf of a clean chunk is visited.  A filter
+chunk is looked at and no leaf of a clean chunk is visited.  The changed
+chunks are diffed against their cached keys in one sort.  A filter
 that only gained keys within its Bloom geometry gets them OR-ed in, one
-that lost a key or outgrew its geometry is rebuilt from its chunks'
-cached arrays, the rest are not read.  Attach, an FPR change and
+that lost a key or outgrew its geometry is rebuilt from the cached
+arrays of the chunks it holds — every such filter in one hashing pass —
+and the rest are not read.  Attach, an FPR change and
 recovery (:meth:`RouteFilterSet.restore`) are the same routine with an
 empty cache, which takes every chunk and the L0 pseudo-chunk as marked.
 
@@ -57,16 +59,25 @@ charges per *new* key only.  Which of the two applies is decided by the
 arithmetic a full residency walk would do, evaluated on the touched chunks
 and cached counts — so the charge is to the integer what walking every
 meta charged, while the bits are always derived from the cache diff and
-never depend on the staging.  Probes charge a few host ops each.
-Crash-restart persists only ``(fpr, seed, enabled)`` in the snapshot
-manifest — the bit arrays are a pure function of residency and seed, so
-:func:`repro.store.recovery.recover` rebuilds them bit-identically.
+never depend on the staging.  Crash-restart persists only ``(fpr, seed,
+enabled)`` in the snapshot manifest — the bit arrays are a pure function
+of residency and seed, so :func:`repro.store.recovery.recover` rebuilds
+them bit-identically.
+
+*Probes.*  Each probe charges a few host ops.  The executor hands a
+round's ``(meta, tasks)`` groups to a group hook once, after its pull
+decision: the kNN hook decides the whole round in one array pass and
+books its probes with one charge; the point-lookup hook decides task by
+task, since a query's verdict feeds its later tasks.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from collections import defaultdict
+from itertools import chain, compress
+from operator import attrgetter, itemgetter, mul
 
 import numpy as np
 
@@ -87,14 +98,31 @@ _REBUILD_OPS_PER_KEY = 1     # per (key, hash) bit set during a rebuild
 _REBUILD_OPS_PER_META = 4    # per-chunk summary bookkeeping
 
 _NO_KEYS = np.empty(0, dtype=np.uint64)
+# The summary a probe reads for a chunk with none (a stale summary): open,
+# so nothing is pruned.
+_UNKNOWN_CHUNK = (None, None, None, False)
 _HASH_STEPS = np.arange(16, dtype=np.uint64)[:, None]  # i of h1 + i·h2, i < k
 _SCATTER_BLOCK = 1 << 12     # keys hashed per scatter
+_ONE = np.uint64(1)
+
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
+_ROOT_NID = attrgetter("root.nid")
+_MODULE = attrgetter("module")
+_QID = attrgetter("qid")
+_SEND_WORDS = attrgetter("send_words")
+_N_KEYS = attrgetter("n_keys")
+_K = attrgetter("k")
+_WORDS = attrgetter("words")
 
 
-def _splitmix_array(x: np.ndarray, salt: int) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 keys."""
+def _splitmix_array(x: np.ndarray, salt) -> np.ndarray:
+    """Vectorized splitmix64 finalizer over uint64 keys.  ``salt`` is an
+    int, or a uint64 array holding one salt per key."""
+    if not isinstance(salt, np.ndarray):
+        salt = np.uint64(salt & _MASK64)
     with np.errstate(over="ignore"):
-        z = (x ^ np.uint64(salt & _MASK64)) + np.uint64(_C1)
+        z = (x ^ salt) + np.uint64(_C1)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_C2)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_C3)
         return z ^ (z >> np.uint64(31))
@@ -119,43 +147,24 @@ def _bloom_params(n_keys: int, fpr: float) -> tuple[int, int]:
 class _ModuleFilter:
     """Bloom bits + resident-key range for one module."""
 
-    __slots__ = ("words", "m_bits", "k", "lo", "hi", "n_keys")
+    __slots__ = ("words", "m_bits", "k", "cap", "lo", "hi", "n_keys")
 
-    def __init__(self, keys: np.ndarray, fpr: float, seed: int) -> None:
-        self.m_bits, self.k = _bloom_params(max(1, len(keys)), fpr)
+    def __init__(self, n_keys: int, fpr: float) -> None:
+        """An empty filter with the geometry ``n_keys`` keys need at
+        ``fpr``; :func:`_or_into` sets its bits."""
+        self.m_bits, self.k = _bloom_params(max(1, n_keys), fpr)
+        # The most keys this geometry is sized for: _bloom_params' bit
+        # count only grows with the key count, so ``n`` keys fit exactly
+        # when ``n <= cap``.
+        cap = int(self.m_bits * math.log(2) / self.k)
+        while _bloom_params(cap + 1, fpr)[0] <= self.m_bits:
+            cap += 1
+        while _bloom_params(cap, fpr)[0] > self.m_bits:
+            cap -= 1
+        self.cap = cap
         self.words = np.zeros(self.m_bits // 64, dtype=np.uint64)
         self.lo = self.hi = None
         self.n_keys = 0
-        self.add(keys, seed)
-
-    def add(self, keys: np.ndarray, seed: int) -> None:
-        """OR ``keys``' bits in place and widen the range summary.
-
-        Bloom bits are an OR over per-key hashes, so adding the new
-        keys' bits to the existing array is *bit-identical* to a full
-        rebuild over old ∪ new — provided ``m_bits``/``k`` are unchanged
-        (the caller checks :func:`_bloom_params` before choosing this
-        path) and the seed is the same.  The ``k × n`` bit positions are
-        computed as one matrix and scattered in one pass (per block of
-        ``_SCATTER_BLOCK`` keys), not hash function by hash function.
-        """
-        if not len(keys):
-            return
-        mask = np.uint64(self.m_bits - 1)
-        # Blocked so a big filter's index matrix stays a few hundred KiB.
-        for at in range(0, len(keys), _SCATTER_BLOCK):
-            block = keys[at:at + _SCATTER_BLOCK]
-            h1 = _splitmix_array(block, seed)
-            h2 = _splitmix_array(block, seed + 1) | np.uint64(1)
-            idx = (h1 + _HASH_STEPS[:self.k] * h2) & mask
-            np.bitwise_or.at(
-                self.words, (idx >> np.uint64(6)).astype(np.intp).ravel(),
-                (np.uint64(1) << (idx & np.uint64(63))).ravel(),
-            )
-        klo, khi = int(keys.min()), int(keys.max())
-        self.lo = klo if self.lo is None else min(self.lo, klo)
-        self.hi = khi if self.hi is None else max(self.hi, khi)
-        self.n_keys += len(keys)
 
     def probe(self, key: int, seed: int) -> bool:
         """May ``key`` be present?  No false negatives by construction."""
@@ -171,6 +180,63 @@ class _ModuleFilter:
         return True
 
 
+def _or_into(jobs: list) -> None:
+    """OR each ``(filter, keys, seed)`` job's bits in and widen its range
+    summary, for every job in one hashing pass (one job per filter).
+
+    Bloom bits are an OR over per-key hashes, so OR-ing new keys into a
+    filter is *bit-identical* to a full rebuild over old ∪ new, provided
+    its geometry holds them (the caller checks ``cap``) and the seed is
+    the same.  The filters' words are laid end to end in one buffer, and
+    each key carries its filter's salt, bit mask and buffer offset, so
+    the ``k × n`` bit positions of all jobs are one matrix per block of
+    ``_SCATTER_BLOCK`` keys (a big filter's index matrix stays a few
+    hundred KiB) and one ``np.bitwise_or.at`` scatters them.  A key's
+    bits are those of a one-filter pass under its filter's seed: the
+    second salt is ``seed + 1`` taken modulo 2^64, as
+    :func:`_splitmix_array` takes it.  Every filter of a set hashes ``k``
+    times (``k`` follows the FPR alone).
+    """
+    jobs = [job for job in jobs if len(job[1])]
+    if not jobs:
+        return
+    filters = list(map(_FIRST, jobs))
+    parts = list(map(_SECOND, jobs))
+    counts = np.fromiter(map(len, parts), dtype=np.intp, count=len(jobs))
+    keys = np.concatenate(parts)
+    per = np.repeat(np.arange(len(jobs)), counts)
+    salts = np.array([seed & _MASK64 for _, _, seed in jobs], dtype=np.uint64)
+    masks = np.array([f.m_bits - 1 for f in filters], dtype=np.uint64)
+    sizes = np.fromiter(map(len, map(_WORDS, filters)), dtype=np.intp,
+                        count=len(jobs))
+    starts = np.cumsum(sizes) - sizes
+    bases = starts.astype(np.uint64)
+    words = np.concatenate(list(map(_WORDS, filters)))
+    steps = _HASH_STEPS[:filters[0].k]
+    for at in range(0, len(keys), _SCATTER_BLOCK):
+        block = slice(at, at + _SCATTER_BLOCK)
+        x, f = keys[block], per[block]
+        salt = salts[f]
+        h1 = _splitmix_array(x, salt)
+        h2 = _splitmix_array(x, salt + _ONE) | _ONE
+        idx = (h1 + steps * h2) & masks[f]
+        np.bitwise_or.at(
+            words, ((idx >> np.uint64(6)) + bases[f]).astype(np.intp).ravel(),
+            (_ONE << (idx & np.uint64(63))).ravel(),
+        )
+    firsts = np.cumsum(counts) - counts
+    for f, s, n, m, klo, khi in zip(
+            filters, starts.tolist(), sizes.tolist(), counts.tolist(),
+            np.minimum.reduceat(keys, firsts).tolist(),
+            np.maximum.reduceat(keys, firsts).tolist()):
+        f.words[:] = words[s:s + n]
+        if f.lo is None or klo < f.lo:
+            f.lo = klo
+        if f.hi is None or khi > f.hi:
+            f.hi = khi
+        f.n_keys += m
+
+
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
     if len(parts) > 1:
         return np.concatenate(parts)
@@ -184,40 +250,51 @@ def _scan(root, meta) -> tuple[np.ndarray, bool]:
     held above the chunked layers (host/broadcast L0 leaves)."""
     closed = True
     parts: list[np.ndarray] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
+    # Breadth first over a list that grows while it is read, so no node
+    # costs a call (``+=`` of a tuple is not one).
+    nodes = [root]
+    for node in nodes:
         if node.meta is not meta:
             closed = False
-            continue
-        if node.is_leaf:
-            if len(node.keys):
-                parts.append(node.keys)
-            continue
-        stack.append(node.left)
-        stack.append(node.right)
+        elif node.keys is not None:  # a leaf
+            parts += (node.keys,)
+        else:
+            nodes += (node.left, node.right)
     return _concat(parts), closed
 
 
-def _multiset_delta(old: list[np.ndarray], new: list[np.ndarray]
-                    ) -> tuple[np.ndarray, bool]:
-    """``(added, shrank)`` between two key multisets given as array lists:
-    the keys ``new`` holds beyond ``old`` (with multiplicity), and whether
-    ``old`` holds any key ``new`` lacks (``added`` is then unused)."""
-    if len(old) == len(new) and all(a is b for a, b in zip(old, new)):
-        return _NO_KEYS, False
-    if not old:
-        return _concat(new), False
-    if not new:
-        return _NO_KEYS, True
-    a, b = _concat(old), _concat(new)
-    vals, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    diff = (np.bincount(inv[len(a):], minlength=len(vals))
-            - np.bincount(inv[:len(a)], minlength=len(vals)))
-    if (diff < 0).any():
-        return _NO_KEYS, True
-    grown = diff > 0
-    return np.repeat(vals[grown], diff[grown]), False
+def _deltas(pairs: list[tuple[np.ndarray, np.ndarray]]
+            ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(gained, lost)`` of each ``(old, new)`` pair of key multisets:
+    the keys ``new`` holds beyond ``old`` and those ``old`` holds beyond
+    ``new``, with multiplicity.
+
+    All pairs in one sort: every key is tagged with its pair and a ±1
+    weight (−1 old, +1 new); one lexsort by ``(pair, key)`` puts equal
+    keys of a pair side by side, and a run's weight sum is the key's net
+    gain in that pair.
+    """
+    n = len(pairs)
+    parts = [*map(_FIRST, pairs), *map(_SECOND, pairs)]
+    lens = np.fromiter(map(len, parts), dtype=np.intp, count=2 * n)
+    keys = np.concatenate(parts)
+    tags = np.tile(np.arange(n), 2).repeat(lens)
+    weight = np.repeat(np.repeat(np.array([-1, 1]), n), lens)
+    order = np.lexsort((keys, tags))
+    keys, tags, weight = keys[order], tags[order], weight[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (tags[1:] != tags[:-1])
+    runs = np.flatnonzero(first)
+    net = np.add.reduceat(weight, runs) if len(runs) else weight
+    out = []
+    for sign in (1, -1):
+        up = net * sign > 0
+        times = net[up] * sign
+        ends = np.cumsum(np.bincount(np.repeat(tags[runs[up]], times),
+                                     minlength=n)).tolist()
+        moved = np.repeat(keys[runs[up]], times)
+        out.append([moved[a:b] for a, b in zip([0, *ends[:-1]], ends)])
+    return list(zip(*out))
 
 
 class RouteFilterSet:
@@ -279,6 +356,8 @@ class RouteFilterSet:
         # cache, so a refresh only re-reads the chunks the feed marked.
         self._chunks: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
         self._l0_keys = _NO_KEYS
+        # module -> root nids of the chunks it masters or holds a copy of
+        self._held: defaultdict[int, set[int]] = defaultdict(set)
         # Keys staged by an insert batch (a charging hint, see refresh).
         self._staged: np.ndarray | None = None
 
@@ -310,20 +389,22 @@ class RouteFilterSet:
 
     def _fits(self, mid: int | None, n_more: int) -> bool:
         """Can filter ``mid`` take ``n_more`` keys within its geometry?"""
-        f = self._filter(mid)
-        return f is not None and _bloom_params(
-            max(1, f.n_keys + n_more), self.fpr) == (f.m_bits, f.k)
+        f = self._global if mid is None else self._filters.get(mid)
+        return f is not None and f.n_keys + n_more <= f.cap
 
-    def _build_filter(self, mid: int | None, keys: np.ndarray) -> None:
-        """(Re)build one filter over ``keys``; a module left without a
-        resident key has no filter, the global filter always exists."""
+    def _new_filter(self, mid: int | None, n_keys: int
+                    ) -> _ModuleFilter | None:
+        """Replace filter ``mid`` by an empty one sized for ``n_keys``
+        keys; a module left without a resident key has no filter, the
+        global filter always exists."""
         if mid is None:
-            self._global = _ModuleFilter(keys, self.fpr, self.seed)
-        elif len(keys):
-            self._filters[mid] = _ModuleFilter(keys, self.fpr,
-                                               self._seed_of(mid))
-        else:
-            self._filters.pop(mid, None)
+            self._global = _ModuleFilter(n_keys, self.fpr)
+            return self._global
+        if n_keys:
+            self._filters[mid] = f = _ModuleFilter(n_keys, self.fpr)
+            return f
+        self._filters.pop(mid, None)
+        return None
 
     def refresh(self) -> None:
         """Bring every filter up to date with current residency (charged).
@@ -337,11 +418,12 @@ class RouteFilterSet:
         are looked at, in root-nid order
         (``tree.metas`` is an identity-hashed set, so its own order
         follows memory addresses); of those only the marked and new ones
-        are re-scanned.  Each filter whose key multiset only grew, within
-        its Bloom geometry, gets the new keys OR-ed in
-        (:meth:`_ModuleFilter.add`); one that lost a key or outgrew its
-        geometry is rebuilt from the cached arrays of its chunks; the
-        others are not read.
+        are re-scanned, and the changed ones diffed against their cached
+        keys in one sort (:func:`_deltas`).  A filter whose key multiset
+        only grew, within its Bloom geometry, gets the new keys OR-ed
+        in; one that lost a key or outgrew its geometry is rebuilt from
+        the cached arrays of its chunks — all of them in one hashing
+        pass (:func:`_or_into`); the others are not read.
 
         What is *charged* is the model's bill, computed from counts with
         no hashing: when an insert batch staged its keys
@@ -352,15 +434,15 @@ class RouteFilterSet:
         """
         delta = self._sync()
         self.rebuilds += 1
-        self.keys_indexed = int(sum(f.n_keys for f in self._filters.values())
-                                + self._global.n_keys)
+        filters = [self._global, *self._filters.values()]
+        n_keys = list(map(_N_KEYS, filters))
+        self.keys_indexed = sum(n_keys)
         if delta is not None:
             self.incremental += 1
             k_ops, bit_words, n_metas = delta
         else:
-            filters = [self._global, *self._filters.values()]
-            k_ops = sum(f.k * f.n_keys for f in filters)
-            bit_words = sum(len(f.words) for f in filters)
+            k_ops = sum(map(mul, map(_K, filters), n_keys))
+            bit_words = sum(map(len, map(_WORDS, filters)))
             n_metas = len(self._meta_info)
         # Charge the maintenance under its own phase (a pinned phase —
         # recovery — keeps its label).
@@ -385,7 +467,7 @@ class RouteFilterSet:
         chunk cannot hold a staged key.
         """
         tree = self.tree
-        chunks, info_of = self._chunks, self._meta_info
+        chunks, info_of, held = self._chunks, self._meta_info, self._held
         g = self._global
         staged, self._staged = self._staged, None
         reps = tree.replicas
@@ -411,14 +493,15 @@ class RouteFilterSet:
             gone = sorted(({m.root.nid for m in feed.retired if m not in live}
                            - kept) & chunks.keys())
 
-        # Old and new key arrays per filter (None: the global one).
-        old: dict[int | None, list[np.ndarray]] = {None: []}
-        new: dict[int | None, list[np.ndarray]] = {None: []}
-
-        def note(parts, keys, residency) -> None:
-            if len(keys):
-                for mid in (None, *residency):
-                    parts.setdefault(mid, []).append(keys)
+        # The key arrays each filter (None: the global one) gained and
+        # lost: a holder that joins or leaves a chunk gains or loses all
+        # its keys; the holders that keep a changed chunk take its diff,
+        # computed below for all such chunks in one pass — ``pairs``
+        # holds their (old, new) keys, ``feeds`` those holders.
+        gains: defaultdict[int | None, list[np.ndarray]] = defaultdict(list)
+        losses: defaultdict[int | None, list[np.ndarray]] = defaultdict(list)
+        pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        feeds: list[tuple[int | None, ...]] = []
 
         incremental = staged is not None and g is not None and not gone
         grown = 0                      # chunks that took a staged key
@@ -427,9 +510,18 @@ class RouteFilterSet:
 
         for nid in gone:
             keys, secs = chunks.pop(nid)
-            note(old, keys, (info_of.pop(nid)[0], *secs))
+            res = (info_of.pop(nid)[0], *secs)
+            for mid in res:
+                held[mid].discard(nid)
+            if len(keys):
+                for mid in (None, *res):
+                    losses[mid].append(keys)
             n_global -= len(keys)
-        for meta in sorted(touched, key=lambda m: m.root.nid):
+        # One row per touched chunk, in root-nid order; the rows' key
+        # arrays are read in array passes after the loop.
+        rows: list[tuple] = []
+        steady = True       # no chunk moved, re-replicated or opened
+        for meta in sorted(touched, key=_ROOT_NID):
             nid = meta.root.nid
             ent, info = chunks.get(nid), info_of.get(nid)
             res = (meta.module,
@@ -441,34 +533,94 @@ class RouteFilterSet:
                     ent[0], (info[0], *ent[1]), info[3])
             if ent is None or meta in marked:
                 keys, closed = _scan(meta.root, meta)
-                if np.array_equal(keys, keys_old):
-                    keys = keys_old
             else:
                 keys, closed = keys_old, was_closed
-            if incremental and res == res_old and closed == was_closed:
-                n_staged = int(np.isin(keys, staged).sum())
-                incremental = len(keys) == len(keys_old) + n_staged
-                if n_staged:
-                    grown += 1
-                    for mid in res:
-                        staged_on[mid] = staged_on.get(mid, 0) + n_staged
+            steady = steady and res == res_old and closed == was_closed
+            if res == res_old:
+                stay = (None, *res)
             else:
-                incremental = False
-            note(old, keys_old, res_old)
-            note(new, keys, res)
-            n_global += len(keys) - len(keys_old)
+                stay = (None, *(mid for mid in res if mid in res_old))
+                for mid in res_old:
+                    if mid not in res:
+                        held[mid].discard(nid)
+                        if len(keys_old):
+                            losses[mid].append(keys_old)
+                for mid in res:
+                    if mid not in res_old:
+                        held[mid].add(nid)
+                        if len(keys):
+                            gains[mid].append(keys)
+            if keys is not keys_old:
+                if len(keys_old):
+                    pairs.append((keys_old, keys))
+                    feeds.append(stay)
+                elif len(keys):
+                    for mid in stay:
+                        gains[mid].append(keys)
             chunks[nid] = (keys, res[1:])
-            info_of[nid] = (
-                (meta.module, int(keys.min()), int(keys.max()), closed)
-                if len(keys) else (meta.module, None, None, closed))
+            rows += ((meta, keys, keys_old, res, closed),)
+        if rows:
+            metas, new, old, holders, closeds = zip(*rows)
+            n = len(rows)
+            lens = np.fromiter(map(len, new), dtype=np.intp, count=n)
+            lens_old = np.fromiter(map(len, old), dtype=np.intp, count=n)
+            n_global += int(lens.sum()) - int(lens_old.sum())
+            flat = np.concatenate(new)
+            # The summaries: each chunk's key range (None when empty).
+            los, his = [None] * n, [None] * n
+            full = np.flatnonzero(lens)
+            if len(full):
+                starts = (np.cumsum(lens) - lens)[full]
+                for i, lo, hi in zip(
+                        full.tolist(),
+                        np.minimum.reduceat(flat, starts).tolist(),
+                        np.maximum.reduceat(flat, starts).tolist()):
+                    los[i], his[i] = lo, hi
+            info_of.update(zip(map(_ROOT_NID, metas),
+                               zip(map(_MODULE, metas), los, his, closeds)))
+            # The staged keys must be every change: per chunk, found in
+            # it exactly as often as it grew.
+            incremental = incremental and steady
+            if incremental:
+                hit = np.isin(flat, staged)
+                n_staged = np.bincount(np.repeat(np.arange(n), lens)[hit],
+                                       minlength=n)
+                incremental = bool((lens == lens_old + n_staged).all())
+                if incremental:
+                    took = np.flatnonzero(n_staged)
+                    grown = len(took)
+                    for i, c in zip(took.tolist(), n_staged[took].tolist()):
+                        for mid in holders[i]:
+                            staged_on[mid] = staged_on.get(mid, 0) + c
         if None in marked:
+            keys_old = self._l0_keys
             keys, _ = _scan(tree.root, None)
-            if np.array_equal(keys, self._l0_keys):
-                keys = self._l0_keys
-            note(old, self._l0_keys, ())
-            note(new, keys, ())
-            n_global += len(keys) - len(self._l0_keys)
+            if keys is not keys_old:
+                if len(keys_old):
+                    pairs.append((keys_old, keys))
+                    feeds.append((None,))
+                elif len(keys):
+                    gains[None].append(keys)
+            n_global += len(keys) - len(keys_old)
             self._l0_keys = keys
+        if pairs:
+            for (gained, shed), stay in zip(_deltas(pairs), feeds):
+                for mid in stay:
+                    if len(gained):
+                        gains[mid].append(gained)
+                    if len(shed):
+                        losses[mid].append(shed)
+        # A filter with a loss nets it against its gains (a key that left
+        # one of its chunks for another is no change), all such filters
+        # in one more pass; one that still lost a key is rebuilt.
+        lost: set[int | None] = set()
+        if losses:
+            netted = _deltas([(_concat(shed), _concat(gains[mid]))
+                              for mid, shed in losses.items()])
+            for mid, (gained, shed) in zip(losses, netted):
+                if len(shed):
+                    lost.add(mid)
+                gains[mid] = [gained] if len(gained) else []
 
         # The charge is settled on the filters as they were.
         delta = None
@@ -482,29 +634,34 @@ class RouteFilterSet:
                      sum(min(len(f.words), f.k * n) for f, n in hashed),
                      grown)
 
-        # Apply: OR the growth in, or rebuild the filter from the cache.
-        stale: dict[int | None, list[np.ndarray]] = {}
-        for mid in sorted(old.keys() | new.keys(),
-                          key=lambda m: -1 if m is None else m):
-            added, shrank = _multiset_delta(old.get(mid, []),
-                                            new.get(mid, []))
-            if self._filter(mid) is None:  # the module's first keys; attach
-                self._build_filter(mid, added)
-            elif shrank or not self._fits(mid, len(added)):
-                stale[mid] = []
-            elif len(added):
-                self._filter(mid).add(added, self._seed_of(mid))
-        if stale:
-            for nid, (keys, secs) in chunks.items():
-                if len(keys):
-                    for mid in (None, info_of[nid][0], *secs):
-                        if mid in stale:
-                            stale[mid].append(keys)
-            if None in stale and len(self._l0_keys):
-                stale[None].append(self._l0_keys)
-            for mid, parts in stale.items():
-                self._build_filter(mid, _concat(parts))
+        # Apply, in one hashing pass: a filter that only grew within its
+        # geometry takes its gains; one that lost a key or outgrew its
+        # geometry is rebuilt from the cache; one that does not exist
+        # yet (a module's first keys; the global one on an empty cache)
+        # is built from its gains.
+        mids = {mid for mid, parts in gains.items() if parts} | lost
+        if g is None:
+            mids.add(None)
+        jobs = []
+        for mid in ([None] if None in mids else []) + sorted(mids - {None}):
+            f, keys = self._filter(mid), _concat(gains[mid])
+            if f is None or mid in lost or not self._fits(mid, len(keys)):
+                if f is not None:
+                    keys = self._cached_keys(mid)
+                f = self._new_filter(mid, len(keys))
+            if f is not None:
+                jobs.append((f, keys, self._seed_of(mid)))
+        _or_into(jobs)
         return delta
+
+    def _cached_keys(self, mid: int | None) -> np.ndarray:
+        """Every cached key filter ``mid`` indexes: the global filter's
+        are every chunk's and the L0 pseudo-chunk's, a module's those of
+        the chunks it holds (``_held``)."""
+        chunks = self._chunks
+        if mid is None:
+            return _concat([*map(_FIRST, chunks.values()), self._l0_keys])
+        return _concat([chunks[nid][0] for nid in self._held[mid]])
 
     def check(self) -> None:
         """Assert that the maintained summaries and every filter equal a
@@ -542,20 +699,6 @@ class RouteFilterSet:
         self.tree.system.charge_cpu(_PROBE_BASE_OPS + f.k * _HASH_OPS)
         return f.probe(key, self._seed_of(mid))
 
-    def _probe_meta_range(self, nid: int, zlo: int, zhi: int) -> bool:
-        """May the chunk rooted at ``nid`` hold a key in ``[zlo, zhi]``?"""
-        self.probes += 1
-        self.tree.system.charge_cpu(_PROBE_BASE_OPS)
-        info = self._meta_info.get(nid)
-        if info is None:
-            return True  # unknown chunk (stale summary): never suppress
-        _, lo, hi, closed = info
-        if not closed:
-            return True  # traversal may continue into other chunks
-        if lo is None:
-            return False  # closed chunk with no resident keys
-        return not (zhi < lo or zlo > hi)
-
     # ------------------------------------------------------------------
     # pre-send pruning callbacks
     # ------------------------------------------------------------------
@@ -584,19 +727,21 @@ class RouteFilterSet:
         return live, probed
 
     def make_search_prune(self, results, pre_probed: set[int] | None = None):
-        """Frontier filter for point lookups and delete planning.
+        """Group hook for point lookups and delete planning.
 
         The first task of a query probes the global Bloom — absence
         suppresses the whole descent.  Later hops whose target chunk is
         closed probe the target module's filter as well.  ``pre_probed``
         marks queries already screened by :meth:`prune_l0_route`, whose
-        survivors must not be re-probed (or double-counted).
+        survivors must not be re-probed (or double-counted).  A verdict
+        feeds the query's later tasks, so the tasks are decided one at a
+        time, in round order.
         """
         decided: dict[int, bool] = (
             {} if pre_probed is None else dict.fromkeys(pre_probed, False))
         probed: set[int] = set() if pre_probed is None else set(pre_probed)
 
-        def prune(task) -> bool:
+        def drop(task) -> bool:
             res = results[task.qid]
             verdict = decided.get(task.qid)
             if verdict is None:
@@ -619,6 +764,10 @@ class RouteFilterSet:
                     return True
             return False
 
+        def prune(groups: list) -> list:
+            return [(meta, kept) for meta, ts in groups
+                    if (kept := [t for t in ts if not drop(t)])]
+
         prune.probed = probed
         return prune
 
@@ -638,7 +787,7 @@ class RouteFilterSet:
                 self.fp_probes += 1
 
     def make_knn_prune(self, states, bounds=None):
-        """Frontier filter for kNN candidate/fetch task emission.
+        """Group hook for kNN candidate/fetch rounds, one array pass each.
 
         A task probing a *closed* chunk whose resident z-range misses the
         query ball's covering z-range is provably empty: the chunk holds
@@ -648,28 +797,84 @@ class RouteFilterSet:
         monotone per coordinate).  ``bounds`` fixes per-query radii
         (fetch); without it the current coarse radius is used and the
         cached range is refreshed whenever the radius tightens.
+
+        Per round: one radius per distinct query; one ``encode_keys``
+        call over the corners of every query whose radius moved since its
+        cached cover (its charge is linear in the corners, so it equals a
+        call per query); every task's verdict from its group's chunk
+        summary in one compare; one probe charge and one update of each
+        counter.  A task whose radius is infinite is kept unprobed.
         """
         tree = self.tree
-        cache: dict[int, tuple[float, int, int]] = {}
+        n, k = len(states), states[0].k
+        centres = np.array([st.q for st in states])
+        fixed = None if bounds is None else np.asarray(bounds,
+                                                       dtype=np.float64)
+        # Per query: the radius its cached cover was encoded at, and the
+        # cover's [zlo, zhi].  NaN never equals a radius.
+        cover_r = np.full(n, np.nan)
+        cover = np.zeros((2, n), dtype=np.uint64)
 
-        def prune(task) -> bool:
-            qid = task.qid
-            r = bounds[qid] if bounds is not None else states[qid].radius()
-            if not math.isfinite(r):
-                return False
-            ent = cache.get(qid)
-            if ent is None or ent[0] != r:
-                q = states[qid].q
-                corners = np.vstack([q - r, q + r])
-                zlo, zhi = (int(x) for x in tree.encode_keys(corners))
-                cache[qid] = (r, zlo, zhi)
-            else:
-                _, zlo, zhi = ent
-            if self._probe_meta_range(task.meta.root.nid, zlo, zhi):
-                return False
-            self.queries_pruned += 1
-            self.words_saved += task.send_words
-            return True
+        def radii(qids: np.ndarray) -> np.ndarray:
+            if fixed is not None:
+                return fixed[qids]
+            cands = [states[q].cand_d for q in qids.tolist()]
+            return np.array([c[k - 1] if c.size >= k else math.inf
+                             for c in cands], dtype=np.float64)
+
+        def prune(groups: list) -> list:
+            lists = list(map(_SECOND, groups))
+            sizes = list(map(len, lists))
+            tasks = list(chain.from_iterable(lists))
+            qid = np.fromiter(map(_QID, tasks), dtype=np.intp,
+                              count=len(tasks))
+            present = np.zeros(n, dtype=bool)
+            present[qid] = True
+            uq = np.flatnonzero(present)
+            r = np.full(n, np.inf)
+            r[uq] = radii(uq)
+            probed = np.isfinite(r[qid])
+            n_probes = int(np.count_nonzero(probed))
+            if not n_probes:
+                return groups
+            enc = uq[np.isfinite(r[uq]) & (cover_r[uq] != r[uq])]
+            if len(enc):
+                q, rm = centres[enc], r[enc][:, None]
+                cover[:, enc] = tree.encode_keys(
+                    np.concatenate([q - rm, q + rm])).reshape(2, -1)
+                cover_r[enc] = r[enc]
+            self.probes += n_probes
+            tree.system.charge_cpu(n_probes * _PROBE_BASE_OPS)
+
+            # A group's chunk summary gates all its tasks: unknown (stale
+            # summary) or open chunks keep them, a closed chunk with no
+            # resident key drops them, the rest compare ranges.
+            infos = [i or _UNKNOWN_CHUNK for i in map(
+                self._meta_info.get, [meta.root.nid for meta, _ in groups])]
+            gate = np.array([i[3] for i in infos])
+            if not gate.any():
+                return groups
+            vacant = np.array([i[1] is None for i in infos])
+            lo = np.array([i[1] or 0 for i in infos], dtype=np.uint64)
+            hi = np.array([i[2] or 0 for i in infos], dtype=np.uint64)
+            grp = np.repeat(np.arange(len(groups)), sizes)
+            zlo, zhi = cover[0, qid], cover[1, qid]
+            cut = probed & gate[grp] & (vacant[grp] | (zhi < lo[grp])
+                                        | (zlo > hi[grp]))
+            n_cut = int(np.count_nonzero(cut))
+            if not n_cut:
+                return groups
+            self.queries_pruned += n_cut
+            self.words_saved += float(np.fromiter(
+                map(_SEND_WORDS, compress(tasks, cut.tolist())),
+                dtype=np.float64, count=n_cut).sum())
+            keep = (~cut).tolist()
+            left = np.add.reduceat(~cut, np.cumsum([0, *sizes[:-1]]),
+                                   dtype=np.intp).tolist()
+            ends = np.cumsum(sizes).tolist()
+            return [(meta, ts if c == m else list(compress(ts, keep[e - m:e])))
+                    for (meta, ts), c, m, e in zip(groups, left, sizes, ends)
+                    if c]
 
         return prune
 

@@ -17,6 +17,13 @@ rounds were booked with one ``charge_sequence`` call: the same kernels,
 each (meta, tasks) group charged by its own scalar calls.  It is the
 reference for that booking under faults, tracing and replica routing.
 
+:func:`make_knn_prune` is the route tier's kNN prune as it was before
+it decided a round in one array pass: each task reads its query's
+radius, re-encodes the ball's cover when the radius moved and probes its
+chunk's range summary, charging as it goes.  :func:`per_task` turns such
+a per-task verdict into the executor's group hook; both executors here
+take that hook, like production's.
+
 :func:`reference_exec` swaps this engine into the production modules
 for the duration of a ``with`` block.  It composes with the scalar
 simulator core of ``tests/sim_oracle.py``::
@@ -56,8 +63,11 @@ from repro.core.push_pull import (
     Task,
 )
 from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
+from repro.route import RouteFilterSet
+from repro.route.filters import _PROBE_BASE_OPS
 
-__all__ = ["ExecContext", "reference_exec", "exec_engine", "run_per_group"]
+__all__ = ["ExecContext", "reference_exec", "exec_engine", "run_per_group",
+           "make_knn_prune", "per_task"]
 
 
 def _one(sys, kind: int, mid: int, amount: float) -> None:
@@ -147,20 +157,17 @@ def _run(self, tasks, handler, *, round_hook=None, prune=None):
         for t in frontier:
             by_meta[t.meta].append(t)
         pulled = self._decide_pulls(by_meta)
+        groups = list(by_meta.items())
         if prune is not None:
-            by_meta = {
-                m: kept
-                for m, ts in by_meta.items()
-                if (kept := [t for t in ts if not prune(t)])
-            }
-            if not by_meta:
+            groups = prune(groups)
+            if not groups:
                 break
         next_frontier: list[Task] = []
         pulled_items = []
 
         reps = self.tree.replicas
         with self.sys.round():
-            for meta, ts in by_meta.items():
+            for meta, ts in groups:
                 mod = (meta.module if reps is None
                        else reps.read_module(meta, len(ts)))
                 if meta in pulled:
@@ -217,16 +224,13 @@ def run_per_group(self, tasks, kernel, *, round_hook=None, prune=None):
         for t in frontier:
             by_meta[t.meta].append(t)
         pulled = self._decide_pulls(by_meta)
+        groups = list(by_meta.items())
         if prune is not None:
-            by_meta = {
-                m: kept
-                for m, ts in by_meta.items()
-                if (kept := [t for t in ts if not prune(t)])
-            }
-            if not by_meta:
+            groups = prune(groups)
+            if not groups:
                 break
         pulled_items = []
-        pushed = [(m, ts) for m, ts in by_meta.items() if m not in pulled]
+        pushed = [(m, ts) for m, ts in groups if m not in pulled]
         outs = []
         if pushed:
             out = kernel(pushed, False)
@@ -234,7 +238,7 @@ def run_per_group(self, tasks, kernel, *, round_hook=None, prune=None):
         gi = 0
         reps = self.tree.replicas
         with sys.round():
-            for meta, ts in by_meta.items():
+            for meta, ts in groups:
                 mod = (meta.module if reps is None
                        else reps.read_module(meta, len(ts)))
                 if meta in pulled:
@@ -795,6 +799,59 @@ def _plan_leaf_deletions(leaf, qids, results, points, removal_count):
 
 
 # ======================================================================
+# kNN route pruning
+# ======================================================================
+def per_task(drop):
+    """The executor's group hook over a per-task verdict: each group keeps
+    its tasks ``drop`` refuses, asked in round order; emptied groups go."""
+
+    def prune(groups):
+        return [(meta, kept) for meta, ts in groups
+                if (kept := [t for t in ts if not drop(t)])]
+
+    return prune
+
+
+def make_knn_prune(self, states, bounds=None):
+    """``RouteFilterSet.make_knn_prune`` one task at a time: each task
+    reads its query's radius, re-encodes the ball's cover when the
+    radius moved, and probes its chunk's range summary, charging as it
+    goes."""
+    tree = self.tree
+    cache: dict[int, tuple[float, int, int]] = {}
+
+    def drop(task) -> bool:
+        qid = task.qid
+        r = bounds[qid] if bounds is not None else states[qid].radius()
+        if not math.isfinite(r):
+            return False
+        ent = cache.get(qid)
+        if ent is None or ent[0] != r:
+            q = states[qid].q
+            corners = np.vstack([q - r, q + r])
+            zlo, zhi = (int(x) for x in tree.encode_keys(corners))
+            cache[qid] = (r, zlo, zhi)
+        else:
+            _, zlo, zhi = ent
+        # May the chunk hold a key in [zlo, zhi]?
+        self.probes += 1
+        tree.system.charge_cpu(_PROBE_BASE_OPS)
+        info = self._meta_info.get(task.meta.root.nid)
+        if info is None:
+            return False  # unknown chunk (stale summary): never suppress
+        _, lo, hi, closed = info
+        if not closed:
+            return False  # traversal may continue into other chunks
+        if lo is not None and not (zhi < lo or zlo > hi):
+            return False  # the ranges meet; an empty closed chunk never
+        self.queries_pruned += 1
+        self.words_saved += task.send_words
+        return True
+
+    return per_task(drop)
+
+
+# ======================================================================
 # the swap
 # ======================================================================
 _SWAPS = (
@@ -807,6 +864,7 @@ _SWAPS = (
     (repro.core.range_query, "seed_l0_boxes", _seed_l0_boxes),
     (repro.core.range_query, "make_range_kernel", _make_handler),
     (repro.core.update, "plan_leaf_deletions", _plan_leaf_deletions),
+    (RouteFilterSet, "make_knn_prune", make_knn_prune),
 )
 
 
@@ -815,8 +873,9 @@ def reference_exec():
     """Run every operation through the scalar engine inside the block.
 
     Each production kernel factory is replaced by the handler factory of
-    the same signature, the executor by :func:`_run`, and the batch-wide
-    host passes by their per-query forms.  Yields the
+    the same signature, the executor by :func:`_run`, the batch-wide
+    host passes by their per-query forms, and the kNN route prune by
+    :func:`make_knn_prune`.  Yields the
     :class:`pytest.MonkeyPatch` holding the swap, so callers can add
     their own patches (e.g. the scalar simulator core) to the same undo.
     """

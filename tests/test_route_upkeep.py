@@ -779,28 +779,29 @@ class _Probe:
         self.rf = rf
         self.scanned, self.built, self.added, self.isin = [], [], {}, 0
         scan, isin = route_filters._scan, np.isin
-        build = RouteFilterSet._build_filter
-        add = route_filters._ModuleFilter.add
+        build = RouteFilterSet._new_filter
+        or_into = route_filters._or_into
 
         def counted_scan(root, meta):
             self.scanned.append(meta)
             return scan(root, meta)
 
-        def counted_build(rf_self, mid, keys):
+        def counted_build(rf_self, mid, n_keys):
             self.built.append(mid)
-            build(rf_self, mid, keys)
+            return build(rf_self, mid, n_keys)
 
-        def counted_add(f, keys, seed):
-            self.added[id(f)] = self.added.get(id(f), 0) + len(keys)
-            add(f, keys, seed)
+        def counted_or_into(jobs):
+            for f, keys, _ in jobs:
+                self.added[id(f)] = self.added.get(id(f), 0) + len(keys)
+            or_into(jobs)
 
         def counted_isin(*a, **kw):
             self.isin += 1
             return isin(*a, **kw)
 
         mp.setattr(route_filters, "_scan", counted_scan)
-        mp.setattr(RouteFilterSet, "_build_filter", counted_build)
-        mp.setattr(route_filters._ModuleFilter, "add", counted_add)
+        mp.setattr(RouteFilterSet, "_new_filter", counted_build)
+        mp.setattr(route_filters, "_or_into", counted_or_into)
         mp.setattr(np, "isin", counted_isin)
 
     def reset(self) -> None:
@@ -853,7 +854,7 @@ def test_upkeep_follows_the_touched_chunks(monkeypatch):
     assert len(tree.metas) == n_metas and rf.incremental == 1
     scanned = [m for m in probe.scanned if m is not None]
     assert set(scanned) <= set(path) and len(scanned) == len(set(scanned))
-    assert probe.isin == len(scanned)  # once per touched chunk
+    assert probe.isin == 1  # one pass over the touched chunks
     assert probe.built == []
     assert probe.ored_into() == {mid: 1 for mid in (None, *holders(leaf.meta))}
 
