@@ -55,6 +55,7 @@ flags; contradicting sources, or ``--rebalance-ratio`` without its
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import tempfile
@@ -81,9 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    for name in ALL_EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p, dataset={"fig5": "uniform", "latency": "osm"}.get(name))
+    for name, fn in ALL_EXPERIMENTS.items():
+        # Only the scale flags the runner takes; no abbreviations, or
+        # fig8's ``--n`` would parse as ``--n-modules``.
+        p = sub.add_parser(name, help=f"run the {name} experiment",
+                           allow_abbrev=False)
+        _add_common(p, dataset={"fig5": "uniform", "latency": "osm"}.get(name),
+                    params=inspect.signature(fn).parameters)
 
     p_all = sub.add_parser("all", help="run every experiment")
     _add_common(p_all)
@@ -246,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_traffic_args(p: argparse.ArgumentParser, *, requests: int = 2000,
                       mix: str = "knn=0.7,bc=0.15,bf=0.1,insert=0.05") -> None:
     """The world + offered-traffic flags every serving subcommand takes."""
-    _add_common(p, dataset="uniform")
+    _add_common(p, dataset="uniform", params=("n", "n_modules", "seed"))
     p.add_argument("--requests", type=int, default=requests,
                    help="number of offered requests")
     p.add_argument("--load", type=float, default=0.8,
@@ -327,13 +332,14 @@ def _add_serve_args(p: argparse.ArgumentParser,
                        help="batches per controller phase")
 
 
-def _add_common(p: argparse.ArgumentParser,
-                dataset: str | None = None) -> None:
-    """The scale flags, plus ``--dataset`` (defaulting to ``dataset``) for
-    the subcommands that take one."""
+def _add_common(p: argparse.ArgumentParser, dataset: str | None = None,
+                params=_COMMON_PARAMS) -> None:
+    """The scale flags in ``params``, plus ``--dataset`` (defaulting to
+    ``dataset``) for the subcommands that take one."""
     for name, (typ, help_text) in _COMMON_PARAMS.items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None,
-                       help=help_text)
+        if name in params:
+            p.add_argument(f"--{name.replace('_', '-')}", type=typ,
+                           default=None, help=help_text)
     if dataset is not None:
         p.add_argument("--dataset", default=dataset, choices=sorted(DATASETS),
                        help="workload distribution")
@@ -345,8 +351,6 @@ def _kwargs_from(args: argparse.Namespace) -> dict:
 
 
 def _run_one(name: str, kwargs: dict) -> ExperimentResult:
-    import inspect
-
     fn = ALL_EXPERIMENTS[name]
     accepted = set(inspect.signature(fn).parameters)
     kwargs = {k: v for k, v in kwargs.items() if k in accepted}

@@ -121,11 +121,10 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
         # the tasks into closed chunks whose resident z-range the current
         # coarse ball provably misses.
         rf = tree.route_filters
-        use_rf = rf is not None and rf.enabled
         # The round hook merges each round's candidates as it closes.
         executor.run(tasks, make_candidate_kernel(tree, states, coarse, k),
                      round_hook=host.merge,
-                     prune=rf.make_knn_prune(states) if use_rf else None)
+                     prune=None if rf is None else rf.make_knn_prune(states))
 
         # ---- Step 3: exact radius + sphere-covering trace node ----------
         fetch_tasks, bounds, exact_radii = host.fetch_seeds()
@@ -135,7 +134,7 @@ def knn_batch(tree, queries: np.ndarray, k: int, metric: Metric = L2):
         fetched = executor2.run(
             fetch_tasks,
             make_fetch_kernel(tree, states, coarse, bounds, exact_radii),
-            prune=rf.make_knn_prune(states, bounds) if use_rf else None,
+            prune=None if rf is None else rf.make_knn_prune(states, bounds),
         )
         tree.last_executor = executor2
 

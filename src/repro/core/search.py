@@ -68,24 +68,20 @@ def search_batch(tree, points: np.ndarray, *, phase: str = "search"
         # delete planning may suppress descents for provably-absent keys.
         # Phases whose answers depend on the full descent (insert needs
         # the target leaf/edge; kNN needs the byte-identical trace) are
-        # never pruned.  With a replicated L0 even the routing round is a
-        # send, so the global filter gates it; a host-resident L0 walks
-        # for free and queries are screened at their first L1/L2 task,
-        # by the executor's once-per-round group hook.
+        # never pruned.  With a replicated L0 the hook's factory screens
+        # the batch before routing; the executor calls it once per round.
         rf = tree.route_filters
-        use_rf = (rf is not None and rf.enabled
-                  and phase in ("search", "delete"))
-        live, pre_probed = results, None
-        if use_rf and not tree.l0_on_cpu:
-            live, pre_probed = rf.prune_l0_route(results)
+        prune, live = None, results
+        if rf is not None and phase in ("search", "delete"):
+            prune, probed = rf.make_search_prune(results)
+            live = [res for res in results if not res.pruned]
         tasks = route_through_l0(tree, live) if live else []
-        prune = rf.make_search_prune(results, pre_probed) if use_rf else None
         if tasks:
             executor = PushPullExecutor(tree)
             executor.run(tasks, make_search_kernel(tree, results), prune=prune)
             tree.last_executor = executor
         if prune is not None:
-            rf.account_search(results, prune.probed)
+            rf.account_search(results, probed)
         # The trace records land in host memory.
         sys.charge_cpu(len(results) * 2, span=np.log2(len(results) + 2))
     return results

@@ -59,16 +59,16 @@ charges per *new* key only.  Which of the two applies is decided by the
 arithmetic a full residency walk would do, evaluated on the touched chunks
 and cached counts — so the charge is to the integer what walking every
 meta charged, while the bits are always derived from the cache diff and
-never depend on the staging.  Crash-restart persists only ``(fpr, seed,
-enabled)`` in the snapshot manifest — the bit arrays are a pure function
+never depend on the staging.  Crash-restart persists only ``(fpr, seed)``
+in the snapshot manifest — the bit arrays are a pure function
 of residency and seed, so :func:`repro.store.recovery.recover` rebuilds
 them bit-identically.
 
 *Probes.*  Each probe charges a few host ops.  The executor hands a
 round's ``(meta, tasks)`` groups to a group hook once, after its pull
-decision: the kNN hook decides the whole round in one array pass and
-books its probes with one charge; the point-lookup hook decides task by
-task, since a query's verdict feeds its later tasks.
+decision; the kNN and the point-lookup hook each decide the round in one
+array pass with one probe charge.  Setting and probing bits share one
+bit-position function (:func:`_bit_index`).
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ _SECOND = itemgetter(1)
 _ROOT_NID = attrgetter("root.nid")
 _MODULE = attrgetter("module")
 _QID = attrgetter("qid")
+_KEY = attrgetter("key")
 _SEND_WORDS = attrgetter("send_words")
 _N_KEYS = attrgetter("n_keys")
 _K = attrgetter("k")
@@ -126,14 +127,6 @@ def _splitmix_array(x: np.ndarray, salt) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_C2)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_C3)
         return z ^ (z >> np.uint64(31))
-
-
-def _splitmix_int(x: int, salt: int) -> int:
-    """Scalar splitmix64, bit-identical to :func:`_splitmix_array`."""
-    z = ((x ^ (salt & _MASK64)) + _C1) & _MASK64
-    z = ((z ^ (z >> 30)) * _C2) & _MASK64
-    z = ((z ^ (z >> 27)) * _C3) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _bloom_params(n_keys: int, fpr: float) -> tuple[int, int]:
@@ -166,18 +159,32 @@ class _ModuleFilter:
         self.lo = self.hi = None
         self.n_keys = 0
 
-    def probe(self, key: int, seed: int) -> bool:
-        """May ``key`` be present?  No false negatives by construction."""
-        if self.lo is None or not self.lo <= key <= self.hi:
-            return False
-        h1 = _splitmix_int(key, seed)
-        h2 = _splitmix_int(key, seed + 1) | 1
-        mask = self.m_bits - 1
-        for i in range(self.k):
-            idx = (h1 + i * h2) & mask
-            if not (int(self.words[idx >> 6]) >> (idx & 63)) & 1:
-                return False
-        return True
+
+def _layout(filters: list, seeds) -> tuple:
+    """The filters' words end to end in one buffer; per filter its word
+    count and first word, and its keys' salt, bit mask and word offset."""
+    sizes = np.fromiter(map(len, map(_WORDS, filters)), dtype=np.intp,
+                        count=len(filters))
+    starts = np.cumsum(sizes) - sizes
+    salts = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+    masks = np.array([f.m_bits - 1 for f in filters], dtype=np.uint64)
+    words = _concat(list(map(_WORDS, filters)))
+    return words, sizes, starts, salts, masks, starts.astype(np.uint64)
+
+
+def _bit_index(keys: np.ndarray, salt: np.ndarray, mask: np.ndarray,
+               base: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's ``k`` Bloom bits: buffer words and bit masks, two
+    ``(k, n)`` arrays.  A key carries its filter's salt, bit mask and word
+    offset (:func:`_layout`), so keys of many filters hash in one pass.
+    Bit ``i`` is ``h1 + i·h2``: splitmix64 under the salt, and (odd) under
+    the salt plus one modulo 2^64.  :func:`_or_into` sets these bits and
+    :meth:`RouteFilterSet._absent` reads them."""
+    h1 = _splitmix_array(keys, salt)
+    h2 = _splitmix_array(keys, salt + _ONE) | _ONE
+    idx = (h1 + _HASH_STEPS[:k] * h2) & mask
+    return (((idx >> np.uint64(6)) + base).astype(np.intp),
+            _ONE << (idx & np.uint64(63)))
 
 
 def _or_into(jobs: list) -> None:
@@ -187,15 +194,11 @@ def _or_into(jobs: list) -> None:
     Bloom bits are an OR over per-key hashes, so OR-ing new keys into a
     filter is *bit-identical* to a full rebuild over old ∪ new, provided
     its geometry holds them (the caller checks ``cap``) and the seed is
-    the same.  The filters' words are laid end to end in one buffer, and
-    each key carries its filter's salt, bit mask and buffer offset, so
-    the ``k × n`` bit positions of all jobs are one matrix per block of
-    ``_SCATTER_BLOCK`` keys (a big filter's index matrix stays a few
-    hundred KiB) and one ``np.bitwise_or.at`` scatters them.  A key's
-    bits are those of a one-filter pass under its filter's seed: the
-    second salt is ``seed + 1`` taken modulo 2^64, as
-    :func:`_splitmix_array` takes it.  Every filter of a set hashes ``k``
-    times (``k`` follows the FPR alone).
+    the same.  The ``k × n`` bit positions of all jobs
+    (:func:`_bit_index`) are one matrix per block of ``_SCATTER_BLOCK``
+    keys (a big filter's index matrix stays a few hundred KiB) and one
+    ``np.bitwise_or.at`` scatters them.  Every filter of a set hashes
+    ``k`` times (``k`` follows the FPR alone).
     """
     jobs = [job for job in jobs if len(job[1])]
     if not jobs:
@@ -205,25 +208,14 @@ def _or_into(jobs: list) -> None:
     counts = np.fromiter(map(len, parts), dtype=np.intp, count=len(jobs))
     keys = np.concatenate(parts)
     per = np.repeat(np.arange(len(jobs)), counts)
-    salts = np.array([seed & _MASK64 for _, _, seed in jobs], dtype=np.uint64)
-    masks = np.array([f.m_bits - 1 for f in filters], dtype=np.uint64)
-    sizes = np.fromiter(map(len, map(_WORDS, filters)), dtype=np.intp,
-                        count=len(jobs))
-    starts = np.cumsum(sizes) - sizes
-    bases = starts.astype(np.uint64)
-    words = np.concatenate(list(map(_WORDS, filters)))
-    steps = _HASH_STEPS[:filters[0].k]
+    words, sizes, starts, salts, masks, bases = _layout(
+        filters, [seed for _, _, seed in jobs])
+    k = filters[0].k
     for at in range(0, len(keys), _SCATTER_BLOCK):
         block = slice(at, at + _SCATTER_BLOCK)
-        x, f = keys[block], per[block]
-        salt = salts[f]
-        h1 = _splitmix_array(x, salt)
-        h2 = _splitmix_array(x, salt + _ONE) | _ONE
-        idx = (h1 + steps * h2) & masks[f]
-        np.bitwise_or.at(
-            words, ((idx >> np.uint64(6)) + bases[f]).astype(np.intp).ravel(),
-            (_ONE << (idx & np.uint64(63))).ravel(),
-        )
+        f = per[block]
+        w, b = _bit_index(keys[block], salts[f], masks[f], bases[f], k)
+        np.bitwise_or.at(words, w.ravel(), b.ravel())
     firsts = np.cumsum(counts) - counts
     for f, s, n, m, klo, khi in zip(
             filters, starts.tolist(), sizes.tolist(), counts.tolist(),
@@ -235,6 +227,15 @@ def _or_into(jobs: list) -> None:
         if f.hi is None or khi > f.hi:
             f.hi = khi
         f.n_keys += m
+
+
+def _round_tasks(groups: list) -> tuple[list, list[int], np.ndarray]:
+    """A round's ``(meta, tasks)`` groups as one task list in group order,
+    the group sizes, and each task's query id."""
+    lists = list(map(_SECOND, groups))
+    tasks = list(chain.from_iterable(lists))
+    qid = np.fromiter(map(_QID, tasks), dtype=np.intp, count=len(tasks))
+    return tasks, list(map(len, lists)), qid
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
@@ -307,19 +308,18 @@ class RouteFilterSet:
 
     MANIFEST_KEY = "route_filters"
 
-    def __init__(self, tree, *, fpr: float = DEFAULT_FPR, seed: int = 0,
-                 enabled: bool = True) -> None:
-        self._attach(tree, fpr, seed, enabled)
+    def __init__(self, tree, *, fpr: float = DEFAULT_FPR,
+                 seed: int = 0) -> None:
+        self._attach(tree, fpr, seed)
         self.refresh()
 
-    def _attach(self, tree, fpr: float, seed: int, enabled: bool) -> None:
+    def _attach(self, tree, fpr: float, seed: int) -> None:
         """Attach to ``tree`` with an empty cache (nothing built)."""
         if not 0.0 < fpr < 0.5:
             raise ValueError("route-filter FPR must be in (0, 0.5)")
         self.tree = tree
         self._fpr = float(fpr)
         self.seed = int(seed)
-        self.enabled = bool(enabled)
         # Observability counters (host-side, never charged).
         self.queries_pruned = 0
         self.words_saved = 0.0
@@ -389,7 +389,7 @@ class RouteFilterSet:
 
     def _fits(self, mid: int | None, n_more: int) -> bool:
         """Can filter ``mid`` take ``n_more`` keys within its geometry?"""
-        f = self._global if mid is None else self._filters.get(mid)
+        f = self._filter(mid)
         return f is not None and f.n_keys + n_more <= f.cap
 
     def _new_filter(self, mid: int | None, n_keys: int
@@ -682,109 +682,124 @@ class RouteFilterSet:
             ), f"route filter {mid} differs from a fresh build"
 
     # ------------------------------------------------------------------
-    # probes (charged per call)
+    # pre-send pruning: the executor's group hooks, one array pass a round
     # ------------------------------------------------------------------
-    def _probe_global(self, key: int) -> bool:
-        g = self._global
-        self.probes += 1
-        self.tree.system.charge_cpu(_PROBE_BASE_OPS + g.k * _HASH_OPS)
-        return g.probe(key, self.seed)
+    def _chunk_summaries(self, groups: list) -> list[tuple]:
+        """Each group's chunk summary, ``(module, lo, hi, closed)``; a
+        stale one reads as open, so its tasks are kept."""
+        return [i or _UNKNOWN_CHUNK for i in map(
+            self._meta_info.get, [meta.root.nid for meta, _ in groups])]
 
-    def _probe_module(self, mid: int, key: int) -> bool:
-        f = self._filters.get(mid)
-        self.probes += 1
-        if f is None:
-            self.tree.system.charge_cpu(_PROBE_BASE_OPS)
-            return False
-        self.tree.system.charge_cpu(_PROBE_BASE_OPS + f.k * _HASH_OPS)
-        return f.probe(key, self._seed_of(mid))
+    def _cut(self, groups: list, tasks: list, sizes: list,
+             cut: np.ndarray) -> list:
+        """Drop the round's ``cut`` tasks (in group order, ``sizes`` per
+        group), each a pruned query; the kept groups, emptied ones gone."""
+        n_cut = int(np.count_nonzero(cut))
+        if not n_cut:
+            return groups
+        self.queries_pruned += n_cut
+        self.words_saved += float(np.fromiter(
+            map(_SEND_WORDS, compress(tasks, cut.tolist())),
+            dtype=np.float64, count=n_cut).sum())
+        keep = (~cut).tolist()
+        left = np.add.reduceat(~cut, np.cumsum([0, *sizes[:-1]]),
+                               dtype=np.intp).tolist()
+        ends = np.cumsum(sizes).tolist()
+        return [(meta, ts if c == m else list(compress(ts, keep[e - m:e])))
+                for (meta, ts), c, m, e in zip(groups, left, sizes, ends)
+                if c]
 
-    # ------------------------------------------------------------------
-    # pre-send pruning callbacks
-    # ------------------------------------------------------------------
-    def prune_l0_route(self, results):
-        """Global-filter gate ahead of the *replicated-L0* routing round.
+    def _absent(self, mids: list, of: np.ndarray, keys: np.ndarray
+                ) -> tuple[np.ndarray, int]:
+        """Probe: is key ``i`` provably absent from filter ``mids[of[i]]``
+        (``None``: the global one)?  Present keys never are: a key may be
+        present when inside the filter's key range with all ``k`` bits
+        set.  A module with no filter holds no key and costs no hash.
+        Counts the probes; returns the verdicts and their host ops."""
+        filters = list(map(self._filter, mids))
+        hashed = np.array([f is not None for f in filters])[of]
+        filters = [f or _ModuleFilter(0, self.fpr) for f in filters]
+        words, _, _, salts, masks, bases = _layout(
+            filters, map(self._seed_of, mids))
+        k = self._global.k
+        w, b = _bit_index(keys, salts[of], masks[of], bases[of], k)
+        # An empty filter's range is [1, 0]: no key falls in it.
+        lo = np.array([1 if f.lo is None else f.lo for f in filters],
+                      dtype=np.uint64)
+        hi = np.array([f.hi or 0 for f in filters], dtype=np.uint64)
+        self.probes += len(keys)
+        return ((keys < lo[of]) | (keys > hi[of])
+                | np.logical_or.reduce((words[w] & b) == 0, axis=0),
+                len(keys) * _PROBE_BASE_OPS
+                + int(np.count_nonzero(hashed)) * k * _HASH_OPS)
 
-        When L0 outgrew the LLC, every query pays a send + trace return
-        just to walk L0 on a module — the earliest send there is, and at
-        paper-scale P most point lookups never get past it.  Probing the
-        global Bloom first suppresses that round participation for
-        provably-absent keys.  Returns ``(surviving results, probed
-        qids)``; the executor-level filter skips re-probing survivors.
+    def make_search_prune(self, results):
+        """Group hook for point lookups and delete planning, one array
+        pass per round.  Returns ``(prune, probed)``: the hook, and per
+        query whether the global filter screened it (:meth:`account_search`).
+
+        A query's first task probes the global Bloom, a surviving task in
+        a closed chunk its module's filter too.  A query holds at most one
+        task per round (L0 routing emits one per key, the search kernel at
+        most one per task), so a verdict only feeds later rounds.  With a
+        replicated L0, whose routing round is a send, the global probe
+        screens the batch here, before routing.
         """
         from ..core.push_pull import QUERY_WORDS, TRACE_WORDS
 
-        live = []
-        probed: set[int] = set()
-        for res in results:
-            probed.add(res.qid)
-            if self._probe_global(res.key):
-                live.append(res)
-            else:
+        sys = self.tree.system
+        n = len(results)
+        keys = np.fromiter(map(_KEY, results), dtype=np.uint64, count=n)
+        probed = np.zeros(n, dtype=bool)
+
+        def screen(qids: np.ndarray) -> tuple[np.ndarray, int]:
+            probed[qids] = True
+            return self._absent([None], np.zeros(len(qids), dtype=np.intp),
+                                keys[qids])
+
+        if n and not self.tree.l0_on_cpu:
+            absent, ops = screen(np.arange(n))
+            sys.charge_cpu(ops)
+            for res in compress(results, absent.tolist()):
                 res.pruned = True
-                self.queries_pruned += 1
-                self.words_saved += QUERY_WORDS + TRACE_WORDS
-        return live, probed
-
-    def make_search_prune(self, results, pre_probed: set[int] | None = None):
-        """Group hook for point lookups and delete planning.
-
-        The first task of a query probes the global Bloom — absence
-        suppresses the whole descent.  Later hops whose target chunk is
-        closed probe the target module's filter as well.  ``pre_probed``
-        marks queries already screened by :meth:`prune_l0_route`, whose
-        survivors must not be re-probed (or double-counted).  A verdict
-        feeds the query's later tasks, so the tasks are decided one at a
-        time, in round order.
-        """
-        decided: dict[int, bool] = (
-            {} if pre_probed is None else dict.fromkeys(pre_probed, False))
-        probed: set[int] = set() if pre_probed is None else set(pre_probed)
-
-        def drop(task) -> bool:
-            res = results[task.qid]
-            verdict = decided.get(task.qid)
-            if verdict is None:
-                probed.add(task.qid)
-                verdict = not self._probe_global(res.key)
-                decided[task.qid] = verdict
-                if verdict:
-                    res.pruned = True
-                    self.queries_pruned += 1
-            if verdict:
-                self.words_saved += task.send_words
-                return True
-            info = self._meta_info.get(task.meta.root.nid)
-            if info is not None and info[3]:
-                if not self._probe_module(info[0], res.key):
-                    decided[task.qid] = True
-                    res.pruned = True
-                    self.queries_pruned += 1
-                    self.words_saved += task.send_words
-                    return True
-            return False
+            n_cut = int(np.count_nonzero(absent))
+            self.queries_pruned += n_cut
+            self.words_saved += n_cut * (QUERY_WORDS + TRACE_WORDS)
 
         def prune(groups: list) -> list:
-            return [(meta, kept) for meta, ts in groups
-                    if (kept := [t for t in ts if not drop(t)])]
+            tasks, sizes, qid = _round_tasks(groups)
+            cut = np.zeros(len(tasks), dtype=bool)
+            ops = 0
+            first = ~probed[qid]
+            if first.any():
+                cut[first], ops = screen(qid[first])
+            infos = self._chunk_summaries(groups)
+            ask = ~cut & np.repeat(np.array([i[3] for i in infos]), sizes)
+            if ask.any():
+                mids = list(dict.fromkeys(i[0] for i in infos if i[3]))
+                slot = dict(zip(mids, range(len(mids))))
+                of = np.repeat(np.array([slot.get(i[0], 0) for i in infos]),
+                               sizes)[ask]
+                cut[ask], more = self._absent(mids, of, keys[qid[ask]])
+                ops += more
+            if ops:
+                sys.charge_cpu(ops)
+            for q in qid[cut].tolist():
+                results[q].pruned = True
+            return self._cut(groups, tasks, sizes, cut)
 
-        prune.probed = probed
-        return prune
+        return prune, probed
 
-    def account_search(self, results, probed: set[int]) -> None:
-        """Tally false positives once ground truth is known (stats only)."""
-        for qid in probed:
-            res = results[qid]
+    def account_search(self, results, probed: np.ndarray) -> None:
+        """Tally false positives once ground truth is known (stats only):
+        screened (``probed``), unpruned queries whose leaf lacks the key."""
+        for res in compress(results, probed.tolist()):
             if res.pruned:
                 continue
-            leaf = res.leaf
-            present = False
-            if leaf is not None and leaf.keys is not None and len(leaf.keys):
-                key = np.uint64(res.key)
-                j = int(np.searchsorted(leaf.keys, key))
-                present = j < len(leaf.keys) and leaf.keys[j] == key
-            if not present:
-                self.fp_probes += 1
+            leaf, key = res.leaf, np.uint64(res.key)
+            keys = _NO_KEYS if leaf is None or leaf.keys is None else leaf.keys
+            j = int(np.searchsorted(keys, key))
+            self.fp_probes += not (j < len(keys) and keys[j] == key)
 
     def make_knn_prune(self, states, bounds=None):
         """Group hook for kNN candidate/fetch rounds, one array pass each.
@@ -823,11 +838,7 @@ class RouteFilterSet:
                              for c in cands], dtype=np.float64)
 
         def prune(groups: list) -> list:
-            lists = list(map(_SECOND, groups))
-            sizes = list(map(len, lists))
-            tasks = list(chain.from_iterable(lists))
-            qid = np.fromiter(map(_QID, tasks), dtype=np.intp,
-                              count=len(tasks))
+            tasks, sizes, qid = _round_tasks(groups)
             present = np.zeros(n, dtype=bool)
             present[qid] = True
             uq = np.flatnonzero(present)
@@ -846,11 +857,10 @@ class RouteFilterSet:
             self.probes += n_probes
             tree.system.charge_cpu(n_probes * _PROBE_BASE_OPS)
 
-            # A group's chunk summary gates all its tasks: unknown (stale
-            # summary) or open chunks keep them, a closed chunk with no
-            # resident key drops them, the rest compare ranges.
-            infos = [i or _UNKNOWN_CHUNK for i in map(
-                self._meta_info.get, [meta.root.nid for meta, _ in groups])]
+            # A group's chunk summary gates all its tasks: open chunks
+            # keep them, a closed chunk with no resident key drops them,
+            # the rest compare ranges.
+            infos = self._chunk_summaries(groups)
             gate = np.array([i[3] for i in infos])
             if not gate.any():
                 return groups
@@ -861,20 +871,7 @@ class RouteFilterSet:
             zlo, zhi = cover[0, qid], cover[1, qid]
             cut = probed & gate[grp] & (vacant[grp] | (zhi < lo[grp])
                                         | (zlo > hi[grp]))
-            n_cut = int(np.count_nonzero(cut))
-            if not n_cut:
-                return groups
-            self.queries_pruned += n_cut
-            self.words_saved += float(np.fromiter(
-                map(_SEND_WORDS, compress(tasks, cut.tolist())),
-                dtype=np.float64, count=n_cut).sum())
-            keep = (~cut).tolist()
-            left = np.add.reduceat(~cut, np.cumsum([0, *sizes[:-1]]),
-                                   dtype=np.intp).tolist()
-            ends = np.cumsum(sizes).tolist()
-            return [(meta, ts if c == m else list(compress(ts, keep[e - m:e])))
-                    for (meta, ts), c, m, e in zip(groups, left, sizes, ends)
-                    if c]
+            return self._cut(groups, tasks, sizes, cut)
 
         return prune
 
@@ -883,7 +880,7 @@ class RouteFilterSet:
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         return {
-            "enabled": self.enabled,
+            "enabled": True,  # a fixed value the serve output prints
             "fpr": self.fpr,
             "queries_pruned": self.queries_pruned,
             "words_saved": self.words_saved,
@@ -900,8 +897,9 @@ class RouteFilterSet:
         }
 
     def to_manifest(self) -> dict:
-        """Snapshot payload: config only — bits rebuild from residency."""
-        return {"fpr": self.fpr, "seed": self.seed, "enabled": self.enabled}
+        """Snapshot payload: config only — bits rebuild from residency.
+        ``"enabled"`` is fixed (a checkpoint charges the manifest bytes)."""
+        return {"fpr": self.fpr, "seed": self.seed, "enabled": True}
 
     @classmethod
     def restore(cls, tree, doc: dict) -> "RouteFilterSet":
@@ -909,6 +907,5 @@ class RouteFilterSet:
         cache and nothing built: the next ``tree.refresh_residency()``
         builds them, charged like the constructor's build."""
         rf = cls.__new__(cls)
-        rf._attach(tree, float(doc["fpr"]), int(doc["seed"]),
-                   bool(doc.get("enabled", True)))
+        rf._attach(tree, float(doc["fpr"]), int(doc["seed"]))
         return rf

@@ -274,7 +274,7 @@ def _assemble(tree, topology: bytes, chunks: dict[str, bytes], *,
     # The serving tiers (tree.tiers): the replica registry must ride in
     # the manifest, since checkpoints truncate the WAL and REPLICATE
     # records only cover copies installed *after* the snapshot; the route
-    # filters persist only (fpr, seed, enabled), their bits being a pure
+    # filters persist only (fpr, seed), their bits being a pure
     # function of residency and seed.  A detached tier's key is absent,
     # keeping tier-off manifests byte-identical.
     for tier in tree.tiers:

@@ -20,9 +20,14 @@ reference for that booking under faults, tracing and replica routing.
 :func:`make_knn_prune` is the route tier's kNN prune as it was before
 it decided a round in one array pass: each task reads its query's
 radius, re-encodes the ball's cover when the radius moved and probes its
-chunk's range summary, charging as it goes.  :func:`per_task` turns such
-a per-task verdict into the executor's group hook; both executors here
-take that hook, like production's.
+chunk's range summary, charging as it goes.  :func:`make_search_prune`
+is the point-lookup prune as it was before the same change: a query's
+first task probes the global Bloom filter, a hop into a closed chunk its
+module's filter, one scalar probe (:func:`probe`, splitmix64 per hash in
+Python ints) and one charge each, and a replicated L0 is gated query by
+query (:func:`prune_l0_route`).  :func:`per_task` turns such a per-task
+verdict into the executor's group hook; both executors here take that
+hook, like production's.
 
 :func:`reference_exec` swaps this engine into the production modules
 for the duration of a ``with`` block.  It composes with the scalar
@@ -59,15 +64,17 @@ from repro.core.push_pull import (
     PIM_TASK_DISPATCH_CYCLES,
     RESULT_WORDS,
     TRACE_WORDS,
+    QUERY_WORDS,
     PushPullExecutor,
     Task,
 )
 from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
 from repro.route import RouteFilterSet
-from repro.route.filters import _PROBE_BASE_OPS
+from repro.route.filters import _HASH_OPS, _PROBE_BASE_OPS
 
 __all__ = ["ExecContext", "reference_exec", "exec_engine", "run_per_group",
-           "make_knn_prune", "per_task"]
+           "make_knn_prune", "make_search_prune", "prune_l0_route",
+           "per_task", "splitmix_int", "bit_positions", "probe"]
 
 
 def _one(sys, kind: int, mid: int, amount: float) -> None:
@@ -799,8 +806,103 @@ def _plan_leaf_deletions(leaf, qids, results, points, removal_count):
 
 
 # ======================================================================
-# kNN route pruning
+# route pruning
 # ======================================================================
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix_int(x: int, salt: int) -> int:
+    """Scalar splitmix64 of ``x`` under ``salt`` (taken modulo 2^64)."""
+    z = ((x ^ (salt & _MASK64)) + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def bit_positions(key: int, seed: int, m_bits: int, k: int) -> list[int]:
+    """The ``k`` Bloom bits of ``key`` in an ``m_bits`` filter seeded
+    ``seed``, one key and one hash at a time."""
+    h1 = splitmix_int(key, seed)
+    h2 = splitmix_int(key, seed + 1) | 1
+    return [(h1 + i * h2) & (m_bits - 1) for i in range(k)]
+
+
+def probe(f, key: int, seed: int) -> bool:
+    """May ``key`` be in filter ``f``?  Its range summary, then its bits."""
+    if f.lo is None or not f.lo <= key <= f.hi:
+        return False
+    return all((int(f.words[idx >> 6]) >> (idx & 63)) & 1
+               for idx in bit_positions(key, seed, f.m_bits, f.k))
+
+
+def probe_global(self, key: int) -> bool:
+    g = self._global
+    self.probes += 1
+    self.tree.system.charge_cpu(_PROBE_BASE_OPS + g.k * _HASH_OPS)
+    return probe(g, key, self.seed)
+
+
+def probe_module(self, mid: int, key: int) -> bool:
+    f = self._filters.get(mid)
+    self.probes += 1
+    if f is None:
+        self.tree.system.charge_cpu(_PROBE_BASE_OPS)
+        return False
+    self.tree.system.charge_cpu(_PROBE_BASE_OPS + f.k * _HASH_OPS)
+    return probe(f, key, self._seed_of(mid))
+
+
+def prune_l0_route(self, results) -> set[int]:
+    """The global-filter gate ahead of a replicated-L0 routing round, one
+    query at a time; returns the probed qids."""
+    probed: set[int] = set()
+    for res in results:
+        probed.add(res.qid)
+        if not probe_global(self, res.key):
+            res.pruned = True
+            self.queries_pruned += 1
+            self.words_saved += QUERY_WORDS + TRACE_WORDS
+    return probed
+
+
+def make_search_prune(self, results):
+    """``RouteFilterSet.make_search_prune`` one task at a time: a query's
+    first task probes the global filter, a later hop into a closed chunk
+    the chunk's module filter, each charging as it goes; a verdict feeds
+    the query's later tasks.  A replicated L0 is gated first by
+    :func:`prune_l0_route`."""
+    decided: dict[int, bool] = {}
+    if not self.tree.l0_on_cpu:
+        decided = dict.fromkeys(prune_l0_route(self, results), False)
+    probed = np.zeros(len(results), dtype=bool)
+    probed[list(decided)] = True
+
+    def drop(task) -> bool:
+        res = results[task.qid]
+        verdict = decided.get(task.qid)
+        if verdict is None:
+            probed[task.qid] = True
+            verdict = not probe_global(self, res.key)
+            decided[task.qid] = verdict
+            if verdict:
+                res.pruned = True
+                self.queries_pruned += 1
+        if verdict:
+            self.words_saved += task.send_words
+            return True
+        info = self._meta_info.get(task.meta.root.nid)
+        if info is not None and info[3]:
+            if not probe_module(self, info[0], res.key):
+                decided[task.qid] = True
+                res.pruned = True
+                self.queries_pruned += 1
+                self.words_saved += task.send_words
+                return True
+        return False
+
+    return per_task(drop), probed
+
+
 def per_task(drop):
     """The executor's group hook over a per-task verdict: each group keeps
     its tasks ``drop`` refuses, asked in round order; emptied groups go."""
@@ -865,6 +967,7 @@ _SWAPS = (
     (repro.core.range_query, "make_range_kernel", _make_handler),
     (repro.core.update, "plan_leaf_deletions", _plan_leaf_deletions),
     (RouteFilterSet, "make_knn_prune", make_knn_prune),
+    (RouteFilterSet, "make_search_prune", make_search_prune),
 )
 
 
@@ -874,8 +977,8 @@ def reference_exec():
 
     Each production kernel factory is replaced by the handler factory of
     the same signature, the executor by :func:`_run`, the batch-wide
-    host passes by their per-query forms, and the kNN route prune by
-    :func:`make_knn_prune`.  Yields the
+    host passes by their per-query forms, and the route prunes by
+    :func:`make_knn_prune` and :func:`make_search_prune`.  Yields the
     :class:`pytest.MonkeyPatch` holding the swap, so callers can add
     their own patches (e.g. the scalar simulator core) to the same undo.
     """

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from exec_oracle import bit_positions, probe
 
 from repro.core import PIMZdTree
 from repro.core.config import skew_resistant
 from repro.pim import PIMSystem
 from repro.route import DEFAULT_FPR, RouteFilterSet
-from repro.route.filters import _splitmix_array, _splitmix_int
+from repro.route.filters import _HASH_OPS, _MASK64, _PROBE_BASE_OPS, _bit_index
 from repro.store import DurableStore, open_backend, recover
 
 N_MODULES = 8
@@ -54,32 +55,86 @@ def comm_words(tree) -> float:
 # ----------------------------------------------------------------------
 # hashing + construction invariants
 # ----------------------------------------------------------------------
-def test_scalar_and_vector_hash_agree():
+# Seeds whose second salt (seed + 1) carries past 2^64, and plain ones.
+SEEDS = (0, 17, 2**40 + 5, 2**63 - 1, 2**64 - 2, 2**64 - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 16])
+def test_bit_index_matches_the_scalar_reference(k):
+    """The one bit-position function, keys of several filters in one
+    call (each key with its filter's salt, mask and word offset), against
+    the scalar reference one key and one hash at a time."""
     rng = np.random.default_rng(3)
-    keys = rng.integers(0, 2**63, size=500, dtype=np.uint64)
-    for salt in (0, 1, 17, 2**40 + 5):
-        vec = _splitmix_array(keys, salt)
-        for key, h in zip(keys[:50], vec[:50]):
-            assert _splitmix_int(int(key), salt) == int(h)
+    m_bits = [64 << i for i in range(len(SEEDS))]
+    base = np.cumsum([0] + [m // 64 for m in m_bits[:-1]])
+    keys = rng.integers(0, 2**64 - 1, size=300, dtype=np.uint64,
+                        endpoint=True)
+    of = rng.integers(0, len(SEEDS), size=len(keys))
+    salt = np.array([s & _MASK64 for s in SEEDS], dtype=np.uint64)
+    mask = np.array([m - 1 for m in m_bits], dtype=np.uint64)
+    w, b = _bit_index(keys, salt[of], mask[of], base.astype(np.uint64)[of], k)
+    assert w.shape == b.shape == (k, len(keys))
+    for i, (key, f) in enumerate(zip(keys.tolist(), of.tolist())):
+        want = bit_positions(key, SEEDS[f], m_bits[f], k)
+        assert w[:, i].tolist() == [base[f] + (idx >> 6) for idx in want]
+        assert b[:, i].tolist() == [1 << (idx & 63) for idx in want]
+
+
+def _resident(tree):
+    """Per chunk, its module and the keys its leaves hold."""
+    for meta in tree.metas:
+        keys, stack = [], [meta.root]
+        while stack:
+            node = stack.pop()
+            if node.meta is not meta:
+                continue
+            if node.keys is not None:
+                keys.append(node.keys)
+                continue
+            stack += (node.left, node.right)
+        yield meta.module, np.concatenate(keys) if keys else np.empty(
+            0, dtype=np.uint64)
 
 
 def test_no_false_negatives_over_resident_keys():
     rng = np.random.default_rng(5)
     tree = make_tree(rng.random((3000, 3)), fpr=0.01)
     rf = tree.route_filters
-    for meta in tree.metas:
-        stack = [meta.root]
-        while stack:
-            node = stack.pop()
-            if node.meta is not meta:
-                continue
-            if node.keys is not None:
-                for key in node.keys:
-                    assert rf._probe_global(int(key))
-                    assert rf._probe_module(meta.module, int(key))
-                continue
-            stack.append(node.left)
-            stack.append(node.right)
+    checked = 0
+    for mid, keys in _resident(tree):
+        if not len(keys):
+            continue
+        zero = np.zeros(len(keys), dtype=np.intp)
+        assert not rf._absent([None], zero, keys)[0].any()
+        assert not rf._absent([mid], zero, keys)[0].any()
+        checked += len(keys)
+    assert checked >= 3000
+
+
+def test_array_probe_matches_the_scalar_probe():
+    """Every filter of a set in one array probe, each key against its
+    filter, equals the scalar probe: resident keys, keys next to them and
+    random keys, inside and outside the filters' ranges, and a module
+    with no filter (no key, no hash charged)."""
+    rng = np.random.default_rng(8)
+    tree = make_tree(rng.random((3000, 3)), fpr=0.2, seed=2**64 - 1)
+    rf = tree.route_filters
+    resident = np.concatenate([keys for _, keys in _resident(tree)])
+    keys = np.concatenate([
+        rng.choice(resident, 200), rng.choice(resident, 200) + np.uint64(1),
+        rng.integers(0, 2**64 - 1, size=200, dtype=np.uint64,
+                     endpoint=True)])
+    mids = [None, *rf._filters, N_MODULES + 1]
+    of = rng.integers(0, len(mids), size=len(keys))
+    absent, ops = rf._absent(mids, of, keys)
+    want, want_ops = [], 0
+    for key, f in zip(keys.tolist(), of.tolist()):
+        flt = rf._filter(mids[f])
+        want.append(flt is not None and probe(flt, key, rf._seed_of(mids[f])))
+        want_ops += _PROBE_BASE_OPS + (0 if flt is None else flt.k * _HASH_OPS)
+    assert (~absent).tolist() == want
+    assert 0 < sum(want) < len(want)
+    assert ops == want_ops and rf.probes == len(keys)
 
 
 def test_meta_info_closedness_is_structural():
@@ -174,24 +229,6 @@ def test_insert_phase_never_pruned_and_filters_maintained():
     assert all(search_presence(res))
     assert all(not r.pruned for r in res)
     assert t1.route_filters.rebuilds >= 2  # attach + insert maintenance
-
-
-def test_disabled_filters_change_nothing():
-    rng = np.random.default_rng(23)
-    pts = rng.random((1500, 3))
-    queries = rng.random((60, 3))
-    t0 = make_tree(pts)
-    t1 = make_tree(pts)
-    RouteFilterSet(t1, fpr=0.01, enabled=False)
-    snap0 = t0.system.stats.to_dict()
-    snap1 = t1.system.stats.to_dict()
-    t0.search(queries)
-    t1.search(queries)
-    d0 = comm_words(t0) - snap0["total"]["comm_words"]
-    d1 = comm_words(t1) - snap1["total"]["comm_words"]
-    assert d0 == d1
-    assert t1.route_filters.queries_pruned == 0
-    assert t1.route_filters.probes == 0
 
 
 def test_maintenance_is_charged_under_route_phase():
@@ -385,7 +422,7 @@ def test_manifest_roundtrip_and_crash_restart_rebuilds_bits():
 
     rf0, rf1 = tree.route_filters, res.tree.route_filters
     assert rf1 is not None
-    assert (rf1.fpr, rf1.seed, rf1.enabled) == (0.02, 9, True)
+    assert (rf1.fpr, rf1.seed) == (0.02, 9)
     assert np.array_equal(rf0._global.words, rf1._global.words)
     assert sorted(rf0._filters) == sorted(rf1._filters)
     for mid in rf0._filters:

@@ -173,7 +173,7 @@ def test_filters_survive_crash_restart(dims, kind, n, seed):
         store.backend.close()
 
     rf0, rf1 = tree.route_filters, res.tree.route_filters
-    assert rf1 is not None and rf1.enabled
+    assert rf1 is not None and (rf1.fpr, rf1.seed) == (0.01, 5)
     assert np.array_equal(rf0._global.words, rf1._global.words)
     assert sorted(rf0._filters) == sorted(rf1._filters)
     for mid in rf0._filters:

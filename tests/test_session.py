@@ -341,6 +341,28 @@ def test_no_new_cli_flags():
         assert flags <= set(frozen[name]), (name, flags - set(frozen[name]))
 
 
+# Flags the parser used to accept and then drop: the fig7 runner sweeps
+# batch sizes and fig8 dataset sizes, and the batcher sizes a serving
+# run's batches.
+DROPPED_FLAGS = {
+    "fig7-batch": ["fig7", "--batch", "64"],
+    "fig8-n": ["fig8", "--n", "5000"],
+    "serve-batch": ["serve", "--batch", "64"],
+    "faults-batch": ["faults", "--batch", "64"],
+    "sweep-batch": ["sweep", "--batch", "64"],
+    "tune-batch": ["tune", "search", "--batch", "64"],
+    "store-batch": ["store", "demo", "--batch", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED_FLAGS))
+def test_dropped_flags_exit_2(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(DROPPED_FLAGS[name])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_every_knob_has_exactly_one_generated_flag():
     flags = _flags_by_subcommand()
     for knob in default_space().knobs:
