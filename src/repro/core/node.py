@@ -15,8 +15,9 @@ a PIM-zd-tree node carries:
 * ``meta`` — the meta-node (chunk) the node belongs to (§3.2); ``None``
   for L0 nodes, which are not chunked;
 * ``row`` — the node's row in the tree's structure-of-arrays arena
-  (:class:`repro.core.vexec.NodeArena`); ``-1`` until the arena first
-  sees the node.
+  (:class:`repro.core.vexec.NodeArena`), which also holds its box
+  corners; ``-1`` until an arena flush rows the node, ``-2`` once it
+  left the tree.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class Node:
         "pts",
         "layer",
         "meta",
-        "box",
         "row",
     )
 
@@ -75,7 +75,6 @@ class Node:
         self.pts: np.ndarray | None = None  # leaves only, (count, D)
         self.layer: Layer = Layer.L2
         self.meta = None  # MetaNode, set by chunking
-        self.box = None  # geometry.Box, computed lazily
         self.row = -1  # index in the tree's NodeArena (repro.core.vexec)
 
     @property

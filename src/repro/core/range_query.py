@@ -68,47 +68,41 @@ def _normalize_boxes(tree, boxes) -> tuple[np.ndarray, np.ndarray]:
 
 def box_count_batch(tree, boxes) -> np.ndarray:
     """Exact number of stored points in each box."""
+    return _box_batch(tree, boxes, fetch=False)
+
+
+def box_fetch_batch(tree, boxes) -> list[np.ndarray]:
+    """All stored points in each box, one ``(m, D)`` array per box."""
+    return _box_batch(tree, boxes, fetch=True)
+
+
+def _box_batch(tree, boxes, *, fetch: bool):
+    """One batch of either query: normalize, seed L0, run the range
+    kernel below it, collect each box's ``"count"`` or ``"pts"`` items."""
     Lo, Hi = _normalize_boxes(tree, boxes)
     n = len(Lo)
     sys = tree.system
-    with sys.phase("boxcount"):
+    with sys.phase("boxfetch" if fetch else "boxcount"):
         counts = [0] * n
+        per_query_chunks: list[list[np.ndarray]] = [[] for _ in range(n)]
         tasks: list[Task] = []
-        seed_l0_boxes(tree, Lo, Hi, tasks, fetch=False, counts=counts,
-                      chunks_list=[[] for _ in range(n)])
+        seed_l0_boxes(tree, Lo, Hi, tasks, fetch=fetch, counts=counts,
+                      chunks_list=per_query_chunks)
         if tasks:
             executor = PushPullExecutor(tree)
-            out = executor.run(tasks, make_range_kernel(tree, Lo, Hi, fetch=False))
+            out = executor.run(tasks, make_range_kernel(tree, Lo, Hi, fetch=fetch))
             tree.last_executor = executor
             for qid, items in out.items():
                 for kind, value in items:
                     if kind == "count":
                         counts[qid] += value
-        sys.charge_cpu(n * 2)
-    return np.array(counts, dtype=np.int64)
-
-
-def box_fetch_batch(tree, boxes) -> list[np.ndarray]:
-    """All stored points in each box, one ``(m, D)`` array per box."""
-    Lo, Hi = _normalize_boxes(tree, boxes)
-    n = len(Lo)
-    sys = tree.system
-    with sys.phase("boxfetch"):
-        per_query_chunks: list[list[np.ndarray]] = [[] for _ in range(n)]
-        tasks: list[Task] = []
-        seed_l0_boxes(tree, Lo, Hi, tasks, fetch=True, counts=[0] * n,
-                      chunks_list=per_query_chunks)
-        if tasks:
-            executor = PushPullExecutor(tree)
-            out = executor.run(tasks, make_range_kernel(tree, Lo, Hi, fetch=True))
-            tree.last_executor = executor
-            for qid, items in out.items():
-                for kind, value in items:
-                    if kind == "pts":
+                    else:
                         per_query_chunks[qid].append(value)
+        if not fetch:
+            sys.charge_cpu(n * 2)
+            return np.array(counts, dtype=np.int64)
         answers = []
-        for qid in range(n):
-            chunks = per_query_chunks[qid]
+        for chunks in per_query_chunks:
             if chunks:
                 allp = np.vstack(chunks)
                 sys.dram_stream(len(allp) * tree.dims)

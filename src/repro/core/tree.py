@@ -34,6 +34,7 @@ from .geometry import L2, Box, Metric
 from .morton import MortonCodec, max_bits_per_dim
 from .node import Layer, Node, node_words, subtree_nodes
 from .residency import ResidencyFeed, WordLedger, residency_from_scratch
+from .vexec import NodeArena, check_arena, node_arena
 
 __all__ = ["PIMZdTree"]
 
@@ -96,9 +97,9 @@ class PIMZdTree:
         self._ledger = WordLedger(self)
         self.last_executor = None
         # Derived read-side view: the round kernels' node arena
-        # (repro.core.vexec.NodeArena), built on the first batch and
+        # (repro.core.vexec.NodeArena), built by its first flush and
         # kept current through the mark_* hooks below.
-        self._arena = None
+        self._arena = NodeArena(self)
         # Write-ahead journal (repro.store): attached by DurableStore so
         # insert/delete append before mutating; None means no durability.
         self.journal = None
@@ -224,8 +225,7 @@ class PIMZdTree:
         changed marks its *root*, whose arena row carries the chunk's
         per-visit cycles.
         """
-        if self._arena is not None:
-            self._arena.dirty.add(node)
+        self._arena.dirty.add(node)
         meta = node.meta
         self.feed.metas.add(meta)
         if meta is None:
@@ -234,8 +234,7 @@ class PIMZdTree:
     def mark_dirty_subtree(self, root: Node) -> None:
         """Every node at or below ``root`` changed (a region re-chunked)."""
         nodes = subtree_nodes(root)
-        if self._arena is not None:
-            self._arena.dirty.update(nodes)
+        self._arena.dirty.update(nodes)
         metas = {nd.meta for nd in nodes}
         self.feed.metas.update(metas)
         if None in metas:
@@ -246,8 +245,7 @@ class PIMZdTree:
     def mark_removed(self, node: Node) -> None:
         """``node`` was unlinked from the tree: its arena row is garbage,
         its chunk lost a member."""
-        if self._arena is not None:
-            self._arena.remove(node)
+        self._arena.remove(node)
         meta = node.meta
         self.feed.removed.add(node)
         self.feed.metas.add(meta)
@@ -504,10 +502,6 @@ class PIMZdTree:
     # ==================================================================
     # lazy counters (§3.4)
     # ==================================================================
-    def record_count_change(self, node: Node, delta: int) -> bool:
-        """Apply one subtree-size change; returns True if a snapshot synced."""
-        return bool(self.record_count_changes({node: delta}))
-
     def record_count_changes(self, deltas: dict[Node, int]) -> list[Node]:
         """Apply a batch's subtree-size changes, syncing each snapshot that
         crossed its Table 1 bound; returns the synced nodes in ``deltas``
@@ -520,11 +514,8 @@ class PIMZdTree:
         """
         lazy = self.config.lazy_counters
         bounds = self.config.delta_bounds  # all (0, 0) without lazy counters
-        arena = self._arena
-        nodes = () if arena is None else arena.nodes
-        n_rows = len(nodes)
-        rows: list[int] = []
-        row_deltas: list[int] = []
+        inner: list[Node] = []
+        inner_deltas: list[int] = []
         synced: list[Node] = []
         for node, d in deltas.items():
             if d == 0:
@@ -533,10 +524,8 @@ class PIMZdTree:
             node.delta += d
             mark = node.keys is not None
             if not mark:
-                r = node.row
-                if 0 <= r < n_rows and nodes[r] is node:
-                    rows.append(r)
-                    row_deltas.append(d)
+                inner.append(node)
+                inner_deltas.append(d)
             dmin, dmax = bounds[node.layer]
             if node.delta != 0 and not dmin < node.delta < dmax:
                 # Without lazy counters every change syncs, charged as
@@ -549,8 +538,8 @@ class PIMZdTree:
                 mark = mark or (meta is not None and meta.root is node)
             if mark:
                 self.mark_dirty(node)
-        if rows:
-            arena.count[rows] += np.array(row_deltas, dtype=np.int32)
+        if inner:
+            self._arena.add_counts(inner, inner_deltas)
         return synced
 
     def sync_counter(self, node: Node, eager_updates: int = 0) -> None:
@@ -711,16 +700,11 @@ class PIMZdTree:
     # geometry helper
     # ==================================================================
     def node_box(self, node: Node) -> Box:
-        arena = self._arena
-        if arena is not None and arena.has_row(node):
-            # The arena already holds the corners (``prefix_box_batch``
-            # values, bitwise those of ``prefix_box``): hand out views for
-            # immediate use instead of caching a second copy per node.
-            return Box(arena.lo[node.row], arena.hi[node.row])
-        if node.box is None:
-            lo, hi = self.codec.prefix_box(node.prefix, node.depth)
-            node.box = Box(lo, hi)
-        return node.box
+        """``node``'s cell as views of its row in the flushed arena
+        (``prefix_box_batch`` values, bitwise those of ``prefix_box``),
+        for immediate use."""
+        arena = node_arena(self)
+        return Box(arena.lo[node.row], arena.hi[node.row])
 
     # ==================================================================
     # inspection / invariants
@@ -843,11 +827,9 @@ class PIMZdTree:
                 f"l1_desc_metas drift: {meta.l1_desc_metas} vs {l1_below(meta)}"
             )
         self._check_residency()
-        # The vectorised kernels' arena, once built, mirrors this structure;
-        # each attached tier checks its own state against it.
-        if self._arena is not None:
-            from .vexec import check_arena
-
-            check_arena(self)
+        # The vectorised kernels' arena (built here if it is not yet)
+        # mirrors this structure; each attached tier checks its own state
+        # against it.
+        check_arena(self)
         for tier in self.tiers:
             tier.check()

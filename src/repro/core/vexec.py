@@ -6,6 +6,7 @@ module:
 
 * :class:`NodeArena` — one tree-wide structure of arrays, a row per live
   node (box corners, count, child rows, key range, layer, owning meta),
+  held by every tree from construction on, built by its first flush and
   kept current by a dirty set the tree's mutation primitives feed and
   :func:`node_arena` flushes before a kernel reads it.  It is the only
   derived structure: leaf payloads are read live from ``node.pts`` when
@@ -93,8 +94,8 @@ in pre-order (:func:`_pile_visits`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain, repeat
-from operator import attrgetter, is_not, itemgetter
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, is_, is_not, itemgetter
 
 import numpy as np
 
@@ -223,6 +224,10 @@ class NodeArena:
     per member.  Leaf payloads are not copied: kernels read
     ``nodes[row].pts`` live.
 
+    Every tree holds one arena from construction (and ``decode_tree``)
+    on, created with no rows; its first :meth:`flush` — the first kernel
+    read or the first checkpoint — builds it, subsuming earlier marks.
+
     Upkeep is a dirty set in the ``mark_dirty → flush`` style: the
     tree's mutation primitives add the nodes they changed to ``dirty``
     (``PIMZdTree.mark_dirty`` / ``mark_dirty_subtree``) and
@@ -240,7 +245,9 @@ class NodeArena:
     def __init__(self, tree) -> None:
         self.tree = tree
         self.dirty: set[Node] = set()
-        self._rebuild()
+        self.nodes: list[Node] = []  # no rows until the first flush
+        self.n = self.dead = 0
+        self._resize(0, 0)
 
     # -- row bookkeeping ---------------------------------------------------
     def has_row(self, node: Node) -> bool:
@@ -252,6 +259,31 @@ class NodeArena:
         if self.has_row(node):
             self.dead += 1
         node.row = _DEAD
+
+    def add_counts(self, nodes: list[Node], deltas: list[int]) -> None:
+        """Add ``deltas`` to the ``count`` rows of those ``nodes`` that
+        have a row; the next flush rows the others, counts included."""
+        rows = np.fromiter(map(_ROW, nodes), dtype=np.intp, count=len(nodes))
+        inside = (rows >= 0) & (rows < self.n)
+        rows = rows[inside]
+        owners = map(self.nodes.__getitem__, rows.tolist())
+        live = np.fromiter(map(is_, owners, compress(nodes, inside)),
+                           dtype=bool, count=rows.size)
+        self.count[rows[live]] += np.array(deltas, dtype=np.int32)[inside][live]
+
+    def preorder(self) -> np.ndarray:
+        """The live rows in left-first preorder, after a flush.
+
+        In a binary trie that is the order by ``(key_lo, depth)``: a
+        node's subtree is the key range starting at its ``key_lo``, an
+        ancestor shares its first key with its leftmost descendants at a
+        smaller depth, and a right subtree starts past the end of its
+        left sibling's.  A row is live while its node still names it.
+        """
+        self.flush()
+        rows = np.fromiter(map(_ROW, self.nodes), dtype=np.intp, count=self.n)
+        live = np.flatnonzero(rows == np.arange(self.n))
+        return live[np.lexsort((self.depth[live], self.key_lo[live]))]
 
     def _resize(self, cap: int, keep: int) -> None:
         dims = self.tree.dims
@@ -275,13 +307,17 @@ class NodeArena:
 
     # -- flush ---------------------------------------------------------------
     def flush(self) -> None:
-        """Bring the rows of every dirty node up to date.
+        """Build the arena on its first call; later, bring the rows of
+        every dirty node up to date.
 
         Dirty nodes are taken in nid order, not set order: set iteration
         follows memory addresses, and a new node reached both from the
         set and through a dirty parent is written once or twice depending
         on which comes first.
         """
+        if not self.nodes:
+            self._rebuild()
+            return
         if not self.dirty:
             return
         nodes = self.nodes
@@ -367,12 +403,9 @@ class NodeArena:
 
 
 def node_arena(tree) -> NodeArena:
-    """The tree's arena, flushed; built on the first batch."""
+    """The tree's arena, flushed (so built, on the first call)."""
     arena = tree._arena
-    if arena is None:
-        arena = tree._arena = NodeArena(tree)
-    else:
-        arena.flush()
+    arena.flush()
     return arena
 
 
@@ -382,7 +415,7 @@ def check_arena(tree) -> None:
     Compared over the rows of reachable nodes: every column, with the
     columns that hold rows (child links, meta handles) compared by the
     identity of the node they name.  ``tree.check_invariants`` calls
-    this whenever an arena exists.
+    this, so it builds an unbuilt arena.
     """
     arena = node_arena(tree)
     live = subtree_nodes(tree.root)
@@ -392,6 +425,7 @@ def check_arena(tree) -> None:
     rows = [nd.row for nd in live]
     # A fresh build rows the nodes 0..n-1 in ``live`` order; restored below.
     fresh = NodeArena(tree)
+    fresh.flush()
     try:
         for name, _, _ in _COLUMNS:
             have = getattr(arena, name)[rows]

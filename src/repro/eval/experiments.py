@@ -15,6 +15,7 @@ points: each gets its own :func:`fresh_points` source for the dataset.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -314,6 +315,9 @@ def run_fig9(
             m = adapter.measure(lambda: adapter.knn(q, 1))
             tp[variant].append(m.throughput / 1e6)
         rows.append([adapter.variant] + [round(v, 3) for v in tp[variant]])
+        # One tree at a time; a tree is cyclic, so only a collection frees it.
+        del adapter
+        gc.collect()
     return ExperimentResult(
         name="fig9",
         paper_ref="Fig. 9",

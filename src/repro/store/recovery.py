@@ -196,13 +196,10 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
                     r.offset, f"unknown record kind {r.kind}"
                 )
 
+    # The node arena decode_tree gave the tree (repro.core.vexec) stays:
+    # replay kept it current, and no kernel reads its row numbering.
     if validate:
         tree.check_invariants()
-    # Replay routed its batches through the node arena (repro.core.vexec),
-    # whose row numbering follows the replay history.  Like decode_tree,
-    # recovery hands back no derived read-side view: the first vectorised
-    # read builds one from the recovered structure alone.
-    tree._arena = None
     return RecoveryResult(
         tree=tree,
         system=system,

@@ -32,11 +32,12 @@ equality of the two encodings.
 
 Encoding is array code over the tree's node arena
 (:class:`repro.core.vexec.NodeArena`), not a walk: preorder is the sort
-order of the live rows by ``(key_lo, depth)``, each node-record field is
-one column pass into a structured array, and each chunk blob is one join
-over its leaves.  A checkpoint therefore costs a few Python calls per
-column and per chunk, not per node.  (A tree with no arena yet is listed
-by ``subtree_nodes`` instead; encoding never builds one.)  The per-node
+order of the live rows by ``(key_lo, depth)``
+(:meth:`~repro.core.vexec.NodeArena.preorder`), each node-record field
+is one column pass into a structured array, and each chunk blob is one
+join over its leaves.  A checkpoint therefore costs a few Python calls
+per column and per chunk, not per node.  Encoding flushes the arena, so
+a tree's first checkpoint builds it if no batch has yet.  The per-node
 encoder it replaced is the test oracle ``tests/store_oracle.py``.
 Decoding reads every node record with one ``frombuffer`` and rejects any
 record count that overruns its blob with :class:`SnapshotCorruption`.
@@ -44,16 +45,17 @@ record count that overruns its blob with :class:`SnapshotCorruption`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
 import zlib
 from itertools import chain, repeat
-from operator import attrgetter, is_not
+from operator import attrgetter
 
 import numpy as np
 
-from ..core.node import subtree_nodes
+from ..core.vexec import NodeArena
 from .errors import SnapshotCorruption
 
 __all__ = ["SnapshotImage", "encode_tree", "decode_tree", "SnapshotStore"]
@@ -78,8 +80,7 @@ _TOPO_HEAD = struct.Struct("<IIQ")    # n_nodes, n_metas, dims
 _FLAG_LEAF = 1
 _BUILT_SC_NONE = -(1 << 62)
 
-_NID, _ROW, _KEYS, _PTS = (attrgetter("nid"), attrgetter("row"),
-                           attrgetter("keys"), attrgetter("pts"))
+_NID, _KEYS, _PTS = attrgetter("nid"), attrgetter("keys"), attrgetter("pts")
 _META_OF, _ROOT_NID = attrgetter("meta"), attrgetter("root.nid")
 _U8, _F8 = np.dtype("<u8"), np.dtype("<f8")
 _TOBYTES = np.ndarray.tobytes
@@ -130,32 +131,17 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
 def _encode_blobs(tree) -> tuple[bytes, dict[str, bytes]]:
     """``(topology, chunk id -> blob)``: column passes over the nodes.
 
-    The node records are in left-first preorder.  When the tree has a
-    node arena, that is the order of its live rows by ``(key_lo,
-    depth)``: in a binary trie a node's subtree is the key range starting
-    at its ``key_lo``, an ancestor shares its first key with its leftmost
-    descendants at a smaller depth, and a right subtree starts past the
-    end of its left sibling's.  A tree without one yet (decoded, or
-    checkpointed before its first batch) is walked instead: building the
-    arena here would move its first build, and its memory, ahead of the
-    first batch.  Each record field is one ``fromiter`` over the ordered
-    nodes.
+    The node records are in left-first preorder, the node arena's
+    :meth:`~repro.core.vexec.NodeArena.preorder` (which flushes it, so
+    builds it on a tree no batch has read yet).  Each record field is
+    one ``fromiter`` over the ordered nodes.
     """
     metas = sorted(tree.metas, key=_ROOT_NID)
     pos = {m: i for i, m in enumerate(metas)}
     arena = tree._arena
-    if arena is None:
-        nodes = subtree_nodes(tree.root)
-        is_leaf = np.fromiter(map(is_not, map(_KEYS, nodes), repeat(None)),
-                              dtype=bool, count=len(nodes))
-    else:
-        arena.flush()
-        rows = np.fromiter(map(_ROW, arena.nodes), dtype=np.intp,
-                           count=arena.n)
-        live = np.flatnonzero(rows == np.arange(arena.n))
-        order = live[np.lexsort((arena.depth[live], arena.key_lo[live]))]
-        nodes = list(map(arena.nodes.__getitem__, order.tolist()))
-        is_leaf = arena.is_leaf[order]
+    order = arena.preorder()
+    nodes = list(map(arena.nodes.__getitem__, order.tolist()))
+    is_leaf = arena.is_leaf[order]
     n = len(nodes)
     rec = np.empty(n, dtype=_NODE)
     for name in _NODE_ATTRS:
@@ -232,17 +218,7 @@ def _assemble(tree, topology: bytes, chunks: dict[str, bytes], *,
             "size": int(tree.root.count),
         },
         "config": {
-            "name": tree.config.name,
-            "theta_l0": tree.config.theta_l0,
-            "theta_l1": tree.config.theta_l1,
-            "chunk_factor": tree.config.chunk_factor,
-            "leaf_size": tree.config.leaf_size,
-            "pull_imbalance_factor": tree.config.pull_imbalance_factor,
-            "lazy_counters": tree.config.lazy_counters,
-            "fast_zorder": tree.config.fast_zorder,
-            "fast_l2": tree.config.fast_l2,
-            "direct_api": tree.config.direct_api,
-            "push_pull": tree.config.push_pull,
+            **dataclasses.asdict(tree.config),
             **_FORMAT_CONSTANTS["config"],
         },
         "codec": {
@@ -479,7 +455,7 @@ def decode_tree(image: SnapshotImage, system, *, cost_model=None):
         m for m, (head, _k) in zip(metas, meta_rows) if head[3]
     }
     tree.last_executor = None
-    tree._arena = None
+    tree._arena = NodeArena(tree)  # unbuilt: its first flush rows the nodes
     tree.journal = None  # no serving tier either: recovery restores them
     # Re-link nodes to their metas from the recorded assignment.
     for node, midx in decoded:

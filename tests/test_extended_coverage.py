@@ -88,10 +88,10 @@ class TestL0ReplicatedMode:
         assert node.layer == Layer.L0
         before = tree.system.stats.total.comm_words
         _, dmax = tree.config.lazy_delta_bounds(0)
-        tree.record_count_change(node, int(dmax))
+        tree.record_count_changes({node: int(dmax)})
         after = tree.system.stats.total.comm_words
         assert after - before >= 2 * tree.system.n_modules
-        tree.record_count_change(node, -int(dmax))  # restore
+        tree.record_count_changes({node: -int(dmax)})  # restore
 
     def test_queries_exact_in_replicated_mode(self, tiny_cache_tree):
         tree, pts = tiny_cache_tree

@@ -111,19 +111,19 @@ class TestSyncBehaviour:
         assert node.layer == Layer.L0
         dmin, dmax = tree.config.lazy_delta_bounds(0)
         sc_before = node.sc
-        synced = tree.record_count_change(node, int(dmax) - 1)
+        synced = tree.record_count_changes({node: int(dmax) - 1})
         assert not synced and node.sc == sc_before
-        synced = tree.record_count_change(node, 1)  # reaches dmax
+        synced = tree.record_count_changes({node: 1})  # reaches dmax
         assert synced and node.sc == node.count and node.delta == 0
         # Undo the artificial change to keep the structure consistent.
-        tree.record_count_change(node, -int(dmax))
+        tree.record_count_changes({node: -int(dmax)})
         tree.sync_counter(node)
 
     def test_zero_delta_no_sync(self, rng):
         pts = rng.random((1000, 3))
         tree = make_tree(pts, "skew")
         node = tree.root
-        assert not tree.record_count_change(node, 0)
+        assert not tree.record_count_changes({node: 0})
 
 
 # ----------------------------------------------------------------------

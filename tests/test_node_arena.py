@@ -188,7 +188,7 @@ class _World:
         """Continue on the tree decoded from the snapshot + replayed WAL."""
         live = self.tree.all_points()
         self.tree = recover(self.backend).tree
-        assert self.tree._arena is None
+        assert isinstance(self.tree._arena, vexec.NodeArena)
         assert_same_points(self.tree.all_points(), live)
         DurableStore(self.backend).attach(self.tree)
 
@@ -216,8 +216,7 @@ def test_arena_equals_fresh_build_after_every_verb(dims, variant, seed, verbs):
         vexec.check_arena(world.tree)
         for verb in verbs:
             getattr(world, verb)()
-            if world.tree._arena is not None:
-                vexec.check_arena(world.tree)
+            vexec.check_arena(world.tree)
             world.query()
             world.tree.check_invariants()  # runs check_arena again
         world.backend.close()

@@ -4,12 +4,13 @@
 on ``(key_lo, depth)`` and builds each chunk blob with one join;
 ``tests/store_oracle.py`` walks the tree one node at a time.  On every
 tree shape the codec meets — tie-heavy keys, L0 leaves, a decoded tree
-without an arena, garbage arena rows after deletes, stale metas after a
-faulted batch, a replicated and filtered Varden tree — the two must
-produce the same topology and chunk blobs byte for byte, and the same
-manifest.  Encoding flushes the node arena early; serving with an
-encode after every batch must book and answer exactly what serving
-without one does.
+whose arena is unbuilt, garbage arena rows after deletes, stale metas
+after a faulted batch, a replicated and filtered Varden tree — the two
+must produce the same topology and chunk blobs byte for byte, and the
+same manifest.  Encoding flushes the node arena early (building it on a
+tree no batch has read); serving with an encode after every batch must
+book and answer exactly what serving without one does, and a recovered
+tree's arena must serve as a freshly built one does.
 
 The decoder's half: a topology or chunk blob whose hash and manifest
 checksum are consistent but whose record counts overrun its bytes ends
@@ -25,14 +26,21 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core import PIMZdTree
+from repro.core import PIMZdTree, vexec
 from repro.core.config import skew_resistant
 from repro.core.vexec import node_arena
-from repro.eval.harness import make_adapter
+from repro.eval.harness import make_adapter, make_boxes
 from repro.faults import FaultPlan
 from repro.faults.errors import FaultError
 from repro.pim import PIMSystem
-from repro.store import SnapshotCorruption, decode_tree, encode_tree
+from repro.store import (
+    DurableStore,
+    SnapshotCorruption,
+    decode_tree,
+    encode_tree,
+    open_backend,
+    recover,
+)
 from repro.store.snapshot import SnapshotImage, _blob_hash, _manifest_checksum
 from repro.tune import default_space
 from repro.tune.apply import apply_serving_config
@@ -76,7 +84,7 @@ def _decoded_tree():
     tree.insert(uniform_points(200, 3, seed=SEED + 1))
     again = decode_tree(encode_tree(tree), PIMSystem(16, seed=SEED),
                         cost_model=tree.cost_model)
-    assert again._arena is None
+    assert again._arena.n == 0  # decoded with an unbuilt arena
     return again
 
 
@@ -138,11 +146,77 @@ def test_encode_matches_the_oracle(case):
     tree = TREES[case]()
     if case == "l0_leaves":
         assert "l0" in oracle_encode(tree).chunks
-    had_arena = tree._arena is not None
     _assert_matches_oracle(tree)
-    # Encoding flushes an arena it finds and never builds one.
-    assert (tree._arena is not None) == had_arena
+    # Encoding flushed the arena (building it on a tree no batch read).
+    assert tree._arena.n > 0 and not tree._arena.dirty
     _assert_matches_oracle(tree)
+
+
+# ----------------------------------------------------------------------
+# the arena's lifecycle: one arena per tree, built by its first flush
+# ----------------------------------------------------------------------
+def test_an_unqueried_tree_encodes_like_the_oracle():
+    """A tree no batch has read holds an unbuilt arena; its first encode
+    builds it, matches the walk oracle and leaves an exact arena."""
+    tree = PIMZdTree(varden_points(3000, 3, seed=SEED),
+                     system=PIMSystem(16, seed=SEED))
+    assert tree._arena.n == 0
+    _assert_matches_oracle(tree)
+    assert tree._arena.n == tree.num_nodes()
+    vexec.check_arena(tree)
+
+
+def test_fail_over_before_the_first_batch_keeps_the_arena_exact():
+    """A failover on an unbuilt arena, then a batch: the batch's build
+    sees the failed-over tree, and the arena stays exact from then on."""
+    pts = varden_points(3000, 3, seed=SEED)
+    tree = PIMZdTree(pts, config=skew_resistant(16),
+                     system=PIMSystem(16, seed=SEED))
+    tree.fail_over(sorted(tree.metas, key=lambda m: m.root.nid)[0].module)
+    assert tree._arena.n == 0
+    q = pts[::300] + 1e-4
+    for qi, (d, _) in zip(q, tree.knn(q, 4)):
+        want = np.sort(np.linalg.norm(pts - qi, axis=1))[:4]
+        np.testing.assert_allclose(d, want, atol=1e-12)
+    assert tree._arena.n > 0
+    vexec.check_arena(tree)
+    tree.insert(uniform_points(200, 3, seed=SEED + 1))
+    tree.check_invariants()
+
+
+def test_a_recovered_arena_serves_like_a_fresh_one(tmp_path):
+    """Recovery keeps the arena WAL replay built (rows numbered by the
+    replay's history, garbage rows included); the next batch answers and
+    books exactly what it does on a tree whose arena is built fresh."""
+    pts = varden_points(3000, 3, seed=SEED)
+    tree = PIMZdTree(pts, config=skew_resistant(16),
+                     system=PIMSystem(16, seed=SEED))
+    backend = open_backend("file", str(tmp_path))
+    DurableStore(backend).attach(tree)
+    for i in range(3):
+        tree.insert(varden_points(150, 3, seed=SEED + 10 + i))
+        tree.delete(pts[i::9])
+    replayed, fresh = recover(backend).tree, recover(backend).tree
+    assert replayed._arena.n > 0 and replayed._arena.dead > 0
+    fresh._arena = vexec.NodeArena(fresh)
+    q = uniform_points(48, 3, seed=SEED + 2)
+    boxes = make_boxes(pts, 0.2, 8, seed=SEED)
+    outputs = []
+    for t in (replayed, fresh):
+        snap = t.system.snapshot()
+        knn = t.knn(q, 5)
+        counts = t.box_count(boxes)
+        fetched = t.box_fetch(boxes)
+        t.insert(uniform_points(40, 3, seed=SEED + 3))
+        outputs.append((knn, counts, fetched, t.system.stats.diff(snap)))
+    (knn_a, cnt_a, got_a, st_a), (knn_b, cnt_b, got_b, st_b) = outputs
+    for (da, ia), (db, ib) in zip(knn_a, knn_b):
+        assert np.array_equal(da, db) and np.array_equal(ia, ib)
+    assert np.array_equal(cnt_a, cnt_b)
+    assert all(np.array_equal(a, b) for a, b in zip(got_a, got_b))
+    assert st_a == st_b
+    vexec.check_arena(replayed)
+    backend.close()
 
 
 # ----------------------------------------------------------------------
