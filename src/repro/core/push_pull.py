@@ -200,14 +200,15 @@ class PushPullExecutor:
     def _charge_round(self, groups, pulled, out) -> None:
         """Book one round's groups with one charge sequence.
 
-        Read routing goes group by group first: with a ReplicaSet
-        attached, a chunk's work may land on a replica module, one
-        routing decision per (chunk, round), and each choice feeds the
-        next through the routed load.  A pushed group then books four
-        elements — dispatch, its tasks' words, the kernel's cycles, the
-        results — and a pulled group one, the fetch of its master storage
-        (§3.3), padded with no-op zeros so element ``i`` belongs to group
-        ``i // 4``.  ``hot_hits`` and the task counters follow the
+        Read routing comes first, one ``ReplicaSet.read_modules`` loop
+        over the groups: with a ReplicaSet attached, a chunk's work may
+        land on a replica module, one routing decision per (chunk,
+        round), and each choice feeds the next through the routed load.
+        A pushed group then books four elements — dispatch, its tasks'
+        words, the kernel's cycles, the results — and a pulled group
+        one, the fetch of its master storage (§3.3), padded with no-op
+        zeros so element ``i`` belongs to group ``i // 4``.
+        ``hot_hits`` and the task counters follow the
         booking.  When it raises at group ``j``, routing is rolled back
         and replayed for groups ``0..j``, and the counters take the
         groups before ``j`` plus ``j`` itself if pushed: what charging
@@ -218,7 +219,7 @@ class PushPullExecutor:
             mods = [m.module for m, _ in groups]
         else:
             routed = reps.routing_state()
-            mods = [reps.read_module(m, len(ts)) for m, ts in groups]
+            mods = reps.read_modules(groups)
         n = len(groups)
         amounts = np.zeros((n, 4))
         if pulled:
@@ -245,8 +246,7 @@ class PushPullExecutor:
             j = e.charge_index // 4
             if reps is not None:
                 reps.restore_routing(routed)
-                for m, ts in groups[:j + 1]:
-                    reps.read_module(m, len(ts))
+                reps.read_modules(groups[:j + 1])
             done = groups[:j + (groups[j][0] not in pulled)]
             self._count(done, pulled)
             raise

@@ -30,11 +30,11 @@ from ..pim.cost_model import PIMCostModel, upmem_scaled
 from ..pim.model import CHARGE_SEND, PIMSystem
 from .chunking import MetaNode, chunk_region
 from .config import PIMZdTreeConfig, throughput_optimized
-from .geometry import L2, Box, Metric
+from .geometry import L2, Metric
 from .morton import MortonCodec, max_bits_per_dim
 from .node import Layer, Node, node_words, subtree_nodes
 from .residency import ResidencyFeed, WordLedger, residency_from_scratch
-from .vexec import NodeArena, check_arena, node_arena
+from .vexec import NodeArena, check_arena
 
 __all__ = ["PIMZdTree"]
 
@@ -695,16 +695,6 @@ class PIMZdTree:
         from ..faults.recovery import fail_over
 
         return fail_over(self, mid)
-
-    # ==================================================================
-    # geometry helper
-    # ==================================================================
-    def node_box(self, node: Node) -> Box:
-        """``node``'s cell as views of its row in the flushed arena
-        (``prefix_box_batch`` values, bitwise those of ``prefix_box``),
-        for immediate use."""
-        arena = node_arena(self)
-        return Box(arena.lo[node.row], arena.hi[node.row])
 
     # ==================================================================
     # inspection / invariants

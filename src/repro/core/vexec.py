@@ -29,9 +29,9 @@ module:
   one stacked row-distance evaluation per round);
 * :func:`make_range_kernel` — box-mask range count/fetch
   (:func:`_range_descent`) for a whole round at once;
-* :func:`route_through_l0` — SEARCH's L0 routing over the arena's link
-  and key-range columns: one level per step for the whole batch, or key
-  by key for a batch too small to pay for array calls;
+* :func:`route_through_l0` — SEARCH's L0 routing: one ``searchsorted``
+  of the batch's keys into L0's frontier table (:class:`_Frontier`),
+  which the arena caches and rebuilds only when L0's structure changed;
 * the kNN host passes (Alg. 3's CPU share, driven by
   ``repro.core.knn._ArrayHost``): :func:`seed_knn_l0` — both L0 walks
   as one ``(query, row)`` frontier per batch; :func:`trace_rows` /
@@ -75,8 +75,9 @@ kept as the test oracle ``tests/exec_oracle.py``.  This works because
    depends only on round-start state (kNN prunes on the round-start
    radius), never on another group.  The executor books the round as one
    ``charge_sequence`` whose elements are, in ``by_meta`` order, the
-   charges per-group booking makes, and read routing still runs group
-   by group, so the drop-RNG stream, dead-module raise points, tracing and replica
+   charges per-group booking makes, and read routing makes the
+   per-group choices in group order (``ReplicaSet.read_modules``), so
+   the drop-RNG stream, dead-module raise points, tracing and replica
    routing see exactly what per-group charging gave them.
 
 The host passes keep the same contract without rounds: their charges
@@ -143,7 +144,7 @@ _PREFIX, _KEYS = attrgetter("prefix"), attrgetter("keys")
 _SEND_WORDS = attrgetter("send_words")
 _LEFT, _RIGHT, _TRACE = attrgetter("left"), attrgetter("right"), attrgetter("trace")
 _QID, _NODE, _META = attrgetter("qid"), attrgetter("node"), attrgetter("meta")
-_ROOT, _PTS = attrgetter("root"), attrgetter("pts")
+_ROOT, _PTS, _KEY = attrgetter("root"), attrgetter("pts"), attrgetter("key")
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 # Layers as plain ints for array compares: an IntEnum operand sends NumPy
 # through the enum metaclass's ``__getattr__`` on every compare.
@@ -236,9 +237,15 @@ class NodeArena:
     their (dirty) parents and get appended rows; rows of nodes that left
     the tree (``PIMZdTree.mark_removed``) become garbage, and once
     garbage outweighs the live rows the arena is rebuilt compactly.
+
+    The arena also caches L0's frontier table (:meth:`l0_frontier`).  A
+    flush drops it when a row in L0 before or after the flush changed
+    its ``layer``, ``left`` or ``right`` (a new row in L0 included), and
+    a rebuild always does; a table built under another root is rebuilt
+    when next read.
     """
 
-    __slots__ = ("tree", "n", "dead", "nodes", "dirty") + tuple(
+    __slots__ = ("tree", "n", "dead", "nodes", "dirty", "frontier") + tuple(
         name for name, _, _ in _COLUMNS
     )
 
@@ -247,6 +254,7 @@ class NodeArena:
         self.dirty: set[Node] = set()
         self.nodes: list[Node] = []  # no rows until the first flush
         self.n = self.dead = 0
+        self.frontier: _Frontier | None = None  # see l0_frontier
         self._resize(0, 0)
 
     # -- row bookkeeping ---------------------------------------------------
@@ -255,9 +263,11 @@ class NodeArena:
         return 0 <= r < len(self.nodes) and self.nodes[r] is node
 
     def remove(self, node: Node) -> None:
-        """``node`` left the tree: its row (if any) is garbage from now on."""
+        """``node`` left the tree: its row (if any) is garbage from now on,
+        in no layer (the frontier table finds L0's rows by layer)."""
         if self.has_row(node):
             self.dead += 1
+            self.layer[node.row] = -1
         node.row = _DEAD
 
     def add_counts(self, nodes: list[Node], deltas: list[int]) -> None:
@@ -301,6 +311,7 @@ class NodeArena:
         self.n = len(nodes)
         self.dead = 0
         self.dirty.clear()
+        self.frontier = None
         self._resize(_capacity(self.n), 0)
         self._write_fixed(nodes)
         self._write(nodes)
@@ -372,6 +383,7 @@ class NodeArena:
         )
         self.left[rows] = -1
         self.right[rows] = -1
+        self.layer[rows] = -1  # no layer yet: _write sets it
 
     def _write(self, nodes: list[Node]) -> None:
         """Columns the update path can change."""
@@ -380,8 +392,17 @@ class NodeArena:
         rows = np.fromiter(map(_ROW, nodes), dtype=np.intp, count=n)
         self.count[rows] = np.fromiter(map(_COUNT, nodes), dtype=np.int32,
                                        count=n)
-        self.layer[rows] = np.fromiter(map(_LAYER, nodes), dtype=np.int8,
-                                       count=n)
+        layer = np.fromiter(map(_LAYER, nodes), dtype=np.int8, count=n)
+        l0 = None
+        if self.frontier is not None:
+            # L0's structure: rows in L0 before or after, their layer and
+            # child links.  A new row's old layer reads -1.
+            was = self.layer[rows]
+            touched = (was == _L0) | (layer == _L0)
+            if _ANY(touched):
+                l0 = rows[touched]
+                before = (was[touched], self.left[l0], self.right[l0])
+        self.layer[rows] = layer
         meta_id = np.full(n, -1, dtype=np.int32)
         cycles = np.zeros(n)
         for i, nd in enumerate(nodes):
@@ -400,6 +421,20 @@ class NodeArena:
                                           dtype=np.int32, count=k)
             self.right[rows] = np.fromiter(map(_ROW, map(_RIGHT, inner)),
                                            dtype=np.int32, count=k)
+        if l0 is not None and not (
+                np.array_equal(before[0], self.layer[l0])
+                and np.array_equal(before[1], self.left[l0])
+                and np.array_equal(before[2], self.right[l0])):
+            self.frontier = None
+
+    def l0_frontier(self) -> "_Frontier":
+        """L0's frontier table, after a flush: the cached one while L0's
+        structure and the root are the same, else a fresh build."""
+        self.flush()
+        f = self.frontier
+        if f is None or f.root is not self.tree.root:
+            f = self.frontier = _Frontier(self)
+        return f
 
 
 def node_arena(tree) -> NodeArena:
@@ -414,8 +449,9 @@ def check_arena(tree) -> None:
 
     Compared over the rows of reachable nodes: every column, with the
     columns that hold rows (child links, meta handles) compared by the
-    identity of the node they name.  ``tree.check_invariants`` calls
-    this, so it builds an unbuilt arena.
+    identity of the node they name; a cached L0 frontier table must
+    equal a fresh one.  ``tree.check_invariants`` calls this, so it
+    builds an unbuilt arena.
     """
     arena = node_arena(tree)
     live = subtree_nodes(tree.root)
@@ -423,6 +459,9 @@ def check_arena(tree) -> None:
     assert arena.n - arena.dead == len(live), "arena live-row count drifted"
     assert arena.n <= 2 * len(live), "arena garbage exceeds its bound"
     rows = [nd.row for nd in live]
+    f = arena.frontier
+    if f is not None and f.root is tree.root:
+        assert f.same_as(_Frontier(arena)), "L0 frontier table is stale"
     # A fresh build rows the nodes 0..n-1 in ``live`` order; restored below.
     fresh = NodeArena(tree)
     fresh.flush()
@@ -459,9 +498,120 @@ def _gather_rows(arena: NodeArena, leaf_rows: np.ndarray):
 # ======================================================================
 # L0 routing (SEARCH step 1)
 # ======================================================================
-def _l0_blocks(nodes: list[Node]) -> list[tuple]:
+def _l0_blocks(nodes) -> list[tuple]:
     """LLC block ids of host-resident L0 nodes, in the given order."""
     return list(zip(repeat("pimzd"), repeat("l0"), map(_NID, nodes)))
+
+
+# What a frontier interval decides for its keys.
+_LEAF, _EDGE, _BORDER, _OUTSIDE = 0, 1, 2, 3
+
+
+class _Frontier:
+    """L0's key-space frontier: the root's key range cut into intervals
+    whose keys all end their L0 walk the same way.
+
+    Interval ``i`` runs from ``starts[i]`` (sorted) up to the next start,
+    the last one up to ``hi``, the root's ``hi_incl``.  Its keys end as
+    ``kind[i]`` says, at the rows ``child[i]`` and ``end[i]``:
+    ``_LEAF`` — in the L0 leaf ``child[i]``; ``_BORDER`` — at
+    ``child[i]``, a non-L0 child of an L0 node, where their border task
+    starts; ``_EDGE`` — off the compressed edge from ``end[i]`` into
+    ``child[i]``.  They visit the L0 nodes on the root path of
+    ``end[i]`` (the leaf itself, or the parent where they stop), root
+    first.  Entry ``len(starts)`` is a key outside ``[lo, hi]``:
+    ``_OUTSIDE``, the edge ``(None, root)``, no trace.  An empty L0 is
+    one border interval at the root, with no trace either (``end`` -1).
+
+    The traces themselves, lists of ``Node`` objects, are made on first
+    use and kept in ``memo``: a table serves a few batches between L0
+    changes, and most of its intervals are never reached in that time.
+    """
+
+    __slots__ = ("root", "nodes", "lo", "hi", "starts", "kind", "child",
+                 "end", "memo")
+
+    def __init__(self, a: NodeArena) -> None:
+        root = self.root = a.tree.root
+        self.nodes = a.nodes
+        r0 = root.row
+        self.lo, self.hi = a.key_lo[r0], a.hi_incl[r0]
+        self.memo: dict[int, list[Node]] = {-1: []}
+        if a.layer[r0] != _L0 or a.is_leaf[r0]:
+            in_l0 = bool(a.layer[r0] == _L0)
+            start = a.key_lo[r0:r0 + 1]
+            kind = np.array([_LEAF if in_l0 else _BORDER])
+            child = np.array([r0])
+            end = np.array([r0 if in_l0 else -1])
+        else:
+            start, kind, child, end = _frontier_intervals(a)
+        if a.layer[r0] == _L0:
+            self.memo[r0] = [root]
+        order = np.argsort(start, kind="stable")
+        self.starts = start[order]
+        self.kind = kind[order].tolist() + [_OUTSIDE]
+        self.child = child[order].tolist() + [r0]
+        self.end = end[order].tolist() + [-1]
+
+    def traces(self, ends: list[int]) -> list[list[Node]]:
+        """The trace of each row in ``ends``, made and kept on first use:
+        the nodes up to the nearest ancestor with a trace, after its
+        trace.  Callers copy a trace, never change it."""
+        memo, nodes = self.memo, self.nodes
+        for e in set(ends).difference(memo):
+            up, r = [], e
+            while r not in memo:
+                up += (nodes[r],)
+                r = nodes[r].parent.row
+            memo[e] = memo[r] + up[::-1]
+        return list(map(memo.__getitem__, ends))
+
+    def same_as(self, other: "_Frontier") -> bool:
+        """Equal tables over one arena: the same intervals and rows, and
+        every trace made so far equal to the other's."""
+        return (self.root is other.root and self.nodes is other.nodes
+                and np.array_equal(self.starts, other.starts)
+                and self.kind == other.kind and self.child == other.child
+                and self.end == other.end
+                and list(self.memo.values()) == other.traces(list(self.memo)))
+
+
+def _frontier_intervals(a: NodeArena):
+    """The intervals under an internal L0 root, from every live L0 row at
+    once.
+
+    Each internal L0 node splits its range at its key bit into two
+    halves, one per child.  A child covers part of its half: the part
+    below and the part above it are compressed-edge gaps (``_EDGE``);
+    the child itself is an interval when it is an L0 leaf (``_LEAF``) or
+    not in L0 (``_BORDER``), and is split again when it is an internal
+    L0 node.  L0 is the top of the tree (a node's layer is at least its
+    parent's), so its live rows are exactly the L0 nodes the walk can
+    reach, and a dead row is in no layer.  Returns the unsorted
+    ``(start, kind, child, end)`` arrays.
+    """
+    kb = a.tree.key_bits
+    rows = np.flatnonzero(a.layer[:a.n] == _L0)
+    inner = rows[~a.is_leaf[rows]]
+    klo = a.key_lo[inner]
+    half = _U64(1) << (kb - 1 - a.depth[inner].astype(np.int64)).astype(_U64)
+    parent = np.concatenate([inner, inner])
+    child = np.concatenate([a.left[inner], a.right[inner]]).astype(np.intp)
+    lo_half = np.concatenate([klo, klo + half])
+    hi_half = lo_half + (np.concatenate([half, half]) - _U64(1))
+    c_lo, c_hi = a.key_lo[child], a.hi_incl[child]
+    in_l0 = a.layer[child] == _L0
+    leaf = in_l0 & a.is_leaf[child]
+    border = ~in_l0
+    below, above = c_lo > lo_half, c_hi < hi_half
+    parts = (below, above, leaf, border)
+    start = np.concatenate([lo_half[below], c_hi[above] + _U64(1),
+                            c_lo[leaf], c_lo[border]])
+    kind = np.repeat([_EDGE, _EDGE, _LEAF, _BORDER], list(map(_SUM, parts)))
+    child_rows = np.concatenate([child[m] for m in parts])
+    end = np.concatenate([parent[below], parent[above], child[leaf],
+                          parent[border]])
+    return start, kind, child_rows, end
 
 
 def route_through_l0(tree, results) -> list[Task]:
@@ -469,170 +619,70 @@ def route_through_l0(tree, results) -> list[Task]:
 
     Returns the border tasks entering L1/L2; terminal outcomes (leaf or
     edge divergence inside L0) are written into ``results`` directly.
-    Every query descends L0 over the arena's ``left/right/key_lo/hi_incl/
-    layer`` columns: the key bit at the node's depth picks the child, a
-    range compare detects a divergent compressed edge.  A batch of more
-    than ``_ROUTE_EACH_MAX`` queries advances one level per step with
-    array ops (:func:`_route_levels`); a smaller one — where a dozen
-    array calls per level cost more than the whole batch's scalar reads
-    — walks each key down the same columns (:func:`_route_each`).
-    Traces are Node lists (the update path reads them); terminal
-    outcomes, border tasks and all simulated charges are the same either
-    way.  A host-resident L0 charges the CPU per visited node; a
-    replicated one is walked in one round, queries hash-partitioned over
-    the modules.
+    The whole batch is routed by one ``searchsorted`` of its keys into
+    L0's frontier table (:class:`_Frontier`, cached on the arena and
+    rebuilt only when a flush changed L0's structure or the root moved):
+    a key's interval gives its leaf, divergent edge or border task and
+    its trace, a shared list of ``Node`` objects copied into
+    ``res.trace`` (the update path reads traces).  A host-resident L0
+    charges the CPU per visited node and replays the trace nodes' LLC
+    touches in result order; a replicated one is walked in one round,
+    queries hash-partitioned over the modules
+    (:meth:`~repro.pim.PIMSystem.place_batch`), each module charged its
+    queries' sends, visits and trace replies.
     """
     sys = tree.system
-    a = node_arena(tree)
-    root = tree.root
-    if root.layer != Layer.L0:
-        # Empty L0: the border sits at the root itself (no trace/charges).
-        lo, hi = root.key_range(tree.key_bits)
-        path, tasks = [], []
-        for res in results:
-            if lo <= res.key < hi:
-                tasks.append(Task(res.qid, root.meta, root))
-            else:
-                res.edge = (None, root)
-    elif len(results) <= _ROUTE_EACH_MAX:
-        path, tasks = _route_each(tree, a, results)
-    else:
-        path, tasks = _route_levels(tree, a, results)
+    f = tree._arena.l0_frontier()
+    n = len(results)
+    keys = np.fromiter(map(_KEY, results), dtype=_U64, count=n)
+    at = np.searchsorted(f.starts, keys, side="right") - 1
+    at[(keys < f.lo) | (keys > f.hi)] = len(f.starts)
+    nodes, kind, child, end = f.nodes, f.kind, f.child, f.end
+    idx = at.tolist()
+    traces = f.traces(list(map(end.__getitem__, idx)))
+    for res, i, trace in zip(results, idx, traces):
+        res.trace += trace
+        k = kind[i]
+        if k == _LEAF:
+            res.leaf = nodes[child[i]]
+        elif k == _EDGE:
+            res.edge = (nodes[end[i]], nodes[child[i]])
+        elif k == _OUTSIDE:
+            res.edge = (None, f.root)
+    tasks = [Task(results[j].qid, nodes[child[i]].meta, nodes[child[i]])
+             for j, i in enumerate(idx) if kind[i] == _BORDER]
 
     # -- charges, in the per-query walk's order ---------------------------
+    depth = np.fromiter(map(len, traces), dtype=np.intp, count=n)
     if tree.l0_on_cpu:
-        if path:
-            sys.charge_cpu(CPU_NODE_OPS * len(path))
-            sys.touch_cpu_blocks(_l0_blocks(path))
-    else:
-        salt = tree._l0_route_salt
-        send_by: dict[int, float] = {}
-        cyc_by: dict[int, float] = {}
-        recv_by: dict[int, float] = {}
-        # Aggregate per placed module; all three dicts share one key
-        # sequence (first-appearance order), and the round books every
-        # module's send, then every module's cycles, then every module's
-        # recv, in that order — so a drop-prone fault plan rolls the
-        # transfers in that order too.
-        for res in results:
-            mid = sys.place(("l0q", salt, res.qid))
-            send_by[mid] = send_by.get(mid, 0.0) + 2
-            cyc_by[mid] = (
-                cyc_by.get(mid, 0.0) + len(res.trace) * L0_PIM_CYCLES_PER_NODE
-            )
-            recv_by[mid] = recv_by.get(mid, 0.0) + TRACE_WORDS
-        n_mids = len(send_by)
-        mids = np.fromiter(send_by.keys(), dtype=np.intp, count=n_mids)
-        amounts = np.fromiter(
-            chain(send_by.values(), cyc_by.values(), recv_by.values()),
-            dtype=np.float64, count=3 * n_mids)
-        with sys.round():
-            sys.charge_sequence(np.repeat(_ROUTE_KINDS, n_mids),
-                                np.tile(mids, 3), amounts)
+        visits = int(_SUM(depth))
+        if visits:
+            sys.charge_cpu(CPU_NODE_OPS * visits)
+            sys.touch_cpu_blocks(_l0_blocks(chain.from_iterable(traces)))
+        return tasks
+    # Per placed module, in first-appearance order: every module's sends,
+    # then every module's cycles, then every module's recvs — so a
+    # drop-prone fault plan rolls the transfers in that order too.
+    placed = sys.place_batch(("l0q", tree._l0_route_salt),
+                             list(map(_QID, results)))
+    mids, first, slot = np.unique(placed, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    slot = rank[slot]
+    n_mids = len(mids)
+    queries = np.bincount(slot, minlength=n_mids).astype(np.float64)
+    visits = np.bincount(slot, weights=depth, minlength=n_mids)
+    amounts = np.concatenate([queries * 2, visits * L0_PIM_CYCLES_PER_NODE,
+                              queries * TRACE_WORDS])
+    with sys.round():
+        sys.charge_sequence(np.repeat(_ROUTE_KINDS, n_mids),
+                            np.tile(mids[order], 3), amounts)
     return tasks
 
 
 _ROUTE_KINDS = np.array([CHARGE_SEND, CHARGE_PIM, CHARGE_RECV], dtype=np.intp)
-
-
-# Batches up to this many queries route key by key.  Measured crossover:
-# ~32 queries on a 6-level L0 (uniform 40k, P = 64), ~50 on a 23-level one
-# (Varden 100k, P = 2048) — where one level of array calls costs what that
-# many scalar steps do.
-_ROUTE_EACH_MAX = 32
-
-
-def _route_each(tree, a: NodeArena, results):
-    """L0 routing one key at a time over the arena's columns (``item``
-    reads: Python ints, no array calls).  Returns ``(path, tasks)``:
-    every trace node in result order, and the border tasks."""
-    nodes, kb, root_row = a.nodes, tree.key_bits, tree.root.row
-    is_leaf, depth, left, right = a.is_leaf, a.depth, a.left, a.right
-    key_lo, hi_incl, layer = a.key_lo, a.hi_incl, a.layer
-    path: list[Node] = []
-    tasks: list[Task] = []
-    for res in results:
-        key = res.key
-        if not key_lo.item(root_row) <= key <= hi_incl.item(root_row):
-            res.edge = (None, tree.root)
-            continue
-        rows = [root_row]
-        while True:
-            r = rows[-1]
-            if is_leaf.item(r):
-                res.leaf = nodes[r]
-                break
-            c = (right if key >> (kb - 1 - depth.item(r)) & 1 else left).item(r)
-            if not key_lo.item(c) <= key <= hi_incl.item(c):
-                res.edge = (nodes[r], nodes[c])
-                break
-            if layer.item(c) != _L0:
-                node = nodes[c]
-                tasks.append(Task(res.qid, node.meta, node))
-                break
-            rows.append(c)
-        trace = list(map(nodes.__getitem__, rows))
-        res.trace.extend(trace)
-        path += trace
-    return path, tasks
-
-
-def _route_levels(tree, a: NodeArena, results):
-    """L0 routing for the whole batch, one level per step (array ops).
-    Returns what :func:`_route_each` does."""
-    nodes, kb, root = a.nodes, tree.key_bits, tree.root
-    keys = np.array([r.key for r in results], dtype=_U64)
-    ok = (a.key_lo[root.row] <= keys) & (keys <= a.hi_incl[root.row])
-    for i in np.flatnonzero(~ok).tolist():
-        results[i].edge = (None, root)
-    qi = np.flatnonzero(ok)
-    row = np.full(len(qi), root.row, dtype=np.intp)
-    bord_q, bord_r, trace_q, trace_r = [], [], [], []
-    while len(qi):
-        trace_q.append(qi)
-        trace_r.append(row)
-        leaf = a.is_leaf[row]
-        if np.count_nonzero(leaf):
-            for i, r in zip(qi[leaf].tolist(), row[leaf].tolist()):
-                results[i].leaf = nodes[r]
-            qi, row = qi[~leaf], row[~leaf]
-        key = keys[qi]
-        bit = (key >> (kb - 1 - a.depth[row]).astype(_U64)) & _U64(1)
-        child = np.where(bit, a.right[row], a.left[row])
-        inside = (a.key_lo[child] <= key) & (key <= a.hi_incl[child])
-        descend = inside & (a.layer[child] == _L0)
-        if np.count_nonzero(descend) < len(qi):
-            for i, p, c in zip(qi[~inside].tolist(), row[~inside].tolist(),
-                               child[~inside].tolist()):
-                results[i].edge = (nodes[p], nodes[c])
-            border = inside & ~descend
-            bord_q.append(qi[border])
-            bord_r.append(child[border])
-            qi, child = qi[descend], child[descend]
-        row = child
-
-    # Traces: each query's rows in level order, as Node lists.
-    path: list[Node] = []
-    if trace_q:
-        tq = np.concatenate(trace_q)
-        order = np.argsort(tq, kind="stable")
-        path = list(map(nodes.__getitem__,
-                        np.concatenate(trace_r)[order].tolist()))
-        ends = np.cumsum(np.bincount(tq, minlength=len(results))).tolist()
-        s = 0
-        for res, e in zip(results, ends):
-            if e > s:
-                res.trace.extend(path[s:e])
-                s = e
-    tasks: list[Task] = []
-    if bord_q:
-        bq = np.concatenate(bord_q)
-        order = np.argsort(bq)
-        for i, r in zip(bq[order].tolist(),
-                        np.concatenate(bord_r)[order].tolist()):
-            node = nodes[r]
-            tasks.append(Task(results[i].qid, node.meta, node))
-    return path, tasks
 
 
 # ======================================================================

@@ -143,6 +143,8 @@ def run_fig5(
             adapter, data=data, ops=ops, batch=batch, seed=seed,
             fresh_points=fresh_points(dataset, seed), box_sides=sides,
         )
+        del adapter
+        gc.collect()
     headers, rows = fig5_rows(results)
     # A terminal rendition of the Fig. 5 bars for one representative op.
     names = list(results)
@@ -192,6 +194,8 @@ def run_latency(
         rows.append(
             [adapter.name, round(p50[kind] * 1e3, 3), round(p99[kind] * 1e3, 3)]
         )
+        del adapter
+        gc.collect()
     return ExperimentResult(
         name=f"latency-{dataset}",
         paper_ref="§7.2 latency",
@@ -251,6 +255,8 @@ def run_fig7(
         fresh = uniform_points(batch, 3, seed=seed * 31 + batch)
         m = adapter.measure(lambda: adapter.insert(fresh))
         rows.append([batch, m.throughput / 1e6, m.traffic_bytes / batch])
+        del adapter
+        gc.collect()
     return ExperimentResult(
         name="fig7",
         paper_ref="Fig. 7",
@@ -282,6 +288,8 @@ def run_fig8(
             m = adapter.measure(lambda: adapter.knn(q, 1))
             tp[kind].append(m.throughput / 1e6)
             traffic[kind].append(m.traffic_per_element)
+            del adapter
+            gc.collect()
     return ExperimentResult(
         name="fig8",
         paper_ref="Fig. 8",
@@ -364,6 +372,8 @@ def run_table2(
             adapter.variant, round(space / point_words, 2), round(search_w, 1),
             search_r, round(ins_w, 1), round(knn_w, 1),
         ])
+        del adapter
+        gc.collect()
     return ExperimentResult(
         name="table2",
         paper_ref="Table 2",

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from functools import partialmethod
+from functools import partial, partialmethod
+from operator import methodcaller
 
 import numpy as np
 
@@ -338,6 +339,28 @@ class PIMSystem:
             ).digest()
             mid = int.from_bytes(digest, "little") % self.n_modules
         return mid
+
+    def place_batch(self, head: tuple, ids: list[int]) -> np.ndarray:
+        """:meth:`place` of the key ``(*head, i)`` for every int ``i`` in
+        ``ids``, in one pass: the keys' ``repr`` bytes are formatted
+        directly after ``head``'s, hashed with one ``map``, and reduced
+        modulo ``P`` as one array.  A key with a placement override, or
+        whose hash lands on a dead module, is placed by :meth:`place`.
+        """
+        prefix = repr(_canonical_key((*head, 0))).encode()[:-2]
+        data = [prefix + b"%d)" % i for i in ids]
+        hasher = partial(hashlib.blake2b, key=self._salt[:16], digest_size=8)
+        digests = b"".join(map(methodcaller("digest"), map(hasher, data)))
+        mids = (np.frombuffer(digests, dtype="<u8")
+                % np.uint64(self.n_modules)).astype(np.intp)
+        if self._place_overrides or self._dead:
+            again = np.isin(mids, list(self._dead))
+            if self._place_overrides:
+                again |= np.fromiter(map(self._place_overrides.__contains__,
+                                         data), dtype=bool, count=len(data))
+            for j in np.flatnonzero(again).tolist():
+                mids[j] = self.place((*head, ids[j]))
+        return mids
 
     def set_placement_override(self, key, mid: int) -> None:
         """Pin ``key``'s placement to module ``mid`` (migration routing).

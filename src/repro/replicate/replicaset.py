@@ -14,10 +14,10 @@ adds nothing).  Because it goes through :meth:`~repro.pim.PIMSystem.place`,
 a recorded override for a replica key re-routes it like any other key,
 and a dead target falls through to the deterministic rehash.
 
-**Reads** route ``read-any``: the executor asks :meth:`read_module` once
-per (chunk, round) and the least-loaded live copy answers (deterministic
-tie-break by module id), using a routed-work counter the ReplicaSet
-maintains itself — pure control-plane state, nothing charged.  Under
+**Reads** route ``read-any``: the executor asks :meth:`read_modules` once
+per round, one choice per chunk, and the least-loaded live copy answers
+(deterministic tie-break by module id), using a routed-work counter the
+ReplicaSet maintains itself — pure control-plane state, nothing charged.  Under
 ``primary-async`` a chunk with unflushed writes pins reads to the
 primary (read-your-writes); ``write-all`` secondaries are always fresh.
 
@@ -203,6 +203,34 @@ class ReplicaSet:
                 best, best_load = mid, load
         self._routed[best] = best_load + float(weight)
         return best
+
+    def read_modules(self, groups) -> list[int]:
+        """:meth:`read_module` of each ``(meta, tasks)`` group in turn,
+        weighted by its task count: one loop over the round's groups, each
+        choice seeing the routed load of the ones before it."""
+        dead = self.tree.system.dead_modules
+        secondaries = self._secondaries
+        pinned = (self._pending if self.config.write_policy == "primary-async"
+                  else ())
+        routed = self._routed
+        out = [0] * len(groups)
+        for g, (meta, ts) in enumerate(groups):
+            best = meta.module
+            nid = meta.root.nid
+            if nid in secondaries and nid not in pinned:
+                best_load = routed[best] if best in routed else 0.0
+                live = False
+                for mid in secondaries[nid]:
+                    if mid in dead:
+                        continue
+                    live = True
+                    load = routed[mid] if mid in routed else 0.0
+                    if load < best_load or (load == best_load and mid < best):
+                        best, best_load = mid, load
+                if live:
+                    routed[best] = best_load + len(ts)
+            out[g] = best
+        return out
 
     def routing_state(self) -> dict[int, float]:
         """A copy of the routed-work counters (see :meth:`restore_routing`)."""

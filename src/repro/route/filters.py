@@ -111,6 +111,7 @@ _ROOT_NID = attrgetter("root.nid")
 _MODULE = attrgetter("module")
 _QID = attrgetter("qid")
 _KEY = attrgetter("key")
+_LEAF = attrgetter("leaf")
 _SEND_WORDS = attrgetter("send_words")
 _N_KEYS = attrgetter("n_keys")
 _K = attrgetter("k")
@@ -792,14 +793,27 @@ class RouteFilterSet:
 
     def account_search(self, results, probed: np.ndarray) -> None:
         """Tally false positives once ground truth is known (stats only):
-        screened (``probed``), unpruned queries whose leaf lacks the key."""
-        for res in compress(results, probed.tolist()):
-            if res.pruned:
-                continue
-            leaf, key = res.leaf, np.uint64(res.key)
-            keys = _NO_KEYS if leaf is None or leaf.keys is None else leaf.keys
-            j = int(np.searchsorted(keys, key))
-            self.fp_probes += not (j < len(keys) and keys[j] == key)
+        screened (``probed``), unpruned queries whose leaf lacks the key.
+
+        One sorted pass: the keys of every leaf reached, pooled, and one
+        ``searchsorted`` of the queried keys.  Leaves cover disjoint key
+        ranges and a search reaches the leaf whose range holds its key
+        (an edge, when no leaf's does), so a key is in the pool exactly
+        when its own leaf holds it.
+        """
+        asked = [res for res in compress(results, probed.tolist())
+                 if not res.pruned]
+        if not asked:
+            return
+        held = [leaf.keys for leaf in dict.fromkeys(map(_LEAF, asked))
+                if leaf is not None and leaf.keys is not None]
+        pool = np.sort(np.concatenate(held)) if held else _NO_KEYS
+        keys = np.fromiter(map(_KEY, asked), dtype=np.uint64, count=len(asked))
+        found = np.zeros(len(asked), dtype=bool)
+        if len(pool):
+            j = np.minimum(np.searchsorted(pool, keys), len(pool) - 1)
+            found = pool[j] == keys
+        self.fp_probes += len(asked) - int(np.count_nonzero(found))
 
     def make_knn_prune(self, states, bounds=None):
         """Group hook for kNN candidate/fetch rounds, one array pass each.

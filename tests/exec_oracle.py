@@ -12,6 +12,11 @@ integer, so both engines must book byte-identical PIMStats — the
 property ``tests/test_differential_exec.py``, ``test_knn_host_pipeline``
 and ``test_golden_stats`` hold production to.
 
+:func:`route_through_l0` is SEARCH's L0 routing walked key by key and
+node by node: the oracle for production's one lookup in the arena's
+frontier table (``tests/test_l0_route.py``).  :func:`node_box` reads a
+node's cell from the flushed arena for the handlers' box tests.
+
 :func:`run_per_group` is the production executor as it was before its
 rounds were booked with one ``charge_sequence`` call: the same kernels,
 each (meta, tasks) group charged by its own scalar calls.  It is the
@@ -68,13 +73,22 @@ from repro.core.push_pull import (
     PushPullExecutor,
     Task,
 )
+from repro.core.vexec import node_arena
 from repro.pim import CHARGE_PIM, CHARGE_RECV, CHARGE_SEND
 from repro.route import RouteFilterSet
 from repro.route.filters import _HASH_OPS, _PROBE_BASE_OPS
 
 __all__ = ["ExecContext", "reference_exec", "exec_engine", "run_per_group",
-           "make_knn_prune", "make_search_prune", "prune_l0_route",
+           "node_box", "make_knn_prune", "make_search_prune", "prune_l0_route",
            "per_task", "splitmix_int", "bit_positions", "probe"]
+
+
+def node_box(tree, node: Node) -> Box:
+    """``node``'s cell as views of its row in the tree's flushed arena
+    (``prefix_box_batch`` values, bitwise those of ``prefix_box``), for
+    immediate use: the box every per-node handler here tests."""
+    arena = node_arena(tree)
+    return Box(arena.lo[node.row], arena.hi[node.row])
 
 
 def _one(sys, kind: int, mid: int, amount: float) -> None:
@@ -282,7 +296,9 @@ def run_per_group(self, tasks, kernel, *, round_hook=None, prune=None):
 # SEARCH
 # ======================================================================
 def route_through_l0(tree, results) -> list[Task]:
-    """Traverse the globally-shared layer for every query (Alg. 1 step 1)."""
+    """Traverse the globally-shared layer for every query (Alg. 1 step 1),
+    one key and one node at a time, placing and charging each query on
+    its own — what one lookup in production's frontier table must equal."""
     sys = tree.system
     kb = tree.key_bits
     tasks: list[Task] = []
@@ -454,7 +470,7 @@ def _lowest_containing_sphere(tree, trace: list[Node], q: np.ndarray, r: float
                               ) -> Node:
     if math.isfinite(r):
         for node in reversed(trace):
-            if tree.node_box(node).contains_sphere(q, r):
+            if node_box(tree, node).contains_sphere(q, r):
                 return node
     return tree.root
 
@@ -466,8 +482,8 @@ def _child_box_dists(tree, left: Node, right: Node, q: np.ndarray,
     One gap evaluation covers both children, and the ℓ∞ distance reuses
     the same gap array; elementwise identical to :func:`dist_point_box`.
     """
-    bl = tree.node_box(left)
-    br = tree.node_box(right)
+    bl = node_box(tree, left)
+    br = node_box(tree, right)
     lo, hi = np.stack((bl.lo, br.lo)), np.stack((bl.hi, br.hi))
     gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)
     if coarse.name == "l1":
@@ -505,9 +521,9 @@ def _seed_from(tree, start: Node, qid: int, state: _KnnState, coarse: Metric,
         sys.charge_cpu(4)
         sys.touch_cpu_blocks((("pimzd", "l0", node.nid),))
         if d is None:
-            d = dist_point_box(q, tree.node_box(node), coarse)
+            d = dist_point_box(q, node_box(tree, node), coarse)
             if use_linf:
-                dlinf = dist_point_box(q, tree.node_box(node), LINF)
+                dlinf = dist_point_box(q, node_box(tree, node), LINF)
         prune_at = state.radius() if mode == "candidates" else bound
         if d > prune_at:
             continue
@@ -566,7 +582,7 @@ def _make_candidate_handler(tree, states: list[_KnnState], coarse: Metric, k: in
         while stack:
             node = stack.pop()
             ctx.visit_node(node)
-            d = dist_point_box(state.q, tree.node_box(node), coarse)
+            d = dist_point_box(state.q, node_box(tree, node), coarse)
             ctx.extra_work(2 * dims, coarse.pim_cycles_per_dim * dims)
             if d > radius:
                 continue
@@ -625,13 +641,13 @@ def _make_fetch_handler(tree, states: list[_KnnState], coarse: Metric,
         while stack:
             node = stack.pop()
             ctx.visit_node(node)
-            d = dist_point_box(state.q, tree.node_box(node), coarse)
+            d = dist_point_box(state.q, node_box(tree, node), coarse)
             ctx.extra_work(2 * dims, coarse.pim_cycles_per_dim * dims)
             if d > bound:
                 continue
             if use_linf:
                 ctx.extra_work(2 * dims, LINF.pim_cycles_per_dim * dims)
-                if dist_point_box(state.q, tree.node_box(node), LINF) > r_exact:
+                if dist_point_box(state.q, node_box(tree, node), LINF) > r_exact:
                     continue
             if node.is_leaf:
                 ctx.scan_points(node.count, coarse, dims)
@@ -660,7 +676,7 @@ def _make_fetch_handler(tree, states: list[_KnnState], coarse: Metric,
 # range queries
 # ======================================================================
 def _classify(tree, node: Node, box: Box) -> str:
-    nbox = tree.node_box(node)
+    nbox = node_box(tree, node)
     if not box.intersects(nbox):
         return "disjoint"
     if box.contains_box(nbox):

@@ -1,9 +1,11 @@
 """kNN's host side as batch-wide array passes ≡ the per-query oracle.
 
-The CPU's share of Alg. 3 — SEARCH's L0 routing, both L0 walks (steps 2
-and 4), the start/covering trace node (step 3) and the three top-k
-merges — runs as level-synchronous passes over the node arena
-(``repro.core.knn._ArrayHost`` on ``repro.core.vexec``).
+The CPU's share of Alg. 3 — SEARCH's L0 routing (one lookup in the
+arena's L0 frontier table, held to the per-key walk on its own in
+``tests/test_l0_route.py``), both L0 walks (steps 2 and 4), the
+start/covering trace node (step 3) and the three top-k merges — runs as
+batch-wide passes over the node arena (``repro.core.knn._ArrayHost`` on
+``repro.core.vexec``).
 ``tests/exec_oracle.py`` keeps the per-query, per-node helpers as the
 oracle (``reference_exec()``).  Both must return identical answers and
 byte-identical ``PIMStats`` (``dram_words`` included, so the LLC touch
@@ -26,6 +28,7 @@ import sys
 
 import numpy as np
 import pytest
+import exec_oracle
 from exec_oracle import exec_engine
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -169,38 +172,6 @@ def test_varden_p2048_identity(pile_replays):
     assert max(len(r.trace) for r in tree.search(q)) > 20
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(dims=st.sampled_from([2, 3, 5]), seed=st.integers(0, 2**16 - 1),
-       n=st.integers(1, 80))
-def test_route_strategies_agree(dims, seed, n):
-    """``_route_each`` (small batches) and ``_route_levels`` give the same
-    traces, leaves, divergent edges and border tasks — for stored keys,
-    keys that leave a compressed edge, and keys outside the root."""
-    from repro.core.search import SearchResult
-
-    rng = np.random.default_rng(seed)
-    base, _ = tie_heavy(dims, seed)
-    # Two tight clusters: long compressed edges inside L0 that a key
-    # between them leaves.
-    pts = np.vstack([base * 0.01 + 0.1, base * 0.01 + 0.8])
-    tree = _build(pts, fast_l2=True, small_llc=False, filters=False)
-    q = np.vstack([pts[rng.integers(0, len(pts), n)],
-                   rng.random((n, dims))])
-    keys = [int(k) for k in tree.encode_keys(q)]
-    arena = vexec.node_arena(tree)
-    out = []
-    for walk in (vexec._route_each, vexec._route_levels):
-        res = [SearchResult(i, k) for i, k in enumerate(keys)]
-        path, tasks = walk(tree, arena, res)
-        out.append((
-            [nd.nid for nd in path],
-            [(t.qid, t.node.nid) for t in tasks],
-            [([nd.nid for nd in r.trace], r.leaf and r.leaf.nid,
-              r.edge and tuple(x and x.nid for x in r.edge)) for r in res]))
-    assert out[0] == out[1]
-    assert any(r[2] for r in out[0][2])  # some key left the tree structure
-
-
 # ----------------------------------------------------------------------
 # replaced, not forked
 # ----------------------------------------------------------------------
@@ -219,7 +190,7 @@ def test_vectorized_knn_calls_no_scalar_helper(monkeypatch):
             raise AssertionError(f"production kNN called {name}")
         return trap
 
-    monkeypatch.setattr(PIMZdTree, "node_box", forbidden("node_box"))
+    monkeypatch.setattr(exec_oracle, "node_box", forbidden("node_box"))
     monkeypatch.setattr(Box, "contains_sphere", forbidden("contains_sphere"))
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("repro.core")

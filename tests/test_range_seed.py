@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from exec_oracle import _seed_l0_boxes
+from exec_oracle import _seed_l0_boxes, node_box
 from test_differential_exec import assert_stats_identical
 
 from repro.core import vexec
@@ -69,7 +69,7 @@ def _boxes(tree) -> list[Box]:
     # Whole L0 subtrees: a node's own cell (contained at equality) and the
     # cell widened a little; the widened pile cells take the leaves whole.
     for nd in picks + leaves:
-        cell = tree.node_box(nd)
+        cell = node_box(tree, nd)
         boxes.append(Box(cell.lo.copy(), cell.hi.copy()))
         boxes.append(Box(cell.lo - 1e-6, cell.hi + 1e-6))
     boxes += make_boxes(pts, 0.08, 48 - len(boxes), seed=7)
@@ -126,7 +126,7 @@ def test_seeding_matches_the_oracle_at_depth(small_llc):
     # border tasks in both modes.
     assert tree.l0_on_cpu is not small_llc
     assert _l0_levels(tree) > 20
-    leaves = [tree.node_box(nd) for nd in tree.l0_nodes() if nd.is_leaf]
+    leaves = [node_box(tree, nd) for nd in tree.l0_nodes() if nd.is_leaf]
     assert leaves
     for cell in leaves:
         assert any(b.contains_box(cell) for b in boxes)

@@ -185,6 +185,36 @@ def test_search_answers_identical_and_words_fewer(engine):
     assert rf.queries_pruned + rf.fp_probes <= absent + rf.probes
 
 
+def test_false_positive_tally_is_the_per_query_scan(monkeypatch):
+    """``account_search`` pools the reached leaves' keys and searches them
+    once; its tally must equal the per-query scan — screened, unpruned
+    queries whose own leaf (none, off an edge) lacks the key — on lookups
+    and deletes at an FPR high enough for false positives."""
+    tallies = []
+    real = RouteFilterSet.account_search
+
+    def spy(self, results, probed):
+        want = sum(
+            1 for res, p in zip(results, probed.tolist())
+            if p and not res.pruned
+            and (res.leaf is None or res.leaf.keys is None
+                 or res.key not in res.leaf.keys.tolist()))
+        before = self.fp_probes
+        real(self, results, probed)
+        tallies.append((self.fp_probes - before, want))
+
+    monkeypatch.setattr(RouteFilterSet, "account_search", spy)
+    rng = np.random.default_rng(17)
+    pts = rng.random((3000, 3))
+    tree = make_tree(pts, fpr=0.3)
+    near = pts[:200] + 1e-9  # absent, and mostly in a stored key's leaf
+    tree.search(np.vstack([pts[:300], near, rng.random((300, 3))]))
+    tree.delete(np.vstack([pts[300:340], near[:60]]))
+    assert len(tallies) == 2
+    assert all(got == want for got, want in tallies)
+    assert sum(got for got, _ in tallies) > 0
+
+
 @pytest.mark.parametrize("engine", ["reference", "vectorized"], indirect=True)
 def test_delete_identical_and_words_fewer(engine):
     rng = np.random.default_rng(13)
