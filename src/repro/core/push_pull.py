@@ -106,10 +106,8 @@ class RoundOutput:
     __slots__ = ("cycles", "recv", "send", "cpu_ops", "touched", "results",
                  "emits")
 
-    def __init__(self, n_groups: int) -> None:
-        self.cycles = np.zeros(n_groups)
-        self.recv = np.zeros(n_groups)
-        self.send = np.zeros(n_groups)
+    def __init__(self) -> None:
+        self.cycles = self.recv = self.send = None  # set at the modules
         self.cpu_ops = 0.0
         self.touched: list[int] = []
         self.results: list[tuple[int, object]] = []

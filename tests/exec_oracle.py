@@ -725,11 +725,21 @@ def _seed_l0(tree, box: Box, qid: int, tasks: list[Task], *,
         stack.append((node.right, False))
 
 
-def _seed_l0_boxes(tree, Lo, Hi, tasks, *, fetch: bool, counts, chunks_list):
-    """``repro.core.vexec.seed_l0_boxes``'s signature over :func:`_seed_l0`."""
+def _seed_l0_boxes(tree, Lo, Hi, *, fetch: bool):
+    """``repro.core.vexec.l0_box_seeds`` over :func:`_seed_l0`: the border
+    tasks and each box's L0 count or points as one result item."""
+    tasks: list[Task] = []
+    results: dict[int, list] = {}
+    counts = [0] * len(Lo)
     for qid, box in enumerate(map(Box, Lo, Hi)):
+        chunks: list[np.ndarray] = []
         _seed_l0(tree, box, qid, tasks, fetch=fetch, counts=counts,
-                 chunks=chunks_list[qid])
+                 chunks=chunks)
+        if chunks:
+            results[qid] = [("pts", np.vstack(chunks))]
+        elif counts[qid]:
+            results[qid] = [("count", counts[qid])]
+    return tasks, results
 
 
 def _make_handler(tree, Lo, Hi, *, fetch: bool):
@@ -979,7 +989,7 @@ _SWAPS = (
     (repro.core.knn, "_ArrayHost", _ScalarHost),
     (repro.core.knn, "make_candidate_kernel", _make_candidate_handler),
     (repro.core.knn, "make_fetch_kernel", _make_fetch_handler),
-    (repro.core.range_query, "seed_l0_boxes", _seed_l0_boxes),
+    (repro.core.range_query, "l0_box_seeds", _seed_l0_boxes),
     (repro.core.range_query, "make_range_kernel", _make_handler),
     (repro.core.update, "plan_leaf_deletions", _plan_leaf_deletions),
     (RouteFilterSet, "make_knn_prune", make_knn_prune),

@@ -111,6 +111,16 @@ def test_k_below_one_is_refused_before_any_charge(k):
     assert tree.system.stats == stats
 
 
+@pytest.mark.parametrize("metric", ["l2", None, 2],
+                         ids=["str", "none", "int"])
+def test_non_metric_metric_is_refused_before_any_charge(metric):
+    tree = _tree(500)
+    stats = copy.deepcopy(tree.system.stats)
+    with pytest.raises(TypeError, match="metric must be a Metric"):
+        tree.knn(tree.all_points()[:4], 1, metric)
+    assert tree.system.stats == stats
+
+
 def test_numpy_integer_k_is_an_integer():
     tree = _tree(500)
     q = tree.all_points()[:4] + 1e-4

@@ -400,15 +400,17 @@ def test_allocation_history_does_not_order_the_flush(monkeypatch):
 def test_one_kernel_entry_per_pushed_round(monkeypatch, dataset, n_modules):
     """The deterministic proxy for "one kernel call per BSP round and
     site": a round enters its kernel once for its pushed groups and once
-    for its pulled ones."""
+    for its pulled ones, and a batch's L0 seeding enters it once more, at
+    the L0 site."""
     data = dataset(6000, 3, seed=7)
     tree = make_adapter("pim", data, n_modules=n_modules, seed=7).tree
 
+    # Kernel entries by name, the L0 site's apart (as ``(name, "l0")``).
     entries: Counter = Counter()
     for name in ("_ball_descent", "_range_descent"):
-        def counted(*args, _name=name, _fn=getattr(vexec, name), **kw):
-            entries[_name] += 1
-            return _fn(*args, **kw)
+        def counted(rnd, *args, _name=name, _fn=getattr(vexec, name), **kw):
+            entries[(_name, "l0") if rnd.site is vexec.AT_L0 else _name] += 1
+            return _fn(rnd, *args, **kw)
         monkeypatch.setattr(vexec, name, counted)
 
     # (round, site) pairs that run at least one group, by kernel factory.
@@ -434,14 +436,17 @@ def test_one_kernel_entry_per_pushed_round(monkeypatch, dataset, n_modules):
                   + site_rounds["make_fetch_kernel"])
     assert knn_rounds >= 2
     assert entries["_ball_descent"] == knn_rounds
-    assert entries["_range_descent"] == 0
+    assert entries["_ball_descent", "l0"] == 1   # step 4's seeding
+    assert entries["_range_descent"] == entries["_range_descent", "l0"] == 0
 
     boxes = make_boxes(data, 0.1, 32, seed=7)
     tree.box_count(boxes)
     tree.box_fetch(boxes)
     assert site_rounds["make_range_kernel"] >= 1
     assert entries["_range_descent"] == site_rounds["make_range_kernel"]
+    assert entries["_range_descent", "l0"] == 2  # one seeding per batch
     assert entries["_ball_descent"] == knn_rounds
+    assert entries["_ball_descent", "l0"] == 1
 
     # One inserted point between two kNN batches: the flush rewrites the
     # search path (plus what a leaf split adds), never the whole arena.
