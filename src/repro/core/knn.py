@@ -53,12 +53,12 @@ from .push_pull import PushPullExecutor, Task
 from .search import search_batch
 from .vexec import (
     _dist_rows,
+    l0_candidate_seeds,
     l0_fetch_seeds,
     lowest_rows,
     make_candidate_kernel,
     make_fetch_kernel,
     node_arena,
-    seed_knn_l0,
     segmented_topk,
     sphere_cover_mask,
     trace_rows,
@@ -155,10 +155,12 @@ class _ArrayHost:
     The traces are one padded ``(query, depth)`` row matrix: step 2's
     start is the deepest row with ``sc ≥ 2k``, step 3's covering node the
     deepest row whose box contains the sphere (one masked compare and an
-    ``argmax`` along depth).  Step 2's L0 walk is :func:`.vexec.seed_knn_l0`;
-    step 4's is that step's ball fetch at the L0 site
-    (:func:`.vexec.l0_fetch_seeds`, each query's covering subtree in L0's
-    pre-order table at once), its ``"pts"`` items the rounds'.
+    ``argmax`` along depth).  Both L0 walks run at the L0 site, each
+    query's start subtree in L0's table at once: step 2's candidate
+    search (:func:`.vexec.l0_candidate_seeds`), whose ``"cand"`` items
+    become the states' first candidates, and step 4's ball fetch
+    (:func:`.vexec.l0_fetch_seeds`), whose ``"pts"`` items join the
+    rounds'.
     The round-hook merge, step 3's k-th exact distance and step 5's
     answer are each one :func:`.vexec.segmented_topk`.  Charges and LLC
     touches equal the per-query oracle's (module docstring of
@@ -178,8 +180,12 @@ class _ArrayHost:
         tree = self.tree
         tree.system.charge_cpu(self.n_trace * _CPU_TRACE_OPS)
         start = lowest_rows(self.sc >= 2 * self.k, self.rows, tree.root.row)
-        return seed_knn_l0(tree, self.Q, start, self.coarse, self.states,
-                           self.k)
+        tasks, cands = l0_candidate_seeds(tree, self.Q, start, self.coarse,
+                                          self.k)
+        for qid, ((_, d, p),) in cands.items():
+            st = self.states[qid]
+            st.cand_d, st.cand_p = d, p
+        return tasks
 
     def merge(self, results: dict[int, list]) -> None:
         """Round hook: fold each query's fresh candidates into its state."""

@@ -29,20 +29,20 @@ module:
   one stacked row-distance evaluation per round);
 * :func:`make_range_kernel` — box-mask range count/fetch
   (:func:`_range_descent`) for a whole round at once;
+* :class:`_L0Table` — L0 as one table the arena caches and rebuilds
+  only when L0's structure changed: its key-space frontier and its
+  right-first pre-order;
 * :func:`route_through_l0` — SEARCH's L0 routing: one ``searchsorted``
-  of the batch's keys into L0's frontier table (:class:`_Frontier`),
-  which the arena caches and rebuilds only when L0's structure changed;
-* :func:`l0_box_seeds` / :func:`l0_fetch_seeds` — box and kNN step-4
-  seeding, one range / ball descent per batch at the host's L0 walk, a
-  third site of the round kernels' descents (:meth:`_Round.at_l0`).
-  There the descents walk L0's pre-order table (:class:`_Preorder`,
-  cached with the frontier table): each task meets its entry's subtree
-  at once and a node is reached unless a node above it stopped the
-  walk, a fixed number of whole-batch operations with no loop over
-  levels;
-* the kNN host passes (Alg. 3's CPU share, driven by
-  ``repro.core.knn._ArrayHost``): :func:`seed_knn_l0` — step 2's L0
-  walk as one ``(query, row)`` frontier per batch; :func:`trace_rows` /
+  of the batch's keys into the table's frontier;
+* :func:`l0_box_seeds`, :func:`l0_candidate_seeds` and
+  :func:`l0_fetch_seeds` — box seeding and kNN steps 2 and 4's, one
+  range / ball walk per batch at the host's L0 walk, a third site of the
+  round kernels' descents (:meth:`_Round.at_l0`).  There the walks run
+  over the table's pre-order: each task meets its entry's subtree at
+  once and a node is reached unless a node above it stopped the walk, a
+  fixed number of whole-batch operations with no loop over levels;
+* the rest of the kNN host passes (Alg. 3's CPU share, driven by
+  ``repro.core.knn._ArrayHost``): :func:`trace_rows` /
   :func:`lowest_rows` / :func:`sphere_cover_mask` — the search traces as
   a padded ``(query, depth)`` row matrix, so picking a trace node is a
   masked compare and an ``argmax`` along depth; :func:`segmented_topk`
@@ -94,14 +94,14 @@ pre-order, ``(~hi_incl, depth)``, the L0 table's own order — before
 stable ``lexsort((d, query))``, which orders ties by position exactly as
 the per-query sorts (and a chain of per-round top-k merges) did.  The
 only sequential dependency — step 2's pruning radius tightening as L0
-leaves merge — is settled leaf by leaf in pre-order (:func:`_pile_visits`).
+leaves merge — is settled leaf by leaf in pre-order (:func:`_pile_replay`)
+before the walk, which then cuts at that radius pair by pair.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import reduce
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, is_, is_not, itemgetter
 
 import numpy as np
@@ -132,7 +132,7 @@ __all__ = [
     "make_candidate_kernel",
     "make_fetch_kernel",
     "make_range_kernel",
-    "seed_knn_l0",
+    "l0_candidate_seeds",
     "l0_fetch_seeds",
     "trace_rows",
     "lowest_rows",
@@ -236,14 +236,14 @@ class NodeArena:
     the tree (``PIMZdTree.mark_removed``) become garbage, and once
     garbage outweighs the live rows the arena is rebuilt compactly.
 
-    The arena also caches L0's frontier table (:meth:`l0_frontier`).  A
-    flush drops it when a row in L0 before or after the flush changed
-    its ``layer``, ``left`` or ``right`` (a new row in L0 included), and
-    a rebuild always does; a table built under another root is rebuilt
-    when next read.
+    The arena also caches L0's one table (:meth:`l0_table`, SEARCH's
+    frontier and the L0 site's pre-order).  A flush drops it when a row
+    in L0 before or after the flush changed its ``layer``, ``left`` or
+    ``right`` (a new row in L0 included), and a rebuild always does; a
+    table built under another root is rebuilt when next read.
     """
 
-    __slots__ = ("tree", "n", "dead", "nodes", "dirty", "frontier") + tuple(
+    __slots__ = ("tree", "n", "dead", "nodes", "dirty", "l0") + tuple(
         name for name, _, _ in _COLUMNS
     )
 
@@ -252,7 +252,7 @@ class NodeArena:
         self.dirty: set[Node] = set()
         self.nodes: list[Node] = []  # no rows until the first flush
         self.n = self.dead = 0
-        self.frontier: _Frontier | None = None  # see l0_frontier
+        self.l0: _L0Table | None = None  # see l0_table
         self._resize(0, 0)
 
     # -- row bookkeeping ---------------------------------------------------
@@ -262,7 +262,7 @@ class NodeArena:
 
     def remove(self, node: Node) -> None:
         """``node`` left the tree: its row (if any) is garbage from now on,
-        in no layer (the frontier table finds L0's rows by layer)."""
+        in no layer (the L0 table finds L0's rows by layer)."""
         if self.has_row(node):
             self.dead += 1
             self.layer[node.row] = -1
@@ -309,7 +309,7 @@ class NodeArena:
         self.n = len(nodes)
         self.dead = 0
         self.dirty.clear()
-        self.frontier = None
+        self.l0 = None
         self._resize(_capacity(self.n), 0)
         self._write_fixed(nodes)
         self._write(nodes)
@@ -391,15 +391,15 @@ class NodeArena:
         self.count[rows] = np.fromiter(map(_COUNT, nodes), dtype=np.int32,
                                        count=n)
         layer = np.fromiter(map(_LAYER, nodes), dtype=np.int8, count=n)
-        l0 = None
-        if self.frontier is not None:
+        moved = None
+        if self.l0 is not None:
             # L0's structure: rows in L0 before or after, their layer and
             # child links.  A new row's old layer reads -1.
             was = self.layer[rows]
             touched = (was == _L0) | (layer == _L0)
             if _ANY(touched):
-                l0 = rows[touched]
-                before = (was[touched], self.left[l0], self.right[l0])
+                moved = rows[touched]
+                before = (was[touched], self.left[moved], self.right[moved])
         self.layer[rows] = layer
         meta_id = np.full(n, -1, dtype=np.int32)
         cycles = np.zeros(n)
@@ -419,28 +419,20 @@ class NodeArena:
                                           dtype=np.int32, count=k)
             self.right[rows] = np.fromiter(map(_ROW, map(_RIGHT, inner)),
                                            dtype=np.int32, count=k)
-        if l0 is not None and not (
-                np.array_equal(before[0], self.layer[l0])
-                and np.array_equal(before[1], self.left[l0])
-                and np.array_equal(before[2], self.right[l0])):
-            self.frontier = None
+        if moved is not None and not (
+                np.array_equal(before[0], self.layer[moved])
+                and np.array_equal(before[1], self.left[moved])
+                and np.array_equal(before[2], self.right[moved])):
+            self.l0 = None
 
-    def l0_frontier(self) -> "_Frontier":
-        """L0's frontier table, after a flush: the cached one while L0's
-        structure and the root are the same, else a fresh build."""
+    def l0_table(self) -> "_L0Table":
+        """L0's table, after a flush: the cached one while L0's structure
+        and the root are the same, else a fresh build."""
         self.flush()
-        f = self.frontier
-        if f is None or f.root is not self.tree.root:
-            f = self.frontier = _Frontier(self)
-        return f
-
-    def l0_preorder(self) -> "_Preorder":
-        """L0's pre-order table, made on first use and kept (and dropped)
-        with the frontier table."""
-        f = self.l0_frontier()
-        if f.preorder is None:
-            f.preorder = _Preorder(self)
-        return f.preorder
+        t = self.l0
+        if t is None or t.root is not self.tree.root:
+            t = self.l0 = _L0Table(self)
+        return t
 
 
 def node_arena(tree) -> NodeArena:
@@ -455,8 +447,8 @@ def check_arena(tree) -> None:
 
     Compared over the rows of reachable nodes: every column, with the
     columns that hold rows (child links, meta handles) compared by the
-    identity of the node they name; a cached L0 frontier table must
-    equal a fresh one.  ``tree.check_invariants`` calls this, so it
+    identity of the node they name; a cached L0 table must equal a fresh
+    one.  ``tree.check_invariants`` calls this, so it
     builds an unbuilt arena.
     """
     arena = node_arena(tree)
@@ -465,11 +457,9 @@ def check_arena(tree) -> None:
     assert arena.n - arena.dead == len(live), "arena live-row count drifted"
     assert arena.n <= 2 * len(live), "arena garbage exceeds its bound"
     rows = [nd.row for nd in live]
-    f = arena.frontier
-    if f is not None and f.root is tree.root:
-        assert f.same_as(_Frontier(arena)), "L0 frontier table is stale"
-        assert f.preorder is None or f.preorder.same_as(_Preorder(arena)), \
-            "L0 pre-order table is stale"
+    t = arena.l0
+    if t is not None and t.root is tree.root:
+        assert t.same_as(_L0Table(arena)), "L0 table is stale"
     # A fresh build rows the nodes 0..n-1 in ``live`` order; restored below.
     fresh = NodeArena(tree)
     fresh.flush()
@@ -515,52 +505,111 @@ def _l0_blocks(nodes) -> list[tuple]:
 _LEAF, _EDGE, _BORDER, _OUTSIDE = 0, 1, 2, 3
 
 
-class _Frontier:
-    """L0's key-space frontier: the root's key range cut into intervals
-    whose keys all end their L0 walk the same way.
+class _L0Table:
+    """L0 as one table, built from one scan of its rows: the key-space
+    frontier SEARCH routes over and the right-first pre-order the L0
+    site's descents walk.
 
-    Interval ``i`` runs from ``starts[i]`` (sorted) up to the next start,
-    the last one up to ``hi``, the root's ``hi_incl``.  Its keys end as
-    ``kind[i]`` says, at the rows ``child[i]`` and ``end[i]``:
-    ``_LEAF`` — in the L0 leaf ``child[i]``; ``_BORDER`` — at
-    ``child[i]``, a non-L0 child of an L0 node, where their border task
-    starts; ``_EDGE`` — off the compressed edge from ``end[i]`` into
-    ``child[i]``.  They visit the L0 nodes on the root path of
-    ``end[i]`` (the leaf itself, or the parent where they stop), root
-    first.  Entry ``len(starts)`` is a key outside ``[lo, hi]``:
-    ``_OUTSIDE``, the edge ``(None, root)``, no trace.  An empty L0 is
-    one border interval at the root, with no trace either (``end`` -1).
+    *Frontier.*  The root's key range cut into intervals whose keys all
+    end their L0 walk the same way.  Interval ``i`` runs from
+    ``starts[i]`` (sorted) up to the next start, the last one up to
+    ``key_hi``, the root's ``hi_incl``.  Its keys end as ``kind[i]`` says,
+    at the rows ``child[i]`` and ``stop[i]``: ``_LEAF`` — in the L0 leaf
+    ``child[i]``; ``_BORDER`` — at ``child[i]``, a non-L0 child of an L0
+    node, where their border task starts; ``_EDGE`` — off the compressed
+    edge from ``stop[i]`` into ``child[i]``.  They visit the L0 nodes on
+    the root path of ``stop[i]`` (the leaf itself, or the parent where
+    they stop), root first.  Entry ``len(starts)`` is a key outside
+    ``[key_lo, key_hi]``: ``_OUTSIDE``, the edge ``(None, root)``, no
+    trace.  An empty L0 is one border interval at the root, with no trace
+    either (``stop`` -1).
 
     The traces themselves, lists of ``Node`` objects, are made on first
     use and kept in ``memo``: a table serves a few batches between L0
     changes, and most of its intervals are never reached in that time.
+
+    *Pre-order.*  Position ``i`` holds the L0 row ``rows[i]``, box
+    ``lo[i]``/``hi[i]``, whose subtree in the table is the positions
+    ``[i, end[i])``; column ``i`` of ``corners`` is the box as ``(lo,
+    -hi)``, so that one ``<=`` against a query box's ``(hi, -lo)`` tests
+    every face at once.  Right-first pre-order sorts by ``(hi_incl DESC,
+    depth ASC)``, so the subtree of a node ends at the first position
+    whose ``hi_incl`` is below the node's ``key_lo``.  Border edge ``j``
+    runs from position ``edge_from[j]`` to its non-L0 child, row
+    ``edge_to[j]``; edges are in their children's pre-order.
+
+    Both halves come from one scan of L0's rows and one pass over its
+    ``(inner, child)`` edges, the root taken as the child of an edge from
+    no node over its whole range: an edge's non-L0 child is a border
+    edge, and every child cuts its parent's key half into intervals.
     """
 
-    __slots__ = ("root", "nodes", "lo", "hi", "starts", "kind", "child",
-                 "end", "memo", "preorder")
+    __slots__ = ("root", "nodes", "key_lo", "key_hi", "starts", "kind",
+                 "child", "stop", "memo", "rows", "end", "lo", "hi",
+                 "corners", "edge_from", "edge_to", "_at")
 
     def __init__(self, a: NodeArena) -> None:
         root = self.root = a.tree.root
         self.nodes = a.nodes
-        self.preorder: _Preorder | None = None  # see NodeArena.l0_preorder
         r0 = root.row
-        self.lo, self.hi = a.key_lo[r0], a.hi_incl[r0]
+        key_lo = self.key_lo = a.key_lo[r0]
+        key_hi = self.key_hi = a.hi_incl[r0]
         self.memo: dict[int, list[Node]] = {-1: []}
-        if a.layer[r0] != _L0 or a.is_leaf[r0]:
-            in_l0 = bool(a.layer[r0] == _L0)
-            start = a.key_lo[r0:r0 + 1]
-            kind = np.array([_LEAF if in_l0 else _BORDER])
-            child = np.array([r0])
-            end = np.array([r0 if in_l0 else -1])
-        else:
-            start, kind, child, end = _frontier_intervals(a)
         if a.layer[r0] == _L0:
             self.memo[r0] = [root]
-        order = np.argsort(start, kind="stable")
+        # L0 is the top of the tree (a node's layer is at least its
+        # parent's), so its live rows are exactly the L0 nodes the walk
+        # can reach, and a dead row is in no layer.
+        rows = (a.layer[:a.n] == _L0).nonzero()[0]
+        self.rows = rows = rows[np.lexsort((a.depth[rows], ~a.hi_incl[rows]))]
+        self.end = np.searchsorted(~a.hi_incl[rows], ~a.key_lo[rows], "right")
+        self.lo, self.hi = a.lo[rows], a.hi[rows]
+        self.corners = np.concatenate((self.lo, -self.hi), axis=1).T.copy()
+        self._at = rows.argsort()
+
+        # Every (inner, child) edge, left children first, and last the root
+        # as the child of no node (-1) over the root's whole key range.
+        inner = (~a.is_leaf[rows]).nonzero()[0]
+        r = rows[inner]
+        parent = np.concatenate((r, r, [-1]))
+        child = np.concatenate((a.left[r], a.right[r], [r0]))
+        # Border edges: the non-L0 children of L0 nodes.
+        out = (a.layer[child[:-1]] != _L0).nonzero()[0]
+        c = child[out]
+        out = out[np.lexsort((a.depth[c], ~a.hi_incl[c]))]
+        self.edge_from = np.concatenate((inner, inner))[out]
+        self.edge_to = child[out]
+
+        # Intervals: an inner node splits its range at its key bit into
+        # two halves, one per child.  A child covers part of its half: the
+        # part below and the part above it are compressed-edge gaps
+        # (``_EDGE``); the child itself is an interval when it is an L0
+        # leaf (``_LEAF``) or not in L0 (``_BORDER``), and is split again
+        # when it is an internal L0 node.
+        klo = a.key_lo[r]
+        half = _U64(1) << (a.tree.key_bits - 1
+                           - a.depth[r].astype(np.int64)).astype(_U64)
+        lo_half = np.concatenate((klo, klo + half, [key_lo]))
+        span = half - _U64(1)
+        hi_half = lo_half + np.concatenate((span, span, [key_hi - key_lo]))
+        c_lo, c_hi = a.key_lo[child], a.hi_incl[child]
+        in_l0 = a.layer[child] == _L0
+        leaf = in_l0 & a.is_leaf[child]
+        border = ~in_l0
+        below, above = c_lo > lo_half, c_hi < hi_half
+        start = np.concatenate((lo_half[below], c_hi[above] + _U64(1),
+                                c_lo[leaf], c_lo[border]))
+        order = start.argsort(kind="stable")
         self.starts = start[order]
+        kind = np.array((_EDGE, _EDGE, _LEAF, _BORDER)).repeat(
+            [below.sum(), above.sum(), leaf.sum(), border.sum()])
         self.kind = kind[order].tolist() + [_OUTSIDE]
-        self.child = child[order].tolist() + [r0]
-        self.end = end[order].tolist() + [-1]
+        kids = np.concatenate((child[below], child[above], child[leaf],
+                               child[border]))
+        self.child = kids[order].tolist() + [r0]
+        stops = np.concatenate((parent[below], parent[above], child[leaf],
+                                parent[border]))
+        self.stop = stops[order].tolist() + [-1]
 
     def traces(self, ends: list[int]) -> list[list[Node]]:
         """The trace of each row in ``ends``, made and kept on first use:
@@ -575,49 +624,6 @@ class _Frontier:
             memo[e] = memo[r] + up[::-1]
         return list(map(memo.__getitem__, ends))
 
-    def same_as(self, other: "_Frontier") -> bool:
-        """Equal tables over one arena: the same intervals and rows, and
-        every trace made so far equal to the other's."""
-        return (self.root is other.root and self.nodes is other.nodes
-                and np.array_equal(self.starts, other.starts)
-                and self.kind == other.kind and self.child == other.child
-                and self.end == other.end
-                and list(self.memo.values()) == other.traces(list(self.memo)))
-
-
-class _Preorder:
-    """L0 in right-first pre-order, the order of the host's L0 walk, and
-    the border edges out of it.
-
-    Position ``i`` holds the L0 row ``rows[i]``, box ``lo[i]``/``hi[i]``,
-    whose subtree in the table is the positions ``[i, end[i])``; column
-    ``i`` of ``corners`` is the box as ``(lo, -hi)``, so that one ``<=``
-    against a query box's ``(hi, -lo)`` tests every face at once.
-    Right-first pre-order sorts by ``(hi_incl DESC, depth ASC)``, so the
-    subtree of a node ends at the first position whose ``hi_incl`` is
-    below the node's ``key_lo``.  Border edge ``j`` runs from position
-    ``edge_from[j]`` to its non-L0 child, row ``edge_to[j]``; edges are in
-    their children's pre-order.
-    """
-
-    __slots__ = ("rows", "end", "lo", "hi", "corners", "edge_from", "edge_to",
-                 "_at")
-
-    def __init__(self, a: NodeArena) -> None:
-        rows = np.flatnonzero(a.layer[:a.n] == _L0)
-        self.rows = rows = rows[np.lexsort((a.depth[rows], ~a.hi_incl[rows]))]
-        self.end = np.searchsorted(~a.hi_incl[rows], ~a.key_lo[rows], "right")
-        self.lo, self.hi = a.lo[rows], a.hi[rows]
-        self.corners = np.concatenate((self.lo, -self.hi), axis=1).T.copy()
-        inner = (~a.is_leaf[rows]).nonzero()[0]
-        at = np.concatenate((inner, inner))
-        child = np.concatenate((a.left[rows[inner]], a.right[rows[inner]]))
-        out = (a.layer[child] != _L0).nonzero()[0]
-        c = child[out]
-        out = out[np.lexsort((a.depth[c], ~a.hi_incl[c]))]
-        self.edge_from, self.edge_to = at[out], child[out]
-        self._at = np.argsort(rows)
-
     def pairs(self, entry: np.ndarray):
         """Task ``i`` entering at the L0 row ``entry[i]`` meets its subtree:
         the ``(task, position)`` pairs, tasks in order and each task's
@@ -631,15 +637,23 @@ class _Preorder:
         pos = i + (p - (lens.cumsum() - lens)).repeat(lens)
         return t, pos, self.end[pos] + (i - pos)
 
-    def same_as(self, other: "_Preorder") -> bool:
-        return all(map(np.array_equal, (self.rows, self.end, self.edge_from,
-                                        self.edge_to),
-                       (other.rows, other.end, other.edge_from, other.edge_to)))
+    def same_as(self, other: "_L0Table") -> bool:
+        """Equal tables over one arena: the same intervals, rows and
+        edges, and every trace made so far equal to the other's."""
+        return (self.root is other.root and self.nodes is other.nodes
+                and self.kind == other.kind and self.child == other.child
+                and self.stop == other.stop
+                and all(map(np.array_equal,
+                            (self.starts, self.rows, self.end, self.edge_from,
+                             self.edge_to),
+                            (other.starts, other.rows, other.end,
+                             other.edge_from, other.edge_to)))
+                and list(self.memo.values()) == other.traces(list(self.memo)))
 
 
 def _under(mask: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Of ``(task, position)`` pairs in pre-order along the last axis —
-    :meth:`_Preorder.pairs`, or a grid over the whole table with ``end``
+    :meth:`_L0Table.pairs`, or a grid over the whole table with ``end``
     per column — those below a pair where ``mask`` holds: a pair lies
     under the earlier pairs whose subtree ``end`` reaches past it, and
     those are its ancestors (a task's pairs end before the next task's
@@ -650,52 +664,14 @@ def _under(mask: np.ndarray, end: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frontier_intervals(a: NodeArena):
-    """The intervals under an internal L0 root, from every live L0 row at
-    once.
-
-    Each internal L0 node splits its range at its key bit into two
-    halves, one per child.  A child covers part of its half: the part
-    below and the part above it are compressed-edge gaps (``_EDGE``);
-    the child itself is an interval when it is an L0 leaf (``_LEAF``) or
-    not in L0 (``_BORDER``), and is split again when it is an internal
-    L0 node.  L0 is the top of the tree (a node's layer is at least its
-    parent's), so its live rows are exactly the L0 nodes the walk can
-    reach, and a dead row is in no layer.  Returns the unsorted
-    ``(start, kind, child, end)`` arrays.
-    """
-    kb = a.tree.key_bits
-    rows = np.flatnonzero(a.layer[:a.n] == _L0)
-    inner = rows[~a.is_leaf[rows]]
-    klo = a.key_lo[inner]
-    half = _U64(1) << (kb - 1 - a.depth[inner].astype(np.int64)).astype(_U64)
-    parent = np.concatenate([inner, inner])
-    child = np.concatenate([a.left[inner], a.right[inner]]).astype(np.intp)
-    lo_half = np.concatenate([klo, klo + half])
-    hi_half = lo_half + (np.concatenate([half, half]) - _U64(1))
-    c_lo, c_hi = a.key_lo[child], a.hi_incl[child]
-    in_l0 = a.layer[child] == _L0
-    leaf = in_l0 & a.is_leaf[child]
-    border = ~in_l0
-    below, above = c_lo > lo_half, c_hi < hi_half
-    parts = (below, above, leaf, border)
-    start = np.concatenate([lo_half[below], c_hi[above] + _U64(1),
-                            c_lo[leaf], c_lo[border]])
-    kind = np.repeat([_EDGE, _EDGE, _LEAF, _BORDER], list(map(_SUM, parts)))
-    child_rows = np.concatenate([child[m] for m in parts])
-    end = np.concatenate([parent[below], parent[above], child[leaf],
-                          parent[border]])
-    return start, kind, child_rows, end
-
-
 def route_through_l0(tree, results) -> list[Task]:
     """Traverse the globally-shared layer for every query (Alg. 1 step 1).
 
     Returns the border tasks entering L1/L2; terminal outcomes (leaf or
     edge divergence inside L0) are written into ``results`` directly.
     The whole batch is routed by one ``searchsorted`` of its keys into
-    L0's frontier table (:class:`_Frontier`, cached on the arena and
-    rebuilt only when a flush changed L0's structure or the root moved):
+    L0's frontier (:class:`_L0Table`, cached on the arena and rebuilt
+    only when a flush changed L0's structure or the root moved):
     a key's interval gives its leaf, divergent edge or border task and
     its trace, a shared list of ``Node`` objects copied into
     ``res.trace`` (the update path reads traces).  A host-resident L0
@@ -706,21 +682,21 @@ def route_through_l0(tree, results) -> list[Task]:
     queries' sends, visits and trace replies.
     """
     sys = tree.system
-    f = tree._arena.l0_frontier()
+    f = tree._arena.l0_table()
     n = len(results)
     keys = np.fromiter(map(_KEY, results), dtype=_U64, count=n)
     at = np.searchsorted(f.starts, keys, side="right") - 1
-    at[(keys < f.lo) | (keys > f.hi)] = len(f.starts)
-    nodes, kind, child, end = f.nodes, f.kind, f.child, f.end
+    at[(keys < f.key_lo) | (keys > f.key_hi)] = len(f.starts)
+    nodes, kind, child, stop = f.nodes, f.kind, f.child, f.stop
     idx = at.tolist()
-    traces = f.traces(list(map(end.__getitem__, idx)))
+    traces = f.traces(list(map(stop.__getitem__, idx)))
     for res, i, trace in zip(results, idx, traces):
         res.trace += trace
         k = kind[i]
         if k == _LEAF:
             res.leaf = nodes[child[i]]
         elif k == _EDGE:
-            res.edge = (nodes[end[i]], nodes[child[i]])
+            res.edge = (nodes[stop[i]], nodes[child[i]])
         elif k == _OUTSIDE:
             res.edge = (None, f.root)
     tasks = [Task(results[j].qid, nodes[child[i]].meta, nodes[child[i]])
@@ -826,12 +802,13 @@ class _Modules(_Site):
 
 class _L0Walk(_Site):
     """The host's walk of the shared L0 layer (§3.1): a visit with its box
-    tests is ``CPU_BOX_TEST_OPS``, a scanned point its compares alone.
+    tests is ``CPU_BOX_TEST_OPS``, a scanned point its compares alone —
+    the weights of box seeding and of both kNN steps' L0 seeding.
 
-    Both descents walk L0's pre-order table (:class:`_Preorder`) in a
-    fixed number of whole-batch operations — a pair is reached unless a
-    pair above it stopped the walk (:func:`_under`) — so there is no loop
-    over levels, and visits come out in the scalar order: tasks in order,
+    Every walk here runs over L0's table (:class:`_L0Table`) in a fixed
+    number of whole-batch operations — a pair is reached unless a pair
+    above it stopped the walk (:func:`_under`) — so there is no loop over
+    levels, and visits come out in the scalar order: tasks in order,
     right-first pre-order within a task.  Border tasks come out in that
     order too, as the walk pops each border node itself.
     """
@@ -1001,8 +978,11 @@ class _Round:
         out = self.output()
         if out.cpu_ops:
             sys.charge_cpu(int(out.cpu_ops))
-        sys.touch_cpu_blocks(zip(repeat("pimzd"), repeat("l0"), out.touched))
-        out.emits.sort(key=_QID)    # entries below L0 were queued first
+        if out.touched:
+            sys.touch_cpu_blocks(zip(repeat("pimzd"), repeat("l0"),
+                                     out.touched))
+        if self.n:
+            out.emits.sort(key=_QID)    # entries below L0 were queued first
         return out.emits, {qid: [value] for qid, value in out.results}
 
 
@@ -1078,13 +1058,27 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     """Shared kNN descent over a whole round: from every task's entry
     node, visit each locally reachable node whose box lies within
     ``bound[t]`` of query ``Q[t]`` under ``coarse`` — and, where
-    ``linf_bound[t]`` is finite, also within that ℓ∞ distance — booking
-    work and queueing boundary tasks as a per-task traversal would.
+    ``linf_bound`` (None: nowhere) holds a finite ``linf_bound[t]``, also
+    within that ℓ∞ distance — booking work and queueing boundary tasks as
+    a per-task traversal would.
 
-    The site walks (:meth:`_Site.ball_walk`); a visit's node, tests and
-    leaf scan are booked as one work entry, and reached leaves, emits
-    and host touches come out in the scalar order (module docstring,
-    "Counter-exactness contract").
+    The site walks (:meth:`_Site.ball_walk`) and :func:`_ball_visits`
+    books what it reached.
+    """
+    use_linf = None
+    if linf_bound is not None:
+        use_linf = np.isfinite(linf_bound)
+        if not _ANY(use_linf):
+            linf_bound = use_linf = None
+    walk = rnd.site.ball_walk(rnd, Q, bound, linf_bound, coarse)
+    return _ball_visits(rnd, Q, walk, use_linf, coarse)
+
+
+def _ball_visits(rnd: _Round, Q, walk, use_linf, coarse: Metric):
+    """Book a ball walk: a visit's node, tests and leaf scan as one work
+    entry (the ℓ∞ test and re-check where ``use_linf[t]``, unless it is
+    None), and reached leaves, emits and host touches in the scalar order
+    (module docstring, "Counter-exactness contract").
 
     Returns ``(rows, row_t, dd)`` for the reached leaves in scalar
     leaf-scan order (stacked points, owning task, coarse distance to the
@@ -1092,19 +1086,16 @@ def _ball_descent(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     """
     a = rnd.arena
     dims = Q.shape[1]
-    use_linf = np.isfinite(linf_bound)
-    any_linf = _ANY(use_linf)
-    (vt, vr, coarse_ok, leaf), emits = rnd.site.ball_walk(
-        rnd, Q, bound, linf_bound if any_linf else None, coarse)
+    (vt, vr, coarse_ok, leaf), emits = walk
     visit, box_w, linf_w, scan_w, linf_scan_w = rnd.site.ball_weights(
         a, vr, coarse, dims)
-    # Each visit: the node and its coarse test, the ℓ∞ test where the
-    # coarse one passed, and a reached leaf's point scan, ℓ∞ re-check
-    # included where it applies.
-    point_w = scan_w + use_linf * linf_scan_w
-    work = visit + box_w + leaf * (a.count[vr] * point_w[vt])
-    if any_linf:
-        work += coarse_ok * (use_linf * linf_w)[vt]
+    # Each visit: the node and its coarse test and a reached leaf's point
+    # scan; where it applies, the ℓ∞ test where the coarse one passed and
+    # the scan's ℓ∞ re-check.
+    work = visit + box_w + leaf * (a.count[vr] * scan_w)
+    if use_linf is not None:
+        work += use_linf[vt] * (coarse_ok * linf_w
+                                + leaf * (a.count[vr] * linf_scan_w))
     rnd.visited(vt, vr, work)
     if emits is not None:
         rnd.emit(*emits, dims + 3)
@@ -1155,15 +1146,11 @@ def _ball_levels(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
 
 
 def _ball_table(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
-    """:func:`_ball_descent`'s walk over L0's pre-order table
-    (:class:`_L0Walk`): every task meets its entry's subtree as ``(task,
-    position)`` pairs, and a pair is reached unless a pair above it lies
-    beyond the ball.  Returns what :func:`_ball_levels` returns, in the
-    scalar order, with no parents."""
-    a = rnd.arena
-    tab = a.l0_preorder()
+    """:func:`_ball_descent`'s walk over L0's table (:class:`_L0Walk`):
+    every task meets its entry's subtree as ``(task, position)`` pairs,
+    cut where a pair lies beyond the ball (:func:`_table_cut`)."""
+    tab = rnd.arena.l0_table()
     t, pos, end = tab.pairs(rnd.entry)
-    row = tab.rows[pos]
     # ``_box_gaps`` in place (``take`` gathers rows faster than fancy
     # indexing); the ℓ∞ gap is a max, exact in any order, so it runs down
     # the columns.
@@ -1176,8 +1163,16 @@ def _ball_table(rnd: _Round, Q, bound, linf_bound, coarse: Metric):
     near = coarse_ok = _norm(gap, coarse) <= bound[t]
     if linf_bound is not None:
         near = coarse_ok & (reduce(np.maximum, gap.T) <= linf_bound[t])
+    return _table_cut(rnd, tab, t, pos, end, near, coarse_ok)
+
+
+def _table_cut(rnd: _Round, tab, t, pos, end, near, coarse_ok):
+    """A ball walk over L0's ``(task, position)`` pairs: a pair is reached
+    unless a pair above it is not ``near``.  Returns what
+    :func:`_ball_levels` returns, in the scalar order, with no parents."""
+    a = rnd.arena
     v = (~_under(~near, end)).nonzero()[0]
-    vt, vr, near = t[v], row[v], near[v]
+    vt, vr, near = t[v], tab.rows[pos[v]], near[v]
     leaf = near & a.is_leaf[vr]
     # The border: non-L0 children of reached inner nodes within the ball.
     inner = (near ^ leaf).nonzero()[0]
@@ -1215,23 +1210,29 @@ def make_candidate_kernel(tree, states, coarse: Metric, k: int):
         # The round-start radius is fixed for the whole round, so batching
         # across groups cannot change what any task prunes.
         radius = np.array([states[q].radius() for q in qids])
-        hit = _ball_descent(rnd, Qall[qids], radius, np.full(n, np.inf), coarse)
+        hit = _ball_descent(rnd, Qall[qids], radius, None, coarse)
         if hit is not None:
-            rows, row_t, dd = hit
-            sel, kept = segmented_topk(dd, row_t, k, n)
             # The candidate sort: 4 ops per candidate, 6 cycles.
-            rnd.work += np.bincount(row_t, minlength=n) * (4 if on_host else 6)
-            rnd.recv += kept * (dims + 1)
-            ends = kept.cumsum()
-            got = kept.nonzero()[0]
-            starts, ends = (ends - kept)[got], ends[got]
-            rnd.out.results.extend(zip(
-                map(qids.__getitem__, got.tolist()),
-                zip(repeat("cand"), _slices(dd[sel], starts, ends),
-                    _slices(rows[sel], starts, ends))))
+            rnd.work += np.bincount(hit[1], minlength=n) * (4 if on_host else 6)
+            rnd.recv += _candidates(rnd, hit, k) * (dims + 1)
         return rnd.output()
 
     return kernel
+
+
+def _candidates(rnd: _Round, hit, k: int) -> np.ndarray:
+    """Queue each task's ``k`` best reached points as a ``("cand", d, p)``
+    result; returns how many each task keeps."""
+    rows, row_t, dd = hit
+    sel, kept = segmented_topk(dd, row_t, k, rnd.n)
+    ends = kept.cumsum()
+    got = kept.nonzero()[0]
+    starts, ends = (ends - kept)[got], ends[got]
+    rnd.out.results.extend(zip(
+        map(rnd.qids.__getitem__, got.tolist()),
+        zip(repeat("cand"), _slices(dd[sel], starts, ends),
+            _slices(rows[sel], starts, ends))))
+    return kept
 
 
 def make_fetch_kernel(tree, states, coarse: Metric, bounds, exact_radii):
@@ -1274,6 +1275,57 @@ def l0_fetch_seeds(tree, Q, start, coarse: Metric, bound, r_exact):
         q = rnd.qids
         _ball_fetch(rnd, Q[q], bound[q], r_exact[q], coarse)
     return rnd.seeds(tree.system)
+
+
+def l0_candidate_seeds(tree, Q, start, coarse: Metric, k: int):
+    """Alg. 3 step 2's L0 seeding at the L0 site from rows ``start``: each
+    query walks its start's subtree, pruned at its running radius
+    (:func:`_pile_replay`), and keeps the ``k`` best points of the L0
+    leaves it merges; ``(tasks, {qid: [("cand", d, p)]})``."""
+    rnd = _Round.at_l0(tree, len(Q), tree.dims + 3, start)
+    if rnd.n:
+        Q = Q[rnd.qids]
+        a, tab = rnd.arena, rnd.arena.l0_table()
+        t, pos, end = tab.pairs(rnd.entry)
+        leaf = a.is_leaf[tab.rows[pos]].nonzero()[0]
+        near = (_pile_replay(tab, Q, coarse, k, t, pos, end, leaf) if leaf.size
+                else np.ones(t.size, dtype=bool))
+        hit = _ball_visits(rnd, Q, _table_cut(rnd, tab, t, pos, end, near, near),
+                           None, coarse)
+        if hit is not None:
+            _candidates(rnd, hit, k)
+    return rnd.seeds(tree.system)
+
+
+def _pile_replay(tab: _L0Table, Q, coarse: Metric, k: int, t, pos, end, leaf):
+    """Step 2's prune per ``(query, position)`` pair when pairs ``leaf``
+    are L0 leaves (piles of equal keys): which pairs lie within the
+    radius in force where they stand.
+
+    The scalar walk prunes a node against the radius when it is popped:
+    the k-th best candidate after every leaf merged before it in
+    right-first pre-order, ∞ until then.  So per query the radius is a
+    step function of position, settled leaf by leaf in pre-order: a leaf
+    merges unless a pair on its path (itself included) lies beyond the
+    radius at that pair, and a merge sets the radius of every later pair.
+    """
+    near = np.ones(t.size, dtype=bool)
+    nodes = tab.nodes
+    for qi in np.unique(t[leaf]).tolist():
+        lo, hi = np.searchsorted(t, (qi, qi + 1)).tolist()
+        p, up = pos[lo:hi], end[lo:hi] - lo
+        d = _norm(_box_gaps(Q[qi], tab.lo[p], tab.hi[p]), coarse)
+        radius = np.full(hi - lo, np.inf)
+        got = np.empty(0)
+        for i in (leaf[t[leaf] == qi] - lo).tolist():
+            if _ANY((up[:i + 1] > i) & (d[:i + 1] > radius[:i + 1])):
+                continue    # a pair on its path was pruned first
+            pts = nodes[tab.rows[p[i]]].pts
+            got = np.concatenate((got, _dist_rows(pts, Q[qi], coarse)))
+            if got.size >= k:
+                radius[i + 1:] = np.partition(got, k - 1)[k - 1]
+        near[lo:hi] = d <= radius
+    return near
 
 
 # ======================================================================
@@ -1330,129 +1382,6 @@ def sphere_cover_mask(arena: NodeArena, rows, Q, r) -> np.ndarray:
     c, rr = Q[:, None, :], r[:, None, None]
     inside = ((c - rr >= arena.lo[rows]) & (c + rr <= arena.hi[rows])).all(-1)
     return inside & (rows >= 0) & np.isfinite(r)[:, None]
-
-
-def seed_knn_l0(tree, Q, start, coarse: Metric, states, k: int) -> list[Task]:
-    """Alg. 3 step 2's host-side L0 walk for a whole batch.
-
-    Query ``i`` walks L0 from row ``start[i]``, right child first; the
-    first non-L0 node on each branch becomes a border task.  The pruning
-    radius (the k-th candidate distance) only moves when an L0 *leaf* (a
-    pile of equal keys) merges: the walk is one ``(query, row)`` frontier,
-    and :func:`_pile_visits` replays the radius over pre-order position.
-
-    Charges (4 CPU ops per visited L0 node, the leaf scans), the
-    ``("pimzd", "l0", nid)`` touches and the tasks come out in the
-    scalar order: queries in order, right-first pre-order — ``(~hi_incl,
-    depth)`` — within a query.
-    """
-    sys = tree.system
-    a = node_arena(tree)
-    nodes = a.nodes
-    q = np.arange(len(Q), dtype=np.intp)
-    row = np.asarray(start, dtype=np.intp)
-    par = np.full(len(Q), -1, dtype=np.intp)
-    # Every node any query reaches, level by level: its query, row, parent
-    # entry, whether it is in L0 and whether it is a leaf to scan.  A
-    # level's entries are in no particular order: the scalar order is
-    # restored by one ``lexsort`` below.
-    levels: list[tuple] = []
-    base = 0    # entries before this level
-    while True:
-        l0 = a.layer[row] == _L0
-        leaf = l0 & a.is_leaf[row]
-        levels.append((q, row, par, l0, leaf))
-        inner = (l0 ^ leaf).nonzero()[0]
-        if not inner.size:
-            break
-        r, pair = row[inner], np.concatenate((inner, inner))
-        q, par = q[pair], pair + base
-        base += row.size
-        row = np.concatenate((a.left[r], a.right[r]))
-
-    eq, er, ep, l0, leaves = map(np.concatenate, zip(*levels))
-    leaves = leaves.nonzero()[0]
-    if len(levels) == 1:
-        # One entry per query, in query order: already the scalar order.
-        order = np.arange(eq.size)
-    else:
-        order = _preorder(a, eq, er)
-    cpu = 0
-    if leaves.size:
-        level_at = list(accumulate(map(len, map(_SECOND, levels)), initial=0))
-        popped, cpu = _pile_visits(a, Q, coarse, states, k, eq, er, ep, l0,
-                                   order, level_at, leaves)
-        order = order[popped[order]]
-    l0 = l0[order]
-    walked, border = er[order[l0]], order[~l0]
-    cpu += 4 * walked.size
-    if cpu:
-        sys.charge_cpu(cpu)
-    if walked.size:
-        sys.touch_cpu_blocks(_l0_blocks(list(map(nodes.__getitem__,
-                                                  walked.tolist()))))
-    seeds = list(map(nodes.__getitem__, er[border].tolist()))
-    return list(map(Task, eq[border].tolist(), map(_META, seeds), seeds,
-                    repeat(None), repeat(Q.shape[1] + 3)))
-
-
-def _pile_visits(a: NodeArena, Q, coarse: Metric, states, k: int, eq, er, ep,
-                 l0, order, level_at, leaves):
-    """Step 2's running radius for queries that reach L0 leaves.
-
-    The scalar walk prunes each node against the radius in force when it
-    is popped: the k-th best candidate after every leaf merged *before*
-    it in right-first pre-order.  Per such query, its leaves are settled
-    in that order — a leaf merges iff no node on its path (itself
-    included) lies beyond the radius at that node's position — which
-    fixes the radius as a step function of position; one compare per
-    entry and a per-level pass over the parents then say which entries
-    the scalar walk pops.  Returns ``(popped, cpu ops of the leaf scans)``.
-    """
-    nodes = a.nodes
-    dims = Q.shape[1]
-    m = len(eq)
-    pos = np.empty(m, dtype=np.intp)
-    pos[order] = np.arange(m)
-    hot = np.zeros(len(Q), dtype=bool)
-    hot[eq[leaves]] = True
-    d = np.full(m, -np.inf)
-    sub = np.flatnonzero(hot[eq] & l0)
-    d[sub] = _norm(_box_gaps(Q[eq[sub]], a.lo[er[sub]], a.hi[er[sub]]), coarse)
-    radius_at = np.full(m, np.inf)
-    leaves = leaves[np.argsort(pos[leaves])]
-    pos_l, d_l, ep_l, l0_l = pos.tolist(), d.tolist(), ep.tolist(), l0.tolist()
-    cpu = 0
-    for qi in np.flatnonzero(hot).tolist():
-        st = states[qi]
-        merged_at: list[int] = []
-        radius = [np.inf]  # radius[j]: in force after the j-th merge
-        for e in leaves[eq[leaves] == qi].tolist():
-            x = e
-            while x >= 0 and not (
-                    l0_l[x] and d_l[x] > radius[bisect_left(merged_at, pos_l[x])]):
-                x = ep_l[x]
-            if x >= 0:
-                continue  # a node on the path was pruned first
-            node = nodes[er[e]]
-            cpu += node.count * coarse.cpu_ops_per_dim * dims
-            cd = np.concatenate((st.cand_d, _dist_rows(node.pts, Q[qi], coarse)))
-            cp = np.concatenate((st.cand_p, node.pts))
-            sel, _ = segmented_topk(cd, np.zeros(len(cd), dtype=np.intp), k, 1)
-            st.cand_d, st.cand_p = cd[sel], cp[sel]
-            merged_at.append(pos_l[e])
-            radius.append(float(st.cand_d[k - 1]) if len(sel) >= k else np.inf)
-        mine = np.flatnonzero(eq == qi)
-        radius_at[mine] = np.asarray(radius)[
-            np.searchsorted(merged_at, pos[mine], side="left")]
-    # A node is popped (charged, touched, emitted) once its parent passed;
-    # it passes — and expands or merges — if it is also within radius.
-    passed = ~l0 | (d <= radius_at)
-    popped = np.ones(m, dtype=bool)
-    for b0, b1 in zip(level_at[1:-1], level_at[2:]):
-        popped[b0:b1] = passed[ep[b0:b1]]
-        passed[b0:b1] &= popped[b0:b1]
-    return popped, cpu
 
 
 def _reply_points(rnd: _Round, rows, row_t, mask, dims: int) -> None:
@@ -1595,15 +1524,15 @@ def _range_levels(rnd: _Round, Lo, Hi, skip, fetch: bool):
 
 
 def _range_table(rnd: _Round, Lo, Hi, skip, fetch: bool):
-    """:func:`_range_descent`'s walk over L0's pre-order table
-    (:class:`_Preorder`), every task entering at the root (position 0),
-    as a box batch's L0 walk does.  On the ``(task, position)`` grid, a
-    node is reached unless a node above it does not open — misses the
-    box, or, counting, is contained in it; fetching, a node under a
-    contained one is contained too.  A reached node that opens emits its
-    border edges.  Returns what :func:`_range_levels` returns, in the
-    scalar order, with no parents."""
-    tab = rnd.arena.l0_preorder()
+    """:func:`_range_descent`'s walk over L0's table (:class:`_L0Table`),
+    every task entering at the root (position 0), as a box batch's L0
+    walk does.  On the ``(task, position)`` grid, a node is reached unless
+    a node above it does not open — misses the box, or, counting, is
+    contained in it; fetching, a node under a contained one is contained
+    too.  A reached node that opens emits its border edges.  Returns what
+    :func:`_range_levels` returns, in the scalar order, with no
+    parents."""
+    tab = rnd.arena.l0_table()
     end = tab.end
     # Every face of every box against every node: one compare per test.
     corners = tab.corners

@@ -1,11 +1,11 @@
 """kNN's host side as batch-wide array passes ≡ the per-query oracle.
 
 The CPU's share of Alg. 3 — SEARCH's L0 routing (one lookup in the
-arena's L0 frontier table, held to the per-key walk on its own in
-``tests/test_l0_route.py``), both L0 walks (steps 2 and 4), the
-start/covering trace node (step 3) and the three top-k merges — runs as
-batch-wide passes over the node arena (``repro.core.knn._ArrayHost`` on
-``repro.core.vexec``).
+frontier of the arena's L0 table, held to the per-key walk on its own in
+``tests/test_l0_route.py``), both L0 walks (steps 2 and 4, at the L0
+site over the same table's pre-order), the start/covering trace node
+(step 3) and the three top-k merges — runs as batch-wide passes over the
+node arena (``repro.core.knn._ArrayHost`` on ``repro.core.vexec``).
 ``tests/exec_oracle.py`` keeps the per-query, per-node helpers as the
 oracle (``reference_exec()``).  Both must return identical answers and
 byte-identical ``PIMStats`` (``dram_words`` included, so the LLC touch
@@ -14,7 +14,7 @@ order is checked) on:
 * tie-heavy and continuous trees (``ties``), dims 2/3/5;
 * L0 on the host and replicated on the modules;
 * L0 leaves — duplicate piles above θ_L0, where step 2's pruning radius
-  moves *during* the L0 walk;
+  moves *during* the L0 walk (replayed per query by ``_pile_replay``);
 * ℓ2 with ``fast_l2`` on and off, ℓ1 and ℓ∞; route filters on and off.
 
 Plus: production never calls the scalar helpers — not even for groups
@@ -122,17 +122,17 @@ def test_host_pipeline_matches_the_oracle(dims, seed, metric, fast_l2,
 
 @pytest.fixture
 def pile_replays(monkeypatch):
-    """Counts ``_pile_visits`` calls and the entries they keep unpopped."""
+    """Counts ``_pile_replay`` calls and the pairs they prune."""
     seen = {"calls": 0, "pruned": 0}
-    real = vexec._pile_visits
+    real = vexec._pile_replay
 
     def spy(*args):
-        popped, cpu = real(*args)
+        near = real(*args)
         seen["calls"] += 1
-        seen["pruned"] += int((~popped).sum())
-        return popped, cpu
+        seen["pruned"] += int((~near).sum())
+        return near
 
-    monkeypatch.setattr(vexec, "_pile_visits", spy)
+    monkeypatch.setattr(vexec, "_pile_replay", spy)
     return seen
 
 
@@ -141,7 +141,7 @@ def pile_replays(monkeypatch):
 def test_pile_leaves_move_the_radius_mid_walk(dims, small_llc, pile_replays):
     """Duplicate piles above θ_L0 become L0 leaves.  With ``2k ≥ θ_L0``
     step 2 starts inside L0, merges a pile and prunes what follows it in
-    pre-order — the step-function case of ``_pile_visits``."""
+    pre-order — the step-function case of ``_pile_replay``."""
     rng = np.random.default_rng(dims)
     pts = family("piles", dims, rng)
     heads = pts[:3 * PILE:PILE]

@@ -1,7 +1,8 @@
 """SEARCH's L0 routing over the frontier table ≡ the per-key walk.
 
 Production routes a batch through L0 with one ``searchsorted`` into the
-frontier table the node arena caches (``vexec._Frontier``), places a
+frontier of L0's one table, which the node arena caches
+(``vexec._L0Table``, also the L0 site's pre-order), places a
 replicated L0's queries with one ``PIMSystem.place_batch`` pass and
 routes a round's reads with one ``ReplicaSet.read_modules`` loop.  The
 oracle is the per-key walk ``tests/exec_oracle.py`` keeps
@@ -149,7 +150,7 @@ def test_the_cached_table_follows_l0_through_updates(small_llc):
         return {nd.nid: nd for nd in a.l0_nodes()}
 
     _agree(a, b, probe)
-    table = a._arena.frontier
+    table = a._arena.l0
     assert table is not None
 
     # A hot spot: new nodes, some in L0, and promotions of old ones.
@@ -162,7 +163,7 @@ def test_the_cached_table_follows_l0_through_updates(small_llc):
     after = l0()
     assert set(after) - old, "no new L0 node"
     assert set(after) - set(before) & old, "no promotion into L0"
-    assert a._arena.frontier is not table
+    assert a._arena.l0 is not table
 
     # Deleting the hot spot demotes what it promoted, and deleting most
     # of the rest leaves more garbage than live rows: a compaction.
